@@ -134,6 +134,19 @@ def _resolve(cli_value, defaults: dict, key: str, fallback):
     return fallback
 
 
+def _resolve_number(convert, args, defaults: dict, key: str, fallback):
+    """Numeric option ``key`` resolved as by :func:`_resolve` and passed
+    through ``convert``; one left unset stays None. A value that does not
+    convert (a list or a word in the scenario defaults) is a parse error."""
+    value = _resolve(getattr(args, key), defaults, key, fallback)
+    if value is None:
+        return None
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioParseError(f"bad {key} value {value!r}") from exc
+
+
 def run_scenario(doc: dict, args: argparse.Namespace) -> tuple[int, dict]:
     """Execute one scenario document; returns (exit code, result payload).
 
@@ -175,12 +188,12 @@ def run_scenario(doc: dict, args: argparse.Namespace) -> tuple[int, dict]:
 
         frame = SYNODIC_FRAME if is_cr3bp else RTN
         fixed_dir_text = _resolve(args.fixed_dir, defaults, "fixed_dir", None)
-        order = int(_resolve(args.order, defaults, "order", 5))
-        target = float(_resolve(args.target_poc, defaults, "target_poc", 1e-6))
-        e_tol = float(_resolve(args.etol, defaults, "etol", 1e-10))
-        max_iter = int(_resolve(args.max_iter, defaults, "max_iter", 200))
-        steps = int(_resolve(args.steps, defaults, "steps", 100))
-        u_max = _resolve(args.umax, defaults, "umax", None)
+        order = _resolve_number(int, args, defaults, "order", 5)
+        target = _resolve_number(float, args, defaults, "target_poc", 1e-6)
+        e_tol = _resolve_number(float, args, defaults, "etol", 1e-10)
+        max_iter = _resolve_number(int, args, defaults, "max_iter", 200)
+        steps = _resolve_number(int, args, defaults, "steps", 100)
+        u_max = _resolve_number(float, args, defaults, "umax", None)
 
         solver_config = SolverConfig(max_order=order, e_tol=e_tol,
                                      max_iterations=max_iter,
@@ -201,7 +214,7 @@ def run_scenario(doc: dict, args: argparse.Namespace) -> tuple[int, dict]:
         if filter_tokens is not None:
             grid = [_parse_node_token(tok, period, "filter grid")
                     for tok in _float_list(filter_tokens)]
-            keep = int(_resolve(args.filter_keep, defaults, "filter_keep", 1))
+            keep = _resolve_number(int, args, defaults, "filter_keep", 1)
         else:
             grid = None
             keep = None
@@ -209,32 +222,21 @@ def run_scenario(doc: dict, args: argparse.Namespace) -> tuple[int, dict]:
         pmap = None
         if u_max is not None:
             dense = grid if grid is not None else list(epochs)
-            solution = solve_thrust_limited(event, dense, float(u_max),
+            solution = solve_thrust_limited(event, dense, u_max,
                                             solver_config, template=schedule,
                                             prop_config=prop_config)
             schedule = ControlSchedule(mode=IMPULSIVE,
                                        node_epochs=solution.node_epochs,
                                        frame=frame)
-            phi = np.concatenate([np.asarray(v)
-                                  for v in solution.per_node_dv_ms])
         else:
             if grid is not None:
                 schedule = filter_nodes(event, grid, keep, schedule,
                                         prop_config)
             pmap = build_poc_map(event, schedule, order, prop_config)
             solution = solve_recursive(pmap, solver_config)
-            phi = solution.phi
 
-        report = validate_solution(event, schedule, phi, target, pmap=pmap,
-                                   config=prop_config)
-        solution = solution.with_validated(report.validated_poc)
-        if pmap is not None:
-            ballistic_poc = pmap.ballistic_poc
-        else:
-            ballistic = validate_solution(event, schedule,
-                                          np.zeros(schedule.n_vars), target,
-                                          config=prop_config)
-            ballistic_poc = ballistic.validated_poc
+        report = validate_solution(event, schedule, solution.phi, target,
+                                   pmap=pmap, config=prop_config)
 
         result = {
             "status": "ok",
@@ -242,7 +244,7 @@ def run_scenario(doc: dict, args: argparse.Namespace) -> tuple[int, dict]:
             "order": order,
             "mode": mode_name,
             "target_poc": target,
-            "ballistic_poc": ballistic_poc,
+            "ballistic_poc": report.ballistic_poc,
             "node_epochs_s": [float(t) for t in solution.node_epochs],
             "solution": {
                 "phi": [float(x) for x in solution.phi],

@@ -7,12 +7,12 @@ of whole numerical pipelines.
 
 Coefficients are held in a dense vector indexed by a graded-lexicographic
 monomial table shared per (n_vars, max_order); the associative multi-index
-view required by callers is exposed through :attr:`TaylorPoly.coeffs` and
-the debug serialization. Degree-k homogeneous parts double as the symmetric
-derivative tensors of the expanded function: the coefficient of the monomial
-with exponent alpha equals f_alpha * alpha! / k! of the corresponding
-super-symmetric tensor entry, which is what lets tensor contractions be
-computed from coefficients without ever materializing M**k entries.
+view required by callers is exposed through :attr:`TaylorPoly.coeffs`.
+Degree-k homogeneous parts double as the symmetric derivative tensors of
+the expanded function: the coefficient of the monomial with exponent alpha
+equals f_alpha * alpha! / k! of the corresponding super-symmetric tensor
+entry, which is what lets tensor contractions be computed from
+coefficients without ever materializing M**k entries.
 """
 
 from __future__ import annotations
@@ -30,14 +30,7 @@ from .errors import ConfigurationError, DomainError
 __all__ = [
     "AlgebraConfig",
     "TaylorPoly",
-    "poly_add",
-    "poly_mul",
-    "poly_intrinsic",
-    "poly_eval",
-    "poly_partial",
-    "homogeneous_part",
     "contract_no_first_mode",
-    "generic_sqrt",
     "generic_exp",
     "generic_power",
 ]
@@ -253,16 +246,6 @@ class TaylorPoly:
         return {tuple(int(x) for x in tab.exponents[i]): float(self.coef[i])
                 for i in nz}
 
-    def to_lines(self) -> list[str]:
-        """Debug serialization: one ``e1 e2 ... eM : coefficient`` line per
-        nonzero monomial, in graded-lex order."""
-        tab = self._tab
-        lines = []
-        for i in np.nonzero(np.abs(self.coef) >= COEFF_FLUSH)[0]:
-            exps = " ".join(str(int(x)) for x in tab.exponents[i])
-            lines.append(f"{exps} : {float(self.coef[i])!r}")
-        return lines
-
     def __repr__(self) -> str:
         terms = len(np.nonzero(self.coef)[0])
         return (f"TaylorPoly(n_vars={self.n_vars}, max_order={self.max_order}, "
@@ -374,10 +357,7 @@ class TaylorPoly:
         sl = tab.degree_slices[1]
         grad = np.zeros(tab.n_vars)
         # degree-1 block rows are unit exponent vectors
-        for offset, idx in enumerate(range(sl.start, sl.stop)):
-            var = int(np.nonzero(tab.exponents[idx])[0][0])
-            grad[var] = self.coef[idx]
-        del offset
+        grad[np.nonzero(tab.exponents[sl])[1]] = self.coef[sl]
         return grad
 
     # -- intrinsics ----------------------------------------------------------
@@ -438,52 +418,6 @@ class TaylorPoly:
         return self._compose_outer(outer)
 
 
-# -- module-level operations (validated entry points) -------------------------
-
-def poly_add(a: TaylorPoly, b: TaylorPoly) -> TaylorPoly:
-    """Coefficient-wise sum of two polynomials over the same algebra."""
-    return a + b
-
-
-def poly_mul(a: TaylorPoly, b: TaylorPoly) -> TaylorPoly:
-    """Product with every term of total degree > max_order discarded."""
-    if not isinstance(b, TaylorPoly):
-        raise ConfigurationError("poly_mul expects two TaylorPoly operands")
-    return a * b
-
-
-def poly_intrinsic(kind: str, a: TaylorPoly, p: float | None = None) -> TaylorPoly:
-    """Apply an elementary function to a polynomial.
-
-    kind is one of ``sqrt``, ``reciprocal``, ``exp`` or ``power`` (the latter
-    takes the exponent through ``p``). The outer 1-D Taylor series about the
-    constant part is composed with the nilpotent remainder by Horner steps.
-    """
-    if kind == "sqrt":
-        return a.sqrt()
-    if kind == "reciprocal":
-        return a.reciprocal()
-    if kind == "exp":
-        return a.exp()
-    if kind == "power":
-        if p is None:
-            raise ConfigurationError("power intrinsic requires exponent p")
-        return a.power(p)
-    raise ConfigurationError(f"unknown intrinsic {kind!r}")
-
-
-def poly_eval(a: TaylorPoly, point) -> float:
-    return a.eval(point)
-
-
-def poly_partial(a: TaylorPoly, var: int) -> TaylorPoly:
-    return a.partial(var)
-
-
-def homogeneous_part(a: TaylorPoly, k: int) -> TaylorPoly:
-    return a.homogeneous(k)
-
-
 def contract_no_first_mode(a: TaylorPoly, k: int, phi) -> np.ndarray:
     """Contract the degree-k derivative tensor with k-1 copies of ``phi``.
 
@@ -518,12 +452,6 @@ def contract_no_first_mode(a: TaylorPoly, k: int, phi) -> np.ndarray:
 # -- generic scalar helpers ----------------------------------------------------
 # These let numerical kernels run unchanged on floats, numpy arrays and
 # TaylorPoly scalars.
-
-def generic_sqrt(x):
-    if isinstance(x, TaylorPoly):
-        return x.sqrt()
-    return np.sqrt(x)
-
 
 def generic_exp(x):
     if isinstance(x, TaylorPoly):

@@ -18,13 +18,12 @@ from typing import Sequence
 import numpy as np
 
 from .dapoly import TaylorPoly, generic_power
-from .errors import (ConfigurationError, FrameError, PropagationError,
-                     SingularityError)
+from .errors import ConfigurationError, FrameError, PropagationError
 
 __all__ = [
     "ECI", "SYNODIC", "KEPLER", "J2", "CR3BP",
     "SpacecraftState", "DynamicsModel", "PropagationConfig", "UnitScale",
-    "accel_kepler_j2", "accel_cr3bp", "propagate", "propagate_vector",
+    "propagate", "propagate_vector",
     "rtn_rotation", "jacobi_constant", "specific_energy",
     "osculating_period", "unit_scale", "scaled_model",
 ]
@@ -101,23 +100,19 @@ class DynamicsModel:
 
 @dataclass(frozen=True)
 class PropagationConfig:
-    """Fixed-step integrator settings: steps per segment and weight set."""
+    """Fixed-step integrator settings: steps per segment."""
 
     steps: int = 100
-    scheme: str = "rkf78"
 
     def __post_init__(self):
         if self.steps < 1:
             raise ConfigurationError("step count must be >= 1")
-        if self.scheme not in ("rkf78", "rkf8"):
-            raise ConfigurationError(f"unknown scheme {self.scheme!r}")
 
 
 # ---------------------------------------------------------------------------
-# Fehlberg 13-stage 7(8) tableau. ``rkf78`` combines stages with the
-# 7th-order weights; ``rkf8`` with the 8th-order ones. Stages that cannot
-# influence the selected combination are skipped (they are quadrature-only
-# members of the embedded pair).
+# Fehlberg 13-stage 7(8) tableau, combined with the 7th-order weights.
+# Stages that cannot influence that combination are skipped (stages 11 and
+# 12 only feed the 8th-order weights of the embedded pair).
 # ---------------------------------------------------------------------------
 
 def _fehlberg_78():
@@ -143,13 +138,11 @@ def _fehlberg_78():
     ]
     w7 = [F(41, 840), 0, 0, 0, 0, F(34, 105), F(9, 35), F(9, 35), F(9, 280),
           F(9, 280), F(41, 840), 0, 0]
-    w8 = [0, 0, 0, 0, 0, F(34, 105), F(9, 35), F(9, 35), F(9, 280), F(9, 280),
-          0, F(41, 840), F(41, 840)]
     beta_f = [[float(b) for b in row] for row in beta]
-    return beta_f, [float(w) for w in w7], [float(w) for w in w8]
+    return beta_f, [float(w) for w in w7]
 
 
-_BETA, _W7, _W8 = _fehlberg_78()
+_BETA, _W7 = _fehlberg_78()
 
 
 def _stage_plan(weights: list[float]):
@@ -171,7 +164,7 @@ def _stage_plan(weights: list[float]):
     return stages, rows, wsel
 
 
-_PLANS = {"rkf78": _stage_plan(_W7), "rkf8": _stage_plan(_W8)}
+_STAGES, _ROWS, _WSEL = _stage_plan(_W7)
 
 
 # ---------------------------------------------------------------------------
@@ -219,49 +212,6 @@ def _kernel_cr3bp(y: Sequence, u: Sequence, mass_ratio: float):
     return vx, vy, vz, ax, ay, az
 
 
-def effective_potential_gradient(r: np.ndarray, model: DynamicsModel) -> np.ndarray:
-    """(Omega_x, Omega_y, Omega_z) entering the synodic-frame equations."""
-    x, y, z = r
-    mu = model.mass_ratio
-    d1 = math.sqrt((x + mu) ** 2 + y * y + z * z)
-    d2 = math.sqrt((x - 1.0 + mu) ** 2 + y * y + z * z)
-    if d1 < 1e-12 or d2 < 1e-12:
-        raise SingularityError("state coincides with a primary body")
-    gx = -x + (1.0 - mu) * (x + mu) / d1 ** 3 + mu * (x - 1.0 + mu) / d2 ** 3
-    gy = -y + (1.0 - mu) * y / d1 ** 3 + mu * y / d2 ** 3
-    gz = -z + (1.0 - mu) * z / d1 ** 3 + mu * z / d2 ** 3
-    return np.array([gx, gy, gz])
-
-
-def accel_kepler_j2(state: SpacecraftState, u, model: DynamicsModel) -> np.ndarray:
-    """Inertial acceleration under two-body (+J2) gravity plus control.
-
-    With the J2 coefficient zero this reduces to plain two-body motion.
-    """
-    if state.frame != ECI:
-        raise ConfigurationError("Earth-orbit dynamics require an ECI state")
-    if float(state.r @ state.r) < 1e-18:
-        raise SingularityError("position at the center of the Earth")
-    j2 = model.j2 if model.kind == J2 else 0.0
-    y = (*state.r, *state.v)
-    out = _kernel_kepler_j2(y, tuple(u), model.mu, model.r_e, j2)
-    return np.array(out[3:], dtype=np.float64)
-
-
-def accel_cr3bp(state: SpacecraftState, u, model: DynamicsModel) -> np.ndarray:
-    """Synodic-frame acceleration in the restricted three-body problem."""
-    if state.frame != SYNODIC:
-        raise ConfigurationError("CR3BP dynamics require a synodic state")
-    mu = model.mass_ratio
-    d1sq = float((state.r[0] + mu) ** 2 + state.r[1] ** 2 + state.r[2] ** 2)
-    d2sq = float((state.r[0] - 1.0 + mu) ** 2 + state.r[1] ** 2 + state.r[2] ** 2)
-    if d1sq < 1e-24 or d2sq < 1e-24:
-        raise SingularityError("state coincides with a primary body")
-    y = (*state.r, *state.v)
-    out = _kernel_cr3bp(y, tuple(u), mu)
-    return np.array(out[3:], dtype=np.float64)
-
-
 def _derivative_fn(model: DynamicsModel, u: Sequence):
     if model.kind == CR3BP:
         mass_ratio = model.mass_ratio
@@ -285,7 +235,6 @@ def propagate_vector(y0: Sequence, u: Sequence, t0: float, t1: float,
     if t1 == t0:
         return list(y0)
     deriv = _derivative_fn(model, tuple(u))
-    stages, rows, wsel = _PLANS[config.scheme]
     h = (t1 - t0) / config.steps
     y = list(y0)
     guard_finite = all(isinstance(c, (float, np.floating))
@@ -294,19 +243,19 @@ def propagate_vector(y0: Sequence, u: Sequence, t0: float, t1: float,
     for step in range(config.steps):
         try:
             f = {}
-            for k in stages:
+            for k in _STAGES:
                 if k == 0:
                     yk = y
                 else:
                     yk = list(y)
-                    for l, b in rows[k]:
+                    for l, b in _ROWS[k]:
                         hb = h * b
                         fl = f[l]
                         for i in range(6):
                             yk[i] = yk[i] + hb * fl[i]
                 f[k] = deriv(yk)
             ynew = list(y)
-            for k, w in wsel:
+            for k, w in _WSEL:
                 hw = h * w
                 fk = f[k]
                 for i in range(6):
@@ -315,9 +264,6 @@ def propagate_vector(y0: Sequence, u: Sequence, t0: float, t1: float,
         except (ArithmeticError, ValueError) as exc:
             raise PropagationError(
                 f"propagation failed at t={t!r}: {exc}", time=t) from exc
-        except SingularityError as exc:
-            raise PropagationError(
-                f"singularity at t={t!r}: {exc}", time=t) from exc
         t = t0 + (step + 1) * h
         if guard_finite and not math.isfinite(y[0] + y[1] + y[2]):
             raise PropagationError(

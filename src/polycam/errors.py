@@ -19,10 +19,6 @@ class DomainError(PolycamError):
         self.value = value
 
 
-class SingularityError(PolycamError):
-    """State coincides with a gravitating body."""
-
-
 class PropagationError(PolycamError):
     """Numerical propagation failed; carries the time of failure."""
 

@@ -29,7 +29,7 @@ __all__ = [
     "IMPULSIVE", "LOW_THRUST", "RTN", "SYNODIC_FRAME",
     "IMPULSE_REF_MS", "ACCEL_REF_MS2",
     "ControlSchedule", "PocMap",
-    "ballistic_reference", "build_poc_map", "gradient_norm_per_node",
+    "build_poc_map", "gradient_norm_per_node",
     "propagate_with_controls",
 ]
 
@@ -61,14 +61,12 @@ class ControlSchedule:
 
     ``fixed_directions`` optionally pins each control to a unit vector in
     the local frame, reducing that node to a single magnitude variable.
-    ``u_max_ms`` is an optional per-node magnitude bound in m/s.
     """
 
     mode: str
     node_epochs: tuple[float, ...]
     frame: str = RTN
     fixed_directions: tuple | None = None
-    u_max_ms: tuple | None = None
     arc_lengths: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -109,11 +107,6 @@ class ControlSchedule:
                         "mixed free/fixed directions are not supported")
                 if abs(np.linalg.norm(d) - 1.0) > 1e-9:
                     raise ConfigurationError("fixed directions must be unit vectors")
-        if self.u_max_ms is not None:
-            if len(self.u_max_ms) != self.n_controls:
-                raise ConfigurationError("u_max_ms must carry one entry per control")
-            if any(u is not None and u <= 0 for u in self.u_max_ms):
-                raise ConfigurationError("magnitude bounds must be positive")
 
     @property
     def arcs(self) -> tuple[int, ...]:
@@ -163,6 +156,25 @@ class ControlSchedule:
                     slot += 1
                 base += n
         return slots
+
+    def delta_v(self, phi_physical) -> tuple[tuple[np.ndarray, ...], float]:
+        """Per-control velocity increments (m/s, local frame) of the stacked
+        physical controls, and the sum of their magnitudes.
+
+        A held acceleration (m/s^2) counts as its value times the duration
+        of the segment it acts on.
+        """
+        phi_physical = np.asarray(phi_physical, dtype=np.float64)
+        if self.is_fixed_direction:
+            vectors = [phi_physical[i] * self.fixed_directions[i]
+                       for i in range(self.n_controls)]
+        else:
+            vectors = list(phi_physical.reshape(self.n_controls, 3))
+        if self.mode == LOW_THRUST:
+            epochs = self.node_epochs
+            vectors = [v * (epochs[i + 1] - epochs[i])
+                       for v, i in zip(vectors, self.control_node_indices())]
+        return tuple(vectors), float(sum(np.linalg.norm(v) for v in vectors))
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,17 +228,17 @@ def _control_rotation(schedule: ControlSchedule,
 
 
 def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
-                       config: PropagationConfig,
-                       variables: list | None,
-                       control_values: np.ndarray | None,
+                       config: PropagationConfig, controls, control_unit: float,
                        fixed_impulses: Sequence[tuple[float, np.ndarray]] = ()):
     """Propagate the primary from the first node to closest approach.
 
-    Exactly one arithmetic pipeline serves three callers: DA map
-    construction (``variables`` holds per-slot control scalars), real
-    validation (``control_values`` holds physical controls), and the
-    ballistic reference (both None). ``fixed_impulses`` are (epoch,
-    delta-v m/s in the local frame) constants folded into the reference.
+    One arithmetic pipeline serves both DA map construction and the real
+    replay. ``controls[slot]`` holds the control scalars of one slot
+    (TaylorPoly variables or floats), one scalar for a fixed-direction
+    control and three otherwise; one unit of a scalar is ``control_unit``
+    physical units (m/s for impulses, m/s^2 for held accelerations).
+    ``fixed_impulses`` are (epoch, delta-v m/s in the local frame)
+    constants folded into the reference.
 
     Returns (final 6-scalar state in internal units, node states as
     SpacecraftState in event units, scale).
@@ -261,12 +273,16 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
     def constant_part(value):
         return value.constant_part if isinstance(value, TaylorPoly) else float(value)
 
-    def slot_vector(slot: int, rot: np.ndarray, unit_nd: float):
+    # One control unit in internal units. Impulses: m/s -> km/s -> internal
+    # velocity; accelerations: m/s^2 -> km/s^2 -> internal acceleration.
+    if schedule.mode == IMPULSIVE:
+        unit_nd = control_unit * 1e-3 / v_unit
+    else:
+        unit_nd = control_unit * 1e-3 / scale.accel_kms2
+
+    def slot_vector(slot: int, rot: np.ndarray):
         """Three control scalars for one slot in internal velocity/accel units."""
-        if variables is not None:
-            vars_for_slot = variables[slot]
-        else:
-            vars_for_slot = control_values[slot]
+        vars_for_slot = controls[slot]
         if schedule.is_fixed_direction:
             direction = schedule.fixed_directions[slot]
             comps = [vars_for_slot * float(direction[k]) for k in range(3)]
@@ -280,16 +296,6 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
                 acc = term if m == 0 else acc + term
             out.append(acc)
         return out
-
-    # One scaled unit / one physical unit of control, in internal units.
-    # Impulses: m/s -> km/s -> internal velocity; accelerations: m/s^2 ->
-    # km/s^2 -> internal acceleration.
-    if variables is not None:
-        dv_unit_nd = IMPULSE_REF_MS * 1e-3 / v_unit
-        accel_unit_nd = ACCEL_REF_MS2 * 1e-3 / scale.accel_kms2
-    else:
-        dv_unit_nd = 1e-3 / v_unit
-        accel_unit_nd = 1e-3 / scale.accel_kms2
 
     node_states: list[SpacecraftState | None] = [None] * len(schedule.node_epochs)
     t_cur = t_first
@@ -313,7 +319,7 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
             node_idx = payload
             node_states[node_idx] = ref_state
             if schedule.mode == IMPULSIVE:
-                dv = slot_vector(slot_of_node[node_idx], rot, dv_unit_nd)
+                dv = slot_vector(slot_of_node[node_idx], rot)
                 for k in range(3):
                     y[3 + k] = y[3 + k] + dv[k]
             else:
@@ -321,8 +327,7 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
                 if seg_slot is None:
                     pending_accel = (0.0, 0.0, 0.0)
                 else:
-                    pending_accel = tuple(
-                        slot_vector(seg_slot, rot, accel_unit_nd))
+                    pending_accel = tuple(slot_vector(seg_slot, rot))
 
     y = propagate_vector(y, pending_accel, t_cur / scale.time_s, 0.0,
                          model_nd, config)
@@ -359,41 +364,20 @@ def propagate_with_controls(event: ConjunctionEvent, schedule: ControlSchedule,
     r_rel, v_rel, p = combine_relative(event)
     bplane = project_bplane(r_rel, v_rel, p)
 
-    control_values = None
-    if phi_physical is not None:
-        phi_physical = np.asarray(phi_physical, dtype=np.float64)
-        if phi_physical.shape != (schedule.n_vars,):
-            raise ConfigurationError(
-                f"control vector has shape {phi_physical.shape}, expected "
-                f"({schedule.n_vars},)")
-        if schedule.is_fixed_direction:
-            control_values = phi_physical
-        else:
-            control_values = phi_physical.reshape(schedule.n_controls, 3)
-    else:
-        shape = (schedule.n_controls,) if schedule.is_fixed_direction \
-            else (schedule.n_controls, 3)
-        control_values = np.zeros(shape)
+    if phi_physical is None:
+        phi_physical = np.zeros(schedule.n_vars)
+    phi_physical = np.asarray(phi_physical, dtype=np.float64)
+    if phi_physical.shape != (schedule.n_vars,):
+        raise ConfigurationError(
+            f"control vector has shape {phi_physical.shape}, expected "
+            f"({schedule.n_vars},)")
+    controls = phi_physical if schedule.is_fixed_direction \
+        else phi_physical.reshape(schedule.n_controls, 3)
 
     y, node_states, scale = _thread_trajectory(
-        event, schedule, config, None, control_values, fixed_impulses)
+        event, schedule, config, controls, 1.0, fixed_impulses)
     xi, zeta = _relative_bplane_position(y, event, bplane, scale)
     return np.array([xi, zeta]), bplane, node_states
-
-
-def ballistic_reference(event: ConjunctionEvent, schedule: ControlSchedule,
-                        config: PropagationConfig | None = None
-                        ) -> list[SpacecraftState]:
-    """Unmaneuvered primary states at every schedule node.
-
-    Back-propagates the primary from closest approach to the first node,
-    then reports the forward-propagated state at each node epoch.
-    """
-    config = config or PropagationConfig()
-    schedule.validate()
-    event.check()
-    _, _, node_states = propagate_with_controls(event, schedule, None, config)
-    return node_states
 
 
 def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
@@ -426,7 +410,8 @@ def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
         variables = [[TaylorPoly.variable(cfg, 3 * s + k) for k in range(3)]
                      for s in range(schedule.n_controls)]
 
-    y, _, scale = _thread_trajectory(event, schedule, config, variables, None,
+    ref = ACCEL_REF_MS2 if schedule.mode == LOW_THRUST else IMPULSE_REF_MS
+    y, _, scale = _thread_trajectory(event, schedule, config, variables, ref,
                                      fixed_impulses)
     xi, zeta = _relative_bplane_position(y, event, bplane, scale)
     poly = poc_chan((xi, zeta), bplane.p_b, event.hbr_km, terms=CHAN_TERMS)
@@ -436,10 +421,8 @@ def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
     ballistic_poc = poc_chan(r_b_ref, bplane.p_b, event.hbr_km,
                              terms=CHAN_TERMS)
 
-    ref = ACCEL_REF_MS2 if schedule.mode == LOW_THRUST else IMPULSE_REF_MS
-    scaling = np.full(n_vars, ref)
     return PocMap(poly=poly, ballistic_poc=ballistic_poc, schedule=schedule,
-                  scaling=scaling)
+                  scaling=np.full(n_vars, ref))
 
 
 def gradient_norm_per_node(event: ConjunctionEvent, candidate_times,

@@ -11,7 +11,7 @@ of the higher-degree terms) and iterates that greedy step to a fixed point.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .mapbuilder import (ControlSchedule, IMPULSIVE, PocMap, build_poc_map,
                          gradient_norm_per_node)
 
 __all__ = [
-    "SolverConfig", "ManeuverSolution", "ProbabilityGap",
+    "SolverConfig", "ManeuverSolution",
     "solve_order1", "pseudo_gradient", "solve_order_j", "solve_recursive",
     "filter_nodes", "solve_thrust_limited", "solve_fixed_direction",
 ]
@@ -53,17 +53,6 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class ProbabilityGap:
-    """Signed gap between the target probability and the ballistic one."""
-
-    rho: float
-
-    @classmethod
-    def of(cls, pmap: PocMap, target_poc: float) -> "ProbabilityGap":
-        return cls(rho=float(target_poc) - pmap.ballistic_poc)
-
-
-@dataclass(frozen=True)
 class ManeuverSolution:
     """Solved control history in physical units plus solve diagnostics.
 
@@ -84,11 +73,7 @@ class ManeuverSolution:
     node_epochs: tuple[float, ...]
     mode: str
     wall_time_s: float
-    validated_poc: float | None = None
-    per_order_converged: tuple[bool, ...] = ()
-
-    def with_validated(self, poc: float) -> "ManeuverSolution":
-        return replace(self, validated_poc=poc)
+    per_order_converged: tuple[bool, ...]
 
 
 def solve_order1(pmap: PocMap, rho: float) -> np.ndarray:
@@ -151,11 +136,8 @@ class _PseudoGradientModel:
 
     def gradient(self, point: np.ndarray) -> np.ndarray:
         self.evals += 1
-        g = self.pmap.gradient()
-        for k in range(2, self.j + 1):
-            term = contract_no_first_mode(self.pmap.poly, k, point)
-            g = g + (self.weight * term if k == self.j else term)
-        return g
+        top = contract_no_first_mode(self.pmap.poly, self.j, point)
+        return pseudo_gradient(self.pmap, self.j - 1, point) + self.weight * top
 
     def greedy(self, point: np.ndarray) -> np.ndarray:
         g = self.gradient(point)
@@ -301,14 +283,24 @@ def _ray_seeds(pmap: PocMap, j: int, rho: float) -> list[np.ndarray]:
     return [point for _, point in seeds]
 
 
-def _solve_order_impl(pmap: PocMap, j: int, phi_init: np.ndarray,
-                      config: SolverConfig):
-    """(point, pseudo-gradient evaluations, converged).
+def solve_order_j(pmap: PocMap, j: int, phi_init: np.ndarray,
+                  config: SolverConfig) -> tuple[np.ndarray, int, bool]:
+    """Fixed point of the order-j greedy linearization map.
 
-    When no fixed point is reachable the returned point is the candidate
-    with the smallest fixed-point residual encountered.
+    Returns (point, pseudo-gradient evaluations, converged). The primary
+    path is the iteration itself: linearize the constraint at the current
+    point through the pseudo-gradient, take the greedy minimum-norm step,
+    declare convergence when successive points differ by at most
+    ``e_tol``, damping the step whenever the displacement grows. When
+    substitution orbits without converging, the same fixed point is hunted
+    directly: a dogleg root find on the fixed-point residual, the exact
+    secular family at order 2, continuation from the seed's model order,
+    and restarts from constraint roots along principal rays. Whatever path
+    succeeds, the returned point satisfies the iteration's own convergence
+    test; when none does, the point is the candidate with the smallest
+    fixed-point residual encountered.
     """
-    rho = ProbabilityGap.of(pmap, config.target_poc).rho
+    rho = config.target_poc - pmap.ballistic_poc
     model = _PseudoGradientModel(pmap, j, rho)
     phi_init = np.asarray(phi_init, dtype=np.float64)
 
@@ -359,65 +351,22 @@ def _solve_order_impl(pmap: PocMap, j: int, phi_init: np.ndarray,
     return best[1], model.evals, False
 
 
-def solve_order_j(pmap: PocMap, j: int, phi_init: np.ndarray,
-                  config: SolverConfig) -> tuple[np.ndarray, int]:
-    """Fixed point of the order-j greedy linearization map.
-
-    The primary path is the iteration itself: linearize the constraint at
-    the current point through the pseudo-gradient, take the greedy
-    minimum-norm step, declare convergence when successive points differ
-    by at most ``e_tol``, damping the step whenever the displacement
-    grows. When substitution orbits without converging, the same fixed
-    point is hunted directly: a dogleg root find on the fixed-point
-    residual, the exact secular family at order 2, continuation from the
-    seed's model order, and restarts from constraint roots along principal
-    rays. Whatever path succeeds, the returned point satisfies the
-    iteration's own convergence test; otherwise raises with the best
-    iterate attached.
-    """
-    point, evals, converged = _solve_order_impl(pmap, j, phi_init, config)
-    if not converged:
-        raise NonConvergenceError(
-            f"order-{j} iteration found no fixed point after {evals} "
-            f"pseudo-gradient evaluations",
-            last_iterate=point, order=j, iterations=evals)
-    return point, evals
-
-
-def _package_solution(pmap: PocMap, phi_scaled: np.ndarray,
-                      iterations: tuple[int, ...], target_poc: float,
-                      started: float,
-                      converged: tuple[bool, ...] = ()) -> ManeuverSolution:
-    schedule = pmap.schedule
-    phi_physical = phi_scaled * pmap.scaling
-    residual = abs(pmap.poly.eval(phi_scaled) - target_poc)
-
-    if schedule.is_fixed_direction:
-        vectors = [phi_physical[i] * schedule.fixed_directions[i]
-                   for i in range(schedule.n_controls)]
-    else:
-        vectors = list(phi_physical.reshape(schedule.n_controls, 3))
-
-    control_nodes = schedule.control_node_indices()
-    if schedule.mode == IMPULSIVE:
-        dv_vectors = vectors
-    else:
-        # held acceleration (m/s^2) times segment duration gives the
-        # equivalent velocity increment
-        epochs = schedule.node_epochs
-        dv_vectors = [v * (epochs[i + 1] - epochs[i])
-                      for v, i in zip(vectors, control_nodes)]
-    dv_total = float(sum(np.linalg.norm(v) for v in dv_vectors))
+def _package_solution(schedule: ControlSchedule, phi_physical: np.ndarray,
+                      residual: float, iterations: tuple[int, ...],
+                      converged: tuple[bool, ...],
+                      started: float) -> ManeuverSolution:
+    per_node_dv, dv_total = schedule.delta_v(phi_physical)
     return ManeuverSolution(
         phi=phi_physical,
-        per_order_iterations=tuple(iterations),
+        per_order_iterations=iterations,
         residual=residual,
         dv_total_ms=dv_total,
-        per_node_dv_ms=tuple(np.asarray(v) for v in dv_vectors),
-        node_epochs=tuple(schedule.node_epochs[i] for i in control_nodes),
+        per_node_dv_ms=per_node_dv,
+        node_epochs=tuple(schedule.node_epochs[i]
+                          for i in schedule.control_node_indices()),
         mode=schedule.mode,
         wall_time_s=time.perf_counter() - started,
-        per_order_converged=converged or (True,) * len(iterations),
+        per_order_converged=converged,
     )
 
 
@@ -437,26 +386,37 @@ def solve_recursive(pmap: PocMap, config: SolverConfig) -> ManeuverSolution:
     if config.max_order > pmap.order:
         raise ConfigurationError(
             f"solver order {config.max_order} exceeds map order {pmap.order}")
-    rho = ProbabilityGap.of(pmap, config.target_poc).rho
+    rho = config.target_poc - pmap.ballistic_poc
     if rho >= 0.0:
         phi = np.zeros(pmap.n_vars)
         iterations = (1,) + (0,) * (n - 1)
-        return _package_solution(pmap, phi, iterations, config.target_poc,
-                                 started)
-    phi = solve_order1(pmap, rho)
-    iterations = [1]
-    converged = [True]
-    for j in range(2, n + 1):
-        phi, used, ok = _solve_order_impl(pmap, j, phi, config)
-        iterations.append(used)
-        converged.append(ok)
-        if j == n and not ok:
+        converged = (True,) * n
+    else:
+        phi = solve_order1(pmap, rho)
+        iterations = (1,)
+        converged = (True,)
+        for j in range(2, n + 1):
+            phi, used, ok = solve_order_j(pmap, j, phi, config)
+            iterations += (used,)
+            converged += (ok,)
+        if not converged[-1]:
             raise NonConvergenceError(
-                f"final order {n} found no fixed point after {used} "
+                f"final order {n} found no fixed point after {iterations[-1]} "
                 f"pseudo-gradient evaluations",
-                last_iterate=phi, order=n, iterations=used)
-    return _package_solution(pmap, phi, tuple(iterations), config.target_poc,
-                             started, tuple(converged))
+                last_iterate=phi, order=n, iterations=iterations[-1])
+    residual = abs(pmap.poly.eval(phi) - config.target_poc)
+    return _package_solution(pmap.schedule, phi * pmap.scaling, residual,
+                             iterations, converged, started)
+
+
+def _ranked_epochs(event: ConjunctionEvent, times, template: ControlSchedule,
+                   config: PropagationConfig | None) -> list[float]:
+    """Candidate epochs by decreasing first-order probability-gradient norm;
+    ties go to the earlier time, then the earlier grid position."""
+    norms = gradient_norm_per_node(event, times, template, config)
+    ranked = sorted(range(len(norms)),
+                    key=lambda i: (-norms[i][1], norms[i][0], i))
+    return [norms[i][0] for i in ranked]
 
 
 def filter_nodes(event: ConjunctionEvent, dense_times, keep: int,
@@ -471,10 +431,7 @@ def filter_nodes(event: ConjunctionEvent, dense_times, keep: int,
     if not 1 <= keep <= len(dense_times):
         raise ConfigurationError(
             f"keep must lie in [1, {len(dense_times)}], got {keep}")
-    norms = gradient_norm_per_node(event, dense_times, template, config)
-    ranked = sorted(range(len(norms)),
-                    key=lambda i: (-norms[i][1], norms[i][0], i))
-    chosen = sorted(norms[i][0] for i in ranked[:keep])
+    chosen = sorted(_ranked_epochs(event, dense_times, template, config)[:keep])
     fixed = None
     if template.fixed_directions is not None:
         fixed = tuple(template.fixed_directions[0] for _ in chosen)
@@ -512,45 +469,34 @@ def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
     if template.mode != IMPULSIVE:
         raise ConfigurationError("thrust-limited sequencing applies to impulses")
 
-    norms = gradient_norm_per_node(event, dense_times, template, prop_config)
-    ranked = sorted(range(len(norms)),
-                    key=lambda i: (-norms[i][1], norms[i][0], i))
-    ranked_times = [norms[i][0] for i in ranked]
+    ranked_times = _ranked_epochs(event, dense_times, template, prop_config)
 
     saturated: list[tuple[float, np.ndarray]] = []
-    iterations: tuple[int, ...] = ()
-    last_map = None
     for t in ranked_times:
         single = ControlSchedule(mode=IMPULSIVE, node_epochs=(t,),
                                  frame=template.frame)
         pmap = build_poc_map(event, single, order=config.max_order,
                              config=prop_config, fixed_impulses=saturated)
-        last_map = pmap
         sol = solve_recursive(pmap, config)
-        iterations = sol.per_order_iterations
         dv = np.asarray(sol.per_node_dv_ms[0])
         magnitude = float(np.linalg.norm(dv))
         if magnitude <= u_max_ms * (1.0 + 1e-12):
             engaged = sorted(saturated + [(t, dv)], key=lambda item: item[0])
-            return ManeuverSolution(
-                phi=np.concatenate([v for _, v in engaged]),
-                per_order_iterations=iterations,
-                residual=sol.residual,
-                dv_total_ms=float(sum(np.linalg.norm(v) for _, v in engaged)),
-                per_node_dv_ms=tuple(v for _, v in engaged),
-                node_epochs=tuple(t for t, _ in engaged),
-                mode=IMPULSIVE,
-                wall_time_s=time.perf_counter() - started,
-            )
+            schedule = ControlSchedule(
+                mode=IMPULSIVE, node_epochs=tuple(t for t, _ in engaged),
+                frame=template.frame)
+            return _package_solution(
+                schedule, np.concatenate([v for _, v in engaged]),
+                sol.residual, sol.per_order_iterations,
+                sol.per_order_converged, started)
         saturated.append((t, u_max_ms * dv / magnitude))
 
-    residual_poc = None
-    if last_map is not None:
-        final = build_poc_map(event, ControlSchedule(
-            mode=IMPULSIVE, node_epochs=(ranked_times[-1],),
-            frame=template.frame), order=1, config=prop_config,
-            fixed_impulses=saturated)
-        residual_poc = final.ballistic_poc
+    # the grid is never empty here: ranking rejects an empty one
+    final = build_poc_map(event, ControlSchedule(
+        mode=IMPULSIVE, node_epochs=(ranked_times[-1],),
+        frame=template.frame), order=1, config=prop_config,
+        fixed_impulses=saturated)
+    residual_poc = final.ballistic_poc
     raise InfeasibleWithBoundError(
         f"all {len(ranked_times)} nodes saturated at {u_max_ms} m/s with "
         f"probability gap remaining (residual PoC {residual_poc})",

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conjunction import ConjunctionEvent, poc_chan, poc_quadrature
-from .dynamics import (CR3BP, PropagationConfig, propagate_vector,
-                       scaled_model, unit_scale)
+from .dynamics import PropagationConfig, propagate_vector
 from .errors import ConfigurationError, InfeasibleError
 from .mapbuilder import (CHAN_TERMS, ControlSchedule, IMPULSIVE, PocMap,
-                         _control_rotation, propagate_with_controls)
+                         _control_rotation, _relative_bplane_position,
+                         _to_internal_units, propagate_with_controls)
 
 __all__ = ["ValidationReport", "validate_solution", "grid_oracle_single_impulse"]
 
@@ -32,6 +32,7 @@ class ValidationReport:
     """Nonlinear replay of a maneuver and the numbers that grade it."""
 
     validated_poc: float
+    ballistic_poc: float
     poc_log_error: float
     dv_total_ms: float
     per_node_dv_ms: tuple
@@ -54,9 +55,10 @@ def validate_solution(event: ConjunctionEvent, schedule: ControlSchedule,
 
     ``phi_physical`` stacks the controls in m/s (impulsive) or m/s^2
     (low thrust); the zero vector reproduces the ballistic probability
-    through the identical code path. When the map that produced the
-    solution is supplied, the report carries the mismatch between its
-    prediction and the validated probability.
+    through the identical code path, and the report carries that
+    ballistic probability too. When the map that produced the solution is
+    supplied, the report carries the mismatch between its prediction and
+    the validated probability.
     """
     phi_physical = np.asarray(phi_physical, dtype=np.float64)
     r_b_after, bplane, _ = propagate_with_controls(event, schedule,
@@ -64,6 +66,7 @@ def validate_solution(event: ConjunctionEvent, schedule: ControlSchedule,
     r_b_before, _, _ = propagate_with_controls(event, schedule, None, config)
 
     validated = poc_chan(r_b_after, bplane.p_b, event.hbr_km, terms=CHAN_TERMS)
+    ballistic = poc_chan(r_b_before, bplane.p_b, event.hbr_km, terms=CHAN_TERMS)
     oracle = poc_quadrature(r_b_after, bplane.p_b, event.hbr_km)
     if validated > 0.0 and oracle > 0.0:
         agree = abs(validated - oracle) / oracle <= _CROSS_CHECK_REL
@@ -77,22 +80,13 @@ def validate_solution(event: ConjunctionEvent, schedule: ControlSchedule,
         scaled = phi_physical / pmap.scaling
         map_residual = abs(pmap.poly.eval(scaled) - validated)
 
-    if schedule.is_fixed_direction:
-        vectors = [phi_physical[i] * schedule.fixed_directions[i]
-                   for i in range(schedule.n_controls)]
-    else:
-        vectors = list(phi_physical.reshape(schedule.n_controls, 3))
-    if schedule.mode != IMPULSIVE:
-        epochs = schedule.node_epochs
-        vectors = [v * (epochs[i + 1] - epochs[i])
-                   for v, i in zip(vectors, schedule.control_node_indices())]
-    dv_total = float(sum(np.linalg.norm(v) for v in vectors))
-
+    per_node_dv, dv_total = schedule.delta_v(phi_physical)
     return ValidationReport(
         validated_poc=validated,
+        ballistic_poc=ballistic,
         poc_log_error=log_error,
         dv_total_ms=dv_total,
-        per_node_dv_ms=tuple(np.asarray(v) for v in vectors),
+        per_node_dv_ms=per_node_dv,
         map_residual=map_residual,
         bplane_before_km=r_b_before,
         bplane_after_km=r_b_after,
@@ -143,12 +137,7 @@ def grid_oracle_single_impulse(event: ConjunctionEvent, node_time: float,
     if ballistic <= target_poc:
         return np.zeros(3)
 
-    model = event.dynamics
-    if model.kind == CR3BP:
-        scale = unit_scale(model)
-    else:
-        scale = unit_scale(model, float(np.linalg.norm(event.primary.r)))
-    model_nd = scaled_model(model, scale)
+    scale, model_nd = _to_internal_units(event)
     node = node_states[0]
     rot = _control_rotation(schedule, node)
 
@@ -166,10 +155,7 @@ def grid_oracle_single_impulse(event: ConjunctionEvent, node_time: float,
             batch[3 + k] = batch[3 + k] + dv_nd[:, k]
         out = propagate_vector(batch, (0.0, 0.0, 0.0), t_node_nd, 0.0,
                                model_nd, config)
-        r_rel = [out[k] * scale.length_km - event.secondary.r[k]
-                 for k in range(3)]
-        xi = sum(r_rel[k] * bplane.basis[0][k] for k in range(3))
-        zeta = sum(r_rel[k] * bplane.basis[2][k] for k in range(3))
+        xi, zeta = _relative_bplane_position(out, event, bplane, scale)
         return np.array([
             poc_chan(np.array([xi[i], zeta[i]]), bplane.p_b, event.hbr_km,
                      terms=CHAN_TERMS)

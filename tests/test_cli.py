@@ -122,6 +122,20 @@ class TestRunCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["class"] == "parse"
 
+    @pytest.mark.parametrize("key, value", [("order", "abc"), ("steps", [3]),
+                                            ("target_poc", "y")])
+    def test_malformed_default_exit_2(self, scenario_file, tmp_path, capsys,
+                                      key, value):
+        doc = json.loads(scenario_file.read_text())
+        doc.setdefault("defaults", {})[key] = value
+        bad = tmp_path / "bad-default.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli(["run", str(bad)]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "error"
+        assert payload["error"]["class"] == "parse"
+        assert key in payload["error"]["message"]
+
     def test_missing_file_exit_2(self, capsys):
         assert run_cli(["run", "/nonexistent/nope.json"]) == 2
 

@@ -7,8 +7,7 @@ from polycam import dynamics as dyn
 from polycam.conjunction import combine_relative, poc_chan, project_bplane
 from polycam.errors import ConfigurationError
 from polycam.mapbuilder import (ControlSchedule, IMPULSIVE, LOW_THRUST,
-                                ballistic_reference, build_poc_map,
-                                gradient_norm_per_node,
+                                build_poc_map, gradient_norm_per_node,
                                 propagate_with_controls)
 
 
@@ -55,7 +54,7 @@ class TestControlSchedule:
 class TestBallisticReference:
     def test_single_node_round_trip(self, leo_event, leo_period):
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * leo_period,))
-        nodes = ballistic_reference(leo_event, sched)
+        nodes = propagate_with_controls(leo_event, sched, None)[2]
         node = nodes[0]
         back = dyn.propagate(node, (0, 0, 0), node.epoch, 0.0,
                              leo_event.dynamics)
@@ -66,7 +65,7 @@ class TestBallisticReference:
         # node one microsecond before closest approach: the reference moves
         # by |v| * 1e-6 km at most
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-1e-6,))
-        nodes = ballistic_reference(leo_event, sched)
+        nodes = propagate_with_controls(leo_event, sched, None)[2]
         budget = np.linalg.norm(leo_event.primary.v) * 1e-6
         assert np.linalg.norm(nodes[0].r - leo_event.primary.r) <= 1.5 * budget
         np.testing.assert_allclose(nodes[0].v, leo_event.primary.v, atol=1e-7)
@@ -76,7 +75,7 @@ class TestBallisticReference:
         # orbit are mirror images through the center
         sched = ControlSchedule(mode=IMPULSIVE,
                                 node_epochs=(-leo_period, -0.5 * leo_period))
-        nodes = ballistic_reference(leo_event, sched)
+        nodes = propagate_with_controls(leo_event, sched, None)[2]
         radius = np.linalg.norm(leo_event.primary.r)
         np.testing.assert_allclose(nodes[0].r, -nodes[1].r,
                                    atol=1e-6 * radius)

@@ -8,7 +8,7 @@ from polycam.dapoly import AlgebraConfig, TaylorPoly
 from polycam.errors import (ConfigurationError, DegenerateGradientError,
                             InfeasibleWithBoundError)
 from polycam.mapbuilder import ControlSchedule, IMPULSIVE, PocMap, build_poc_map
-from polycam.solver import (ProbabilityGap, SolverConfig, filter_nodes,
+from polycam.solver import (SolverConfig, filter_nodes,
                             pseudo_gradient, solve_fixed_direction,
                             solve_order1, solve_order_j, solve_recursive,
                             solve_thrust_limited)
@@ -109,9 +109,10 @@ class TestSolveOrderJ:
     def test_linear_map_single_iteration(self):
         pmap = synthetic_map({(1, 0, 0): 1e-3}, 3, 2, ballistic=1e-4)
         config = SolverConfig(max_order=2)
-        rho = ProbabilityGap.of(pmap, config.target_poc).rho
+        rho = config.target_poc - pmap.ballistic_poc
         seed = solve_order1(pmap, rho)
-        phi, iterations = solve_order_j(pmap, 2, seed, config)
+        phi, iterations, converged = solve_order_j(pmap, 2, seed, config)
+        assert converged
         assert iterations == 1
         np.testing.assert_allclose(phi, seed, atol=1e-14)
 
@@ -123,9 +124,11 @@ class TestSolveOrderJ:
                              schedule=ControlSchedule(mode=IMPULSIVE,
                                                       node_epochs=(-600.0,)))
         config = SolverConfig(max_order=2)
-        rho = ProbabilityGap.of(pmap, config.target_poc).rho
+        rho = config.target_poc - pmap.ballistic_poc
         assert rho == pytest.approx(-0.5)
-        phi, _ = solve_order_j(pmap, 2, solve_order1(pmap, rho), config)
+        phi, _, converged = solve_order_j(pmap, 2, solve_order1(pmap, rho),
+                                          config)
+        assert converged
         assert phi[0] == pytest.approx(expected, abs=1e-9)
         assert phi[0] == pytest.approx(-0.527864, abs=1e-6)
 
@@ -134,9 +137,12 @@ class TestSolveOrderJ:
                              schedule=ControlSchedule(mode=IMPULSIVE,
                                                       node_epochs=(-600.0,)))
         config = SolverConfig(max_order=2)
-        rho = ProbabilityGap.of(pmap, config.target_poc).rho
-        phi_star, _ = solve_order_j(pmap, 2, solve_order1(pmap, rho), config)
-        again, iterations = solve_order_j(pmap, 2, phi_star, config)
+        rho = config.target_poc - pmap.ballistic_poc
+        phi_star, _, converged = solve_order_j(pmap, 2, solve_order1(pmap, rho),
+                                               config)
+        assert converged
+        again, iterations, converged = solve_order_j(pmap, 2, phi_star, config)
+        assert converged
         assert iterations == 1
         np.testing.assert_allclose(again, phi_star, atol=1e-9)
 
@@ -147,10 +153,11 @@ class TestSolveOrderJ:
             2, 3, ballistic=5e-5,
             schedule=ControlSchedule(mode=IMPULSIVE, node_epochs=(-600.0,)))
         config = SolverConfig(max_order=3)
-        rho = ProbabilityGap.of(pmap, config.target_poc).rho
+        rho = config.target_poc - pmap.ballistic_poc
         phi = solve_order1(pmap, rho)
         for j in (2, 3):
-            phi, _ = solve_order_j(pmap, j, phi, config)
+            phi, _, converged = solve_order_j(pmap, j, phi, config)
+            assert converged
             constraint = sum(pmap.poly.homogeneous(k).eval(phi)
                              for k in range(1, j + 1))
             bound = 10 * config.e_tol * np.linalg.norm(
@@ -195,7 +202,7 @@ class TestSolveRecursive:
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * leo_period,))
         pmap = build_poc_map(leo_event, sched, order=4)
         config = SolverConfig(max_order=4)
-        rho = ProbabilityGap.of(pmap, config.target_poc).rho
+        rho = config.target_poc - pmap.ballistic_poc
         assert rho < 0.0
         sol = solve_recursive(pmap, config)
         mapped = pmap.poly.eval(sol.phi / pmap.scaling)
@@ -276,6 +283,16 @@ class TestThrustLimited:
         phi = np.concatenate([np.asarray(v) for v in bounded.per_node_dv_ms])
         report = validate_solution(tangential_event, sched_engaged, phi, 1e-6)
         assert report.poc_log_error <= 0.1
+
+    def test_reports_convergence_of_every_order(self, tangential_event):
+        period = dyn.osculating_period(tangential_event.primary,
+                                       tangential_event.dynamics)
+        bounded = solve_thrust_limited(
+            tangential_event, [-1.0 * period, -0.5 * period], u_max_ms=1e3,
+            config=SolverConfig(max_order=3))
+        assert len(bounded.per_order_iterations) == 3
+        assert len(bounded.per_order_converged) == \
+            len(bounded.per_order_iterations)
 
     def test_vanishing_bound_infeasible(self, tangential_event):
         period = dyn.osculating_period(tangential_event.primary,
