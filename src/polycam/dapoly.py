@@ -3,7 +3,10 @@
 A :class:`TaylorPoly` is a polynomial in M variables truncated at a fixed
 total degree n. It is the scalar type threaded through the propagator and
 the collision-probability composition to obtain arbitrary-order expansions
-of whole numerical pipelines.
+of whole numerical pipelines. A polynomial embeds into an algebra with more
+variables (:meth:`TaylorPoly.embed`), and a map expanded in few variables
+composes onto polynomials without constant parts (:func:`compose`), so a
+pipeline can be expanded piecewise in small algebras and chained.
 
 Coefficients are held in a dense vector indexed by a graded-lexicographic
 monomial table shared per (n_vars, max_order); the associative multi-index
@@ -30,6 +33,7 @@ from .errors import ConfigurationError, DomainError
 __all__ = [
     "AlgebraConfig",
     "TaylorPoly",
+    "compose",
     "contract_no_first_mode",
     "generic_exp",
     "generic_power",
@@ -76,7 +80,8 @@ class _AlgebraTables:
 
     __slots__ = (
         "config", "n_vars", "max_order", "size", "exponents", "index_of",
-        "degrees", "degree_slices", "mul_i", "mul_j", "mul_k", "_partial_maps",
+        "power_index", "degrees", "degree_slices", "mul_i", "mul_j", "mul_k",
+        "_partial_maps", "_contraction_maps",
     )
 
     def __init__(self, config: AlgebraConfig):
@@ -88,6 +93,10 @@ class _AlgebraTables:
         self.size = len(monos)
         self.exponents = np.array(monos, dtype=np.int64)
         self.index_of = {m: i for i, m in enumerate(monos)}
+        # (M, size) flat positions of x_v**e_v in an (M, max_order + 1) table
+        # of powers, one row per variable
+        self.power_index = (np.arange(self.n_vars)[:, None] * (self.max_order + 1)
+                            + self.exponents.T)
         self.degrees = self.exponents.sum(axis=1)
 
         self.degree_slices: list[slice] = []
@@ -116,6 +125,7 @@ class _AlgebraTables:
         self.mul_k = np.array(mk, dtype=np.intp)
 
         self._partial_maps: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._contraction_maps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def partial_map(self, var: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Source indices, destination indices and exponent factors for d/dx_var."""
@@ -135,10 +145,52 @@ class _AlgebraTables:
         self._partial_maps[var] = entry
         return entry
 
+    def contraction_map(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(M, N) source indices and exponent factors for the first
+        derivatives of the degree-k part, N being the number of degree-(k-1)
+        monomials: row j lists the degree-k monomials containing variable j,
+        ascending, so that lowering x_j in each gives the degree-(k-1)
+        monomials in table order (lexicographic order survives the shift).
+        """
+        cached = self._contraction_maps.get(k)
+        if cached is not None:
+            return cached
+        sl = self.degree_slices[k]
+        exps = self.exponents[sl]
+        src = [sl.start + np.flatnonzero(exps[:, j]) for j in range(self.n_vars)]
+        fac = [exps[exps[:, j] > 0, j].astype(np.float64)
+               for j in range(self.n_vars)]
+        entry = (np.array(src, dtype=np.intp), np.array(fac))
+        self._contraction_maps[k] = entry
+        return entry
+
 
 @lru_cache(maxsize=None)
 def _tables(n_vars: int, max_order: int) -> _AlgebraTables:
     return _AlgebraTables(AlgebraConfig(n_vars, max_order))
+
+
+def _monomial_values(tab: _AlgebraTables, point: np.ndarray,
+                     rows: slice = slice(None)) -> np.ndarray:
+    """The table's monomials (those in ``rows``) evaluated at ``point``.
+
+    Each power point_v**e is taken once into a per-variable table and
+    gathered by exponent; a monomial's factors are multiplied in variable
+    order, as ``np.prod`` over its row of powers would.
+    """
+    table = point[:, None] ** np.arange(tab.max_order + 1)
+    return np.prod(np.take(table, tab.power_index[:, rows]), axis=0)
+
+
+@lru_cache(maxsize=None)
+def _embedding(n_from: int, n_to: int, max_order: int) -> np.ndarray:
+    """Index in the (n_to, max_order) table of every (n_from, max_order)
+    monomial, the extra trailing exponents being zero."""
+    big = _tables(n_to, max_order)
+    pad = (0,) * (n_to - n_from)
+    return np.array([big.index_of[tuple(int(x) for x in e) + pad]
+                     for e in _tables(n_from, max_order).exponents],
+                    dtype=np.intp)
 
 
 class TaylorPoly:
@@ -329,8 +381,7 @@ class TaylorPoly:
         if point.shape != (self.n_vars,):
             raise ConfigurationError(
                 f"point has shape {point.shape}, expected ({self.n_vars},)")
-        powers = np.prod(point[None, :] ** self._tab.exponents, axis=1)
-        return float(self.coef @ powers)
+        return float(self.coef @ _monomial_values(self._tab, point))
 
     def partial(self, var: int) -> "TaylorPoly":
         """Formal partial derivative with respect to variable ``var``."""
@@ -350,6 +401,20 @@ class TaylorPoly:
         sl = self._tab.degree_slices[k]
         coef[sl] = self.coef[sl]
         return TaylorPoly._raw(self._tab, coef)
+
+    def embed(self, config: AlgebraConfig) -> "TaylorPoly":
+        """The same polynomial in an algebra of the same order with more
+        variables; this polynomial's variables are its leading ones."""
+        if config.max_order != self.max_order or config.n_vars < self.n_vars:
+            raise ConfigurationError(
+                f"cannot embed ({self.n_vars},{self.max_order}) into "
+                f"({config.n_vars},{config.max_order})")
+        if config.n_vars == self.n_vars:
+            return self
+        tab = _tables(config.n_vars, config.max_order)
+        coef = np.zeros(tab.size)
+        coef[_embedding(self.n_vars, config.n_vars, self.max_order)] = self.coef
+        return TaylorPoly._raw(tab, coef)
 
     def gradient_at_zero(self) -> np.ndarray:
         """Row vector of degree-1 coefficients, one entry per variable."""
@@ -418,6 +483,58 @@ class TaylorPoly:
         return self._compose_outer(outer)
 
 
+def compose(outer, inner):
+    """Substitute the polynomials ``inner`` for the variables of ``outer``.
+
+    ``outer`` is one TaylorPoly in k variables or a sequence of them sharing
+    one algebra; ``inner`` holds k polynomials of one algebra of the same
+    order with zero constant parts, so truncating every product at that
+    order loses nothing. Returns the result in the algebra of ``inner``, one
+    polynomial per outer polynomial (a bare one for a bare ``outer``).
+
+    The outer monomials are walked depth-first, each one the product of its
+    parent and one inner polynomial, so at most ``max_order`` partial
+    products are alive at once.
+    """
+    outers = [outer] if isinstance(outer, TaylorPoly) else list(outer)
+    inner = list(inner)
+    head, base = outers[0], inner[0]
+    for p in outers[1:]:
+        head._check_same(p)
+    for g in inner[1:]:
+        base._check_same(g)
+    if len(inner) != head.n_vars:
+        raise ConfigurationError(
+            f"{len(inner)} inner polynomials for {head.n_vars} variables")
+    if base.max_order != head.max_order:
+        raise ConfigurationError(
+            f"order mismatch: outer {head.max_order}, inner {base.max_order}")
+    if any(g.coef[0] != 0.0 for g in inner):
+        raise ConfigurationError("inner polynomials must have zero constant parts")
+
+    coef = np.stack([p.coef for p in outers])
+    out = np.zeros((len(outers), base._tab.size))
+    out[:, 0] = coef[:, 0]
+    index_of = head._tab.index_of
+    exps = [0] * head.n_vars
+
+    def walk(parent, first, degree):
+        # extending by variables j >= first reaches each monomial once
+        for j in range(first, len(inner)):
+            term = inner[j] if parent is None else parent * inner[j]
+            exps[j] += 1
+            c = coef[:, index_of[tuple(exps)]]
+            if c.any():
+                out[:] += c[:, None] * term.coef
+            if degree < head.max_order:
+                walk(term, j, degree + 1)
+            exps[j] -= 1
+
+    walk(None, 0, 1)
+    result = [TaylorPoly._raw(base._tab, row) for row in out]
+    return result[0] if isinstance(outer, TaylorPoly) else result
+
+
 def contract_no_first_mode(a: TaylorPoly, k: int, phi) -> np.ndarray:
     """Contract the degree-k derivative tensor with k-1 copies of ``phi``.
 
@@ -434,19 +551,10 @@ def contract_no_first_mode(a: TaylorPoly, k: int, phi) -> np.ndarray:
         raise ConfigurationError(
             f"phi has shape {phi.shape}, expected ({a.n_vars},)")
     tab = a._tab
-    sl = tab.degree_slices[k]
-    exps = tab.exponents[sl]
-    coefs = a.coef[sl]
-    out = np.zeros(a.n_vars)
-    for j in range(a.n_vars):
-        mask = exps[:, j] > 0
-        if not mask.any():
-            continue
-        lowered = exps[mask].copy()
-        lowered[:, j] -= 1
-        powers = np.prod(phi[None, :] ** lowered, axis=1)
-        out[j] = np.sum(coefs[mask] * exps[mask, j] * powers) / k
-    return out
+    src, fac = tab.contraction_map(k)
+    # every row shares the degree-(k-1) monomials evaluated at phi
+    powers = _monomial_values(tab, phi, tab.degree_slices[k - 1])
+    return np.sum(a.coef[src] * fac * powers, axis=1) / k
 
 
 # -- generic scalar helpers ----------------------------------------------------

@@ -4,10 +4,15 @@ The maneuverable spacecraft is back-propagated from closest approach to the
 first control opportunity, perturbation variables are attached at each node
 (velocity increments for impulsive schedules, held accelerations for
 low-thrust arcs), and the perturbed state is propagated forward through the
-encounter. Projecting the relative position onto the frozen encounter plane
-and composing the collision-probability series yields one truncated
-polynomial in the stacked control vector. Everything downstream of this map
-is polynomial evaluation.
+encounter. The state's algebra grows node by node with the variables
+attached so far. A segment is integrated in that algebra while it has at
+most 6 + k variables (k held-acceleration scalars on the segment); beyond
+that, the segment's (6 + k)-variable flow map about the reference is
+integrated instead and composed onto the state, which replaces most
+large-algebra products with small-algebra ones. Projecting the relative
+position onto the frozen encounter plane and composing the
+collision-probability series yields one truncated polynomial in the stacked
+control vector. Everything downstream of this map is polynomial evaluation.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ import numpy as np
 
 from .conjunction import (BPlaneProjection, ConjunctionEvent, combine_relative,
                           poc_chan, project_bplane)
-from .dapoly import AlgebraConfig, TaylorPoly
-from .dynamics import (CR3BP, PropagationConfig, SpacecraftState,
+from .dapoly import AlgebraConfig, TaylorPoly, compose
+from .dynamics import (CR3BP, DynamicsModel, PropagationConfig, SpacecraftState,
                        propagate_vector, rtn_rotation, scaled_model,
                        unit_scale)
 from .errors import ConfigurationError
@@ -227,6 +232,25 @@ def _control_rotation(schedule: ControlSchedule,
     return rtn_rotation(state)
 
 
+def _composed_segment(y, scalars, accel_of, t0: float, t1: float,
+                      model: DynamicsModel, config: PropagationConfig) -> list:
+    """Advance a polynomial state over one segment by map composition.
+
+    The segment's flow map is expanded once in 6 + k variables: deviations
+    of the state about its constant part (variables 0-5) and the k held
+    control scalars (variables 6 on, mapped to accelerations by
+    ``accel_of``). It is then composed onto the nilpotent parts of the
+    state and of ``scalars``, in their algebra.
+    """
+    flow_cfg = AlgebraConfig(6 + len(scalars), y[0].max_order)
+    ref = [c.constant_part for c in y]
+    start = [TaylorPoly.variable(flow_cfg, i) + ref[i] for i in range(6)]
+    held = [TaylorPoly.variable(flow_cfg, 6 + m) for m in range(len(scalars))]
+    accel = accel_of(held) if held else (0.0, 0.0, 0.0)
+    flow = propagate_vector(start, accel, t0, t1, model, config)
+    return compose(flow, [c - r for c, r in zip(y, ref)] + list(scalars))
+
+
 def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
                        config: PropagationConfig, controls, control_unit: float,
                        fixed_impulses: Sequence[tuple[float, np.ndarray]] = ()):
@@ -239,6 +263,14 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
     physical units (m/s for impulses, m/s^2 for held accelerations).
     ``fixed_impulses`` are (epoch, delta-v m/s in the local frame)
     constants folded into the reference.
+
+    Polynomial controls may live in growing algebras: at each control node
+    the state is embedded into the algebra of that slot's variables, so
+    early segments run with only the variables of the nodes reached so
+    far. A segment whose algebra has more than 6 + k variables (k held
+    control scalars, 0 on coasts) is not integrated in that algebra: its
+    (6 + k)-variable flow map is integrated and composed onto the state.
+    Real states are integrated directly.
 
     Returns (final 6-scalar state in internal units, node states as
     SpacecraftState in event units, scale).
@@ -280,14 +312,19 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
     else:
         unit_nd = control_unit * 1e-3 / scale.accel_kms2
 
-    def slot_vector(slot: int, rot: np.ndarray):
-        """Three control scalars for one slot in internal velocity/accel units."""
-        vars_for_slot = controls[slot]
+    def slot_scalars(slot: int) -> list:
+        if schedule.is_fixed_direction:
+            return [controls[slot]]
+        return list(controls[slot])
+
+    def slot_vector(scalars, slot: int, rot: np.ndarray):
+        """Three control components of one slot's scalars, in internal
+        velocity/accel units."""
         if schedule.is_fixed_direction:
             direction = schedule.fixed_directions[slot]
-            comps = [vars_for_slot * float(direction[k]) for k in range(3)]
+            comps = [scalars[0] * float(direction[k]) for k in range(3)]
         else:
-            comps = list(vars_for_slot)
+            comps = scalars
         out = []
         for k in range(3):
             acc = 0.0
@@ -297,13 +334,27 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
             out.append(acc)
         return out
 
+    # (slot, node rotation) of the acceleration held on the current segment
+    held_slot = None
+
+    def propagate_segment(y, t0: float, t1: float) -> list:
+        t0, t1 = t0 / scale.time_s, t1 / scale.time_s
+        scalars = [] if held_slot is None else slot_scalars(held_slot[0])
+        poly = next((c for c in (*y, *scalars) if isinstance(c, TaylorPoly)),
+                    None)
+        if poly is not None and poly.n_vars > 6 + len(scalars):
+            return _composed_segment(
+                y, scalars, lambda s: slot_vector(s, *held_slot), t0, t1,
+                model_nd, config)
+        accel = (0.0, 0.0, 0.0) if held_slot is None \
+            else tuple(slot_vector(scalars, *held_slot))
+        return propagate_vector(y, accel, t0, t1, model_nd, config)
+
     node_states: list[SpacecraftState | None] = [None] * len(schedule.node_epochs)
     t_cur = t_first
-    pending_accel = (0.0, 0.0, 0.0)
     for t_ev, kind, payload in timeline:
         if t_ev != t_cur:
-            y = propagate_vector(y, pending_accel, t_cur / scale.time_s,
-                                 t_ev / scale.time_s, model_nd, config)
+            y = propagate_segment(y, t_cur, t_ev)
             t_cur = t_ev
         r_ref = np.array([constant_part(y[k]) for k in range(3)]) * scale.length_km
         v_ref = np.array([constant_part(y[k + 3]) for k in range(3)]) * v_unit
@@ -315,22 +366,23 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
             dv_nd = (rot.T @ (payload * 1e-3)) / v_unit
             for k in range(3):
                 y[3 + k] = y[3 + k] + dv_nd[k]
+            continue
+        node_idx = payload
+        node_states[node_idx] = ref_state
+        slot = slot_of_node.get(node_idx)
+        scalars = [] if slot is None else slot_scalars(slot)
+        if scalars and isinstance(scalars[0], TaylorPoly):
+            y = [c.embed(scalars[0].config) if isinstance(c, TaylorPoly) else c
+                 for c in y]
+        if schedule.mode == IMPULSIVE:
+            dv = slot_vector(scalars, slot, rot)
+            for k in range(3):
+                y[3 + k] = y[3 + k] + dv[k]
         else:
-            node_idx = payload
-            node_states[node_idx] = ref_state
-            if schedule.mode == IMPULSIVE:
-                dv = slot_vector(slot_of_node[node_idx], rot)
-                for k in range(3):
-                    y[3 + k] = y[3 + k] + dv[k]
-            else:
-                seg_slot = segment_slots[node_idx]
-                if seg_slot is None:
-                    pending_accel = (0.0, 0.0, 0.0)
-                else:
-                    pending_accel = tuple(slot_vector(seg_slot, rot))
+            seg_slot = segment_slots[node_idx]
+            held_slot = None if seg_slot is None else (seg_slot, rot)
 
-    y = propagate_vector(y, pending_accel, t_cur / scale.time_s, 0.0,
-                         model_nd, config)
+    y = propagate_segment(y, t_cur, 0.0)
     return y, node_states, scale
 
 
@@ -386,8 +438,9 @@ def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
                   ) -> PocMap:
     """Expand collision probability to ``order`` in the stacked controls.
 
-    Perturbation variables ride through the propagation node to node, the
-    relative position is projected onto the frozen encounter plane, and the
+    Perturbation variables ride through the propagation node to node (each
+    node's variables join the state's algebra at that node), the relative
+    position is projected onto the frozen encounter plane, and the
     probability series is composed on top. The constant part reproduces the
     ballistic probability of the same (real-arithmetic) pipeline.
     """
@@ -398,16 +451,17 @@ def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
     event.check()
 
     n_vars = schedule.n_vars
-    cfg = AlgebraConfig(n_vars, order)
 
     r_rel, v_rel, p = combine_relative(event)
     bplane = project_bplane(r_rel, v_rel, p)
 
+    # each slot's variables live in the algebra of the slots up to it
     if schedule.is_fixed_direction:
-        variables = [TaylorPoly.variable(cfg, s)
+        variables = [TaylorPoly.variable(AlgebraConfig(s + 1, order), s)
                      for s in range(schedule.n_controls)]
     else:
-        variables = [[TaylorPoly.variable(cfg, 3 * s + k) for k in range(3)]
+        variables = [[TaylorPoly.variable(AlgebraConfig(3 * s + 3, order),
+                                          3 * s + k) for k in range(3)]
                      for s in range(schedule.n_controls)]
 
     ref = ACCEL_REF_MS2 if schedule.mode == LOW_THRUST else IMPULSE_REF_MS

@@ -463,6 +463,8 @@ def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
     """
     if u_max_ms <= 0.0:
         raise ConfigurationError("u_max must be positive")
+    if len(dense_times) == 0:
+        raise ConfigurationError("candidate grid is empty")
     started = time.perf_counter()
     template = template or ControlSchedule(
         mode=IMPULSIVE, node_epochs=(min(float(t) for t in dense_times),))

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import polycam
 from polycam.cli import main
 from polycam.scenarios import generate_synthetic_suite, scenario_to_json
 
@@ -183,9 +185,14 @@ class TestRunCommand:
         assert len(list(results.glob("*.result.json"))) == 2
 
     def test_console_entry_point(self, scenario_file):
+        # the child finds the package where this process imported it from
+        src = os.path.dirname(os.path.dirname(polycam.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "polycam", "run", str(scenario_file)],
-            capture_output=True, text=True, timeout=300)
+            capture_output=True, text=True, timeout=300, env=env)
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["status"] == "ok"

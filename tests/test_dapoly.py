@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from polycam.dapoly import AlgebraConfig, TaylorPoly, contract_no_first_mode
+from polycam.dapoly import (AlgebraConfig, TaylorPoly, compose,
+                            contract_no_first_mode)
 from polycam.errors import ConfigurationError, DomainError
 
 
@@ -19,11 +20,11 @@ def random_poly(cfg, rng, scale=1.0, constant=None):
 
 
 def coeffs_close(a, b, tol=1e-13):
-    keys = set(a.coeffs) | set(b.coeffs)
-    scale = max([abs(v) for v in a.coeffs.values()]
-                + [abs(v) for v in b.coeffs.values()] + [1.0])
-    return all(abs(a.coeffs.get(k, 0.0) - b.coeffs.get(k, 0.0)) <= tol * scale
-               for k in keys)
+    ca, cb = a.coeffs, b.coeffs
+    scale = max([abs(v) for v in ca.values()]
+                + [abs(v) for v in cb.values()] + [1.0])
+    return all(abs(ca.get(k, 0.0) - cb.get(k, 0.0)) <= tol * scale
+               for k in set(ca) | set(cb))
 
 
 CFG2 = AlgebraConfig(2, 3)
@@ -137,6 +138,17 @@ class TestEval:
         with pytest.raises(ConfigurationError):
             X.eval([1.0, 2.0, 3.0])
 
+    def test_matches_monomial_sum(self):
+        # oracle: sum of c * prod(point**e) over the stored monomials, with a
+        # zero and a negative coordinate
+        rng = np.random.default_rng(21)
+        cfg = AlgebraConfig(4, 4)
+        p = random_poly(cfg, rng)
+        point = [0.0, -1.3, 0.7, 2.1]
+        expected = sum(c * float(np.prod([x ** e for x, e in zip(point, exps)]))
+                       for exps, c in p.coeffs.items())
+        assert p.eval(point) == pytest.approx(expected, rel=1e-13)
+
 
 class TestPartial:
     def test_product_rule_case(self):
@@ -238,6 +250,94 @@ class TestContraction:
             lhs = contract_no_first_mode(a, k, phi) @ phi
             rhs = a.homogeneous(k).eval(phi)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("n_vars,order", [(1, 5), (6, 3)])
+    def test_matches_formal_partials(self, n_vars, order):
+        # oracle: component j is (1/k) d(h_k)/dx_j from the formal derivative
+        rng = np.random.default_rng(17)
+        cfg = AlgebraConfig(n_vars, order)
+        a = random_poly(cfg, rng)
+        for k in range(1, order + 1):
+            phi = rng.uniform(-1.5, 1.5, size=n_vars)
+            hk = a.homogeneous(k)
+            expected = [hk.partial(j).eval(phi) / k for j in range(n_vars)]
+            np.testing.assert_allclose(contract_no_first_mode(a, k, phi),
+                                       expected, rtol=1e-12, atol=1e-14)
+
+
+def nilpotent_poly(cfg, rng):
+    """Random polynomial with every coefficient but the constant drawn."""
+    coef = rng.normal(size=TaylorPoly.zero(cfg).coef.size)
+    coef[0] = 0.0
+    return TaylorPoly(cfg, coef)
+
+
+class TestCompose:
+    def test_identity_inner_map_returns_outer(self):
+        rng = np.random.default_rng(51)
+        cfg = AlgebraConfig(3, 4)
+        outer = random_poly(cfg, rng)
+        identity = [TaylorPoly.variable(cfg, i) for i in range(3)]
+        assert np.array_equal(compose(outer, identity).coef, outer.coef)
+
+    def test_linear_inner_map_is_exact(self):
+        rng = np.random.default_rng(52)
+        cfg = AlgebraConfig(3, 4)
+        outer = random_poly(cfg, rng)
+        a = rng.normal(size=(3, 3))
+        x = [TaylorPoly.variable(cfg, i) for i in range(3)]
+        inner = [sum(x[j] * a[i, j] for j in range(3)) for i in range(3)]
+        composed = compose(outer, inner)
+        for point in rng.uniform(-0.7, 0.7, size=(5, 3)):
+            assert composed.eval(point) == pytest.approx(
+                outer.eval(a @ point), rel=1e-12, abs=1e-12)
+
+    def test_matches_monomial_oracle(self):
+        # six outer variables of order 5 substituted by nilpotent
+        # polynomials in nine variables, against sum c_a prod g_j**a_j
+        rng = np.random.default_rng(53)
+        outer_cfg = AlgebraConfig(6, 5)
+        inner_cfg = AlgebraConfig(9, 5)
+        outers = [random_poly(outer_cfg, rng) for _ in range(2)]
+        inner = [nilpotent_poly(inner_cfg, rng) for _ in range(6)]
+        coeffs = [p.coeffs for p in outers]
+        expected = [TaylorPoly.zero(inner_cfg) for _ in outers]
+        for exps in coeffs[0]:
+            term = TaylorPoly.constant(inner_cfg, 1.0)
+            for g, a in zip(inner, exps):
+                term = term * g ** a
+            expected = [e + term * c.get(exps, 0.0)
+                        for e, c in zip(expected, coeffs)]
+        got = compose(outers, inner)
+        assert len(got) == 2
+        for g, e in zip(got, expected):
+            assert coeffs_close(g, e, tol=1e-13)
+
+    def test_non_nilpotent_inner_rejected(self):
+        inner = [TaylorPoly.variable(CFG2, 0) + 0.5, Y]
+        with pytest.raises(ConfigurationError):
+            compose(X * Y, inner)
+
+    def test_order_mismatch_rejected(self):
+        cfg = AlgebraConfig(2, 4)
+        inner = [TaylorPoly.variable(cfg, i) for i in range(2)]
+        with pytest.raises(ConfigurationError):
+            compose(X * Y, inner)
+
+
+class TestEmbed:
+    def test_leading_variables_keep_their_values(self):
+        rng = np.random.default_rng(54)
+        small = random_poly(AlgebraConfig(2, 3), rng)
+        big = small.embed(AlgebraConfig(4, 3))
+        assert big.n_vars == 4
+        assert big.eval([0.3, -0.2, 0.7, 0.1]) == pytest.approx(
+            small.eval([0.3, -0.2]), rel=1e-14)
+        assert big.partial(2).coeffs == {}
+
+    def test_fewer_variables_rejected(self):
+        with pytest.raises(ConfigurationError):
+            X.embed(AlgebraConfig(1, 3))
 
 
 class TestRingProperties:

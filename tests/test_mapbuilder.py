@@ -5,9 +5,12 @@ import pytest
 
 from polycam import dynamics as dyn
 from polycam.conjunction import combine_relative, poc_chan, project_bplane
+from polycam.dapoly import AlgebraConfig, TaylorPoly
 from polycam.errors import ConfigurationError
-from polycam.mapbuilder import (ControlSchedule, IMPULSIVE, LOW_THRUST,
-                                build_poc_map, gradient_norm_per_node,
+from polycam.mapbuilder import (ACCEL_REF_MS2, CHAN_TERMS, ControlSchedule,
+                                IMPULSIVE, LOW_THRUST, _relative_bplane_position,
+                                _to_internal_units, build_poc_map,
+                                gradient_norm_per_node,
                                 propagate_with_controls)
 
 
@@ -190,6 +193,73 @@ class TestBuildPocMap:
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * leo_period,))
         with pytest.raises(ConfigurationError):
             build_poc_map(leo_event, sched, order=0)
+
+
+def direct_poc_map(event, schedule, order, config):
+    """Probability polynomial of a free-direction RTN schedule with every
+    segment integrated in the full control algebra."""
+    cfg = AlgebraConfig(schedule.n_vars, order)
+    scale, model = _to_internal_units(event)
+    if schedule.mode == IMPULSIVE:
+        unit_nd = 1e-3 / scale.velocity_kms
+    else:
+        unit_nd = ACCEL_REF_MS2 * 1e-3 / scale.accel_kms2
+
+    def const(c):
+        return c.constant_part if isinstance(c, TaylorPoly) else float(c)
+
+    epochs = [t / scale.time_s for t in schedule.node_epochs]
+    y = [*(event.primary.r / scale.length_km),
+         *(event.primary.v / scale.velocity_kms)]
+    y = dyn.propagate_vector(y, (0.0, 0.0, 0.0), 0.0, epochs[0], model, config)
+    slots = {node: slot for slot, node in
+             enumerate(schedule.control_node_indices())}
+    accel = (0.0, 0.0, 0.0)
+    for i, t in enumerate(epochs):
+        if i:
+            y = dyn.propagate_vector(y, accel, epochs[i - 1], t, model, config)
+        rot = dyn.rtn_rotation(dyn.SpacecraftState(
+            r=[const(c) * scale.length_km for c in y[:3]],
+            v=[const(c) * scale.velocity_kms for c in y[3:]]))
+        accel = (0.0, 0.0, 0.0)
+        if i in slots:
+            x = [TaylorPoly.variable(cfg, 3 * slots[i] + k) for k in range(3)]
+            kick = [sum(x[m] * (rot[m, k] * unit_nd) for m in range(3))
+                    for k in range(3)]
+            if schedule.mode == IMPULSIVE:
+                y = y[:3] + [v + dv for v, dv in zip(y[3:], kick)]
+            else:
+                accel = tuple(kick)
+    y = dyn.propagate_vector(y, accel, epochs[-1], 0.0, model, config)
+    r_rel, v_rel, p = combine_relative(event)
+    bplane = project_bplane(r_rel, v_rel, p)
+    r_b = _relative_bplane_position(y, event, bplane, scale)
+    return poc_chan(r_b, bplane.p_b, event.hbr_km, terms=CHAN_TERMS)
+
+
+class TestComposedMatchesDirect:
+    @pytest.mark.parametrize("mode, orbits, arcs, order, steps", [
+        (IMPULSIVE, (0.75, 0.5, 0.25), None, 3, 10),
+        (LOW_THRUST, (1.05, 0.95, 0.8, 0.7, 0.55, 0.45, 0.3, 0.2),
+         (2, 2, 2, 2), 2, 10),
+    ], ids=["impulsive-9", "low-thrust-12"])
+    def test_coefficients_by_degree(self, leo_event, leo_period, mode,
+                                    orbits, arcs, order, steps):
+        # the last nodes' segments run in algebras above 6 + k variables,
+        # so they are composed from flow maps; the oracle integrates them
+        sched = ControlSchedule(
+            mode=mode, node_epochs=tuple(-k * leo_period for k in orbits),
+            arc_lengths=arcs)
+        config = dyn.PropagationConfig(steps=steps)
+        composed = build_poc_map(leo_event, sched, order, config).poly
+        direct = direct_poc_map(leo_event, sched, order, config)
+        assert composed.n_vars == direct.n_vars == len(arcs or orbits) * 3
+        tab = direct._tab
+        for degree, block in enumerate(tab.degree_slices):
+            size = np.max(np.abs(direct.coef[block]))
+            gap = np.max(np.abs(composed.coef[block] - direct.coef[block]))
+            assert size > 0
+            assert gap <= 1e-11 * size, degree
 
 
 class TestScalingTransparency:

@@ -294,6 +294,11 @@ class TestThrustLimited:
         assert len(bounded.per_order_converged) == \
             len(bounded.per_order_iterations)
 
+    def test_empty_grid_rejected_without_template(self, tangential_event):
+        with pytest.raises(ConfigurationError, match="candidate grid is empty"):
+            solve_thrust_limited(tangential_event, [], u_max_ms=1.0,
+                                 config=SolverConfig(max_order=1))
+
     def test_vanishing_bound_infeasible(self, tangential_event):
         period = dyn.osculating_period(tangential_event.primary,
                                        tangential_event.dynamics)

@@ -12,10 +12,8 @@ import pytest
 
 import polycam
 
-# polycam.__main__ runs the command line when imported
 MODULES = ["polycam"] + [f"polycam.{info.name}"
-                         for info in pkgutil.iter_modules(polycam.__path__)
-                         if info.name != "__main__"]
+                         for info in pkgutil.iter_modules(polycam.__path__)]
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
