@@ -53,6 +53,8 @@ _ERROR_CLASSES = [
      EXIT_INFEASIBLE),
 ]
 
+_DYNAMICS = {"kepler": KEPLER, "j2": J2, "cr3bp": CR3BP}
+
 _FIXED_DIR_ALIASES = {
     "tangential": (0.0, 1.0, 0.0),
     "radial": (1.0, 0.0, 0.0),
@@ -120,9 +122,12 @@ def _parse_fixed_direction(text: str) -> np.ndarray:
     return vec / norm
 
 
-def _float_list(value) -> list:
+def _float_list(value, key: str) -> list:
+    """Node tokens of option ``key``: a comma-separated string or a list."""
     if isinstance(value, str):
         return [tok for tok in value.split(",") if tok.strip()]
+    if not isinstance(value, (list, tuple)):
+        raise ScenarioParseError(f"bad {key} value {value!r}")
     return list(value)
 
 
@@ -160,7 +165,8 @@ def run_scenario(doc: dict, args: argparse.Namespace) -> tuple[int, dict]:
         dyn_name = _resolve(getattr(args, "dyn", None), defaults, "dynamics",
                             None)
         if dyn_name is not None:
-            kind = {"kepler": KEPLER, "j2": J2, "cr3bp": CR3BP}.get(dyn_name)
+            kind = _DYNAMICS.get(dyn_name) if isinstance(dyn_name, str) \
+                else None
             if kind is None:
                 raise ScenarioParseError(f"unknown dynamics {dyn_name!r}")
             if (kind == CR3BP) != (event.primary.frame == SYNODIC):
@@ -182,7 +188,8 @@ def run_scenario(doc: dict, args: argparse.Namespace) -> tuple[int, dict]:
         mode = IMPULSIVE if mode_name == "impulse" else LOW_THRUST
 
         node_tokens = _float_list(_resolve(args.nodes, defaults, "nodes",
-                                           ["0.5orb"] if period else [7200.0]))
+                                           ["0.5orb"] if period else [7200.0]),
+                                  "nodes")
         epochs = tuple(sorted(
             _parse_node_token(tok, period, "nodes") for tok in node_tokens))
 
@@ -213,7 +220,7 @@ def run_scenario(doc: dict, args: argparse.Namespace) -> tuple[int, dict]:
                                  None)
         if filter_tokens is not None:
             grid = [_parse_node_token(tok, period, "filter grid")
-                    for tok in _float_list(filter_tokens)]
+                    for tok in _float_list(filter_tokens, "filter_grid")]
             keep = _resolve_number(int, args, defaults, "filter_keep", 1)
         else:
             grid = None

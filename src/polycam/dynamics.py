@@ -4,15 +4,18 @@ Three dynamics regimes are supported: two-body, two-body plus the J2
 oblateness term (inertial ECI frame, km / km/s / seconds), and the circular
 restricted three-body problem (rotating synodic frame, nondimensional
 units). The propagator is generic over the scalar algebra: states may hold
-plain floats, batched numpy arrays, or :class:`~polycam.dapoly.TaylorPoly`
-scalars, and every path performs the same arithmetic.
+plain floats, complex scalars (complex-step derivatives), batched numpy
+arrays, or :class:`~polycam.dapoly.TaylorPoly` scalars, and every path
+performs the same arithmetic.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from numbers import Number
 from typing import Sequence
 
 import numpy as np
@@ -226,10 +229,12 @@ def propagate_vector(y0: Sequence, u: Sequence, t0: float, t1: float,
                      config: PropagationConfig | None = None) -> list:
     """Integrate a 6-component state of generic scalars from t0 to t1.
 
-    ``y0`` entries may be floats, same-shape numpy arrays (batched states)
-    or TaylorPoly scalars sharing one algebra. The control ``u`` is held
-    constant over the span (first-order hold); backward spans are allowed.
-    Fixed step count makes the result deterministic for a given config.
+    ``y0`` entries may be floats, complex scalars (Python or numpy),
+    same-shape numpy arrays (batched states) or TaylorPoly scalars sharing
+    one algebra. The control ``u`` is held constant over the span
+    (first-order hold); backward spans are allowed. Fixed step count makes
+    the result deterministic for a given config. A real or complex scalar
+    state that stops being finite raises :class:`PropagationError`.
     """
     config = config or PropagationConfig()
     if t1 == t0:
@@ -237,8 +242,7 @@ def propagate_vector(y0: Sequence, u: Sequence, t0: float, t1: float,
     deriv = _derivative_fn(model, tuple(u))
     h = (t1 - t0) / config.steps
     y = list(y0)
-    guard_finite = all(isinstance(c, (float, np.floating))
-                       for c in (*y, *u))
+    guard_finite = all(isinstance(c, Number) for c in (*y, *u))
     t = t0
     for step in range(config.steps):
         try:
@@ -265,7 +269,7 @@ def propagate_vector(y0: Sequence, u: Sequence, t0: float, t1: float,
             raise PropagationError(
                 f"propagation failed at t={t!r}: {exc}", time=t) from exc
         t = t0 + (step + 1) * h
-        if guard_finite and not math.isfinite(y[0] + y[1] + y[2]):
+        if guard_finite and not cmath.isfinite(y[0] + y[1] + y[2]):
             raise PropagationError(
                 f"singularity encountered near t={t!r}", time=t)
     return y

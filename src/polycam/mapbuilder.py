@@ -13,6 +13,9 @@ large-algebra products with small-algebra ones. Projecting the relative
 position onto the frozen encounter plane and composing the
 collision-probability series yields one truncated polynomial in the stacked
 control vector. Everything downstream of this map is polynomial evaluation.
+Candidate maneuver epochs are ranked without a map: complex-step
+derivatives through the same real pipeline give each candidate's
+first-order probability gradient.
 """
 
 from __future__ import annotations
@@ -51,6 +54,11 @@ IMPULSE_REF_MS = 1.0
 ACCEL_REF_MS2 = 1.0e-4
 
 CHAN_TERMS = 20
+
+# Imaginary control step of the complex-step ranking, in scaled units. Its
+# square vanishes against the real parts, so any tiny value gives the same
+# derivative.
+_COMPLEX_STEP = 1e-20
 
 
 @dataclass(frozen=True)
@@ -258,7 +266,8 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
 
     One arithmetic pipeline serves both DA map construction and the real
     replay. ``controls[slot]`` holds the control scalars of one slot
-    (TaylorPoly variables or floats), one scalar for a fixed-direction
+    (TaylorPoly variables, floats, or complex scalars for complex-step
+    derivatives), one scalar for a fixed-direction
     control and three otherwise; one unit of a scalar is ``control_unit``
     physical units (m/s for impulses, m/s^2 for held accelerations).
     ``fixed_impulses`` are (epoch, delta-v m/s in the local frame)
@@ -303,7 +312,9 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
     segment_slots = schedule.segment_control_slots()
 
     def constant_part(value):
-        return value.constant_part if isinstance(value, TaylorPoly) else float(value)
+        if isinstance(value, TaylorPoly):
+            return value.constant_part
+        return float(value.real)
 
     # One control unit in internal units. Impulses: m/s -> km/s -> internal
     # velocity; accelerations: m/s^2 -> km/s^2 -> internal acceleration.
@@ -479,38 +490,68 @@ def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
                   scaling=np.full(n_vars, ref))
 
 
+def _single_slot_schedule(template: ControlSchedule,
+                          t: float) -> ControlSchedule:
+    """The template's first control moved to start at ``t``."""
+    fixed = template.fixed_directions[:1] if template.fixed_directions else None
+    if template.mode == IMPULSIVE:
+        return ControlSchedule(mode=IMPULSIVE, node_epochs=(t,),
+                               frame=template.frame, fixed_directions=fixed)
+    duration = template.node_epochs[1] - template.node_epochs[0]
+    if t + duration >= 0.0:
+        raise ConfigurationError(
+            f"candidate arc starting at {t} s reaches past closest approach")
+    return ControlSchedule(mode=LOW_THRUST, node_epochs=(t, t + duration),
+                           frame=template.frame, fixed_directions=fixed)
+
+
 def gradient_norm_per_node(event: ConjunctionEvent, candidate_times,
                            template: ControlSchedule,
                            config: PropagationConfig | None = None
                            ) -> list[tuple[float, float]]:
     """Rank candidate maneuver epochs by first-order control authority.
 
-    A first-order map is built independently for a control placed at each
-    candidate time; the Euclidean norm of its probability gradient (in
-    scaled variables, so the ranking is reference-magnitude-free) is
-    returned alongside the time. Low-thrust candidates are a single arc
-    whose duration copies the template's first arc.
+    For a control placed at each candidate time, returns the time and the
+    Euclidean norm of the probability gradient in scaled variables (so the
+    ranking is reference-magnitude-free): the gradient of an order-1 map,
+    obtained without building one. The Jacobian J of the encounter-plane
+    position (xi, zeta) in the candidate's control variables comes from the
+    complex-step derivative (Squire & Trapp, "Using complex variables to
+    estimate derivatives of real functions", SIAM Review 40, 1998): the
+    real pipeline runs once per variable with that variable set to
+    ``1j * h`` and the others to zero, and ``Im(xi, zeta) / h`` is one
+    column, exact to rounding because nothing is subtracted. The norm is
+    that of dPoC/d(xi, zeta) · J, the first factor from one order-1 series
+    evaluation at the real part of (xi, zeta). Low-thrust candidates are a
+    single arc whose duration copies the template's first arc.
     """
     candidate_times = [float(t) for t in candidate_times]
     if not candidate_times:
         raise ConfigurationError("candidate grid is empty")
+    config = config or PropagationConfig()
+    event.check()
+    r_rel, v_rel, p = combine_relative(event)
+    bplane = project_bplane(r_rel, v_rel, p)
+    ref = ACCEL_REF_MS2 if template.mode == LOW_THRUST else IMPULSE_REF_MS
+    position = AlgebraConfig(2, 1)
     out = []
     for t in candidate_times:
-        if template.mode == IMPULSIVE:
-            single = ControlSchedule(
-                mode=IMPULSIVE, node_epochs=(t,), frame=template.frame,
-                fixed_directions=(template.fixed_directions[:1]
-                                  if template.fixed_directions else None))
-        else:
-            duration = template.node_epochs[1] - template.node_epochs[0]
-            single = ControlSchedule(
-                mode=LOW_THRUST, node_epochs=(t, t + duration),
-                frame=template.frame,
-                fixed_directions=(template.fixed_directions[:1]
-                                  if template.fixed_directions else None))
-            if t + duration >= 0.0:
-                raise ConfigurationError(
-                    f"candidate arc starting at {t} s reaches past closest approach")
-        pmap = build_poc_map(event, single, order=1, config=config)
-        out.append((t, float(np.linalg.norm(pmap.gradient()))))
+        single = _single_slot_schedule(template, t)
+        single.validate()
+        columns = []
+        for j in range(single.n_vars):
+            scalars = [1j * _COMPLEX_STEP if k == j else 0.0
+                       for k in range(single.n_vars)]
+            controls = scalars if single.is_fixed_direction else [scalars]
+            y, _, scale = _thread_trajectory(event, single, config, controls,
+                                             ref)
+            xi, zeta = _relative_bplane_position(y, event, bplane, scale)
+            columns.append((xi.imag / _COMPLEX_STEP, zeta.imag / _COMPLEX_STEP))
+        # every leg shares the real part: the ballistic encounter position
+        r_b = (TaylorPoly.variable(position, 0) + float(xi.real),
+               TaylorPoly.variable(position, 1) + float(zeta.real))
+        dpoc = poc_chan(r_b, bplane.p_b, event.hbr_km,
+                        terms=CHAN_TERMS).gradient_at_zero()
+        out.append((t, float(np.linalg.norm(dpoc @ np.array(columns).T))))
     return out
+

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjunction import ConjunctionEvent
+from .conjunction import ConjunctionEvent, poc_chan
 from .dapoly import contract_no_first_mode
 from .dynamics import PropagationConfig
 from .errors import (ConfigurationError, DegenerateGradientError,
                      InfeasibleWithBoundError, NonConvergenceError)
-from .mapbuilder import (ControlSchedule, IMPULSIVE, PocMap, build_poc_map,
-                         gradient_norm_per_node)
+from .mapbuilder import (CHAN_TERMS, ControlSchedule, IMPULSIVE, PocMap,
+                         build_poc_map, gradient_norm_per_node,
+                         propagate_with_controls)
 
 __all__ = [
     "SolverConfig", "ManeuverSolution",
@@ -494,11 +495,11 @@ def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
         saturated.append((t, u_max_ms * dv / magnitude))
 
     # the grid is never empty here: ranking rejects an empty one
-    final = build_poc_map(event, ControlSchedule(
-        mode=IMPULSIVE, node_epochs=(ranked_times[-1],),
-        frame=template.frame), order=1, config=prop_config,
-        fixed_impulses=saturated)
-    residual_poc = final.ballistic_poc
+    r_b, bplane, _ = propagate_with_controls(
+        event, ControlSchedule(mode=IMPULSIVE, node_epochs=(ranked_times[-1],),
+                               frame=template.frame),
+        None, prop_config, fixed_impulses=saturated)
+    residual_poc = poc_chan(r_b, bplane.p_b, event.hbr_km, terms=CHAN_TERMS)
     raise InfeasibleWithBoundError(
         f"all {len(ranked_times)} nodes saturated at {u_max_ms} m/s with "
         f"probability gap remaining (residual PoC {residual_poc})",

@@ -125,7 +125,10 @@ class TestRunCommand:
         assert payload["error"]["class"] == "parse"
 
     @pytest.mark.parametrize("key, value", [("order", "abc"), ("steps", [3]),
-                                            ("target_poc", "y")])
+                                            ("target_poc", "y"), ("nodes", 5),
+                                            ("nodes", None),
+                                            ("filter_grid", 3),
+                                            ("dynamics", ["j2"])])
     def test_malformed_default_exit_2(self, scenario_file, tmp_path, capsys,
                                       key, value):
         doc = json.loads(scenario_file.read_text())

@@ -163,6 +163,12 @@ class TestPropagate:
                 dyn.propagate(state, (0, 0, 0), 0.0, 3000.0, MODEL)
         assert err.value.time is not None
         assert 0.0 < err.value.time <= 3000.0
+        # a complex-step leg stops at the same singularity
+        y0 = [1e-120 + 1e-140j, 0.0, 0.0, 0.0, 0.0, 0.0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(dyn.PropagationError) as err:
+                dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, 3000.0, MODEL)
+        assert 0.0 < err.value.time < 3000.0
 
     def test_deterministic(self):
         state = circular_state(inclination=0.2)

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from polycam import dynamics as dyn
+from polycam import mapbuilder, solver
 from polycam.conjunction import combine_relative, poc_chan, project_bplane
 from polycam.dapoly import AlgebraConfig, TaylorPoly
 from polycam.errors import ConfigurationError
 from polycam.mapbuilder import (ACCEL_REF_MS2, CHAN_TERMS, ControlSchedule,
-                                IMPULSIVE, LOW_THRUST, _relative_bplane_position,
+                                IMPULSIVE, LOW_THRUST, SYNODIC_FRAME,
+                                _relative_bplane_position,
                                 _to_internal_units, build_poc_map,
                                 gradient_norm_per_node,
                                 propagate_with_controls)
+from polycam.scenarios import generate_synthetic_suite, scenario_to_event
 
 
 class TestControlSchedule:
@@ -304,3 +307,51 @@ class TestGradientNormPerNode:
                                    node_epochs=(-0.5 * leo_period,))
         with pytest.raises(ConfigurationError):
             gradient_norm_per_node(leo_event, [], template)
+
+    @pytest.mark.parametrize("case", ["free", "fixed_tangential",
+                                      "low_thrust", "cr3bp_synodic"])
+    def test_matches_order1_map_gradient(self, case, leo_event, leo_period):
+        event = leo_event
+        fixed = None
+        grid = [-0.3 * leo_period, -0.5 * leo_period, -1.2 * leo_period]
+        if case == "cr3bp_synodic":
+            event = scenario_to_event(
+                generate_synthetic_suite(11, 1, "CISLUNAR")[0])
+            template = ControlSchedule(mode=IMPULSIVE, node_epochs=(-7200.0,),
+                                       frame=SYNODIC_FRAME)
+            grid = [-3600.0, -7200.0, -20000.0]
+        elif case == "low_thrust":
+            template = ControlSchedule(
+                mode=LOW_THRUST,
+                node_epochs=(-0.6 * leo_period, -0.4 * leo_period))
+        else:
+            if case == "fixed_tangential":
+                fixed = (np.array([0.0, 1.0, 0.0]),)
+            template = ControlSchedule(mode=IMPULSIVE,
+                                       node_epochs=(-0.5 * leo_period,),
+                                       fixed_directions=fixed)
+        norms = gradient_norm_per_node(event, grid, template)
+        assert [t for t, _ in norms] == grid
+        duration = template.node_epochs[-1] - template.node_epochs[0]
+        for t, norm in norms:
+            epochs = (t,) if template.mode == IMPULSIVE else (t, t + duration)
+            single = ControlSchedule(mode=template.mode, node_epochs=epochs,
+                                     frame=template.frame,
+                                     fixed_directions=fixed)
+            oracle = np.linalg.norm(
+                build_poc_map(event, single, order=1).gradient())
+            assert oracle > 0.0
+            assert abs(norm - oracle) <= 1e-11 * oracle
+
+    def test_builds_no_polynomial_map(self, leo_event, leo_period,
+                                      monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ranking built a polynomial map")
+
+        monkeypatch.setattr(mapbuilder, "build_poc_map", refuse)
+        monkeypatch.setattr(solver, "build_poc_map", refuse)
+        template = ControlSchedule(mode=IMPULSIVE,
+                                   node_epochs=(-0.5 * leo_period,))
+        grid = [-1.0 * leo_period, -0.5 * leo_period, -0.02 * leo_period]
+        chosen = solver.filter_nodes(leo_event, grid, 2, template)
+        assert len(chosen.node_epochs) == 2

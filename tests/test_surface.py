@@ -35,3 +35,27 @@ def test_tracer_finds_every_traced_entry_point(monkeypatch):
     with tracer.installed():
         pass
     assert tracer.missing == []
+
+
+def test_traced_node_ranking_completes(monkeypatch, leo_event, leo_period):
+    # ranking legs must stay traceable: the tracer reads each propagation's
+    # span as scalars (t1 == t0 must be a bool)
+    from polycam import solver
+    from polycam.mapbuilder import IMPULSIVE, ControlSchedule
+
+    monkeypatch.syspath_prepend(os.path.abspath(PERFBENCH))
+    from spans import Tracer
+
+    template = ControlSchedule(mode=IMPULSIVE,
+                               node_epochs=(-0.5 * leo_period,))
+    grid = [-1.0 * leo_period, -0.5 * leo_period]
+    tracer = Tracer()
+    with tracer.installed():
+        chosen = solver.filter_nodes(leo_event, grid, 1, template)
+    assert len(chosen.node_epochs) == 1
+
+    (ranking,) = [s for s in tracer.spans
+                  if s.name == "mapbuilder.gradient_norm_per_node"]
+    legs = [s for s in tracer.spans if s.parent == ranking.id
+            and s.name == "dynamics.propagate_vector"]
+    assert legs
