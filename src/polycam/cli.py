@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -97,6 +98,8 @@ def _parse_node_token(token, period_s: float | None, where: str) -> float:
                     f"bad node token {token!r} in {where}") from exc
     else:
         raise ScenarioParseError(f"bad node token {token!r} in {where}")
+    if not math.isfinite(seconds):
+        raise ScenarioParseError(f"non-finite node token {token!r} in {where}")
     if seconds <= 0.0:
         raise ValidationError(
             f"node {token!r} must lie strictly before closest approach")
@@ -116,6 +119,8 @@ def _parse_fixed_direction(text: str) -> np.ndarray:
                 f"or three comma-separated components") from exc
         if vec.shape != (3,):
             raise ScenarioParseError("fixed direction needs three components")
+        if not np.all(np.isfinite(vec)):
+            raise ScenarioParseError(f"non-finite fixed direction {text!r}")
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise ValidationError("fixed direction must be nonzero")
@@ -207,14 +212,11 @@ def run_scenario(doc: dict, args: argparse.Namespace) -> tuple[int, dict]:
                                      target_poc=target)
         prop_config = PropagationConfig(steps=steps)
 
-        n_controls = len(epochs) if mode == IMPULSIVE else len(epochs) - 1
-        fixed_directions = None
+        fixed_direction = None
         if fixed_dir_text is not None:
-            direction = _parse_fixed_direction(str(fixed_dir_text))
-            fixed_directions = (direction,) * max(n_controls, 1)
+            fixed_direction = _parse_fixed_direction(str(fixed_dir_text))
         schedule = ControlSchedule(mode=mode, node_epochs=epochs, frame=frame,
-                                   fixed_directions=fixed_directions)
-        schedule.validate()
+                                   fixed_direction=fixed_direction)
 
         filter_tokens = _resolve(args.filter_grid, defaults, "filter_grid",
                                  None)

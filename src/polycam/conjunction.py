@@ -36,6 +36,9 @@ _MAHALANOBIS_CUTOFF = 40.0
 # r_rel/v_rel perpendicularity tolerance defining a closest approach state.
 _TCA_ANGLE_TOL_RAD = 1e-6
 
+# Terms of the collision-probability series.
+_SERIES_TERMS = 20
+
 
 @dataclass(frozen=True, eq=False)
 class ConjunctionEvent:
@@ -226,20 +229,19 @@ def poc_quadrature(r_b, p_b, hbr: float) -> float:
     return min(max(poc, 0.0), 1.0)
 
 
-def poc_chan(r_b, p_b, hbr: float, terms: int = 20):
+def poc_chan(r_b, p_b, hbr: float):
     """Collision probability as a convergent series; composes over polynomials.
 
     The covariance is rotated to principal axes and the probability is
-    written as an exponential times a power series whose coefficients follow
-    a four-term recurrence (the equivalent-cross-section series form, pinned
-    against the quadrature oracle). ``r_b`` entries may be floats or
+    written as an exponential times a power series, summed to its first
+    ``_SERIES_TERMS`` terms, whose coefficients follow a four-term
+    recurrence (the equivalent-cross-section series form, pinned against
+    the quadrature oracle). ``r_b`` entries may be floats or
     TaylorPoly scalars sharing one algebra; ``p_b`` and ``hbr`` stay real,
     matching a covariance frozen at its ballistic value.
     """
     p_b = np.asarray(p_b, dtype=np.float64)
     _check_pd_2x2(p_b)
-    if terms < 1:
-        raise NumericError(f"series needs at least 1 term, got {terms}")
 
     eigvals, eigvecs = np.linalg.eigh(p_b)
     if eigvals[0] <= 0.0:
@@ -280,31 +282,27 @@ def poc_chan(r_b, p_b, hbr: float, terms: int = 20):
         + 2.0 * (p ** 3 * (1.0 + phi ** 3 / 2.0) + omega_y * (3.0 * p * p * phi * phi))
     )
 
-    head = [c0, c1, c2, c3][:min(terms, 4)]
-    total = head[0]
-    for c in head[1:]:
-        total = total + c
+    total = c0 + c1 + c2 + c3
 
-    if terms > 4:
-        aux0 = r2 ** 3 * p ** 3 * phi * phi * omega_x
-        aux1 = r2 * r2 * p * p * phi
-        aux2 = omega_x * (2.0 * inter0)
-        aux3 = omega_x * (2.0 * phi) + (1.5 * p * phi) + omega
-        aux4 = 2.0 * p * phi * inter0
-        aux5 = p * (2.0 * phi + 1.0)
-        p_phi = p * phi
-        p_r2 = p * r2
+    aux0 = r2 ** 3 * p ** 3 * phi * phi * omega_x
+    aux1 = r2 * r2 * p * p * phi
+    aux2 = omega_x * (2.0 * inter0)
+    aux3 = omega_x * (2.0 * phi) + (1.5 * p * phi) + omega
+    aux4 = 2.0 * p * phi * inter0
+    aux5 = p * (2.0 * phi + 1.0)
+    p_phi = p * phi
+    p_r2 = p * r2
 
-        for k in range(terms - 4):
-            k2, k3, k4, k5 = k + 2.0, k + 3.0, k + 4.0, k + 5.0
-            half = k + 2.5
-            new = c3 * (inter1 + aux5 * k3)
-            new = new - c2 * ((aux4 * half + aux3) * (p_r2 / k4))
-            new = new + c1 * ((aux2 + p_phi * half) * (aux1 / (k4 * k3)))
-            new = new - c0 * (aux0 / (k4 * k3 * k2))
-            new = new * (r2 / (k4 * k5))
-            c0, c1, c2, c3 = c1, c2, c3, new
-            total = total + new
+    for k in range(_SERIES_TERMS - 4):
+        k2, k3, k4, k5 = k + 2.0, k + 3.0, k + 4.0, k + 5.0
+        half = k + 2.5
+        new = c3 * (inter1 + aux5 * k3)
+        new = new - c2 * ((aux4 * half + aux3) * (p_r2 / k4))
+        new = new + c1 * ((aux2 + p_phi * half) * (aux1 / (k4 * k3)))
+        new = new - c0 * (aux0 / (k4 * k3 * k2))
+        new = new * (r2 / (k4 * k5))
+        c0, c1, c2, c3 = c1, c2, c3, new
+        total = total + new
 
     result = total * math.exp(-p * r2)
     if symbolic:

@@ -26,7 +26,7 @@ from .errors import ConfigurationError, FrameError, PropagationError
 __all__ = [
     "ECI", "SYNODIC", "KEPLER", "J2", "CR3BP",
     "SpacecraftState", "DynamicsModel", "PropagationConfig", "UnitScale",
-    "propagate", "propagate_vector",
+    "propagate_vector",
     "rtn_rotation", "jacobi_constant", "specific_energy",
     "osculating_period", "unit_scale", "scaled_model",
 ]
@@ -56,7 +56,7 @@ class SpacecraftState:
     ECI states are km / km/s with ``epoch`` in seconds relative to the time
     of closest approach (negative before). Synodic states are rotating-frame
     coordinates: km at package interfaces, nondimensional characteristic
-    units inside :func:`propagate` (which documents what it expects).
+    units when propagated under the CR3BP model.
     """
 
     r: np.ndarray
@@ -273,28 +273,6 @@ def propagate_vector(y0: Sequence, u: Sequence, t0: float, t1: float,
             raise PropagationError(
                 f"singularity encountered near t={t!r}", time=t)
     return y
-
-
-def propagate(state0: SpacecraftState, u, t0: float, t1: float,
-              model: DynamicsModel,
-              config: PropagationConfig | None = None) -> SpacecraftState:
-    """Propagate a spacecraft state under piecewise-constant control.
-
-    The control is held constant over [t0, t1]; call once per segment for a
-    multi-segment hold. Either direction of time is accepted. Earth models
-    take km / km/s / seconds; the CR3BP model takes nondimensional synodic
-    states and times.
-    """
-    if state0.frame != model.frame:
-        raise ConfigurationError(
-            f"state frame {state0.frame} inconsistent with {model.kind} dynamics")
-    y0 = (*state0.r, *state0.v)
-    y = propagate_vector(y0, tuple(u), t0, t1, model, config)
-    r = np.array(y[:3], dtype=np.float64)
-    v = np.array(y[3:], dtype=np.float64)
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
-        raise PropagationError("propagation produced non-finite state", time=t1)
-    return SpacecraftState(r=r, v=v, epoch=t1, frame=state0.frame)
 
 
 # ---------------------------------------------------------------------------

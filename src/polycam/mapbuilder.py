@@ -20,6 +20,7 @@ first-order probability gradient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,8 +54,6 @@ SYNODIC_FRAME = "SYNODIC"
 IMPULSE_REF_MS = 1.0
 ACCEL_REF_MS2 = 1.0e-4
 
-CHAN_TERMS = 20
-
 # Imaginary control step of the complex-step ranking, in scaled units. Its
 # square vanishes against the real parts, so any tiny value gives the same
 # derivative.
@@ -72,23 +71,25 @@ class ControlSchedule:
     only marks where the arc stops), and ``arc_lengths`` partitions the
     nodes into consecutive thrust arcs (one arc by default).
 
-    ``fixed_directions`` optionally pins each control to a unit vector in
-    the local frame, reducing that node to a single magnitude variable.
+    ``fixed_direction`` optionally pins every control to one unit vector
+    in the local frame, reducing each control to a single magnitude
+    variable. A schedule that breaks these rules cannot be constructed.
     """
 
     mode: str
     node_epochs: tuple[float, ...]
     frame: str = RTN
-    fixed_directions: tuple | None = None
+    fixed_direction: np.ndarray | None = None
     arc_lengths: tuple[int, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "node_epochs",
                            tuple(float(t) for t in self.node_epochs))
-        if self.fixed_directions is not None:
-            dirs = tuple(None if d is None else np.asarray(d, dtype=np.float64)
-                         for d in self.fixed_directions)
-            object.__setattr__(self, "fixed_directions", dirs)
+        if self.fixed_direction is not None:
+            object.__setattr__(self, "fixed_direction",
+                               np.asarray(self.fixed_direction,
+                                          dtype=np.float64))
+        self.validate()
 
     def validate(self) -> None:
         if self.mode not in (IMPULSIVE, LOW_THRUST):
@@ -97,8 +98,10 @@ class ControlSchedule:
             raise ConfigurationError(f"unknown control frame {self.frame!r}")
         if not self.node_epochs:
             raise ConfigurationError("schedule has no nodes")
-        if any(t >= 0.0 for t in self.node_epochs):
-            raise ConfigurationError("all nodes must precede closest approach")
+        # negated comparisons, so that NaN fails them
+        if not all(-math.inf < t < 0.0 for t in self.node_epochs):
+            raise ConfigurationError(
+                "all nodes must be finite and precede closest approach")
         if any(b >= a for a, b in zip(self.node_epochs[1:], self.node_epochs)):
             raise ConfigurationError("node epochs must be strictly increasing")
         if self.mode == LOW_THRUST:
@@ -110,16 +113,11 @@ class ControlSchedule:
                     raise ConfigurationError("every thrust arc needs >= 2 nodes")
             if sum(self.arcs) != len(self.node_epochs):
                 raise ConfigurationError("arc lengths do not partition the nodes")
-        if self.fixed_directions is not None:
-            if len(self.fixed_directions) != self.n_controls:
+        if self.fixed_direction is not None:
+            if self.fixed_direction.shape != (3,) or not abs(
+                    np.linalg.norm(self.fixed_direction) - 1.0) <= 1e-9:
                 raise ConfigurationError(
-                    "fixed_directions must carry one entry per control")
-            for d in self.fixed_directions:
-                if d is None:
-                    raise ConfigurationError(
-                        "mixed free/fixed directions are not supported")
-                if abs(np.linalg.norm(d) - 1.0) > 1e-9:
-                    raise ConfigurationError("fixed directions must be unit vectors")
+                    "the fixed direction must be a 3-component unit vector")
 
     @property
     def arcs(self) -> tuple[int, ...]:
@@ -138,7 +136,7 @@ class ControlSchedule:
 
     @property
     def is_fixed_direction(self) -> bool:
-        return self.fixed_directions is not None
+        return self.fixed_direction is not None
 
     @property
     def n_vars(self) -> int:
@@ -155,21 +153,6 @@ class ControlSchedule:
             base += n
         return out
 
-    def segment_control_slots(self) -> list[int | None]:
-        """For each inter-node segment (plus the final coast to closest
-        approach), the control slot whose acceleration acts on it, or None."""
-        n_nodes = len(self.node_epochs)
-        slots: list[int | None] = [None] * n_nodes
-        if self.mode == LOW_THRUST:
-            slot = 0
-            base = 0
-            for n in self.arcs:
-                for i in range(base, base + n - 1):
-                    slots[i] = slot
-                    slot += 1
-                base += n
-        return slots
-
     def delta_v(self, phi_physical) -> tuple[tuple[np.ndarray, ...], float]:
         """Per-control velocity increments (m/s, local frame) of the stacked
         physical controls, and the sum of their magnitudes.
@@ -179,7 +162,7 @@ class ControlSchedule:
         """
         phi_physical = np.asarray(phi_physical, dtype=np.float64)
         if self.is_fixed_direction:
-            vectors = [phi_physical[i] * self.fixed_directions[i]
+            vectors = [phi_physical[i] * self.fixed_direction
                        for i in range(self.n_controls)]
         else:
             vectors = list(phi_physical.reshape(self.n_controls, 3))
@@ -309,7 +292,6 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
     slot_of_node = {}
     for slot, node_idx in enumerate(schedule.control_node_indices()):
         slot_of_node[node_idx] = slot
-    segment_slots = schedule.segment_control_slots()
 
     def constant_part(value):
         if isinstance(value, TaylorPoly):
@@ -328,11 +310,11 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
             return [controls[slot]]
         return list(controls[slot])
 
-    def slot_vector(scalars, slot: int, rot: np.ndarray):
+    def slot_vector(scalars, rot: np.ndarray):
         """Three control components of one slot's scalars, in internal
         velocity/accel units."""
         if schedule.is_fixed_direction:
-            direction = schedule.fixed_directions[slot]
+            direction = schedule.fixed_direction
             comps = [scalars[0] * float(direction[k]) for k in range(3)]
         else:
             comps = scalars
@@ -355,10 +337,10 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
                     None)
         if poly is not None and poly.n_vars > 6 + len(scalars):
             return _composed_segment(
-                y, scalars, lambda s: slot_vector(s, *held_slot), t0, t1,
+                y, scalars, lambda s: slot_vector(s, held_slot[1]), t0, t1,
                 model_nd, config)
         accel = (0.0, 0.0, 0.0) if held_slot is None \
-            else tuple(slot_vector(scalars, *held_slot))
+            else tuple(slot_vector(scalars, held_slot[1]))
         return propagate_vector(y, accel, t0, t1, model_nd, config)
 
     node_states: list[SpacecraftState | None] = [None] * len(schedule.node_epochs)
@@ -386,12 +368,12 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
             y = [c.embed(scalars[0].config) if isinstance(c, TaylorPoly) else c
                  for c in y]
         if schedule.mode == IMPULSIVE:
-            dv = slot_vector(scalars, slot, rot)
+            dv = slot_vector(scalars, rot)
             for k in range(3):
                 y[3 + k] = y[3 + k] + dv[k]
         else:
-            seg_slot = segment_slots[node_idx]
-            held_slot = None if seg_slot is None else (seg_slot, rot)
+            # an idle arc end carries no slot and stops the held acceleration
+            held_slot = None if slot is None else (slot, rot)
 
     y = propagate_segment(y, t_cur, 0.0)
     return y, node_states, scale
@@ -423,7 +405,6 @@ def propagate_with_controls(event: ConjunctionEvent, schedule: ControlSchedule,
     the frozen projection, node states).
     """
     config = config or PropagationConfig()
-    schedule.validate()
     r_rel, v_rel, p = combine_relative(event)
     bplane = project_bplane(r_rel, v_rel, p)
 
@@ -458,7 +439,6 @@ def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
     if order < 1:
         raise ConfigurationError(f"expansion order must be >= 1, got {order}")
     config = config or PropagationConfig()
-    schedule.validate()
     event.check()
 
     n_vars = schedule.n_vars
@@ -479,12 +459,11 @@ def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
     y, _, scale = _thread_trajectory(event, schedule, config, variables, ref,
                                      fixed_impulses)
     xi, zeta = _relative_bplane_position(y, event, bplane, scale)
-    poly = poc_chan((xi, zeta), bplane.p_b, event.hbr_km, terms=CHAN_TERMS)
+    poly = poc_chan((xi, zeta), bplane.p_b, event.hbr_km)
 
     r_b_ref, _, _ = propagate_with_controls(event, schedule, None, config,
                                             fixed_impulses)
-    ballistic_poc = poc_chan(r_b_ref, bplane.p_b, event.hbr_km,
-                             terms=CHAN_TERMS)
+    ballistic_poc = poc_chan(r_b_ref, bplane.p_b, event.hbr_km)
 
     return PocMap(poly=poly, ballistic_poc=ballistic_poc, schedule=schedule,
                   scaling=np.full(n_vars, ref))
@@ -493,16 +472,17 @@ def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
 def _single_slot_schedule(template: ControlSchedule,
                           t: float) -> ControlSchedule:
     """The template's first control moved to start at ``t``."""
-    fixed = template.fixed_directions[:1] if template.fixed_directions else None
     if template.mode == IMPULSIVE:
         return ControlSchedule(mode=IMPULSIVE, node_epochs=(t,),
-                               frame=template.frame, fixed_directions=fixed)
+                               frame=template.frame,
+                               fixed_direction=template.fixed_direction)
     duration = template.node_epochs[1] - template.node_epochs[0]
     if t + duration >= 0.0:
         raise ConfigurationError(
             f"candidate arc starting at {t} s reaches past closest approach")
     return ControlSchedule(mode=LOW_THRUST, node_epochs=(t, t + duration),
-                           frame=template.frame, fixed_directions=fixed)
+                           frame=template.frame,
+                           fixed_direction=template.fixed_direction)
 
 
 def gradient_norm_per_node(event: ConjunctionEvent, candidate_times,
@@ -537,7 +517,6 @@ def gradient_norm_per_node(event: ConjunctionEvent, candidate_times,
     out = []
     for t in candidate_times:
         single = _single_slot_schedule(template, t)
-        single.validate()
         columns = []
         for j in range(single.n_vars):
             scalars = [1j * _COMPLEX_STEP if k == j else 0.0
@@ -550,8 +529,7 @@ def gradient_norm_per_node(event: ConjunctionEvent, candidate_times,
         # every leg shares the real part: the ballistic encounter position
         r_b = (TaylorPoly.variable(position, 0) + float(xi.real),
                TaylorPoly.variable(position, 1) + float(zeta.real))
-        dpoc = poc_chan(r_b, bplane.p_b, event.hbr_km,
-                        terms=CHAN_TERMS).gradient_at_zero()
+        dpoc = poc_chan(r_b, bplane.p_b, event.hbr_km).gradient_at_zero()
         out.append((t, float(np.linalg.norm(dpoc @ np.array(columns).T))))
     return out
 

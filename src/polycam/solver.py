@@ -10,6 +10,8 @@ of the higher-degree terms) and iterates that greedy step to a fixed point.
 
 from __future__ import annotations
 
+import itertools
+import math
 import time
 from dataclasses import dataclass
 
@@ -20,14 +22,13 @@ from .dapoly import contract_no_first_mode
 from .dynamics import PropagationConfig
 from .errors import (ConfigurationError, DegenerateGradientError,
                      InfeasibleWithBoundError, NonConvergenceError)
-from .mapbuilder import (CHAN_TERMS, ControlSchedule, IMPULSIVE, PocMap,
-                         build_poc_map, gradient_norm_per_node,
-                         propagate_with_controls)
+from .mapbuilder import (ControlSchedule, IMPULSIVE, PocMap, build_poc_map,
+                         gradient_norm_per_node, propagate_with_controls)
 
 __all__ = [
     "SolverConfig", "ManeuverSolution",
     "solve_order1", "pseudo_gradient", "solve_order_j", "solve_recursive",
-    "filter_nodes", "solve_thrust_limited", "solve_fixed_direction",
+    "filter_nodes", "solve_thrust_limited",
 ]
 
 _GRADIENT_FLOOR = 1e-30
@@ -45,8 +46,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_order < 1:
             raise ConfigurationError("max_order must be >= 1")
-        if self.e_tol <= 0:
-            raise ConfigurationError("e_tol must be positive")
+        if not 0.0 < self.e_tol < math.inf:
+            raise ConfigurationError("e_tol must be positive and finite")
         if self.max_iterations < 1:
             raise ConfigurationError("max_iterations must be >= 1")
         if not 0.0 < self.target_poc < 1.0:
@@ -121,24 +122,18 @@ def _quadratic_matrix(pmap: PocMap) -> np.ndarray:
 
 
 class _PseudoGradientModel:
-    """Order-j pseudo-gradient with a continuation weight on the top term.
+    """Order-j pseudo-gradient and the greedy step it defines; counts its
+    evaluations."""
 
-    weight 1 yields the true order-j model; weights in (0, 1) shrink only
-    the degree-j contribution, which lets a fixed point of the order-(j-1)
-    model be tracked continuously into the order-j one.
-    """
-
-    def __init__(self, pmap: PocMap, j: int, rho: float, weight: float = 1.0):
+    def __init__(self, pmap: PocMap, j: int, rho: float):
         self.pmap = pmap
         self.j = j
         self.rho = rho
-        self.weight = weight
         self.evals = 0
 
     def gradient(self, point: np.ndarray) -> np.ndarray:
         self.evals += 1
-        top = contract_no_first_mode(self.pmap.poly, self.j, point)
-        return pseudo_gradient(self.pmap, self.j - 1, point) + self.weight * top
+        return pseudo_gradient(self.pmap, self.j, point)
 
     def greedy(self, point: np.ndarray) -> np.ndarray:
         g = self.gradient(point)
@@ -284,68 +279,47 @@ def _ray_seeds(pmap: PocMap, j: int, rho: float) -> list[np.ndarray]:
     return [point for _, point in seeds]
 
 
+def _restarts(pmap: PocMap, j: int, rho: float):
+    """Restart points of an order-j hunt, produced lazily: most solves
+    settle from their seed and never reach the order-2 root sweep."""
+    if j == 2:
+        yield from _secular_order2_roots(pmap, rho)
+    yield from _ray_seeds(pmap, j, rho)
+
+
 def solve_order_j(pmap: PocMap, j: int, phi_init: np.ndarray,
                   config: SolverConfig) -> tuple[np.ndarray, int, bool]:
     """Fixed point of the order-j greedy linearization map.
 
-    Returns (point, pseudo-gradient evaluations, converged). The primary
-    path is the iteration itself: linearize the constraint at the current
-    point through the pseudo-gradient, take the greedy minimum-norm step,
-    declare convergence when successive points differ by at most
-    ``e_tol``, damping the step whenever the displacement grows. When
-    substitution orbits without converging, the same fixed point is hunted
-    directly: a dogleg root find on the fixed-point residual, the exact
-    secular family at order 2, continuation from the seed's model order,
-    and restarts from constraint roots along principal rays. Whatever path
-    succeeds, the returned point satisfies the iteration's own convergence
-    test; when none does, the point is the candidate with the smallest
-    fixed-point residual encountered.
+    Returns (point, pseudo-gradient evaluations, converged). From each
+    start the iteration itself runs first: linearize the constraint at the
+    current point through the pseudo-gradient, take the greedy minimum-norm
+    step, declare convergence when successive points differ by at most
+    ``e_tol``, damping the step whenever the displacement grows. When it
+    orbits without converging, a dogleg root find on the fixed-point
+    residual hunts the same fixed point from where it stopped. The first
+    start is ``phi_init``; the restarts, on a quarter of the iteration
+    budget, are the exact secular fixed points at order 2 and then
+    constraint roots along principal rays. Whatever start succeeds, the
+    returned point satisfies the iteration's own convergence test; when
+    none does, the point is the candidate with the smallest fixed-point
+    residual encountered.
     """
     rho = config.target_poc - pmap.ballistic_poc
     model = _PseudoGradientModel(pmap, j, rho)
-    phi_init = np.asarray(phi_init, dtype=np.float64)
+    restart_budget = max(config.max_iterations // 4, 20)
+    starts = itertools.chain(
+        [(np.asarray(phi_init, dtype=np.float64), config.max_iterations)],
+        ((start, restart_budget) for start in _restarts(pmap, j, rho)))
 
-    def residual_norm(x: np.ndarray) -> float:
-        return float(np.linalg.norm(model.fixed_point_residual(x)))
-
-    converged, point = _damped_picard(model, phi_init, config.max_iterations,
-                                      config.e_tol)
-    if converged:
-        return point, model.evals, True
-    best = (residual_norm(point), point)
-
-    solution = _polished_root(model, point, config.e_tol)
-    if solution is not None:
-        return solution, model.evals, True
-
-    candidates: list[np.ndarray] = []
-    if j == 2:
-        candidates.extend(_secular_order2_roots(pmap, rho))
-    else:
-        # track the seed's fixed point while the degree-j term fades in
-        current = phi_init
-        tracked = True
-        for weight in (0.25, 0.5, 0.75, 1.0):
-            partial = _PseudoGradientModel(pmap, j, rho, weight=weight)
-            ok, current = _damped_picard(partial, current, 40, config.e_tol)
-            model.evals += partial.evals
-            if not ok:
-                refined = _polished_root(partial, current, config.e_tol)
-                if refined is None:
-                    tracked = False
-                    break
-                current = refined
-        if tracked:
-            candidates.append(current)
-    candidates.extend(_ray_seeds(pmap, j, rho))
-
-    for start in candidates:
-        ok, point = _damped_picard(model, start,
-                                   max(config.max_iterations // 4, 20),
-                                   config.e_tol)
-        if ok:
+    best = None
+    for start, budget in starts:
+        converged, point = _damped_picard(model, start, budget, config.e_tol)
+        if converged:
             return point, model.evals, True
-        best = min(best, (residual_norm(point), point), key=lambda t: t[0])
+        residual = float(np.linalg.norm(model.fixed_point_residual(point)))
+        if best is None or residual < best[0]:
+            best = (residual, point)
         solution = _polished_root(model, point, config.e_tol)
         if solution is not None:
             return solution, model.evals, True
@@ -433,18 +407,17 @@ def filter_nodes(event: ConjunctionEvent, dense_times, keep: int,
         raise ConfigurationError(
             f"keep must lie in [1, {len(dense_times)}], got {keep}")
     chosen = sorted(_ranked_epochs(event, dense_times, template, config)[:keep])
-    fixed = None
-    if template.fixed_directions is not None:
-        fixed = tuple(template.fixed_directions[0] for _ in chosen)
     if template.mode == IMPULSIVE:
         return ControlSchedule(mode=IMPULSIVE, node_epochs=tuple(chosen),
-                               frame=template.frame, fixed_directions=fixed)
+                               frame=template.frame,
+                               fixed_direction=template.fixed_direction)
     duration = template.node_epochs[1] - template.node_epochs[0]
     nodes = []
     for t in chosen:
         nodes.extend((t, t + duration))
     return ControlSchedule(mode=template.mode, node_epochs=tuple(nodes),
-                           frame=template.frame, fixed_directions=fixed,
+                           frame=template.frame,
+                           fixed_direction=template.fixed_direction,
                            arc_lengths=tuple(2 for _ in chosen))
 
 
@@ -462,7 +435,7 @@ def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
     Stops at the first unsaturated solve within the bound; exhausting the
     grid with gap remaining raises, reporting the residual probability.
     """
-    if u_max_ms <= 0.0:
+    if not u_max_ms > 0.0:
         raise ConfigurationError("u_max must be positive")
     if len(dense_times) == 0:
         raise ConfigurationError("candidate grid is empty")
@@ -499,22 +472,8 @@ def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
         event, ControlSchedule(mode=IMPULSIVE, node_epochs=(ranked_times[-1],),
                                frame=template.frame),
         None, prop_config, fixed_impulses=saturated)
-    residual_poc = poc_chan(r_b, bplane.p_b, event.hbr_km, terms=CHAN_TERMS)
+    residual_poc = poc_chan(r_b, bplane.p_b, event.hbr_km)
     raise InfeasibleWithBoundError(
         f"all {len(ranked_times)} nodes saturated at {u_max_ms} m/s with "
         f"probability gap remaining (residual PoC {residual_poc})",
         residual_poc=residual_poc)
-
-
-def solve_fixed_direction(event: ConjunctionEvent, schedule: ControlSchedule,
-                          config: SolverConfig,
-                          prop_config: PropagationConfig | None = None
-                          ) -> ManeuverSolution:
-    """Recursive solve with one magnitude variable per control, the
-    directions being pinned by the schedule. Magnitudes may come out
-    negative (retrograde firing along the pinned axis)."""
-    if schedule.fixed_directions is None:
-        raise ConfigurationError("schedule carries no fixed directions")
-    pmap = build_poc_map(event, schedule, order=config.max_order,
-                         config=prop_config)
-    return solve_recursive(pmap, config)

@@ -17,7 +17,7 @@ import numpy as np
 from .conjunction import ConjunctionEvent, poc_chan, poc_quadrature
 from .dynamics import PropagationConfig, propagate_vector
 from .errors import ConfigurationError, InfeasibleError
-from .mapbuilder import (CHAN_TERMS, ControlSchedule, IMPULSIVE, PocMap,
+from .mapbuilder import (ControlSchedule, IMPULSIVE, PocMap,
                          _control_rotation, _relative_bplane_position,
                          _to_internal_units, propagate_with_controls)
 
@@ -65,8 +65,8 @@ def validate_solution(event: ConjunctionEvent, schedule: ControlSchedule,
                                                    phi_physical, config)
     r_b_before, _, _ = propagate_with_controls(event, schedule, None, config)
 
-    validated = poc_chan(r_b_after, bplane.p_b, event.hbr_km, terms=CHAN_TERMS)
-    ballistic = poc_chan(r_b_before, bplane.p_b, event.hbr_km, terms=CHAN_TERMS)
+    validated = poc_chan(r_b_after, bplane.p_b, event.hbr_km)
+    ballistic = poc_chan(r_b_before, bplane.p_b, event.hbr_km)
     oracle = poc_quadrature(r_b_after, bplane.p_b, event.hbr_km)
     if validated > 0.0 and oracle > 0.0:
         agree = abs(validated - oracle) / oracle <= _CROSS_CHECK_REL
@@ -128,12 +128,11 @@ def grid_oracle_single_impulse(event: ConjunctionEvent, node_time: float,
         raise ConfigurationError("candidate grid exceeds 1e7 points")
 
     schedule = ControlSchedule(mode=IMPULSIVE, node_epochs=(float(node_time),))
-    schedule.validate()
     event.check()
 
     r_b0, bplane, node_states = propagate_with_controls(event, schedule, None,
                                                         config)
-    ballistic = poc_chan(r_b0, bplane.p_b, event.hbr_km, terms=CHAN_TERMS)
+    ballistic = poc_chan(r_b0, bplane.p_b, event.hbr_km)
     if ballistic <= target_poc:
         return np.zeros(3)
 
@@ -157,8 +156,7 @@ def grid_oracle_single_impulse(event: ConjunctionEvent, node_time: float,
                                model_nd, config)
         xi, zeta = _relative_bplane_position(out, event, bplane, scale)
         return np.array([
-            poc_chan(np.array([xi[i], zeta[i]]), bplane.p_b, event.hbr_km,
-                     terms=CHAN_TERMS)
+            poc_chan(np.array([xi[i], zeta[i]]), bplane.p_b, event.hbr_km)
             for i in range(len(dirs))])
 
     def first_feasible(pocs: np.ndarray) -> int | None:

@@ -141,6 +141,29 @@ class TestRunCommand:
         assert payload["error"]["class"] == "parse"
         assert key in payload["error"]["message"]
 
+    @pytest.mark.parametrize("key, value, code, message", [
+        ("nodes", ["nan"], 2, "non-finite node"),
+        ("nodes", ["inf"], 2, "non-finite node"),
+        ("nodes", ["nanorb"], 2, "non-finite node"),
+        ("filter_grid", ["nan", "0.5orb"], 2, "non-finite node"),
+        ("fixed_dir", "nan,1,0", 2, "non-finite fixed direction"),
+        ("umax", "nan", 3, "u_max must be positive"),
+        ("etol", "nan", 3, "e_tol must be positive and finite"),
+        ("etol", "inf", 3, "e_tol must be positive and finite")],
+        ids=["nodes-nan", "nodes-inf", "nodes-nanorb", "filter_grid-nan",
+             "fixed_dir-nan", "umax-nan", "etol-nan", "etol-inf"])
+    def test_non_finite_default_rejected(self, scenario_file, tmp_path, capsys,
+                                         key, value, code, message):
+        doc = json.loads(scenario_file.read_text())
+        doc.setdefault("defaults", {})[key] = value
+        bad = tmp_path / "non-finite.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli(["run", str(bad), "--order", "2"]) == code
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["class"] == \
+            ("parse" if code == 2 else "validation")
+        assert message in payload["error"]["message"]
+
     def test_missing_file_exit_2(self, capsys):
         assert run_cli(["run", "/nonexistent/nope.json"]) == 2
 

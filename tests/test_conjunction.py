@@ -149,7 +149,7 @@ class TestPocChan:
             if reference < 1e-12:
                 continue
             checked += 1
-            series = poc_chan(r_b, p_b, hbr, terms=20)
+            series = poc_chan(r_b, p_b, hbr)
             assert abs(series - reference) / reference <= 1e-6
 
     def test_polynomial_input_constant_part(self):

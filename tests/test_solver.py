@@ -8,8 +8,10 @@ from polycam.dapoly import AlgebraConfig, TaylorPoly
 from polycam.errors import (ConfigurationError, DegenerateGradientError,
                             InfeasibleWithBoundError)
 from polycam.mapbuilder import ControlSchedule, IMPULSIVE, PocMap, build_poc_map
-from polycam.solver import (SolverConfig, filter_nodes,
-                            pseudo_gradient, solve_fixed_direction,
+from polycam import solver
+from polycam.errors import NonConvergenceError
+from polycam.scenarios import generate_synthetic_suite, scenario_to_event
+from polycam.solver import (SolverConfig, filter_nodes, pseudo_gradient,
                             solve_order1, solve_order_j, solve_recursive,
                             solve_thrust_limited)
 from polycam.validate import validate_solution
@@ -55,8 +57,7 @@ class TestSolveOrder1:
                  for k in range(4)},
                 4, 1,
                 schedule=ControlSchedule(mode=IMPULSIVE,
-                                         node_epochs=(-1200.0,),
-                                         fixed_directions=None))
+                                         node_epochs=(-1200.0,)))
             # 4 variables with a 1-node impulsive schedule is inconsistent
             # for packaging, but solve_order1 only touches the polynomial
             phi = solve_order1(pmap, rho=-2e-5)
@@ -163,6 +164,28 @@ class TestSolveOrderJ:
             bound = 10 * config.e_tol * np.linalg.norm(
                 pseudo_gradient(pmap, j, phi))
             assert abs(constraint - rho) <= bound
+
+    def test_order2_closed_by_secular_restart(self, monkeypatch):
+        # the damped iteration and its root polish stall on this map; only
+        # a restart from an exact order-2 fixed point closes the order
+        event = scenario_to_event(generate_synthetic_suite(
+            20260810, 1, "LEO", poc_band=(1.5e-6, 4e-6))[0])
+        period = dyn.osculating_period(event.primary, event.dynamics)
+        sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * period,))
+        pmap = build_poc_map(event, sched, order=2)
+        config = SolverConfig(max_order=2)
+        rho = config.target_poc - pmap.ballistic_poc
+        phi, _, converged = solve_order_j(pmap, 2, solve_order1(pmap, rho),
+                                          config)
+        assert converged
+        constraint = sum(pmap.poly.homogeneous(k).eval(phi) for k in (1, 2))
+        bound = 10 * config.e_tol * np.linalg.norm(pseudo_gradient(pmap, 2, phi))
+        assert abs(constraint - rho) <= bound
+
+        monkeypatch.setattr(solver, "_secular_order2_roots",
+                            lambda pmap, rho: [])
+        with pytest.raises(NonConvergenceError):
+            solve_recursive(pmap, config)
 
 
 class TestSolveRecursive:
@@ -322,8 +345,9 @@ class TestFixedDirection:
         direction = free.phi / np.linalg.norm(free.phi)
         sched_fixed = ControlSchedule(mode=IMPULSIVE,
                                       node_epochs=(-0.5 * leo_period,),
-                                      fixed_directions=(direction,))
-        pinned = solve_fixed_direction(leo_event, sched_fixed, config)
+                                      fixed_direction=direction)
+        pinned = solve_recursive(build_poc_map(leo_event, sched_fixed, order=5),
+                                 config)
         assert abs(pinned.dv_total_ms - free.dv_total_ms) \
             / free.dv_total_ms <= 1e-6
 
@@ -338,15 +362,10 @@ class TestFixedDirection:
         ortho /= np.linalg.norm(ortho)
         sched_fixed = ControlSchedule(mode=IMPULSIVE,
                                       node_epochs=(-0.5 * leo_period,),
-                                      fixed_directions=(ortho,))
+                                      fixed_direction=ortho)
+        pinned = build_poc_map(leo_event, sched_fixed, order=2)
         with pytest.raises(DegenerateGradientError):
-            solve_fixed_direction(leo_event, sched_fixed,
-                                  SolverConfig(max_order=2))
-
-    def test_missing_directions_rejected(self, leo_event, leo_period):
-        sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * leo_period,))
-        with pytest.raises(ConfigurationError):
-            solve_fixed_direction(leo_event, sched, SolverConfig())
+            solve_recursive(pinned, SolverConfig(max_order=2))
 
 
 class TestOtherRegimes:
