@@ -28,8 +28,7 @@ from .errors import (ConfigurationError, CovarianceError,
                      InfeasibleError, InfeasibleWithBoundError,
                      NonConvergenceError, NumericError, PolycamError,
                      PropagationError, ScenarioParseError, ValidationError)
-from .mapbuilder import (ControlSchedule, IMPULSIVE, LOW_THRUST, RTN,
-                         SYNODIC_FRAME, build_poc_map)
+from .mapbuilder import ControlSchedule, IMPULSIVE, LOW_THRUST, build_poc_map
 from .scenarios import (DEFAULT_POC_BAND, generate_synthetic_suite,
                         parse_scenario, scenario_to_json)
 from .solver import (SolverConfig, filter_nodes, solve_recursive,
@@ -182,11 +181,9 @@ def run_scenario(doc: dict, args: argparse.Namespace) -> tuple[int, dict]:
                 cov_primary=event.cov_primary,
                 cov_secondary=event.cov_secondary,
                 hbr_km=event.hbr_km, dynamics=DynamicsModel(kind=kind))
-        event.check()
-        is_cr3bp = event.dynamics.kind == CR3BP
 
-        period = None if is_cr3bp else osculating_period(event.primary,
-                                                         event.dynamics)
+        period = None if event.dynamics.kind == CR3BP \
+            else osculating_period(event.primary, event.dynamics)
         mode_name = str(_resolve(args.mode, defaults, "mode", "impulse"))
         if mode_name not in ("impulse", "lowthrust"):
             raise ScenarioParseError(f"unknown mode {mode_name!r}")
@@ -198,7 +195,6 @@ def run_scenario(doc: dict, args: argparse.Namespace) -> tuple[int, dict]:
         epochs = tuple(sorted(
             _parse_node_token(tok, period, "nodes") for tok in node_tokens))
 
-        frame = SYNODIC_FRAME if is_cr3bp else RTN
         fixed_dir_text = _resolve(args.fixed_dir, defaults, "fixed_dir", None)
         order = _resolve_number(int, args, defaults, "order", 5)
         target = _resolve_number(float, args, defaults, "target_poc", 1e-6)
@@ -215,7 +211,7 @@ def run_scenario(doc: dict, args: argparse.Namespace) -> tuple[int, dict]:
         fixed_direction = None
         if fixed_dir_text is not None:
             fixed_direction = _parse_fixed_direction(str(fixed_dir_text))
-        schedule = ControlSchedule(mode=mode, node_epochs=epochs, frame=frame,
+        schedule = ControlSchedule(mode=mode, node_epochs=epochs,
                                    fixed_direction=fixed_direction)
 
         filter_tokens = _resolve(args.filter_grid, defaults, "filter_grid",
@@ -234,9 +230,6 @@ def run_scenario(doc: dict, args: argparse.Namespace) -> tuple[int, dict]:
             solution = solve_thrust_limited(event, dense, u_max,
                                             solver_config, template=schedule,
                                             prop_config=prop_config)
-            schedule = ControlSchedule(mode=IMPULSIVE,
-                                       node_epochs=solution.node_epochs,
-                                       frame=frame)
         else:
             if grid is not None:
                 schedule = filter_nodes(event, grid, keep, schedule,
@@ -244,8 +237,8 @@ def run_scenario(doc: dict, args: argparse.Namespace) -> tuple[int, dict]:
             pmap = build_poc_map(event, schedule, order, prop_config)
             solution = solve_recursive(pmap, solver_config)
 
-        report = validate_solution(event, schedule, solution.phi, target,
-                                   pmap=pmap, config=prop_config)
+        report = validate_solution(event, solution.schedule, solution.phi,
+                                   target, pmap=pmap, config=prop_config)
 
         result = {
             "status": "ok",

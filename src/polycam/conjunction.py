@@ -46,7 +46,8 @@ class ConjunctionEvent:
 
     States are expressed in km and km/s (synodic coordinates for the
     three-body regime, still in km). Covariances are 6x6 in km^2, km^2/s,
-    km^2/s^2 blocks; ``hbr_km`` is the combined hard-body radius.
+    km^2/s^2 blocks; ``hbr_km`` is the combined hard-body radius. An
+    event that breaks its invariants cannot be constructed.
     """
 
     primary: SpacecraftState
@@ -61,6 +62,7 @@ class ConjunctionEvent:
                            np.asarray(self.cov_primary, dtype=np.float64))
         object.__setattr__(self, "cov_secondary",
                            np.asarray(self.cov_secondary, dtype=np.float64))
+        self.check()
 
     def check(self) -> None:
         """Raise if the event violates its documented invariants."""

@@ -21,7 +21,7 @@ first-order probability gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +35,7 @@ from .dynamics import (CR3BP, DynamicsModel, PropagationConfig, SpacecraftState,
 from .errors import ConfigurationError
 
 __all__ = [
-    "IMPULSIVE", "LOW_THRUST", "RTN", "SYNODIC_FRAME",
+    "IMPULSIVE", "LOW_THRUST",
     "IMPULSE_REF_MS", "ACCEL_REF_MS2",
     "ControlSchedule", "PocMap",
     "build_poc_map", "gradient_norm_per_node",
@@ -44,8 +44,6 @@ __all__ = [
 
 IMPULSIVE = "IMPULSIVE"
 LOW_THRUST = "LOW_THRUST"
-RTN = "RTN"
-SYNODIC_FRAME = "SYNODIC"
 
 # Reference control magnitudes: one scaled unit of an impulse variable is
 # 1 m/s, one scaled unit of an acceleration variable is 1e-4 m/s^2. Unit-ball
@@ -72,13 +70,14 @@ class ControlSchedule:
     nodes into consecutive thrust arcs (one arc by default).
 
     ``fixed_direction`` optionally pins every control to one unit vector
-    in the local frame, reducing each control to a single magnitude
-    variable. A schedule that breaks these rules cannot be constructed.
+    in the local frame (the RTN frame of the node's reference state, or
+    the synodic axes under three-body dynamics), reducing each control to
+    a single magnitude variable. A schedule that breaks these rules cannot
+    be constructed.
     """
 
     mode: str
     node_epochs: tuple[float, ...]
-    frame: str = RTN
     fixed_direction: np.ndarray | None = None
     arc_lengths: tuple[int, ...] | None = None
 
@@ -94,8 +93,6 @@ class ControlSchedule:
     def validate(self) -> None:
         if self.mode not in (IMPULSIVE, LOW_THRUST):
             raise ConfigurationError(f"unknown schedule mode {self.mode!r}")
-        if self.frame not in (RTN, SYNODIC_FRAME):
-            raise ConfigurationError(f"unknown control frame {self.frame!r}")
         if not self.node_epochs:
             raise ConfigurationError("schedule has no nodes")
         # negated comparisons, so that NaN fails them
@@ -118,6 +115,27 @@ class ControlSchedule:
                     np.linalg.norm(self.fixed_direction) - 1.0) <= 1e-9:
                 raise ConfigurationError(
                     "the fixed direction must be a 3-component unit vector")
+
+    def retimed(self, starts) -> ControlSchedule:
+        """This schedule's control moved to each of ``starts``: one impulse
+        per start, or one 2-node arc per start as long as the first held
+        control. Mode and fixed direction carry over."""
+        starts = [float(t) for t in starts]
+        if self.mode == IMPULSIVE:
+            return replace(self, node_epochs=starts)
+        duration = self.node_epochs[1] - self.node_epochs[0]
+        for t in starts:
+            if not t + duration < 0.0:
+                raise ConfigurationError(
+                    f"arc starting at {t} s reaches past closest approach")
+        return replace(self, node_epochs=[e for t in starts
+                                          for e in (t, t + duration)],
+                       arc_lengths=(2,) * len(starts))
+
+    @property
+    def unit(self) -> float:
+        """Physical size of one scaled control variable."""
+        return ACCEL_REF_MS2 if self.mode == LOW_THRUST else IMPULSE_REF_MS
 
     @property
     def arcs(self) -> tuple[int, ...]:
@@ -160,12 +178,11 @@ class ControlSchedule:
         A held acceleration (m/s^2) counts as its value times the duration
         of the segment it acts on.
         """
-        phi_physical = np.asarray(phi_physical, dtype=np.float64)
+        vectors = np.asarray(phi_physical, dtype=np.float64).reshape(
+            self.n_controls, -1)
         if self.is_fixed_direction:
-            vectors = [phi_physical[i] * self.fixed_direction
-                       for i in range(self.n_controls)]
-        else:
-            vectors = list(phi_physical.reshape(self.n_controls, 3))
+            vectors = vectors * self.fixed_direction
+        vectors = list(vectors)
         if self.mode == LOW_THRUST:
             epochs = self.node_epochs
             vectors = [v * (epochs[i + 1] - epochs[i])
@@ -215,10 +232,11 @@ def _to_internal_units(event: ConjunctionEvent):
     return scale, scaled_model(model, scale)
 
 
-def _control_rotation(schedule: ControlSchedule,
+def _control_rotation(event: ConjunctionEvent,
                       state: SpacecraftState) -> np.ndarray:
-    """Rows of the local control frame at a node of the reference path."""
-    if schedule.frame == SYNODIC_FRAME:
+    """Rows of the local control frame at a node of the reference path:
+    the synodic axes under three-body dynamics, RTN otherwise."""
+    if event.dynamics.kind == CR3BP:
         return np.eye(3)
     return rtn_rotation(state)
 
@@ -250,9 +268,9 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
     One arithmetic pipeline serves both DA map construction and the real
     replay. ``controls[slot]`` holds the control scalars of one slot
     (TaylorPoly variables, floats, or complex scalars for complex-step
-    derivatives), one scalar for a fixed-direction
-    control and three otherwise; one unit of a scalar is ``control_unit``
-    physical units (m/s for impulses, m/s^2 for held accelerations).
+    derivatives), one scalar for a fixed-direction control and three
+    otherwise; one unit of a scalar is ``control_unit`` physical units
+    (m/s for impulses, m/s^2 for held accelerations).
     ``fixed_impulses`` are (epoch, delta-v m/s in the local frame)
     constants folded into the reference.
 
@@ -305,11 +323,6 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
     else:
         unit_nd = control_unit * 1e-3 / scale.accel_kms2
 
-    def slot_scalars(slot: int) -> list:
-        if schedule.is_fixed_direction:
-            return [controls[slot]]
-        return list(controls[slot])
-
     def slot_vector(scalars, rot: np.ndarray):
         """Three control components of one slot's scalars, in internal
         velocity/accel units."""
@@ -332,7 +345,7 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
 
     def propagate_segment(y, t0: float, t1: float) -> list:
         t0, t1 = t0 / scale.time_s, t1 / scale.time_s
-        scalars = [] if held_slot is None else slot_scalars(held_slot[0])
+        scalars = [] if held_slot is None else list(controls[held_slot[0]])
         poly = next((c for c in (*y, *scalars) if isinstance(c, TaylorPoly)),
                     None)
         if poly is not None and poly.n_vars > 6 + len(scalars):
@@ -353,7 +366,7 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
         v_ref = np.array([constant_part(y[k + 3]) for k in range(3)]) * v_unit
         ref_state = SpacecraftState(r=r_ref, v=v_ref, epoch=t_ev,
                                     frame=event.primary.frame)
-        rot = _control_rotation(schedule, ref_state)
+        rot = _control_rotation(event, ref_state)
 
         if kind == "fixed":
             dv_nd = (rot.T @ (payload * 1e-3)) / v_unit
@@ -363,7 +376,7 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
         node_idx = payload
         node_states[node_idx] = ref_state
         slot = slot_of_node.get(node_idx)
-        scalars = [] if slot is None else slot_scalars(slot)
+        scalars = [] if slot is None else list(controls[slot])
         if scalars and isinstance(scalars[0], TaylorPoly):
             y = [c.embed(scalars[0].config) if isinstance(c, TaylorPoly) else c
                  for c in y]
@@ -415,8 +428,7 @@ def propagate_with_controls(event: ConjunctionEvent, schedule: ControlSchedule,
         raise ConfigurationError(
             f"control vector has shape {phi_physical.shape}, expected "
             f"({schedule.n_vars},)")
-    controls = phi_physical if schedule.is_fixed_direction \
-        else phi_physical.reshape(schedule.n_controls, 3)
+    controls = phi_physical.reshape(schedule.n_controls, -1)
 
     y, node_states, scale = _thread_trajectory(
         event, schedule, config, controls, 1.0, fixed_impulses)
@@ -439,25 +451,17 @@ def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
     if order < 1:
         raise ConfigurationError(f"expansion order must be >= 1, got {order}")
     config = config or PropagationConfig()
-    event.check()
-
-    n_vars = schedule.n_vars
-
     r_rel, v_rel, p = combine_relative(event)
     bplane = project_bplane(r_rel, v_rel, p)
 
     # each slot's variables live in the algebra of the slots up to it
-    if schedule.is_fixed_direction:
-        variables = [TaylorPoly.variable(AlgebraConfig(s + 1, order), s)
-                     for s in range(schedule.n_controls)]
-    else:
-        variables = [[TaylorPoly.variable(AlgebraConfig(3 * s + 3, order),
-                                          3 * s + k) for k in range(3)]
-                     for s in range(schedule.n_controls)]
+    width = schedule.n_vars // schedule.n_controls
+    variables = [[TaylorPoly.variable(AlgebraConfig(width * (s + 1), order),
+                                      width * s + k) for k in range(width)]
+                 for s in range(schedule.n_controls)]
 
-    ref = ACCEL_REF_MS2 if schedule.mode == LOW_THRUST else IMPULSE_REF_MS
-    y, _, scale = _thread_trajectory(event, schedule, config, variables, ref,
-                                     fixed_impulses)
+    y, _, scale = _thread_trajectory(event, schedule, config, variables,
+                                     schedule.unit, fixed_impulses)
     xi, zeta = _relative_bplane_position(y, event, bplane, scale)
     poly = poc_chan((xi, zeta), bplane.p_b, event.hbr_km)
 
@@ -466,23 +470,7 @@ def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
     ballistic_poc = poc_chan(r_b_ref, bplane.p_b, event.hbr_km)
 
     return PocMap(poly=poly, ballistic_poc=ballistic_poc, schedule=schedule,
-                  scaling=np.full(n_vars, ref))
-
-
-def _single_slot_schedule(template: ControlSchedule,
-                          t: float) -> ControlSchedule:
-    """The template's first control moved to start at ``t``."""
-    if template.mode == IMPULSIVE:
-        return ControlSchedule(mode=IMPULSIVE, node_epochs=(t,),
-                               frame=template.frame,
-                               fixed_direction=template.fixed_direction)
-    duration = template.node_epochs[1] - template.node_epochs[0]
-    if t + duration >= 0.0:
-        raise ConfigurationError(
-            f"candidate arc starting at {t} s reaches past closest approach")
-    return ControlSchedule(mode=LOW_THRUST, node_epochs=(t, t + duration),
-                           frame=template.frame,
-                           fixed_direction=template.fixed_direction)
+                  scaling=np.full(schedule.n_vars, schedule.unit))
 
 
 def gradient_norm_per_node(event: ConjunctionEvent, candidate_times,
@@ -502,28 +490,25 @@ def gradient_norm_per_node(event: ConjunctionEvent, candidate_times,
     ``1j * h`` and the others to zero, and ``Im(xi, zeta) / h`` is one
     column, exact to rounding because nothing is subtracted. The norm is
     that of dPoC/d(xi, zeta) · J, the first factor from one order-1 series
-    evaluation at the real part of (xi, zeta). Low-thrust candidates are a
-    single arc whose duration copies the template's first arc.
+    evaluation at the real part of (xi, zeta). Each candidate is the
+    template retimed to start at its time.
     """
     candidate_times = [float(t) for t in candidate_times]
     if not candidate_times:
         raise ConfigurationError("candidate grid is empty")
     config = config or PropagationConfig()
-    event.check()
     r_rel, v_rel, p = combine_relative(event)
     bplane = project_bplane(r_rel, v_rel, p)
-    ref = ACCEL_REF_MS2 if template.mode == LOW_THRUST else IMPULSE_REF_MS
     position = AlgebraConfig(2, 1)
     out = []
     for t in candidate_times:
-        single = _single_slot_schedule(template, t)
+        single = template.retimed([t])
         columns = []
         for j in range(single.n_vars):
             scalars = [1j * _COMPLEX_STEP if k == j else 0.0
                        for k in range(single.n_vars)]
-            controls = scalars if single.is_fixed_direction else [scalars]
-            y, _, scale = _thread_trajectory(event, single, config, controls,
-                                             ref)
+            y, _, scale = _thread_trajectory(event, single, config, [scalars],
+                                             single.unit)
             xi, zeta = _relative_bplane_position(y, event, bplane, scale)
             columns.append((xi.imag / _COMPLEX_STEP, zeta.imag / _COMPLEX_STEP))
         # every leg shares the real part: the ballistic encounter position

@@ -79,7 +79,7 @@ def scenario_to_event(doc: dict) -> ConjunctionEvent:
 
     Structural problems raise ScenarioParseError; violated physical
     invariants (covariance definiteness, closest-approach geometry) raise
-    through :meth:`ConjunctionEvent.check` when the caller invokes it.
+    when the event is constructed.
     """
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario document must be a JSON object")
@@ -310,7 +310,6 @@ def generate_synthetic_suite(seed: int, count: int, regime: str = "LEO",
                 event = maker(rng, (lo, hi))
             except GenerationError:
                 continue
-            event.check()
             oracle = poc_quadrature(
                 *_bplane_tuple(event), event.hbr_km)
             if lo * (1.0 - 1e-6) <= oracle <= hi * (1.0 + 1e-6):

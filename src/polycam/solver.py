@@ -59,12 +59,13 @@ class ManeuverSolution:
     """Solved control history in physical units plus solve diagnostics.
 
     ``phi`` stacks the per-control physical values (m/s for impulses,
-    m/s^2 for held accelerations); ``per_node_dv_ms`` reports the
-    equivalent velocity increment vector of each control in the local
-    frame. ``residual`` is the map-constraint mismatch at the solution.
-    ``per_order_converged`` marks the escalation orders whose iteration
-    reached a fixed point (intermediate orders whose truncated constraint
-    has no solution hand their best iterate to the next order instead).
+    m/s^2 for held accelerations) of ``schedule``, the control layout it
+    is stacked on; ``per_node_dv_ms`` reports the equivalent velocity
+    increment vector of each control in the local frame. ``residual`` is
+    the map-constraint mismatch at the solution. ``per_order_converged``
+    marks the escalation orders whose iteration reached a fixed point
+    (intermediate orders whose truncated constraint has no solution hand
+    their best iterate to the next order instead).
     """
 
     phi: np.ndarray
@@ -72,10 +73,15 @@ class ManeuverSolution:
     residual: float
     dv_total_ms: float
     per_node_dv_ms: tuple
-    node_epochs: tuple[float, ...]
-    mode: str
+    schedule: ControlSchedule
     wall_time_s: float
     per_order_converged: tuple[bool, ...]
+
+    @property
+    def node_epochs(self) -> tuple[float, ...]:
+        """Epochs of the nodes that carry controls."""
+        return tuple(self.schedule.node_epochs[i]
+                     for i in self.schedule.control_node_indices())
 
 
 def solve_order1(pmap: PocMap, rho: float) -> np.ndarray:
@@ -337,9 +343,7 @@ def _package_solution(schedule: ControlSchedule, phi_physical: np.ndarray,
         residual=residual,
         dv_total_ms=dv_total,
         per_node_dv_ms=per_node_dv,
-        node_epochs=tuple(schedule.node_epochs[i]
-                          for i in schedule.control_node_indices()),
-        mode=schedule.mode,
+        schedule=schedule,
         wall_time_s=time.perf_counter() - started,
         per_order_converged=converged,
     )
@@ -399,26 +403,15 @@ def filter_nodes(event: ConjunctionEvent, dense_times, keep: int,
                  config: PropagationConfig | None = None) -> ControlSchedule:
     """Keep the ``keep`` candidate epochs with the largest first-order
     probability-gradient norm (ties broken by earlier time, then grid
-    position), ordered chronologically."""
+    position), as the template retimed to them in chronological order."""
     dense_times = [float(t) for t in dense_times]
     if not dense_times:
         raise ConfigurationError("candidate grid is empty")
     if not 1 <= keep <= len(dense_times):
         raise ConfigurationError(
             f"keep must lie in [1, {len(dense_times)}], got {keep}")
-    chosen = sorted(_ranked_epochs(event, dense_times, template, config)[:keep])
-    if template.mode == IMPULSIVE:
-        return ControlSchedule(mode=IMPULSIVE, node_epochs=tuple(chosen),
-                               frame=template.frame,
-                               fixed_direction=template.fixed_direction)
-    duration = template.node_epochs[1] - template.node_epochs[0]
-    nodes = []
-    for t in chosen:
-        nodes.extend((t, t + duration))
-    return ControlSchedule(mode=template.mode, node_epochs=tuple(nodes),
-                           frame=template.frame,
-                           fixed_direction=template.fixed_direction,
-                           arc_lengths=tuple(2 for _ in chosen))
+    return template.retimed(
+        sorted(_ranked_epochs(event, dense_times, template, config)[:keep]))
 
 
 def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
@@ -432,8 +425,11 @@ def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
     impulse exceeds ``u_max_ms`` that node is saturated at the bound along
     the solved direction, folded into the reference trajectory (shrinking
     the remaining probability gap), and the next-ranked node is brought in.
-    Stops at the first unsaturated solve within the bound; exhausting the
-    grid with gap remaining raises, reporting the residual probability.
+    Each node's control follows ``template`` (a fixed direction stays
+    pinned); the returned schedule holds the engaged impulses as free
+    vectors. Stops at the first unsaturated solve within the bound;
+    exhausting the grid with gap remaining raises, reporting the residual
+    probability.
     """
     if not u_max_ms > 0.0:
         raise ConfigurationError("u_max must be positive")
@@ -449,9 +445,8 @@ def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
 
     saturated: list[tuple[float, np.ndarray]] = []
     for t in ranked_times:
-        single = ControlSchedule(mode=IMPULSIVE, node_epochs=(t,),
-                                 frame=template.frame)
-        pmap = build_poc_map(event, single, order=config.max_order,
+        pmap = build_poc_map(event, template.retimed([t]),
+                             order=config.max_order,
                              config=prop_config, fixed_impulses=saturated)
         sol = solve_recursive(pmap, config)
         dv = np.asarray(sol.per_node_dv_ms[0])
@@ -459,8 +454,7 @@ def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
         if magnitude <= u_max_ms * (1.0 + 1e-12):
             engaged = sorted(saturated + [(t, dv)], key=lambda item: item[0])
             schedule = ControlSchedule(
-                mode=IMPULSIVE, node_epochs=tuple(t for t, _ in engaged),
-                frame=template.frame)
+                mode=IMPULSIVE, node_epochs=tuple(t for t, _ in engaged))
             return _package_solution(
                 schedule, np.concatenate([v for _, v in engaged]),
                 sol.residual, sol.per_order_iterations,
@@ -469,9 +463,8 @@ def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
 
     # the grid is never empty here: ranking rejects an empty one
     r_b, bplane, _ = propagate_with_controls(
-        event, ControlSchedule(mode=IMPULSIVE, node_epochs=(ranked_times[-1],),
-                               frame=template.frame),
-        None, prop_config, fixed_impulses=saturated)
+        event, template.retimed(ranked_times[-1:]), None, prop_config,
+        fixed_impulses=saturated)
     residual_poc = poc_chan(r_b, bplane.p_b, event.hbr_km)
     raise InfeasibleWithBoundError(
         f"all {len(ranked_times)} nodes saturated at {u_max_ms} m/s with "

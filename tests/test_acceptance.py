@@ -16,13 +16,15 @@ import pytest
 from polycam import dynamics as dyn
 from polycam.conjunction import (combine_relative, poc_chan, poc_quadrature,
                                  project_bplane)
-from polycam.mapbuilder import (ControlSchedule, IMPULSIVE, SYNODIC_FRAME,
-                                RTN, build_poc_map, gradient_norm_per_node,
+from polycam.mapbuilder import (ControlSchedule, IMPULSIVE, build_poc_map,
+                                gradient_norm_per_node,
                                 propagate_with_controls)
 from polycam.scenarios import generate_synthetic_suite, scenario_to_event
 from polycam.solver import (SolverConfig, pseudo_gradient, solve_recursive,
                             solve_thrust_limited)
-from polycam.validate import grid_oracle_single_impulse, validate_solution
+from polycam.validate import validate_solution
+
+from grid_oracle import grid_oracle_single_impulse
 
 SUITE_SEED = 20260810
 LEO_COUNT = 20
@@ -45,11 +47,9 @@ def _report(number: int, ok: bool, detail: str) -> None:
 
 def _schedule_for(event) -> ControlSchedule:
     if event.dynamics.kind == dyn.CR3BP:
-        return ControlSchedule(mode=IMPULSIVE, node_epochs=(-7200.0,),
-                               frame=SYNODIC_FRAME)
+        return ControlSchedule(mode=IMPULSIVE, node_epochs=(-7200.0,))
     period = dyn.osculating_period(event.primary, event.dynamics)
-    return ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * period,),
-                           frame=RTN)
+    return ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * period,))
 
 
 @pytest.fixture(scope="session")

@@ -51,24 +51,22 @@ class TestCombineRelative:
     def test_non_psd_rejected(self, leo_event):
         bad = np.zeros((6, 6))
         bad[0, 0] = -1.0
-        event = ConjunctionEvent(
-            primary=leo_event.primary, secondary=leo_event.secondary,
-            cov_primary=bad, cov_secondary=np.zeros((6, 6)),
-            hbr_km=leo_event.hbr_km, dynamics=leo_event.dynamics)
         with pytest.raises(CovarianceError):
-            combine_relative(event)
+            ConjunctionEvent(
+                primary=leo_event.primary, secondary=leo_event.secondary,
+                cov_primary=bad, cov_secondary=np.zeros((6, 6)),
+                hbr_km=leo_event.hbr_km, dynamics=leo_event.dynamics)
 
     def test_event_check_catches_skewed_geometry(self, leo_event):
-        event = ConjunctionEvent(
-            primary=leo_event.primary,
-            secondary=dyn.SpacecraftState(
-                r=leo_event.secondary.r + np.array([0.0, 50.0, 0.0]),
-                v=leo_event.secondary.v),
-            cov_primary=leo_event.cov_primary,
-            cov_secondary=leo_event.cov_secondary,
-            hbr_km=leo_event.hbr_km, dynamics=leo_event.dynamics)
         with pytest.raises(ValidationError):
-            event.check()
+            ConjunctionEvent(
+                primary=leo_event.primary,
+                secondary=dyn.SpacecraftState(
+                    r=leo_event.secondary.r + np.array([0.0, 50.0, 0.0]),
+                    v=leo_event.secondary.v),
+                cov_primary=leo_event.cov_primary,
+                cov_secondary=leo_event.cov_secondary,
+                hbr_km=leo_event.hbr_km, dynamics=leo_event.dynamics)
 
 
 class TestProjectBplane:

@@ -9,7 +9,7 @@ from polycam.conjunction import combine_relative, poc_chan, project_bplane
 from polycam.dapoly import AlgebraConfig, TaylorPoly
 from polycam.errors import ConfigurationError
 from polycam.mapbuilder import (ACCEL_REF_MS2, ControlSchedule,
-                                IMPULSIVE, LOW_THRUST, SYNODIC_FRAME,
+                                IMPULSIVE, LOW_THRUST,
                                 _relative_bplane_position,
                                 _to_internal_units, build_poc_map,
                                 gradient_norm_per_node,
@@ -48,6 +48,24 @@ class TestControlSchedule:
     def test_low_thrust_needs_two_nodes(self):
         with pytest.raises(ConfigurationError):
             ControlSchedule(mode=LOW_THRUST, node_epochs=(-900.0,))
+
+    def test_retimed_keeps_layout(self):
+        tang = np.array([0.0, 1.0, 0.0])
+        impulses = ControlSchedule(mode=IMPULSIVE, node_epochs=(-900.0,),
+                                   fixed_direction=tang)
+        impulses = impulses.retimed([-700.0, -200.0])
+        assert impulses.node_epochs == (-700.0, -200.0)
+        np.testing.assert_array_equal(impulses.fixed_direction, tang)
+        # each arc lasts as long as the template's first held control
+        arcs = ControlSchedule(mode=LOW_THRUST,
+                               node_epochs=(-900.0, -800.0, -300.0),
+                               fixed_direction=tang)
+        arcs = arcs.retimed([-700.0, -400.0])
+        assert arcs.node_epochs == (-700.0, -600.0, -400.0, -300.0)
+        assert arcs.arcs == (2, 2)
+        np.testing.assert_array_equal(arcs.fixed_direction, tang)
+        with pytest.raises(ConfigurationError, match="closest approach"):
+            arcs.retimed([-50.0])
 
     def test_rejects_nan_epoch_and_direction(self):
         with pytest.raises(ConfigurationError):
@@ -323,8 +341,7 @@ class TestGradientNormPerNode:
         if case == "cr3bp_synodic":
             event = scenario_to_event(
                 generate_synthetic_suite(11, 1, "CISLUNAR")[0])
-            template = ControlSchedule(mode=IMPULSIVE, node_epochs=(-7200.0,),
-                                       frame=SYNODIC_FRAME)
+            template = ControlSchedule(mode=IMPULSIVE, node_epochs=(-7200.0,))
             grid = [-3600.0, -7200.0, -20000.0]
         elif case == "low_thrust":
             template = ControlSchedule(
@@ -342,7 +359,6 @@ class TestGradientNormPerNode:
         for t, norm in norms:
             epochs = (t,) if template.mode == IMPULSIVE else (t, t + duration)
             single = ControlSchedule(mode=template.mode, node_epochs=epochs,
-                                     frame=template.frame,
                                      fixed_direction=fixed)
             oracle = np.linalg.norm(
                 build_poc_map(event, single, order=1).gradient())

@@ -6,8 +6,8 @@ import pytest
 
 from polycam.conjunction import combine_relative, poc_quadrature, project_bplane
 from polycam.dynamics import CR3BP, KEPLER, SYNODIC
-from polycam.errors import (GenerationError, ScenarioParseError,
-                            ValidationError)
+from polycam.errors import (CovarianceError, GenerationError,
+                            ScenarioParseError, ValidationError)
 from polycam.scenarios import (DEFAULT_POC_BAND, generate_synthetic_suite,
                                parse_scenario, scenario_to_event,
                                scenario_to_json)
@@ -126,6 +126,5 @@ class TestParsing:
     def test_non_psd_covariance_caught_by_check(self, leo_docs):
         doc = copy.deepcopy(leo_docs[0])
         doc["conjunction"]["cov_primary_km2"][0][0] = -5.0
-        event = scenario_to_event(doc)
-        with pytest.raises(Exception):
-            event.check()
+        with pytest.raises(CovarianceError):
+            scenario_to_event(doc)

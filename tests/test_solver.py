@@ -7,7 +7,8 @@ from polycam import dynamics as dyn
 from polycam.dapoly import AlgebraConfig, TaylorPoly
 from polycam.errors import (ConfigurationError, DegenerateGradientError,
                             InfeasibleWithBoundError)
-from polycam.mapbuilder import ControlSchedule, IMPULSIVE, PocMap, build_poc_map
+from polycam.mapbuilder import (ControlSchedule, IMPULSIVE, LOW_THRUST, PocMap,
+                                build_poc_map)
 from polycam import solver
 from polycam.errors import NonConvergenceError
 from polycam.scenarios import generate_synthetic_suite, scenario_to_event
@@ -265,6 +266,40 @@ class TestFilterNodes:
         with pytest.raises(ConfigurationError):
             filter_nodes(tangential_event, [], keep=1, template=template)
 
+    def test_low_thrust_template_gives_one_arc_per_kept_epoch(
+            self, leo_event, leo_period):
+        template = ControlSchedule(
+            mode=LOW_THRUST,
+            node_epochs=(-0.6 * leo_period, -0.5 * leo_period))
+        times = [-1.5 * leo_period, -1.0 * leo_period, -0.5 * leo_period]
+        sched = filter_nodes(leo_event, times, keep=2, template=template)
+        assert sched.mode == LOW_THRUST
+        assert sched.arc_lengths == (2, 2)
+        starts = sched.node_epochs[::2]
+        assert set(starts) <= set(times)
+        for start, end in zip(starts, sched.node_epochs[1::2]):
+            assert end - start == pytest.approx(0.1 * leo_period)
+
+    def test_fixed_direction_carries_over(self, leo_event, leo_period):
+        tangential = np.array([0.0, 1.0, 0.0])
+        template = ControlSchedule(mode=IMPULSIVE,
+                                   node_epochs=(-0.5 * leo_period,),
+                                   fixed_direction=tangential)
+        sched = filter_nodes(leo_event,
+                             [-1.0 * leo_period, -0.5 * leo_period], keep=2,
+                             template=template)
+        np.testing.assert_array_equal(sched.fixed_direction, tangential)
+        assert sched.n_vars == 2
+
+    def test_low_thrust_arc_reaching_encounter_rejected(self, leo_event,
+                                                        leo_period):
+        template = ControlSchedule(
+            mode=LOW_THRUST,
+            node_epochs=(-0.6 * leo_period, -0.5 * leo_period))
+        with pytest.raises(ConfigurationError, match="closest approach"):
+            filter_nodes(leo_event, [-1.0 * leo_period, -0.05 * leo_period],
+                         keep=1, template=template)
+
 
 class TestThrustLimited:
     def test_generous_bound_matches_single_node(self, tangential_event):
@@ -305,6 +340,25 @@ class TestThrustLimited:
                                         node_epochs=bounded.node_epochs)
         phi = np.concatenate([np.asarray(v) for v in bounded.per_node_dv_ms])
         report = validate_solution(tangential_event, sched_engaged, phi, 1e-6)
+        assert report.poc_log_error <= 0.1
+
+    def test_fixed_direction_pins_bounded_impulses(self):
+        # both engaged impulses stay exactly tangential and within the bound
+        event = scenario_to_event(generate_synthetic_suite(
+            7, 1, "LEO", poc_band=(1.5e-6, 4e-6))[0])
+        period = dyn.osculating_period(event.primary, event.dynamics)
+        grid = [-2.5 * period, -1.5 * period, -0.5 * period]
+        u_max = 0.0146566
+        template = ControlSchedule(mode=IMPULSIVE, node_epochs=(grid[0],),
+                                   fixed_direction=[0.0, 1.0, 0.0])
+        bounded = solve_thrust_limited(event, grid, u_max,
+                                       SolverConfig(max_order=5),
+                                       template=template)
+        assert len(bounded.per_node_dv_ms) == 2
+        for dv in bounded.per_node_dv_ms:
+            assert dv[0] == 0.0 and dv[2] == 0.0
+            assert np.linalg.norm(dv) <= u_max * (1.0 + 1e-12)
+        report = validate_solution(event, bounded.schedule, bounded.phi, 1e-6)
         assert report.poc_log_error <= 0.1
 
     def test_reports_convergence_of_every_order(self, tangential_event):
@@ -370,14 +424,12 @@ class TestFixedDirection:
 
 class TestOtherRegimes:
     def test_cislunar_low_thrust_end_to_end(self):
-        from polycam.mapbuilder import LOW_THRUST, SYNODIC_FRAME
         from polycam.scenarios import generate_synthetic_suite, scenario_to_event
 
         event = scenario_to_event(generate_synthetic_suite(
             seed=31, count=1, regime="CISLUNAR", poc_band=(2e-6, 4e-6))[0])
         sched = ControlSchedule(mode=LOW_THRUST,
-                                node_epochs=(-9000.0, -7200.0, -5400.0),
-                                frame=SYNODIC_FRAME)
+                                node_epochs=(-9000.0, -7200.0, -5400.0))
         pmap = build_poc_map(event, sched, order=4)
         sol = solve_recursive(pmap, SolverConfig(max_order=4))
         report = validate_solution(event, sched, sol.phi, 1e-6, pmap=pmap)

@@ -4,7 +4,9 @@ import pytest
 from polycam.errors import ConfigurationError, InfeasibleError
 from polycam.mapbuilder import ControlSchedule, IMPULSIVE, build_poc_map
 from polycam.solver import SolverConfig, solve_recursive
-from polycam.validate import grid_oracle_single_impulse, validate_solution
+from polycam.validate import validate_solution
+
+from grid_oracle import grid_oracle_single_impulse
 
 
 @pytest.fixture(scope="module")
