@@ -17,20 +17,20 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import replace
 
 import numpy as np
 
-from .conjunction import ConjunctionEvent
-from .dynamics import (CR3BP, DynamicsModel, J2, KEPLER, PropagationConfig,
-                       SYNODIC, osculating_period)
+from .dynamics import CR3BP, DynamicsModel, PropagationConfig, osculating_period
 from .errors import (ConfigurationError, CovarianceError,
                      DegenerateGradientError, GeometryError, GenerationError,
                      InfeasibleError, InfeasibleWithBoundError,
                      NonConvergenceError, NumericError, PolycamError,
                      PropagationError, ScenarioParseError, ValidationError)
 from .mapbuilder import ControlSchedule, IMPULSIVE, LOW_THRUST, build_poc_map
-from .scenarios import (DEFAULT_POC_BAND, generate_synthetic_suite,
-                        parse_scenario, scenario_to_json)
+from .scenarios import (_DYNAMICS_KINDS, DEFAULT_POC_BAND,
+                        generate_synthetic_suite, parse_scenario,
+                        scenario_to_json)
 from .solver import (SolverConfig, filter_nodes, solve_recursive,
                      solve_thrust_limited)
 from .validate import validate_solution
@@ -52,8 +52,6 @@ _ERROR_CLASSES = [
     ((InfeasibleWithBoundError, InfeasibleError), "infeasible-with-bound",
      EXIT_INFEASIBLE),
 ]
-
-_DYNAMICS = {"kepler": KEPLER, "j2": J2, "cr3bp": CR3BP}
 
 _FIXED_DIR_ALIASES = {
     "tangential": (0.0, 1.0, 0.0),
@@ -169,18 +167,12 @@ def run_scenario(doc: dict, args: argparse.Namespace) -> tuple[int, dict]:
         dyn_name = _resolve(getattr(args, "dyn", None), defaults, "dynamics",
                             None)
         if dyn_name is not None:
-            kind = _DYNAMICS.get(dyn_name) if isinstance(dyn_name, str) \
-                else None
+            kind = _DYNAMICS_KINDS.get(dyn_name) \
+                if isinstance(dyn_name, str) else None
             if kind is None:
                 raise ScenarioParseError(f"unknown dynamics {dyn_name!r}")
-            if (kind == CR3BP) != (event.primary.frame == SYNODIC):
-                raise ValidationError(
-                    "dynamics override incompatible with the scenario frame")
-            event = ConjunctionEvent(
-                primary=event.primary, secondary=event.secondary,
-                cov_primary=event.cov_primary,
-                cov_secondary=event.cov_secondary,
-                hbr_km=event.hbr_km, dynamics=DynamicsModel(kind=kind))
+            # the event re-checks its frames against the new dynamics
+            event = replace(event, dynamics=DynamicsModel(kind=kind))
 
         period = None if event.dynamics.kind == CR3BP \
             else osculating_period(event.primary, event.dynamics)
@@ -327,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--filter-grid", dest="filter_grid",
                      help="comma list of candidate epochs to rank")
     run.add_argument("--filter-keep", dest="filter_keep", type=int)
-    run.add_argument("--dyn", choices=["kepler", "j2", "cr3bp"])
+    run.add_argument("--dyn", choices=list(_DYNAMICS_KINDS))
     run.add_argument("--steps", type=int,
                      help="integrator steps per segment (default 100)")
     run.add_argument("--out", help="result JSON path (single scenario)")

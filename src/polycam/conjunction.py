@@ -12,7 +12,7 @@ polynomial expansions of probability through the whole pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
@@ -23,7 +23,6 @@ from .errors import CovarianceError, GeometryError, NumericError, ValidationErro
 __all__ = [
     "ConjunctionEvent",
     "BPlaneProjection",
-    "combine_relative",
     "project_bplane",
     "poc_quadrature",
     "poc_chan",
@@ -41,12 +40,29 @@ _SERIES_TERMS = 20
 
 
 @dataclass(frozen=True, eq=False)
+class BPlaneProjection:
+    """Orthonormal encounter basis and the projected planar statistics.
+
+    ``basis`` rows are (xi_hat, eta_hat, zeta_hat) with eta_hat along the
+    relative velocity; ``r_b`` are the (xi, zeta) components of the relative
+    position in km and ``p_b`` the matching 2x2 covariance block in km^2.
+    """
+
+    basis: np.ndarray
+    r_b: np.ndarray
+    p_b: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class ConjunctionEvent:
     """Primary/secondary states at closest approach plus uncertainty.
 
     States are expressed in km and km/s (synodic coordinates for the
-    three-body regime, still in km). Covariances are 6x6 in km^2, km^2/s,
-    km^2/s^2 blocks; ``hbr_km`` is the combined hard-body radius. An
+    three-body regime, still in km), both in the frame of ``dynamics``.
+    Covariances are 6x6 in km^2, km^2/s, km^2/s^2 blocks; ``hbr_km`` is the
+    combined hard-body radius. ``bplane`` is the encounter plane, computed
+    once at construction: the relative state projected with the summed
+    covariance, all uncertainty treated as attached to the secondary. An
     event that breaks its invariants cannot be constructed.
     """
 
@@ -56,6 +72,7 @@ class ConjunctionEvent:
     cov_secondary: np.ndarray
     hbr_km: float
     dynamics: DynamicsModel
+    bplane: BPlaneProjection = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "cov_primary",
@@ -63,13 +80,23 @@ class ConjunctionEvent:
         object.__setattr__(self, "cov_secondary",
                            np.asarray(self.cov_secondary, dtype=np.float64))
         self.check()
+        object.__setattr__(self, "bplane", project_bplane(
+            self.primary.r - self.secondary.r,
+            self.primary.v - self.secondary.v,
+            (self.cov_primary + self.cov_secondary)[:3, :3]))
 
     def check(self) -> None:
         """Raise if the event violates its documented invariants."""
+        frames = (self.primary.frame, self.secondary.frame, self.dynamics.frame)
+        if len(set(frames)) != 1:
+            raise ValidationError(
+                f"state frames {frames[0]}/{frames[1]} do not match the "
+                f"{frames[2]} frame of {self.dynamics.kind} dynamics")
         if self.hbr_km <= 0:
             raise ValidationError(f"HBR must be positive, got {self.hbr_km}")
         for name, c in (("primary", self.cov_primary),
-                        ("secondary", self.cov_secondary)):
+                        ("secondary", self.cov_secondary),
+                        ("combined", self.cov_primary + self.cov_secondary)):
             if c.shape != (6, 6):
                 raise ValidationError(f"{name} covariance must be 6x6")
             if not np.allclose(c, c.T, atol=1e-12 * max(1.0, float(np.abs(c).max()))):
@@ -91,36 +118,6 @@ class ConjunctionEvent:
                 raise ValidationError(
                     "relative position not perpendicular to relative velocity "
                     f"(|cos| = {cos_angle:.3e})")
-
-
-@dataclass(frozen=True, eq=False)
-class BPlaneProjection:
-    """Orthonormal encounter basis and the projected planar statistics.
-
-    ``basis`` rows are (xi_hat, eta_hat, zeta_hat) with eta_hat along the
-    relative velocity; ``r_b`` are the (xi, zeta) components of the relative
-    position in km and ``p_b`` the matching 2x2 covariance block in km^2.
-    """
-
-    basis: np.ndarray
-    r_b: np.ndarray
-    p_b: np.ndarray
-
-
-def combine_relative(event: ConjunctionEvent):
-    """Relative state and combined positional covariance at closest approach.
-
-    Returns (r_rel, v_rel, P) with P the 3x3 positional block of the summed
-    covariance. All uncertainty is treated as attached to the secondary.
-    """
-    c_rel = event.cov_primary + event.cov_secondary
-    eigmin = float(np.linalg.eigvalsh(c_rel).min())
-    if eigmin < -1e-12 * max(1.0, float(np.abs(c_rel).max())):
-        raise CovarianceError(
-            f"combined covariance not positive semidefinite (min eig {eigmin:.3e})")
-    r_rel = event.primary.r - event.secondary.r
-    v_rel = event.primary.v - event.secondary.v
-    return r_rel, v_rel, c_rel[:3, :3]
 
 
 def project_bplane(r_rel: np.ndarray, v_rel: np.ndarray,

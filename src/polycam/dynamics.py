@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Number
 from typing import Sequence
@@ -25,10 +25,8 @@ from .errors import ConfigurationError, FrameError, PropagationError
 
 __all__ = [
     "ECI", "SYNODIC", "KEPLER", "J2", "CR3BP",
-    "SpacecraftState", "DynamicsModel", "PropagationConfig", "UnitScale",
-    "propagate_vector",
-    "rtn_rotation", "jacobi_constant", "specific_energy",
-    "osculating_period", "unit_scale", "scaled_model",
+    "SpacecraftState", "DynamicsModel", "PropagationConfig",
+    "propagate_vector", "rtn_rotation", "osculating_period",
 ]
 
 ECI = "ECI"
@@ -44,7 +42,6 @@ J2_EARTH = 1.08262668e-3
 
 # Earth-Moon characteristic quantities for the rotating-frame model.
 CR3BP_MASS_RATIO = 0.0121505856
-CR3BP_CHAR_MASS_KG = 6.04564e15
 CR3BP_CHAR_LENGTH_KM = 384405.0
 CR3BP_CHAR_TIME_S = 375677.0
 
@@ -84,7 +81,6 @@ class DynamicsModel:
     r_e: float = R_EARTH_KM              # km
     j2: float = J2_EARTH
     mass_ratio: float = CR3BP_MASS_RATIO
-    char_mass_kg: float = CR3BP_CHAR_MASS_KG
     char_length_km: float = CR3BP_CHAR_LENGTH_KM
     char_time_s: float = CR3BP_CHAR_TIME_S
 
@@ -276,7 +272,7 @@ def propagate_vector(y0: Sequence, u: Sequence, t0: float, t1: float,
 
 
 # ---------------------------------------------------------------------------
-# Frames, invariants, unit handling.
+# Frames and orbit periods.
 # ---------------------------------------------------------------------------
 
 def rtn_rotation(state: SpacecraftState) -> np.ndarray:
@@ -301,21 +297,6 @@ def rtn_rotation(state: SpacecraftState) -> np.ndarray:
     return np.vstack([radial, transverse, normal])
 
 
-def specific_energy(state: SpacecraftState, model: DynamicsModel) -> float:
-    """Two-body specific orbital energy v^2/2 - mu/r."""
-    return float(state.v @ state.v) / 2.0 - model.mu / float(np.linalg.norm(state.r))
-
-
-def jacobi_constant(state: SpacecraftState, model: DynamicsModel) -> float:
-    """Synodic-frame integral of motion 2*U - v^2."""
-    x, y, z = state.r
-    mu = model.mass_ratio
-    d1 = math.sqrt((x + mu) ** 2 + y * y + z * z)
-    d2 = math.sqrt((x - 1.0 + mu) ** 2 + y * y + z * z)
-    potential = (x * x + y * y) / 2.0 + (1.0 - mu) / d1 + mu / d2
-    return 2.0 * potential - float(state.v @ state.v)
-
-
 def osculating_period(state: SpacecraftState, model: DynamicsModel) -> float:
     """Two-body osculating orbital period in seconds."""
     r = float(np.linalg.norm(state.r))
@@ -325,40 +306,3 @@ def osculating_period(state: SpacecraftState, model: DynamicsModel) -> float:
         raise ConfigurationError("state is not on a closed orbit")
     a = 1.0 / inv_a
     return 2.0 * math.pi * math.sqrt(a ** 3 / model.mu)
-
-
-@dataclass(frozen=True)
-class UnitScale:
-    """Conversion factors between physical and internal nondimensional units."""
-
-    length_km: float
-    time_s: float
-
-    @property
-    def velocity_kms(self) -> float:
-        return self.length_km / self.time_s
-
-    @property
-    def accel_kms2(self) -> float:
-        return self.length_km / self.time_s ** 2
-
-
-def unit_scale(model: DynamicsModel, reference_radius_km: float | None = None) -> UnitScale:
-    """Scale that conditions state magnitudes near unity.
-
-    Earth regimes scale by a reference orbit radius and its circular-orbit
-    time; the three-body regime uses the system characteristic quantities.
-    """
-    if model.kind == CR3BP:
-        return UnitScale(model.char_length_km, model.char_time_s)
-    if reference_radius_km is None or reference_radius_km <= 0:
-        raise ConfigurationError("Earth scaling needs a positive reference radius")
-    return UnitScale(reference_radius_km,
-                     math.sqrt(reference_radius_km ** 3 / model.mu))
-
-
-def scaled_model(model: DynamicsModel, scale: UnitScale) -> DynamicsModel:
-    """Model expressed in the nondimensional units of ``scale``."""
-    if model.kind == CR3BP:
-        return model
-    return replace(model, mu=1.0, r_e=model.r_e / scale.length_km)

@@ -26,12 +26,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .conjunction import (BPlaneProjection, ConjunctionEvent, combine_relative,
-                          poc_chan, project_bplane)
+from .conjunction import ConjunctionEvent, poc_chan
 from .dapoly import AlgebraConfig, TaylorPoly, compose
 from .dynamics import (CR3BP, DynamicsModel, PropagationConfig, SpacecraftState,
-                       propagate_vector, rtn_rotation, scaled_model,
-                       unit_scale)
+                       propagate_vector, rtn_rotation)
 from .errors import ConfigurationError
 
 __all__ = [
@@ -197,14 +195,16 @@ class PocMap:
     ``poly`` lives in M scaled variables (3 per free-direction control, 1
     per fixed-direction control); its constant part equals
     ``ballistic_poc``, the probability of the unmaneuvered reference.
-    ``scaling`` converts scaled variables to physical units (m/s per unit
-    for impulses, m/s^2 per unit for accelerations).
     """
 
     poly: TaylorPoly
     ballistic_poc: float
     schedule: ControlSchedule
-    scaling: np.ndarray
+
+    @property
+    def scaling(self) -> np.ndarray:
+        """Physical size of each scaled variable (m/s or m/s^2 per unit)."""
+        return np.full(self.n_vars, self.schedule.unit)
 
     @property
     def n_vars(self) -> int:
@@ -222,14 +222,35 @@ class PocMap:
 # Shared trajectory threading.
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class UnitScale:
+    """Conversion factors between physical and internal nondimensional units."""
+
+    length_km: float
+    time_s: float
+
+    @property
+    def velocity_kms(self) -> float:
+        return self.length_km / self.time_s
+
+    @property
+    def accel_kms2(self) -> float:
+        return self.length_km / self.time_s ** 2
+
+
 def _to_internal_units(event: ConjunctionEvent):
-    """Unit scale and nondimensional model for conditioning DA coefficients."""
+    """Unit scale and nondimensional model that condition state magnitudes
+    (and so the DA coefficients) near unity: the three-body system's
+    characteristic quantities, or else the primary's radius at closest
+    approach and its circular-orbit time."""
     model = event.dynamics
     if model.kind == CR3BP:
-        scale = unit_scale(model)
-    else:
-        scale = unit_scale(model, float(np.linalg.norm(event.primary.r)))
-    return scale, scaled_model(model, scale)
+        return UnitScale(model.char_length_km, model.char_time_s), model
+    radius = float(np.linalg.norm(event.primary.r))
+    if radius <= 0:
+        raise ConfigurationError("Earth scaling needs a positive reference radius")
+    scale = UnitScale(radius, math.sqrt(radius ** 3 / model.mu))
+    return scale, replace(model, mu=1.0, r_e=model.r_e / scale.length_km)
 
 
 def _control_rotation(event: ConjunctionEvent,
@@ -282,8 +303,9 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
     (6 + k)-variable flow map is integrated and composed onto the state.
     Real states are integrated directly.
 
-    Returns (final 6-scalar state in internal units, node states as
-    SpacecraftState in event units, scale).
+    Returns ((xi, zeta), node states): the relative position at closest
+    approach on ``event.bplane`` in km, in the scalar type of the controls,
+    and the reference SpacecraftState at each node in event units.
     """
     scale, model_nd = _to_internal_units(event)
     v_unit = scale.velocity_kms
@@ -389,16 +411,17 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
             held_slot = None if slot is None else (slot, rot)
 
     y = propagate_segment(y, t_cur, 0.0)
-    return y, node_states, scale
+    return _relative_bplane_position(y, event, scale), node_states
 
 
 def _relative_bplane_position(y_final, event: ConjunctionEvent,
-                              bplane: BPlaneProjection, scale):
-    """(xi, zeta) components of the relative position at closest approach."""
+                              scale: UnitScale):
+    """(xi, zeta) components in km of the relative position at closest
+    approach, from the primary's final state in internal units."""
     r_rel = [y_final[k] * scale.length_km - float(event.secondary.r[k])
              for k in range(3)]
-    xi_hat = bplane.basis[0]
-    zeta_hat = bplane.basis[2]
+    xi_hat = event.bplane.basis[0]
+    zeta_hat = event.bplane.basis[2]
     xi = r_rel[0] * float(xi_hat[0]) + r_rel[1] * float(xi_hat[1]) \
         + r_rel[2] * float(xi_hat[2])
     zeta = r_rel[0] * float(zeta_hat[0]) + r_rel[1] * float(zeta_hat[1]) \
@@ -414,13 +437,11 @@ def propagate_with_controls(event: ConjunctionEvent, schedule: ControlSchedule,
 
     ``phi_physical`` is the stacked control vector in m/s (impulsive) or
     m/s^2 (low thrust), one scalar per fixed-direction control or three per
-    free control; None means ballistic. Returns (r_b at closest approach,
-    the frozen projection, node states).
+    free control; None means ballistic. Returns (r_b, node states): the
+    (xi, zeta) position in km on ``event.bplane`` at closest approach, and
+    the reference state at each node.
     """
     config = config or PropagationConfig()
-    r_rel, v_rel, p = combine_relative(event)
-    bplane = project_bplane(r_rel, v_rel, p)
-
     if phi_physical is None:
         phi_physical = np.zeros(schedule.n_vars)
     phi_physical = np.asarray(phi_physical, dtype=np.float64)
@@ -430,10 +451,9 @@ def propagate_with_controls(event: ConjunctionEvent, schedule: ControlSchedule,
             f"({schedule.n_vars},)")
     controls = phi_physical.reshape(schedule.n_controls, -1)
 
-    y, node_states, scale = _thread_trajectory(
-        event, schedule, config, controls, 1.0, fixed_impulses)
-    xi, zeta = _relative_bplane_position(y, event, bplane, scale)
-    return np.array([xi, zeta]), bplane, node_states
+    r_b, node_states = _thread_trajectory(event, schedule, config, controls,
+                                          1.0, fixed_impulses)
+    return np.array(r_b), node_states
 
 
 def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
@@ -451,8 +471,6 @@ def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
     if order < 1:
         raise ConfigurationError(f"expansion order must be >= 1, got {order}")
     config = config or PropagationConfig()
-    r_rel, v_rel, p = combine_relative(event)
-    bplane = project_bplane(r_rel, v_rel, p)
 
     # each slot's variables live in the algebra of the slots up to it
     width = schedule.n_vars // schedule.n_controls
@@ -460,17 +478,14 @@ def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
                                       width * s + k) for k in range(width)]
                  for s in range(schedule.n_controls)]
 
-    y, _, scale = _thread_trajectory(event, schedule, config, variables,
-                                     schedule.unit, fixed_impulses)
-    xi, zeta = _relative_bplane_position(y, event, bplane, scale)
-    poly = poc_chan((xi, zeta), bplane.p_b, event.hbr_km)
+    r_b, _ = _thread_trajectory(event, schedule, config, variables,
+                                schedule.unit, fixed_impulses)
+    poly = poc_chan(r_b, event.bplane.p_b, event.hbr_km)
 
-    r_b_ref, _, _ = propagate_with_controls(event, schedule, None, config,
-                                            fixed_impulses)
-    ballistic_poc = poc_chan(r_b_ref, bplane.p_b, event.hbr_km)
-
-    return PocMap(poly=poly, ballistic_poc=ballistic_poc, schedule=schedule,
-                  scaling=np.full(schedule.n_vars, schedule.unit))
+    r_b_ref, _ = propagate_with_controls(event, schedule, None, config,
+                                         fixed_impulses)
+    ballistic_poc = poc_chan(r_b_ref, event.bplane.p_b, event.hbr_km)
+    return PocMap(poly=poly, ballistic_poc=ballistic_poc, schedule=schedule)
 
 
 def gradient_norm_per_node(event: ConjunctionEvent, candidate_times,
@@ -497,8 +512,6 @@ def gradient_norm_per_node(event: ConjunctionEvent, candidate_times,
     if not candidate_times:
         raise ConfigurationError("candidate grid is empty")
     config = config or PropagationConfig()
-    r_rel, v_rel, p = combine_relative(event)
-    bplane = project_bplane(r_rel, v_rel, p)
     position = AlgebraConfig(2, 1)
     out = []
     for t in candidate_times:
@@ -507,14 +520,13 @@ def gradient_norm_per_node(event: ConjunctionEvent, candidate_times,
         for j in range(single.n_vars):
             scalars = [1j * _COMPLEX_STEP if k == j else 0.0
                        for k in range(single.n_vars)]
-            y, _, scale = _thread_trajectory(event, single, config, [scalars],
-                                             single.unit)
-            xi, zeta = _relative_bplane_position(y, event, bplane, scale)
+            (xi, zeta), _ = _thread_trajectory(event, single, config,
+                                               [scalars], single.unit)
             columns.append((xi.imag / _COMPLEX_STEP, zeta.imag / _COMPLEX_STEP))
         # every leg shares the real part: the ballistic encounter position
         r_b = (TaylorPoly.variable(position, 0) + float(xi.real),
                TaylorPoly.variable(position, 1) + float(zeta.real))
-        dpoc = poc_chan(r_b, bplane.p_b, event.hbr_km).gradient_at_zero()
+        dpoc = poc_chan(r_b, event.bplane.p_b, event.hbr_km).gradient_at_zero()
         out.append((t, float(np.linalg.norm(dpoc @ np.array(columns).T))))
     return out
 

@@ -18,11 +18,9 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .conjunction import (ConjunctionEvent, combine_relative, poc_chan,
-                          poc_quadrature, project_bplane)
-from .dynamics import (CR3BP, DynamicsModel, ECI, J2, KEPLER, SYNODIC,
-                       SpacecraftState)
-from .errors import GenerationError, ScenarioParseError, ValidationError
+from .conjunction import ConjunctionEvent, poc_chan, poc_quadrature
+from .dynamics import CR3BP, DynamicsModel, J2, KEPLER, SpacecraftState
+from .errors import GenerationError, ScenarioParseError
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -58,7 +56,10 @@ def _require(mapping: dict, key: str, kind, where: str):
 
 
 def _vector3(data, where: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
+    try:
+        arr = np.asarray(data, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioParseError(f"{where} must be a 3-vector") from exc
     if arr.shape != (3,) or not np.all(np.isfinite(arr)):
         raise ScenarioParseError(f"{where} must be a finite 3-vector")
     return arr
@@ -78,8 +79,9 @@ def scenario_to_event(doc: dict) -> ConjunctionEvent:
     """Parse and validate a scenario document into a conjunction event.
 
     Structural problems raise ScenarioParseError; violated physical
-    invariants (covariance definiteness, closest-approach geometry) raise
-    when the event is constructed.
+    invariants (frames matching the dynamics, covariance definiteness,
+    closest-approach geometry) raise when the event is constructed. An
+    absent ``frame`` is the frame of the dynamics.
     """
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario document must be a JSON object")
@@ -93,9 +95,9 @@ def scenario_to_event(doc: dict) -> ConjunctionEvent:
         raise ScenarioParseError(
             f"unknown dynamics {kind_name!r}; expected one of "
             f"{sorted(_DYNAMICS_KINDS)}")
-    kind = _DYNAMICS_KINDS[kind_name]
-    model = DynamicsModel(kind=kind)
-    frame = SYNODIC if kind == CR3BP else ECI
+    model = DynamicsModel(kind=_DYNAMICS_KINDS[kind_name])
+    frame = _require(conj, "frame", str, "conjunction") if "frame" in conj \
+        else model.frame
 
     primary = _require(conj, "primary", dict, "conjunction")
     secondary = _require(conj, "secondary", dict, "conjunction")
@@ -107,17 +109,14 @@ def scenario_to_event(doc: dict) -> ConjunctionEvent:
         r=_vector3(_require(secondary, "r_km", list, "secondary"), "secondary.r_km"),
         v=_vector3(_require(secondary, "v_kms", list, "secondary"), "secondary.v_kms"),
         epoch=0.0, frame=frame)
-    hbr = _require(conj, "hbr_km", float, "conjunction")
-    if hbr <= 0:
-        raise ValidationError(f"hbr_km must be positive, got {hbr}")
     return ConjunctionEvent(
         primary=state_p,
         secondary=state_s,
+        hbr_km=_require(conj, "hbr_km", float, "conjunction"),
         cov_primary=_matrix6(_require(conj, "cov_primary_km2", list,
                                       "conjunction"), "cov_primary_km2"),
         cov_secondary=_matrix6(_require(conj, "cov_secondary_km2", list,
                                         "conjunction"), "cov_secondary_km2"),
-        hbr_km=hbr,
         dynamics=model)
 
 
@@ -163,20 +162,18 @@ def _sampled_covariance(rng: np.random.Generator) -> np.ndarray:
 
 
 def _ballistic_poc(event: ConjunctionEvent) -> float:
-    r_rel, v_rel, p = combine_relative(event)
-    bplane = project_bplane(r_rel, v_rel, p)
-    return poc_chan(bplane.r_b, bplane.p_b, event.hbr_km)
+    return poc_chan(event.bplane.r_b, event.bplane.p_b, event.hbr_km)
 
 
-def _place_secondary(r_p, v_p, v_s, cov_p, cov_s, hbr, model, frame,
-                     miss_dir, target_poc):
+def _place_secondary(r_p, v_p, v_s, cov_p, cov_s, hbr, model, miss_dir,
+                     target_poc):
     """Secondary position on the closest-approach sphere hitting target_poc."""
 
     def event_at(miss: float) -> ConjunctionEvent:
         return ConjunctionEvent(
-            primary=SpacecraftState(r=r_p, v=v_p, epoch=0.0, frame=frame),
+            primary=SpacecraftState(r=r_p, v=v_p, frame=model.frame),
             secondary=SpacecraftState(r=r_p - miss * miss_dir, v=v_s,
-                                      epoch=0.0, frame=frame),
+                                      frame=model.frame),
             cov_primary=cov_p, cov_secondary=cov_s, hbr_km=hbr,
             dynamics=model)
 
@@ -213,7 +210,7 @@ def _leo_scenario(rng: np.random.Generator, poc_band) -> ConjunctionEvent:
     psi = rng.uniform(0.0, 2.0 * math.pi)
     miss_dir = math.cos(psi) * e1 + math.sin(psi) * e2
 
-    return _place_secondary(r_p, v_p, v_s, cov_p, cov_s, hbr, model, ECI,
+    return _place_secondary(r_p, v_p, v_s, cov_p, cov_s, hbr, model,
                             miss_dir, target)
 
 
@@ -250,7 +247,7 @@ def _cislunar_scenario(rng: np.random.Generator, poc_band) -> ConjunctionEvent:
     psi = rng.uniform(0.0, 2.0 * math.pi)
     miss_dir = math.cos(psi) * e1 + math.sin(psi) * e2
 
-    return _place_secondary(r_p, v_p, v_s, cov_p, cov_s, hbr, model, SYNODIC,
+    return _place_secondary(r_p, v_p, v_s, cov_p, cov_s, hbr, model,
                             miss_dir, target)
 
 
@@ -310,8 +307,8 @@ def generate_synthetic_suite(seed: int, count: int, regime: str = "LEO",
                 event = maker(rng, (lo, hi))
             except GenerationError:
                 continue
-            oracle = poc_quadrature(
-                *_bplane_tuple(event), event.hbr_km)
+            oracle = poc_quadrature(event.bplane.r_b, event.bplane.p_b,
+                                    event.hbr_km)
             if lo * (1.0 - 1e-6) <= oracle <= hi * (1.0 + 1e-6):
                 break
         else:
@@ -322,8 +319,3 @@ def generate_synthetic_suite(seed: int, count: int, regime: str = "LEO",
             event, f"{regime.lower()}-{seed:04d}-{index:03d}"))
     return out
 
-
-def _bplane_tuple(event: ConjunctionEvent):
-    r_rel, v_rel, p = combine_relative(event)
-    bplane = project_bplane(r_rel, v_rel, p)
-    return bplane.r_b, bplane.p_b

@@ -462,10 +462,10 @@ def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
         saturated.append((t, u_max_ms * dv / magnitude))
 
     # the grid is never empty here: ranking rejects an empty one
-    r_b, bplane, _ = propagate_with_controls(
+    r_b, _ = propagate_with_controls(
         event, template.retimed(ranked_times[-1:]), None, prop_config,
         fixed_impulses=saturated)
-    residual_poc = poc_chan(r_b, bplane.p_b, event.hbr_km)
+    residual_poc = poc_chan(r_b, event.bplane.p_b, event.hbr_km)
     raise InfeasibleWithBoundError(
         f"all {len(ranked_times)} nodes saturated at {u_max_ms} m/s with "
         f"probability gap remaining (residual PoC {residual_poc})",

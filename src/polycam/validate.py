@@ -58,13 +58,13 @@ def validate_solution(event: ConjunctionEvent, schedule: ControlSchedule,
     the validated probability.
     """
     phi_physical = np.asarray(phi_physical, dtype=np.float64)
-    r_b_after, bplane, _ = propagate_with_controls(event, schedule,
-                                                   phi_physical, config)
-    r_b_before, _, _ = propagate_with_controls(event, schedule, None, config)
+    r_b_after, _ = propagate_with_controls(event, schedule, phi_physical,
+                                           config)
+    r_b_before, _ = propagate_with_controls(event, schedule, None, config)
 
-    validated = poc_chan(r_b_after, bplane.p_b, event.hbr_km)
-    ballistic = poc_chan(r_b_before, bplane.p_b, event.hbr_km)
-    oracle = poc_quadrature(r_b_after, bplane.p_b, event.hbr_km)
+    validated = poc_chan(r_b_after, event.bplane.p_b, event.hbr_km)
+    ballistic = poc_chan(r_b_before, event.bplane.p_b, event.hbr_km)
+    oracle = poc_quadrature(r_b_after, event.bplane.p_b, event.hbr_km)
     if validated > 0.0 and oracle > 0.0:
         agree = abs(validated - oracle) / oracle <= _CROSS_CHECK_REL
     else:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from polycam import dynamics as dyn
-from polycam.conjunction import (ConjunctionEvent, combine_relative, poc_chan,
-                                 project_bplane)
+from polycam.conjunction import ConjunctionEvent, poc_chan
 from scipy.optimize import brentq
 
 
@@ -45,8 +44,7 @@ def make_leo_event(ballistic_poc=3e-6, crossing_deg=60.0, radius_km=7000.0,
             dynamics=model)
 
     def poc_at(miss):
-        r_rel, vrel, p = combine_relative(event_at(miss))
-        bp = project_bplane(r_rel, vrel, p)
+        bp = event_at(miss).bplane
         return poc_chan(bp.r_b, bp.p_b, hbr_km)
 
     miss = brentq(lambda m: poc_at(m) - ballistic_poc, 0.0, 40.0, xtol=1e-12)
@@ -87,8 +85,7 @@ def make_tangential_event(ballistic_poc=3e-6, crossing_deg=40.0,
             dynamics=model)
 
     def poc_at(miss):
-        r_rel, vrel, p = combine_relative(event_at(miss))
-        bp = project_bplane(r_rel, vrel, p)
+        bp = event_at(miss).bplane
         return poc_chan(bp.r_b, bp.p_b, hbr_km)
 
     miss = brentq(lambda m: poc_at(m) - ballistic_poc, 0.0, 40.0, xtol=1e-12)

@@ -53,9 +53,9 @@ def grid_oracle_single_impulse(event: ConjunctionEvent, node_time: float,
 
     schedule = ControlSchedule(mode=IMPULSIVE, node_epochs=(float(node_time),))
 
-    r_b0, bplane, node_states = propagate_with_controls(event, schedule, None,
-                                                        config)
-    ballistic = poc_chan(r_b0, bplane.p_b, event.hbr_km)
+    r_b0, node_states = propagate_with_controls(event, schedule, None, config)
+    p_b = event.bplane.p_b
+    ballistic = poc_chan(r_b0, p_b, event.hbr_km)
     if ballistic <= target_poc:
         return np.zeros(3)
 
@@ -77,9 +77,9 @@ def grid_oracle_single_impulse(event: ConjunctionEvent, node_time: float,
             batch[3 + k] = batch[3 + k] + dv_nd[:, k]
         out = propagate_vector(batch, (0.0, 0.0, 0.0), t_node_nd, 0.0,
                                model_nd, config)
-        xi, zeta = _relative_bplane_position(out, event, bplane, scale)
+        xi, zeta = _relative_bplane_position(out, event, scale)
         return np.array([
-            poc_chan(np.array([xi[i], zeta[i]]), bplane.p_b, event.hbr_km)
+            poc_chan(np.array([xi[i], zeta[i]]), p_b, event.hbr_km)
             for i in range(len(dirs))])
 
     def first_feasible(pocs: np.ndarray) -> int | None:

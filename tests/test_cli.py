@@ -164,6 +164,40 @@ class TestRunCommand:
             ("parse" if code == 2 else "validation")
         assert message in payload["error"]["message"]
 
+    @pytest.mark.parametrize("body, key, value", [
+        ("primary", "r_km", ["a", "b", "c"]),
+        ("primary", "r_km", [1.0, 2.0, [3.0]]),
+        ("secondary", "v_kms", ["a", "b", "c"]),
+        ("secondary", "v_kms", [1.0, 2.0, [3.0]])],
+        ids=["r-words", "r-ragged", "v-words", "v-ragged"])
+    def test_malformed_state_vector_exit_2(self, scenario_file, tmp_path,
+                                           capsys, body, key, value):
+        doc = json.loads(scenario_file.read_text())
+        doc["conjunction"][body][key] = value
+        bad = tmp_path / "bad-state.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli(["run", str(bad)]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["class"] == "parse"
+        assert f"{body}.{key}" in payload["error"]["message"]
+
+    @pytest.mark.parametrize("frame, code, message", [
+        (["ECI"], 2, "'frame'"),
+        ("XYZ", 3, "XYZ"),
+        ("SYNODIC", 3, "do not match")],
+        ids=["not-a-string", "unknown", "not-the-dynamics-frame"])
+    def test_conjunction_frame_checked(self, scenario_file, tmp_path, capsys,
+                                       frame, code, message):
+        doc = json.loads(scenario_file.read_text())
+        doc["conjunction"]["frame"] = frame
+        bad = tmp_path / "bad-frame.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli(["run", str(bad), "--order", "2"]) == code
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["class"] == \
+            ("parse" if code == 2 else "validation")
+        assert message in payload["error"]["message"]
+
     def test_missing_file_exit_2(self, capsys):
         assert run_cli(["run", "/nonexistent/nope.json"]) == 2
 
@@ -257,3 +291,6 @@ class TestDynOverride:
     def test_cr3bp_frame_mismatch(self, scenario_file, capsys):
         code = run_cli(["run", str(scenario_file), "--dyn", "cr3bp"])
         assert code == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert "do not match" in payload["error"]["message"]
+

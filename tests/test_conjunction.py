@@ -1,11 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from polycam import dynamics as dyn
-from polycam.conjunction import (ConjunctionEvent, combine_relative,
-                                 poc_chan, poc_quadrature, project_bplane)
+from polycam.conjunction import (ConjunctionEvent, poc_chan, poc_quadrature,
+                                 project_bplane)
 from polycam.dapoly import AlgebraConfig, TaylorPoly
 from polycam.errors import CovarianceError, GeometryError, ValidationError
 
@@ -25,8 +26,10 @@ class TestCombineRelative:
             cov_primary=leo_event.cov_primary,
             cov_secondary=leo_event.cov_primary,
             hbr_km=leo_event.hbr_km, dynamics=leo_event.dynamics)
-        _, _, p = combine_relative(event)
-        np.testing.assert_allclose(p, 2 * leo_event.cov_primary[:3, :3])
+        reference = project_bplane(event.primary.r - event.secondary.r,
+                                   event.primary.v - event.secondary.v,
+                                   2 * leo_event.cov_primary[:3, :3])
+        np.testing.assert_allclose(event.bplane.p_b, reference.p_b)
 
     def test_coincident_positions(self, leo_event):
         event = ConjunctionEvent(
@@ -36,8 +39,7 @@ class TestCombineRelative:
             cov_primary=leo_event.cov_primary,
             cov_secondary=leo_event.cov_secondary,
             hbr_km=leo_event.hbr_km, dynamics=leo_event.dynamics)
-        r_rel, _, _ = combine_relative(event)
-        np.testing.assert_allclose(r_rel, 0.0)
+        np.testing.assert_allclose(event.bplane.r_b, 0.0)
 
     def test_zero_secondary_covariance(self, leo_event):
         event = ConjunctionEvent(
@@ -45,8 +47,10 @@ class TestCombineRelative:
             cov_primary=leo_event.cov_primary,
             cov_secondary=np.zeros((6, 6)),
             hbr_km=leo_event.hbr_km, dynamics=leo_event.dynamics)
-        _, _, p = combine_relative(event)
-        np.testing.assert_allclose(p, leo_event.cov_primary[:3, :3])
+        reference = project_bplane(event.primary.r - event.secondary.r,
+                                   event.primary.v - event.secondary.v,
+                                   leo_event.cov_primary[:3, :3])
+        np.testing.assert_allclose(event.bplane.p_b, reference.p_b)
 
     def test_non_psd_rejected(self, leo_event):
         bad = np.zeros((6, 6))
@@ -67,6 +71,50 @@ class TestCombineRelative:
                 cov_primary=leo_event.cov_primary,
                 cov_secondary=leo_event.cov_secondary,
                 hbr_km=leo_event.hbr_km, dynamics=leo_event.dynamics)
+
+    def test_bplane_projects_relative_state_and_summed_covariance(
+            self, leo_event):
+        p = (leo_event.cov_primary + leo_event.cov_secondary)[:3, :3]
+        reference = project_bplane(leo_event.primary.r - leo_event.secondary.r,
+                                   leo_event.primary.v - leo_event.secondary.v,
+                                   p)
+        for name in ("basis", "r_b", "p_b"):
+            np.testing.assert_array_equal(getattr(leo_event.bplane, name),
+                                          getattr(reference, name))
+
+    def test_mismatched_frames_rejected(self, leo_event):
+        synodic = dyn.SpacecraftState(r=leo_event.secondary.r,
+                                      v=leo_event.secondary.v,
+                                      frame=dyn.SYNODIC)
+        with pytest.raises(ValidationError, match="frame"):
+            ConjunctionEvent(
+                primary=leo_event.primary, secondary=synodic,
+                cov_primary=leo_event.cov_primary,
+                cov_secondary=leo_event.cov_secondary,
+                hbr_km=leo_event.hbr_km, dynamics=leo_event.dynamics)
+        with pytest.raises(ValidationError, match="frame"):
+            ConjunctionEvent(
+                primary=leo_event.primary, secondary=leo_event.secondary,
+                cov_primary=leo_event.cov_primary,
+                cov_secondary=leo_event.cov_secondary,
+                hbr_km=leo_event.hbr_km,
+                dynamics=dyn.DynamicsModel(kind=dyn.CR3BP))
+
+    def test_replace_recomputes_bplane_and_rechecks_frames(self, leo_event):
+        j2 = dataclasses.replace(leo_event,
+                                 dynamics=dyn.DynamicsModel(kind=dyn.J2))
+        assert j2.dynamics.kind == dyn.J2
+        np.testing.assert_array_equal(j2.bplane.p_b, leo_event.bplane.p_b)
+        wider = dataclasses.replace(leo_event,
+                                    cov_secondary=2 * leo_event.cov_secondary)
+        p = (leo_event.cov_primary + 2 * leo_event.cov_secondary)[:3, :3]
+        reference = project_bplane(leo_event.primary.r - leo_event.secondary.r,
+                                   leo_event.primary.v - leo_event.secondary.v,
+                                   p)
+        np.testing.assert_array_equal(wider.bplane.p_b, reference.p_b)
+        with pytest.raises(ValidationError, match="frame"):
+            dataclasses.replace(leo_event,
+                                dynamics=dyn.DynamicsModel(kind=dyn.CR3BP))
 
 
 class TestProjectBplane:

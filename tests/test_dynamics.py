@@ -7,6 +7,10 @@ from scipy.optimize import brentq
 from polycam import dynamics as dyn
 from polycam.dapoly import AlgebraConfig, TaylorPoly
 from polycam.errors import FrameError
+from polycam.mapbuilder import _to_internal_units
+from polycam.scenarios import generate_synthetic_suite, scenario_to_event
+
+from invariants import jacobi_constant, specific_energy
 
 MODEL = dyn.DynamicsModel(kind=dyn.KEPLER)
 MODEL_J2 = dyn.DynamicsModel(kind=dyn.J2)
@@ -120,11 +124,11 @@ class TestPropagate:
     def test_two_body_energy_five_orbits(self):
         state = circular_state(radius=6900.0, inclination=0.3)
         period = dyn.osculating_period(state, MODEL)
-        e0 = dyn.specific_energy(state, MODEL)
+        e0 = specific_energy(state, MODEL)
         s = state
         for _ in range(5):
             s = advance(s, (0, 0, 0), 0.0, period, MODEL)
-        e1 = dyn.specific_energy(s, MODEL)
+        e1 = specific_energy(s, MODEL)
         assert abs(e1 - e0) / abs(e0) <= 1e-11
 
     def test_j2_axial_angular_momentum_five_orbits(self):
@@ -143,10 +147,10 @@ class TestPropagate:
         v_inertial = math.sqrt(1.0 / r0)
         state = dyn.SpacecraftState(r=[r0, 0, 0], v=[0, v_inertial - r0, 0],
                                     frame=dyn.SYNODIC)
-        c0 = dyn.jacobi_constant(state, MODEL_CR3BP)
+        c0 = jacobi_constant(state, MODEL_CR3BP)
         end = advance(state, (0, 0, 0), 0.0, 2 * math.pi, MODEL_CR3BP,
                             dyn.PropagationConfig(steps=400))
-        c1 = dyn.jacobi_constant(end, MODEL_CR3BP)
+        c1 = jacobi_constant(end, MODEL_CR3BP)
         assert abs(c1 - c0) / abs(c0) <= 1e-10
 
     def test_control_changes_trajectory(self):
@@ -242,16 +246,19 @@ class TestRtnRotation:
 
 
 class TestUnits:
-    def test_earth_scale_round_trip(self):
-        scale = dyn.unit_scale(MODEL, 7000.0)
-        nd = dyn.scaled_model(MODEL, scale)
+    def test_earth_scale_round_trip(self, leo_event):
+        # the primary of leo_event sits 7000 km from the Earth's center
+        scale, nd = _to_internal_units(leo_event)
+        assert scale.length_km == 7000.0
         assert nd.mu == 1.0
         # circular orbit of radius 1 in scaled units has period 2*pi
         state = dyn.SpacecraftState(r=[1.0, 0, 0], v=[0, 1.0, 0])
         assert dyn.osculating_period(state, nd) == pytest.approx(2 * math.pi)
 
     def test_cr3bp_characteristic_quantities(self):
-        scale = dyn.unit_scale(MODEL_CR3BP)
+        event = scenario_to_event(
+            generate_synthetic_suite(seed=9, count=1, regime="CISLUNAR")[0])
+        scale, nd = _to_internal_units(event)
         assert scale.length_km == 384405.0
         assert scale.time_s == 375677.0
-        assert MODEL_CR3BP.char_mass_kg == 6.04564e15
+        assert nd is event.dynamics

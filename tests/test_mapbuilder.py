@@ -5,7 +5,7 @@ import pytest
 
 from polycam import dynamics as dyn
 from polycam import mapbuilder, solver
-from polycam.conjunction import combine_relative, poc_chan, project_bplane
+from polycam.conjunction import poc_chan
 from polycam.dapoly import AlgebraConfig, TaylorPoly
 from polycam.errors import ConfigurationError
 from polycam.mapbuilder import (ACCEL_REF_MS2, ControlSchedule,
@@ -84,7 +84,7 @@ class TestControlSchedule:
 class TestBallisticReference:
     def test_single_node_round_trip(self, leo_event, leo_period):
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * leo_period,))
-        nodes = propagate_with_controls(leo_event, sched, None)[2]
+        nodes = propagate_with_controls(leo_event, sched, None)[1]
         node = nodes[0]
         back = dyn.propagate_vector((*node.r, *node.v), (0, 0, 0), node.epoch,
                                     0.0, leo_event.dynamics)
@@ -95,7 +95,7 @@ class TestBallisticReference:
         # node one microsecond before closest approach: the reference moves
         # by |v| * 1e-6 km at most
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-1e-6,))
-        nodes = propagate_with_controls(leo_event, sched, None)[2]
+        nodes = propagate_with_controls(leo_event, sched, None)[1]
         budget = np.linalg.norm(leo_event.primary.v) * 1e-6
         assert np.linalg.norm(nodes[0].r - leo_event.primary.r) <= 1.5 * budget
         np.testing.assert_allclose(nodes[0].v, leo_event.primary.v, atol=1e-7)
@@ -105,7 +105,7 @@ class TestBallisticReference:
         # orbit are mirror images through the center
         sched = ControlSchedule(mode=IMPULSIVE,
                                 node_epochs=(-leo_period, -0.5 * leo_period))
-        nodes = propagate_with_controls(leo_event, sched, None)[2]
+        nodes = propagate_with_controls(leo_event, sched, None)[1]
         radius = np.linalg.norm(leo_event.primary.r)
         np.testing.assert_allclose(nodes[0].r, -nodes[1].r,
                                    atol=1e-6 * radius)
@@ -132,16 +132,15 @@ class TestBuildPocMap:
                                                     leo_period):
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * leo_period,))
         pmap = build_poc_map(leo_event, sched, order=5)
-        r_rel, v_rel, p = combine_relative(leo_event)
-        bp = project_bplane(r_rel, v_rel, p)
+        bp = leo_event.bplane
         grad = pmap.gradient()
         fd = np.zeros(3)
         h = 1e-3  # m/s, i.e. 1e-6 km/s
         for k in range(3):
             step = np.zeros(3)
             step[k] = h
-            plus, _, _ = propagate_with_controls(leo_event, sched, step)
-            minus, _, _ = propagate_with_controls(leo_event, sched, -step)
+            plus, _ = propagate_with_controls(leo_event, sched, step)
+            minus, _ = propagate_with_controls(leo_event, sched, -step)
             fd[k] = (poc_chan(plus, bp.p_b, leo_event.hbr_km)
                      - poc_chan(minus, bp.p_b, leo_event.hbr_km)) / (2 * h)
         assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) <= 1e-4
@@ -149,15 +148,14 @@ class TestBuildPocMap:
     def test_gradient_direction_matches_steepest(self, leo_event, leo_period):
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * leo_period,))
         pmap = build_poc_map(leo_event, sched, order=5)
-        r_rel, v_rel, p = combine_relative(leo_event)
-        bp = project_bplane(r_rel, v_rel, p)
+        bp = leo_event.bplane
         fd = np.zeros(3)
         h = 1e-3
         for k in range(3):
             step = np.zeros(3)
             step[k] = h
-            plus, _, _ = propagate_with_controls(leo_event, sched, step)
-            minus, _, _ = propagate_with_controls(leo_event, sched, -step)
+            plus, _ = propagate_with_controls(leo_event, sched, step)
+            minus, _ = propagate_with_controls(leo_event, sched, -step)
             fd[k] = (poc_chan(plus, bp.p_b, leo_event.hbr_km)
                      - poc_chan(minus, bp.p_b, leo_event.hbr_km)) / (2 * h)
         grad = pmap.gradient()
@@ -167,10 +165,9 @@ class TestBuildPocMap:
     def test_map_tracks_real_pipeline(self, leo_event, leo_period):
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * leo_period,))
         pmap = build_poc_map(leo_event, sched, order=5)
-        r_rel, v_rel, p = combine_relative(leo_event)
-        bp = project_bplane(r_rel, v_rel, p)
+        bp = leo_event.bplane
         phi = np.array([0.01, -0.02, 0.005])  # m/s
-        r_b, _, _ = propagate_with_controls(leo_event, sched, phi)
+        r_b, _ = propagate_with_controls(leo_event, sched, phi)
         truth = poc_chan(r_b, bp.p_b, leo_event.hbr_km)
         assert pmap.poly.eval(phi / pmap.scaling) == \
             pytest.approx(truth, rel=1e-4)
@@ -258,10 +255,8 @@ def direct_poc_map(event, schedule, order, config):
             else:
                 accel = tuple(kick)
     y = dyn.propagate_vector(y, accel, epochs[-1], 0.0, model, config)
-    r_rel, v_rel, p = combine_relative(event)
-    bplane = project_bplane(r_rel, v_rel, p)
-    r_b = _relative_bplane_position(y, event, bplane, scale)
-    return poc_chan(r_b, bplane.p_b, event.hbr_km)
+    r_b = _relative_bplane_position(y, event, scale)
+    return poc_chan(r_b, event.bplane.p_b, event.hbr_km)
 
 
 class TestComposedMatchesDirect:

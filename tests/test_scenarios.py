@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from polycam.conjunction import combine_relative, poc_quadrature, project_bplane
-from polycam.dynamics import CR3BP, KEPLER, SYNODIC
+from polycam.conjunction import poc_quadrature
+from polycam.dynamics import CR3BP, ECI, KEPLER, SYNODIC
 from polycam.errors import (CovarianceError, GenerationError,
                             ScenarioParseError, ValidationError)
 from polycam.scenarios import (DEFAULT_POC_BAND, generate_synthetic_suite,
@@ -40,8 +40,7 @@ class TestGenerator:
     def test_poc_band_verified_by_quadrature(self, leo_docs):
         for doc in leo_docs:
             event = scenario_to_event(doc)
-            r_rel, v_rel, p = combine_relative(event)
-            bp = project_bplane(r_rel, v_rel, p)
+            bp = event.bplane
             poc = poc_quadrature(bp.r_b, bp.p_b, event.hbr_km)
             assert DEFAULT_POC_BAND[0] * (1 - 1e-6) <= poc \
                 <= DEFAULT_POC_BAND[1] * (1 + 1e-6)
@@ -72,8 +71,7 @@ class TestGenerator:
                                         poc_band=(1.5e-6, 5e-6))
         for doc in docs:
             event = scenario_to_event(doc)
-            r_rel, v_rel, p = combine_relative(event)
-            bp = project_bplane(r_rel, v_rel, p)
+            bp = event.bplane
             poc = poc_quadrature(bp.r_b, bp.p_b, event.hbr_km)
             assert 1.5e-6 * (1 - 1e-6) <= poc <= 5e-6 * (1 + 1e-6)
 
@@ -110,6 +108,14 @@ class TestParsing:
         doc["conjunction"]["primary"]["r_km"] = [1.0, 2.0]
         with pytest.raises(ScenarioParseError):
             scenario_to_event(doc)
+
+    def test_absent_frame_follows_dynamics(self, leo_docs):
+        doc = copy.deepcopy(leo_docs[0])
+        assert doc["conjunction"].pop("frame") == ECI
+        assert scenario_to_event(doc).primary.frame == ECI
+        doc["conjunction"]["dynamics"] = "cr3bp"
+        event = scenario_to_event(doc)
+        assert event.primary.frame == event.secondary.frame == SYNODIC
 
     def test_bad_dynamics_name(self, leo_docs):
         doc = copy.deepcopy(leo_docs[0])

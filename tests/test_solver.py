@@ -29,8 +29,7 @@ def synthetic_map(coeffs, n_vars, order, ballistic=1e-4, schedule=None):
             mode=IMPULSIVE,
             node_epochs=tuple(-600.0 * (k + 1)
                               for k in reversed(range(max(n_vars // 3, 1)))))
-    return PocMap(poly=poly, ballistic_poc=ballistic, schedule=schedule,
-                  scaling=np.ones(n_vars))
+    return PocMap(poly=poly, ballistic_poc=ballistic, schedule=schedule)
 
 
 class TestSolveOrder1:

@@ -1,12 +1,16 @@
 """The package's declared surface, and the benchmark tracer's view of it.
 
 A removed or renamed name must leave no stale ``__all__`` entry, and must
-not silently drop a layer from the traced benchmark run.
+not silently drop a layer from the traced benchmark run. A public name
+whose only caller is a test belongs in the tests.
 """
 
+import ast
+import glob
 import importlib
 import os
 import pkgutil
+import re
 
 import pytest
 
@@ -23,6 +27,52 @@ def test_every_exported_name_resolves(name):
     stale = [attr for attr in getattr(module, "__all__", ())
              if not hasattr(module, attr)]
     assert stale == []
+
+
+def _defining_node(tree: ast.Module, name: str):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and node.name == name:
+            return node
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return node
+        if isinstance(node, ast.ImportFrom) and any(
+                (a.asname or a.name) == name for a in node.names):
+            return node
+    return None
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_has_a_caller_outside_the_tests(name):
+    # a name counts as used when it appears as a whole word in another
+    # polycam module, in the benchmark harness, or in its own module
+    # beyond its definition line and its __all__ entry
+    module = importlib.import_module(name)
+    path = os.path.abspath(module.__file__)
+    lines = open(path).read().splitlines()
+    tree = ast.parse("\n".join(lines))
+    skipped = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            skipped.update(range(node.lineno - 1, node.end_lineno))
+    others = [p for p in glob.glob(os.path.join(os.path.dirname(path), "*.py"))
+              + glob.glob(os.path.join(PERFBENCH, "*.py"))
+              if os.path.abspath(p) != path]
+    elsewhere = "\n".join(open(p).read() for p in others)
+
+    unused = []
+    for attr in getattr(module, "__all__", ()):
+        word = re.compile(rf"\b{re.escape(attr)}\b")
+        node = _defining_node(tree, attr)
+        own_skip = skipped | ({node.lineno - 1} if node else set())
+        own = "\n".join(line for i, line in enumerate(lines)
+                        if i not in own_skip)
+        if not (word.search(elsewhere) or word.search(own)):
+            unused.append(attr)
+    assert unused == []
 
 
 def test_tracer_finds_every_traced_entry_point(monkeypatch):
