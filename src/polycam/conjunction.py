@@ -92,8 +92,9 @@ class ConjunctionEvent:
             raise ValidationError(
                 f"state frames {frames[0]}/{frames[1]} do not match the "
                 f"{frames[2]} frame of {self.dynamics.kind} dynamics")
-        if self.hbr_km <= 0:
-            raise ValidationError(f"HBR must be positive, got {self.hbr_km}")
+        if not 0 < self.hbr_km < math.inf:
+            raise ValidationError(
+                f"HBR must be positive and finite, got {self.hbr_km}")
         for name, c in (("primary", self.cov_primary),
                         ("secondary", self.cov_secondary),
                         ("combined", self.cov_primary + self.cov_secondary)):

@@ -570,4 +570,7 @@ def generic_exp(x):
 def generic_power(x, p: float):
     if isinstance(x, TaylorPoly):
         return x.power(p)
+    if isinstance(x, float):
+        # np.power's value, kept a Python float for cheap scalar arithmetic
+        return float(np.power(x, p))
     return np.power(x, p)

@@ -5,8 +5,11 @@ oblateness term (inertial ECI frame, km / km/s / seconds), and the circular
 restricted three-body problem (rotating synodic frame, nondimensional
 units). The propagator is generic over the scalar algebra: states may hold
 plain floats, complex scalars (complex-step derivatives), batched numpy
-arrays, or :class:`~polycam.dapoly.TaylorPoly` scalars, and every path
-performs the same arithmetic.
+arrays, or :class:`~polycam.dapoly.TaylorPoly` scalars. Polynomial and
+batched states advance as one (6, N) block, one array operation per term
+of an RK stage; float and complex states advance entry by entry, as
+Python scalars. Both give every entry the values of the entry-by-entry
+combination.
 """
 
 from __future__ import annotations
@@ -173,15 +176,16 @@ _STAGES, _ROWS, _WSEL = _stage_plan(_W7)
 def _kernel_kepler_j2(y: Sequence, u: Sequence, mu: float, r_e: float,
                       j2: float):
     x, yy, z, vx, vy, vz = y
-    r2 = x * x + yy * yy + z * z
+    z2 = z * z
+    r2 = x * x + yy * yy + z2
     inv_r3 = generic_power(r2, -1.5)
     common = -mu * inv_r3
     if j2 != 0.0:
         inv_r2 = generic_power(r2, -1.0) if isinstance(r2, TaylorPoly) else 1.0 / r2
         k_j2 = (1.5 * j2 * r_e * r_e) * inv_r2
-        z2_over_r2 = (z * z) * inv_r2
-        plane = 1.0 + k_j2 * (1.0 - 5.0 * z2_over_r2)
-        axial = 1.0 + k_j2 * (3.0 - 5.0 * z2_over_r2)
+        five_z2_over_r2 = 5.0 * (z2 * inv_r2)
+        plane = 1.0 + k_j2 * (1.0 - five_z2_over_r2)
+        axial = 1.0 + k_j2 * (3.0 - five_z2_over_r2)
     else:
         plane = 1.0
         axial = 1.0
@@ -196,8 +200,10 @@ def _kernel_cr3bp(y: Sequence, u: Sequence, mass_ratio: float):
     mu = mass_ratio
     xe = x + mu          # offset from the larger primary
     xm = x - (1.0 - mu)  # offset from the smaller primary
-    d1sq = xe * xe + yy * yy + z * z
-    d2sq = xm * xm + yy * yy + z * z
+    yy2 = yy * yy
+    z2 = z * z
+    d1sq = xe * xe + yy2 + z2
+    d2sq = xm * xm + yy2 + z2
     inv1 = generic_power(d1sq, -1.5)
     inv2 = generic_power(d2sq, -1.5)
     # gradient of the effective potential, paper-sign convention:
@@ -220,6 +226,83 @@ def _derivative_fn(model: DynamicsModel, u: Sequence):
     return lambda y: _kernel_kepler_j2(y, u, mu, r_e, j2)
 
 
+def _is_row(c) -> bool:
+    """Whether a state entry takes a whole row of a block."""
+    return isinstance(c, TaylorPoly) or (isinstance(c, np.ndarray) and c.ndim > 0)
+
+
+class _Block:
+    """A polynomial or batched state held as one (6, ...) array.
+
+    Row i holds entry i: the coefficient vector of a polynomial, or the
+    array of a batch. A float entry becomes a constant row: its value at
+    coefficient 0 (zeros elsewhere) or in every batch element. Bit i of
+    the mask records that row i has met a polynomial or an array; until
+    then the kernel sees the row as the float it stands for, so every row
+    meets the arithmetic it would meet entry by entry.
+    """
+
+    def __init__(self, y0: Sequence, u: Sequence):
+        rows = [c for c in (*y0, *u) if _is_row(c)]
+        head = rows[0]
+        if isinstance(head, TaylorPoly):
+            for c in rows[1:]:
+                head._check_same(c)
+            self._tab = head._tab
+            self._shape = (6, head._tab.size)
+            self._dtype = np.float64
+        else:
+            self._tab = None
+            self._shape = (6, *head.shape)
+            self._dtype = np.result_type(*rows)
+
+    def lift(self, values: Sequence) -> tuple[np.ndarray, int]:
+        """(block, mask) of six entries."""
+        block = np.empty(self._shape, self._dtype)
+        mask = 0
+        for i, c in enumerate(values):
+            if isinstance(c, TaylorPoly):
+                block[i] = c.coef
+                mask |= 1 << i
+            elif self._tab is None:
+                block[i] = c
+                mask |= _is_row(c) << i
+            else:
+                block[i] = 0.0
+                block[i, 0] = c
+        return block, mask
+
+    def view(self, state: tuple[np.ndarray, int]) -> list:
+        """The six entries of a (block, mask) state, rows as views."""
+        block, mask = state
+        tab = self._tab
+        out = []
+        for i in range(6):
+            row = block[i]
+            if not mask >> i & 1:
+                out.append(row.flat[0].item())
+            elif tab is None:
+                out.append(row)
+            else:
+                out.append(TaylorPoly._raw(tab, row))
+        return out
+
+
+def _scalar_axpy(y: list, a: float, f: Sequence) -> list:
+    """y + a * f entry by entry, unrolled for the six entries."""
+    y0, y1, y2, y3, y4, y5 = y
+    f0, f1, f2, f3, f4, f5 = f
+    return [y0 + a * f0, y1 + a * f1, y2 + a * f2,
+            y3 + a * f3, y4 + a * f4, y5 + a * f5]
+
+
+def _block_axpy(y: tuple[np.ndarray, int], a: float,
+                f: tuple[np.ndarray, int]) -> tuple[np.ndarray, int]:
+    """y + a * f over whole blocks; a row has met a polynomial or an array
+    when it had in either."""
+    return y[0] + a * f[0], y[1] | f[1]
+
+
 def propagate_vector(y0: Sequence, u: Sequence, t0: float, t1: float,
                      model: DynamicsModel,
                      config: PropagationConfig | None = None) -> list:
@@ -231,36 +314,39 @@ def propagate_vector(y0: Sequence, u: Sequence, t0: float, t1: float,
     (first-order hold); backward spans are allowed. Fixed step count makes
     the result deterministic for a given config. A real or complex scalar
     state that stops being finite raises :class:`PropagationError`.
+
+    A state with a polynomial or an array among its entries or controls
+    advances as one :class:`_Block`, one array operation per stage term;
+    a scalar state advances entry by entry, numpy floats as Python floats.
+    Both give the values of the entry-by-entry combination.
     """
     config = config or PropagationConfig()
     if t1 == t0:
         return list(y0)
-    deriv = _derivative_fn(model, tuple(u))
+    u = tuple(float(c) if isinstance(c, np.float64) else c for c in u)
+    deriv = _derivative_fn(model, u)
     h = (t1 - t0) / config.steps
-    y = list(y0)
-    guard_finite = all(isinstance(c, Number) for c in (*y, *u))
+    block = _Block(y0, u) if any(_is_row(c) for c in (*y0, *u)) else None
+    if block is not None:
+        y, axpy, guard_finite = block.lift(y0), _block_axpy, False
+
+        def slope(state):
+            return block.lift(deriv(block.view(state)))
+    else:
+        y = [float(c) if isinstance(c, np.float64) else c for c in y0]
+        axpy, slope = _scalar_axpy, deriv
+        guard_finite = all(isinstance(c, Number) for c in (*y, *u))
     t = t0
     for step in range(config.steps):
         try:
             f = {}
             for k in _STAGES:
-                if k == 0:
-                    yk = y
-                else:
-                    yk = list(y)
-                    for l, b in _ROWS[k]:
-                        hb = h * b
-                        fl = f[l]
-                        for i in range(6):
-                            yk[i] = yk[i] + hb * fl[i]
-                f[k] = deriv(yk)
-            ynew = list(y)
+                yk = y
+                for l, b in _ROWS[k]:
+                    yk = axpy(yk, h * b, f[l])
+                f[k] = slope(yk)
             for k, w in _WSEL:
-                hw = h * w
-                fk = f[k]
-                for i in range(6):
-                    ynew[i] = ynew[i] + hw * fk[i]
-            y = ynew
+                y = axpy(y, h * w, f[k])
         except (ArithmeticError, ValueError) as exc:
             raise PropagationError(
                 f"propagation failed at t={t!r}: {exc}", time=t) from exc
@@ -268,7 +354,7 @@ def propagate_vector(y0: Sequence, u: Sequence, t0: float, t1: float,
         if guard_finite and not cmath.isfinite(y[0] + y[1] + y[2]):
             raise PropagationError(
                 f"singularity encountered near t={t!r}", time=t)
-    return y
+    return y if block is None else block.view(y)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +386,8 @@ def rtn_rotation(state: SpacecraftState) -> np.ndarray:
 def osculating_period(state: SpacecraftState, model: DynamicsModel) -> float:
     """Two-body osculating orbital period in seconds."""
     r = float(np.linalg.norm(state.r))
+    if r == 0.0:
+        raise ConfigurationError("state sits at the center of attraction")
     v2 = float(state.v @ state.v)
     inv_a = 2.0 / r - v2 / model.mu
     if inv_a <= 0.0:

@@ -198,6 +198,30 @@ class TestRunCommand:
             ("parse" if code == 2 else "validation")
         assert message in payload["error"]["message"]
 
+    def test_primary_at_the_origin_exit_3(self, tmp_path, capsys):
+        doc = generate_synthetic_suite(3, 1, "LEO", poc_band=(1.5e-6, 4e-6))[0]
+        for body in ("primary", "secondary"):
+            doc["conjunction"][body]["r_km"] = [0.0, 0.0, 0.0]
+        bad = tmp_path / "origin.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli(["run", str(bad), "--order", "2"]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["class"] == "validation"
+        assert "center of attraction" in payload["error"]["message"]
+
+    @pytest.mark.parametrize("hbr", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    def test_non_finite_hbr_exit_3(self, scenario_file, tmp_path, capsys,
+                                   hbr):
+        doc = json.loads(scenario_file.read_text())
+        doc["conjunction"]["hbr_km"] = hbr
+        bad = tmp_path / "bad-hbr.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli(["run", str(bad), "--order", "2"]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["class"] == "validation"
+        assert "HBR" in payload["error"]["message"]
+
     def test_missing_file_exit_2(self, capsys):
         assert run_cli(["run", "/nonexistent/nope.json"]) == 2
 

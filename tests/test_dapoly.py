@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polycam.dapoly import (AlgebraConfig, TaylorPoly, compose,
-                            contract_no_first_mode)
+                            contract_no_first_mode, generic_power)
 from polycam.errors import ConfigurationError, DomainError
 
 
@@ -119,6 +119,21 @@ class TestIntrinsics:
             a = random_poly(cfg, rng, constant=rng.uniform(0.5, 3.0))
             root = a.sqrt()
             assert coeffs_close(root * root, a, tol=1e-12)
+
+
+class TestGenericPower:
+    def test_float_gets_np_power_as_a_python_float(self):
+        # Python's r2 ** -1.5 is one ULP off np.power's value here
+        r2 = 48789684.0
+        assert r2 ** -1.5 != np.power(r2, -1.5)
+        got = generic_power(r2, -1.5)
+        assert type(got) is float and got == np.power(r2, -1.5)
+
+    def test_arrays_stay_arrays(self):
+        x = np.array([4.0, 48789684.0])
+        got = generic_power(x, -1.5)
+        assert isinstance(got, np.ndarray)
+        np.testing.assert_array_equal(got, np.power(x, -1.5))
 
 
 class TestEval:

@@ -228,6 +228,115 @@ class TestPropagateDa:
             np.testing.assert_allclose(col, [ref, ref], rtol=1e-15)
 
 
+def entrywise_propagate(y0, u, t0, t1, model, steps):
+    """The RK7(8) stage loop run entry by entry on any scalar type: the
+    reference the block path must reproduce bit for bit."""
+    deriv = dyn._derivative_fn(model, tuple(u))
+    h = (t1 - t0) / steps
+    y = list(y0)
+    for _ in range(steps):
+        f = {}
+        for k in dyn._STAGES:
+            yk = list(y)
+            for l, b in dyn._ROWS[k]:
+                for i in range(6):
+                    yk[i] = yk[i] + (h * b) * f[l][i]
+            f[k] = deriv(yk)
+        for k, w in dyn._WSEL:
+            for i in range(6):
+                y[i] = y[i] + (h * w) * f[k][i]
+    return y
+
+
+def assert_same_entries(out, ref):
+    assert len(out) == len(ref) == 6
+    for a, b in zip(out, ref):
+        if isinstance(b, TaylorPoly):
+            assert isinstance(a, TaylorPoly) and a.config == b.config
+            assert np.array_equal(a.coef, b.coef)
+        else:
+            assert np.array_equal(a, b)
+
+
+CFG_3_5 = AlgebraConfig(3, 5)
+
+
+def poly_state(ref, scale):
+    """Constants ``ref`` plus ``scale`` times variable i % 3 on entry i."""
+    return [TaylorPoly.variable(CFG_3_5, i % 3) * scale + c
+            for i, c in enumerate(ref)]
+
+
+class TestBlockPath:
+    # At this position Python's r2 ** -1.5 and np.power(r2, -1.5) differ
+    # by one ULP, so a float row handed to the kernel as a constant
+    # polynomial (whose power uses the former) would show.
+    LEO = (6822.0, 1200.0, 900.0, -1.1, 7.2, 0.4)
+    SYNODIC_STATE = (0.82, 0.11, 0.04, 0.02, -0.15, 0.01)
+
+    @pytest.mark.parametrize("model, ref, span, scale", [
+        (MODEL, LEO, 600.0, 1e-2),
+        (MODEL_J2, LEO, 600.0, 1e-2),
+        (MODEL_CR3BP, SYNODIC_STATE, 0.2, 1e-4)],
+        ids=["kepler", "j2", "cr3bp"])
+    def test_polynomial_state(self, model, ref, span, scale):
+        y0 = poly_state(ref, scale)
+        out = dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, span, model,
+                                   dyn.PropagationConfig(steps=6))
+        assert_same_entries(
+            out, entrywise_propagate(y0, (0.0, 0.0, 0.0), 0.0, span, model, 6))
+
+    # The float-row cases take one long step, so that a last-bit change in
+    # the first stage's acceleration reaches the result.
+
+    @pytest.mark.parametrize("model", [MODEL, MODEL_J2], ids=["kepler", "j2"])
+    def test_float_positions_polynomial_velocities(self, model):
+        # the state just after an impulse: only the velocities depend on it
+        y0 = ([np.float64(c) for c in self.LEO[:3]]
+              + poly_state(self.LEO, 1e-3)[3:])
+        out = dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, -900.0, model,
+                                   dyn.PropagationConfig(steps=1))
+        assert_same_entries(
+            out, entrywise_propagate(y0, (0.0, 0.0, 0.0), 0.0, -900.0,
+                                     model, 1))
+
+    @pytest.mark.parametrize("model", [MODEL, MODEL_J2], ids=["kepler", "j2"])
+    def test_polynomial_control_on_float_state(self, model):
+        # a low-thrust arc held on a real reference state
+        u = [TaylorPoly.variable(CFG_3_5, m) * 1e-6 for m in range(3)]
+        out = dyn.propagate_vector(list(self.LEO), u, 0.0, 600.0, model,
+                                   dyn.PropagationConfig(steps=1))
+        assert_same_entries(
+            out, entrywise_propagate(list(self.LEO), u, 0.0, 600.0, model, 1))
+
+    def test_batched_state(self):
+        offsets = np.linspace(-1e-3, 1e-3, 4)
+        y0 = [c + offsets * (i + 1) for i, c in enumerate(self.LEO)]
+        out = dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, 600.0, MODEL_J2,
+                                   dyn.PropagationConfig(steps=6))
+        assert all(col.shape == (4,) for col in out)
+        assert_same_entries(
+            out, entrywise_propagate(y0, (0.0, 0.0, 0.0), 0.0, 600.0,
+                                     MODEL_J2, 6))
+
+    def test_numpy_float_state_gives_python_floats(self):
+        y0 = [np.float64(c) for c in self.LEO]
+        out = dyn.propagate_vector(y0, (1e-6, 0.0, 0.0), 0.0, 600.0, MODEL_J2,
+                                   dyn.PropagationConfig(steps=1))
+        assert all(type(c) is float for c in out)
+        # the reference sees numpy floats, whose powers are np.power's
+        assert out == entrywise_propagate(y0, (1e-6, 0.0, 0.0), 0.0, 600.0,
+                                          MODEL_J2, 1)
+
+    @pytest.mark.parametrize("model", [MODEL, MODEL_J2], ids=["kepler", "j2"])
+    def test_real_state_at_the_center_raises(self, model):
+        y0 = [np.float64(0.0)] * 3 + [np.float64(7.0), 0.0, 0.0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(dyn.PropagationError) as err:
+                dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, 60.0, model)
+        assert err.value.time is not None
+
+
 class TestRtnRotation:
     def test_identity_aligned_triad(self):
         state = dyn.SpacecraftState(r=[7000, 0, 0], v=[0, 7.5, 0])
