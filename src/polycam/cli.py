@@ -23,10 +23,11 @@ import numpy as np
 
 from .dynamics import CR3BP, DynamicsModel, PropagationConfig, osculating_period
 from .errors import (ConfigurationError, CovarianceError,
-                     DegenerateGradientError, GeometryError, GenerationError,
-                     InfeasibleError, InfeasibleWithBoundError,
-                     NonConvergenceError, NumericError, PolycamError,
-                     PropagationError, ScenarioParseError, ValidationError)
+                     DegenerateGradientError, DomainError, FrameError,
+                     GeometryError, GenerationError, InfeasibleError,
+                     InfeasibleWithBoundError, NonConvergenceError,
+                     NumericError, PolycamError, PropagationError,
+                     ScenarioParseError, ValidationError)
 from .mapbuilder import ControlSchedule, IMPULSIVE, LOW_THRUST, build_poc_map
 from .scenarios import (_DYNAMICS_KINDS, DEFAULT_POC_BAND,
                         generate_synthetic_suite, parse_scenario,
@@ -46,9 +47,9 @@ EXIT_INFEASIBLE = 5
 _ERROR_CLASSES = [
     ((ScenarioParseError,), "parse", EXIT_PARSE),
     ((ValidationError, CovarianceError, GeometryError, ConfigurationError,
-      GenerationError), "validation", EXIT_VALIDATION),
+      GenerationError, FrameError), "validation", EXIT_VALIDATION),
     ((NonConvergenceError, DegenerateGradientError, NumericError,
-      PropagationError), "non-convergence", EXIT_NONCONVERGENCE),
+      PropagationError, DomainError), "non-convergence", EXIT_NONCONVERGENCE),
     ((InfeasibleWithBoundError, InfeasibleError), "infeasible-with-bound",
      EXIT_INFEASIBLE),
 ]
@@ -58,6 +59,7 @@ _FIXED_DIR_ALIASES = {
     "radial": (1.0, 0.0, 0.0),
     "normal": (0.0, 0.0, 1.0),
 }
+_MODES = {"impulse": IMPULSIVE, "lowthrust": LOW_THRUST}
 
 
 def _classify(exc: Exception) -> tuple[str, int]:
@@ -67,34 +69,29 @@ def _classify(exc: Exception) -> tuple[str, int]:
     return "internal", EXIT_NONCONVERGENCE
 
 
+def _error(name: str, message: str) -> dict:
+    return {"status": "error", "error": {"class": name, "message": message}}
+
+
 def _parse_node_token(token, period_s: float | None, where: str) -> float:
     """One node epoch in seconds relative to closest approach (negative).
 
     Numbers are seconds before closest approach; the suffix ``orb`` marks
     orbit fractions before it (Earth regimes only).
     """
-    if isinstance(token, (int, float)) and not isinstance(token, bool):
-        seconds = float(token)
-    elif isinstance(token, str):
-        text = token.strip().lower()
-        if text.endswith("orb"):
-            if period_s is None:
-                raise ValidationError(
-                    f"orbit-fraction node {token!r} requires an Earth regime")
-            try:
-                fraction = float(text[:-3])
-            except ValueError as exc:
-                raise ScenarioParseError(
-                    f"bad node token {token!r} in {where}") from exc
-            seconds = fraction * period_s
-        else:
-            try:
-                seconds = float(text)
-            except ValueError as exc:
-                raise ScenarioParseError(
-                    f"bad node token {token!r} in {where}") from exc
-    else:
+    if isinstance(token, bool) or not isinstance(token, (int, float, str)):
         raise ScenarioParseError(f"bad node token {token!r} in {where}")
+    text, scale = str(token).strip().lower(), 1.0
+    if text.endswith("orb"):
+        if period_s is None:
+            raise ValidationError(
+                f"orbit-fraction node {token!r} requires an Earth regime")
+        text, scale = text[:-3], period_s
+    try:
+        seconds = float(text) * scale
+    except ValueError as exc:
+        raise ScenarioParseError(
+            f"bad node token {token!r} in {where}") from exc
     if not math.isfinite(seconds):
         raise ScenarioParseError(f"non-finite node token {token!r} in {where}")
     if seconds <= 0.0:
@@ -103,19 +100,17 @@ def _parse_node_token(token, period_s: float | None, where: str) -> float:
     return -seconds
 
 
-def _parse_fixed_direction(text: str) -> np.ndarray:
+def _fixed_direction(text) -> np.ndarray:
+    """Unit control direction from an alias or r,t,n components."""
+    if not isinstance(text, str):
+        raise TypeError(text)
     name = text.strip().lower()
     if name in _FIXED_DIR_ALIASES:
         vec = np.array(_FIXED_DIR_ALIASES[name])
     else:
-        try:
-            vec = np.array([float(p) for p in name.split(",")])
-        except ValueError as exc:
-            raise ScenarioParseError(
-                f"bad fixed direction {text!r}; use tangential|radial|normal "
-                f"or three comma-separated components") from exc
+        vec = np.array([float(p) for p in name.split(",")])
         if vec.shape != (3,):
-            raise ScenarioParseError("fixed direction needs three components")
+            raise ValueError(text)
         if not np.all(np.isfinite(vec)):
             raise ScenarioParseError(f"non-finite fixed direction {text!r}")
     norm = float(np.linalg.norm(vec))
@@ -124,34 +119,70 @@ def _parse_fixed_direction(text: str) -> np.ndarray:
     return vec / norm
 
 
-def _float_list(value, key: str) -> list:
-    """Node tokens of option ``key``: a comma-separated string or a list."""
+def _tokens(value) -> list:
+    """Node tokens: a comma-separated string or a list."""
     if isinstance(value, str):
         return [tok for tok in value.split(",") if tok.strip()]
-    if not isinstance(value, (list, tuple)):
-        raise ScenarioParseError(f"bad {key} value {value!r}")
-    return list(value)
+    if not isinstance(value, list):
+        raise TypeError(value)
+    return value
 
 
-def _resolve(cli_value, defaults: dict, key: str, fallback):
-    if cli_value is not None:
-        return cli_value
-    if key in defaults:
-        return defaults[key]
-    return fallback
+def _integer(value) -> int:
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(value)
+    return int(value)
 
 
-def _resolve_number(convert, args, defaults: dict, key: str, fallback):
-    """Numeric option ``key`` resolved as by :func:`_resolve` and passed
-    through ``convert``; one left unset stays None. A value that does not
-    convert (a list or a word in the scenario defaults) is a parse error."""
-    value = _resolve(getattr(args, key), defaults, key, fallback)
-    if value is None:
-        return None
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioParseError(f"bad {key} value {value!r}") from exc
+def _real(value) -> float:
+    if isinstance(value, bool):
+        raise ValueError(value)
+    return float(value)
+
+
+# Run options: scenario ``defaults`` key -> (flag attribute, converter,
+# fallback). A fallback of None leaves the option unset; unset nodes take
+# the regime's default.
+_OPTIONS = {
+    "dynamics": ("dyn", lambda name: DynamicsModel(kind=_DYNAMICS_KINDS[name]),
+                 None),
+    "mode": ("mode", _MODES.__getitem__, IMPULSIVE),
+    "nodes": ("nodes", _tokens, None),
+    "fixed_dir": ("fixed_dir", _fixed_direction, None),
+    "order": ("order", _integer, 5),
+    "target_poc": ("target_poc", _real, 1e-6),
+    "etol": ("etol", _real, 1e-10),
+    "max_iter": ("max_iter", _integer, 200),
+    "steps": ("steps", _integer, 100),
+    "umax": ("umax", _real, None),
+    "filter_grid": ("filter_grid", _tokens, None),
+    "filter_keep": ("filter_keep", _integer, 1),
+}
+
+
+def _resolve_options(args: argparse.Namespace, defaults: dict) -> dict:
+    """Every run option: a flag wins, then the scenario's defaults, then
+    the fallback. An unknown or null default, or a value that does not
+    convert, is a parse error naming its key."""
+    for key in defaults:
+        if key not in _OPTIONS:
+            raise ScenarioParseError(f"unknown defaults key {key!r}")
+    options = {}
+    for key, (flag, convert, fallback) in _OPTIONS.items():
+        value = getattr(args, flag, None)
+        if value is None and key not in defaults:
+            options[key] = fallback
+            continue
+        if value is None:
+            value = defaults[key]
+            if value is None:
+                raise ScenarioParseError(f"defaults key {key!r} is null")
+        try:
+            options[key] = convert(value)
+        except (TypeError, ValueError, KeyError) as exc:
+            raise ScenarioParseError(f"bad {key} value {value!r}") from exc
+    return options
 
 
 def run_scenario(doc: dict, args: argparse.Namespace) -> tuple[int, dict]:
@@ -163,69 +194,41 @@ def run_scenario(doc: dict, args: argparse.Namespace) -> tuple[int, dict]:
     started = time.perf_counter()
     try:
         event, defaults = parse_scenario(doc)
-
-        dyn_name = _resolve(getattr(args, "dyn", None), defaults, "dynamics",
-                            None)
-        if dyn_name is not None:
-            kind = _DYNAMICS_KINDS.get(dyn_name) \
-                if isinstance(dyn_name, str) else None
-            if kind is None:
-                raise ScenarioParseError(f"unknown dynamics {dyn_name!r}")
+        opts = _resolve_options(args, defaults)
+        if opts["dynamics"] is not None:
             # the event re-checks its frames against the new dynamics
-            event = replace(event, dynamics=DynamicsModel(kind=kind))
+            event = replace(event, dynamics=opts["dynamics"])
 
         period = None if event.dynamics.kind == CR3BP \
             else osculating_period(event.primary, event.dynamics)
-        mode_name = str(_resolve(args.mode, defaults, "mode", "impulse"))
-        if mode_name not in ("impulse", "lowthrust"):
-            raise ScenarioParseError(f"unknown mode {mode_name!r}")
-        mode = IMPULSIVE if mode_name == "impulse" else LOW_THRUST
-
-        node_tokens = _float_list(_resolve(args.nodes, defaults, "nodes",
-                                           ["0.5orb"] if period else [7200.0]),
-                                  "nodes")
+        nodes = opts["nodes"]
+        if nodes is None:
+            nodes = ["0.5orb"] if period else [7200.0]
         epochs = tuple(sorted(
-            _parse_node_token(tok, period, "nodes") for tok in node_tokens))
+            _parse_node_token(tok, period, "nodes") for tok in nodes))
 
-        fixed_dir_text = _resolve(args.fixed_dir, defaults, "fixed_dir", None)
-        order = _resolve_number(int, args, defaults, "order", 5)
-        target = _resolve_number(float, args, defaults, "target_poc", 1e-6)
-        e_tol = _resolve_number(float, args, defaults, "etol", 1e-10)
-        max_iter = _resolve_number(int, args, defaults, "max_iter", 200)
-        steps = _resolve_number(int, args, defaults, "steps", 100)
-        u_max = _resolve_number(float, args, defaults, "umax", None)
-
-        solver_config = SolverConfig(max_order=order, e_tol=e_tol,
-                                     max_iterations=max_iter,
+        order, target = opts["order"], opts["target_poc"]
+        solver_config = SolverConfig(max_order=order, e_tol=opts["etol"],
+                                     max_iterations=opts["max_iter"],
                                      target_poc=target)
-        prop_config = PropagationConfig(steps=steps)
-
-        fixed_direction = None
-        if fixed_dir_text is not None:
-            fixed_direction = _parse_fixed_direction(str(fixed_dir_text))
-        schedule = ControlSchedule(mode=mode, node_epochs=epochs,
-                                   fixed_direction=fixed_direction)
-
-        filter_tokens = _resolve(args.filter_grid, defaults, "filter_grid",
-                                 None)
-        if filter_tokens is not None:
+        prop_config = PropagationConfig(steps=opts["steps"])
+        schedule = ControlSchedule(mode=opts["mode"], node_epochs=epochs,
+                                   fixed_direction=opts["fixed_dir"])
+        grid = None
+        if opts["filter_grid"] is not None:
             grid = [_parse_node_token(tok, period, "filter grid")
-                    for tok in _float_list(filter_tokens, "filter_grid")]
-            keep = _resolve_number(int, args, defaults, "filter_keep", 1)
-        else:
-            grid = None
-            keep = None
+                    for tok in opts["filter_grid"]]
 
         pmap = None
-        if u_max is not None:
+        if opts["umax"] is not None:
             dense = grid if grid is not None else list(epochs)
-            solution = solve_thrust_limited(event, dense, u_max,
+            solution = solve_thrust_limited(event, dense, opts["umax"],
                                             solver_config, template=schedule,
                                             prop_config=prop_config)
         else:
             if grid is not None:
-                schedule = filter_nodes(event, grid, keep, schedule,
-                                        prop_config)
+                schedule = filter_nodes(event, grid, opts["filter_keep"],
+                                        schedule, prop_config)
             pmap = build_poc_map(event, schedule, order, prop_config)
             solution = solve_recursive(pmap, solver_config)
 
@@ -236,7 +239,7 @@ def run_scenario(doc: dict, args: argparse.Namespace) -> tuple[int, dict]:
             "status": "ok",
             "scenario": doc.get("name"),
             "order": order,
-            "mode": mode_name,
+            "mode": "impulse" if opts["mode"] == IMPULSIVE else "lowthrust",
             "target_poc": target,
             "ballistic_poc": report.ballistic_poc,
             "node_epochs_s": [float(t) for t in solution.node_epochs],
@@ -261,13 +264,9 @@ def run_scenario(doc: dict, args: argparse.Namespace) -> tuple[int, dict]:
             "wall_time_s": time.perf_counter() - started,
         }
         return EXIT_OK, result
-    except json.JSONDecodeError as exc:
-        return EXIT_PARSE, {"status": "error",
-                            "error": {"class": "parse", "message": str(exc)}}
     except PolycamError as exc:
         name, code = _classify(exc)
-        payload = {"status": "error",
-                   "error": {"class": name, "message": str(exc)}}
+        payload = _error(name, str(exc))
         if isinstance(exc, InfeasibleWithBoundError) \
                 and exc.residual_poc is not None:
             payload["error"]["residual_poc"] = exc.residual_poc
@@ -342,27 +341,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.out and len(args.scenarios) > 1:
-        print(json.dumps({"status": "error", "error": {
-            "class": "parse",
-            "message": "--out only applies to a single scenario; "
-                       "use --out-dir"}}))
+        print(json.dumps(_error("parse", "--out only applies to a single "
+                                         "scenario; use --out-dir")))
         return EXIT_PARSE
     worst = EXIT_OK
     for path in args.scenarios:
         try:
-            with open(path) as handle:
+            with open(path, "rb") as handle:
                 doc = json.load(handle)
-        except FileNotFoundError:
-            print(json.dumps({"status": "error", "error": {
-                "class": "parse", "message": f"no such file: {path}"}}))
-            worst = worst or EXIT_PARSE
-            continue
-        except json.JSONDecodeError as exc:
-            print(json.dumps({"status": "error", "error": {
-                "class": "parse", "message": f"{path}: {exc}"}}))
-            worst = worst or EXIT_PARSE
-            continue
-        code, payload = run_scenario(doc, args)
+        except (OSError, ValueError) as exc:
+            code, payload = EXIT_PARSE, _error("parse", f"{path}: {exc}")
+        else:
+            code, payload = run_scenario(doc, args)
         text = json.dumps(payload, indent=2, sort_keys=True)
         if code == EXIT_OK:
             out_path = args.out
@@ -389,8 +379,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
                                         poc_band=(args.poc_min, args.poc_max))
     except PolycamError as exc:
         name, code = _classify(exc)
-        print(json.dumps({"status": "error",
-                          "error": {"class": name, "message": str(exc)}}))
+        print(json.dumps(_error(name, str(exc))))
         return code
     os.makedirs(args.out_dir, exist_ok=True)
     for doc in docs:

@@ -570,7 +570,9 @@ def generic_exp(x):
 def generic_power(x, p: float):
     if isinstance(x, TaylorPoly):
         return x.power(p)
+    # np.power's value, kept a Python scalar for cheap scalar arithmetic
     if isinstance(x, float):
-        # np.power's value, kept a Python float for cheap scalar arithmetic
         return float(np.power(x, p))
+    if isinstance(x, complex):
+        return complex(np.power(x, p))
     return np.power(x, p)

@@ -185,6 +185,27 @@ def _place_secondary(r_p, v_p, v_s, cov_p, cov_s, hbr, model, miss_dir,
     return event_at(miss)
 
 
+def _drawn_conjunction(rng: np.random.Generator, poc_band, model, r_p, v_p,
+                       v_s, axis) -> ConjunctionEvent:
+    """Covariances, HBR, target and miss direction drawn for given states;
+    the miss direction lies in the plane normal to the relative velocity,
+    at a random angle from its cross product with ``axis``."""
+    v_rel = v_p - v_s
+    cov_p = _sampled_covariance(rng)
+    cov_s = _sampled_covariance(rng)
+    hbr = rng.uniform(*HBR_RANGE_KM)
+    target = math.exp(rng.uniform(math.log(poc_band[0]), math.log(poc_band[1])))
+
+    e1 = np.cross(v_rel, axis)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(v_rel / np.linalg.norm(v_rel), e1)
+    psi = rng.uniform(0.0, 2.0 * math.pi)
+    miss_dir = math.cos(psi) * e1 + math.sin(psi) * e2
+
+    return _place_secondary(r_p, v_p, v_s, cov_p, cov_s, hbr, model,
+                            miss_dir, target)
+
+
 def _leo_scenario(rng: np.random.Generator, poc_band) -> ConjunctionEvent:
     model = DynamicsModel(kind=KEPLER)
     radius = rng.uniform(6778.0, 7578.0)
@@ -197,21 +218,7 @@ def _leo_scenario(rng: np.random.Generator, poc_band) -> ConjunctionEvent:
     if rng.uniform() < 0.5:
         crossing = -crossing
     v_s = _rotate_about(v_p, r_hat, crossing)
-    v_rel = v_p - v_s
-
-    cov_p = _sampled_covariance(rng)
-    cov_s = _sampled_covariance(rng)
-    hbr = rng.uniform(*HBR_RANGE_KM)
-    target = math.exp(rng.uniform(math.log(poc_band[0]), math.log(poc_band[1])))
-
-    e1 = np.cross(v_rel, r_hat)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(v_rel / np.linalg.norm(v_rel), e1)
-    psi = rng.uniform(0.0, 2.0 * math.pi)
-    miss_dir = math.cos(psi) * e1 + math.sin(psi) * e2
-
-    return _place_secondary(r_p, v_p, v_s, cov_p, cov_s, hbr, model,
-                            miss_dir, target)
+    return _drawn_conjunction(rng, poc_band, model, r_p, v_p, v_s, r_hat)
 
 
 def _cislunar_scenario(rng: np.random.Generator, poc_band) -> ConjunctionEvent:
@@ -232,23 +239,10 @@ def _cislunar_scenario(rng: np.random.Generator, poc_band) -> ConjunctionEvent:
     dv_dir = _random_rotation(rng)[:, 0]
     v_s = v_p - rng.uniform(0.25, 0.70) * v_char * dv_dir
     v_rel = v_p - v_s
-
-    cov_p = _sampled_covariance(rng)
-    cov_s = _sampled_covariance(rng)
-    hbr = rng.uniform(*HBR_RANGE_KM)
-    target = math.exp(rng.uniform(math.log(poc_band[0]), math.log(poc_band[1])))
-
-    seed = np.array([0.0, 0.0, 1.0])
-    if abs(float(seed @ (v_rel / np.linalg.norm(v_rel)))) > 0.9:
-        seed = np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(v_rel, seed)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(v_rel / np.linalg.norm(v_rel), e1)
-    psi = rng.uniform(0.0, 2.0 * math.pi)
-    miss_dir = math.cos(psi) * e1 + math.sin(psi) * e2
-
-    return _place_secondary(r_p, v_p, v_s, cov_p, cov_s, hbr, model,
-                            miss_dir, target)
+    axis = np.array([0.0, 0.0, 1.0])
+    if abs(float(axis @ (v_rel / np.linalg.norm(v_rel)))) > 0.9:
+        axis = np.array([1.0, 0.0, 0.0])
+    return _drawn_conjunction(rng, poc_band, model, r_p, v_p, v_s, axis)
 
 
 def _event_to_doc(event: ConjunctionEvent, name: str) -> dict:

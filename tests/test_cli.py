@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,10 +8,13 @@ import numpy as np
 import pytest
 
 import polycam
-from polycam.cli import main
+from polycam.cli import _classify, build_parser, main, run_scenario
+from polycam.errors import PolycamError
 from polycam.scenarios import generate_synthetic_suite, scenario_to_json
 
 BAND = ("--poc-min", "1.5e-6", "--poc-max", "5e-6")
+DOCUMENTED_CLASSES = {"parse": 2, "validation": 3, "non-convergence": 4,
+                      "infeasible-with-bound": 5}
 
 
 def run_cli(args):
@@ -128,7 +132,14 @@ class TestRunCommand:
                                             ("target_poc", "y"), ("nodes", 5),
                                             ("nodes", None),
                                             ("filter_grid", 3),
-                                            ("dynamics", ["j2"])])
+                                            ("dynamics", ["j2"]),
+                                            ("target_poc", None),
+                                            ("etol", None), ("max_iter", None),
+                                            ("steps", None), ("umax", None),
+                                            ("filter_keep", None),
+                                            ("order", 2.7), ("order", True),
+                                            ("steps", 99.9),
+                                            ("target", 1e-9)])
     def test_malformed_default_exit_2(self, scenario_file, tmp_path, capsys,
                                       key, value):
         doc = json.loads(scenario_file.read_text())
@@ -225,6 +236,32 @@ class TestRunCommand:
     def test_missing_file_exit_2(self, capsys):
         assert run_cli(["run", "/nonexistent/nope.json"]) == 2
 
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    def test_unreadable_scenario_exit_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "case.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"name": "\xff"}')
+        assert run_cli(["run", str(path)]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["class"] == "parse"
+        assert str(path) in payload["error"]["message"]
+
+    def test_radial_primary_exit_3(self, tmp_path, capsys):
+        # no RTN frame exists where position and velocity are parallel
+        doc = generate_synthetic_suite(3, 1, "LEO", poc_band=(1.5e-6, 4e-6))[0]
+        doc["conjunction"]["primary"] = {"r_km": [7000.0, 0.0, 0.0],
+                                         "v_kms": [1.0, 0.0, 0.0]}
+        doc["conjunction"]["secondary"] = {"r_km": [7000.0, 0.01, 0.0],
+                                           "v_kms": [1.0, 0.0, 7.0]}
+        bad = tmp_path / "radial.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli(["run", str(bad), "--order", "2"]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["class"] == "validation"
+        assert "parallel" in payload["error"]["message"]
+
     def test_infeasible_bound_exit_5(self, scenario_file, capsys):
         code = run_cli(["run", str(scenario_file), "--umax", "1e-7"])
         assert code == 5
@@ -318,3 +355,64 @@ class TestDynOverride:
         payload = json.loads(capsys.readouterr().out)
         assert "do not match" in payload["error"]["message"]
 
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_has_a_documented_class():
+    for cls in _subclasses(PolycamError):
+        name, code = _classify(cls("message"))
+        assert DOCUMENTED_CLASSES.get(name) == code, cls.__name__
+
+
+_DELETE = object()
+_MUTATIONS = [_DELETE, None, True, "word", [1.0], 0, -1, 1e308, math.nan,
+              math.inf, 3.5]
+# run options a generated document leaves out, mutated as set fields
+_ABSENT_DEFAULTS = ["dynamics", "fixed_dir", "steps", "umax", "filter_grid",
+                    "filter_keep"]
+
+
+def _field_paths(node, prefix=()):
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+
+
+def test_scenario_field_fuzz_gives_documented_outcomes():
+    """Every one-field mutation of seeded generated documents, run through
+    ``run_scenario``, exits 0 or with a documented class and its code."""
+    docs = generate_synthetic_suite(2406, 2, "LEO", poc_band=(1.5e-6, 4e-6)) \
+        + generate_synthetic_suite(2406, 1, "CISLUNAR",
+                                   poc_band=(1.5e-6, 4e-6))
+    paths = list(_field_paths(docs[0]))
+    paths += [("defaults", key) for key in _ABSENT_DEFAULTS]
+    cases = [(path, mutation) for path in paths for mutation in _MUTATIONS]
+    assert len(cases) >= 200
+    args = build_parser().parse_args(["run", "fuzz.json", "--order", "2",
+                                      "--steps", "20"])
+    failures = []
+    for index, (path, mutation) in enumerate(cases):
+        doc = json.loads(json.dumps(docs[index % len(docs)]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if mutation is _DELETE:
+            parent.pop(path[-1], None)
+        else:
+            parent[path[-1]] = mutation
+        try:
+            code, payload = run_scenario(doc, args)
+            json.dumps(payload)
+        except Exception as exc:  # any escape is a traceback at the CLI
+            failures.append((path, mutation, repr(exc)))
+            continue
+        if code != 0 and \
+                DOCUMENTED_CLASSES.get(payload["error"]["class"]) != code:
+            failures.append((path, mutation, code, payload))
+    assert not failures

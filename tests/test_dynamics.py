@@ -328,6 +328,18 @@ class TestBlockPath:
         assert out == entrywise_propagate(y0, (1e-6, 0.0, 0.0), 0.0, 600.0,
                                           MODEL_J2, 1)
 
+    @pytest.mark.parametrize("model, ref, span", [
+        (MODEL, LEO, 600.0),
+        (MODEL_J2, LEO, 600.0),
+        (MODEL_CR3BP, SYNODIC_STATE, 0.2)],
+        ids=["kepler", "j2", "cr3bp"])
+    def test_complex_state_gives_python_complex(self, model, ref, span):
+        # a complex-step leg: one velocity carries the imaginary step
+        y0 = [*ref[:3], ref[3] + 1e-20j, *ref[4:]]
+        out = dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, span, model,
+                                   dyn.PropagationConfig(steps=2))
+        assert all(type(c) is complex for c in out)
+
     @pytest.mark.parametrize("model", [MODEL, MODEL_J2], ids=["kepler", "j2"])
     def test_real_state_at_the_center_raises(self, model):
         y0 = [np.float64(0.0)] * 3 + [np.float64(7.0), 0.0, 0.0]
