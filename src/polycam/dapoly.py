@@ -432,11 +432,15 @@ class TaylorPoly:
         tab = self._tab
         nil = self.coef.copy()
         nil[0] = 0.0
-        w = TaylorPoly._raw(tab, nil)
-        out = TaylorPoly.constant(self.config, float(outer[-1]))
+        # the nilpotent factor of every product, gathered once
+        w = nil[tab.mul_j]
+        out = np.zeros(tab.size)
+        out[0] = outer[-1]
         for c in outer[-2::-1]:
-            out = out * w + float(c)
-        return out
+            out = np.bincount(tab.mul_k, weights=out[tab.mul_i] * w,
+                              minlength=tab.size)
+            out[0] += c
+        return TaylorPoly._raw(tab, out)
 
     def sqrt(self) -> "TaylorPoly":
         a0 = self.constant_part

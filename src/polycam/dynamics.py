@@ -100,6 +100,11 @@ class DynamicsModel:
         return SYNODIC if self.kind == CR3BP else ECI
 
 
+# Upper bound on the steps per segment: far above the counts any regime
+# needs (at most a few hundred), and low enough that a run ends.
+MAX_STEPS = 100_000
+
+
 @dataclass(frozen=True)
 class PropagationConfig:
     """Fixed-step integrator settings: steps per segment."""
@@ -107,8 +112,9 @@ class PropagationConfig:
     steps: int = 100
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ConfigurationError("step count must be >= 1")
+        if not 1 <= self.steps <= MAX_STEPS:
+            raise ConfigurationError(
+                f"step count must lie in [1, {MAX_STEPS}]")
 
 
 # ---------------------------------------------------------------------------

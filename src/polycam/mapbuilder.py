@@ -13,9 +13,14 @@ large-algebra products with small-algebra ones. Projecting the relative
 position onto the frozen encounter plane and composing the
 collision-probability series yields one truncated polynomial in the stacked
 control vector. Everything downstream of this map is polynomial evaluation.
-Candidate maneuver epochs are ranked without a map: complex-step
-derivatives through the same real pipeline give each candidate's
-first-order probability gradient.
+Candidate maneuver epochs are ranked without a map. An impulse's
+first-order probability gradient is the velocity part of the adjoint of
+the closest-approach probability gradient (the primer vector), and the
+flows are Hamiltonian, so one complex-step back-propagation from closest
+approach yields it at every candidate epoch. A low-thrust candidate's
+gradient integrates the adjoint over its arc; it comes instead from
+complex-step derivatives through the real pipeline, one per control
+variable.
 """
 
 from __future__ import annotations
@@ -50,9 +55,10 @@ LOW_THRUST = "LOW_THRUST"
 IMPULSE_REF_MS = 1.0
 ACCEL_REF_MS2 = 1.0e-4
 
-# Imaginary control step of the complex-step ranking, in scaled units. Its
-# square vanishes against the real parts, so any tiny value gives the same
-# derivative.
+# Imaginary step of the complex-step ranking: in scaled control units on
+# the low-thrust legs, along a unit internal-velocity direction on the
+# adjoint pass. Its square vanishes against the real parts, so any tiny
+# value gives the same derivative.
 _COMPLEX_STEP = 1e-20
 
 
@@ -497,25 +503,37 @@ def gradient_norm_per_node(event: ConjunctionEvent, candidate_times,
     For a control placed at each candidate time, returns the time and the
     Euclidean norm of the probability gradient in scaled variables (so the
     ranking is reference-magnitude-free): the gradient of an order-1 map,
-    obtained without building one. The Jacobian J of the encounter-plane
-    position (xi, zeta) in the candidate's control variables comes from the
-    complex-step derivative (Squire & Trapp, "Using complex variables to
-    estimate derivatives of real functions", SIAM Review 40, 1998): the
-    real pipeline runs once per variable with that variable set to
-    ``1j * h`` and the others to zero, and ``Im(xi, zeta) / h`` is one
-    column, exact to rounding because nothing is subtracted. The norm is
-    that of dPoC/d(xi, zeta) · J, the first factor from one order-1 series
-    evaluation at the real part of (xi, zeta). Each candidate is the
-    template retimed to start at its time.
+    obtained without building one. Each candidate is the template retimed
+    to start at its time.
+
+    Impulsive candidates are scored by the primer vector of the
+    probability (Lawden, *Optimal Trajectories for Space Navigation*,
+    1963): dPoC/d(delta-v) at epoch t is the velocity part of the adjoint
+    lambda(t) = Phi(0, t)^T lambda_0, lambda_0 being the probability
+    gradient in the closest-approach state. One backward pass gives it at
+    every candidate (see :func:`_primer_norms`). Low-thrust candidates
+    need the adjoint integrated over each arc, so each is differentiated
+    directly: the Jacobian J of the encounter-plane position (xi, zeta)
+    in the candidate's control variables comes from the complex-step
+    derivative (Squire & Trapp, "Using complex variables to estimate
+    derivatives of real functions", SIAM Review 40, 1998). The real
+    pipeline runs once per variable with that variable set to ``1j * h``
+    and the others to zero, and ``Im(xi, zeta) / h`` is one column, exact
+    to rounding because nothing is subtracted. The norm is that of
+    dPoC/d(xi, zeta) · J, the first factor from one order-1 series
+    evaluation at the real part of (xi, zeta).
     """
     candidate_times = [float(t) for t in candidate_times]
     if not candidate_times:
         raise ConfigurationError("candidate grid is empty")
     config = config or PropagationConfig()
-    position = AlgebraConfig(2, 1)
+    # every candidate passes the checks of the retimed template
+    singles = [template.retimed([t]) for t in candidate_times]
+    if template.mode == IMPULSIVE:
+        norms = _primer_norms(event, candidate_times, template, config)
+        return [(t, norms[t]) for t in candidate_times]
     out = []
-    for t in candidate_times:
-        single = template.retimed([t])
+    for t, single in zip(candidate_times, singles):
         columns = []
         for j in range(single.n_vars):
             scalars = [1j * _COMPLEX_STEP if k == j else 0.0
@@ -524,9 +542,66 @@ def gradient_norm_per_node(event: ConjunctionEvent, candidate_times,
                                                [scalars], single.unit)
             columns.append((xi.imag / _COMPLEX_STEP, zeta.imag / _COMPLEX_STEP))
         # every leg shares the real part: the ballistic encounter position
-        r_b = (TaylorPoly.variable(position, 0) + float(xi.real),
-               TaylorPoly.variable(position, 1) + float(zeta.real))
-        dpoc = poc_chan(r_b, event.bplane.p_b, event.hbr_km).gradient_at_zero()
+        dpoc = _bplane_gradient(event, (float(xi.real), float(zeta.real)))
         out.append((t, float(np.linalg.norm(dpoc @ np.array(columns).T))))
     return out
 
+
+def _bplane_gradient(event: ConjunctionEvent, r_b) -> np.ndarray:
+    """dPoC/d(xi, zeta) at the encounter-plane position ``r_b`` (km), from
+    one order-1 series evaluation."""
+    position = AlgebraConfig(2, 1)
+    r_b = (TaylorPoly.variable(position, 0) + float(r_b[0]),
+           TaylorPoly.variable(position, 1) + float(r_b[1]))
+    return poc_chan(r_b, event.bplane.p_b, event.hbr_km).gradient_at_zero()
+
+
+def _primer_norms(event: ConjunctionEvent, times: Sequence[float],
+                  template: ControlSchedule,
+                  config: PropagationConfig) -> dict[float, float]:
+    """Impulsive score at each of ``times`` from one complex back-propagation.
+
+    The adjoint starts as lambda_0 = (lambda_r, 0), the probability
+    gradient in the internal-unit closest-approach position. Kepler and J2
+    flows are Hamiltonian, so Phi(0, t)^T = -J Phi(t, 0) J (Battin, *An
+    Introduction to the Mathematics and Methods of Astrodynamics*, 1999):
+    back-propagating the perturbation J lambda_0 = (0, -lambda_r) gives
+    lambda_v(t) as the position part of the perturbation at t. Under CR3BP
+    the same identity holds in the canonical (r, p = v + omega x r) and,
+    as lambda_0 has no velocity part, gives the same lambda_v. The
+    perturbation rides as the imaginary part of a complex step, so the
+    real part is the ballistic reference that sets each epoch's control
+    frame. The pass stops at each epoch in decreasing time; every segment
+    takes ``config.steps`` steps.
+    """
+    scale, model_nd = _to_internal_units(event)
+    v_unit = scale.velocity_kms
+    basis = event.bplane.basis
+    dpoc = _bplane_gradient(event, event.bplane.r_b)
+    lam_r = (dpoc[0] * basis[0] + dpoc[1] * basis[2]) * scale.length_km
+    size = float(np.linalg.norm(lam_r))
+    if size == 0.0:
+        return dict.fromkeys(times, 0.0)
+    # the step runs along the unit direction and the size comes back after,
+    # so no scale of the gradient underflows the imaginary part
+    kick = -_COMPLEX_STEP * lam_r / size
+    y = [*(float(c) for c in event.primary.r / scale.length_km),
+         *(complex(float(c), float(k))
+           for c, k in zip(event.primary.v / v_unit, kick))]
+    gain = template.unit * 1e-3 / v_unit * size / _COMPLEX_STEP
+    norms = {}
+    t_cur = 0.0
+    for t in sorted(set(times), reverse=True):
+        y = propagate_vector(y, (0.0, 0.0, 0.0), t_cur / scale.time_s,
+                             t / scale.time_s, model_nd, config)
+        t_cur = t
+        ref_state = SpacecraftState(
+            r=np.array([c.real for c in y[:3]]) * scale.length_km,
+            v=np.array([c.real for c in y[3:]]) * v_unit,
+            epoch=t, frame=event.primary.frame)
+        primer = _control_rotation(event, ref_state) \
+            @ np.array([c.imag for c in y[:3]])
+        if template.is_fixed_direction:
+            primer = template.fixed_direction @ primer
+        norms[t] = gain * float(np.linalg.norm(primer))
+    return norms

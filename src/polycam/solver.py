@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 _GRADIENT_FLOOR = 1e-30
+# Upper bounds on the solve: the largest order in use is 5 (a 12-variable
+# order-5 map already holds 6188 coefficients), and both bounds keep a run
+# finite.
+MAX_ORDER = 10
+MAX_ITERATIONS = 100_000
 
 
 @dataclass(frozen=True)
@@ -44,12 +49,13 @@ class SolverConfig:
     target_poc: float = 1e-6
 
     def __post_init__(self):
-        if self.max_order < 1:
-            raise ConfigurationError("max_order must be >= 1")
+        if not 1 <= self.max_order <= MAX_ORDER:
+            raise ConfigurationError(f"max_order must lie in [1, {MAX_ORDER}]")
         if not 0.0 < self.e_tol < math.inf:
             raise ConfigurationError("e_tol must be positive and finite")
-        if self.max_iterations < 1:
-            raise ConfigurationError("max_iterations must be >= 1")
+        if not 1 <= self.max_iterations <= MAX_ITERATIONS:
+            raise ConfigurationError(
+                f"max_iterations must lie in [1, {MAX_ITERATIONS}]")
         if not 0.0 < self.target_poc < 1.0:
             raise ConfigurationError("target PoC must lie in (0, 1)")
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 
@@ -151,6 +152,40 @@ class TestRunCommand:
         assert payload["status"] == "error"
         assert payload["error"]["class"] == "parse"
         assert key in payload["error"]["message"]
+
+    @pytest.mark.parametrize("key, value", [("order", 1e308), ("order", 11),
+                                            ("steps", 1e308),
+                                            ("max_iter", 1e308)],
+                             ids=["order-huge", "order-11", "steps-huge",
+                                  "max_iter-huge"])
+    def test_out_of_range_default_exit_3_at_once(self, scenario_file,
+                                                 tmp_path, capsys, key,
+                                                 value):
+        # an integral but huge value converts; unchecked, it would reach
+        # the table build or the integrator and the run would not end
+        doc = json.loads(scenario_file.read_text())
+        doc.setdefault("defaults", {})[key] = value
+        bad = tmp_path / "out-of-range.json"
+        bad.write_text(json.dumps(doc))
+
+        class Overdue(BaseException):
+            pass
+
+        def overdue(signum, frame):
+            raise Overdue
+
+        previous = signal.signal(signal.SIGALRM, overdue)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            code = run_cli(["run", str(bad)])
+        except Overdue:
+            pytest.fail(f"{key} = {value!r} ran for more than a second")
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["class"] == "validation"
 
     @pytest.mark.parametrize("key, value, code, message", [
         ("nodes", ["nan"], 2, "non-finite node"),
