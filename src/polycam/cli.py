@@ -339,10 +339,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _output_conflict(args: argparse.Namespace) -> str | None:
+    """Why the output flags would lose output, or None: one result file
+    or one CSV cannot hold several scenarios, and ``--out`` and
+    ``--out-dir`` would name two places for one result."""
+    several = len(args.scenarios) > 1
+    if args.out and args.out_dir:
+        return "--out and --out-dir exclude each other"
+    if args.out and several:
+        return "--out only applies to a single scenario; use --out-dir"
+    if args.bplane_csv and several:
+        return "--bplane-csv only applies to a single scenario"
+    return None
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.out and len(args.scenarios) > 1:
-        print(json.dumps(_error("parse", "--out only applies to a single "
-                                         "scenario; use --out-dir")))
+    conflict = _output_conflict(args)
+    if conflict:
+        print(json.dumps(_error("parse", conflict)))
         return EXIT_PARSE
     worst = EXIT_OK
     for path in args.scenarios:

@@ -223,9 +223,11 @@ class TaylorPoly:
 
     @classmethod
     def _raw(cls, tab: _AlgebraTables, coef: np.ndarray) -> "TaylorPoly":
+        # the slot descriptors' own setters bypass __setattr__ for less
+        # than object.__setattr__ costs
         p = object.__new__(cls)
-        object.__setattr__(p, "_tab", tab)
-        object.__setattr__(p, "coef", coef)
+        _set_tab(p, tab)
+        _set_coef(p, coef)
         return p
 
     @classmethod
@@ -485,6 +487,10 @@ class TaylorPoly:
         for k in range(1, n + 1):
             outer[k] = outer[k - 1] * (p - (k - 1)) / (k * a0)
         return self._compose_outer(outer)
+
+
+_set_tab = TaylorPoly._tab.__set__
+_set_coef = TaylorPoly.coef.__set__
 
 
 def compose(outer, inner):

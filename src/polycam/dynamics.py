@@ -179,29 +179,31 @@ _STAGES, _ROWS, _WSEL = _stage_plan(_W7)
 # Acceleration kernels, generic over the scalar type.
 # ---------------------------------------------------------------------------
 
-def _kernel_kepler_j2(y: Sequence, u: Sequence, mu: float, r_e: float,
+# The kernels take ``u`` None on a coast. Skipping the J2 factors under
+# Kepler (x * 1.0) and the zero control (x + 0.0) leaves every value as it
+# was, up to the sign of a zero.
+
+def _kernel_kepler_j2(y: Sequence, u: Sequence | None, mu: float, r_e: float,
                       j2: float):
     x, yy, z, vx, vy, vz = y
     z2 = z * z
     r2 = x * x + yy * yy + z2
     inv_r3 = generic_power(r2, -1.5)
     common = -mu * inv_r3
+    ax, ay, az = common * x, common * yy, common * z
     if j2 != 0.0:
         inv_r2 = generic_power(r2, -1.0) if isinstance(r2, TaylorPoly) else 1.0 / r2
         k_j2 = (1.5 * j2 * r_e * r_e) * inv_r2
         five_z2_over_r2 = 5.0 * (z2 * inv_r2)
         plane = 1.0 + k_j2 * (1.0 - five_z2_over_r2)
         axial = 1.0 + k_j2 * (3.0 - five_z2_over_r2)
-    else:
-        plane = 1.0
-        axial = 1.0
-    ax = common * x * plane + u[0]
-    ay = common * yy * plane + u[1]
-    az = common * z * axial + u[2]
+        ax, ay, az = ax * plane, ay * plane, az * axial
+    if u is not None:
+        ax, ay, az = ax + u[0], ay + u[1], az + u[2]
     return vx, vy, vz, ax, ay, az
 
 
-def _kernel_cr3bp(y: Sequence, u: Sequence, mass_ratio: float):
+def _kernel_cr3bp(y: Sequence, u: Sequence | None, mass_ratio: float):
     x, yy, z, vx, vy, vz = y
     mu = mass_ratio
     xe = x + mu          # offset from the larger primary
@@ -217,13 +219,15 @@ def _kernel_cr3bp(y: Sequence, u: Sequence, mass_ratio: float):
     gx = -x + (1.0 - mu) * xe * inv1 + mu * xm * inv2
     gy = -yy + (1.0 - mu) * yy * inv1 + mu * yy * inv2
     gz = -z + (1.0 - mu) * z * inv1 + mu * z * inv2
-    ax = 2.0 * vy - gx + u[0]
-    ay = -2.0 * vx - gy + u[1]
-    az = -z - gz + u[2]
+    ax, ay, az = 2.0 * vy - gx, -2.0 * vx - gy, -z - gz
+    if u is not None:
+        ax, ay, az = ax + u[0], ay + u[1], az + u[2]
     return vx, vy, vz, ax, ay, az
 
 
 def _derivative_fn(model: DynamicsModel, u: Sequence):
+    if all(isinstance(c, (int, float)) and c == 0.0 for c in u):
+        u = None  # a coast
     if model.kind == CR3BP:
         mass_ratio = model.mass_ratio
         return lambda y: _kernel_cr3bp(y, u, mass_ratio)

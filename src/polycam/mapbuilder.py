@@ -1,7 +1,10 @@
 """Polynomial maps of collision probability versus control perturbations.
 
-The maneuverable spacecraft is back-propagated from closest approach to the
-first control opportunity, perturbation variables are attached at each node
+Each design has one real reference trajectory, computed once: the
+maneuverable spacecraft is back-propagated from closest approach to the
+first control opportunity, and from there the ballistic pass gives the
+unmaneuvered encounter. The polynomial pass and every real replay start
+from the back-propagated state. Perturbation variables are attached at each node
 (velocity increments for impulsive schedules, held accelerations for
 low-thrust arcs), and the perturbed state is propagated forward through the
 encounter. The state's algebra grows node by node with the variables
@@ -40,9 +43,9 @@ from .errors import ConfigurationError
 __all__ = [
     "IMPULSIVE", "LOW_THRUST",
     "IMPULSE_REF_MS", "ACCEL_REF_MS2",
-    "ControlSchedule", "PocMap",
+    "ControlSchedule", "PocMap", "ReferenceTrajectory",
     "build_poc_map", "gradient_norm_per_node",
-    "propagate_with_controls",
+    "propagate_with_controls", "reference_trajectory",
 ]
 
 IMPULSIVE = "IMPULSIVE"
@@ -195,17 +198,45 @@ class ControlSchedule:
 
 
 @dataclass(frozen=True, eq=False)
+class ReferenceTrajectory:
+    """The real, unmaneuvered trajectory of one design, computed once.
+
+    ``start`` is (epoch, state): the first control event in seconds
+    relative to closest approach (a node or a fixed impulse) and the
+    primary's internal-unit state there, back-propagated from closest
+    approach. The polynomial pass and every real replay of the design
+    start from it. ``bplane_km`` and ``node_states`` come from the
+    ballistic forward pass with every control at zero: the (xi, zeta)
+    encounter-plane position in km and the reference state at each node.
+    ``ballistic_poc`` is the probability at ``bplane_km``. The
+    ``fixed_impulses`` are folded into the ballistic pass, and ``config``
+    is the propagation it used.
+    """
+
+    start: tuple[float, tuple]
+    fixed_impulses: tuple[tuple[float, np.ndarray], ...]
+    config: PropagationConfig
+    bplane_km: np.ndarray
+    node_states: tuple[SpacecraftState, ...]
+    ballistic_poc: float
+
+
+@dataclass(frozen=True, eq=False)
 class PocMap:
     """Truncated polynomial of collision probability in scaled controls.
 
     ``poly`` lives in M scaled variables (3 per free-direction control, 1
-    per fixed-direction control); its constant part equals
-    ``ballistic_poc``, the probability of the unmaneuvered reference.
+    per fixed-direction control). ``ballistic_poc`` is the probability of
+    the unmaneuvered reference, taken from ``reference`` when the map is
+    built. The constant part of ``poly`` is the same probability carried
+    through the polynomial pass, so it equals ``ballistic_poc`` to
+    rounding only: the two can differ in the last bits.
     """
 
     poly: TaylorPoly
     ballistic_poc: float
     schedule: ControlSchedule
+    reference: ReferenceTrajectory | None = None
 
     @property
     def scaling(self) -> np.ndarray:
@@ -287,10 +318,29 @@ def _composed_segment(y, scalars, accel_of, t0: float, t1: float,
     return compose(flow, [c - r for c, r in zip(y, ref)] + list(scalars))
 
 
+def _start_state(event: ConjunctionEvent, schedule: ControlSchedule,
+                 config: PropagationConfig,
+                 fixed_impulses: Sequence[tuple[float, np.ndarray]] = ()
+                 ) -> tuple[float, tuple]:
+    """(epoch, internal-unit state) at the first control event of
+    ``schedule`` and ``fixed_impulses``. The trajectory is ballistic
+    before it, so the state comes from back-propagating the
+    closest-approach state."""
+    epoch = min([schedule.node_epochs[0], *(float(t) for t, _ in fixed_impulses)])
+    scale, model_nd = _to_internal_units(event)
+    y = [*(event.primary.r / scale.length_km),
+         *(event.primary.v / scale.velocity_kms)]
+    y = propagate_vector(y, (0.0, 0.0, 0.0), 0.0, epoch / scale.time_s,
+                         model_nd, config)
+    return epoch, tuple(y)
+
+
 def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
-                       config: PropagationConfig, controls, control_unit: float,
+                       config: PropagationConfig, start: tuple[float, tuple],
+                       controls, control_unit: float,
                        fixed_impulses: Sequence[tuple[float, np.ndarray]] = ()):
-    """Propagate the primary from the first node to closest approach.
+    """Propagate the primary from the first control event to closest
+    approach, starting from ``start`` (see :func:`_start_state`).
 
     One arithmetic pipeline serves both DA map construction and the real
     replay. ``controls[slot]`` holds the control scalars of one slot
@@ -323,17 +373,12 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
         timeline.append((float(t), "fixed", np.asarray(dv, dtype=np.float64)))
     timeline.sort(key=lambda item: (item[0], 0 if item[1] == "fixed" else 1))
 
-    t_first = timeline[0][0]
-    # The trajectory is ballistic before the first control event, so the
-    # reference there comes from back-propagating the closest-approach state.
-    y = [event.primary.r[0] / scale.length_km,
-         event.primary.r[1] / scale.length_km,
-         event.primary.r[2] / scale.length_km,
-         event.primary.v[0] / v_unit,
-         event.primary.v[1] / v_unit,
-         event.primary.v[2] / v_unit]
-    y = propagate_vector(y, (0.0, 0.0, 0.0), 0.0, t_first / scale.time_s,
-                         model_nd, config)
+    t_first, y = start
+    if t_first != timeline[0][0]:
+        raise ConfigurationError(
+            f"start epoch {t_first} is not the first control event "
+            f"{timeline[0][0]}")
+    y = list(y)
 
     slot_of_node = {}
     for slot, node_idx in enumerate(schedule.control_node_indices()):
@@ -438,14 +483,18 @@ def _relative_bplane_position(y_final, event: ConjunctionEvent,
 def propagate_with_controls(event: ConjunctionEvent, schedule: ControlSchedule,
                             phi_physical: np.ndarray | None,
                             config: PropagationConfig | None = None,
-                            fixed_impulses: Sequence[tuple[float, np.ndarray]] = ()):
+                            fixed_impulses: Sequence[tuple[float, np.ndarray]] = (),
+                            start: tuple[float, tuple] | None = None):
     """Real-valued pipeline: apply physical controls, return encounter data.
 
     ``phi_physical`` is the stacked control vector in m/s (impulsive) or
     m/s^2 (low thrust), one scalar per fixed-direction control or three per
-    free control; None means ballistic. Returns (r_b, node states): the
-    (xi, zeta) position in km on ``event.bplane`` at closest approach, and
-    the reference state at each node.
+    free control; None means ballistic. ``start`` is the back-propagated
+    state at the first control event, as held by
+    :attr:`ReferenceTrajectory.start`; without it the pass back-propagates
+    first. Returns (r_b, node states): the (xi, zeta) position in km on
+    ``event.bplane`` at closest approach, and the reference state at each
+    node.
     """
     config = config or PropagationConfig()
     if phi_physical is None:
@@ -457,26 +506,50 @@ def propagate_with_controls(event: ConjunctionEvent, schedule: ControlSchedule,
             f"({schedule.n_vars},)")
     controls = phi_physical.reshape(schedule.n_controls, -1)
 
-    r_b, node_states = _thread_trajectory(event, schedule, config, controls,
-                                          1.0, fixed_impulses)
+    start = start or _start_state(event, schedule, config, fixed_impulses)
+    r_b, node_states = _thread_trajectory(event, schedule, config, start,
+                                          controls, 1.0, fixed_impulses)
     return np.array(r_b), node_states
+
+
+def reference_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
+                         config: PropagationConfig | None = None,
+                         fixed_impulses: Sequence[tuple[float, np.ndarray]] = (),
+                         start: tuple[float, tuple] | None = None
+                         ) -> ReferenceTrajectory:
+    """The design's reference: one back-propagation to the first control
+    event (skipped when ``start`` already holds it, for instance from a
+    design with the same first event) and one ballistic forward pass."""
+    config = config or PropagationConfig()
+    fixed_impulses = tuple(fixed_impulses)
+    start = start or _start_state(event, schedule, config, fixed_impulses)
+    r_b, node_states = propagate_with_controls(event, schedule, None, config,
+                                               fixed_impulses, start)
+    return ReferenceTrajectory(
+        start=start, fixed_impulses=fixed_impulses, config=config,
+        bplane_km=r_b, node_states=tuple(node_states),
+        ballistic_poc=poc_chan(r_b, event.bplane.p_b, event.hbr_km))
 
 
 def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
                   order: int, config: PropagationConfig | None = None,
-                  fixed_impulses: Sequence[tuple[float, np.ndarray]] = ()
-                  ) -> PocMap:
+                  fixed_impulses: Sequence[tuple[float, np.ndarray]] = (),
+                  start: tuple[float, tuple] | None = None) -> PocMap:
     """Expand collision probability to ``order`` in the stacked controls.
 
-    Perturbation variables ride through the propagation node to node (each
-    node's variables join the state's algebra at that node), the relative
-    position is projected onto the frozen encounter plane, and the
-    probability series is composed on top. The constant part reproduces the
-    ballistic probability of the same (real-arithmetic) pipeline.
+    The design's :func:`reference_trajectory` is computed first (``start``
+    as there). Perturbation variables then ride through the propagation
+    from its start state node to node (each node's variables join the
+    state's algebra at that node), the relative position is projected
+    onto the frozen encounter plane, and the probability series is
+    composed on top. The map carries the reference, whose ballistic
+    probability the constant part matches to rounding.
     """
     if order < 1:
         raise ConfigurationError(f"expansion order must be >= 1, got {order}")
     config = config or PropagationConfig()
+    reference = reference_trajectory(event, schedule, config, fixed_impulses,
+                                     start)
 
     # each slot's variables live in the algebra of the slots up to it
     width = schedule.n_vars // schedule.n_controls
@@ -484,14 +557,11 @@ def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
                                       width * s + k) for k in range(width)]
                  for s in range(schedule.n_controls)]
 
-    r_b, _ = _thread_trajectory(event, schedule, config, variables,
-                                schedule.unit, fixed_impulses)
+    r_b, _ = _thread_trajectory(event, schedule, config, reference.start,
+                                variables, schedule.unit, fixed_impulses)
     poly = poc_chan(r_b, event.bplane.p_b, event.hbr_km)
-
-    r_b_ref, _ = propagate_with_controls(event, schedule, None, config,
-                                         fixed_impulses)
-    ballistic_poc = poc_chan(r_b_ref, event.bplane.p_b, event.hbr_km)
-    return PocMap(poly=poly, ballistic_poc=ballistic_poc, schedule=schedule)
+    return PocMap(poly=poly, ballistic_poc=reference.ballistic_poc,
+                  schedule=schedule, reference=reference)
 
 
 def gradient_norm_per_node(event: ConjunctionEvent, candidate_times,
@@ -517,8 +587,9 @@ def gradient_norm_per_node(event: ConjunctionEvent, candidate_times,
     in the candidate's control variables comes from the complex-step
     derivative (Squire & Trapp, "Using complex variables to estimate
     derivatives of real functions", SIAM Review 40, 1998). The real
-    pipeline runs once per variable with that variable set to ``1j * h``
-    and the others to zero, and ``Im(xi, zeta) / h`` is one column, exact
+    pipeline runs once per variable, from the candidate's one
+    back-propagated start, with that variable set to ``1j * h`` and the
+    others to zero, and ``Im(xi, zeta) / h`` is one column, exact
     to rounding because nothing is subtracted. The norm is that of
     dPoC/d(xi, zeta) · J, the first factor from one order-1 series
     evaluation at the real part of (xi, zeta).
@@ -534,11 +605,12 @@ def gradient_norm_per_node(event: ConjunctionEvent, candidate_times,
         return [(t, norms[t]) for t in candidate_times]
     out = []
     for t, single in zip(candidate_times, singles):
+        start = _start_state(event, single, config)
         columns = []
         for j in range(single.n_vars):
             scalars = [1j * _COMPLEX_STEP if k == j else 0.0
                        for k in range(single.n_vars)]
-            (xi, zeta), _ = _thread_trajectory(event, single, config,
+            (xi, zeta), _ = _thread_trajectory(event, single, config, start,
                                                [scalars], single.unit)
             columns.append((xi.imag / _COMPLEX_STEP, zeta.imag / _COMPLEX_STEP))
         # every leg shares the real part: the ballistic encounter position

@@ -450,10 +450,14 @@ def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
     ranked_times = _ranked_epochs(event, dense_times, template, prop_config)
 
     saturated: list[tuple[float, np.ndarray]] = []
+    # maps whose first control event is the same share its back-propagation
+    starts: dict[float, tuple] = {}
     for t in ranked_times:
+        first = min([t, *(s for s, _ in saturated)])
         pmap = build_poc_map(event, template.retimed([t]),
-                             order=config.max_order,
-                             config=prop_config, fixed_impulses=saturated)
+                             order=config.max_order, config=prop_config,
+                             fixed_impulses=saturated, start=starts.get(first))
+        starts[first] = pmap.reference.start
         sol = solve_recursive(pmap, config)
         dv = np.asarray(sol.per_node_dv_ms[0])
         magnitude = float(np.linalg.norm(dv))
@@ -470,7 +474,7 @@ def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
     # the grid is never empty here: ranking rejects an empty one
     r_b, _ = propagate_with_controls(
         event, template.retimed(ranked_times[-1:]), None, prop_config,
-        fixed_impulses=saturated)
+        fixed_impulses=saturated, start=starts.get(min(ranked_times)))
     residual_poc = poc_chan(r_b, event.bplane.p_b, event.hbr_km)
     raise InfeasibleWithBoundError(
         f"all {len(ranked_times)} nodes saturated at {u_max_ms} m/s with "

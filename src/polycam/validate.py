@@ -1,9 +1,9 @@
 """Independent nonlinear validation of solved maneuvers.
 
 Solutions are replayed through the real-valued propagation pipeline (no
-polynomials) and the collision probability is recomputed at closest
-approach, with the series value cross-checked against the quadrature
-oracle.
+polynomials) from the design's reference trajectory, and the collision
+probability is recomputed at closest approach, with the series value
+cross-checked against the quadrature oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import numpy as np
 from .conjunction import ConjunctionEvent, poc_chan, poc_quadrature
 from .dynamics import PropagationConfig
 from .errors import ConfigurationError
-from .mapbuilder import ControlSchedule, PocMap, propagate_with_controls
+from .mapbuilder import (ControlSchedule, PocMap, propagate_with_controls,
+                         reference_trajectory)
 
 __all__ = ["ValidationReport", "validate_solution"]
 
@@ -51,19 +52,31 @@ def validate_solution(event: ConjunctionEvent, schedule: ControlSchedule,
     """Replay ``phi_physical`` through the real pipeline and grade it.
 
     ``phi_physical`` stacks the controls in m/s (impulsive) or m/s^2
-    (low thrust); the zero vector reproduces the ballistic probability
-    through the identical code path, and the report carries that
-    ballistic probability too. When the map that produced the solution is
-    supplied, the report carries the mismatch between its prediction and
-    the validated probability.
+    (low thrust). The report carries the ballistic probability and
+    encounter point of the design's :class:`ReferenceTrajectory`, and the
+    maneuvered replay starts from that reference's back-propagated state,
+    so the zero vector reproduces the ballistic figures exactly. When the
+    map that produced the solution is supplied, its reference serves (no
+    second ballistic pass), and the report carries the mismatch between
+    the map's prediction and the validated probability. Such a map must
+    have been built on ``schedule``'s epochs with the same propagation
+    config.
     """
+    config = config or PropagationConfig()
     phi_physical = np.asarray(phi_physical, dtype=np.float64)
+    reference = pmap.reference if pmap is not None else None
+    if reference is None:
+        reference = reference_trajectory(event, schedule, config)
+    elif (reference.config != config
+          or pmap.schedule.node_epochs != schedule.node_epochs):
+        raise ConfigurationError(
+            "the map was built for other node epochs or another "
+            "propagation config")
     r_b_after, _ = propagate_with_controls(event, schedule, phi_physical,
-                                           config)
-    r_b_before, _ = propagate_with_controls(event, schedule, None, config)
+                                           config, reference.fixed_impulses,
+                                           reference.start)
 
     validated = poc_chan(r_b_after, event.bplane.p_b, event.hbr_km)
-    ballistic = poc_chan(r_b_before, event.bplane.p_b, event.hbr_km)
     oracle = poc_quadrature(r_b_after, event.bplane.p_b, event.hbr_km)
     if validated > 0.0 and oracle > 0.0:
         agree = abs(validated - oracle) / oracle <= _CROSS_CHECK_REL
@@ -80,12 +93,12 @@ def validate_solution(event: ConjunctionEvent, schedule: ControlSchedule,
     per_node_dv, dv_total = schedule.delta_v(phi_physical)
     return ValidationReport(
         validated_poc=validated,
-        ballistic_poc=ballistic,
+        ballistic_poc=reference.ballistic_poc,
         poc_log_error=log_error,
         dv_total_ms=dv_total,
         per_node_dv_ms=per_node_dv,
         map_residual=map_residual,
-        bplane_before_km=r_b_before,
+        bplane_before_km=reference.bplane_km,
         bplane_after_km=r_b_after,
         chan_quadrature_agree=agree,
     )

@@ -1,0 +1,79 @@
+"""Result digests of the benchmark designs, for "same answers" checks.
+
+Runs every design of the given benchmark workloads and seeds through
+``polycam.cli.run_scenario`` in this process and prints one line per
+design: workload, seed, index, label, exit code and the SHA-256 of the
+result JSON without its timing fields (``wall_time_s`` and
+``solve_wall_time_s``). The design lists are those of
+``perfbench/workloads.py`` at its run length, read as they are. Run it on
+two trees and compare the outputs::
+
+    python tests/replay_digests.py > after.txt
+    python tests/replay_digests.py --workload single_impulse --seed 7
+
+The defaults cover the three workloads at seeds 2406 and 301-303. The
+polycam package is imported from ``src/`` next to this file, and the
+workloads from ``perfbench/``. The file name keeps pytest from collecting
+it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIMING_FIELDS = ("wall_time_s", "solve_wall_time_s")
+DEFAULT_SEEDS = (2406, 301, 302, 303)
+# the benchmark's run length: each workload's design count follows from it
+RUN_SECONDS = 25.0
+
+
+def _strip_timing(value):
+    if isinstance(value, dict):
+        return {k: _strip_timing(v) for k, v in value.items()
+                if k not in TIMING_FIELDS}
+    if isinstance(value, list):
+        return [_strip_timing(v) for v in value]
+    return value
+
+
+def digest(payload: dict) -> str:
+    """SHA-256 of the sorted-key result JSON without timing fields."""
+    text = json.dumps(_strip_timing(payload), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--workload", action="append",
+                        help="workload name (repeatable; default: all)")
+    parser.add_argument("--seed", type=int, action="append",
+                        help="seed (repeatable; default: 2406 301 302 303)")
+    args = parser.parse_args(argv)
+
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+    from polycam.cli import build_parser, run_scenario
+    from workloads import WORKLOADS
+
+    names = args.workload or list(WORKLOADS)
+    seeds = args.seed or list(DEFAULT_SEEDS)
+    cli = build_parser()
+    for name in names:
+        workload = WORKLOADS[name]
+        for seed in seeds:
+            designs = workload.build(seed, workload.count(RUN_SECONDS))
+            for index, design in enumerate(designs):
+                parsed = cli.parse_args(
+                    ["run", f"{design.label}.json", *design.argv])
+                code, payload = run_scenario(design.doc, parsed)
+                print(f"{name} {seed} {index} {design.label} {code} "
+                      f"{digest(payload)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -340,6 +340,33 @@ class TestRunCommand:
         assert code == 0
         assert len(list(results.glob("*.result.json"))) == 2
 
+    def test_bplane_csv_with_several_scenarios_exit_2(self, tmp_path, capsys):
+        # one CSV would keep only the last scenario's rows
+        gen_dir = tmp_path / "cases"
+        run_cli(["generate", "--seed", "12", "--count", "2", "--regime",
+                 "LEO", *BAND, "--out-dir", str(gen_dir)])
+        capsys.readouterr()
+        files = sorted(str(p) for p in gen_dir.glob("*.json"))
+        csv = tmp_path / "b.csv"
+        code = run_cli(["run", *files, "--bplane-csv", str(csv)])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["class"] == "parse"
+        assert "--bplane-csv" in payload["error"]["message"]
+        assert not csv.exists()
+
+    def test_out_with_out_dir_exit_2(self, scenario_file, tmp_path, capsys):
+        # the result went to the directory and --out was never written
+        out = tmp_path / "one.json"
+        results = tmp_path / "dir"
+        code = run_cli(["run", str(scenario_file), "--out", str(out),
+                        "--out-dir", str(results)])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["class"] == "parse"
+        assert "--out-dir" in payload["error"]["message"]
+        assert not out.exists() and not results.exists()
+
     def test_console_entry_point(self, scenario_file):
         # the child finds the package where this process imported it from
         src = os.path.dirname(os.path.dirname(polycam.__file__))

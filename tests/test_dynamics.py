@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from polycam import dynamics as dyn
-from polycam.dapoly import AlgebraConfig, TaylorPoly
+from polycam.dapoly import AlgebraConfig, TaylorPoly, generic_power
 from polycam.errors import FrameError
 from polycam.mapbuilder import _to_internal_units
 from polycam.scenarios import generate_synthetic_suite, scenario_to_event
@@ -347,6 +347,111 @@ class TestBlockPath:
             with pytest.raises(dyn.PropagationError) as err:
                 dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, 60.0, model)
         assert err.value.time is not None
+
+
+def untrimmed_kepler_j2(y, u, mu, r_e, j2):
+    """The Earth-orbit kernel with its identity terms: the J2 factors are
+    1.0 under Kepler, and a coast adds the zero control."""
+    x, yy, z, vx, vy, vz = y
+    z2 = z * z
+    r2 = x * x + yy * yy + z2
+    common = -mu * generic_power(r2, -1.5)
+    if j2 != 0.0:
+        inv_r2 = generic_power(r2, -1.0) if isinstance(r2, TaylorPoly) else 1.0 / r2
+        k_j2 = (1.5 * j2 * r_e * r_e) * inv_r2
+        five_z2_over_r2 = 5.0 * (z2 * inv_r2)
+        plane = 1.0 + k_j2 * (1.0 - five_z2_over_r2)
+        axial = 1.0 + k_j2 * (3.0 - five_z2_over_r2)
+    else:
+        plane = 1.0
+        axial = 1.0
+    return (vx, vy, vz, common * x * plane + u[0], common * yy * plane + u[1],
+            common * z * axial + u[2])
+
+
+def untrimmed_cr3bp(y, u, mass_ratio):
+    """The synodic-frame kernel adding the zero control on a coast."""
+    x, yy, z, vx, vy, vz = y
+    mu = mass_ratio
+    xe = x + mu
+    xm = x - (1.0 - mu)
+    yy2 = yy * yy
+    z2 = z * z
+    inv1 = generic_power(xe * xe + yy2 + z2, -1.5)
+    inv2 = generic_power(xm * xm + yy2 + z2, -1.5)
+    gx = -x + (1.0 - mu) * xe * inv1 + mu * xm * inv2
+    gy = -yy + (1.0 - mu) * yy * inv1 + mu * yy * inv2
+    gz = -z + (1.0 - mu) * z * inv1 + mu * z * inv2
+    return (vx, vy, vz, 2.0 * vy - gx + u[0], -2.0 * vx - gy + u[1],
+            -z - gz + u[2])
+
+
+def same_entry(a, b) -> bool:
+    if isinstance(b, TaylorPoly):
+        return isinstance(a, TaylorPoly) and np.array_equal(a.coef, b.coef)
+    return type(a) is type(b) and np.array_equal(a, b)
+
+
+class TestTrimmedKernels:
+    LEO_ND = (0.95, 0.2, 0.15, -0.1, 0.98, 0.12)
+    SYNODIC_STATE = TestBlockPath.SYNODIC_STATE
+    CFG = AlgebraConfig(6, 3)
+
+    def states(self, ref):
+        offsets = np.linspace(-1e-3, 1e-3, 4)
+        return {
+            "float": list(ref),
+            "complex": [c + 1e-20j * (i + 1) for i, c in enumerate(ref)],
+            "batch": [c + offsets * (i + 1) for i, c in enumerate(ref)],
+            "poly": [TaylorPoly.variable(self.CFG, i) * 1e-3 + c
+                     for i, c in enumerate(ref)],
+        }
+
+    @pytest.mark.parametrize("kind", ["float", "complex", "batch", "poly"])
+    @pytest.mark.parametrize("model", [MODEL, MODEL_J2, MODEL_CR3BP],
+                             ids=["kepler", "j2", "cr3bp"])
+    def test_coast_kernels_equal_untrimmed(self, model, kind):
+        zero = (0.0, 0.0, 0.0)
+        if model.kind == dyn.CR3BP:
+            y = self.states(self.SYNODIC_STATE)[kind]
+            trimmed = dyn._kernel_cr3bp(y, None, model.mass_ratio)
+            full = untrimmed_cr3bp(y, zero, model.mass_ratio)
+        else:
+            y = self.states(self.LEO_ND)[kind]
+            j2 = model.j2 if model.kind == dyn.J2 else 0.0
+            trimmed = dyn._kernel_kepler_j2(y, None, 1.0, 0.9, j2)
+            full = untrimmed_kepler_j2(y, zero, 1.0, 0.9, j2)
+        assert all(same_entry(a, b) for a, b in zip(trimmed, full))
+
+    @pytest.mark.parametrize("kind", ["float", "complex", "batch", "poly"])
+    @pytest.mark.parametrize("model", [MODEL, MODEL_J2, MODEL_CR3BP],
+                             ids=["kepler", "j2", "cr3bp"])
+    def test_coast_propagation_equals_untrimmed(self, monkeypatch, model,
+                                                kind):
+        ref, span = ((self.SYNODIC_STATE, 0.2) if model.kind == dyn.CR3BP
+                     else (TestBlockPath.LEO, 600.0))
+        scale = 1e-4 if model.kind == dyn.CR3BP else 1e-2
+        y0 = self.states(ref)[kind]
+        if kind == "poly":
+            y0 = poly_state(ref, scale)
+        config = dyn.PropagationConfig(steps=3)
+        trimmed = dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, span, model,
+                                       config)
+        zero = (0.0, 0.0, 0.0)
+        monkeypatch.setattr(dyn, "_kernel_kepler_j2",
+                            lambda y, u, *a: untrimmed_kepler_j2(y, u or zero, *a))
+        monkeypatch.setattr(dyn, "_kernel_cr3bp",
+                            lambda y, u, *a: untrimmed_cr3bp(y, u or zero, *a))
+        full = dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, span, model,
+                                    config)
+        assert all(same_entry(a, b) for a, b in zip(trimmed, full))
+
+    def test_only_a_real_zero_control_is_a_coast(self):
+        y = list(self.LEO_ND)
+        for u in [(1e-6, 0.0, 0.0), (0j, 0.0, 0.0)]:
+            with_u = dyn._derivative_fn(MODEL, u)(y)
+            full = untrimmed_kepler_j2(y, u, MODEL.mu, MODEL.r_e, 0.0)
+            assert all(same_entry(a, b) for a, b in zip(with_u, full))
 
 
 class TestRtnRotation:

@@ -6,6 +6,7 @@ import pytest
 
 from polycam import dynamics as dyn
 from polycam import mapbuilder, solver
+from polycam.cli import build_parser, run_scenario
 from polycam.conjunction import poc_chan
 from polycam.dapoly import AlgebraConfig, TaylorPoly
 from polycam.errors import ConfigurationError
@@ -16,6 +17,8 @@ from polycam.mapbuilder import (ACCEL_REF_MS2, ControlSchedule,
                                 gradient_norm_per_node,
                                 propagate_with_controls)
 from polycam.scenarios import generate_synthetic_suite, scenario_to_event
+from polycam.solver import SolverConfig, solve_recursive
+from polycam.validate import validate_solution
 
 
 class TestControlSchedule:
@@ -111,6 +114,114 @@ class TestBallisticReference:
         np.testing.assert_allclose(nodes[0].r, -nodes[1].r,
                                    atol=1e-6 * radius)
         np.testing.assert_allclose(nodes[0].v, -nodes[1].v, atol=1e-9)
+
+
+def count_propagations(monkeypatch):
+    """Counts of mapbuilder's ``propagate_vector`` calls by scalar kind,
+    and of those made inside node ranking."""
+    calls = {"poly": 0, "float": 0, "ranking": 0}
+    ranking = [False]
+    propagate, rank = mapbuilder.propagate_vector, solver.gradient_norm_per_node
+
+    def counted(y0, *args, **kwargs):
+        poly = any(isinstance(c, TaylorPoly) for c in y0)
+        calls["poly" if poly else "float"] += 1
+        calls["ranking"] += ranking[0]
+        return propagate(y0, *args, **kwargs)
+
+    def ranked(*args, **kwargs):
+        ranking[0] = True
+        try:
+            return rank(*args, **kwargs)
+        finally:
+            ranking[0] = False
+
+    monkeypatch.setattr(mapbuilder, "propagate_vector", counted)
+    monkeypatch.setattr(solver, "gradient_norm_per_node", ranked)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def leo_doc():
+    return generate_synthetic_suite(2406, 1, "LEO", poc_band=(1.5e-6, 4e-6))[0]
+
+
+def run_design(doc, *flags):
+    args = build_parser().parse_args(["run", "case.json", "--order", "5",
+                                      *flags])
+    return run_scenario(doc, args)
+
+
+class TestReferenceTrajectory:
+    def test_single_impulse_design_makes_four_propagations(self, monkeypatch,
+                                                           leo_doc):
+        # one back-propagation, one ballistic pass, the polynomial pass and
+        # the maneuvered replay
+        calls = count_propagations(monkeypatch)
+        code, _ = run_design(leo_doc, "--nodes", "0.5orb")
+        assert code == 0
+        assert calls["poly"] == 1
+        assert calls["poly"] + calls["float"] <= 4
+
+    def test_filter_grid_design_makes_four_beyond_ranking(self, monkeypatch,
+                                                          leo_doc):
+        calls = count_propagations(monkeypatch)
+        code, _ = run_design(leo_doc, "--filter-grid",
+                             "0.5orb,0.75orb,1orb,1.5orb", "--filter-keep", "1")
+        assert code == 0
+        assert calls["ranking"] >= 1
+        assert calls["poly"] + calls["float"] - calls["ranking"] <= 4
+
+    @pytest.mark.parametrize("nodes", [("0.5orb",), ("1.5orb", "0.5orb")],
+                             ids=["one", "two"])
+    def test_validation_equals_fresh_replays(self, nodes, leo_doc):
+        event = scenario_to_event(leo_doc)
+        period = dyn.osculating_period(event.primary, event.dynamics)
+        sched = ControlSchedule(mode=IMPULSIVE, node_epochs=tuple(
+            -float(n[:-3]) * period for n in nodes))
+        pmap = build_poc_map(event, sched, order=3)
+        solution = solve_recursive(pmap, SolverConfig(max_order=3))
+        report = validate_solution(event, sched, solution.phi, 1e-6,
+                                   pmap=pmap)
+        before, _ = propagate_with_controls(event, sched, None)
+        after, _ = propagate_with_controls(event, sched, solution.phi)
+        assert report.ballistic_poc == poc_chan(before, event.bplane.p_b,
+                                                event.hbr_km)
+        assert np.array_equal(report.bplane_before_km, before)
+        assert np.array_equal(report.bplane_after_km, after)
+        # without the map, validation builds the same reference itself
+        alone = validate_solution(event, sched, solution.phi, 1e-6)
+        assert alone.ballistic_poc == report.ballistic_poc
+        assert np.array_equal(alone.bplane_after_km, after)
+
+    def test_reference_holds_the_ballistic_pass(self, leo_event, leo_period):
+        sched = ControlSchedule(mode=IMPULSIVE,
+                                node_epochs=(-leo_period, -0.5 * leo_period))
+        fixed = [(-0.75 * leo_period, np.array([0.0, 0.01, 0.0]))]
+        ref = mapbuilder.reference_trajectory(leo_event, sched,
+                                              fixed_impulses=fixed)
+        assert ref.start[0] == -leo_period
+        r_b, nodes = propagate_with_controls(leo_event, sched, None,
+                                             fixed_impulses=fixed)
+        assert np.array_equal(ref.bplane_km, r_b)
+        for a, b in zip(ref.node_states, nodes):
+            assert np.array_equal(a.r, b.r) and np.array_equal(a.v, b.v)
+        assert build_poc_map(leo_event, sched, 1, fixed_impulses=fixed,
+                             start=ref.start).ballistic_poc == ref.ballistic_poc
+
+    def test_start_from_another_epoch_is_refused(self, leo_event, leo_period):
+        sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-leo_period,))
+        start = mapbuilder.reference_trajectory(
+            leo_event, sched.retimed([-0.5 * leo_period])).start
+        with pytest.raises(ConfigurationError):
+            propagate_with_controls(leo_event, sched, None, start=start)
+
+    def test_map_of_another_config_is_refused(self, leo_event, leo_period):
+        sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * leo_period,))
+        pmap = build_poc_map(leo_event, sched, 1,
+                             config=dyn.PropagationConfig(steps=50))
+        with pytest.raises(ConfigurationError):
+            validate_solution(leo_event, sched, np.zeros(3), 1e-6, pmap=pmap)
 
 
 class TestBuildPocMap:

@@ -360,6 +360,27 @@ class TestThrustLimited:
         report = validate_solution(event, bounded.schedule, bounded.phi, 1e-6)
         assert report.poc_log_error <= 0.1
 
+    def test_maps_with_one_first_epoch_share_its_back_propagation(
+            self, tangential_event, monkeypatch):
+        from polycam import mapbuilder
+        period = dyn.osculating_period(tangential_event.primary,
+                                       tangential_event.dynamics)
+        epochs = []
+        start_state = mapbuilder._start_state
+
+        def recorded(event, schedule, config, fixed_impulses=()):
+            start = start_state(event, schedule, config, fixed_impulses)
+            epochs.append(start[0])
+            return start
+
+        monkeypatch.setattr(mapbuilder, "_start_state", recorded)
+        grid = [-2.5 * period, -1.5 * period, -0.5 * period]
+        # every node saturates: three maps, then the residual replay
+        with pytest.raises(InfeasibleWithBoundError):
+            solve_thrust_limited(tangential_event, grid, u_max_ms=1e-9,
+                                 config=SolverConfig(max_order=1))
+        assert epochs and len(epochs) == len(set(epochs))
+
     def test_reports_convergence_of_every_order(self, tangential_event):
         period = dyn.osculating_period(tangential_event.primary,
                                        tangential_event.dynamics)
