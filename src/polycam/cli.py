@@ -24,10 +24,9 @@ import numpy as np
 from .dynamics import CR3BP, DynamicsModel, PropagationConfig, osculating_period
 from .errors import (ConfigurationError, CovarianceError,
                      DegenerateGradientError, DomainError, FrameError,
-                     GeometryError, GenerationError, InfeasibleError,
-                     InfeasibleWithBoundError, NonConvergenceError,
-                     NumericError, PolycamError, PropagationError,
-                     ScenarioParseError, ValidationError)
+                     GeometryError, GenerationError, InfeasibleWithBoundError,
+                     NonConvergenceError, NumericError, PolycamError,
+                     PropagationError, ScenarioParseError, ValidationError)
 from .mapbuilder import ControlSchedule, IMPULSIVE, LOW_THRUST, build_poc_map
 from .scenarios import (_DYNAMICS_KINDS, DEFAULT_POC_BAND,
                         generate_synthetic_suite, parse_scenario,
@@ -50,8 +49,7 @@ _ERROR_CLASSES = [
       GenerationError, FrameError), "validation", EXIT_VALIDATION),
     ((NonConvergenceError, DegenerateGradientError, NumericError,
       PropagationError, DomainError), "non-convergence", EXIT_NONCONVERGENCE),
-    ((InfeasibleWithBoundError, InfeasibleError), "infeasible-with-bound",
-     EXIT_INFEASIBLE),
+    ((InfeasibleWithBoundError,), "infeasible-with-bound", EXIT_INFEASIBLE),
 ]
 
 _FIXED_DIR_ALIASES = {
@@ -142,46 +140,60 @@ def _real(value) -> float:
 
 
 # Run options: scenario ``defaults`` key -> (flag attribute, converter,
-# fallback). A fallback of None leaves the option unset; unset nodes take
-# the regime's default.
+# fallback, help). The ``run`` flags are generated from this table, so a
+# flag value and a default go through one converter. A fallback of None
+# leaves the option unset; unset nodes take the regime's default.
 _OPTIONS = {
     "dynamics": ("dyn", lambda name: DynamicsModel(kind=_DYNAMICS_KINDS[name]),
-                 None),
-    "mode": ("mode", _MODES.__getitem__, IMPULSIVE),
-    "nodes": ("nodes", _tokens, None),
-    "fixed_dir": ("fixed_dir", _fixed_direction, None),
-    "order": ("order", _integer, 5),
-    "target_poc": ("target_poc", _real, 1e-6),
-    "etol": ("etol", _real, 1e-10),
-    "max_iter": ("max_iter", _integer, 200),
-    "steps": ("steps", _integer, 100),
-    "umax": ("umax", _real, None),
-    "filter_grid": ("filter_grid", _tokens, None),
-    "filter_keep": ("filter_keep", _integer, 1),
+                 None, "kepler|j2|cr3bp: override the scenario dynamics"),
+    "mode": ("mode", _MODES.__getitem__, IMPULSIVE,
+             "impulse|lowthrust (default impulse)"),
+    "nodes": ("nodes", _tokens, None,
+              "comma list: seconds before closest approach, or orbit "
+              "fractions like 0.5orb"),
+    "fixed_dir": ("fixed_dir", _fixed_direction, None,
+                  "tangential|radial|normal or r,t,n components"),
+    "order": ("order", _integer, 5, "expansion order (default 5)"),
+    "target_poc": ("target_poc", _real, 1e-6,
+                   "target collision probability (default 1e-6)"),
+    "etol": ("etol", _real, 1e-10, "iteration tolerance (default 1e-10)"),
+    "max_iter": ("max_iter", _integer, 200,
+                 "iteration budget per order (default 200)"),
+    "steps": ("steps", _integer, 100,
+              "integrator steps per segment (default 100)"),
+    "umax": ("umax", _real, None, "per-node impulse bound in m/s"),
+    "filter_grid": ("filter_grid", _tokens, None,
+                    "comma list of candidate epochs to rank"),
+    "filter_keep": ("filter_keep", _integer, 1,
+                    "ranked epochs to keep (default 1)"),
 }
+
+
+def _flag(attr: str) -> str:
+    return "--" + attr.replace("_", "-")
 
 
 def _resolve_options(args: argparse.Namespace, defaults: dict) -> dict:
     """Every run option: a flag wins, then the scenario's defaults, then
     the fallback. An unknown or null default, or a value that does not
-    convert, is a parse error naming its key."""
+    convert, is a parse error naming its flag or key."""
     for key in defaults:
         if key not in _OPTIONS:
             raise ScenarioParseError(f"unknown defaults key {key!r}")
     options = {}
-    for key, (flag, convert, fallback) in _OPTIONS.items():
-        value = getattr(args, flag, None)
-        if value is None and key not in defaults:
-            options[key] = fallback
-            continue
+    for key, (attr, convert, fallback, _) in _OPTIONS.items():
+        value, source = getattr(args, attr, None), _flag(attr)
         if value is None:
-            value = defaults[key]
+            if key not in defaults:
+                options[key] = fallback
+                continue
+            value, source = defaults[key], key
             if value is None:
                 raise ScenarioParseError(f"defaults key {key!r} is null")
         try:
             options[key] = convert(value)
         except (TypeError, ValueError, KeyError) as exc:
-            raise ScenarioParseError(f"bad {key} value {value!r}") from exc
+            raise ScenarioParseError(f"bad {source} value {value!r}") from exc
     return options
 
 
@@ -304,23 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="solve one or more scenario files")
     run.add_argument("scenarios", nargs="+", help="scenario JSON files")
-    run.add_argument("--order", type=int, help="expansion order (default 5)")
-    run.add_argument("--mode", choices=["impulse", "lowthrust"])
-    run.add_argument("--nodes", help="comma list: seconds before closest "
-                                     "approach, or orbit fractions like 0.5orb")
-    run.add_argument("--target-poc", dest="target_poc", type=float)
-    run.add_argument("--etol", type=float)
-    run.add_argument("--max-iter", dest="max_iter", type=int)
-    run.add_argument("--umax", type=float,
-                     help="per-node impulse bound in m/s")
-    run.add_argument("--fixed-dir", dest="fixed_dir",
-                     help="tangential|radial|normal or r,t,n components")
-    run.add_argument("--filter-grid", dest="filter_grid",
-                     help="comma list of candidate epochs to rank")
-    run.add_argument("--filter-keep", dest="filter_keep", type=int)
-    run.add_argument("--dyn", choices=list(_DYNAMICS_KINDS))
-    run.add_argument("--steps", type=int,
-                     help="integrator steps per segment (default 100)")
+    for attr, _, _, text in _OPTIONS.values():
+        run.add_argument(_flag(attr), help=text)
     run.add_argument("--out", help="result JSON path (single scenario)")
     run.add_argument("--out-dir", dest="out_dir",
                      help="directory for result files (batch)")
@@ -339,10 +336,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _result_path(args: argparse.Namespace, path: str) -> str | None:
+    """Where the result of the scenario file ``path`` goes: ``--out``, or
+    its file stem under ``--out-dir``; None prints it."""
+    if args.out_dir:
+        stem = os.path.splitext(os.path.basename(path))[0]
+        return os.path.join(args.out_dir, f"{stem}.result.json")
+    return args.out
+
+
 def _output_conflict(args: argparse.Namespace) -> str | None:
     """Why the output flags would lose output, or None: one result file
-    or one CSV cannot hold several scenarios, and ``--out`` and
-    ``--out-dir`` would name two places for one result."""
+    or one CSV cannot hold several scenarios, ``--out`` and ``--out-dir``
+    would name two places for one result, and two scenario files with
+    one stem would share one result file under ``--out-dir``."""
     several = len(args.scenarios) > 1
     if args.out and args.out_dir:
         return "--out and --out-dir exclude each other"
@@ -350,6 +357,14 @@ def _output_conflict(args: argparse.Namespace) -> str | None:
         return "--out only applies to a single scenario; use --out-dir"
     if args.bplane_csv and several:
         return "--bplane-csv only applies to a single scenario"
+    if args.out_dir:
+        seen = set()
+        for path in args.scenarios:
+            out_path = _result_path(args, path)
+            if out_path in seen:
+                return (f"--out-dir would write two results to {out_path}; "
+                        f"scenario file names must differ")
+            seen.add(out_path)
     return None
 
 
@@ -369,10 +384,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             code, payload = run_scenario(doc, args)
         text = json.dumps(payload, indent=2, sort_keys=True)
         if code == EXIT_OK:
-            out_path = args.out
-            if args.out_dir:
-                stem = os.path.splitext(os.path.basename(path))[0]
-                out_path = os.path.join(args.out_dir, f"{stem}.result.json")
+            out_path = _result_path(args, path)
             if out_path:
                 os.makedirs(os.path.dirname(os.path.abspath(out_path)),
                             exist_ok=True)

@@ -163,11 +163,6 @@ def _check_pd_2x2(p_b: np.ndarray) -> None:
         raise CovarianceError("projected covariance is not positive definite")
 
 
-def _mahalanobis_sq(r_b: np.ndarray, p_b: np.ndarray) -> float:
-    sol = np.linalg.solve(p_b, r_b)
-    return float(r_b @ sol)
-
-
 def poc_quadrature(r_b, p_b, hbr: float) -> float:
     """Reference collision probability by adaptive polar quadrature.
 

@@ -119,8 +119,8 @@ class PropagationConfig:
 
 # ---------------------------------------------------------------------------
 # Fehlberg 13-stage 7(8) tableau, combined with the 7th-order weights.
-# Stages that cannot influence that combination are skipped (stages 11 and
-# 12 only feed the 8th-order weights of the embedded pair).
+# Stages 11 and 12 only feed the 8th-order weights of the embedded pair, so
+# the 7th-order combination needs stages 0-10 alone.
 # ---------------------------------------------------------------------------
 
 def _fehlberg_78():
@@ -153,26 +153,11 @@ def _fehlberg_78():
 _BETA, _W7 = _fehlberg_78()
 
 
-def _stage_plan(weights: list[float]):
-    """Stages needed to form the weighted combination, plus sparse beta rows."""
-    needed = {k for k, w in enumerate(weights) if w != 0.0}
-    # close under dependencies (explicit lower-triangular tableau)
-    changed = True
-    while changed:
-        changed = False
-        for k in sorted(needed):
-            for l, b in enumerate(_BETA[k]):
-                if b != 0.0 and l not in needed:
-                    needed.add(l)
-                    changed = True
-    stages = sorted(needed)
-    rows = {k: [(l, _BETA[k][l]) for l in range(k) if _BETA[k][l] != 0.0]
-            for k in stages}
-    wsel = [(k, weights[k]) for k in stages if weights[k] != 0.0]
-    return stages, rows, wsel
-
-
-_STAGES, _ROWS, _WSEL = _stage_plan(_W7)
+_STAGES = tuple(range(11))
+# the nonzero entries: (earlier stage, beta) per stage, (stage, weight)
+_ROWS = {k: [(l, b) for l, b in enumerate(_BETA[k]) if b != 0.0]
+         for k in _STAGES}
+_WSEL = [(k, w) for k, w in enumerate(_W7) if w != 0.0]
 
 
 # ---------------------------------------------------------------------------

@@ -69,14 +69,6 @@ class InfeasibleWithBoundError(PolycamError):
         self.residual_poc = residual_poc
 
 
-class InfeasibleError(PolycamError):
-    """Search found no candidate meeting the target within its radius."""
-
-    def __init__(self, message: str, best_poc: float | None = None):
-        super().__init__(message)
-        self.best_poc = best_poc
-
-
 class GenerationError(PolycamError):
     """Synthetic scenario rejection sampling exhausted its attempts."""
 

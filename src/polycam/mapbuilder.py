@@ -290,6 +290,13 @@ def _to_internal_units(event: ConjunctionEvent):
     return scale, replace(model, mu=1.0, r_e=model.r_e / scale.length_km)
 
 
+def _closest_approach_state(event: ConjunctionEvent, scale: UnitScale):
+    """The primary's position and velocity at closest approach, in
+    internal units."""
+    return (event.primary.r / scale.length_km,
+            event.primary.v / scale.velocity_kms)
+
+
 def _control_rotation(event: ConjunctionEvent,
                       state: SpacecraftState) -> np.ndarray:
     """Rows of the local control frame at a node of the reference path:
@@ -297,6 +304,19 @@ def _control_rotation(event: ConjunctionEvent,
     if event.dynamics.kind == CR3BP:
         return np.eye(3)
     return rtn_rotation(state)
+
+
+def _node_frame(event: ConjunctionEvent, scale: UnitScale, y,
+                epoch: float) -> tuple[SpacecraftState, np.ndarray]:
+    """The reference state at ``epoch`` in event units and its control
+    rotation, from the internal-unit state ``y``: its constant part when
+    polynomial, its real part otherwise."""
+    ref = [c.constant_part if isinstance(c, TaylorPoly) else float(c.real)
+           for c in y]
+    state = SpacecraftState(r=np.array(ref[:3]) * scale.length_km,
+                            v=np.array(ref[3:]) * scale.velocity_kms,
+                            epoch=epoch, frame=event.primary.frame)
+    return state, _control_rotation(event, state)
 
 
 def _composed_segment(y, scalars, accel_of, t0: float, t1: float,
@@ -328,9 +348,8 @@ def _start_state(event: ConjunctionEvent, schedule: ControlSchedule,
     closest-approach state."""
     epoch = min([schedule.node_epochs[0], *(float(t) for t, _ in fixed_impulses)])
     scale, model_nd = _to_internal_units(event)
-    y = [*(event.primary.r / scale.length_km),
-         *(event.primary.v / scale.velocity_kms)]
-    y = propagate_vector(y, (0.0, 0.0, 0.0), 0.0, epoch / scale.time_s,
+    r, v = _closest_approach_state(event, scale)
+    y = propagate_vector([*r, *v], (0.0, 0.0, 0.0), 0.0, epoch / scale.time_s,
                          model_nd, config)
     return epoch, tuple(y)
 
@@ -384,11 +403,6 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
     for slot, node_idx in enumerate(schedule.control_node_indices()):
         slot_of_node[node_idx] = slot
 
-    def constant_part(value):
-        if isinstance(value, TaylorPoly):
-            return value.constant_part
-        return float(value.real)
-
     # One control unit in internal units. Impulses: m/s -> km/s -> internal
     # velocity; accelerations: m/s^2 -> km/s^2 -> internal acceleration.
     if schedule.mode == IMPULSIVE:
@@ -435,11 +449,7 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
         if t_ev != t_cur:
             y = propagate_segment(y, t_cur, t_ev)
             t_cur = t_ev
-        r_ref = np.array([constant_part(y[k]) for k in range(3)]) * scale.length_km
-        v_ref = np.array([constant_part(y[k + 3]) for k in range(3)]) * v_unit
-        ref_state = SpacecraftState(r=r_ref, v=v_ref, epoch=t_ev,
-                                    frame=event.primary.frame)
-        rot = _control_rotation(event, ref_state)
+        ref_state, rot = _node_frame(event, scale, y, t_ev)
 
         if kind == "fixed":
             dv_nd = (rot.T @ (payload * 1e-3)) / v_unit
@@ -657,9 +667,9 @@ def _primer_norms(event: ConjunctionEvent, times: Sequence[float],
     # the step runs along the unit direction and the size comes back after,
     # so no scale of the gradient underflows the imaginary part
     kick = -_COMPLEX_STEP * lam_r / size
-    y = [*(float(c) for c in event.primary.r / scale.length_km),
-         *(complex(float(c), float(k))
-           for c, k in zip(event.primary.v / v_unit, kick))]
+    r, v = _closest_approach_state(event, scale)
+    y = [*(float(c) for c in r),
+         *(complex(float(c), float(k)) for c, k in zip(v, kick))]
     gain = template.unit * 1e-3 / v_unit * size / _COMPLEX_STEP
     norms = {}
     t_cur = 0.0
@@ -667,12 +677,8 @@ def _primer_norms(event: ConjunctionEvent, times: Sequence[float],
         y = propagate_vector(y, (0.0, 0.0, 0.0), t_cur / scale.time_s,
                              t / scale.time_s, model_nd, config)
         t_cur = t
-        ref_state = SpacecraftState(
-            r=np.array([c.real for c in y[:3]]) * scale.length_km,
-            v=np.array([c.real for c in y[3:]]) * v_unit,
-            epoch=t, frame=event.primary.frame)
-        primer = _control_rotation(event, ref_state) \
-            @ np.array([c.imag for c in y[:3]])
+        _, rot = _node_frame(event, scale, y, t)
+        primer = rot @ np.array([c.imag for c in y[:3]])
         if template.is_fixed_direction:
             primer = template.fixed_direction @ primer
         norms[t] = gain * float(np.linalg.norm(primer))

@@ -367,10 +367,10 @@ def solve_recursive(pmap: PocMap, config: SolverConfig) -> ManeuverSolution:
     order; only the final order is required to converge.
     """
     started = time.perf_counter()
-    n = min(config.max_order, pmap.order)
-    if config.max_order > pmap.order:
+    n = config.max_order
+    if n > pmap.order:
         raise ConfigurationError(
-            f"solver order {config.max_order} exceeds map order {pmap.order}")
+            f"solver order {n} exceeds map order {pmap.order}")
     rho = config.target_poc - pmap.ballistic_poc
     if rho >= 0.0:
         phi = np.zeros(pmap.n_vars)

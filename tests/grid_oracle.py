@@ -12,10 +12,18 @@ import numpy as np
 
 from polycam.conjunction import ConjunctionEvent, poc_chan
 from polycam.dynamics import PropagationConfig, propagate_vector
-from polycam.errors import ConfigurationError, InfeasibleError
+from polycam.errors import ConfigurationError
 from polycam.mapbuilder import (ControlSchedule, IMPULSIVE, _control_rotation,
                                 _relative_bplane_position, _to_internal_units,
                                 propagate_with_controls)
+
+
+class InfeasibleError(Exception):
+    """The grid holds no impulse within its radius that meets the target."""
+
+    def __init__(self, message: str, best_poc: float | None = None):
+        super().__init__(message)
+        self.best_poc = best_poc
 
 
 def _fibonacci_sphere(count: int) -> np.ndarray:

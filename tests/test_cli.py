@@ -367,6 +367,54 @@ class TestRunCommand:
         assert "--out-dir" in payload["error"]["message"]
         assert not out.exists() and not results.exists()
 
+    def test_out_dir_collision_exit_2(self, scenario_file, tmp_path,
+                                      capsys):
+        # both results would be named case.result.json; one would be lost
+        files = []
+        for name in ("x", "y"):
+            (tmp_path / name).mkdir()
+            copy = tmp_path / name / "case.json"
+            copy.write_text(scenario_file.read_text())
+            files.append(str(copy))
+        results = tmp_path / "res"
+        code = run_cli(["run", *files, "--order", "2",
+                        "--out-dir", str(results)])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["class"] == "parse"
+        assert "--out-dir" in payload["error"]["message"]
+        assert not results.exists()
+
+    def test_several_scenarios_exit_with_the_first_failure(self,
+                                                           scenario_file,
+                                                           tmp_path, capsys):
+        doc = json.loads(scenario_file.read_text())
+        doc.setdefault("defaults", {})["order"] = 11
+        out_of_range = tmp_path / "order-11.json"
+        out_of_range.write_text(json.dumps(doc))
+        missing = str(tmp_path / "missing.json")
+        assert run_cli(["run", missing, str(out_of_range)]) == 2
+        assert run_cli(["run", str(out_of_range), missing]) == 3
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("flag, value", [("--order", "abc"),
+                                             ("--steps", "1.5"),
+                                             ("--mode", "foo"),
+                                             ("--dyn", "xyz")])
+    def test_malformed_flag_exit_2(self, scenario_file, capsys, flag, value):
+        # a flag value goes through its option's one converter, as a
+        # scenario default does
+        assert run_cli(["run", str(scenario_file), flag, value]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "error"
+        assert payload["error"]["class"] == "parse"
+        assert flag in payload["error"]["message"]
+
+    def test_out_of_range_order_flag_exit_3(self, scenario_file, capsys):
+        assert run_cli(["run", str(scenario_file), "--order", "11"]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["class"] == "validation"
+
     def test_console_entry_point(self, scenario_file):
         # the child finds the package where this process imported it from
         src = os.path.dirname(os.path.dirname(polycam.__file__))
@@ -417,6 +465,22 @@ class TestDynOverride:
         payload = json.loads(capsys.readouterr().out)
         assert "do not match" in payload["error"]["message"]
 
+
+
+def test_run_flags_keep_their_spellings_and_attributes():
+    # the flags come from the options table and are not converted when
+    # parsed: the value reaches its attribute as given
+    flags = {"--dyn": "dyn", "--mode": "mode", "--nodes": "nodes",
+             "--fixed-dir": "fixed_dir", "--order": "order",
+             "--target-poc": "target_poc", "--etol": "etol",
+             "--max-iter": "max_iter", "--steps": "steps", "--umax": "umax",
+             "--filter-grid": "filter_grid", "--filter-keep": "filter_keep"}
+    argv = ["run", "case.json"]
+    for flag, attr in flags.items():
+        argv += [flag, f"value of {attr}"]
+    args = build_parser().parse_args(argv)
+    assert all(getattr(args, attr) == f"value of {attr}"
+               for attr in flags.values())
 
 
 def _subclasses(cls):

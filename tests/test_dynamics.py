@@ -454,6 +454,29 @@ class TestTrimmedKernels:
             assert all(same_entry(a, b) for a, b in zip(with_u, full))
 
 
+class TestStagePlan:
+    """The stated RK7(8) stage plan against the Fehlberg tableau."""
+
+    @staticmethod
+    def nonzero(row):
+        return [(l, b) for l, b in enumerate(row) if b != 0.0]
+
+    def test_kept_stages_include_every_weighted_stage(self):
+        weighted = {k for k, _ in self.nonzero(dyn._W7)}
+        assert weighted <= set(dyn._STAGES)
+
+    def test_kept_stages_are_closed_under_their_rows(self):
+        kept = set(dyn._STAGES)
+        for k in kept:
+            assert {l for l, _ in self.nonzero(dyn._BETA[k])} <= kept
+
+    def test_rows_and_weights_list_exactly_the_nonzero_entries(self):
+        assert sorted(dyn._ROWS) == list(dyn._STAGES)
+        for k in dyn._STAGES:
+            assert dyn._ROWS[k] == self.nonzero(dyn._BETA[k])
+        assert dyn._WSEL == self.nonzero(dyn._W7)
+
+
 class TestRtnRotation:
     def test_identity_aligned_triad(self):
         state = dyn.SpacecraftState(r=[7000, 0, 0], v=[0, 7.5, 0])

@@ -1,8 +1,9 @@
 """The package's declared surface, and the benchmark tracer's view of it.
 
 A removed or renamed name must leave no stale ``__all__`` entry, and must
-not silently drop a layer from the traced benchmark run. A public name
-whose only caller is a test belongs in the tests.
+not silently drop a layer from the traced benchmark run. A name whose only
+caller is a test, public or private, belongs in the tests, and so does an
+error class that the package never raises.
 """
 
 import ast
@@ -15,6 +16,7 @@ import re
 import pytest
 
 import polycam
+from polycam.errors import PolycamError
 
 MODULES = ["polycam"] + [f"polycam.{info.name}"
                          for info in pkgutil.iter_modules(polycam.__path__)]
@@ -73,6 +75,56 @@ def test_every_exported_name_has_a_caller_outside_the_tests(name):
         if not (word.search(elsewhere) or word.search(own)):
             unused.append(attr)
     assert unused == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_function_and_class_has_a_caller_outside_the_tests(name):
+    # private names too: a module-level function or class counts as used
+    # when it appears as a whole word in another polycam module, in the
+    # benchmark harness, or in its own module outside its definition and
+    # its __all__ entry
+    path = os.path.abspath(importlib.import_module(name).__file__)
+    lines = open(path).read().splitlines()
+    tree = ast.parse("\n".join(lines))
+    exports = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            exports.update(range(node.lineno - 1, node.end_lineno))
+    others = glob.glob(os.path.join(os.path.dirname(path), "*.py")) \
+        + glob.glob(os.path.join(PERFBENCH, "*.py"))
+    elsewhere = "\n".join(open(p).read() for p in others
+                          if os.path.abspath(p) != path)
+
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        skipped = exports | set(range(start - 1, node.end_lineno))
+        own = "\n".join(line for i, line in enumerate(lines)
+                        if i not in skipped)
+        word = re.compile(rf"\b{re.escape(node.name)}\b")
+        if not (word.search(elsewhere) or word.search(own)):
+            unused.append(node.name)
+    assert unused == []
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_class_is_raised_by_the_package():
+    # an error class only the tests raise belongs in the tests
+    text = "\n".join(open(importlib.import_module(name).__file__).read()
+                     for name in MODULES)
+    never = [cls.__name__ for cls in _subclasses(PolycamError)
+             if cls.__module__.startswith("polycam.")
+             and not re.search(rf"\braise\s+{cls.__name__}\b", text)]
+    assert never == []
 
 
 def test_tracer_finds_every_traced_entry_point(monkeypatch):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from polycam.errors import ConfigurationError, InfeasibleError
+from polycam.errors import ConfigurationError
 from polycam.mapbuilder import ControlSchedule, IMPULSIVE, build_poc_map
 from polycam.solver import SolverConfig, solve_recursive
 from polycam.validate import validate_solution
 
-from grid_oracle import grid_oracle_single_impulse
+from grid_oracle import InfeasibleError, grid_oracle_single_impulse
 
 
 @pytest.fixture(scope="module")
