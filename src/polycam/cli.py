@@ -173,28 +173,52 @@ def _flag(attr: str) -> str:
     return "--" + attr.replace("_", "-")
 
 
-def _resolve_options(args: argparse.Namespace, defaults: dict) -> dict:
-    """Every run option: a flag wins, then the scenario's defaults, then
-    the fallback. An unknown or null default, or a value that does not
-    convert, is a parse error naming its flag or key."""
+def _converted(convert, value, source: str):
+    try:
+        return convert(value)
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ScenarioParseError(f"bad {source} value {value!r}") from exc
+
+
+def _convert_flags(args: argparse.Namespace) -> dict:
+    """Every run flag that is set, converted, by its defaults key. A value
+    that does not convert is a parse error naming its flag."""
+    flags = {}
+    for key, (attr, convert, _, _) in _OPTIONS.items():
+        value = getattr(args, attr, None)
+        if value is not None:
+            flags[key] = _converted(convert, value, _flag(attr))
+    return flags
+
+
+def _resolve_options(flags: dict, defaults: dict) -> dict:
+    """Every run option: a converted flag wins, then the scenario's
+    defaults, then the fallback. An unknown or null default, or one that
+    does not convert, is a parse error naming its key."""
     for key in defaults:
         if key not in _OPTIONS:
             raise ScenarioParseError(f"unknown defaults key {key!r}")
     options = {}
-    for key, (attr, convert, fallback, _) in _OPTIONS.items():
-        value, source = getattr(args, attr, None), _flag(attr)
-        if value is None:
-            if key not in defaults:
-                options[key] = fallback
-                continue
-            value, source = defaults[key], key
-            if value is None:
-                raise ScenarioParseError(f"defaults key {key!r} is null")
-        try:
-            options[key] = convert(value)
-        except (TypeError, ValueError, KeyError) as exc:
-            raise ScenarioParseError(f"bad {source} value {value!r}") from exc
+    for key, (_, convert, fallback, _) in _OPTIONS.items():
+        if key in flags:
+            options[key] = flags[key]
+        elif key not in defaults:
+            options[key] = fallback
+        elif defaults[key] is None:
+            raise ScenarioParseError(f"defaults key {key!r} is null")
+        else:
+            options[key] = _converted(convert, defaults[key], key)
     return options
+
+
+def _failure(exc: PolycamError) -> tuple[int, dict]:
+    """Exit code and error object of a failed scenario."""
+    name, code = _classify(exc)
+    payload = _error(name, str(exc))
+    if isinstance(exc, InfeasibleWithBoundError) \
+            and exc.residual_poc is not None:
+        payload["error"]["residual_poc"] = exc.residual_poc
+    return code, payload
 
 
 def run_scenario(doc: dict, args: argparse.Namespace) -> tuple[int, dict]:
@@ -203,10 +227,19 @@ def run_scenario(doc: dict, args: argparse.Namespace) -> tuple[int, dict]:
     On failure the payload is an error object and no result file should be
     written.
     """
+    try:
+        flags = _convert_flags(args)
+    except PolycamError as exc:
+        return _failure(exc)
+    return _design(doc, flags)
+
+
+def _design(doc: dict, flags: dict) -> tuple[int, dict]:
+    """:func:`run_scenario` with the run flags already converted."""
     started = time.perf_counter()
     try:
         event, defaults = parse_scenario(doc)
-        opts = _resolve_options(args, defaults)
+        opts = _resolve_options(flags, defaults)
         if opts["dynamics"] is not None:
             # the event re-checks its frames against the new dynamics
             event = replace(event, dynamics=opts["dynamics"])
@@ -277,12 +310,7 @@ def run_scenario(doc: dict, args: argparse.Namespace) -> tuple[int, dict]:
         }
         return EXIT_OK, result
     except PolycamError as exc:
-        name, code = _classify(exc)
-        payload = _error(name, str(exc))
-        if isinstance(exc, InfeasibleWithBoundError) \
-                and exc.residual_poc is not None:
-            payload["error"]["residual_poc"] = exc.residual_poc
-        return code, payload
+        return _failure(exc)
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -373,6 +401,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if conflict:
         print(json.dumps(_error("parse", conflict)))
         return EXIT_PARSE
+    # a bad flag fails every scenario alike: report it once, run none
+    try:
+        flags = _convert_flags(args)
+    except PolycamError as exc:
+        code, payload = _failure(exc)
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        return code
     worst = EXIT_OK
     for path in args.scenarios:
         try:
@@ -381,7 +416,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             code, payload = EXIT_PARSE, _error("parse", f"{path}: {exc}")
         else:
-            code, payload = run_scenario(doc, args)
+            code, payload = _design(doc, flags)
         text = json.dumps(payload, indent=2, sort_keys=True)
         if code == EXIT_OK:
             out_path = _result_path(args, path)

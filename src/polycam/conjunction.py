@@ -269,13 +269,20 @@ def poc_chan(r_b, p_b, hbr: float):
     inter2 = (p * p * (1.0 + phi * phi / 2.0)) + omega_y * (2.0 * p * phi)
     inter3 = inter1 * inter1
 
-    c0 = alpha0 * r2
-    c1 = c0 * (r2 / 2.0) * inter1
-    c2 = c0 * (r2 * r2 / 12.0) * (inter3 + inter2)
-    c3 = c0 * (r2 ** 3 / 144.0) * (
+    def checked(term):
+        # a real series stops at its first non-finite term, before the
+        # recurrence subtracts one infinite term from another
+        if not symbolic and not math.isfinite(term):
+            raise NumericError("collision-probability series overflowed")
+        return term
+
+    c0 = checked(alpha0 * r2)
+    c1 = checked(c0 * (r2 / 2.0) * inter1)
+    c2 = checked(c0 * (r2 * r2 / 12.0) * (inter3 + inter2))
+    c3 = checked(c0 * (r2 ** 3 / 144.0) * (
         inter1 * (inter3 + 3.0 * inter2)
         + 2.0 * (p ** 3 * (1.0 + phi ** 3 / 2.0) + omega_y * (3.0 * p * p * phi * phi))
-    )
+    ))
 
     total = c0 + c1 + c2 + c3
 
@@ -295,7 +302,7 @@ def poc_chan(r_b, p_b, hbr: float):
         new = new - c2 * ((aux4 * half + aux3) * (p_r2 / k4))
         new = new + c1 * ((aux2 + p_phi * half) * (aux1 / (k4 * k3)))
         new = new - c0 * (aux0 / (k4 * k3 * k2))
-        new = new * (r2 / (k4 * k5))
+        new = checked(new * (r2 / (k4 * k5)))
         c0, c1, c2, c3 = c1, c2, c3, new
         total = total + new
 

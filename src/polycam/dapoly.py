@@ -11,11 +11,21 @@ pipeline can be expanded piecewise in small algebras and chained.
 Coefficients are held in a dense vector indexed by a graded-lexicographic
 monomial table shared per (n_vars, max_order); the associative multi-index
 view required by callers is exposed through :attr:`TaylorPoly.coeffs`.
+
 Degree-k homogeneous parts double as the symmetric derivative tensors of
 the expanded function: the coefficient of the monomial with exponent alpha
 equals f_alpha * alpha! / k! of the corresponding super-symmetric tensor
 entry, which is what lets tensor contractions be computed from
 coefficients without ever materializing M**k entries.
+
+A truncated product is a sparse matrix-vector product. The table lists,
+row by row (one row per output monomial k, in compressed-row form), every
+pair (i, j) of monomials with alpha_i + alpha_j = alpha_k, ordered by i
+and then by j. A product and each Horner step of the intrinsics are one
+compiled pass over these rows: each row's sum starts from 0.0 and adds its
+pair products in row order. Adding the same products in the same order
+from the same start is what keeps every coefficient bitwise reproducible;
+reordering a row's pairs changes the last bits.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from itertools import combinations_with_replacement
 from typing import Mapping
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .errors import ConfigurationError, DomainError
 
@@ -76,12 +87,22 @@ def _monomials_graded_lex(n_vars: int, max_order: int) -> list[tuple[int, ...]]:
 
 
 class _AlgebraTables:
-    """Per-(M, n) lookup tables: monomial ordering and multiplication triples."""
+    """Per-(M, n) lookup tables: monomial ordering and the product table.
+
+    The product table is in compressed-row form with one row per output
+    monomial: the pairs of row k are ``mul_i[p], mul_j[p]`` for ``p`` in
+    ``range(mul_ptr[k], mul_ptr[k + 1])``, each pair (i, j) with
+    deg i + deg j <= max_order appearing once, in the row of
+    alpha_i + alpha_j, ordered by i and then by j. Products sum each row
+    in this order from 0.0 (see the module docstring), so the order is part
+    of the results. The arrays are shared by every polynomial of the
+    algebra and read-only.
+    """
 
     __slots__ = (
         "config", "n_vars", "max_order", "size", "exponents", "index_of",
-        "power_index", "degrees", "degree_slices", "mul_i", "mul_j", "mul_k",
-        "_partial_maps", "_contraction_maps",
+        "power_index", "degrees", "degree_slices", "mul_ptr", "mul_i",
+        "mul_j", "_partial_maps", "_contraction_maps",
     )
 
     def __init__(self, config: AlgebraConfig):
@@ -106,8 +127,9 @@ class _AlgebraTables:
             self.degree_slices.append(slice(start, start + count))
             start += count
 
-        # Triples (i, j, k): monomial_i * monomial_j == monomial_k whenever
-        # the product degree stays within max_order.
+        # Pairs (i, j) with monomial_i * monomial_j == monomial_k whenever
+        # the product degree stays within max_order, generated by i and
+        # then j; a stable sort by k keeps that order within each row.
         mi: list[int] = []
         mj: list[int] = []
         mk: list[int] = []
@@ -120,9 +142,13 @@ class _AlgebraTables:
                 mi.append(i)
                 mj.append(j)
                 mk.append(k)
-        self.mul_i = np.array(mi, dtype=np.intp)
-        self.mul_j = np.array(mj, dtype=np.intp)
-        self.mul_k = np.array(mk, dtype=np.intp)
+        rows = np.array(mk, dtype=np.intp)
+        order = np.argsort(rows, kind="stable")
+        # row k starts at the first sorted pair whose row is k
+        ptr = np.searchsorted(rows[order], np.arange(self.size + 1))
+        self.mul_ptr, self.mul_i, self.mul_j = _checked_row_table(
+            self.size, ptr, np.array(mi, dtype=np.intp)[order],
+            np.array(mj, dtype=np.intp)[order])
 
         self._partial_maps: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._contraction_maps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -165,9 +191,45 @@ class _AlgebraTables:
         return entry
 
 
+def _checked_row_table(size: int, ptr: np.ndarray, mul_i: np.ndarray,
+                       mul_j: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The product table's arrays, checked and made read-only.
+
+    The compiled row pass reads them without bounds checks, so a table
+    whose row pointer or monomial indices leave range would read and write
+    outside the coefficient vectors; it is refused here instead.
+    """
+    cols = np.concatenate((mul_i, mul_j))
+    if (ptr.shape != (size + 1,) or ptr[0] != 0 or ptr[-1] != len(mul_i)
+            or np.any(np.diff(ptr) < 0) or len(mul_j) != len(mul_i)
+            or np.any((cols < 0) | (cols >= size))):
+        raise ConfigurationError(
+            f"product table out of range for {size} monomials")
+    for arr in (ptr, mul_i, mul_j):
+        arr.setflags(write=False)
+    return ptr, mul_i, mul_j
+
+
 @lru_cache(maxsize=None)
 def _tables(n_vars: int, max_order: int) -> _AlgebraTables:
     return _AlgebraTables(AlgebraConfig(n_vars, max_order))
+
+
+def _row_pass(tab: _AlgebraTables, data: np.ndarray, cols: np.ndarray,
+              x: np.ndarray) -> np.ndarray:
+    """out[k] = sum of data[p] * x[cols[p]] over the pairs p of row k of
+    the product table, each row summed in order from 0.0.
+
+    This is scipy's compiled CSR matrix-vector kernel, called directly:
+    scipy is already a dependency and ``import polycam`` already loads
+    ``scipy.sparse`` (``conjunction`` imports ``scipy.integrate``), while
+    the public route, ``csr_array((data, cols, mul_ptr)) @ x``, reaches
+    the same kernel only after building and checking an array object that
+    costs more than a whole (6, 5) product.
+    """
+    out = np.zeros(tab.size)
+    _csr_matvec(tab.size, tab.size, tab.mul_ptr, cols, data, x, out)
+    return out
 
 
 def _monomial_values(tab: _AlgebraTables, point: np.ndarray,
@@ -344,9 +406,8 @@ class TaylorPoly:
         if isinstance(other, TaylorPoly):
             self._check_same(other)
             tab = self._tab
-            prod = self.coef[tab.mul_i] * other.coef[tab.mul_j]
-            return TaylorPoly._raw(
-                tab, np.bincount(tab.mul_k, weights=prod, minlength=tab.size))
+            return TaylorPoly._raw(tab, _row_pass(
+                tab, self.coef[tab.mul_i], tab.mul_j, other.coef))
         return TaylorPoly._raw(self._tab, self.coef * other)
 
     __rmul__ = __mul__
@@ -439,8 +500,7 @@ class TaylorPoly:
         out = np.zeros(tab.size)
         out[0] = outer[-1]
         for c in outer[-2::-1]:
-            out = np.bincount(tab.mul_k, weights=out[tab.mul_i] * w,
-                              minlength=tab.size)
+            out = _row_pass(tab, w, tab.mul_i, out)
             out[0] += c
         return TaylorPoly._raw(tab, out)
 

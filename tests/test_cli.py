@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -268,6 +269,19 @@ class TestRunCommand:
         assert payload["error"]["class"] == "validation"
         assert "HBR" in payload["error"]["message"]
 
+    def test_overflowing_hbr_exit_4_without_a_warning(self, scenario_file):
+        doc = json.loads(scenario_file.read_text())
+        doc["conjunction"]["hbr_km"] = 1e308
+        args = build_parser().parse_args(["run", "x.json", "--order", "2",
+                                          "--steps", "20"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, payload = run_scenario(doc, args)
+        assert code == 4
+        assert payload["error"] == {
+            "class": "non-convergence",
+            "message": "collision-probability series overflowed"}
+
     def test_missing_file_exit_2(self, capsys):
         assert run_cli(["run", "/nonexistent/nope.json"]) == 2
 
@@ -409,6 +423,29 @@ class TestRunCommand:
         assert payload["status"] == "error"
         assert payload["error"]["class"] == "parse"
         assert flag in payload["error"]["message"]
+
+    @pytest.mark.parametrize("files", ["broken-then-good", "two-good"])
+    def test_bad_flag_reported_once_before_any_scenario(
+            self, scenario_file, tmp_path, capsys, monkeypatch, files):
+        import polycam.cli as cli
+        parsed = []
+        monkeypatch.setattr(cli, "parse_scenario",
+                            lambda doc: parsed.append(doc))
+        (tmp_path / "x").mkdir()
+        good = tmp_path / "x" / "case.json"
+        good.write_text(scenario_file.read_text())
+        if files == "broken-then-good":
+            first = tmp_path / "broken.json"
+            first.write_text("{not json")
+        else:
+            first = scenario_file
+        code = run_cli(["run", str(first), str(good), "--order", "abc"])
+        assert code == 2
+        # one error object, and no scenario was read or run
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == {"class": "parse",
+                                    "message": "bad --order value 'abc'"}
+        assert parsed == []
 
     def test_out_of_range_order_flag_exit_3(self, scenario_file, capsys):
         assert run_cli(["run", str(scenario_file), "--order", "11"]) == 3

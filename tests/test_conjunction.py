@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from polycam import dynamics as dyn
 from polycam.conjunction import (ConjunctionEvent, poc_chan, poc_quadrature,
                                  project_bplane)
 from polycam.dapoly import AlgebraConfig, TaylorPoly
-from polycam.errors import CovarianceError, GeometryError, ValidationError
+from polycam.errors import (CovarianceError, GeometryError, NumericError,
+                            ValidationError)
 
 
 def random_pd_2x2(rng, sigma_range=(0.05, 2.0)):
@@ -197,6 +199,16 @@ class TestPocChan:
             checked += 1
             series = poc_chan(r_b, p_b, hbr)
             assert abs(series - reference) / reference <= 1e-6
+
+    def test_overflowing_series_raises_before_any_warning(self):
+        # hbr**2 overflows, so every term is infinite; the recurrence
+        # would subtract one from another
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError,
+                               match="^collision-probability series "
+                                     "overflowed$"):
+                poc_chan(np.array([0.5, 0.3]), np.diag([1.0, 4.0]), 1e308)
 
     def test_polynomial_input_constant_part(self):
         p_b = np.array([[0.04, 0.01], [0.01, 0.09]])

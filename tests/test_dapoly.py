@@ -1,10 +1,12 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
-from polycam.dapoly import (AlgebraConfig, TaylorPoly, compose,
-                            contract_no_first_mode, generic_power)
+from polycam.dapoly import (AlgebraConfig, TaylorPoly, _checked_row_table,
+                            _tables, compose, contract_no_first_mode,
+                            generic_power)
 from polycam.errors import ConfigurationError, DomainError
 
 
@@ -408,3 +410,148 @@ class TestStorage:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             X.coef = None
+
+
+# -- the compiled row pass against the gather/bincount triple sum -------------
+
+ROW_PASS_ALGEBRAS = [(1, 1), (2, 3), (3, 5), (6, 5), (9, 5)]
+
+
+@functools.lru_cache(maxsize=None)
+def reference_triples(tab):
+    """(i, j, k) for every pair of monomials whose product stays within the
+    order, ordered by i and then j, built from the exponent table alone."""
+    exps = tab.exponents
+    deg = exps.sum(axis=1)
+    i, j = np.nonzero(deg[:, None] + deg[None, :] <= tab.max_order)
+    index_of = {tuple(e): k for k, e in enumerate(exps.tolist())}
+    k = np.array([index_of[tuple(e)] for e in (exps[i] + exps[j]).tolist()])
+    return i, j, k
+
+
+def reference_mul(a, b):
+    """The product as a gather, a gather, a multiply and a bincount."""
+    i, j, k = reference_triples(a._tab)
+    return np.bincount(k, weights=a.coef[i] * b.coef[j],
+                       minlength=a._tab.size)
+
+
+def reference_horner(poly, outer):
+    """Horner composition of ``outer`` with the nilpotent part of ``poly``,
+    each step a bincount triple sum."""
+    i, j, k = reference_triples(poly._tab)
+    nil = poly.coef.copy()
+    nil[0] = 0.0
+    w = nil[j]
+    out = np.zeros(poly._tab.size)
+    out[0] = outer[-1]
+    for c in outer[-2::-1]:
+        out = np.bincount(k, weights=out[i] * w, minlength=poly._tab.size)
+        out[0] += c
+    return out
+
+
+def row_pass_inputs(cfg, rng, constant=None):
+    """A dense random polynomial, and one with about half its
+    coefficients exact zeros (signed zeros among them)."""
+    size = _tables(cfg.n_vars, cfg.max_order).size
+    dense = rng.standard_normal(size)
+    sparse = dense * (rng.uniform(size=size) < 0.5)
+    polys = [TaylorPoly(cfg, dense), TaylorPoly(cfg, sparse)]
+    if constant is not None:
+        polys = [p - p.constant_part + constant for p in polys]
+    return polys
+
+
+@pytest.mark.parametrize("n_vars,order", ROW_PASS_ALGEBRAS)
+class TestRowPassIsBitwiseReference:
+    def test_products(self, n_vars, order):
+        rng = np.random.default_rng(100 + 10 * n_vars + order)
+        cfg = AlgebraConfig(n_vars, order)
+        left = row_pass_inputs(cfg, rng)
+        right = row_pass_inputs(cfg, rng)
+        for a in left:
+            for b in right:
+                assert np.array_equal((a * b).coef, reference_mul(a, b))
+
+    @pytest.mark.parametrize("name,args", [
+        ("power", (-1.5,)), ("power", (0.3,)), ("reciprocal", ()),
+        ("sqrt", ()), ("exp", ())])
+    def test_intrinsics(self, n_vars, order, name, args, monkeypatch):
+        rng = np.random.default_rng(200 + 10 * n_vars + order)
+        cfg = AlgebraConfig(n_vars, order)
+        series = []
+        compose_outer = TaylorPoly._compose_outer
+
+        def recording(self, outer):
+            series.append(outer.copy())
+            return compose_outer(self, outer)
+
+        monkeypatch.setattr(TaylorPoly, "_compose_outer", recording)
+        for poly in row_pass_inputs(cfg, rng, constant=1.7):
+            got = getattr(poly, name)(*args)
+            assert np.array_equal(got.coef,
+                                  reference_horner(poly, series[-1]))
+
+    def test_compose(self, n_vars, order, monkeypatch):
+        rng = np.random.default_rng(300 + 10 * n_vars + order)
+        cfg = AlgebraConfig(n_vars, order)
+        outers = row_pass_inputs(cfg, rng)
+        inner = [p - p.constant_part for p in
+                 (row_pass_inputs(cfg, rng)[v % 2] for v in range(n_vars))]
+        got = compose(outers, inner)
+        # compose multiplies polynomials by polynomials only
+        monkeypatch.setattr(TaylorPoly, "__mul__",
+                            lambda a, b: TaylorPoly(cfg, reference_mul(a, b)))
+        want = compose(outers, inner)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.coef, w.coef)
+
+
+class TestRowTable:
+    @pytest.mark.parametrize("n_vars,order", ROW_PASS_ALGEBRAS)
+    def test_structure(self, n_vars, order):
+        tab = _tables(n_vars, order)
+        ptr, mi, mj = tab.mul_ptr, tab.mul_i, tab.mul_j
+        assert ptr[0] == 0 and ptr[-1] == len(mi) == len(mj)
+        assert np.all(np.diff(ptr) >= 0)
+        # every pair within the order, exactly once
+        ri, rj, _ = reference_triples(tab)
+        assert len(mi) == len(ri)
+        assert set(zip(mi.tolist(), mj.tolist())) == \
+            set(zip(ri.tolist(), rj.tolist()))
+        # each pair in the row of its product monomial
+        row = np.repeat(np.arange(tab.size), np.diff(ptr))
+        assert np.array_equal(tab.exponents[row],
+                              tab.exponents[mi] + tab.exponents[mj])
+        # within a row, by i and then by j
+        same_row = row[1:] == row[:-1]
+        ascending = (mi[1:] > mi[:-1]) | ((mi[1:] == mi[:-1])
+                                          & (mj[1:] > mj[:-1]))
+        assert np.all(ascending[same_row])
+
+    def test_table_arrays_are_read_only(self):
+        tab = _tables(3, 5)
+        for arr in (tab.mul_ptr, tab.mul_i, tab.mul_j):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    @pytest.mark.parametrize("corrupt", [
+        "index_past_end", "negative_index", "decreasing_ptr", "short_ptr_end",
+        "ptr_not_from_zero"])
+    def test_out_of_range_table_refused(self, corrupt):
+        tab = _tables(2, 3)
+        ptr, mi, mj = (tab.mul_ptr.copy(), tab.mul_i.copy(),
+                       tab.mul_j.copy())
+        if corrupt == "index_past_end":
+            mj[-1] = tab.size
+        elif corrupt == "negative_index":
+            mi[0] = -1
+        elif corrupt == "decreasing_ptr":
+            ptr[2], ptr[3] = ptr[3], ptr[2]
+        elif corrupt == "short_ptr_end":
+            ptr[-1] -= 1
+        else:
+            ptr[0] = 1
+        with pytest.raises(ConfigurationError):
+            _checked_row_table(tab.size, ptr, mi, mj)
