@@ -314,15 +314,22 @@ def _design(doc: dict, flags: dict) -> tuple[int, dict]:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write ``text`` to ``path`` through a temporary file beside it,
+    creating the directory; a failed write is a parse error naming
+    ``path``."""
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = None
     try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ScenarioParseError(f"cannot write {path}: {exc}") from exc
         raise
 
 
@@ -417,19 +424,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
             code, payload = EXIT_PARSE, _error("parse", f"{path}: {exc}")
         else:
             code, payload = _design(doc, flags)
-        text = json.dumps(payload, indent=2, sort_keys=True)
         if code == EXIT_OK:
+            text = json.dumps(payload, indent=2, sort_keys=True)
             out_path = _result_path(args, path)
-            if out_path:
-                os.makedirs(os.path.dirname(os.path.abspath(out_path)),
-                            exist_ok=True)
-                _write_atomic(out_path, text + "\n")
-            else:
-                print(text)
-            if args.bplane_csv:
-                _write_bplane_csv(args.bplane_csv, payload)
-        else:
-            print(text)
+            try:
+                # the CSV goes first, so a failed write prints only its error
+                if args.bplane_csv:
+                    _write_bplane_csv(args.bplane_csv, payload)
+                if out_path:
+                    _write_atomic(out_path, text + "\n")
+                else:
+                    print(text)
+            except PolycamError as exc:
+                code, payload = _failure(exc)
+        if code != EXIT_OK:
+            print(json.dumps(payload, indent=2, sort_keys=True))
         worst = worst or code
     return worst
 
@@ -438,14 +447,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     try:
         docs = generate_synthetic_suite(args.seed, args.count, args.regime,
                                         poc_band=(args.poc_min, args.poc_max))
+        for doc in docs:
+            _write_atomic(os.path.join(args.out_dir, f"{doc['name']}.json"),
+                          scenario_to_json(doc) + "\n")
     except PolycamError as exc:
-        name, code = _classify(exc)
-        print(json.dumps(_error(name, str(exc))))
+        code, payload = _failure(exc)
+        print(json.dumps(payload))
         return code
-    os.makedirs(args.out_dir, exist_ok=True)
-    for doc in docs:
-        path = os.path.join(args.out_dir, f"{doc['name']}.json")
-        _write_atomic(path, scenario_to_json(doc) + "\n")
     print(json.dumps({"status": "ok", "count": len(docs),
                       "out_dir": args.out_dir}))
     return EXIT_OK

@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Mapping
 
 import numpy as np
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
@@ -49,11 +48,6 @@ __all__ = [
     "generic_exp",
     "generic_power",
 ]
-
-# Coefficients smaller than this are flushed to zero on construction from
-# user data (denormal hygiene; see TaylorPoly.from_coeffs).
-COEFF_FLUSH = 1e-300
-
 
 @dataclass(frozen=True)
 class AlgebraConfig:
@@ -102,7 +96,7 @@ class _AlgebraTables:
     __slots__ = (
         "config", "n_vars", "max_order", "size", "exponents", "index_of",
         "power_index", "degrees", "degree_slices", "mul_ptr", "mul_i",
-        "mul_j", "_partial_maps", "_contraction_maps",
+        "mul_j", "_contraction_maps",
     )
 
     def __init__(self, config: AlgebraConfig):
@@ -150,26 +144,7 @@ class _AlgebraTables:
             self.size, ptr, np.array(mi, dtype=np.intp)[order],
             np.array(mj, dtype=np.intp)[order])
 
-        self._partial_maps: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._contraction_maps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def partial_map(self, var: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Source indices, destination indices and exponent factors for d/dx_var."""
-        cached = self._partial_maps.get(var)
-        if cached is not None:
-            return cached
-        src, dst, fac = [], [], []
-        for i, e in enumerate(self.exponents):
-            if e[var] > 0:
-                lowered = e.copy()
-                lowered[var] -= 1
-                src.append(i)
-                dst.append(self.index_of[tuple(lowered)])
-                fac.append(float(e[var]))
-        entry = (np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp),
-                 np.array(fac, dtype=np.float64))
-        self._partial_maps[var] = entry
-        return entry
 
     def contraction_map(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(M, N) source indices and exponent factors for the first
@@ -316,26 +291,6 @@ class TaylorPoly:
         coef[tab.index_of[tuple(e)]] = 1.0
         return cls._raw(tab, coef)
 
-    @classmethod
-    def from_coeffs(cls, config: AlgebraConfig,
-                    coeffs: Mapping[tuple[int, ...], float]) -> "TaylorPoly":
-        """Build from a multi-index -> coefficient mapping.
-
-        Coefficients with magnitude below 1e-300 are dropped on write.
-        """
-        tab = _tables(config.n_vars, config.max_order)
-        coef = np.zeros(tab.size)
-        for exps, value in coeffs.items():
-            key = tuple(int(e) for e in exps)
-            if len(key) != tab.n_vars or any(e < 0 for e in key):
-                raise ConfigurationError(f"bad multi-index {exps}")
-            if sum(key) > tab.max_order:
-                raise ConfigurationError(
-                    f"multi-index {exps} exceeds max_order {tab.max_order}")
-            if abs(value) >= COEFF_FLUSH:
-                coef[tab.index_of[key]] = float(value)
-        return cls._raw(tab, coef)
-
     # -- inspection ---------------------------------------------------------
 
     @property
@@ -412,29 +367,8 @@ class TaylorPoly:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, TaylorPoly):
-            return self * other.reciprocal()
+    def __truediv__(self, other: float):
         return TaylorPoly._raw(self._tab, self.coef / other)
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
-
-    def __pow__(self, exponent):
-        if isinstance(exponent, int) or (
-                isinstance(exponent, float) and exponent.is_integer() and exponent >= 0):
-            k = int(exponent)
-            if k < 0:
-                return self.reciprocal().__pow__(-k)
-            out = TaylorPoly.constant(self.config, 1.0)
-            base = self
-            while k:
-                if k & 1:
-                    out = out * base
-                base = base * base
-                k >>= 1
-            return out
-        return self.power(exponent)
 
     # -- calculus / structure ------------------------------------------------
 
@@ -445,15 +379,6 @@ class TaylorPoly:
             raise ConfigurationError(
                 f"point has shape {point.shape}, expected ({self.n_vars},)")
         return float(self.coef @ _monomial_values(self._tab, point))
-
-    def partial(self, var: int) -> "TaylorPoly":
-        """Formal partial derivative with respect to variable ``var``."""
-        if not 0 <= var < self.n_vars:
-            raise ConfigurationError(f"variable index {var} out of range")
-        src, dst, fac = self._tab.partial_map(var)
-        coef = np.zeros(self._tab.size)
-        coef[dst] = self.coef[src] * fac
-        return TaylorPoly._raw(self._tab, coef)
 
     def homogeneous(self, k: int) -> "TaylorPoly":
         """Polynomial containing only the degree-k terms."""

@@ -77,23 +77,17 @@ class SpacecraftState:
 
 @dataclass(frozen=True)
 class DynamicsModel:
-    """Force-model selection plus the physical constants it needs."""
+    """Force-model selection; J2 and the Earth-Moon constants are fixed."""
 
     kind: str = KEPLER
     mu: float = MU_EARTH_KM3_S2          # km^3/s^2
     r_e: float = R_EARTH_KM              # km
-    j2: float = J2_EARTH
-    mass_ratio: float = CR3BP_MASS_RATIO
-    char_length_km: float = CR3BP_CHAR_LENGTH_KM
-    char_time_s: float = CR3BP_CHAR_TIME_S
 
     def __post_init__(self):
         if self.kind not in (KEPLER, J2, CR3BP):
             raise ConfigurationError(f"unknown dynamics kind {self.kind!r}")
         if self.mu <= 0:
             raise ConfigurationError("mu must be positive")
-        if not 0 < self.mass_ratio < 1:
-            raise ConfigurationError("mass ratio must lie in (0, 1)")
 
     @property
     def frame(self) -> str:
@@ -214,9 +208,8 @@ def _derivative_fn(model: DynamicsModel, u: Sequence):
     if all(isinstance(c, (int, float)) and c == 0.0 for c in u):
         u = None  # a coast
     if model.kind == CR3BP:
-        mass_ratio = model.mass_ratio
-        return lambda y: _kernel_cr3bp(y, u, mass_ratio)
-    j2 = model.j2 if model.kind == J2 else 0.0
+        return lambda y: _kernel_cr3bp(y, u, CR3BP_MASS_RATIO)
+    j2 = J2_EARTH if model.kind == J2 else 0.0
     mu, r_e = model.mu, model.r_e
     return lambda y: _kernel_kepler_j2(y, u, mu, r_e, j2)
 

@@ -36,7 +36,8 @@ import numpy as np
 
 from .conjunction import ConjunctionEvent, poc_chan
 from .dapoly import AlgebraConfig, TaylorPoly, compose
-from .dynamics import (CR3BP, DynamicsModel, PropagationConfig, SpacecraftState,
+from .dynamics import (CR3BP, CR3BP_CHAR_LENGTH_KM, CR3BP_CHAR_TIME_S,
+                       DynamicsModel, PropagationConfig, SpacecraftState,
                        propagate_vector, rtn_rotation)
 from .errors import ConfigurationError
 
@@ -205,10 +206,9 @@ class ReferenceTrajectory:
     relative to closest approach (a node or a fixed impulse) and the
     primary's internal-unit state there, back-propagated from closest
     approach. The polynomial pass and every real replay of the design
-    start from it. ``bplane_km`` and ``node_states`` come from the
-    ballistic forward pass with every control at zero: the (xi, zeta)
-    encounter-plane position in km and the reference state at each node.
-    ``ballistic_poc`` is the probability at ``bplane_km``. The
+    start from it. ``bplane_km`` is the (xi, zeta) encounter-plane
+    position in km of the ballistic forward pass, with every control at
+    zero, and ``ballistic_poc`` the probability there. The
     ``fixed_impulses`` are folded into the ballistic pass, and ``config``
     is the propagation it used.
     """
@@ -217,7 +217,6 @@ class ReferenceTrajectory:
     fixed_impulses: tuple[tuple[float, np.ndarray], ...]
     config: PropagationConfig
     bplane_km: np.ndarray
-    node_states: tuple[SpacecraftState, ...]
     ballistic_poc: float
 
 
@@ -282,7 +281,7 @@ def _to_internal_units(event: ConjunctionEvent):
     approach and its circular-orbit time."""
     model = event.dynamics
     if model.kind == CR3BP:
-        return UnitScale(model.char_length_km, model.char_time_s), model
+        return UnitScale(CR3BP_CHAR_LENGTH_KM, CR3BP_CHAR_TIME_S), model
     radius = float(np.linalg.norm(event.primary.r))
     if radius <= 0:
         raise ConfigurationError("Earth scaling needs a positive reference radius")
@@ -533,11 +532,11 @@ def reference_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
     config = config or PropagationConfig()
     fixed_impulses = tuple(fixed_impulses)
     start = start or _start_state(event, schedule, config, fixed_impulses)
-    r_b, node_states = propagate_with_controls(event, schedule, None, config,
-                                               fixed_impulses, start)
+    r_b, _ = propagate_with_controls(event, schedule, None, config,
+                                     fixed_impulses, start)
     return ReferenceTrajectory(
         start=start, fixed_impulses=fixed_impulses, config=config,
-        bplane_km=r_b, node_states=tuple(node_states),
+        bplane_km=r_b,
         ballistic_poc=poc_chan(r_b, event.bplane.p_b, event.hbr_km))
 
 

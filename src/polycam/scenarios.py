@@ -19,7 +19,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .conjunction import ConjunctionEvent, poc_chan, poc_quadrature
-from .dynamics import CR3BP, DynamicsModel, J2, KEPLER, SpacecraftState
+from .dynamics import (CR3BP, CR3BP_CHAR_LENGTH_KM, CR3BP_CHAR_TIME_S,
+                       CR3BP_MASS_RATIO, DynamicsModel, J2, KEPLER,
+                       SpacecraftState)
 from .errors import GenerationError, ScenarioParseError
 
 __all__ = [
@@ -39,6 +41,8 @@ _KIND_NAMES = {v: k for k, v in _DYNAMICS_KINDS.items()}
 DEFAULT_POC_BAND = (1e-5, 1e-2)
 SIGMA_RANGE_KM = (0.1, 2.0)
 HBR_RANGE_KM = (0.005, 0.050)
+# Draws per scenario before the generator gives up on reaching the band.
+MAX_ATTEMPTS = 200
 
 
 def _require(mapping: dict, key: str, kind, where: str):
@@ -223,11 +227,11 @@ def _leo_scenario(rng: np.random.Generator, poc_band) -> ConjunctionEvent:
 
 def _cislunar_scenario(rng: np.random.Generator, poc_band) -> ConjunctionEvent:
     model = DynamicsModel(kind=CR3BP)
-    d_km = model.char_length_km
-    v_char = model.char_length_km / model.char_time_s
+    d_km = CR3BP_CHAR_LENGTH_KM
+    v_char = CR3BP_CHAR_LENGTH_KM / CR3BP_CHAR_TIME_S
 
     offset_dir = _random_rotation(rng)[:, 0]
-    r_nd = np.array([1.0 - model.mass_ratio, 0.0, 0.0]) \
+    r_nd = np.array([1.0 - CR3BP_MASS_RATIO, 0.0, 0.0]) \
         + rng.uniform(0.03, 0.10) * offset_dir
     speed_nd = rng.uniform(0.15, 0.45)
     v_dir = _random_rotation(rng)[:, 0]
@@ -274,14 +278,14 @@ def _event_to_doc(event: ConjunctionEvent, name: str) -> dict:
 
 
 def generate_synthetic_suite(seed: int, count: int, regime: str = "LEO",
-                             poc_band: Sequence[float] = DEFAULT_POC_BAND,
-                             max_attempts: int = 200) -> list[dict]:
+                             poc_band: Sequence[float] = DEFAULT_POC_BAND
+                             ) -> list[dict]:
     """Deterministic pseudo-random conjunction scenarios.
 
     Same seed, same output, byte for byte. Each scenario's ballistic
     collision probability is placed inside ``poc_band`` (checked against
     the quadrature oracle); draws whose geometry cannot reach the band are
-    rejected and redrawn, and exhausting ``max_attempts`` raises.
+    rejected and redrawn, and exhausting ``MAX_ATTEMPTS`` raises.
     """
     if count < 1:
         raise GenerationError(f"count must be >= 1, got {count}")
@@ -296,7 +300,7 @@ def generate_synthetic_suite(seed: int, count: int, regime: str = "LEO",
     maker = _leo_scenario if regime == "LEO" else _cislunar_scenario
     out: list[dict] = []
     for index in range(count):
-        for _ in range(max_attempts):
+        for _ in range(MAX_ATTEMPTS):
             try:
                 event = maker(rng, (lo, hi))
             except GenerationError:
@@ -307,7 +311,7 @@ def generate_synthetic_suite(seed: int, count: int, regime: str = "LEO",
                 break
         else:
             raise GenerationError(
-                f"rejection sampling exhausted after {max_attempts} attempts "
+                f"rejection sampling exhausted after {MAX_ATTEMPTS} attempts "
                 f"for scenario {index}")
         out.append(_event_to_doc(
             event, f"{regime.lower()}-{seed:04d}-{index:03d}"))

@@ -94,8 +94,6 @@ def solve_order1(pmap: PocMap, rho: float) -> np.ndarray:
     """Greedy first-order control: the shortest vector meeting the
     linearized constraint, aligned with the probability gradient."""
     grad = pmap.gradient()
-    if rho == 0.0:
-        return np.zeros(pmap.n_vars)
     norm = float(np.linalg.norm(grad))
     if norm < _GRADIENT_FLOOR:
         raise DegenerateGradientError(
@@ -421,8 +419,7 @@ def filter_nodes(event: ConjunctionEvent, dense_times, keep: int,
 
 
 def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
-                         config: SolverConfig,
-                         template: ControlSchedule | None = None,
+                         config: SolverConfig, template: ControlSchedule,
                          prop_config: PropagationConfig | None = None
                          ) -> ManeuverSolution:
     """Sequential bounded-impulse design over a ranked grid of epochs.
@@ -442,8 +439,6 @@ def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
     if len(dense_times) == 0:
         raise ConfigurationError("candidate grid is empty")
     started = time.perf_counter()
-    template = template or ControlSchedule(
-        mode=IMPULSIVE, node_epochs=(min(float(t) for t in dense_times),))
     if template.mode != IMPULSIVE:
         raise ConfigurationError("thrust-limited sequencing applies to impulses")
 

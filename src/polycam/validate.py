@@ -33,7 +33,6 @@ class ValidationReport:
     ballistic_poc: float
     poc_log_error: float
     dv_total_ms: float
-    per_node_dv_ms: tuple
     map_residual: float | None
     bplane_before_km: np.ndarray
     bplane_after_km: np.ndarray
@@ -90,13 +89,11 @@ def validate_solution(event: ConjunctionEvent, schedule: ControlSchedule,
         scaled = phi_physical / pmap.scaling
         map_residual = abs(pmap.poly.eval(scaled) - validated)
 
-    per_node_dv, dv_total = schedule.delta_v(phi_physical)
     return ValidationReport(
         validated_poc=validated,
         ballistic_poc=reference.ballistic_poc,
         poc_log_error=log_error,
-        dv_total_ms=dv_total,
-        per_node_dv_ms=per_node_dv,
+        dv_total_ms=schedule.delta_v(phi_physical)[1],
         map_residual=map_residual,
         bplane_before_km=reference.bplane_km,
         bplane_after_km=r_b_after,

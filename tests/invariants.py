@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from polycam.dynamics import DynamicsModel, SpacecraftState
+from polycam.dynamics import CR3BP_MASS_RATIO, DynamicsModel, SpacecraftState
 
 
 def specific_energy(state: SpacecraftState, model: DynamicsModel) -> float:
@@ -15,7 +15,7 @@ def specific_energy(state: SpacecraftState, model: DynamicsModel) -> float:
 def jacobi_constant(state: SpacecraftState, model: DynamicsModel) -> float:
     """Synodic-frame integral of motion 2*U - v^2."""
     x, y, z = state.r
-    mu = model.mass_ratio
+    mu = CR3BP_MASS_RATIO
     d1 = math.sqrt((x + mu) ** 2 + y * y + z * z)
     d2 = math.sqrt((x - 1.0 + mu) ** 2 + y * y + z * z)
     potential = (x * x + y * y) / 2.0 + (1.0 - mu) / d1 + mu / d2

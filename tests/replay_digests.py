@@ -20,31 +20,13 @@ it.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-TIMING_FIELDS = ("wall_time_s", "solve_wall_time_s")
 DEFAULT_SEEDS = (2406, 301, 302, 303)
 # the benchmark's run length: each workload's design count follows from it
 RUN_SECONDS = 25.0
-
-
-def _strip_timing(value):
-    if isinstance(value, dict):
-        return {k: _strip_timing(v) for k, v in value.items()
-                if k not in TIMING_FIELDS}
-    if isinstance(value, list):
-        return [_strip_timing(v) for v in value]
-    return value
-
-
-def digest(payload: dict) -> str:
-    """SHA-256 of the sorted-key result JSON without timing fields."""
-    text = json.dumps(_strip_timing(payload), sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def main(argv=None) -> int:
@@ -56,6 +38,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+    from checks import result_digest
     from polycam.cli import build_parser, run_scenario
     from workloads import WORKLOADS
 
@@ -71,7 +54,7 @@ def main(argv=None) -> int:
                     ["run", f"{design.label}.json", *design.argv])
                 code, payload = run_scenario(design.doc, parsed)
                 print(f"{name} {seed} {index} {design.label} {code} "
-                      f"{digest(payload)}", flush=True)
+                      f"{result_digest(payload)}", flush=True)
     return 0
 
 

@@ -323,7 +323,7 @@ def test_criterion_10_thrust_limited(solved_suite):
 
     bounded = solve_thrust_limited(event, grid,
                                    u_max_ms=0.6 * single.dv_total_ms,
-                                   config=config)
+                                   config=config, template=template)
     engaged = len(bounded.per_node_dv_ms)
     schedule = ControlSchedule(mode=IMPULSIVE,
                                node_epochs=bounded.node_epochs)

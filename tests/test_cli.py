@@ -44,6 +44,17 @@ class TestGenerateCommand:
         for name in ("leo-0005-000.json", "leo-0005-001.json"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
+    def test_out_dir_on_a_file_exit_2(self, tmp_path, capsys):
+        blocker = tmp_path / "F"
+        blocker.write_text("")
+        code = run_cli(["generate", "--seed", "5", "--count", "1",
+                        "--out-dir", str(blocker)])
+        out, err = capsys.readouterr()
+        assert code == 2 and err == ""
+        payload = json.loads(out)
+        assert payload["error"]["class"] == "parse"
+        assert str(blocker) in payload["error"]["message"]
+
 
 class TestRunCommand:
     def test_successful_run_writes_result(self, scenario_file, tmp_path):
@@ -353,6 +364,31 @@ class TestRunCommand:
         code = run_cli(["run", *files, "--out-dir", str(results)])
         assert code == 0
         assert len(list(results.glob("*.result.json"))) == 2
+
+    @pytest.mark.parametrize("flag, name", [("--out", "x.json"),
+                                            ("--bplane-csv", "b.csv"),
+                                            ("--out-dir", None)])
+    def test_unwritable_output_exit_2(self, scenario_file, tmp_path, capsys,
+                                      flag, name):
+        # an output path under an existing file cannot be written
+        blocker = tmp_path / "F"
+        blocker.write_text("")
+        target = blocker if name is None else blocker / name
+        code = run_cli(["run", str(scenario_file), flag, str(target)])
+        out, err = capsys.readouterr()
+        assert code == 2 and err == ""
+        payload = json.loads(out)
+        assert payload["error"]["class"] == "parse"
+        assert str(target) in payload["error"]["message"]
+
+    def test_output_directories_are_created(self, scenario_file, tmp_path,
+                                            capsys):
+        csv = tmp_path / "missing" / "b.csv"
+        out = tmp_path / "other" / "x.json"
+        code = run_cli(["run", str(scenario_file), "--out", str(out),
+                        "--bplane-csv", str(csv)])
+        assert code == 0 and csv.exists() and out.exists()
+        assert capsys.readouterr().out == ""
 
     def test_bplane_csv_with_several_scenarios_exit_2(self, tmp_path, capsys):
         # one CSV would keep only the last scenario's rows

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polycam.conjunction import poc_quadrature
-from polycam.dynamics import CR3BP, ECI, KEPLER, SYNODIC
+from polycam.dynamics import CR3BP, CR3BP_MASS_RATIO, ECI, KEPLER, SYNODIC
 from polycam.errors import (CovarianceError, GenerationError,
                             ScenarioParseError, ValidationError)
 from polycam.scenarios import (DEFAULT_POC_BAND, generate_synthetic_suite,
@@ -63,7 +63,7 @@ class TestGenerator:
             assert event.primary.frame == SYNODIC
             event.check()
             # near the Moon in synodic km coordinates
-            moon = np.array([1 - event.dynamics.mass_ratio, 0, 0]) * 384405.0
+            moon = np.array([1 - CR3BP_MASS_RATIO, 0, 0]) * 384405.0
             assert np.linalg.norm(event.primary.r - moon) < 60000.0
 
     def test_custom_band(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polycam import dynamics as dyn
-from polycam.dapoly import AlgebraConfig, TaylorPoly
+from polycam.dapoly import AlgebraConfig
 from polycam.errors import (ConfigurationError, DegenerateGradientError,
                             InfeasibleWithBoundError)
 from polycam.mapbuilder import (ControlSchedule, IMPULSIVE, LOW_THRUST, PocMap,
@@ -17,13 +17,15 @@ from polycam.solver import (SolverConfig, filter_nodes, pseudo_gradient,
                             solve_thrust_limited)
 from polycam.validate import validate_solution
 
+from poly_reference import from_coeffs
+
 
 def synthetic_map(coeffs, n_vars, order, ballistic=1e-4, schedule=None):
     """Hand-built probability map: constant part + given terms."""
     cfg = AlgebraConfig(n_vars, order)
     full = dict(coeffs)
     full[(0,) * n_vars] = ballistic
-    poly = TaylorPoly.from_coeffs(cfg, full)
+    poly = from_coeffs(cfg, full)
     if schedule is None:
         schedule = ControlSchedule(
             mode=IMPULSIVE,
@@ -301,6 +303,9 @@ class TestFilterNodes:
 
 
 class TestThrustLimited:
+    # a free-direction impulse; each ranked epoch retimes it
+    TEMPLATE = ControlSchedule(mode=IMPULSIVE, node_epochs=(-1.0,))
+
     def test_generous_bound_matches_single_node(self, tangential_event):
         period = dyn.osculating_period(tangential_event.primary,
                                        tangential_event.dynamics)
@@ -311,7 +316,7 @@ class TestThrustLimited:
         single = solve_recursive(pmap, config)
         bounded = solve_thrust_limited(tangential_event, times,
                                        u_max_ms=10.0 * single.dv_total_ms,
-                                       config=config)
+                                       config=config, template=self.TEMPLATE)
         assert len(bounded.per_node_dv_ms) == 1
         assert bounded.node_epochs == (-0.5 * period,)
         assert bounded.dv_total_ms == pytest.approx(single.dv_total_ms,
@@ -329,7 +334,8 @@ class TestThrustLimited:
         single = solve_recursive(pmap, config)
         bounded = solve_thrust_limited(
             tangential_event, grid,
-            u_max_ms=0.6 * single.dv_total_ms, config=config)
+            u_max_ms=0.6 * single.dv_total_ms, config=config,
+            template=self.TEMPLATE)
         assert len(bounded.per_node_dv_ms) == 2
         magnitudes = sorted(np.linalg.norm(v) for v in bounded.per_node_dv_ms)
         assert magnitudes[1] == pytest.approx(0.6 * single.dv_total_ms,
@@ -378,7 +384,8 @@ class TestThrustLimited:
         # every node saturates: three maps, then the residual replay
         with pytest.raises(InfeasibleWithBoundError):
             solve_thrust_limited(tangential_event, grid, u_max_ms=1e-9,
-                                 config=SolverConfig(max_order=1))
+                                 config=SolverConfig(max_order=1),
+                                 template=self.TEMPLATE)
         assert epochs and len(epochs) == len(set(epochs))
 
     def test_reports_convergence_of_every_order(self, tangential_event):
@@ -386,15 +393,16 @@ class TestThrustLimited:
                                        tangential_event.dynamics)
         bounded = solve_thrust_limited(
             tangential_event, [-1.0 * period, -0.5 * period], u_max_ms=1e3,
-            config=SolverConfig(max_order=3))
+            config=SolverConfig(max_order=3), template=self.TEMPLATE)
         assert len(bounded.per_order_iterations) == 3
         assert len(bounded.per_order_converged) == \
             len(bounded.per_order_iterations)
 
-    def test_empty_grid_rejected_without_template(self, tangential_event):
+    def test_empty_grid_rejected(self, tangential_event):
         with pytest.raises(ConfigurationError, match="candidate grid is empty"):
             solve_thrust_limited(tangential_event, [], u_max_ms=1.0,
-                                 config=SolverConfig(max_order=1))
+                                 config=SolverConfig(max_order=1),
+                                 template=self.TEMPLATE)
 
     def test_vanishing_bound_infeasible(self, tangential_event):
         period = dyn.osculating_period(tangential_event.primary,
@@ -403,7 +411,8 @@ class TestThrustLimited:
             solve_thrust_limited(
                 tangential_event,
                 [-1.0 * period, -0.5 * period],
-                u_max_ms=1e-6, config=SolverConfig(max_order=3))
+                u_max_ms=1e-6, config=SolverConfig(max_order=3),
+                template=self.TEMPLATE)
         assert err.value.residual_poc is not None
         assert err.value.residual_poc > 1e-6
 

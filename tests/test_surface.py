@@ -111,6 +111,42 @@ def test_every_function_and_class_has_a_caller_outside_the_tests(name):
     assert unused == []
 
 
+def _names_used(tree: ast.Module):
+    """(line, name) of every attribute name and string constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.lineno, node.value
+
+
+def test_every_method_and_property_has_a_caller_outside_the_tests():
+    # a method or property of a polycam class counts as used when another
+    # polycam module, the benchmark harness or its own module outside its
+    # definition names it as an attribute or a string; dunder methods are
+    # called by the language
+    package = glob.glob(os.path.join(os.path.dirname(polycam.__file__),
+                                     "*.py"))
+    trees = {p: ast.parse(open(p).read())
+             for p in package + glob.glob(os.path.join(PERFBENCH, "*.py"))}
+    used = [(p, line, name) for p, tree in trees.items()
+            for line, name in _names_used(tree)]
+    unused = []
+    for path in package:
+        for cls in trees[path].body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or (
+                        fn.name.startswith("__") and fn.name.endswith("__")):
+                    continue
+                own = range(fn.lineno, fn.end_lineno + 1)
+                if not any(name == fn.name and not (p == path and line in own)
+                           for p, line, name in used):
+                    unused.append(f"{cls.name}.{fn.name}")
+    assert unused == []
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub

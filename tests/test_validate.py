@@ -44,7 +44,7 @@ class TestValidateSolution:
         sched, _, sol = solved
         report = validate_solution(leo_event, sched, sol.phi, 1e-6)
         assert report.dv_total_ms == pytest.approx(
-            sum(np.linalg.norm(v) for v in report.per_node_dv_ms))
+            sum(np.linalg.norm(v) for v in sol.per_node_dv_ms))
         assert report.dv_total_ms == pytest.approx(sol.dv_total_ms)
 
     def test_dimension_mismatch(self, leo_event, solved):
