@@ -259,6 +259,10 @@ def _design(doc: dict, flags: dict) -> tuple[int, dict]:
         prop_config = PropagationConfig(steps=opts["steps"])
         schedule = ControlSchedule(mode=opts["mode"], node_epochs=epochs,
                                    fixed_direction=opts["fixed_dir"])
+        if "filter_keep" in flags and (opts["filter_grid"] is None
+                                       or opts["umax"] is not None):
+            raise ScenarioParseError(
+                "--filter-keep needs a filter grid and excludes --umax")
         grid = None
         if opts["filter_grid"] is not None:
             grid = [_parse_node_token(tok, period, "filter grid")
@@ -300,7 +304,7 @@ def _design(doc: dict, flags: dict) -> tuple[int, dict]:
             "validation": {
                 "validated_poc": report.validated_poc,
                 "poc_log_error": report.poc_log_error,
-                "dv_total_ms": report.dv_total_ms,
+                "dv_total_ms": solution.dv_total_ms,
                 "map_residual": report.map_residual,
                 "bplane_before_km": [float(x) for x in report.bplane_before_km],
                 "bplane_after_km": [float(x) for x in report.bplane_after_km],

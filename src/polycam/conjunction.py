@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from .dapoly import TaylorPoly, generic_exp
+from .dapoly import TaylorPoly
 from .dynamics import DynamicsModel, SpacecraftState
 from .errors import CovarianceError, GeometryError, NumericError, ValidationError
 
@@ -260,9 +260,9 @@ def poc_chan(r_b, p_b, hbr: float):
     omega_x = (x_m * x_m) * (1.0 / (4.0 * s_x ** 4))
     omega_y = (y_m * y_m) * (1.0 / (4.0 * s_y ** 4))
     omega = omega_x + omega_y
-    alpha0 = generic_exp(
-        (x_m * x_m) * (-0.5 / s_x ** 2) + (y_m * y_m) * (-0.5 / s_y ** 2)
-    ) * (1.0 / (2.0 * s_x * s_y))
+    arg = (x_m * x_m) * (-0.5 / s_x ** 2) + (y_m * y_m) * (-0.5 / s_y ** 2)
+    alpha0 = (arg.exp() if symbolic else np.exp(arg)) \
+        * (1.0 / (2.0 * s_x * s_y))
 
     inter0 = 1.0 + phi / 2.0
     inter1 = omega + p * inter0

@@ -9,8 +9,7 @@ composes onto polynomials without constant parts (:func:`compose`), so a
 pipeline can be expanded piecewise in small algebras and chained.
 
 Coefficients are held in a dense vector indexed by a graded-lexicographic
-monomial table shared per (n_vars, max_order); the associative multi-index
-view required by callers is exposed through :attr:`TaylorPoly.coeffs`.
+monomial table shared per (n_vars, max_order).
 
 Degree-k homogeneous parts double as the symmetric derivative tensors of
 the expanded function: the coefficient of the monomial with exponent alpha
@@ -45,7 +44,6 @@ __all__ = [
     "TaylorPoly",
     "compose",
     "contract_no_first_mode",
-    "generic_exp",
     "generic_power",
 ]
 
@@ -309,14 +307,6 @@ class TaylorPoly:
     def constant_part(self) -> float:
         return float(self.coef[0])
 
-    @property
-    def coeffs(self) -> dict[tuple[int, ...], float]:
-        """Associative view keyed by exponent tuple; zeros omitted."""
-        tab = self._tab
-        nz = np.nonzero(self.coef)[0]
-        return {tuple(int(x) for x in tab.exponents[i]): float(self.coef[i])
-                for i in nz}
-
     def __repr__(self) -> str:
         terms = len(np.nonzero(self.coef)[0])
         return (f"TaylorPoly(n_vars={self.n_vars}, max_order={self.max_order}, "
@@ -552,15 +542,9 @@ def contract_no_first_mode(a: TaylorPoly, k: int, phi) -> np.ndarray:
     return np.sum(a.coef[src] * fac * powers, axis=1) / k
 
 
-# -- generic scalar helpers ----------------------------------------------------
-# These let numerical kernels run unchanged on floats, numpy arrays and
-# TaylorPoly scalars.
-
-def generic_exp(x):
-    if isinstance(x, TaylorPoly):
-        return x.exp()
-    return np.exp(x)
-
+# -- generic scalar helper -----------------------------------------------------
+# This lets the force kernels run unchanged on floats, complex scalars, numpy
+# arrays and TaylorPoly scalars.
 
 def generic_power(x, p: float):
     if isinstance(x, TaylorPoly):

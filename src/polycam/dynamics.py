@@ -51,17 +51,15 @@ CR3BP_CHAR_TIME_S = 375677.0
 
 @dataclass(frozen=True, eq=False)
 class SpacecraftState:
-    """Cartesian state tagged with frame and epoch.
+    """Cartesian state tagged with its frame.
 
-    ECI states are km / km/s with ``epoch`` in seconds relative to the time
-    of closest approach (negative before). Synodic states are rotating-frame
-    coordinates: km at package interfaces, nondimensional characteristic
-    units when propagated under the CR3BP model.
+    ECI states are km / km/s. Synodic states are rotating-frame coordinates:
+    km at package interfaces, nondimensional characteristic units when
+    propagated under the CR3BP model.
     """
 
     r: np.ndarray
     v: np.ndarray
-    epoch: float = 0.0
     frame: str = ECI
 
     def __post_init__(self):
@@ -349,14 +347,13 @@ def propagate_vector(y0: Sequence, u: Sequence, t0: float, t1: float,
 # Frames and orbit periods.
 # ---------------------------------------------------------------------------
 
-def rtn_rotation(state: SpacecraftState) -> np.ndarray:
-    """Rotation with rows (radial, transverse, normal) expressed inertially.
+def rtn_rotation(r: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rotation with rows (radial, transverse, normal) expressed inertially,
+    at position ``r`` and velocity ``v``.
 
     Multiplying an inertial vector by this matrix yields its RTN components;
     the transpose maps RTN components back to the inertial frame.
     """
-    r = state.r
-    v = state.v
     rn = np.linalg.norm(r)
     vn = np.linalg.norm(v)
     if rn == 0.0 or vn == 0.0:

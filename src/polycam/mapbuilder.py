@@ -37,8 +37,8 @@ import numpy as np
 from .conjunction import ConjunctionEvent, poc_chan
 from .dapoly import AlgebraConfig, TaylorPoly, compose
 from .dynamics import (CR3BP, CR3BP_CHAR_LENGTH_KM, CR3BP_CHAR_TIME_S,
-                       DynamicsModel, PropagationConfig, SpacecraftState,
-                       propagate_vector, rtn_rotation)
+                       DynamicsModel, PropagationConfig, propagate_vector,
+                       rtn_rotation)
 from .errors import ConfigurationError
 
 __all__ = [
@@ -80,22 +80,27 @@ class ControlSchedule:
     ``fixed_direction`` optionally pins every control to one unit vector
     in the local frame (the RTN frame of the node's reference state, or
     the synodic axes under three-body dynamics), reducing each control to
-    a single magnitude variable. A schedule that breaks these rules cannot
-    be constructed.
+    a single magnitude variable; it is held as a tuple of floats, so
+    schedules compare and hash by value. A schedule that breaks these rules
+    cannot be constructed.
     """
 
     mode: str
     node_epochs: tuple[float, ...]
-    fixed_direction: np.ndarray | None = None
+    fixed_direction: tuple[float, float, float] | None = None
     arc_lengths: tuple[int, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "node_epochs",
                            tuple(float(t) for t in self.node_epochs))
         if self.fixed_direction is not None:
+            direction = np.asarray(self.fixed_direction, dtype=np.float64)
+            if direction.shape != (3,) or not abs(
+                    np.linalg.norm(direction) - 1.0) <= 1e-9:
+                raise ConfigurationError(
+                    "the fixed direction must be a 3-component unit vector")
             object.__setattr__(self, "fixed_direction",
-                               np.asarray(self.fixed_direction,
-                                          dtype=np.float64))
+                               tuple(direction.tolist()))
         self.validate()
 
     def validate(self) -> None:
@@ -118,11 +123,6 @@ class ControlSchedule:
                     raise ConfigurationError("every thrust arc needs >= 2 nodes")
             if sum(self.arcs) != len(self.node_epochs):
                 raise ConfigurationError("arc lengths do not partition the nodes")
-        if self.fixed_direction is not None:
-            if self.fixed_direction.shape != (3,) or not abs(
-                    np.linalg.norm(self.fixed_direction) - 1.0) <= 1e-9:
-                raise ConfigurationError(
-                    "the fixed direction must be a 3-component unit vector")
 
     def retimed(self, starts) -> ControlSchedule:
         """This schedule's control moved to each of ``starts``: one impulse
@@ -225,33 +225,22 @@ class PocMap:
     """Truncated polynomial of collision probability in scaled controls.
 
     ``poly`` lives in M scaled variables (3 per free-direction control, 1
-    per fixed-direction control). ``ballistic_poc`` is the probability of
-    the unmaneuvered reference, taken from ``reference`` when the map is
-    built. The constant part of ``poly`` is the same probability carried
-    through the polynomial pass, so it equals ``ballistic_poc`` to
-    rounding only: the two can differ in the last bits.
+    per fixed-direction control) laid out by ``schedule``; its variable
+    count, order and derivatives are its own. ``reference`` is the
+    trajectory it was expanded about, and owns the ballistic probability.
+    The constant part of ``poly`` is that probability carried through the
+    polynomial pass, so the two agree to rounding only: they can differ in
+    the last bits.
     """
 
     poly: TaylorPoly
-    ballistic_poc: float
     schedule: ControlSchedule
-    reference: ReferenceTrajectory | None = None
+    reference: ReferenceTrajectory
 
     @property
     def scaling(self) -> np.ndarray:
         """Physical size of each scaled variable (m/s or m/s^2 per unit)."""
-        return np.full(self.n_vars, self.schedule.unit)
-
-    @property
-    def n_vars(self) -> int:
-        return self.poly.n_vars
-
-    @property
-    def order(self) -> int:
-        return self.poly.max_order
-
-    def gradient(self) -> np.ndarray:
-        return self.poly.gradient_at_zero()
+        return np.full(self.poly.n_vars, self.schedule.unit)
 
 
 # ---------------------------------------------------------------------------
@@ -296,26 +285,20 @@ def _closest_approach_state(event: ConjunctionEvent, scale: UnitScale):
             event.primary.v / scale.velocity_kms)
 
 
-def _control_rotation(event: ConjunctionEvent,
-                      state: SpacecraftState) -> np.ndarray:
-    """Rows of the local control frame at a node of the reference path:
-    the synodic axes under three-body dynamics, RTN otherwise."""
+def _control_rotation(event: ConjunctionEvent, scale: UnitScale,
+                      y) -> np.ndarray:
+    """Rows of the local control frame at a node of the reference path,
+    whose internal-unit state is ``y`` (its constant part when polynomial,
+    its real part otherwise): the synodic axes under three-body dynamics,
+    RTN otherwise. A non-finite reference state is refused."""
+    ref = np.array([c.constant_part if isinstance(c, TaylorPoly)
+                    else float(c.real) for c in y])
+    if not np.all(np.isfinite(ref)):
+        raise ConfigurationError("reference state has non-finite components")
     if event.dynamics.kind == CR3BP:
         return np.eye(3)
-    return rtn_rotation(state)
-
-
-def _node_frame(event: ConjunctionEvent, scale: UnitScale, y,
-                epoch: float) -> tuple[SpacecraftState, np.ndarray]:
-    """The reference state at ``epoch`` in event units and its control
-    rotation, from the internal-unit state ``y``: its constant part when
-    polynomial, its real part otherwise."""
-    ref = [c.constant_part if isinstance(c, TaylorPoly) else float(c.real)
-           for c in y]
-    state = SpacecraftState(r=np.array(ref[:3]) * scale.length_km,
-                            v=np.array(ref[3:]) * scale.velocity_kms,
-                            epoch=epoch, frame=event.primary.frame)
-    return state, _control_rotation(event, state)
+    return rtn_rotation(ref[:3] * scale.length_km,
+                        ref[3:] * scale.velocity_kms)
 
 
 def _composed_segment(y, scalars, accel_of, t0: float, t1: float,
@@ -377,9 +360,8 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
     (6 + k)-variable flow map is integrated and composed onto the state.
     Real states are integrated directly.
 
-    Returns ((xi, zeta), node states): the relative position at closest
-    approach on ``event.bplane`` in km, in the scalar type of the controls,
-    and the reference SpacecraftState at each node in event units.
+    Returns (xi, zeta): the relative position at closest approach on
+    ``event.bplane`` in km, in the scalar type of the controls.
     """
     scale, model_nd = _to_internal_units(event)
     v_unit = scale.velocity_kms
@@ -442,22 +424,19 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
             else tuple(slot_vector(scalars, held_slot[1]))
         return propagate_vector(y, accel, t0, t1, model_nd, config)
 
-    node_states: list[SpacecraftState | None] = [None] * len(schedule.node_epochs)
     t_cur = t_first
     for t_ev, kind, payload in timeline:
         if t_ev != t_cur:
             y = propagate_segment(y, t_cur, t_ev)
             t_cur = t_ev
-        ref_state, rot = _node_frame(event, scale, y, t_ev)
+        rot = _control_rotation(event, scale, y)
 
         if kind == "fixed":
             dv_nd = (rot.T @ (payload * 1e-3)) / v_unit
             for k in range(3):
                 y[3 + k] = y[3 + k] + dv_nd[k]
             continue
-        node_idx = payload
-        node_states[node_idx] = ref_state
-        slot = slot_of_node.get(node_idx)
+        slot = slot_of_node.get(payload)
         scalars = [] if slot is None else list(controls[slot])
         if scalars and isinstance(scalars[0], TaylorPoly):
             y = [c.embed(scalars[0].config) if isinstance(c, TaylorPoly) else c
@@ -471,7 +450,7 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
             held_slot = None if slot is None else (slot, rot)
 
     y = propagate_segment(y, t_cur, 0.0)
-    return _relative_bplane_position(y, event, scale), node_states
+    return _relative_bplane_position(y, event, scale)
 
 
 def _relative_bplane_position(y_final, event: ConjunctionEvent,
@@ -494,16 +473,16 @@ def propagate_with_controls(event: ConjunctionEvent, schedule: ControlSchedule,
                             config: PropagationConfig | None = None,
                             fixed_impulses: Sequence[tuple[float, np.ndarray]] = (),
                             start: tuple[float, tuple] | None = None):
-    """Real-valued pipeline: apply physical controls, return encounter data.
+    """Real-valued pipeline: apply physical controls, return the encounter
+    point.
 
     ``phi_physical`` is the stacked control vector in m/s (impulsive) or
     m/s^2 (low thrust), one scalar per fixed-direction control or three per
     free control; None means ballistic. ``start`` is the back-propagated
     state at the first control event, as held by
     :attr:`ReferenceTrajectory.start`; without it the pass back-propagates
-    first. Returns (r_b, node states): the (xi, zeta) position in km on
-    ``event.bplane`` at closest approach, and the reference state at each
-    node.
+    first. Returns the (xi, zeta) position in km on ``event.bplane`` at
+    closest approach.
     """
     config = config or PropagationConfig()
     if phi_physical is None:
@@ -516,9 +495,8 @@ def propagate_with_controls(event: ConjunctionEvent, schedule: ControlSchedule,
     controls = phi_physical.reshape(schedule.n_controls, -1)
 
     start = start or _start_state(event, schedule, config, fixed_impulses)
-    r_b, node_states = _thread_trajectory(event, schedule, config, start,
-                                          controls, 1.0, fixed_impulses)
-    return np.array(r_b), node_states
+    return np.array(_thread_trajectory(event, schedule, config, start,
+                                       controls, 1.0, fixed_impulses))
 
 
 def reference_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
@@ -532,8 +510,8 @@ def reference_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
     config = config or PropagationConfig()
     fixed_impulses = tuple(fixed_impulses)
     start = start or _start_state(event, schedule, config, fixed_impulses)
-    r_b, _ = propagate_with_controls(event, schedule, None, config,
-                                     fixed_impulses, start)
+    r_b = propagate_with_controls(event, schedule, None, config,
+                                  fixed_impulses, start)
     return ReferenceTrajectory(
         start=start, fixed_impulses=fixed_impulses, config=config,
         bplane_km=r_b,
@@ -566,11 +544,10 @@ def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
                                       width * s + k) for k in range(width)]
                  for s in range(schedule.n_controls)]
 
-    r_b, _ = _thread_trajectory(event, schedule, config, reference.start,
-                                variables, schedule.unit, fixed_impulses)
+    r_b = _thread_trajectory(event, schedule, config, reference.start,
+                             variables, schedule.unit, fixed_impulses)
     poly = poc_chan(r_b, event.bplane.p_b, event.hbr_km)
-    return PocMap(poly=poly, ballistic_poc=reference.ballistic_poc,
-                  schedule=schedule, reference=reference)
+    return PocMap(poly=poly, schedule=schedule, reference=reference)
 
 
 def gradient_norm_per_node(event: ConjunctionEvent, candidate_times,
@@ -619,8 +596,8 @@ def gradient_norm_per_node(event: ConjunctionEvent, candidate_times,
         for j in range(single.n_vars):
             scalars = [1j * _COMPLEX_STEP if k == j else 0.0
                        for k in range(single.n_vars)]
-            (xi, zeta), _ = _thread_trajectory(event, single, config, start,
-                                               [scalars], single.unit)
+            xi, zeta = _thread_trajectory(event, single, config, start,
+                                          [scalars], single.unit)
             columns.append((xi.imag / _COMPLEX_STEP, zeta.imag / _COMPLEX_STEP))
         # every leg shares the real part: the ballistic encounter position
         dpoc = _bplane_gradient(event, (float(xi.real), float(zeta.real)))
@@ -676,7 +653,7 @@ def _primer_norms(event: ConjunctionEvent, times: Sequence[float],
         y = propagate_vector(y, (0.0, 0.0, 0.0), t_cur / scale.time_s,
                              t / scale.time_s, model_nd, config)
         t_cur = t
-        _, rot = _node_frame(event, scale, y, t)
+        rot = _control_rotation(event, scale, y)
         primer = rot @ np.array([c.imag for c in y[:3]])
         if template.is_fixed_direction:
             primer = template.fixed_direction @ primer

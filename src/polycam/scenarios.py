@@ -108,11 +108,11 @@ def scenario_to_event(doc: dict) -> ConjunctionEvent:
     state_p = SpacecraftState(
         r=_vector3(_require(primary, "r_km", list, "primary"), "primary.r_km"),
         v=_vector3(_require(primary, "v_kms", list, "primary"), "primary.v_kms"),
-        epoch=0.0, frame=frame)
+        frame=frame)
     state_s = SpacecraftState(
         r=_vector3(_require(secondary, "r_km", list, "secondary"), "secondary.r_km"),
         v=_vector3(_require(secondary, "v_kms", list, "secondary"), "secondary.v_kms"),
-        epoch=0.0, frame=frame)
+        frame=frame)
     return ConjunctionEvent(
         primary=state_p,
         secondary=state_s,

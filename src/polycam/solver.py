@@ -17,13 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjunction import ConjunctionEvent, poc_chan
+from .conjunction import ConjunctionEvent
 from .dapoly import contract_no_first_mode
 from .dynamics import PropagationConfig
 from .errors import (ConfigurationError, DegenerateGradientError,
                      InfeasibleWithBoundError, NonConvergenceError)
 from .mapbuilder import (ControlSchedule, IMPULSIVE, PocMap, build_poc_map,
-                         gradient_norm_per_node, propagate_with_controls)
+                         gradient_norm_per_node, reference_trajectory)
 
 __all__ = [
     "SolverConfig", "ManeuverSolution",
@@ -93,7 +93,7 @@ class ManeuverSolution:
 def solve_order1(pmap: PocMap, rho: float) -> np.ndarray:
     """Greedy first-order control: the shortest vector meeting the
     linearized constraint, aligned with the probability gradient."""
-    grad = pmap.gradient()
+    grad = pmap.poly.gradient_at_zero()
     norm = float(np.linalg.norm(grad))
     if norm < _GRADIENT_FLOOR:
         raise DegenerateGradientError(
@@ -108,27 +108,21 @@ def pseudo_gradient(pmap: PocMap, j: int, phi_tilde: np.ndarray) -> np.ndarray:
     [2, j], the degree-k homogeneous part contracted with k-1 copies of
     the linearization point.
     """
-    if not 1 <= j <= pmap.order:
-        raise ConfigurationError(f"order {j} outside [1, {pmap.order}]")
+    if not 1 <= j <= pmap.poly.max_order:
+        raise ConfigurationError(
+            f"order {j} outside [1, {pmap.poly.max_order}]")
     phi_tilde = np.asarray(phi_tilde, dtype=np.float64)
-    g = pmap.gradient()
+    g = pmap.poly.gradient_at_zero()
     for k in range(2, j + 1):
         g = g + contract_no_first_mode(pmap.poly, k, phi_tilde)
     return g
 
 
 def _quadratic_matrix(pmap: PocMap) -> np.ndarray:
-    """Symmetric matrix S with x^T S x equal to the degree-2 part."""
-    m = pmap.n_vars
-    s = np.zeros((m, m))
-    for exps, c in pmap.poly.homogeneous(2).coeffs.items():
-        idx = [k for k, e in enumerate(exps) for _ in range(e)]
-        a, b = idx[0], idx[1]
-        if a == b:
-            s[a, a] = c
-        else:
-            s[a, b] = s[b, a] = c / 2.0
-    return s
+    """Symmetric matrix S with x^T S x equal to the degree-2 part: column i
+    is the degree-2 contraction with the unit vector e_i."""
+    return np.column_stack([contract_no_first_mode(pmap.poly, 2, e)
+                            for e in np.eye(pmap.poly.n_vars)])
 
 
 class _PseudoGradientModel:
@@ -215,11 +209,11 @@ def _secular_order2_roots(pmap: PocMap, rho: float) -> list[np.ndarray]:
     roots are swept per branch between the poles 1/eig(S). Returned sorted
     by control magnitude.
     """
-    grad = pmap.gradient()
+    grad = pmap.poly.gradient_at_zero()
     if float(np.linalg.norm(grad)) < _GRADIENT_FLOOR:
         return []
     s = _quadratic_matrix(pmap)
-    m = pmap.n_vars
+    m = pmap.poly.n_vars
     h1 = pmap.poly.homogeneous(1)
     h2 = pmap.poly.homogeneous(2)
 
@@ -261,9 +255,9 @@ def _secular_order2_roots(pmap: PocMap, rho: float) -> list[np.ndarray]:
 def _ray_seeds(pmap: PocMap, j: int, rho: float) -> list[np.ndarray]:
     """Iteration restarts: smallest-magnitude roots of the truncated
     constraint along the gradient and the quadratic eigendirections."""
-    m = pmap.n_vars
+    m = pmap.poly.n_vars
     directions: list[np.ndarray] = []
-    grad = pmap.gradient()
+    grad = pmap.poly.gradient_at_zero()
     gn = float(np.linalg.norm(grad))
     if gn > _GRADIENT_FLOOR:
         directions.append(grad / gn * (1.0 if rho > 0 else -1.0))
@@ -315,7 +309,7 @@ def solve_order_j(pmap: PocMap, j: int, phi_init: np.ndarray,
     none does, the point is the candidate with the smallest fixed-point
     residual encountered.
     """
-    rho = config.target_poc - pmap.ballistic_poc
+    rho = config.target_poc - pmap.reference.ballistic_poc
     model = _PseudoGradientModel(pmap, j, rho)
     restart_budget = max(config.max_iterations // 4, 20)
     starts = itertools.chain(
@@ -366,12 +360,12 @@ def solve_recursive(pmap: PocMap, config: SolverConfig) -> ManeuverSolution:
     """
     started = time.perf_counter()
     n = config.max_order
-    if n > pmap.order:
+    if n > pmap.poly.max_order:
         raise ConfigurationError(
-            f"solver order {n} exceeds map order {pmap.order}")
-    rho = config.target_poc - pmap.ballistic_poc
+            f"solver order {n} exceeds map order {pmap.poly.max_order}")
+    rho = config.target_poc - pmap.reference.ballistic_poc
     if rho >= 0.0:
-        phi = np.zeros(pmap.n_vars)
+        phi = np.zeros(pmap.poly.n_vars)
         iterations = (1,) + (0,) * (n - 1)
         converged = (True,) * n
     else:
@@ -467,10 +461,10 @@ def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
         saturated.append((t, u_max_ms * dv / magnitude))
 
     # the grid is never empty here: ranking rejects an empty one
-    r_b, _ = propagate_with_controls(
-        event, template.retimed(ranked_times[-1:]), None, prop_config,
-        fixed_impulses=saturated, start=starts.get(min(ranked_times)))
-    residual_poc = poc_chan(r_b, event.bplane.p_b, event.hbr_km)
+    residual_poc = reference_trajectory(
+        event, template.retimed(ranked_times[-1:]), prop_config,
+        fixed_impulses=saturated,
+        start=starts.get(min(ranked_times))).ballistic_poc
     raise InfeasibleWithBoundError(
         f"all {len(ranked_times)} nodes saturated at {u_max_ms} m/s with "
         f"probability gap remaining (residual PoC {residual_poc})",

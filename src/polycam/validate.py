@@ -32,7 +32,6 @@ class ValidationReport:
     validated_poc: float
     ballistic_poc: float
     poc_log_error: float
-    dv_total_ms: float
     map_residual: float | None
     bplane_before_km: np.ndarray
     bplane_after_km: np.ndarray
@@ -58,22 +57,22 @@ def validate_solution(event: ConjunctionEvent, schedule: ControlSchedule,
     map that produced the solution is supplied, its reference serves (no
     second ballistic pass), and the report carries the mismatch between
     the map's prediction and the validated probability. Such a map must
-    have been built on ``schedule``'s epochs with the same propagation
-    config.
+    have been built on ``schedule`` itself (mode, epochs, fixed direction
+    and arcs) with the same propagation config; any other map is refused.
     """
     config = config or PropagationConfig()
     phi_physical = np.asarray(phi_physical, dtype=np.float64)
-    reference = pmap.reference if pmap is not None else None
-    if reference is None:
+    if pmap is None:
         reference = reference_trajectory(event, schedule, config)
-    elif (reference.config != config
-          or pmap.schedule.node_epochs != schedule.node_epochs):
+    elif pmap.reference.config != config or pmap.schedule != schedule:
         raise ConfigurationError(
-            "the map was built for other node epochs or another "
+            "the map was built for another schedule or another "
             "propagation config")
-    r_b_after, _ = propagate_with_controls(event, schedule, phi_physical,
-                                           config, reference.fixed_impulses,
-                                           reference.start)
+    else:
+        reference = pmap.reference
+    r_b_after = propagate_with_controls(event, schedule, phi_physical, config,
+                                        reference.fixed_impulses,
+                                        reference.start)
 
     validated = poc_chan(r_b_after, event.bplane.p_b, event.hbr_km)
     oracle = poc_quadrature(r_b_after, event.bplane.p_b, event.hbr_km)
@@ -93,7 +92,6 @@ def validate_solution(event: ConjunctionEvent, schedule: ControlSchedule,
         validated_poc=validated,
         ballistic_poc=reference.ballistic_poc,
         poc_log_error=log_error,
-        dv_total_ms=schedule.delta_v(phi_physical)[1],
         map_residual=map_residual,
         bplane_before_km=reference.bplane_km,
         bplane_after_km=r_b_after,

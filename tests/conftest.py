@@ -37,9 +37,8 @@ def make_leo_event(ballistic_poc=3e-6, crossing_deg=60.0, radius_km=7000.0,
 
     def event_at(miss):
         return ConjunctionEvent(
-            primary=dyn.SpacecraftState(r=r_p, v=v_p, epoch=0.0),
-            secondary=dyn.SpacecraftState(r=r_p - miss * miss_dir, v=v_s,
-                                          epoch=0.0),
+            primary=dyn.SpacecraftState(r=r_p, v=v_p),
+            secondary=dyn.SpacecraftState(r=r_p - miss * miss_dir, v=v_s),
             cov_primary=cov_p, cov_secondary=cov_s, hbr_km=hbr_km,
             dynamics=model)
 
@@ -78,9 +77,8 @@ def make_tangential_event(ballistic_poc=3e-6, crossing_deg=40.0,
 
     def event_at(miss):
         return ConjunctionEvent(
-            primary=dyn.SpacecraftState(r=r_p, v=v_p, epoch=0.0),
-            secondary=dyn.SpacecraftState(r=r_p - miss * tight, v=v_s,
-                                          epoch=0.0),
+            primary=dyn.SpacecraftState(r=r_p, v=v_p),
+            secondary=dyn.SpacecraftState(r=r_p - miss * tight, v=v_s),
             cov_primary=cov_p, cov_secondary=cov_s, hbr_km=hbr_km,
             dynamics=model)
 

@@ -15,7 +15,7 @@ from polycam.dynamics import PropagationConfig, propagate_vector
 from polycam.errors import ConfigurationError
 from polycam.mapbuilder import (ControlSchedule, IMPULSIVE, _control_rotation,
                                 _relative_bplane_position, _to_internal_units,
-                                propagate_with_controls)
+                                reference_trajectory)
 
 
 class InfeasibleError(Exception):
@@ -61,22 +61,20 @@ def grid_oracle_single_impulse(event: ConjunctionEvent, node_time: float,
 
     schedule = ControlSchedule(mode=IMPULSIVE, node_epochs=(float(node_time),))
 
-    r_b0, node_states = propagate_with_controls(event, schedule, None, config)
+    reference = reference_trajectory(event, schedule, config)
     p_b = event.bplane.p_b
-    ballistic = poc_chan(r_b0, p_b, event.hbr_km)
-    if ballistic <= target_poc:
+    if reference.ballistic_poc <= target_poc:
         return np.zeros(3)
 
+    # the node's internal-unit reference state: the design's start
     scale, model_nd = _to_internal_units(event)
-    node = node_states[0]
-    rot = _control_rotation(event, node)
+    t_node, y_node = reference.start
+    rot = _control_rotation(event, scale, y_node)
 
     directions = _fibonacci_sphere(resolution)
     dirs_inertial = directions @ rot  # rows: direction in propagation frame
 
-    y_node = np.concatenate([node.r / scale.length_km,
-                             node.v / scale.velocity_kms])
-    t_node_nd = node.epoch / scale.time_s
+    t_node_nd = t_node / scale.time_s
 
     def poc_batch(magnitude_ms: float, dirs: np.ndarray) -> np.ndarray:
         dv_nd = (magnitude_ms * 1e-3 / scale.velocity_kms) * dirs

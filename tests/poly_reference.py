@@ -1,9 +1,9 @@
 """Reference constructions on TaylorPoly, built from the exponent table.
 
 ``from_coeffs`` builds a polynomial from a {exponent tuple: coefficient}
-mapping and ``partial`` takes a formal partial derivative. Both read only
-the graded-lex exponent table, so they check the algebra without sharing
-its lookups.
+mapping, ``coeffs`` is the inverse view, and ``partial`` takes a formal
+partial derivative. They read only the graded-lex exponent table, so they
+check the algebra without sharing its lookups.
 """
 
 import numpy as np
@@ -23,6 +23,13 @@ def from_coeffs(cfg: AlgebraConfig, coeffs) -> TaylorPoly:
     for exps, value in coeffs.items():
         coef[index_of[tuple(exps)]] = value
     return TaylorPoly(cfg, coef)
+
+
+def coeffs(poly: TaylorPoly) -> dict[tuple[int, ...], float]:
+    """{exponent tuple: coefficient} of ``poly``; zeros omitted."""
+    exponents = _tables(poly.n_vars, poly.max_order).exponents
+    return {tuple(int(x) for x in exponents[i]): float(poly.coef[i])
+            for i in np.nonzero(poly.coef)[0]}
 
 
 def partial(poly: TaylorPoly, var: int) -> TaylorPoly:

@@ -174,7 +174,7 @@ def test_criterion_5_fixed_point_certificate(solved_suite):
             if not all(solution.per_order_converged):
                 continue
             phi_scaled = solution.phi / pmap.scaling
-            rho = TARGET - pmap.ballistic_poc
+            rho = TARGET - pmap.reference.ballistic_poc
             if rho >= 0.0:
                 continue
             constraint = sum(pmap.poly.homogeneous(k).eval(phi_scaled)
@@ -272,11 +272,11 @@ def test_criterion_9_map_fidelity(solved_suite):
     for k in range(3):
         step = np.zeros(3)
         step[k] = h
-        plus, _ = propagate_with_controls(event, schedule, step)
-        minus, _ = propagate_with_controls(event, schedule, -step)
+        plus = propagate_with_controls(event, schedule, step)
+        minus = propagate_with_controls(event, schedule, -step)
         fd[k] = (poc_chan(plus, bplane.p_b, event.hbr_km)
                  - poc_chan(minus, bplane.p_b, event.hbr_km)) / (2 * h)
-    linear_err = float(np.linalg.norm(pmap.gradient() - fd)
+    linear_err = float(np.linalg.norm(pmap.poly.gradient_at_zero() - fd)
                        / np.linalg.norm(fd))
 
     # (b) map value at the solution against the validated probability
@@ -343,9 +343,9 @@ def _designate_off_tangential(solved_suite):
     best = None
     for entry in _leo_results(solved_suite):
         pmap = entry["orders"][5][0]
-        if pmap.ballistic_poc < 2.5e-6:
+        if pmap.reference.ballistic_poc < 2.5e-6:
             continue
-        grad = pmap.gradient()
+        grad = pmap.poly.gradient_at_zero()
         fraction = 1.0 - (grad[1] ** 2 / float(grad @ grad))
         if best is None or fraction > best[0]:
             best = (fraction, entry)

@@ -347,6 +347,21 @@ class TestRunCommand:
         result = json.loads(out.read_text())
         assert len(result["node_epochs_s"]) == 1
 
+    @pytest.mark.parametrize("extra", [
+        (), ("--filter-grid", "1.0orb,0.5orb", "--umax", "1.0")],
+        ids=["no-grid", "with-umax"])
+    def test_unread_filter_keep_exit_2(self, scenario_file, tmp_path, capsys,
+                                       extra):
+        # a keep count that no filtering reads would be dropped silently
+        out = tmp_path / "never.json"
+        code = run_cli(["run", str(scenario_file), "--filter-keep", "3",
+                        *extra, "--out", str(out)])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["class"] == "parse"
+        assert "--filter-keep" in payload["error"]["message"]
+        assert not out.exists()
+
     def test_nodes_in_seconds(self, scenario_file, tmp_path):
         out = tmp_path / "seconds.json"
         code = run_cli(["run", str(scenario_file), "--nodes", "2500",

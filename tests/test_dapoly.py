@@ -9,7 +9,7 @@ from polycam.dapoly import (AlgebraConfig, TaylorPoly, _checked_row_table,
                             generic_power)
 from polycam.errors import ConfigurationError, DomainError
 
-from poly_reference import from_coeffs, partial
+from poly_reference import coeffs, from_coeffs, partial
 
 
 def random_poly(cfg, rng, scale=1.0, constant=None):
@@ -24,7 +24,7 @@ def random_poly(cfg, rng, scale=1.0, constant=None):
 
 
 def coeffs_close(a, b, tol=1e-13):
-    ca, cb = a.coeffs, b.coeffs
+    ca, cb = coeffs(a), coeffs(b)
     scale = max([abs(v) for v in ca.values()]
                 + [abs(v) for v in cb.values()] + [1.0])
     return all(abs(ca.get(k, 0.0) - cb.get(k, 0.0)) <= tol * scale
@@ -38,7 +38,7 @@ Y = TaylorPoly.variable(CFG2, 1)
 
 class TestAdd:
     def test_cancellation(self):
-        assert ((1 + X) + (2 - X)).coeffs == {(0, 0): 3.0}
+        assert coeffs((1 + X) + (2 - X)) == {(0, 0): 3.0}
 
     def test_additive_identity(self):
         p = 1 + 2 * X + 3 * Y * Y
@@ -47,7 +47,7 @@ class TestAdd:
     def test_like_term_merge(self):
         left = X + Y * Y
         right = Y * Y
-        assert (left + right).coeffs == {(1, 0): 1.0, (0, 2): 2.0}
+        assert coeffs(left + right) == {(1, 0): 1.0, (0, 2): 2.0}
 
     def test_mismatch_rejected(self):
         other = TaylorPoly.variable(AlgebraConfig(3, 3), 0)
@@ -59,16 +59,16 @@ class TestMul:
     def test_square_binomial(self):
         cfg = AlgebraConfig(1, 2)
         x = TaylorPoly.variable(cfg, 0)
-        assert ((1 + x) * (1 + x)).coeffs == {(0,): 1.0, (1,): 2.0, (2,): 1.0}
+        assert coeffs((1 + x) * (1 + x)) == {(0,): 1.0, (1,): 2.0, (2,): 1.0}
 
     def test_truncation(self):
         cfg = AlgebraConfig(1, 1)
         x = TaylorPoly.variable(cfg, 0)
-        assert (x * x).coeffs == {}
+        assert coeffs(x * x) == {}
 
     def test_difference_of_squares(self):
         prod = (X + Y) * (X - Y)
-        assert prod.coeffs == {(2, 0): 1.0, (0, 2): -1.0}
+        assert coeffs(prod) == {(2, 0): 1.0, (0, 2): -1.0}
 
 
 class TestIntrinsics:
@@ -76,19 +76,19 @@ class TestIntrinsics:
         cfg = AlgebraConfig(1, 2)
         x = TaylorPoly.variable(cfg, 0)
         got = (1 + 2 * x).sqrt()
-        assert got.coeffs == {(0,): 1.0, (1,): 1.0, (2,): -0.5}
+        assert coeffs(got) == {(0,): 1.0, (1,): 1.0, (2,): -0.5}
 
     def test_reciprocal_geometric_series(self):
         cfg = AlgebraConfig(1, 2)
         x = TaylorPoly.variable(cfg, 0)
         got = (1 + x).reciprocal()
-        assert got.coeffs == {(0,): 1.0, (1,): -1.0, (2,): 1.0}
+        assert coeffs(got) == {(0,): 1.0, (1,): -1.0, (2,): 1.0}
 
     def test_exp_series(self):
         cfg = AlgebraConfig(1, 3)
         x = TaylorPoly.variable(cfg, 0)
         got = x.exp()
-        assert got.coeffs == {(0,): 1.0, (1,): 1.0, (2,): 0.5,
+        assert coeffs(got) == {(0,): 1.0, (1,): 1.0, (2,): 0.5,
                               (3,): pytest.approx(1 / 6)}
 
     def test_domain_error_reports_value(self):
@@ -151,22 +151,22 @@ class TestEval:
         p = random_poly(cfg, rng)
         point = [0.0, -1.3, 0.7, 2.1]
         expected = sum(c * float(np.prod([x ** e for x, e in zip(point, exps)]))
-                       for exps, c in p.coeffs.items())
+                       for exps, c in coeffs(p).items())
         assert p.eval(point) == pytest.approx(expected, rel=1e-13)
 
 
 class TestPartial:
     # the formal derivative of poly_reference, the contraction tests' oracle
     def test_product_rule_case(self):
-        assert partial(X * X * Y, 0).coeffs == {(1, 1): 2.0}
+        assert coeffs(partial(X * X * Y, 0)) == {(1, 1): 2.0}
 
     def test_constant_derivative_zero(self):
-        assert partial(TaylorPoly.constant(CFG2, 5.0), 0).coeffs == {}
+        assert coeffs(partial(TaylorPoly.constant(CFG2, 5.0), 0)) == {}
 
     def test_cubic_at_full_order(self):
         cfg = AlgebraConfig(1, 3)
         x = TaylorPoly.variable(cfg, 0)
-        assert partial(x * x * x, 0).coeffs == {(2,): 3.0}
+        assert coeffs(partial(x * x * x, 0)) == {(2,): 3.0}
 
     def test_against_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -188,11 +188,11 @@ class TestPartial:
 class TestHomogeneous:
     def test_picks_degree(self):
         p = 1 + X + X * X
-        assert p.homogeneous(2).coeffs == {(2, 0): 1.0}
+        assert coeffs(p.homogeneous(2)) == {(2, 0): 1.0}
 
     def test_degree_zero(self):
         p = 4.0 + X
-        assert p.homogeneous(0).coeffs == {(0, 0): 4.0}
+        assert coeffs(p.homogeneous(0)) == {(0, 0): 4.0}
 
     def test_partition(self):
         rng = np.random.default_rng(2)
@@ -306,15 +306,15 @@ class TestCompose:
         inner_cfg = AlgebraConfig(9, 5)
         outers = [random_poly(outer_cfg, rng) for _ in range(2)]
         inner = [nilpotent_poly(inner_cfg, rng) for _ in range(6)]
-        coeffs = [p.coeffs for p in outers]
+        views = [coeffs(p) for p in outers]
         expected = [TaylorPoly.zero(inner_cfg) for _ in outers]
-        for exps in coeffs[0]:
+        for exps in views[0]:
             term = TaylorPoly.constant(inner_cfg, 1.0)
             for g, a in zip(inner, exps):
                 for _ in range(a):
                     term = term * g
             expected = [e + term * c.get(exps, 0.0)
-                        for e, c in zip(expected, coeffs)]
+                        for e, c in zip(expected, views)]
         got = compose(outers, inner)
         assert len(got) == 2
         for g, e in zip(got, expected):
@@ -340,7 +340,7 @@ class TestEmbed:
         assert big.n_vars == 4
         assert big.eval([0.3, -0.2, 0.7, 0.1]) == pytest.approx(
             small.eval([0.3, -0.2]), rel=1e-14)
-        assert partial(big, 2).coeffs == {}
+        assert coeffs(partial(big, 2)) == {}
 
     def test_fewer_variables_rejected(self):
         with pytest.raises(ConfigurationError):

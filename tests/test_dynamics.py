@@ -11,6 +11,7 @@ from polycam.mapbuilder import _to_internal_units
 from polycam.scenarios import generate_synthetic_suite, scenario_to_event
 
 from invariants import jacobi_constant, specific_energy
+from poly_reference import coeffs
 
 MODEL = dyn.DynamicsModel(kind=dyn.KEPLER)
 MODEL_J2 = dyn.DynamicsModel(kind=dyn.J2)
@@ -20,7 +21,7 @@ MODEL_CR3BP = dyn.DynamicsModel(kind=dyn.CR3BP)
 def circular_state(radius=7000.0, inclination=0.0):
     vc = math.sqrt(MODEL.mu / radius)
     v = np.array([0.0, vc * math.cos(inclination), vc * math.sin(inclination)])
-    return dyn.SpacecraftState(r=[radius, 0.0, 0.0], v=v, epoch=0.0)
+    return dyn.SpacecraftState(r=[radius, 0.0, 0.0], v=v)
 
 
 def advance(state, u, t0, t1, model, config=None):
@@ -212,7 +213,7 @@ class TestPropagateDa:
             fm = dyn.propagate_vector(minus, (0, 0, 0), 0.0, period / 2, MODEL)
             key = tuple(1 if j == var else 0 for j in range(3))
             fd = np.array([(p - m) / (2 * h) for p, m in zip(fp, fm)])
-            lin = np.array([p.coeffs.get(key, 0.0) / 1e-3 for p in out])
+            lin = np.array([coeffs(p).get(key, 0.0) / 1e-3 for p in out])
             assert np.linalg.norm(lin - fd) / np.linalg.norm(fd) <= 1e-5
 
     def test_batched_matches_scalar(self):
@@ -476,19 +477,17 @@ class TestStagePlan:
 
 class TestRtnRotation:
     def test_identity_aligned_triad(self):
-        state = dyn.SpacecraftState(r=[7000, 0, 0], v=[0, 7.5, 0])
-        np.testing.assert_allclose(dyn.rtn_rotation(state), np.eye(3),
-                                   atol=1e-15)
+        rot = dyn.rtn_rotation(np.array([7000.0, 0, 0]), np.array([0, 7.5, 0]))
+        np.testing.assert_allclose(rot, np.eye(3), atol=1e-15)
 
     def test_orthonormal(self):
-        state = dyn.SpacecraftState(r=[6000, 2000, 1500], v=[-1.0, 6.5, 2.0])
-        rot = dyn.rtn_rotation(state)
+        rot = dyn.rtn_rotation(np.array([6000.0, 2000, 1500]),
+                               np.array([-1.0, 6.5, 2.0]))
         np.testing.assert_allclose(rot @ rot.T, np.eye(3), atol=1e-14)
 
     def test_degenerate_geometry(self):
-        state = dyn.SpacecraftState(r=[7000, 0, 0], v=[3.0, 0, 0])
         with pytest.raises(FrameError):
-            dyn.rtn_rotation(state)
+            dyn.rtn_rotation(np.array([7000.0, 0, 0]), np.array([3.0, 0, 0]))
 
 
 class TestUnits:

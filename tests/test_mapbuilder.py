@@ -78,6 +78,16 @@ class TestControlSchedule:
             ControlSchedule(mode=IMPULSIVE, node_epochs=(-900.0,),
                             fixed_direction=(math.nan, 1.0, 0.0))
 
+    def test_equality_and_hash_by_value(self):
+        tang = ControlSchedule(mode=IMPULSIVE, node_epochs=(-900.0,),
+                               fixed_direction=np.array([0.0, 1.0, 0.0]))
+        same = ControlSchedule(mode=IMPULSIVE, node_epochs=(-900,),
+                               fixed_direction=[0.0, 1.0, 0.0])
+        assert tang == same
+        assert hash(tang) == hash(same)
+        assert tang != replace(tang, fixed_direction=(1.0, 0.0, 0.0))
+        assert tang != replace(tang, fixed_direction=None)
+
     def test_fixed_direction_count(self):
         tang = np.array([0.0, 1.0, 0.0])
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-900.0, -300.0),
@@ -85,35 +95,42 @@ class TestControlSchedule:
         assert sched.n_vars == 2
 
 
+def node_state(event, epoch):
+    """(r, v) in km and km/s of the reference at ``epoch``: the start of
+    the single-impulse design there."""
+    sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(epoch,))
+    start_epoch, y = mapbuilder.reference_trajectory(event, sched).start
+    assert start_epoch == epoch
+    scale, _ = _to_internal_units(event)
+    return (np.array(y[:3]) * scale.length_km,
+            np.array(y[3:]) * scale.velocity_kms)
+
+
 class TestBallisticReference:
     def test_single_node_round_trip(self, leo_event, leo_period):
-        sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * leo_period,))
-        nodes = propagate_with_controls(leo_event, sched, None)[1]
-        node = nodes[0]
-        back = dyn.propagate_vector((*node.r, *node.v), (0, 0, 0), node.epoch,
-                                    0.0, leo_event.dynamics)
+        epoch = -0.5 * leo_period
+        r, v = node_state(leo_event, epoch)
+        back = dyn.propagate_vector((*r, *v), (0, 0, 0), epoch, 0.0,
+                                    leo_event.dynamics)
         err = np.linalg.norm(np.array(back[:3]) - leo_event.primary.r)
         assert err / np.linalg.norm(leo_event.primary.r) <= 1e-9
 
     def test_near_encounter_node_matches_state(self, leo_event):
         # node one microsecond before closest approach: the reference moves
         # by |v| * 1e-6 km at most
-        sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-1e-6,))
-        nodes = propagate_with_controls(leo_event, sched, None)[1]
+        r, v = node_state(leo_event, -1e-6)
         budget = np.linalg.norm(leo_event.primary.v) * 1e-6
-        assert np.linalg.norm(nodes[0].r - leo_event.primary.r) <= 1.5 * budget
-        np.testing.assert_allclose(nodes[0].v, leo_event.primary.v, atol=1e-7)
+        assert np.linalg.norm(r - leo_event.primary.r) <= 1.5 * budget
+        np.testing.assert_allclose(v, leo_event.primary.v, atol=1e-7)
 
     def test_half_period_nodes_antipodal(self, leo_event, leo_period):
         # two-body geometry: points half a period apart on a circular
         # orbit are mirror images through the center
-        sched = ControlSchedule(mode=IMPULSIVE,
-                                node_epochs=(-leo_period, -0.5 * leo_period))
-        nodes = propagate_with_controls(leo_event, sched, None)[1]
+        r0, v0 = node_state(leo_event, -leo_period)
+        r1, v1 = node_state(leo_event, -0.5 * leo_period)
         radius = np.linalg.norm(leo_event.primary.r)
-        np.testing.assert_allclose(nodes[0].r, -nodes[1].r,
-                                   atol=1e-6 * radius)
-        np.testing.assert_allclose(nodes[0].v, -nodes[1].v, atol=1e-9)
+        np.testing.assert_allclose(r0, -r1, atol=1e-6 * radius)
+        np.testing.assert_allclose(v0, -v1, atol=1e-9)
 
 
 def count_propagations(monkeypatch):
@@ -183,8 +200,8 @@ class TestReferenceTrajectory:
         solution = solve_recursive(pmap, SolverConfig(max_order=3))
         report = validate_solution(event, sched, solution.phi, 1e-6,
                                    pmap=pmap)
-        before, _ = propagate_with_controls(event, sched, None)
-        after, _ = propagate_with_controls(event, sched, solution.phi)
+        before = propagate_with_controls(event, sched, None)
+        after = propagate_with_controls(event, sched, solution.phi)
         assert report.ballistic_poc == poc_chan(before, event.bplane.p_b,
                                                 event.hbr_km)
         assert np.array_equal(report.bplane_before_km, before)
@@ -201,11 +218,12 @@ class TestReferenceTrajectory:
         ref = mapbuilder.reference_trajectory(leo_event, sched,
                                               fixed_impulses=fixed)
         assert ref.start[0] == -leo_period
-        r_b, _ = propagate_with_controls(leo_event, sched, None,
-                                         fixed_impulses=fixed)
+        r_b = propagate_with_controls(leo_event, sched, None,
+                                      fixed_impulses=fixed)
         assert np.array_equal(ref.bplane_km, r_b)
         assert build_poc_map(leo_event, sched, 1, fixed_impulses=fixed,
-                             start=ref.start).ballistic_poc == ref.ballistic_poc
+                             start=ref.start).reference.ballistic_poc \
+            == ref.ballistic_poc
 
     def test_start_from_another_epoch_is_refused(self, leo_event, leo_period):
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-leo_period,))
@@ -213,6 +231,31 @@ class TestReferenceTrajectory:
             leo_event, sched.retimed([-0.5 * leo_period])).start
         with pytest.raises(ConfigurationError):
             propagate_with_controls(leo_event, sched, None, start=start)
+
+    @pytest.mark.parametrize("regime", ["LEO", "CISLUNAR"])
+    def test_non_finite_node_state_is_refused(self, regime):
+        # Kepler and three-body dynamics alike: the node's control frame
+        # refuses a reference state that is not finite
+        event = scenario_to_event(generate_synthetic_suite(3, 1, regime)[0])
+        sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-600.0,))
+        start = (-600.0, (math.nan,) + (1.0,) * 5)
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            propagate_with_controls(event, sched, None, start=start)
+
+    def test_map_of_another_schedule_is_refused(self, leo_event, leo_period):
+        # same epoch, other fixed direction: the map's figures would grade
+        # a control it was not built for
+        epochs = (-0.5 * leo_period,)
+        tangential = ControlSchedule(mode=IMPULSIVE, node_epochs=epochs,
+                                     fixed_direction=(0.0, 1.0, 0.0))
+        pmap = build_poc_map(leo_event, tangential, 1)
+        radial = replace(tangential, fixed_direction=(1.0, 0.0, 0.0))
+        with pytest.raises(ConfigurationError, match="another schedule"):
+            validate_solution(leo_event, radial, [0.05], 1e-6, pmap=pmap)
+        same = ControlSchedule(mode=IMPULSIVE, node_epochs=epochs,
+                               fixed_direction=np.array([0.0, 1.0, 0.0]))
+        report = validate_solution(leo_event, same, [0.05], 1e-6, pmap=pmap)
+        assert report.map_residual is not None
 
     def test_map_of_another_config_is_refused(self, leo_event, leo_period):
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * leo_period,))
@@ -227,30 +270,30 @@ class TestBuildPocMap:
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * leo_period,))
         pmap = build_poc_map(leo_event, sched, order=3)
         assert pmap.poly.constant_part == pytest.approx(
-            pmap.ballistic_poc, rel=1e-12)
-        assert pmap.poly.eval(np.zeros(pmap.n_vars)) == \
-            pytest.approx(pmap.ballistic_poc, rel=1e-12)
+            pmap.reference.ballistic_poc, rel=1e-12)
+        assert pmap.poly.eval(np.zeros(pmap.poly.n_vars)) == \
+            pytest.approx(pmap.reference.ballistic_poc, rel=1e-12)
 
     def test_variable_count_free_direction(self, leo_event, leo_period):
         sched = ControlSchedule(
             mode=IMPULSIVE,
             node_epochs=(-1.5 * leo_period, -0.5 * leo_period))
         pmap = build_poc_map(leo_event, sched, order=2)
-        assert pmap.n_vars == 3 * len(sched.node_epochs)
+        assert pmap.poly.n_vars == 3 * len(sched.node_epochs)
 
     def test_linear_part_matches_finite_differences(self, leo_event,
                                                     leo_period):
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * leo_period,))
         pmap = build_poc_map(leo_event, sched, order=5)
         bp = leo_event.bplane
-        grad = pmap.gradient()
+        grad = pmap.poly.gradient_at_zero()
         fd = np.zeros(3)
         h = 1e-3  # m/s, i.e. 1e-6 km/s
         for k in range(3):
             step = np.zeros(3)
             step[k] = h
-            plus, _ = propagate_with_controls(leo_event, sched, step)
-            minus, _ = propagate_with_controls(leo_event, sched, -step)
+            plus = propagate_with_controls(leo_event, sched, step)
+            minus = propagate_with_controls(leo_event, sched, -step)
             fd[k] = (poc_chan(plus, bp.p_b, leo_event.hbr_km)
                      - poc_chan(minus, bp.p_b, leo_event.hbr_km)) / (2 * h)
         assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) <= 1e-4
@@ -264,11 +307,11 @@ class TestBuildPocMap:
         for k in range(3):
             step = np.zeros(3)
             step[k] = h
-            plus, _ = propagate_with_controls(leo_event, sched, step)
-            minus, _ = propagate_with_controls(leo_event, sched, -step)
+            plus = propagate_with_controls(leo_event, sched, step)
+            minus = propagate_with_controls(leo_event, sched, -step)
             fd[k] = (poc_chan(plus, bp.p_b, leo_event.hbr_km)
                      - poc_chan(minus, bp.p_b, leo_event.hbr_km)) / (2 * h)
-        grad = pmap.gradient()
+        grad = pmap.poly.gradient_at_zero()
         cosine = grad @ fd / (np.linalg.norm(grad) * np.linalg.norm(fd))
         assert math.acos(min(cosine, 1.0)) <= 1e-3
 
@@ -277,7 +320,7 @@ class TestBuildPocMap:
         pmap = build_poc_map(leo_event, sched, order=5)
         bp = leo_event.bplane
         phi = np.array([0.01, -0.02, 0.005])  # m/s
-        r_b, _ = propagate_with_controls(leo_event, sched, phi)
+        r_b = propagate_with_controls(leo_event, sched, phi)
         truth = poc_chan(r_b, bp.p_b, leo_event.hbr_km)
         assert pmap.poly.eval(phi / pmap.scaling) == \
             pytest.approx(truth, rel=1e-4)
@@ -287,7 +330,7 @@ class TestBuildPocMap:
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * leo_period,),
                                 fixed_direction=tang)
         pmap = build_poc_map(leo_event, sched, order=3)
-        assert pmap.n_vars == 1
+        assert pmap.poly.n_vars == 1
         # magnitude along the pinned axis equals the matching free component
         free = build_poc_map(
             leo_event,
@@ -303,9 +346,9 @@ class TestBuildPocMap:
         sched = ControlSchedule(mode=LOW_THRUST,
                                 node_epochs=(center - 180, center + 180))
         pmap = build_poc_map(leo_event, sched, order=2)
-        assert pmap.n_vars == 3
+        assert pmap.poly.n_vars == 3
         assert pmap.poly.constant_part == pytest.approx(
-            pmap.ballistic_poc, rel=1e-12)
+            pmap.reference.ballistic_poc, rel=1e-12)
 
     def test_two_arc_low_thrust_map(self, leo_event, leo_period):
         # two 6-minute windows centered at 2.5 and 0.5 orbits out
@@ -315,11 +358,11 @@ class TestBuildPocMap:
         sched = ControlSchedule(mode=LOW_THRUST, node_epochs=tuple(arcs),
                                 arc_lengths=(2, 2))
         pmap = build_poc_map(leo_event, sched, order=2)
-        assert pmap.n_vars == 6
+        assert pmap.poly.n_vars == 6
         assert pmap.poly.constant_part == pytest.approx(
-            pmap.ballistic_poc, rel=1e-12)
+            pmap.reference.ballistic_poc, rel=1e-12)
         # the coast between the arcs leaves both windows with authority
-        grad = pmap.gradient()
+        grad = pmap.poly.gradient_at_zero()
         assert np.linalg.norm(grad[:3]) > 0
         assert np.linalg.norm(grad[3:]) > 0
 
@@ -352,9 +395,9 @@ def direct_poc_map(event, schedule, order, config):
     for i, t in enumerate(epochs):
         if i:
             y = dyn.propagate_vector(y, accel, epochs[i - 1], t, model, config)
-        rot = dyn.rtn_rotation(dyn.SpacecraftState(
-            r=[const(c) * scale.length_km for c in y[:3]],
-            v=[const(c) * scale.velocity_kms for c in y[3:]]))
+        rot = dyn.rtn_rotation(
+            np.array([const(c) * scale.length_km for c in y[:3]]),
+            np.array([const(c) * scale.velocity_kms for c in y[3:]]))
         accel = (0.0, 0.0, 0.0)
         if i in slots:
             x = [TaylorPoly.variable(cfg, 3 * slots[i] + k) for k in range(3)]
@@ -401,8 +444,8 @@ class TestScalingTransparency:
         # must give the physical gradient solution
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * leo_period,))
         pmap = build_poc_map(leo_event, sched, order=1)
-        rho = 1e-6 - pmap.ballistic_poc
-        grad_scaled = pmap.gradient()
+        rho = 1e-6 - pmap.reference.ballistic_poc
+        grad_scaled = pmap.poly.gradient_at_zero()
         phi_scaled = rho * grad_scaled / np.linalg.norm(grad_scaled) ** 2
         phi_physical = phi_scaled * pmap.scaling
         # same computation carried out directly in physical units
@@ -488,7 +531,8 @@ class TestGradientNormPerNode:
             single = ControlSchedule(mode=template.mode, node_epochs=epochs,
                                      fixed_direction=fixed)
             oracle = np.linalg.norm(build_poc_map(
-                event, single, order=1, config=oracle_config).gradient())
+                event, single, order=1,
+                config=oracle_config).poly.gradient_at_zero())
             assert oracle > 0.0
             assert abs(norm - oracle) <= tolerance * oracle
 
@@ -527,8 +571,8 @@ class TestGradientNormPerNode:
         # maps at 1500 steps on this grid (checked once, it takes 22 s)
         config = dyn.PropagationConfig(steps=200)
         oracle = {t: np.linalg.norm(build_poc_map(
-            event, template.retimed([t]), order=1, config=config).gradient())
-            for t in grid}
+            event, template.retimed([t]), order=1,
+            config=config).poly.gradient_at_zero()) for t in grid}
         ranked = sorted(grid, key=lambda t: -oracle[t])
         # neighbours in the oracle's order differ by far more than 0.9%
         gaps = [oracle[a] / oracle[b] - 1.0 for a, b in zip(ranked, ranked[1:])]

@@ -8,7 +8,7 @@ from polycam.dapoly import AlgebraConfig
 from polycam.errors import (ConfigurationError, DegenerateGradientError,
                             InfeasibleWithBoundError)
 from polycam.mapbuilder import (ControlSchedule, IMPULSIVE, LOW_THRUST, PocMap,
-                                build_poc_map)
+                                ReferenceTrajectory, build_poc_map)
 from polycam import solver
 from polycam.errors import NonConvergenceError
 from polycam.scenarios import generate_synthetic_suite, scenario_to_event
@@ -21,7 +21,8 @@ from poly_reference import from_coeffs
 
 
 def synthetic_map(coeffs, n_vars, order, ballistic=1e-4, schedule=None):
-    """Hand-built probability map: constant part + given terms."""
+    """Hand-built probability map: constant part + given terms, about a
+    stand-in reference that holds only the ballistic probability."""
     cfg = AlgebraConfig(n_vars, order)
     full = dict(coeffs)
     full[(0,) * n_vars] = ballistic
@@ -31,7 +32,11 @@ def synthetic_map(coeffs, n_vars, order, ballistic=1e-4, schedule=None):
             mode=IMPULSIVE,
             node_epochs=tuple(-600.0 * (k + 1)
                               for k in reversed(range(max(n_vars // 3, 1)))))
-    return PocMap(poly=poly, ballistic_poc=ballistic, schedule=schedule)
+    reference = ReferenceTrajectory(
+        start=(schedule.node_epochs[0], (0.0,) * 6), fixed_impulses=(),
+        config=dyn.PropagationConfig(), bplane_km=np.zeros(2),
+        ballistic_poc=ballistic)
+    return PocMap(poly=poly, schedule=schedule, reference=reference)
 
 
 class TestSolveOrder1:
@@ -39,7 +44,7 @@ class TestSolveOrder1:
         pmap = synthetic_map({(1, 0, 0): 3.0, (0, 1, 0): 4.0}, 3, 1)
         phi = solve_order1(pmap, rho=-5.0)
         np.testing.assert_allclose(phi, [-0.6, -0.8, 0.0])
-        assert pmap.gradient() @ phi == -5.0
+        assert pmap.poly.gradient_at_zero() @ phi == -5.0
 
     def test_zero_gap_zero_control(self):
         pmap = synthetic_map({(1, 0, 0): 3.0}, 3, 1)
@@ -112,7 +117,7 @@ class TestSolveOrderJ:
     def test_linear_map_single_iteration(self):
         pmap = synthetic_map({(1, 0, 0): 1e-3}, 3, 2, ballistic=1e-4)
         config = SolverConfig(max_order=2)
-        rho = config.target_poc - pmap.ballistic_poc
+        rho = config.target_poc - pmap.reference.ballistic_poc
         seed = solve_order1(pmap, rho)
         phi, iterations, converged = solve_order_j(pmap, 2, seed, config)
         assert converged
@@ -127,7 +132,7 @@ class TestSolveOrderJ:
                              schedule=ControlSchedule(mode=IMPULSIVE,
                                                       node_epochs=(-600.0,)))
         config = SolverConfig(max_order=2)
-        rho = config.target_poc - pmap.ballistic_poc
+        rho = config.target_poc - pmap.reference.ballistic_poc
         assert rho == pytest.approx(-0.5)
         phi, _, converged = solve_order_j(pmap, 2, solve_order1(pmap, rho),
                                           config)
@@ -140,7 +145,7 @@ class TestSolveOrderJ:
                              schedule=ControlSchedule(mode=IMPULSIVE,
                                                       node_epochs=(-600.0,)))
         config = SolverConfig(max_order=2)
-        rho = config.target_poc - pmap.ballistic_poc
+        rho = config.target_poc - pmap.reference.ballistic_poc
         phi_star, _, converged = solve_order_j(pmap, 2, solve_order1(pmap, rho),
                                                config)
         assert converged
@@ -156,7 +161,7 @@ class TestSolveOrderJ:
             2, 3, ballistic=5e-5,
             schedule=ControlSchedule(mode=IMPULSIVE, node_epochs=(-600.0,)))
         config = SolverConfig(max_order=3)
-        rho = config.target_poc - pmap.ballistic_poc
+        rho = config.target_poc - pmap.reference.ballistic_poc
         phi = solve_order1(pmap, rho)
         for j in (2, 3):
             phi, _, converged = solve_order_j(pmap, j, phi, config)
@@ -176,7 +181,7 @@ class TestSolveOrderJ:
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * period,))
         pmap = build_poc_map(event, sched, order=2)
         config = SolverConfig(max_order=2)
-        rho = config.target_poc - pmap.ballistic_poc
+        rho = config.target_poc - pmap.reference.ballistic_poc
         phi, _, converged = solve_order_j(pmap, 2, solve_order1(pmap, rho),
                                           config)
         assert converged
@@ -227,11 +232,11 @@ class TestSolveRecursive:
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * leo_period,))
         pmap = build_poc_map(leo_event, sched, order=4)
         config = SolverConfig(max_order=4)
-        rho = config.target_poc - pmap.ballistic_poc
+        rho = config.target_poc - pmap.reference.ballistic_poc
         assert rho < 0.0
         sol = solve_recursive(pmap, config)
         mapped = pmap.poly.eval(sol.phi / pmap.scaling)
-        assert mapped < pmap.ballistic_poc
+        assert mapped < pmap.reference.ballistic_poc
 
 
 class TestFilterNodes:
@@ -438,7 +443,7 @@ class TestFixedDirection:
         sched_free = ControlSchedule(mode=IMPULSIVE,
                                      node_epochs=(-0.5 * leo_period,))
         pmap = build_poc_map(leo_event, sched_free, order=2)
-        grad = pmap.gradient()
+        grad = pmap.poly.gradient_at_zero()
         # build a unit vector orthogonal to the gradient
         seed = np.array([0.0, 0.0, 1.0])
         ortho = seed - (seed @ grad) * grad / np.linalg.norm(grad) ** 2

@@ -147,6 +147,41 @@ def test_every_method_and_property_has_a_caller_outside_the_tests():
     assert unused == []
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for deco in cls.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    # a field of a polycam dataclass counts as read when a polycam module
+    # or the benchmark harness loads it as an attribute or names it in a
+    # string; a field that is only set is a second owner of nothing
+    package = glob.glob(os.path.join(os.path.dirname(polycam.__file__),
+                                     "*.py"))
+    trees = {p: ast.parse(open(p).read())
+             for p in package + glob.glob(os.path.join(PERFBENCH, "*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str):
+                read.add(node.value)
+    unread = [f"{cls.name}.{field.target.id}"
+              for path in package for cls in trees[path].body
+              if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+              for field in cls.body
+              if isinstance(field, ast.AnnAssign)
+              and isinstance(field.target, ast.Name)
+              and field.target.id not in read]
+    assert unread == []
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub
