@@ -259,10 +259,13 @@ def _design(doc: dict, flags: dict) -> tuple[int, dict]:
         prop_config = PropagationConfig(steps=opts["steps"])
         schedule = ControlSchedule(mode=opts["mode"], node_epochs=epochs,
                                    fixed_direction=opts["fixed_dir"])
-        if "filter_keep" in flags and (opts["filter_grid"] is None
-                                       or opts["umax"] is not None):
+        keep_set = "filter_keep" in flags or "filter_keep" in defaults
+        if keep_set and (opts["filter_grid"] is None
+                         or opts["umax"] is not None):
+            source = "--filter-keep" if "filter_keep" in flags \
+                else "defaults key 'filter_keep'"
             raise ScenarioParseError(
-                "--filter-keep needs a filter grid and excludes --umax")
+                f"{source} needs a filter grid and excludes umax")
         grid = None
         if opts["filter_grid"] is not None:
             grid = [_parse_node_token(tok, period, "filter grid")

@@ -3,9 +3,10 @@
 The program minimizes the control energy subject to the truncated
 polynomial constraint "collision probability equals its target". Order one
 has a closed-form greedy solution along the probability gradient. Each
-higher order linearizes its constraint about the previous order's solution
+higher order linearizes its constraint about the previous order's point
 through a pseudo-gradient (the gradient plus single-free-index contractions
-of the higher-degree terms) and iterates that greedy step to a fixed point.
+of the higher-degree terms) and iterates that greedy step; only the final
+order must reach a fixed point, and only it falls back to restarts.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ class ManeuverSolution:
     is stacked on; ``per_node_dv_ms`` reports the equivalent velocity
     increment vector of each control in the local frame. ``residual`` is
     the map-constraint mismatch at the solution. ``per_order_converged``
-    marks the escalation orders whose iteration reached a fixed point
-    (intermediate orders whose truncated constraint has no solution hand
-    their best iterate to the next order instead).
+    marks the escalation orders whose iteration reached a fixed point (an
+    intermediate order that did not still hands the iteration's end point
+    to the next order).
     """
 
     phi: np.ndarray
@@ -157,11 +158,10 @@ class _PseudoGradientModel:
 
 def _damped_picard(model: _PseudoGradientModel, start: np.ndarray,
                    budget: int, e_tol: float):
-    """Substitution with step halving when the displacement grows.
-
-    Returns (converged, point). A stall counter aborts runs orbiting a
-    displacement plateau.
-    """
+    """Damped substitution: greedy steps on the linearized constraint until
+    successive points differ by at most ``e_tol``, halving a step that
+    grows the displacement. Returns (converged, point); a stall counter
+    aborts runs orbiting a displacement plateau."""
     phi_tilde = np.asarray(start, dtype=np.float64)
     raw = model.greedy(phi_tilde)
     stalls = 0
@@ -293,21 +293,16 @@ def _restarts(pmap: PocMap, j: int, rho: float):
 
 def solve_order_j(pmap: PocMap, j: int, phi_init: np.ndarray,
                   config: SolverConfig) -> tuple[np.ndarray, int, bool]:
-    """Fixed point of the order-j greedy linearization map.
-
-    Returns (point, pseudo-gradient evaluations, converged). From each
-    start the iteration itself runs first: linearize the constraint at the
-    current point through the pseudo-gradient, take the greedy minimum-norm
-    step, declare convergence when successive points differ by at most
-    ``e_tol``, damping the step whenever the displacement grows. When it
-    orbits without converging, a dogleg root find on the fixed-point
-    residual hunts the same fixed point from where it stopped. The first
-    start is ``phi_init``; the restarts, on a quarter of the iteration
-    budget, are the exact secular fixed points at order 2 and then
-    constraint roots along principal rays. Whatever start succeeds, the
-    returned point satisfies the iteration's own convergence test; when
-    none does, the point is the candidate with the smallest fixed-point
-    residual encountered.
+    """The final order's hunt for a fixed point of the order-j greedy
+    linearization map. Returns (point, pseudo-gradient evaluations,
+    converged). From each start the damped iteration runs first; when it
+    does not converge, a dogleg root find on the fixed-point residual
+    hunts the same fixed point from where it stopped. The first start is
+    ``phi_init``; the restarts, on a quarter of the budget, are the exact
+    secular fixed points at order 2, then constraint roots along principal
+    rays. A returned fixed point passes the iteration's convergence test;
+    failing all starts, the point is the candidate with the smallest
+    fixed-point residual encountered.
     """
     rho = config.target_poc - pmap.reference.ballistic_poc
     model = _PseudoGradientModel(pmap, j, rho)
@@ -348,15 +343,12 @@ def _package_solution(schedule: ControlSchedule, phi_physical: np.ndarray,
 
 
 def solve_recursive(pmap: PocMap, config: SolverConfig) -> ManeuverSolution:
-    """Escalate the constraint order from 1 to n, reseeding each order with
-    the previous order's fixed point.
-
-    A ballistic probability already at or below the target yields the zero
-    maneuver (probability is never raised toward the target). An
-    intermediate order whose truncated constraint admits no fixed point
-    (possible when the truncation cannot reach the gap, notably even
-    truncations of a decaying tail) passes its best iterate to the next
-    order; only the final order is required to converge.
+    """Escalate the constraint order from 1 to n, seeding each order with
+    the previous order's point. Orders 2..n-1 run the damped iteration
+    once, on the full budget, and hand on its end point, converged or not
+    (a truncation may admit no fixed point); only order n hunts, with
+    :func:`solve_order_j`, and must converge. A ballistic probability at
+    or below the target yields the zero maneuver.
     """
     started = time.perf_counter()
     n = config.max_order
@@ -373,7 +365,13 @@ def solve_recursive(pmap: PocMap, config: SolverConfig) -> ManeuverSolution:
         iterations = (1,)
         converged = (True,)
         for j in range(2, n + 1):
-            phi, used, ok = solve_order_j(pmap, j, phi, config)
+            if j == n:
+                phi, used, ok = solve_order_j(pmap, j, phi, config)
+            else:
+                model = _PseudoGradientModel(pmap, j, rho)
+                ok, phi = _damped_picard(model, phi, config.max_iterations,
+                                         config.e_tol)
+                used = model.evals
             iterations += (used,)
             converged += (ok,)
         if not converged[-1]:

@@ -171,7 +171,9 @@ def test_criterion_5_fixed_point_certificate(solved_suite):
             if result is None:
                 continue
             pmap, solution, _, _ = result
-            if not all(solution.per_order_converged):
+            # the certificate is the final order's: an intermediate order
+            # only seeds the next and may hand on an unconverged point
+            if not solution.per_order_converged[-1]:
                 continue
             phi_scaled = solution.phi / pmap.scaling
             rho = TARGET - pmap.reference.ballistic_poc

@@ -347,20 +347,44 @@ class TestRunCommand:
         result = json.loads(out.read_text())
         assert len(result["node_epochs_s"]) == 1
 
-    @pytest.mark.parametrize("extra", [
-        (), ("--filter-grid", "1.0orb,0.5orb", "--umax", "1.0")],
-        ids=["no-grid", "with-umax"])
+    @pytest.mark.parametrize("defaults, extra, source", [
+        ({}, ("--filter-keep", "3"), "--filter-keep"),
+        ({}, ("--filter-keep", "3", "--filter-grid", "1.0orb,0.5orb",
+              "--umax", "1.0"), "--filter-keep"),
+        ({"filter_keep": 3}, (), "defaults key 'filter_keep'"),
+        ({"filter_keep": 1, "filter_grid": "1.0orb,0.5orb"},
+         ("--umax", "1.0"), "defaults key 'filter_keep'"),
+        ({"filter_keep": 1, "filter_grid": "1.0orb,0.5orb", "umax": 1.0},
+         (), "defaults key 'filter_keep'")],
+        ids=["no-grid", "with-umax", "default-no-grid",
+             "default-with-umax-flag", "default-with-umax-default"])
     def test_unread_filter_keep_exit_2(self, scenario_file, tmp_path, capsys,
-                                       extra):
-        # a keep count that no filtering reads would be dropped silently
+                                       defaults, extra, source):
+        # a keep count that no filtering reads would be dropped silently,
+        # whether it comes from the flag or from the scenario's defaults
+        doc = json.loads(scenario_file.read_text())
+        doc.setdefault("defaults", {}).update(defaults)
+        case = tmp_path / "keep.json"
+        case.write_text(json.dumps(doc))
         out = tmp_path / "never.json"
-        code = run_cli(["run", str(scenario_file), "--filter-keep", "3",
-                        *extra, "--out", str(out)])
+        code = run_cli(["run", str(case), *extra, "--out", str(out)])
         assert code == 2
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["class"] == "parse"
-        assert "--filter-keep" in payload["error"]["message"]
+        assert source in payload["error"]["message"]
         assert not out.exists()
+
+    def test_filter_keep_default_with_grid_default(self, scenario_file,
+                                                   tmp_path):
+        doc = json.loads(scenario_file.read_text())
+        doc.setdefault("defaults", {}).update(
+            {"filter_keep": 2, "filter_grid": ["1.5orb", "1.0orb", "0.5orb"]})
+        case = tmp_path / "keep-two.json"
+        case.write_text(json.dumps(doc))
+        out = tmp_path / "filtered.json"
+        assert run_cli(["run", str(case), "--order", "2",
+                        "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["node_epochs_s"]) == 2
 
     def test_nodes_in_seconds(self, scenario_file, tmp_path):
         out = tmp_path / "seconds.json"

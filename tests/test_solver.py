@@ -194,6 +194,32 @@ class TestSolveOrderJ:
         with pytest.raises(NonConvergenceError):
             solve_recursive(pmap, config)
 
+    def test_intermediate_order_hands_on_its_end_point(self, monkeypatch):
+        # the map above, at order 5: order 2 stalls as before, but an
+        # intermediate order only seeds the next one and never hunts
+        event = scenario_to_event(generate_synthetic_suite(
+            20260810, 1, "LEO", poc_band=(1.5e-6, 4e-6))[0])
+        period = dyn.osculating_period(event.primary, event.dynamics)
+        sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * period,))
+        pmap = build_poc_map(event, sched, order=5)
+        config = SolverConfig(max_order=5)
+        rho = config.target_poc - pmap.reference.ballistic_poc
+        model = solver._PseudoGradientModel(pmap, 2, rho)
+        stalled, _ = solver._damped_picard(model, solve_order1(pmap, rho),
+                                           config.max_iterations, config.e_tol)
+        assert not stalled
+
+        def refuse(*args):
+            raise AssertionError("an intermediate order entered the cascade")
+
+        for name in ("_polished_root", "_secular_order2_roots", "_ray_seeds"):
+            monkeypatch.setattr(solver, name, refuse)
+        sol = solve_recursive(pmap, config)
+        assert sol.per_order_converged[1] is False
+        assert sol.per_order_converged[-1] is True
+        assert sol.per_order_iterations[1] == model.evals
+        assert sol.residual <= 1e-12
+
 
 class TestSolveRecursive:
     def test_order_one_matches_closed_form(self):
