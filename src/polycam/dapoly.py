@@ -194,11 +194,11 @@ def _row_pass(tab: _AlgebraTables, data: np.ndarray, cols: np.ndarray,
     the product table, each row summed in order from 0.0.
 
     This is scipy's compiled CSR matrix-vector kernel, called directly:
-    scipy is already a dependency and ``import polycam`` already loads
-    ``scipy.sparse`` (``conjunction`` imports ``scipy.integrate``), while
-    the public route, ``csr_array((data, cols, mul_ptr)) @ x``, reaches
-    the same kernel only after building and checking an array object that
-    costs more than a whole (6, 5) product.
+    scipy is already a dependency, importing the kernel loads only
+    ``scipy.sparse`` and ``scipy._lib``, and the public route,
+    ``csr_array((data, cols, mul_ptr)) @ x``, reaches the same kernel only
+    after building and checking an array object that costs more than a
+    whole (6, 5) product.
     """
     out = np.zeros(tab.size)
     _csr_matvec(tab.size, tab.size, tab.mul_ptr, cols, data, x, out)

@@ -29,6 +29,7 @@ variable.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -74,15 +75,16 @@ class ControlSchedule:
     increasing and all negative. Impulsive schedules place one velocity
     increment per node. Low-thrust schedules hold a constant acceleration
     across each inter-node segment; the last node of every arc is idle (it
-    only marks where the arc stops), and ``arc_lengths`` partitions the
-    nodes into consecutive thrust arcs (one arc by default).
+    only marks where the arc stops), and ``arc_lengths``, integers given
+    only for low thrust, partitions the nodes into consecutive thrust arcs
+    (one arc by default).
 
     ``fixed_direction`` optionally pins every control to one unit vector
     in the local frame (the RTN frame of the node's reference state, or
     the synodic axes under three-body dynamics), reducing each control to
-    a single magnitude variable; it is held as a tuple of floats, so
-    schedules compare and hash by value. A schedule that breaks these rules
-    cannot be constructed.
+    a single magnitude variable. It is held as a tuple of floats and
+    ``arc_lengths`` as a tuple of ints, so schedules compare and hash by
+    value. A schedule that breaks these rules cannot be constructed.
     """
 
     mode: str
@@ -101,6 +103,13 @@ class ControlSchedule:
                     "the fixed direction must be a 3-component unit vector")
             object.__setattr__(self, "fixed_direction",
                                tuple(direction.tolist()))
+        if self.arc_lengths is not None:
+            try:
+                object.__setattr__(self, "arc_lengths", tuple(
+                    operator.index(n) for n in self.arc_lengths))
+            except TypeError:
+                raise ConfigurationError(
+                    "arc lengths must be integers") from None
         self.validate()
 
     def validate(self) -> None:
@@ -114,6 +123,9 @@ class ControlSchedule:
                 "all nodes must be finite and precede closest approach")
         if any(b >= a for a, b in zip(self.node_epochs[1:], self.node_epochs)):
             raise ConfigurationError("node epochs must be strictly increasing")
+        if self.mode == IMPULSIVE and self.arc_lengths is not None:
+            raise ConfigurationError(
+                "arc lengths apply to low-thrust schedules only")
         if self.mode == LOW_THRUST:
             if len(self.node_epochs) < 2:
                 raise ConfigurationError(
@@ -147,8 +159,6 @@ class ControlSchedule:
 
     @property
     def arcs(self) -> tuple[int, ...]:
-        if self.mode != LOW_THRUST:
-            return (len(self.node_epochs),)
         if self.arc_lengths is None:
             return (len(self.node_epochs),)
         return self.arc_lengths

@@ -16,7 +16,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .conjunction import ConjunctionEvent, poc_chan, poc_quadrature
 from .dynamics import (CR3BP, CR3BP_CHAR_LENGTH_KM, CR3BP_CHAR_TIME_S,
@@ -172,6 +171,7 @@ def _ballistic_poc(event: ConjunctionEvent) -> float:
 def _place_secondary(r_p, v_p, v_s, cov_p, cov_s, hbr, model, miss_dir,
                      target_poc):
     """Secondary position on the closest-approach sphere hitting target_poc."""
+    from scipy.optimize import brentq
 
     def event_at(miss: float) -> ConjunctionEvent:
         return ConjunctionEvent(

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from polycam import dynamics as dyn
-from polycam.conjunction import poc_chan, poc_quadrature
+from polycam.conjunction import poc_chan
 from polycam.mapbuilder import (ControlSchedule, IMPULSIVE, build_poc_map,
                                 gradient_norm_per_node,
                                 propagate_with_controls)
@@ -25,6 +25,7 @@ from polycam.validate import validate_solution
 
 from grid_oracle import grid_oracle_single_impulse
 from invariants import jacobi_constant, specific_energy
+from quadrature_reference import criterion_1_draws
 
 SUITE_SEED = 20260810
 LEO_COUNT = 20
@@ -93,24 +94,9 @@ def _leo_results(solved_suite):
 
 
 def test_criterion_1_poc_oracle_equivalence():
-    rng = np.random.default_rng(1)
     began = time.perf_counter()
     worst = 0.0
-    checked = 0
-    while checked < 200:
-        angle = rng.uniform(0, 2 * math.pi)
-        rot = np.array([[math.cos(angle), -math.sin(angle)],
-                        [math.sin(angle), math.cos(angle)]])
-        sigmas = rng.uniform(0.05, 2.0, size=2)
-        p_b = rot @ np.diag(sigmas ** 2) @ rot.T
-        hbr = rng.uniform(0.005, 0.05)
-        direction = rng.uniform(0, 2 * math.pi)
-        radius = rng.uniform(0.0, 4.5) * sigmas.max()
-        r_b = radius * np.array([math.cos(direction), math.sin(direction)])
-        reference = poc_quadrature(r_b, p_b, hbr)
-        if reference < 1e-12:
-            continue
-        checked += 1
+    for r_b, p_b, hbr, reference in criterion_1_draws():
         series = poc_chan(r_b, p_b, hbr)
         worst = max(worst, abs(series - reference) / reference)
     elapsed = time.perf_counter() - began

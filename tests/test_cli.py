@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -539,6 +540,40 @@ class TestRunCommand:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["status"] == "ok"
+
+    def test_run_loads_neither_scipy_integrate_nor_optimize(
+            self, scenario_file, tmp_path):
+        # a default design whose final order settles without the fallback
+        # cascade loads only the row kernel's part of scipy
+        src = os.path.dirname(os.path.dirname(polycam.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        out = tmp_path / "result.json"
+        script = textwrap.dedent(f"""
+            import json, sys
+            import polycam.cli, polycam.solver
+
+            def reached(*args, **kwargs):
+                raise AssertionError("the fallback cascade was reached")
+
+            for name in ("_polished_root", "_secular_order2_roots",
+                         "_ray_seeds"):
+                setattr(polycam.solver, name, reached)
+            code = polycam.cli.main(["run", {str(scenario_file)!r},
+                                     "--out", {str(out)!r}])
+            print(json.dumps([code, [name for name in sys.modules
+                                     if name.startswith(("scipy.integrate",
+                                                         "scipy.optimize"))]]))
+        """)
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=300,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = json.loads(proc.stdout)
+        assert code == 0
+        assert json.loads(out.read_text())["status"] == "ok"
+        assert loaded == []
 
     def test_low_thrust_mode(self, scenario_file, tmp_path):
         out = tmp_path / "lt.json"

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -11,6 +12,8 @@ from polycam.conjunction import (ConjunctionEvent, poc_chan, poc_quadrature,
 from polycam.dapoly import AlgebraConfig, TaylorPoly
 from polycam.errors import (CovarianceError, GeometryError, NumericError,
                             ValidationError)
+
+from quadrature_reference import criterion_1_draws, poc_dblquad
 
 
 def random_pd_2x2(rng, sigma_range=(0.05, 2.0)):
@@ -153,6 +156,35 @@ class TestProjectBplane:
             project_bplane(np.array([1.0, 0, 0]), np.zeros(3), np.eye(3))
 
 
+def _radius_case(diag, ratio, offset):
+    """A hard-body radius of ``ratio`` minor-axis sigmas, centred on the
+    mean or with its edge one sigma beyond it along a principal axis."""
+    p_b = np.diag(diag)
+    s_minor, s_major = math.sqrt(min(diag)), math.sqrt(max(diag))
+    hbr = ratio * s_minor
+    # numpy orders the eigenvectors of a diagonal matrix along the axes,
+    # so the major axis is the second one, even for equal variances
+    r_b = np.array({"centred": (0.0, 0.0), "major": (0.0, hbr + s_major),
+                    "minor": (hbr + s_minor, 0.0)}[offset])
+    return [(r_b, p_b, hbr, poc_dblquad(r_b, p_b, hbr))]
+
+
+def _tail_case(m):
+    r_b = np.array([float(m), 0.0])
+    return [(r_b, np.eye(2), 0.01, poc_dblquad(r_b, np.eye(2), 0.01))]
+
+
+REFERENCE_CASES = (
+    [pytest.param(criterion_1_draws, id="criterion-1-draws")]
+    + [pytest.param(functools.partial(_radius_case, diag, ratio, offset),
+                    id=f"diag{diag[0]:g},{diag[1]:g}-radius{ratio}-{offset}")
+       for diag in ((1.0, 1.0), (1.0, 4.0))
+       for ratio in (2, 4, 6, 10, 20, 50, 100)
+       for offset in ("centred", "major", "minor")]
+    + [pytest.param(functools.partial(_tail_case, m), id=f"tail{m}")
+       for m in range(10, 38)])
+
+
 class TestPocQuadrature:
     def test_centered_isotropic_closed_form(self):
         sigma = 0.3
@@ -160,6 +192,13 @@ class TestPocQuadrature:
         expected = 1.0 - math.exp(-hbr ** 2 / (2 * sigma ** 2))
         got = poc_quadrature(np.zeros(2), np.eye(2) * sigma ** 2, hbr)
         assert got == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("hbr", [1e-6, 1e-3])
+    def test_small_centred_disc_keeps_relative_accuracy(self, hbr):
+        # the chords span the mean: an erfc - erfc band would cancel
+        expected = -math.expm1(-hbr ** 2 / 2)
+        got = poc_quadrature(np.zeros(2), np.eye(2), hbr)
+        assert abs(got - expected) <= 1e-12 * expected
 
     def test_vanishing_hbr(self):
         assert poc_quadrature(np.array([1.0, 0.5]), np.eye(2), 1e-12) <= 1e-20
@@ -172,6 +211,13 @@ class TestPocQuadrature:
         with pytest.raises(CovarianceError):
             poc_quadrature(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]),
                            0.01)
+
+    @pytest.mark.parametrize("geometries", REFERENCE_CASES)
+    def test_matches_dblquad_reference(self, geometries):
+        for r_b, p_b, hbr, reference in geometries():
+            got = poc_quadrature(r_b, p_b, hbr)
+            assert reference > 0.0
+            assert abs(got - reference) <= 1e-12 * reference
 
 
 class TestPocChan:
@@ -193,7 +239,7 @@ class TestPocChan:
             radius = rng.uniform(0.0, 4.5) * math.sqrt(
                 float(np.linalg.eigvalsh(p_b).max()))
             r_b = radius * np.array([math.cos(direction), math.sin(direction)])
-            reference = poc_quadrature(r_b, p_b, hbr)
+            reference = poc_dblquad(r_b, p_b, hbr)
             if reference < 1e-12:
                 continue
             checked += 1

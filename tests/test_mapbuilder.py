@@ -88,6 +88,31 @@ class TestControlSchedule:
         assert tang != replace(tang, fixed_direction=(1.0, 0.0, 0.0))
         assert tang != replace(tang, fixed_direction=None)
 
+    def test_arc_lengths_held_as_int_tuple(self):
+        epochs = (-4000.0, -3600.0, -1200.0, -800.0)
+        listed = ControlSchedule(mode=LOW_THRUST, node_epochs=epochs,
+                                 arc_lengths=[2, np.int64(2)])
+        same = ControlSchedule(mode=LOW_THRUST, node_epochs=epochs,
+                               arc_lengths=(2, 2))
+        assert listed.arc_lengths == (2, 2)
+        assert all(type(n) is int for n in listed.arc_lengths)
+        assert listed == same
+        assert hash(listed) == hash(same)
+
+    @pytest.mark.parametrize("lengths", [(2.0, 2.0), (2, "2"), 4])
+    def test_rejects_non_integer_arc_lengths(self, lengths):
+        with pytest.raises(ConfigurationError,
+                           match="^arc lengths must be integers"):
+            ControlSchedule(mode=LOW_THRUST,
+                            node_epochs=(-4000.0, -3600.0, -1200.0, -800.0),
+                            arc_lengths=lengths)
+
+    def test_rejects_arc_lengths_on_impulses(self):
+        with pytest.raises(ConfigurationError,
+                           match="low-thrust schedules only"):
+            ControlSchedule(mode=IMPULSIVE, node_epochs=(-900.0,),
+                            arc_lengths=(7,))
+
     def test_fixed_direction_count(self):
         tang = np.array([0.0, 1.0, 0.0])
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-900.0, -300.0),
