@@ -370,16 +370,6 @@ class TaylorPoly:
                 f"point has shape {point.shape}, expected ({self.n_vars},)")
         return float(self.coef @ _monomial_values(self._tab, point))
 
-    def homogeneous(self, k: int) -> "TaylorPoly":
-        """Polynomial containing only the degree-k terms."""
-        if not 0 <= k <= self.max_order:
-            raise ConfigurationError(
-                f"degree {k} outside [0, {self.max_order}]")
-        coef = np.zeros(self._tab.size)
-        sl = self._tab.degree_slices[k]
-        coef[sl] = self.coef[sl]
-        return TaylorPoly._raw(self._tab, coef)
-
     def embed(self, config: AlgebraConfig) -> "TaylorPoly":
         """The same polynomial in an algebra of the same order with more
         variables; this polynomial's variables are its leading ones."""

@@ -6,7 +6,8 @@ has a closed-form greedy solution along the probability gradient. Each
 higher order linearizes its constraint about the previous order's point
 through a pseudo-gradient (the gradient plus single-free-index contractions
 of the higher-degree terms) and iterates that greedy step; only the final
-order must reach a fixed point, and only it falls back to restarts.
+order must reach a fixed point, and only it falls back, to a root polish
+and restarts that read only the map, through numpy.
 """
 
 from __future__ import annotations
@@ -190,15 +191,39 @@ def _damped_picard(model: _PseudoGradientModel, start: np.ndarray,
 
 def _polished_root(model: _PseudoGradientModel, start: np.ndarray,
                    e_tol: float) -> np.ndarray | None:
-    """Dogleg root find on the fixed-point residual; verified result."""
-    from scipy import optimize
-
-    result = optimize.root(model.fixed_point_residual, start, method="hybr",
-                           options={"xtol": e_tol * 1e-3})
-    x = np.asarray(result.x, dtype=np.float64)
-    if float(np.linalg.norm(model.fixed_point_residual(x))) <= e_tol:
+    """Levenberg-Marquardt (Marquardt 1963) on the fixed-point residual F,
+    its Jacobian by forward differences of step sqrt(eps) max(|x|, 1);
+    verified result, or None. Each of at most 20 steps takes the smallest
+    damping 1e-6 ... 1e6 x diag(J^T J) that shrinks |F|: none ends the
+    loop, and a singular system gives None."""
+    x = np.asarray(start, dtype=np.float64)
+    f = model.fixed_point_residual(x)
+    for _ in range(20):
+        h = 1.5e-8 * max(float(np.linalg.norm(x)), 1.0)
+        jac = np.column_stack([(model.fixed_point_residual(x + h * e) - f) / h
+                               for e in np.eye(x.size)])
+        jtj = jac.T @ jac
+        for mu in 10.0 ** np.arange(-6, 7):
+            try:
+                step = np.linalg.solve(jtj + mu * np.diag(np.diag(jtj)),
+                                       -jac.T @ f)
+            except np.linalg.LinAlgError:
+                return None
+            trial = model.fixed_point_residual(x + step)
+            if trial @ trial < f @ f:
+                x, f = x + step, trial
+                break
+        else:
+            break
+    if float(np.linalg.norm(f)) <= e_tol:
         return model.greedy(x)
     return None
+
+
+def _degree_values(pmap: PocMap, j: int, x: np.ndarray) -> list[float]:
+    """The map's degree-1..j parts at ``x``, by Euler's identity."""
+    return [float(contract_no_first_mode(pmap.poly, k, x) @ x)
+            for k in range(1, j + 1)]
 
 
 def _secular_order2_roots(pmap: PocMap, rho: float) -> list[np.ndarray]:
@@ -206,23 +231,22 @@ def _secular_order2_roots(pmap: PocMap, rho: float) -> list[np.ndarray]:
 
     An order-2 fixed point satisfies phi parallel to grad + S*phi, giving
     phi(a) = a (I - a S)^-1 grad with the scalar equation T2(phi(a)) = rho;
-    roots are swept per branch between the poles 1/eig(S). Returned sorted
-    by control magnitude.
+    roots are bracketed per branch between the poles 1/eig(S) and closed
+    by bisection. Returned sorted by control magnitude.
     """
     grad = pmap.poly.gradient_at_zero()
     if float(np.linalg.norm(grad)) < _GRADIENT_FLOOR:
         return []
     s = _quadratic_matrix(pmap)
-    m = pmap.poly.n_vars
-    h1 = pmap.poly.homogeneous(1)
-    h2 = pmap.poly.homogeneous(2)
 
     def phi_of(alpha: float) -> np.ndarray:
-        return alpha * np.linalg.solve(np.eye(m) - alpha * s, grad)
+        return alpha * np.linalg.solve(np.eye(grad.size) - alpha * s, grad)
 
     def value(alpha: float) -> float:
-        x = phi_of(alpha)
-        return h1.eval(x) + h2.eval(x) - rho
+        try:
+            return sum(_degree_values(pmap, 2, phi_of(alpha))) - rho
+        except np.linalg.LinAlgError:
+            return np.nan
 
     eigvals = np.linalg.eigvalsh(s)
     poles = sorted(1.0 / v for v in eigvals if v != 0.0)
@@ -231,23 +255,20 @@ def _secular_order2_roots(pmap: PocMap, rho: float) -> list[np.ndarray]:
         [-span * 1e4, span * 1e4] + [p for p in poles if abs(p) < span * 1e4]
         + [0.0]))
     roots: list[np.ndarray] = []
-    from scipy.optimize import brentq
     for lo, hi in zip(breakpoints, breakpoints[1:]):
         pad = 1e-9 * max(abs(lo), abs(hi), 1.0)
         grid = np.linspace(lo + pad, hi - pad, 48)
-        vals = []
-        for a in grid:
-            try:
-                vals.append(value(a))
-            except np.linalg.LinAlgError:
-                vals.append(np.nan)
+        vals = [value(a) for a in grid]
         for a0, a1, v0, v1 in zip(grid, grid[1:], vals, vals[1:]):
-            if np.isfinite(v0) and np.isfinite(v1) and v0 * v1 < 0.0:
-                try:
-                    alpha = brentq(value, a0, a1, xtol=1e-14, maxiter=200)
-                except (ValueError, np.linalg.LinAlgError):
-                    continue
-                roots.append(phi_of(alpha))
+            if not (np.isfinite(v0) and np.isfinite(v1) and v0 * v1 < 0.0):
+                continue
+            while a1 - a0 > 1e-14 + 9e-16 * max(abs(a0), abs(a1)):
+                mid = 0.5 * (a0 + a1)
+                if v0 * value(mid) > 0.0:
+                    a0 = mid
+                else:
+                    a1 = mid
+            roots.append(phi_of(0.5 * (a0 + a1)))
     roots.sort(key=lambda x: float(np.linalg.norm(x)))
     return roots
 
@@ -269,10 +290,9 @@ def _ray_seeds(pmap: PocMap, j: int, rho: float) -> list[np.ndarray]:
         for col in range(vecs.shape[1]):
             directions.append(vecs[:, col])
             directions.append(-vecs[:, col])
-    homo = [pmap.poly.homogeneous(k) for k in range(1, j + 1)]
     seeds: list[tuple[float, np.ndarray]] = []
     for u in directions:
-        coeffs = [h.eval(u) for h in homo][::-1] + [-rho]
+        coeffs = _degree_values(pmap, j, u)[::-1] + [-rho]
         roots = np.roots(coeffs)
         real = [float(r.real) for r in roots
                 if abs(r.imag) <= 1e-10 * max(1.0, abs(r.real)) and r.real > 0.0]
@@ -296,8 +316,8 @@ def solve_order_j(pmap: PocMap, j: int, phi_init: np.ndarray,
     """The final order's hunt for a fixed point of the order-j greedy
     linearization map. Returns (point, pseudo-gradient evaluations,
     converged). From each start the damped iteration runs first; when it
-    does not converge, a dogleg root find on the fixed-point residual
-    hunts the same fixed point from where it stopped. The first start is
+    does not converge, a Levenberg-Marquardt root find on the fixed-point
+    residual hunts the same fixed point from where it stopped. The first start is
     ``phi_init``; the restarts, on a quarter of the budget, are the exact
     secular fixed points at order 2, then constraint roots along principal
     rays. A returned fixed point passes the iteration's convergence test;

@@ -1,9 +1,10 @@
 """Reference constructions on TaylorPoly, built from the exponent table.
 
 ``from_coeffs`` builds a polynomial from a {exponent tuple: coefficient}
-mapping, ``coeffs`` is the inverse view, and ``partial`` takes a formal
-partial derivative. They read only the graded-lex exponent table, so they
-check the algebra without sharing its lookups.
+mapping, ``coeffs`` is the inverse view, ``partial`` takes a formal
+partial derivative and ``homogeneous`` keeps the terms of one degree. They
+read only the graded-lex exponent table, so they check the algebra without
+sharing its lookups.
 """
 
 import numpy as np
@@ -42,3 +43,9 @@ def partial(poly: TaylorPoly, var: int) -> TaylorPoly:
             lowered[var] -= 1
             coef[index_of[tuple(lowered)]] = poly.coef[i] * exps[var]
     return TaylorPoly(poly.config, coef)
+
+
+def homogeneous(poly: TaylorPoly, k: int) -> TaylorPoly:
+    """The degree-k terms of ``poly``, zero elsewhere."""
+    degrees = _tables(poly.n_vars, poly.max_order).exponents.sum(axis=1)
+    return TaylorPoly(poly.config, np.where(degrees == k, poly.coef, 0.0))

@@ -3,8 +3,11 @@
 ``poc_dblquad`` integrates the planar Gaussian density over the hard-body
 disc with ``scipy.integrate.dblquad``. It shares no code with the series
 or with the package's Gauss-Legendre rule, so acceptance criterion 1 and
-the quadrature tests compare both against it. The file name keeps pytest
-from collecting it.
+the quadrature tests compare both against it. It holds only for moderate
+hbr/sigma, or for offsets along the covariance's principal axes: with
+p_b = I, hbr = 100 and r_b = 0.7 (102, 102) it returns 8.7e-22 against
+0.16359, so the wide-disc tests also check the closed form of an isotropic
+covariance. The file name keeps pytest from collecting it.
 """
 
 import math

@@ -25,6 +25,7 @@ from polycam.validate import validate_solution
 
 from grid_oracle import grid_oracle_single_impulse
 from invariants import jacobi_constant, specific_energy
+from poly_reference import homogeneous
 from quadrature_reference import criterion_1_draws
 
 SUITE_SEED = 20260810
@@ -165,7 +166,7 @@ def test_criterion_5_fixed_point_certificate(solved_suite):
             rho = TARGET - pmap.reference.ballistic_poc
             if rho >= 0.0:
                 continue
-            constraint = sum(pmap.poly.homogeneous(k).eval(phi_scaled)
+            constraint = sum(homogeneous(pmap.poly, k).eval(phi_scaled)
                              for k in range(1, order + 1))
             bound = 10.0 * E_TOL * np.linalg.norm(
                 pseudo_gradient(pmap, order, phi_scaled))

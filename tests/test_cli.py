@@ -575,6 +575,45 @@ class TestRunCommand:
         assert json.loads(out.read_text())["status"] == "ok"
         assert loaded == []
 
+    def test_fallback_run_loads_no_scipy_optimize(self, tmp_path):
+        # leo-2406-001 reaches the root polish at order 3; the scenario is
+        # generated in its own process, because generate imports brentq
+        src = os.path.dirname(os.path.dirname(polycam.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        subprocess.run([sys.executable, "-m", "polycam", "generate", "--seed",
+                        "2406", "--count", "2", "--out-dir", str(tmp_path)],
+                       check=True, capture_output=True, timeout=300, env=env)
+        scenario = tmp_path / "leo-2406-001.json"
+        out = tmp_path / "result.json"
+        script = textwrap.dedent(f"""
+            import json, sys
+            import polycam.cli, polycam.solver
+
+            polish = polycam.solver._polished_root
+            calls = []
+
+            def counted(*args):
+                calls.append(1)
+                return polish(*args)
+
+            polycam.solver._polished_root = counted
+            code = polycam.cli.main(["run", {str(scenario)!r}, "--order",
+                                     "3", "--out", {str(out)!r}])
+            print(json.dumps([code, len(calls), [
+                name for name in sys.modules
+                if name.startswith(("scipy.integrate", "scipy.optimize"))]]))
+        """)
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=300,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        code, polishes, loaded = json.loads(proc.stdout)
+        assert code == 0
+        assert polishes >= 1
+        assert loaded == []
+
     def test_low_thrust_mode(self, scenario_file, tmp_path):
         out = tmp_path / "lt.json"
         code = run_cli(["run", str(scenario_file), "--mode", "lowthrust",

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import ncx2
 
 from polycam import dynamics as dyn
 from polycam.conjunction import (ConjunctionEvent, poc_chan, poc_quadrature,
@@ -211,6 +212,29 @@ class TestPocQuadrature:
         with pytest.raises(CovarianceError):
             poc_quadrature(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]),
                            0.01)
+
+    @pytest.mark.parametrize("sigma2", [1.0, 4.0])
+    @pytest.mark.parametrize("ratio", [0.01, 0.1, 1.0, 10.0, 100.0])
+    def test_isotropic_closed_form(self, sigma2, ratio):
+        # for p_b = sigma^2 I, |r|^2 / sigma^2 over the disc is noncentral
+        # chi-square with 2 degrees of freedom
+        sigma = math.sqrt(sigma2)
+        hbr = ratio * sigma
+        for distance in (0.5 * hbr, hbr + sigma, hbr + 3 * sigma,
+                         hbr + 10 * sigma):
+            for angle in (0.3, math.pi / 4, 2.0):
+                r_b = distance * np.array([math.cos(angle), math.sin(angle)])
+                expected = ncx2.cdf(hbr ** 2 / sigma2, 2, r_b @ r_b / sigma2)
+                got = poc_quadrature(r_b, sigma2 * np.eye(2), hbr)
+                assert abs(got - expected) <= 1e-12 * expected
+
+    def test_wide_disc_off_axis_where_dblquad_fails(self):
+        # poc_dblquad returns about 8.7e-22 here
+        r_b = 0.7 * np.array([102.0, 102.0])
+        expected = ncx2.cdf(100.0 ** 2, 2, r_b @ r_b)
+        assert expected == pytest.approx(0.16359, abs=1e-5)
+        got = poc_quadrature(r_b, np.eye(2), 100.0)
+        assert abs(got - expected) <= 1e-12 * expected
 
     @pytest.mark.parametrize("geometries", REFERENCE_CASES)
     def test_matches_dblquad_reference(self, geometries):
