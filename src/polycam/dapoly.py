@@ -30,14 +30,39 @@ reordering a row's pairs changes the last bits.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .errors import ConfigurationError, DomainError
+
+
+def _sparsetools():
+    """scipy's compiled CSR kernels, loaded from their extension file, as
+    ``import scipy.sparse`` first runs a package init that loads numpy.f2py,
+    numpy.testing, numpy.ma and numpy.random (0.3 s on a 2-core host). A
+    later ``import scipy.sparse`` finds the module under its own name."""
+    name = "scipy.sparse._sparsetools"
+    if name not in sys.modules:
+        home = os.path.dirname(find_spec("scipy").origin)
+        paths = [os.path.join(home, "sparse", "_sparsetools" + suffix)
+                 for suffix in EXTENSION_SUFFIXES]
+        path = next(filter(os.path.exists, paths), None)
+        if path is None:
+            raise ImportError(f"scipy's row kernel not found at {paths}")
+        spec = spec_from_file_location(name, path)
+        sys.modules[name] = module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+_csr_matvec = _sparsetools().csr_matvec
 
 __all__ = [
     "AlgebraConfig",
@@ -191,15 +216,10 @@ def _tables(n_vars: int, max_order: int) -> _AlgebraTables:
 def _row_pass(tab: _AlgebraTables, data: np.ndarray, cols: np.ndarray,
               x: np.ndarray) -> np.ndarray:
     """out[k] = sum of data[p] * x[cols[p]] over the pairs p of row k of
-    the product table, each row summed in order from 0.0.
-
-    This is scipy's compiled CSR matrix-vector kernel, called directly:
-    scipy is already a dependency, importing the kernel loads only
-    ``scipy.sparse`` and ``scipy._lib``, and the public route,
-    ``csr_array((data, cols, mul_ptr)) @ x``, reaches the same kernel only
-    after building and checking an array object that costs more than a
-    whole (6, 5) product.
-    """
+    the product table, each row summed in order from 0.0: scipy's compiled
+    CSR matrix-vector kernel (:func:`_sparsetools`), called directly, as
+    ``csr_array((data, cols, mul_ptr)) @ x`` first builds and checks an
+    array object that costs more than a whole (6, 5) product."""
     out = np.zeros(tab.size)
     _csr_matvec(tab.size, tab.size, tab.mul_ptr, cols, data, x, out)
     return out

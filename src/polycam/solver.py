@@ -194,8 +194,8 @@ def _polished_root(model: _PseudoGradientModel, start: np.ndarray,
     """Levenberg-Marquardt (Marquardt 1963) on the fixed-point residual F,
     its Jacobian by forward differences of step sqrt(eps) max(|x|, 1);
     verified result, or None. Each of at most 20 steps takes the smallest
-    damping 1e-6 ... 1e6 x diag(J^T J) that shrinks |F|: none ends the
-    loop, and a singular system gives None."""
+    damping 1e-6 ... 1e6 x diag(J^T J) that shrinks |F|: a shrink below
+    1% (or none) ends the loop, and a singular system gives None."""
     x = np.asarray(start, dtype=np.float64)
     f = model.fixed_point_residual(x)
     for _ in range(20):
@@ -211,10 +211,10 @@ def _polished_root(model: _PseudoGradientModel, start: np.ndarray,
                 return None
             trial = model.fixed_point_residual(x + step)
             if trial @ trial < f @ f:
-                x, f = x + step, trial
                 break
-        else:
+        if np.linalg.norm(trial) > 0.99 * np.linalg.norm(f):
             break
+        x, f = x + step, trial
     if float(np.linalg.norm(f)) <= e_tol:
         return model.greedy(x)
     return None

@@ -544,7 +544,8 @@ class TestRunCommand:
     def test_run_loads_neither_scipy_integrate_nor_optimize(
             self, scenario_file, tmp_path):
         # a default design whose final order settles without the fallback
-        # cascade loads only the row kernel's part of scipy
+        # cascade loads only the row kernel of scipy, and none of the numpy
+        # subpackages that scipy's package init pulls in
         src = os.path.dirname(os.path.dirname(polycam.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -562,22 +563,24 @@ class TestRunCommand:
                 setattr(polycam.solver, name, reached)
             code = polycam.cli.main(["run", {str(scenario_file)!r},
                                      "--out", {str(out)!r}])
-            print(json.dumps([code, [name for name in sys.modules
-                                     if name.startswith(("scipy.integrate",
-                                                         "scipy.optimize"))]]))
+            print(json.dumps([code, sorted(name for name in sys.modules
+                                           if name.startswith("scipy")),
+                              "numpy.f2py" in sys.modules]))
         """)
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, timeout=300,
                               env=env)
         assert proc.returncode == 0, proc.stderr
-        code, loaded = json.loads(proc.stdout)
+        code, loaded, f2py = json.loads(proc.stdout)
         assert code == 0
         assert json.loads(out.read_text())["status"] == "ok"
-        assert loaded == []
+        assert loaded == ["scipy.sparse._sparsetools"]
+        assert not f2py
 
     def test_fallback_run_loads_no_scipy_optimize(self, tmp_path):
-        # leo-2406-001 reaches the root polish at order 3; the scenario is
-        # generated in its own process, because generate imports brentq
+        # leo-2406-001 reaches the root polish at order 3 and still loads
+        # only the row kernel of scipy; the scenario is generated in its
+        # own process, because generate imports brentq
         src = os.path.dirname(os.path.dirname(polycam.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -601,18 +604,19 @@ class TestRunCommand:
             polycam.solver._polished_root = counted
             code = polycam.cli.main(["run", {str(scenario)!r}, "--order",
                                      "3", "--out", {str(out)!r}])
-            print(json.dumps([code, len(calls), [
-                name for name in sys.modules
-                if name.startswith(("scipy.integrate", "scipy.optimize"))]]))
+            print(json.dumps([code, len(calls), sorted(
+                name for name in sys.modules if name.startswith("scipy")),
+                "numpy.f2py" in sys.modules]))
         """)
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, timeout=300,
                               env=env)
         assert proc.returncode == 0, proc.stderr
-        code, polishes, loaded = json.loads(proc.stdout)
+        code, polishes, loaded, f2py = json.loads(proc.stdout)
         assert code == 0
         assert polishes >= 1
-        assert loaded == []
+        assert loaded == ["scipy.sparse._sparsetools"]
+        assert not f2py
 
     def test_low_thrust_mode(self, scenario_file, tmp_path):
         out = tmp_path / "lt.json"

@@ -1,9 +1,15 @@
 import functools
 import itertools
+import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import polycam
 from polycam.dapoly import (AlgebraConfig, TaylorPoly, _checked_row_table,
                             _tables, compose, contract_no_first_mode,
                             generic_power)
@@ -537,3 +543,66 @@ class TestRowTable:
             ptr[0] = 1
         with pytest.raises(ConfigurationError):
             _checked_row_table(tab.size, ptr, mi, mj)
+
+
+def run_fresh(script):
+    """stdout of ``script`` run by a fresh interpreter that finds the
+    package where this process imported it from."""
+    src = os.path.dirname(os.path.dirname(polycam.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# a seeded (6, 5) product, its coefficients printed exactly
+PRODUCT_6_5 = textwrap.dedent("""
+    import json
+    import numpy as np
+    from polycam.dapoly import AlgebraConfig, TaylorPoly
+    rng = np.random.default_rng(65)
+    cfg = AlgebraConfig(6, 5)
+    a, b = (TaylorPoly(cfg, rng.standard_normal(462)) for _ in range(2))
+    print(json.dumps([c.hex() for c in (a * b).coef.tolist()]))
+""")
+
+
+class TestKernelLoad:
+    def test_polycam_first_then_scipy_sparse(self):
+        # conftest imports scipy before polycam, so only a fresh process
+        # sees the kernel loaded first from its file
+        polycam_first = run_fresh(textwrap.dedent("""
+            import json
+            import numpy as np
+            import polycam
+            import scipy.sparse
+            from scipy.sparse._sparsetools import csr_matvec
+            from polycam import dapoly
+            dense = np.array([[1.5, 0.0, -2.0], [0.0, 3.0, 0.25]])
+            x = np.array([0.5, -1.0, 4.0])
+            got = scipy.sparse.csr_array(dense) @ x
+            print(json.dumps([dapoly._csr_matvec is csr_matvec,
+                              bool(np.array_equal(got, dense @ x))]))
+        """) + PRODUCT_6_5).splitlines()
+        scipy_first = run_fresh("import scipy.sparse\n" + PRODUCT_6_5)
+        assert json.loads(polycam_first[0]) == [True, True]
+        assert np.array_equal(
+            [float.fromhex(c) for c in json.loads(polycam_first[1])],
+            [float.fromhex(c) for c in json.loads(scipy_first)])
+
+    def test_missing_kernel_names_the_path(self):
+        out = run_fresh("""
+            import importlib.machinery
+            import numpy
+            importlib.machinery.EXTENSION_SUFFIXES[:] = [".missing.so"]
+            try:
+                import polycam
+            except ImportError as exc:
+                print(exc)
+        """)
+        assert "row kernel not found" in out
+        assert os.path.join("sparse", "_sparsetools.missing.so") in out

@@ -242,6 +242,31 @@ class TestCascadeReach:
                 failed += 1
         assert failed <= allowed
 
+    def test_stalled_polish_ends_early(self, default_band_maps, monkeypatch):
+        # leo-2406-002 at order 2: the polish cannot close this map, and its
+        # steps shrink the residual by under 1% (it once spent all 20 steps,
+        # 216 evaluations, taking |F| from 3.2e-2 to 3.1e-2); the secular
+        # roots close the order
+        evals, polishes = [0], []
+        counted, polish = solver.pseudo_gradient, solver._polished_root
+
+        def counting(*args):
+            evals[0] += 1
+            return counted(*args)
+
+        def watched(*args):
+            before = evals[0]
+            found = polish(*args)
+            polishes.append((evals[0] - before, found))
+            return found
+
+        monkeypatch.setattr(solver, "pseudo_gradient", counting)
+        monkeypatch.setattr(solver, "_polished_root", watched)
+        sol = solve_recursive(default_band_maps[2], SolverConfig(max_order=2))
+        assert sol.per_order_converged[-1]
+        assert len(polishes) == 1 and polishes[0][1] is None
+        assert polishes[0][0] <= 40
+
     def test_near_degenerate_order2_map_converges(self):
         # the ranked node's S has two eigenvalues near -2.06e-9
         doc = generate_synthetic_suite(302, 13, "LEO",
