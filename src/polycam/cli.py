@@ -390,8 +390,9 @@ def _result_path(args: argparse.Namespace, path: str) -> str | None:
 def _output_conflict(args: argparse.Namespace) -> str | None:
     """Why the output flags would lose output, or None: one result file
     or one CSV cannot hold several scenarios, ``--out`` and ``--out-dir``
-    would name two places for one result, and two scenario files with
-    one stem would share one result file under ``--out-dir``."""
+    would name two places for one result, two scenario files with one
+    stem would share one result file under ``--out-dir``, and a write
+    would replace a path that is not a regular file (symlinks followed)."""
     several = len(args.scenarios) > 1
     if args.out and args.out_dir:
         return "--out and --out-dir exclude each other"
@@ -407,6 +408,11 @@ def _output_conflict(args: argparse.Namespace) -> str | None:
                 return (f"--out-dir would write two results to {out_path}; "
                         f"scenario file names must differ")
             seen.add(out_path)
+    for out_path in [args.bplane_csv] + [_result_path(args, path)
+                                         for path in args.scenarios]:
+        if out_path and os.path.exists(out_path) \
+                and not os.path.isfile(out_path):
+            return f"{out_path} exists and is not a regular file"
     return None
 
 

@@ -222,6 +222,14 @@ def poc_chan(r_b, p_b, hbr: float):
     TaylorPoly scalars sharing one algebra; ``p_b`` and ``hbr`` stay real,
     matching a covariance frozen at its ballistic value.
     """
+    try:
+        return _chan_series(r_b, p_b, hbr)
+    except OverflowError as exc:
+        # float ** raises where * would return inf
+        raise NumericError("collision-probability series overflowed") from exc
+
+
+def _chan_series(r_b, p_b, hbr: float):
     p_b = np.asarray(p_b, dtype=np.float64)
     _check_pd_2x2(p_b)
 

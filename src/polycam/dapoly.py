@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES
 from importlib.util import find_spec, module_from_spec, spec_from_file_location
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -86,34 +85,45 @@ class AlgebraConfig:
             raise ConfigurationError(f"max_order must be >= 1, got {self.max_order}")
 
 
-def _monomials_graded_lex(n_vars: int, max_order: int) -> list[tuple[int, ...]]:
-    """All exponent tuples with total degree <= max_order in graded-lex order.
+def _graded_lex_rank(exps: np.ndarray, max_order: int) -> np.ndarray:
+    """Index in the graded-lex table of (n, max_order) of each row of the
+    small-integer (rows, n) exponent array ``exps``, in closed form.
 
-    Within a degree block, tuples are ordered lexicographically ascending.
+    A monomial of degree d follows the C(n + d - 1, n) monomials of lower
+    degree. Within its degree it follows, for each variable v, those that
+    share its exponents before v and are smaller at v: with r the degree
+    left at v and k = n - 1 - v variables after it, C(r + k, k) -
+    C(r - e_v + k, k) of them. Each variable costs one pass over the rows.
     """
-    out: list[tuple[int, ...]] = []
-    for deg in range(max_order + 1):
-        block = set()
-        for combo in combinations_with_replacement(range(n_vars), deg):
-            e = [0] * n_vars
-            for idx in combo:
-                e[idx] += 1
-            block.add(tuple(e))
-        out.extend(sorted(block))
-    return out
+    n = exps.shape[1]
+    m = np.arange(max_order + 1)
+    # fits[k, m]: monomials of degree m in k + 1 variables
+    fits = np.array([[math.comb(d + k, k) for d in m] for k in range(n)])
+    r, e = np.ix_(m, m)
+    smaller = (fits[:, r] - fits[:, np.maximum(r - e, 0)])[::-1].reshape(n, -1)
+    left = exps.sum(axis=1, dtype=np.intp)
+    rank = np.concatenate(([0], np.cumsum(fits[-1])))[left]
+    # the last variable takes the degree left, which no smaller monomial does
+    for v in range(n - 1):
+        rank += smaller[v, left * (max_order + 1) + exps[:, v]]
+        left -= exps[:, v]
+    return rank
 
 
 class _AlgebraTables:
     """Per-(M, n) lookup tables: monomial ordering and the product table.
 
-    The product table is in compressed-row form with one row per output
-    monomial: the pairs of row k are ``mul_i[p], mul_j[p]`` for ``p`` in
+    Monomials are in graded-lex order, each at the index that
+    :func:`_graded_lex_rank` counts for it. The product table is in
+    compressed-row form with one row per output monomial: the pairs of
+    row k are ``mul_i[p], mul_j[p]`` for ``p`` in
     ``range(mul_ptr[k], mul_ptr[k + 1])``, each pair (i, j) with
     deg i + deg j <= max_order appearing once, in the row of
-    alpha_i + alpha_j, ordered by i and then by j. Products sum each row
-    in this order from 0.0 (see the module docstring), so the order is part
-    of the results. The arrays are shared by every polynomial of the
-    algebra and read-only.
+    alpha_i + alpha_j, ordered by i and then by j: the pairs are listed in
+    (i, j) order and stably sorted by the rank of alpha_i + alpha_j.
+    Products sum each row in this order from 0.0 (see the module
+    docstring), so the order is part of the results. The arrays are shared
+    by every polynomial of the algebra and read-only.
     """
 
     __slots__ = (
@@ -127,45 +137,41 @@ class _AlgebraTables:
         self.n_vars = config.n_vars
         self.max_order = config.max_order
 
-        monos = _monomials_graded_lex(self.n_vars, self.max_order)
-        self.size = len(monos)
-        self.exponents = np.array(monos, dtype=np.int64)
-        self.index_of = {m: i for i, m in enumerate(monos)}
+        n, order = self.n_vars, self.max_order
+        # C(n + d - 1, n) monomials have degree below d
+        starts = [math.comb(n + d - 1, n) for d in range(order + 2)]
+        self.degree_slices = [slice(a, b) for a, b in zip(starts, starts[1:])]
+        self.size = starts[-1]
+        # each degree's monomials raise one exponent of the degree below,
+        # and their ranks place them; exponents and the pairs' sums are at
+        # most the order, so a narrow integer type holds them
+        small = np.zeros((self.size, n), dtype=np.min_scalar_type(-order))
+        unit = np.eye(n, dtype=np.int8)
+        for below in self.degree_slices[:-1]:
+            raised = (small[below, None] + unit).reshape(-1, n)
+            small[_graded_lex_rank(raised, order)] = raised
+        self.exponents = small.astype(np.int64)
+        self.index_of = {tuple(e): i for i, e in enumerate(small.tolist())}
         # (M, size) flat positions of x_v**e_v in an (M, max_order + 1) table
         # of powers, one row per variable
-        self.power_index = (np.arange(self.n_vars)[:, None] * (self.max_order + 1)
-                            + self.exponents.T)
+        self.power_index = np.arange(n)[:, None] * (order + 1) + self.exponents.T
         self.degrees = self.exponents.sum(axis=1)
 
-        self.degree_slices: list[slice] = []
-        start = 0
-        for deg in range(self.max_order + 1):
-            count = int(np.count_nonzero(self.degrees == deg))
-            self.degree_slices.append(slice(start, start + count))
-            start += count
-
-        # Pairs (i, j) with monomial_i * monomial_j == monomial_k whenever
-        # the product degree stays within max_order, generated by i and
-        # then j; a stable sort by k keeps that order within each row.
-        mi: list[int] = []
-        mj: list[int] = []
-        mk: list[int] = []
-        for i, ei in enumerate(monos):
-            di = self.degrees[i]
-            top = self.degree_slices[self.max_order - di].stop
-            for j in range(top):
-                ej = monos[j]
-                k = self.index_of[tuple(a + b for a, b in zip(ei, ej))]
-                mi.append(i)
-                mj.append(j)
-                mk.append(k)
-        rows = np.array(mk, dtype=np.intp)
-        order = np.argsort(rows, kind="stable")
+        # Pairs (i, j) with deg i + deg j <= max_order, generated by i and
+        # then j, each ranked by its exponent sum; a stable sort by that
+        # rank keeps the (i, j) order within each row.
+        partners = np.array(starts[1:])[order - self.degrees]
+        mi = np.repeat(np.arange(self.size), partners)
+        mj = (np.arange(len(mi))
+              - np.repeat(np.cumsum(partners) - partners, partners))
+        rows = _graded_lex_rank(small[mi] + small[mj], order)
+        by_row = np.argsort(rows, kind="stable")
         # row k starts at the first sorted pair whose row is k
-        ptr = np.searchsorted(rows[order], np.arange(self.size + 1))
+        ptr = np.searchsorted(rows[by_row], np.arange(self.size + 1))
+        # the unsorted pairs go before the check copies the sorted ones
+        mi, mj, rows = mi[by_row], mj[by_row], None
         self.mul_ptr, self.mul_i, self.mul_j = _checked_row_table(
-            self.size, ptr, np.array(mi, dtype=np.intp)[order],
-            np.array(mj, dtype=np.intp)[order])
+            self.size, ptr, mi, mj)
 
         self._contraction_maps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -241,11 +247,9 @@ def _monomial_values(tab: _AlgebraTables, point: np.ndarray,
 def _embedding(n_from: int, n_to: int, max_order: int) -> np.ndarray:
     """Index in the (n_to, max_order) table of every (n_from, max_order)
     monomial, the extra trailing exponents being zero."""
-    big = _tables(n_to, max_order)
-    pad = (0,) * (n_to - n_from)
-    return np.array([big.index_of[tuple(int(x) for x in e) + pad]
-                     for e in _tables(n_from, max_order).exponents],
-                    dtype=np.intp)
+    small = _tables(n_from, max_order).exponents
+    return _graded_lex_rank(np.pad(small, ((0, 0), (0, n_to - n_from))),
+                            max_order)
 
 
 class TaylorPoly:

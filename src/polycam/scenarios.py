@@ -289,6 +289,8 @@ def generate_synthetic_suite(seed: int, count: int, regime: str = "LEO",
     """
     if count < 1:
         raise GenerationError(f"count must be >= 1, got {count}")
+    if seed < 0:
+        raise GenerationError(f"seed must be >= 0, got {seed}")
     regime = regime.upper()
     if regime not in ("LEO", "CISLUNAR"):
         raise GenerationError(f"unknown regime {regime!r}")

@@ -4,7 +4,8 @@
 mapping, ``coeffs`` is the inverse view, ``partial`` takes a formal
 partial derivative and ``homogeneous`` keeps the terms of one degree. They
 read only the graded-lex exponent table, so they check the algebra without
-sharing its lookups.
+sharing its lookups. ``loop_tables`` builds the exponent and product tables
+by enumeration and a loop over every pair, with no closed-form rank.
 """
 
 import numpy as np
@@ -49,3 +50,56 @@ def homogeneous(poly: TaylorPoly, k: int) -> TaylorPoly:
     """The degree-k terms of ``poly``, zero elsewhere."""
     degrees = _tables(poly.n_vars, poly.max_order).exponents.sum(axis=1)
     return TaylorPoly(poly.config, np.where(degrees == k, poly.coef, 0.0))
+
+
+def _degree_block(n_vars: int, degree: int) -> list[tuple[int, ...]]:
+    """Exponent tuples of one total degree, lexicographically ascending."""
+    if n_vars == 1:
+        return [(degree,)]
+    return [(t,) + rest for t in range(degree + 1)
+            for rest in _degree_block(n_vars - 1, degree - t)]
+
+
+def loop_tables(n_vars: int, max_order: int):
+    """(exponents, mul_ptr, mul_i, mul_j) of the (n_vars, max_order)
+    algebra: the monomials listed degree by degree, and the product table
+    built by the Python loop over every pair (i, j) with a dict lookup of
+    each product monomial."""
+    monos = [e for deg in range(max_order + 1)
+             for e in _degree_block(n_vars, deg)]
+    index_of = {m: i for i, m in enumerate(monos)}
+    degrees = [sum(m) for m in monos]
+    stops = np.cumsum(np.bincount(degrees))
+
+    # Pairs (i, j) with monomial_i * monomial_j == monomial_k whenever
+    # the product degree stays within max_order, generated by i and
+    # then j; a stable sort by k keeps that order within each row.
+    mi: list[int] = []
+    mj: list[int] = []
+    mk: list[int] = []
+    for i, ei in enumerate(monos):
+        di = degrees[i]
+        top = stops[max_order - di]
+        for j in range(top):
+            ej = monos[j]
+            k = index_of[tuple(a + b for a, b in zip(ei, ej))]
+            mi.append(i)
+            mj.append(j)
+            mk.append(k)
+    rows = np.array(mk, dtype=np.intp)
+    order = np.argsort(rows, kind="stable")
+    # row k starts at the first sorted pair whose row is k
+    ptr = np.searchsorted(rows[order], np.arange(len(monos) + 1))
+    return (np.array(monos, dtype=np.int64), ptr,
+            np.array(mi, dtype=np.intp)[order],
+            np.array(mj, dtype=np.intp)[order])
+
+
+def embedding(n_from: int, n_to: int, max_order: int) -> np.ndarray:
+    """Index in the (n_to, max_order) table of every (n_from, max_order)
+    monomial, the extra trailing exponents zero, by dict lookup."""
+    index_of = _index_of(n_to, max_order)
+    pad = (0,) * (n_to - n_from)
+    return np.array([index_of[tuple(e) + pad] for e in
+                     _tables(n_from, max_order).exponents.tolist()],
+                    dtype=np.intp)

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import signal
+import stat
 import subprocess
 import sys
 import textwrap
@@ -55,6 +56,17 @@ class TestGenerateCommand:
         payload = json.loads(out)
         assert payload["error"]["class"] == "parse"
         assert str(blocker) in payload["error"]["message"]
+
+    def test_negative_seed_exit_3(self, tmp_path, capsys):
+        out_dir = tmp_path / "cases"
+        code = run_cli(["generate", "--seed", "-1", "--count", "1",
+                        "--out-dir", str(out_dir)])
+        out, err = capsys.readouterr()
+        assert code == 3 and err == ""
+        payload = json.loads(out)
+        assert payload["error"]["class"] == "validation"
+        assert "seed" in payload["error"]["message"]
+        assert not out_dir.exists()
 
 
 class TestRunCommand:
@@ -420,6 +432,46 @@ class TestRunCommand:
         payload = json.loads(out)
         assert payload["error"]["class"] == "parse"
         assert str(target) in payload["error"]["message"]
+
+    @pytest.mark.parametrize("flag", ["--out", "--bplane-csv", "--out-dir",
+                                      "--out via symlink"])
+    def test_output_on_a_fifo_exit_2(self, scenario_file, tmp_path, capsys,
+                                     monkeypatch, flag):
+        # writing would replace the FIFO with a regular file
+        import polycam.cli as cli
+        parsed = []
+        monkeypatch.setattr(cli, "parse_scenario",
+                            lambda doc: parsed.append(doc))
+        fifo = tmp_path / "case.result.json"
+        os.mkfifo(fifo)
+        target = fifo
+        if flag == "--out-dir":
+            target = tmp_path
+        elif flag == "--out via symlink":
+            flag, target = "--out", tmp_path / "link.json"
+            target.symlink_to(fifo)
+        code = run_cli(["run", str(scenario_file), flag, str(target)])
+        out, err = capsys.readouterr()
+        assert code == 2 and err == ""
+        payload = json.loads(out)
+        assert payload["error"]["class"] == "parse"
+        named = fifo if flag == "--out-dir" else target
+        assert str(named) in payload["error"]["message"]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        # refused before any scenario was read or run
+        assert parsed == []
+
+    def test_overflowing_covariance_exit_4(self, scenario_file):
+        doc = json.loads(scenario_file.read_text())
+        doc["conjunction"]["cov_primary_km2"] = (np.eye(6) * 1e300).tolist()
+        args = build_parser().parse_args(["run", "x.json", "--order", "2",
+                                          "--steps", "20"])
+        with np.errstate(over="ignore"):
+            code, payload = run_scenario(doc, args)
+        assert code == 4
+        assert payload["error"] == {
+            "class": "non-convergence",
+            "message": "collision-probability series overflowed"}
 
     def test_output_directories_are_created(self, scenario_file, tmp_path,
                                             capsys):

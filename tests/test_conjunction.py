@@ -280,6 +280,13 @@ class TestPocChan:
                                      "overflowed$"):
                 poc_chan(np.array([0.5, 0.3]), np.diag([1.0, 4.0]), 1e308)
 
+    def test_overflowing_power_raises_numeric_error(self):
+        # s_x ** 4 overflows, and float ** raises where * returns inf
+        with pytest.raises(NumericError,
+                           match="^collision-probability series overflowed$"):
+            with np.errstate(over="ignore"):
+                poc_chan(np.array([0.5, 0.3]), np.eye(2) * 1e300, 0.01)
+
     def test_polynomial_input_constant_part(self):
         p_b = np.array([[0.04, 0.01], [0.01, 0.09]])
         hbr = 0.02

@@ -11,11 +11,12 @@ import pytest
 
 import polycam
 from polycam.dapoly import (AlgebraConfig, TaylorPoly, _checked_row_table,
-                            _tables, compose, contract_no_first_mode,
-                            generic_power)
+                            _embedding, _graded_lex_rank, _tables, compose,
+                            contract_no_first_mode, generic_power)
 from polycam.errors import ConfigurationError, DomainError
 
-from poly_reference import coeffs, from_coeffs, homogeneous, partial
+from poly_reference import (coeffs, embedding, from_coeffs, homogeneous,
+                            loop_tables, partial)
 
 
 def random_poly(cfg, rng, scale=1.0, constant=None):
@@ -403,6 +404,10 @@ class TestStorage:
 # -- the compiled row pass against the gather/bincount triple sum -------------
 
 ROW_PASS_ALGEBRAS = [(1, 1), (2, 3), (3, 5), (6, 5), (9, 5)]
+# (27, 2) is a 9-node run's variable count, where mixed-radix int64 keys
+# of the exponents would overflow at order 5
+TABLE_ALGEBRAS = ROW_PASS_ALGEBRAS + [(1, 10), (2, 10), (4, 7), (12, 3),
+                                      (27, 2)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -517,6 +522,24 @@ class TestRowTable:
         ascending = (mi[1:] > mi[:-1]) | ((mi[1:] == mi[:-1])
                                           & (mj[1:] > mj[:-1]))
         assert np.all(ascending[same_row])
+
+    @pytest.mark.parametrize("n_vars,order", TABLE_ALGEBRAS)
+    def test_matches_loop_builder(self, n_vars, order):
+        tab = _tables(n_vars, order)
+        got = (tab.exponents, tab.mul_ptr, tab.mul_i, tab.mul_j)
+        for arr, want in zip(got, loop_tables(n_vars, order)):
+            assert np.array_equal(arr, want)
+
+    @pytest.mark.parametrize("n_vars,order", TABLE_ALGEBRAS)
+    def test_rank_of_own_exponents(self, n_vars, order):
+        tab = _tables(n_vars, order)
+        assert np.array_equal(_graded_lex_rank(tab.exponents, order),
+                              np.arange(tab.size))
+
+    @pytest.mark.parametrize("n_from,n_to", [(3, 6), (6, 9), (3, 9), (1, 12)])
+    def test_embedding_matches_lookup(self, n_from, n_to):
+        assert np.array_equal(_embedding(n_from, n_to, 5),
+                              embedding(n_from, n_to, 5))
 
     def test_table_arrays_are_read_only(self):
         tab = _tables(3, 5)

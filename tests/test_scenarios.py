@@ -78,6 +78,8 @@ class TestGenerator:
     def test_bad_inputs(self):
         with pytest.raises(GenerationError):
             generate_synthetic_suite(seed=1, count=0)
+        with pytest.raises(GenerationError, match="seed"):
+            generate_synthetic_suite(seed=-1, count=1)
         with pytest.raises(GenerationError):
             generate_synthetic_suite(seed=1, count=1, regime="GEO")
         with pytest.raises(GenerationError):
