@@ -329,6 +329,10 @@ def _write_atomic(path: str, text: str) -> None:
     try:
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        # the mode open() would give, not mkstemp's 0600
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
@@ -408,11 +412,16 @@ def _output_conflict(args: argparse.Namespace) -> str | None:
                 return (f"--out-dir would write two results to {out_path}; "
                         f"scenario file names must differ")
             seen.add(out_path)
-    for out_path in [args.bplane_csv] + [_result_path(args, path)
-                                         for path in args.scenarios]:
-        if out_path and os.path.exists(out_path) \
-                and not os.path.isfile(out_path):
-            return f"{out_path} exists and is not a regular file"
+    return _irregular_path([args.bplane_csv] + [_result_path(args, path)
+                                                for path in args.scenarios])
+
+
+def _irregular_path(paths) -> str | None:
+    """Why a write to one of ``paths`` (None entries skipped) would replace
+    something that is not a regular file, symlinks followed, or None."""
+    for path in paths:
+        if path and os.path.exists(path) and not os.path.isfile(path):
+            return f"{path} exists and is not a regular file"
     return None
 
 
@@ -460,9 +469,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     try:
         docs = generate_synthetic_suite(args.seed, args.count, args.regime,
                                         poc_band=(args.poc_min, args.poc_max))
-        for doc in docs:
-            _write_atomic(os.path.join(args.out_dir, f"{doc['name']}.json"),
-                          scenario_to_json(doc) + "\n")
+        paths = [os.path.join(args.out_dir, f"{doc['name']}.json")
+                 for doc in docs]
+        conflict = _irregular_path(paths)
+        if conflict:
+            raise ScenarioParseError(conflict)
+        for doc, path in zip(docs, paths):
+            _write_atomic(path, scenario_to_json(doc) + "\n")
     except PolycamError as exc:
         code, payload = _failure(exc)
         print(json.dumps(payload))

@@ -161,7 +161,10 @@ def project_bplane(r_rel: np.ndarray, v_rel: np.ndarray,
 
 
 def _check_pd_2x2(p_b: np.ndarray) -> None:
-    if p_b[0, 0] <= 0.0 or p_b[1, 1] <= 0.0 or float(np.linalg.det(p_b)) <= 0.0:
+    # a determinant beyond the float range is +-inf, without a warning
+    with np.errstate(over="ignore"):
+        det = float(np.linalg.det(p_b))
+    if p_b[0, 0] <= 0.0 or p_b[1, 1] <= 0.0 or det <= 0.0:
         raise CovarianceError("projected covariance is not positive definite")
 
 

@@ -6,7 +6,9 @@ the collision-probability composition to obtain arbitrary-order expansions
 of whole numerical pipelines. A polynomial embeds into an algebra with more
 variables (:meth:`TaylorPoly.embed`), and a map expanded in few variables
 composes onto polynomials without constant parts (:func:`compose`), so a
-pipeline can be expanded piecewise in small algebras and chained.
+pipeline can be expanded piecewise in small algebras and chained. Each
+operation is a row function on coefficient vectors; :func:`record` turns
+a function of polynomials into a replayable program of them.
 
 Coefficients are held in a dense vector indexed by a graded-lexicographic
 monomial table shared per (n_vars, max_order).
@@ -69,6 +71,7 @@ __all__ = [
     "compose",
     "contract_no_first_mode",
     "generic_power",
+    "record",
 ]
 
 @dataclass(frozen=True)
@@ -243,6 +246,79 @@ def _monomial_values(tab: _AlgebraTables, point: np.ndarray,
     return np.prod(np.take(table, tab.power_index[:, rows]), axis=0)
 
 
+def _horner(tab, a, outer):
+    """Horner composition of the 1-D series ``outer`` with the nilpotent
+    part of the row ``a``."""
+    nil = a.copy()
+    nil[0] = 0.0
+    # the nilpotent factor of every product, gathered once
+    w = nil[tab.mul_j]
+    out = np.zeros(tab.size)
+    out[0] = outer[-1]
+    for c in outer[-2::-1]:
+        out = _row_pass(tab, w, tab.mul_i, out)
+        out[0] += c
+    return out
+
+
+# Row functions: one operation on the coefficient row ``a`` of the algebra
+# ``tab`` and on ``b``, a row or, in the _const, _scale and _power forms, a
+# number (_neg ignores it). TaylorPoly's operators and :func:`record`'s
+# programs both run them.
+
+def _mul(tab, a, b):
+    # the left operand is gathered: swapping the operands reverses each
+    # row's summation order
+    return _row_pass(tab, a[tab.mul_i], tab.mul_j, b)
+
+
+def _add(tab, a, b):
+    return a + b
+
+
+def _sub(tab, a, b):
+    return a - b
+
+
+def _add_const(tab, a, c):
+    out = a.copy()
+    out[0] += c
+    return out
+
+
+def _sub_const(tab, a, c):
+    out = a.copy()
+    out[0] -= c
+    return out
+
+
+def _rsub_const(tab, a, c):
+    out = -a
+    out[0] += c
+    return out
+
+
+def _scale(tab, a, c):
+    return a * c
+
+
+def _neg(tab, a, b):
+    return -a
+
+
+def _power(tab, a, p):
+    """a**p about the constant part, which must be positive."""
+    a0 = float(a[0])
+    if a0 <= 0.0:
+        raise DomainError(
+            f"power({p}) requires positive constant part, got {a0}", a0)
+    outer = np.empty(tab.max_order + 1)
+    outer[0] = a0 ** p
+    for k in range(1, tab.max_order + 1):
+        outer[k] = outer[k - 1] * (p - (k - 1)) / (k * a0)
+    return _horner(tab, a, outer)
+
+
 @lru_cache(maxsize=None)
 def _embedding(n_from: int, n_to: int, max_order: int) -> np.ndarray:
     """Index in the (n_to, max_order) table of every (n_from, max_order)
@@ -345,39 +421,33 @@ class TaylorPoly:
                 f"algebra mismatch: ({self.n_vars},{self.max_order}) vs "
                 f"({other.n_vars},{other.max_order})")
 
-    def __add__(self, other):
+    def _apply(self, other, fn, const_fn=None):
+        """The polynomial whose coefficients the row function ``fn`` gives
+        for this polynomial and ``other``, one of the same algebra; when
+        ``other`` is not a polynomial, ``const_fn`` (default ``fn``) gives
+        them."""
+        tab = self._tab
         if isinstance(other, TaylorPoly):
             self._check_same(other)
-            return TaylorPoly._raw(self._tab, self.coef + other.coef)
-        coef = self.coef.copy()
-        coef[0] += other
-        return TaylorPoly._raw(self._tab, coef)
+            return TaylorPoly._raw(tab, fn(tab, self.coef, other.coef))
+        return TaylorPoly._raw(tab, (const_fn or fn)(tab, self.coef, other))
+
+    def __add__(self, other):
+        return self._apply(other, _add, _add_const)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TaylorPoly._raw(self._tab, -self.coef)
+        return self._apply(None, _neg)
 
     def __sub__(self, other):
-        if isinstance(other, TaylorPoly):
-            self._check_same(other)
-            return TaylorPoly._raw(self._tab, self.coef - other.coef)
-        coef = self.coef.copy()
-        coef[0] -= other
-        return TaylorPoly._raw(self._tab, coef)
+        return self._apply(other, _sub, _sub_const)
 
     def __rsub__(self, other):
-        coef = -self.coef
-        coef[0] += other
-        return TaylorPoly._raw(self._tab, coef)
+        return self._apply(other, _rsub_const)
 
     def __mul__(self, other):
-        if isinstance(other, TaylorPoly):
-            self._check_same(other)
-            tab = self._tab
-            return TaylorPoly._raw(tab, _row_pass(
-                tab, self.coef[tab.mul_i], tab.mul_j, other.coef))
-        return TaylorPoly._raw(self._tab, self.coef * other)
+        return self._apply(other, _mul, _scale)
 
     __rmul__ = __mul__
 
@@ -419,20 +489,6 @@ class TaylorPoly:
 
     # -- intrinsics ----------------------------------------------------------
 
-    def _compose_outer(self, outer: np.ndarray) -> "TaylorPoly":
-        """Horner composition of a 1-D outer series with the nilpotent part."""
-        tab = self._tab
-        nil = self.coef.copy()
-        nil[0] = 0.0
-        # the nilpotent factor of every product, gathered once
-        w = nil[tab.mul_j]
-        out = np.zeros(tab.size)
-        out[0] = outer[-1]
-        for c in outer[-2::-1]:
-            out = _row_pass(tab, w, tab.mul_i, out)
-            out[0] += c
-        return TaylorPoly._raw(tab, out)
-
     def sqrt(self) -> "TaylorPoly":
         a0 = self.constant_part
         if a0 <= 0.0:
@@ -442,7 +498,7 @@ class TaylorPoly:
         outer[0] = math.sqrt(a0)
         for k in range(1, n + 1):
             outer[k] = outer[k - 1] * (0.5 - (k - 1)) / (k * a0)
-        return self._compose_outer(outer)
+        return self._apply(outer, _horner)
 
     def reciprocal(self) -> "TaylorPoly":
         a0 = self.constant_part
@@ -453,7 +509,7 @@ class TaylorPoly:
         outer[0] = 1.0 / a0
         for k in range(1, n + 1):
             outer[k] = -outer[k - 1] / a0
-        return self._compose_outer(outer)
+        return self._apply(outer, _horner)
 
     def exp(self) -> "TaylorPoly":
         a0 = self.constant_part
@@ -462,24 +518,72 @@ class TaylorPoly:
         outer[0] = math.exp(a0)
         for k in range(1, n + 1):
             outer[k] = outer[k - 1] / k
-        return self._compose_outer(outer)
+        return self._apply(outer, _horner)
 
     def power(self, p: float) -> "TaylorPoly":
         """Real power a**p about the constant part (requires it positive)."""
-        a0 = self.constant_part
-        if a0 <= 0.0:
-            raise DomainError(
-                f"power({p}) requires positive constant part, got {a0}", a0)
-        n = self.max_order
-        outer = np.empty(n + 1)
-        outer[0] = a0 ** p
-        for k in range(1, n + 1):
-            outer[k] = outer[k - 1] * (p - (k - 1)) / (k * a0)
-        return self._compose_outer(outer)
+        return self._apply(p, _power)
 
 
 _set_tab = TaylorPoly._tab.__set__
 _set_coef = TaylorPoly.coef.__set__
+
+
+class _Register(TaylorPoly):
+    """A value of a program being recorded by :func:`record`: an index
+    into the registers. Each operation appends (row function, result,
+    left, right) indices to the program; a number takes a register."""
+
+    __slots__ = ("_program", "_index")
+
+    def __init__(self, program: tuple, value=None):
+        object.__setattr__(self, "_tab", program[0])
+        object.__setattr__(self, "_program", program)
+        object.__setattr__(self, "_index", len(program[1]))
+        program[1].append(value)
+
+    def _apply(self, other, fn, const_fn=None):
+        if not isinstance(other, _Register):
+            fn, other = const_fn or fn, _Register(self._program, other)
+        out = _Register(self._program)
+        self._program[2].append((fn, out._index, self._index, other._index))
+        return out
+
+
+def record(fn, config: AlgebraConfig, n_rows: int, fixed=()):
+    """``fn(rows, fixed)`` recorded once as a straight-line program of row
+    functions (the tape of operator-overloading differentiation tools),
+    returned as ``run(rows)``: the coefficient rows of fn's results for
+    the (n_rows, size) coefficient rows ``rows`` of the algebra
+    ``config``. Each polynomial of ``fixed``, of that algebra, keeps its
+    value in every run; numbers are constants. ``fn`` may use +, -, *
+    and :meth:`TaylorPoly.power` on its arguments and branch on their
+    types, not on their values; a run adds the same products in the same
+    order as ``fn`` on polynomials would. Runs share one register list,
+    so a program serves one caller at a time.
+    """
+    tab = _tables(config.n_vars, config.max_order)
+    # the compiled row pass reads its operands without bounds checks
+    if any(isinstance(c, TaylorPoly) and c._tab is not tab for c in fixed):
+        raise ConfigurationError(f"fixed polynomials must be of {config}")
+    program = (tab, [], [])
+    rows = [_Register(program) for _ in range(n_rows)]
+    held = [_Register(program, c.coef) if isinstance(c, TaylorPoly) else c
+            for c in fixed]
+    outs = [r._index for r in fn(rows, held)]
+    _, regs, ops = program
+
+    def run(values) -> list:
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != (n_rows, tab.size):
+            raise ConfigurationError(f"rows have shape {values.shape}, "
+                                     f"expected {(n_rows, tab.size)}")
+        regs[:n_rows] = values
+        for op, out, a, b in ops:
+            regs[out] = op(tab, regs[a], regs[b])
+        return [regs[k] for k in outs]
+
+    return run
 
 
 def compose(outer, inner):

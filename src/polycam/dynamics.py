@@ -9,7 +9,9 @@ arrays, or :class:`~polycam.dapoly.TaylorPoly` scalars. Polynomial and
 batched states advance as one (6, N) block, one array operation per term
 of an RK stage; float and complex states advance entry by entry, as
 Python scalars. Both give every entry the values of the entry-by-entry
-combination.
+combination. A polynomial propagation records the kernel once as a
+program of row functions (:func:`~polycam.dapoly.record`) and runs it on
+the block's rows at every stage whose six rows are polynomials.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dapoly import TaylorPoly, generic_power
+from .dapoly import TaylorPoly, generic_power, record
 from .errors import ConfigurationError, FrameError, PropagationError
 
 __all__ = [
@@ -225,7 +227,10 @@ class _Block:
     coefficient 0 (zeros elsewhere) or in every batch element. Bit i of
     the mask records that row i has met a polynomial or an array; until
     then the kernel sees the row as the float it stands for, so every row
-    meets the arithmetic it would meet entry by entry.
+    meets the arithmetic it would meet entry by entry. A polynomial
+    block's stages use :meth:`view` and :meth:`lift` only while a row is
+    a float; once all six rows are polynomials, the recorded kernel runs
+    on the rows themselves.
     """
 
     def __init__(self, y0: Sequence, u: Sequence):
@@ -274,6 +279,9 @@ class _Block:
         return out
 
 
+_ALL_ROWS = 0b111111
+
+
 def _scalar_axpy(y: list, a: float, f: Sequence) -> list:
     """y + a * f entry by entry, unrolled for the six entries."""
     y0, y1, y2, y3, y4, y5 = y
@@ -315,8 +323,13 @@ def propagate_vector(y0: Sequence, u: Sequence, t0: float, t1: float,
     block = _Block(y0, u) if any(_is_row(c) for c in (*y0, *u)) else None
     if block is not None:
         y, axpy, guard_finite = block.lift(y0), _block_axpy, False
+        run = None if block._tab is None else record(
+            lambda rows, held: _derivative_fn(model, held)(rows),
+            block._tab.config, 6, u)
 
         def slope(state):
+            if run is not None and state[1] == _ALL_ROWS:
+                return np.array(run(state[0])), _ALL_ROWS
             return block.lift(deriv(block.view(state)))
     else:
         y = [float(c) if isinstance(c, np.float64) else c for c in y0]

@@ -68,6 +68,21 @@ class TestGenerateCommand:
         assert "seed" in payload["error"]["message"]
         assert not out_dir.exists()
 
+    def test_fifo_at_a_scenario_path_exit_2(self, tmp_path, capsys):
+        # writing would replace the FIFO with a regular file
+        fifo = tmp_path / "leo-0007-000.json"
+        os.mkfifo(fifo)
+        code = run_cli(["generate", "--seed", "7", "--count", "2",
+                        "--out-dir", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and err == ""
+        assert json.loads(out)["error"] == {
+            "class": "parse",
+            "message": f"{fifo} exists and is not a regular file"}
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        # refused before any scenario was written
+        assert os.listdir(tmp_path) == [fifo.name]
+
 
 class TestRunCommand:
     def test_successful_run_writes_result(self, scenario_file, tmp_path):
@@ -466,12 +481,28 @@ class TestRunCommand:
         doc["conjunction"]["cov_primary_km2"] = (np.eye(6) * 1e300).tolist()
         args = build_parser().parse_args(["run", "x.json", "--order", "2",
                                           "--steps", "20"])
-        with np.errstate(over="ignore"):
+        # the positive-definiteness check's determinant overflows too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code, payload = run_scenario(doc, args)
         assert code == 4
         assert payload["error"] == {
             "class": "non-convergence",
             "message": "collision-probability series overflowed"}
+
+    def test_written_files_honour_the_umask(self, scenario_file, tmp_path,
+                                            capsys):
+        out = tmp_path / "result.json"
+        previous = os.umask(0o022)
+        try:
+            assert run_cli(["run", str(scenario_file), "--out", str(out),
+                            "--steps", "20", "--order", "2"]) == 0
+            assert run_cli(["generate", "--seed", "7", "--count", "1",
+                            "--out-dir", str(tmp_path / "gen")]) == 0
+        finally:
+            os.umask(previous)
+        for path in (out, tmp_path / "gen" / "leo-0007-000.json"):
+            assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
 
     def test_output_directories_are_created(self, scenario_file, tmp_path,
                                             capsys):

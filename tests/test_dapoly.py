@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import polycam
+from polycam import dapoly
 from polycam.dapoly import (AlgebraConfig, TaylorPoly, _checked_row_table,
                             _embedding, _graded_lex_rank, _tables, compose,
-                            contract_no_first_mode, generic_power)
+                            contract_no_first_mode, generic_power, record)
 from polycam.errors import ConfigurationError, DomainError
 
 from poly_reference import (coeffs, embedding, from_coeffs, homogeneous,
@@ -474,13 +475,13 @@ class TestRowPassIsBitwiseReference:
         rng = np.random.default_rng(200 + 10 * n_vars + order)
         cfg = AlgebraConfig(n_vars, order)
         series = []
-        compose_outer = TaylorPoly._compose_outer
+        horner = dapoly._horner
 
-        def recording(self, outer):
+        def recording(tab, a, outer):
             series.append(outer.copy())
-            return compose_outer(self, outer)
+            return horner(tab, a, outer)
 
-        monkeypatch.setattr(TaylorPoly, "_compose_outer", recording)
+        monkeypatch.setattr(dapoly, "_horner", recording)
         for poly in row_pass_inputs(cfg, rng, constant=1.7):
             got = getattr(poly, name)(*args)
             assert np.array_equal(got.coef,
@@ -499,6 +500,28 @@ class TestRowPassIsBitwiseReference:
         want = compose(outers, inner)
         for g, w in zip(got, want):
             assert np.array_equal(g.coef, w.coef)
+
+    def test_recorded_program(self, n_vars, order):
+        # every operation, in both operand orders, on the rows of two
+        # polynomials and of a held one; each run must give the rows the
+        # same function gives on TaylorPoly arguments
+        rng = np.random.default_rng(400 + 10 * n_vars + order)
+        cfg = AlgebraConfig(n_vars, order)
+        a, b = row_pass_inputs(cfg, rng, constant=1.3)
+        held = row_pass_inputs(cfg, rng)[1]
+
+        def fn(rows, fixed):
+            x, y = rows
+            p, c = fixed
+            s = x * y - y * x + p * x
+            return [s, 2.0 * x - y * c, 1.5 - s + c, -y + p,
+                    generic_power(x + 0.5, -1.5) * y, x - c, y]
+
+        run = record(fn, cfg, 2, [held, 0.25])
+        for x, y in ((a, b), (b, a)):
+            got = run([x.coef, y.coef])
+            for g, w in zip(got, fn([x, y], [held, 0.25])):
+                assert np.array_equal(g, w.coef)
 
 
 class TestRowTable:
@@ -566,6 +589,20 @@ class TestRowTable:
             ptr[0] = 1
         with pytest.raises(ConfigurationError):
             _checked_row_table(tab.size, ptr, mi, mj)
+
+    @pytest.mark.parametrize("wrong", ["short_rows", "row_count",
+                                       "fixed_algebra"])
+    def test_record_refuses_operands_out_of_range(self, wrong):
+        # the row pass would read past a short row
+        cfg = AlgebraConfig(3, 5)
+        size = _tables(3, 5).size
+        fixed = [TaylorPoly.variable(AlgebraConfig(2, 5), 0)
+                 if wrong == "fixed_algebra" else 1.0]
+        rows = np.ones((2, size - 1 if wrong == "short_rows" else size))
+        with pytest.raises(ConfigurationError):
+            run = record(lambda r, f: [r[0] * r[1] * f[0]], cfg,
+                         3 if wrong == "row_count" else 2, fixed)
+            run(rows)
 
 
 def run_fresh(script):

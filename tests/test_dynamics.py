@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from polycam import dynamics as dyn
 from polycam.dapoly import AlgebraConfig, TaylorPoly, generic_power
-from polycam.errors import FrameError
+from polycam.errors import DomainError, FrameError
 from polycam.mapbuilder import _to_internal_units
 from polycam.scenarios import generate_synthetic_suite, scenario_to_event
 
@@ -257,11 +257,12 @@ def assert_same_entries(out, ref):
 
 
 CFG_3_5 = AlgebraConfig(3, 5)
+CFG_6_5 = AlgebraConfig(6, 5)
 
 
-def poly_state(ref, scale):
-    """Constants ``ref`` plus ``scale`` times variable i % 3 on entry i."""
-    return [TaylorPoly.variable(CFG_3_5, i % 3) * scale + c
+def poly_state(ref, scale, cfg=CFG_3_5):
+    """Constants ``ref`` plus ``scale`` times variable i % M on entry i."""
+    return [TaylorPoly.variable(cfg, i % cfg.n_vars) * scale + c
             for i, c in enumerate(ref)]
 
 
@@ -272,17 +273,65 @@ class TestBlockPath:
     LEO = (6822.0, 1200.0, 900.0, -1.1, 7.2, 0.4)
     SYNODIC_STATE = (0.82, 0.11, 0.04, 0.02, -0.15, 0.01)
 
-    @pytest.mark.parametrize("model, ref, span, scale", [
-        (MODEL, LEO, 600.0, 1e-2),
-        (MODEL_J2, LEO, 600.0, 1e-2),
-        (MODEL_CR3BP, SYNODIC_STATE, 0.2, 1e-4)],
-        ids=["kepler", "j2", "cr3bp"])
-    def test_polynomial_state(self, model, ref, span, scale):
-        y0 = poly_state(ref, scale)
+    @pytest.mark.parametrize("model, ref, span, scale, cfg", [
+        (MODEL, LEO, 600.0, 1e-2, CFG_3_5),
+        (MODEL_J2, LEO, 600.0, 1e-2, CFG_3_5),
+        (MODEL_CR3BP, SYNODIC_STATE, 0.2, 1e-4, CFG_3_5),
+        # the algebra of a multi-node flow map
+        (MODEL, LEO, 600.0, 1e-2, CFG_6_5),
+        (MODEL_J2, LEO, 600.0, 1e-2, CFG_6_5),
+        (MODEL_CR3BP, SYNODIC_STATE, 0.2, 1e-4, CFG_6_5)],
+        ids=["kepler", "j2", "cr3bp", "kepler-m6", "j2-m6", "cr3bp-m6"])
+    def test_polynomial_state(self, model, ref, span, scale, cfg):
+        y0 = poly_state(ref, scale, cfg)
         out = dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, span, model,
                                    dyn.PropagationConfig(steps=6))
         assert_same_entries(
             out, entrywise_propagate(y0, (0.0, 0.0, 0.0), 0.0, span, model, 6))
+
+    @pytest.mark.parametrize("kind", ["float", "poly"])
+    def test_controls_on_polynomial_state(self, kind):
+        # held controls are constants or registers of the stage program
+        u = ((1e-6, -2e-6, 0.0) if kind == "float" else
+             [TaylorPoly.variable(CFG_3_5, m) * 1e-6 for m in range(3)])
+        y0 = poly_state(self.LEO, 1e-2)
+        out = dyn.propagate_vector(y0, u, 0.0, 600.0, MODEL_J2,
+                                   dyn.PropagationConfig(steps=2))
+        assert_same_entries(
+            out, entrywise_propagate(y0, u, 0.0, 600.0, MODEL_J2, 2))
+
+    @pytest.mark.parametrize("model", [MODEL, MODEL_J2, MODEL_CR3BP],
+                             ids=["kepler", "j2", "cr3bp"])
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_polynomial_state_calls_the_kernel_once(self, monkeypatch, model,
+                                                    steps):
+        # once, to record the stage program; every stage replays it
+        calls = []
+
+        def counted(kernel):
+            def call(*args):
+                calls.append(kernel)
+                return kernel(*args)
+            return call
+
+        for name in ("_kernel_kepler_j2", "_kernel_cr3bp"):
+            monkeypatch.setattr(dyn, name, counted(getattr(dyn, name)))
+        ref = self.SYNODIC_STATE if model.kind == dyn.CR3BP else self.LEO
+        u = [TaylorPoly.variable(CFG_3_5, m) * 1e-6 for m in range(3)]
+        dyn.propagate_vector(poly_state(ref, 1e-4), u, 0.0, 0.1, model,
+                             dyn.PropagationConfig(steps=steps))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("model", [MODEL, MODEL_J2], ids=["kepler", "j2"])
+    def test_polynomial_state_at_the_center_raises(self, model):
+        # the radius has constant part 0, so its power has no expansion
+        y0 = poly_state((0.0, 0.0, 0.0, 7.0, 0.0, 0.0), 1e-3)
+        with pytest.raises(DomainError) as got:
+            dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, 60.0, model)
+        with pytest.raises(DomainError) as want:
+            entrywise_propagate(y0, (0.0, 0.0, 0.0), 0.0, 60.0, model, 1)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
 
     # The float-row cases take one long step, so that a last-bit change in
     # the first stage's acceleration reaches the result.
