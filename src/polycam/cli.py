@@ -156,7 +156,7 @@ _OPTIONS = {
     "order": ("order", _integer, 5, "expansion order (default 5)"),
     "target_poc": ("target_poc", _real, 1e-6,
                    "target collision probability (default 1e-6)"),
-    "etol": ("etol", _real, 1e-10, "iteration tolerance (default 1e-10)"),
+    "etol": ("etol", _real, 1e-12, "iteration tolerance (default 1e-12)"),
     "max_iter": ("max_iter", _integer, 200,
                  "iteration budget per order (default 200)"),
     "steps": ("steps", _integer, 100,

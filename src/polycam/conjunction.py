@@ -6,8 +6,11 @@ Gaussian mass of the relative position over the combined hard-body disc.
 Two independent routes compute it: a fixed Gauss-Legendre quadrature of
 Alfano's one-dimensional form (:func:`poc_quadrature`, real-valued only,
 numpy and the standard library's erf) and a convergent series
-(:func:`poc_chan`) that also composes over TaylorPoly positions, enabling
-polynomial expansions of probability through the whole pipeline.
+(:func:`poc_chan`). The series factors as a Gaussian in the miss times a
+slowly varying sum, so its logarithm composes over TaylorPoly positions
+(:func:`log_poc_chan`) as an exact quadratic plus a truncated log of that
+sum: the polynomial expansion of probability through the whole pipeline
+is an expansion of log PoC.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ __all__ = [
     "project_bplane",
     "poc_quadrature",
     "poc_chan",
+    "log_poc_chan",
 ]
 
 # Mahalanobis distance beyond which the probability underflows doubles and
@@ -214,44 +218,72 @@ def poc_quadrature(r_b, p_b, hbr: float) -> float:
     return min(max(poc, 0.0), 1.0)
 
 
-def poc_chan(r_b, p_b, hbr: float):
-    """Collision probability as a convergent series; composes over polynomials.
+def poc_chan(r_b, p_b, hbr: float) -> float:
+    """Collision probability at a real encounter-plane position, as a
+    convergent series.
 
     The covariance is rotated to principal axes and the probability is
-    written as an exponential times a power series, summed to its first
-    ``_SERIES_TERMS`` terms, whose coefficients follow a four-term
-    recurrence (the equivalent-cross-section series form, pinned against
-    the quadrature oracle). ``r_b`` entries may be floats or
-    TaylorPoly scalars sharing one algebra; ``p_b`` and ``hbr`` stay real,
-    matching a covariance frozen at its ballistic value.
+    written as e^arg r^2 / (2 s_x s_y) e^(-p r^2) S, arg being minus half
+    the squared Mahalanobis distance of the miss and S a power series in
+    the hard-body radius summed to its first ``_SERIES_TERMS`` terms, whose
+    coefficients follow a four-term recurrence (the equivalent-cross-section
+    series form, pinned against the quadrature oracle). A miss beyond
+    ``_MAHALANOBIS_CUTOFF`` gives exactly 0.
     """
     try:
-        return _chan_series(r_b, p_b, hbr)
+        x_m, y_m, s_x, s_y = _principal_axes(r_b, p_b)
+        x_m, y_m, hbr = float(x_m), float(y_m), float(hbr)
+        m_x, m_y = x_m / s_x, y_m / s_y
+        if m_x * m_x + m_y * m_y > _MAHALANOBIS_CUTOFF ** 2:
+            return 0.0
+        arg, p_r2, series = _chan_series(x_m, y_m, s_x, s_y, hbr)
+        # Python floats: an overflowing term turns the sum into inf or nan
+        # without a numpy warning, and the check below catches it
+        result = math.exp(arg - p_r2) * (hbr * hbr / (2.0 * s_x * s_y)) \
+            * series
     except OverflowError as exc:
         # float ** raises where * would return inf
         raise NumericError("collision-probability series overflowed") from exc
+    if not math.isfinite(result):
+        raise NumericError("collision-probability series overflowed")
+    return min(max(result, 0.0), 1.0)
 
 
-def _chan_series(r_b, p_b, hbr: float):
+def log_poc_chan(r_b, p_b, hbr: float) -> TaylorPoly:
+    """Logarithm of :func:`poc_chan`'s series over polynomial positions.
+
+    ``r_b`` holds TaylorPoly scalars of one algebra; ``p_b`` and ``hbr``
+    stay real, matching a covariance frozen at its ballistic value. The
+    result is arg + log(r^2 / (2 s_x s_y)) - p r^2 + log S: arg, minus half
+    the squared Mahalanobis distance, is an exact quadratic of the
+    positions, so only the slowly varying log S is a truncated series and
+    the Gaussian is never Taylor-expanded (Armellin's squared-distance
+    constraint, *Acta Astronautica* 186, 2021, with the series' correction).
+    """
+    x_m, y_m, s_x, s_y = _principal_axes(r_b, p_b)
+    arg, p_r2, series = _chan_series(x_m, y_m, s_x, s_y, hbr)
+    return arg + (2.0 * math.log(hbr) - math.log(2.0 * s_x * s_y) - p_r2) \
+        + series.log()
+
+
+def _principal_axes(r_b, p_b):
+    """(x, y, s_x, s_y): the position in the covariance's principal axes
+    and the standard deviations along them, s_x <= s_y."""
     p_b = np.asarray(p_b, dtype=np.float64)
     _check_pd_2x2(p_b)
-
     eigvals, eigvecs = np.linalg.eigh(p_b)
     if eigvals[0] <= 0.0:
         raise CovarianceError("projected covariance is not positive definite")
-    # principal-axis stds ordered so s_x <= s_y; the series coefficients
-    # stay positive in this ordering
-    s_x = math.sqrt(eigvals[0])
-    s_y = math.sqrt(eigvals[1])
     x_m = eigvecs[0, 0] * r_b[0] + eigvecs[1, 0] * r_b[1]
     y_m = eigvecs[0, 1] * r_b[0] + eigvecs[1, 1] * r_b[1]
+    return x_m, y_m, math.sqrt(eigvals[0]), math.sqrt(eigvals[1])
 
-    symbolic = isinstance(x_m, TaylorPoly) or isinstance(y_m, TaylorPoly)
-    if not symbolic:
-        m2 = (x_m / s_x) ** 2 + (y_m / s_y) ** 2
-        if m2 > _MAHALANOBIS_CUTOFF ** 2:
-            return 0.0
 
+def _chan_series(x_m, y_m, s_x: float, s_y: float, hbr: float):
+    """(arg, p r^2, S) of the series at the principal-axis position
+    (x_m, y_m), floats or polynomials: S is the recurrence started from
+    c_0 = 1, and the probability is e^arg r^2 / (2 s_x s_y) e^(-p r^2) S.
+    The coefficients stay positive because s_x <= s_y."""
     r2 = hbr * hbr
     p = 1.0 / (2.0 * s_x * s_x)
     phi = 1.0 - (s_x / s_y) ** 2
@@ -259,28 +291,19 @@ def _chan_series(r_b, p_b, hbr: float):
     omega_y = (y_m * y_m) * (1.0 / (4.0 * s_y ** 4))
     omega = omega_x + omega_y
     arg = (x_m * x_m) * (-0.5 / s_x ** 2) + (y_m * y_m) * (-0.5 / s_y ** 2)
-    alpha0 = (arg.exp() if symbolic else np.exp(arg)) \
-        * (1.0 / (2.0 * s_x * s_y))
 
     inter0 = 1.0 + phi / 2.0
     inter1 = omega + p * inter0
     inter2 = (p * p * (1.0 + phi * phi / 2.0)) + omega_y * (2.0 * p * phi)
     inter3 = inter1 * inter1
 
-    def checked(term):
-        # a real series stops at its first non-finite term, before the
-        # recurrence subtracts one infinite term from another
-        if not symbolic and not math.isfinite(term):
-            raise NumericError("collision-probability series overflowed")
-        return term
-
-    c0 = checked(alpha0 * r2)
-    c1 = checked(c0 * (r2 / 2.0) * inter1)
-    c2 = checked(c0 * (r2 * r2 / 12.0) * (inter3 + inter2))
-    c3 = checked(c0 * (r2 ** 3 / 144.0) * (
+    c0 = 1.0
+    c1 = (r2 / 2.0) * inter1
+    c2 = (r2 * r2 / 12.0) * (inter3 + inter2)
+    c3 = (r2 ** 3 / 144.0) * (
         inter1 * (inter3 + 3.0 * inter2)
         + 2.0 * (p ** 3 * (1.0 + phi ** 3 / 2.0) + omega_y * (3.0 * p * p * phi * phi))
-    ))
+    )
 
     total = c0 + c1 + c2 + c3
 
@@ -300,13 +323,8 @@ def _chan_series(r_b, p_b, hbr: float):
         new = new - c2 * ((aux4 * half + aux3) * (p_r2 / k4))
         new = new + c1 * ((aux2 + p_phi * half) * (aux1 / (k4 * k3)))
         new = new - c0 * (aux0 / (k4 * k3 * k2))
-        new = checked(new * (r2 / (k4 * k5)))
+        new = new * (r2 / (k4 * k5))
         c0, c1, c2, c3 = c1, c2, c3, new
         total = total + new
 
-    result = total * math.exp(-p * r2)
-    if symbolic:
-        return result
-    if not math.isfinite(result):
-        raise NumericError("collision-probability series overflowed")
-    return min(max(float(result), 0.0), 1.0)
+    return arg, p_r2, total

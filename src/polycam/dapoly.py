@@ -520,6 +520,18 @@ class TaylorPoly:
             outer[k] = outer[k - 1] / k
         return self._apply(outer, _horner)
 
+    def log(self) -> "TaylorPoly":
+        a0 = self.constant_part
+        if a0 <= 0.0:
+            raise DomainError(f"log requires positive constant part, got {a0}", a0)
+        n = self.max_order
+        outer = np.empty(n + 1)
+        outer[0] = math.log(a0)
+        outer[1] = 1.0 / a0
+        for k in range(2, n + 1):
+            outer[k] = -outer[k - 1] * (k - 1) / (k * a0)
+        return self._apply(outer, _horner)
+
     def power(self, p: float) -> "TaylorPoly":
         """Real power a**p about the constant part (requires it positive)."""
         return self._apply(p, _power)

@@ -1,4 +1,4 @@
-"""Polynomial maps of collision probability versus control perturbations.
+"""Polynomial maps of log collision probability versus control perturbations.
 
 Each design has one real reference trajectory, computed once: the
 maneuverable spacecraft is back-propagated from closest approach to the
@@ -13,12 +13,12 @@ most 6 + k variables (k held-acceleration scalars on the segment); beyond
 that, the segment's (6 + k)-variable flow map about the reference is
 integrated instead and composed onto the state, which replaces most
 large-algebra products with small-algebra ones. Projecting the relative
-position onto the frozen encounter plane and composing the
-collision-probability series yields one truncated polynomial in the stacked
-control vector. Everything downstream of this map is polynomial evaluation.
-Candidate maneuver epochs are ranked without a map. An impulse's
-first-order probability gradient is the velocity part of the adjoint of
-the closest-approach probability gradient (the primer vector), and the
+position onto the frozen encounter plane and composing the logarithm of
+the collision-probability series yields one truncated polynomial of log
+PoC in the stacked control vector. Everything downstream of this map is
+polynomial evaluation. Candidate maneuver epochs are ranked without a map.
+An impulse's first-order log-probability gradient is the velocity part of
+the adjoint of the closest-approach gradient (the primer vector), and the
 flows are Hamiltonian, so one complex-step back-propagation from closest
 approach yields it at every candidate epoch. A low-thrust candidate's
 gradient integrates the adjoint over its arc; it comes instead from
@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .conjunction import ConjunctionEvent, poc_chan
+from .conjunction import ConjunctionEvent, log_poc_chan, poc_chan
 from .dapoly import AlgebraConfig, TaylorPoly, compose
 from .dynamics import (CR3BP, CR3BP_CHAR_LENGTH_KM, CR3BP_CHAR_TIME_S,
                        DynamicsModel, PropagationConfig, propagate_vector,
@@ -232,15 +232,17 @@ class ReferenceTrajectory:
 
 @dataclass(frozen=True, eq=False)
 class PocMap:
-    """Truncated polynomial of collision probability in scaled controls.
+    """Truncated polynomial of the natural log of collision probability in
+    scaled controls.
 
     ``poly`` lives in M scaled variables (3 per free-direction control, 1
     per fixed-direction control) laid out by ``schedule``; its variable
     count, order and derivatives are its own. ``reference`` is the
     trajectory it was expanded about, and owns the ballistic probability.
-    The constant part of ``poly`` is that probability carried through the
-    polynomial pass, so the two agree to rounding only: they can differ in
-    the last bits.
+    The constant part of ``poly`` is the log of that probability carried
+    through the polynomial pass, so the two agree to rounding only. The
+    log's exact quadratic part is why low orders already track the
+    probability over decades.
     """
 
     poly: TaylorPoly
@@ -532,15 +534,15 @@ def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
                   order: int, config: PropagationConfig | None = None,
                   fixed_impulses: Sequence[tuple[float, np.ndarray]] = (),
                   start: tuple[float, tuple] | None = None) -> PocMap:
-    """Expand collision probability to ``order`` in the stacked controls.
+    """Expand log collision probability to ``order`` in the stacked controls.
 
     The design's :func:`reference_trajectory` is computed first (``start``
     as there). Perturbation variables then ride through the propagation
     from its start state node to node (each node's variables join the
     state's algebra at that node), the relative position is projected
-    onto the frozen encounter plane, and the probability series is
-    composed on top. The map carries the reference, whose ballistic
-    probability the constant part matches to rounding.
+    onto the frozen encounter plane, and the log of the probability series
+    is composed on top. The map carries the reference, whose ballistic
+    probability the constant part's exponential matches to rounding.
     """
     if order < 1:
         raise ConfigurationError(f"expansion order must be >= 1, got {order}")
@@ -556,7 +558,7 @@ def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
 
     r_b = _thread_trajectory(event, schedule, config, reference.start,
                              variables, schedule.unit, fixed_impulses)
-    poly = poc_chan(r_b, event.bplane.p_b, event.hbr_km)
+    poly = log_poc_chan(r_b, event.bplane.p_b, event.hbr_km)
     return PocMap(poly=poly, schedule=schedule, reference=reference)
 
 
@@ -567,27 +569,30 @@ def gradient_norm_per_node(event: ConjunctionEvent, candidate_times,
     """Rank candidate maneuver epochs by first-order control authority.
 
     For a control placed at each candidate time, returns the time and the
-    Euclidean norm of the probability gradient in scaled variables (so the
-    ranking is reference-magnitude-free): the gradient of an order-1 map,
-    obtained without building one. Each candidate is the template retimed
-    to start at its time.
+    Euclidean norm of the log-probability gradient in scaled variables (so
+    the ranking is reference-magnitude-free): the gradient of an order-1
+    map, obtained without building one. Every candidate shares the ballistic
+    probability, so these norms are the probability gradient's divided by
+    it, and rank the epochs alike; a probability that underflows to zero
+    gives zero norms. Each candidate is the template retimed to start at
+    its time.
 
     Impulsive candidates are scored by the primer vector of the
     probability (Lawden, *Optimal Trajectories for Space Navigation*,
-    1963): dPoC/d(delta-v) at epoch t is the velocity part of the adjoint
-    lambda(t) = Phi(0, t)^T lambda_0, lambda_0 being the probability
-    gradient in the closest-approach state. One backward pass gives it at
-    every candidate (see :func:`_primer_norms`). Low-thrust candidates
-    need the adjoint integrated over each arc, so each is differentiated
-    directly: the Jacobian J of the encounter-plane position (xi, zeta)
-    in the candidate's control variables comes from the complex-step
-    derivative (Squire & Trapp, "Using complex variables to estimate
-    derivatives of real functions", SIAM Review 40, 1998). The real
-    pipeline runs once per variable, from the candidate's one
+    1963): d(log PoC)/d(delta-v) at epoch t is the velocity part of the
+    adjoint lambda(t) = Phi(0, t)^T lambda_0, lambda_0 being the
+    log-probability gradient in the closest-approach state. One backward
+    pass gives it at every candidate (see :func:`_primer_norms`).
+    Low-thrust candidates need the adjoint integrated over each arc, so
+    each is differentiated directly: the Jacobian J of the encounter-plane
+    position (xi, zeta) in the candidate's control variables comes from the
+    complex-step derivative (Squire & Trapp, "Using complex variables to
+    estimate derivatives of real functions", SIAM Review 40, 1998). The
+    real pipeline runs once per variable, from the candidate's one
     back-propagated start, with that variable set to ``1j * h`` and the
     others to zero, and ``Im(xi, zeta) / h`` is one column, exact
     to rounding because nothing is subtracted. The norm is that of
-    dPoC/d(xi, zeta) · J, the first factor from one order-1 series
+    d(log PoC)/d(xi, zeta) · J, the first factor from one order-1 series
     evaluation at the real part of (xi, zeta).
     """
     candidate_times = [float(t) for t in candidate_times]
@@ -616,12 +621,15 @@ def gradient_norm_per_node(event: ConjunctionEvent, candidate_times,
 
 
 def _bplane_gradient(event: ConjunctionEvent, r_b) -> np.ndarray:
-    """dPoC/d(xi, zeta) at the encounter-plane position ``r_b`` (km), from
-    one order-1 series evaluation."""
+    """d(log PoC)/d(xi, zeta) at the encounter-plane position ``r_b`` (km),
+    from one order-1 series evaluation; zero where the probability
+    underflows to zero."""
+    if poc_chan(r_b, event.bplane.p_b, event.hbr_km) == 0.0:
+        return np.zeros(2)
     position = AlgebraConfig(2, 1)
     r_b = (TaylorPoly.variable(position, 0) + float(r_b[0]),
            TaylorPoly.variable(position, 1) + float(r_b[1]))
-    return poc_chan(r_b, event.bplane.p_b, event.hbr_km).gradient_at_zero()
+    return log_poc_chan(r_b, event.bplane.p_b, event.hbr_km).gradient_at_zero()
 
 
 def _primer_norms(event: ConjunctionEvent, times: Sequence[float],
@@ -629,7 +637,7 @@ def _primer_norms(event: ConjunctionEvent, times: Sequence[float],
                   config: PropagationConfig) -> dict[float, float]:
     """Impulsive score at each of ``times`` from one complex back-propagation.
 
-    The adjoint starts as lambda_0 = (lambda_r, 0), the probability
+    The adjoint starts as lambda_0 = (lambda_r, 0), the log-probability
     gradient in the internal-unit closest-approach position. Kepler and J2
     flows are Hamiltonian, so Phi(0, t)^T = -J Phi(t, 0) J (Battin, *An
     Introduction to the Mathematics and Methods of Astrodynamics*, 1999):

@@ -56,9 +56,10 @@ def validate_solution(event: ConjunctionEvent, schedule: ControlSchedule,
     so the zero vector reproduces the ballistic figures exactly. When the
     map that produced the solution is supplied, its reference serves (no
     second ballistic pass), and the report carries the mismatch between
-    the map's prediction and the validated probability. Such a map must
-    have been built on ``schedule`` itself (mode, epochs, fixed direction
-    and arcs) with the same propagation config; any other map is refused.
+    the map's prediction, the exponential of its log probability, and the
+    validated probability. Such a map must have been built on
+    ``schedule`` itself (mode, epochs, fixed direction and arcs) with the
+    same propagation config; any other map is refused.
     """
     config = config or PropagationConfig()
     phi_physical = np.asarray(phi_physical, dtype=np.float64)
@@ -86,7 +87,7 @@ def validate_solution(event: ConjunctionEvent, schedule: ControlSchedule,
     map_residual = None
     if pmap is not None:
         scaled = phi_physical / pmap.scaling
-        map_residual = abs(pmap.poly.eval(scaled) - validated)
+        map_residual = abs(math.exp(pmap.poly.eval(scaled)) - validated)
 
     return ValidationReport(
         validated_poc=validated,

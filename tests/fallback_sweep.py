@@ -1,6 +1,6 @@
-"""Exit-4 sweep of the final order's fallback cascade.
+"""Exit-4 sweep of the solver over single-impulse maps.
 
-Solves order-4 single-impulse maps at max orders 2, 3 and 4 with
+Solves order-5 single-impulse maps at max orders 2 to 5 with
 ``solve_recursive`` in this process and prints one line per map and max
 order: set, label, max order, ``ok`` or ``exit4``, the ``repr`` of the
 physical control (the last iterate on exit 4) and the pseudo-gradient
@@ -12,12 +12,12 @@ exit-4 count, the evaluations and the in-process solve time. The sets are
 - ``replay``: the 208 ``single_impulse`` designs of
   ``tests/replay_digests.py`` (seeds 2406 and 301-303).
 
-``--without polish|secular|rays`` (repeatable) replaces that fallback with
-one that finds nothing, which shows what each fallback closes. Run it on
-two trees and compare the outputs::
+The solver has one path, the damped iteration, so an exit 4 here is an
+order whose iteration found no fixed point. Run it on two trees and
+compare the outputs::
 
     python tests/fallback_sweep.py > after.txt
-    python tests/fallback_sweep.py --set scenarios --without polish
+    python tests/fallback_sweep.py --set scenarios
 
 The polycam package is imported from ``src/`` next to this file, and the
 replay designs from ``perfbench/``. The file name keeps pytest from
@@ -33,19 +33,13 @@ import time
 from dataclasses import replace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-MAX_ORDERS = (2, 3, 4)
-MAP_ORDER = 4
+MAX_ORDERS = (2, 3, 4, 5)
+MAP_ORDER = 5
 REPLAY_SEEDS = (2406, 301, 302, 303)
-# the fallbacks --without can switch off, and what each then finds
-FALLBACKS = {
-    "polish": ("_polished_root", lambda model, start, e_tol: None),
-    "secular": ("_secular_order2_roots", lambda pmap, rho: []),
-    "rays": ("_ray_seeds", lambda pmap, j, rho: []),
-}
 
 
 def _single_impulse_map(event, token: str):
-    """Order-4 map of one impulse at ``token`` (seconds, or orbit fractions
+    """Order-5 map of one impulse at ``token`` (seconds, or orbit fractions
     with the suffix ``orb``) before closest approach."""
     from polycam.dynamics import osculating_period
     from polycam.mapbuilder import IMPULSIVE, ControlSchedule, build_poc_map
@@ -92,9 +86,6 @@ def main(argv=None) -> int:
     parser.add_argument("--set", action="append",
                         choices=("scenarios", "replay"),
                         help="map set (repeatable; default: both)")
-    parser.add_argument("--without", action="append", default=[],
-                        choices=sorted(FALLBACKS),
-                        help="fallback that finds nothing (repeatable)")
     args = parser.parse_args(argv)
 
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench"),
@@ -102,9 +93,6 @@ def main(argv=None) -> int:
     from polycam import solver
     from polycam.errors import NonConvergenceError
 
-    for name in args.without:
-        attribute, replacement = FALLBACKS[name]
-        setattr(solver, attribute, replacement)
     evals = [0]
     counted = solver.pseudo_gradient
 

@@ -626,9 +626,8 @@ class TestRunCommand:
 
     def test_run_loads_neither_scipy_integrate_nor_optimize(
             self, scenario_file, tmp_path):
-        # a default design whose final order settles without the fallback
-        # cascade loads only the row kernel of scipy, and none of the numpy
-        # subpackages that scipy's package init pulls in
+        # a default design loads only the row kernel of scipy, and none of
+        # the numpy subpackages that scipy's package init pulls in
         src = os.path.dirname(os.path.dirname(polycam.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -636,14 +635,8 @@ class TestRunCommand:
         out = tmp_path / "result.json"
         script = textwrap.dedent(f"""
             import json, sys
-            import polycam.cli, polycam.solver
+            import polycam.cli
 
-            def reached(*args, **kwargs):
-                raise AssertionError("the fallback cascade was reached")
-
-            for name in ("_polished_root", "_secular_order2_roots",
-                         "_ray_seeds"):
-                setattr(polycam.solver, name, reached)
             code = polycam.cli.main(["run", {str(scenario_file)!r},
                                      "--out", {str(out)!r}])
             print(json.dumps([code, sorted(name for name in sys.modules
@@ -657,47 +650,6 @@ class TestRunCommand:
         code, loaded, f2py = json.loads(proc.stdout)
         assert code == 0
         assert json.loads(out.read_text())["status"] == "ok"
-        assert loaded == ["scipy.sparse._sparsetools"]
-        assert not f2py
-
-    def test_fallback_run_loads_no_scipy_optimize(self, tmp_path):
-        # leo-2406-001 reaches the root polish at order 3 and still loads
-        # only the row kernel of scipy; the scenario is generated in its
-        # own process, because generate imports brentq
-        src = os.path.dirname(os.path.dirname(polycam.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        subprocess.run([sys.executable, "-m", "polycam", "generate", "--seed",
-                        "2406", "--count", "2", "--out-dir", str(tmp_path)],
-                       check=True, capture_output=True, timeout=300, env=env)
-        scenario = tmp_path / "leo-2406-001.json"
-        out = tmp_path / "result.json"
-        script = textwrap.dedent(f"""
-            import json, sys
-            import polycam.cli, polycam.solver
-
-            polish = polycam.solver._polished_root
-            calls = []
-
-            def counted(*args):
-                calls.append(1)
-                return polish(*args)
-
-            polycam.solver._polished_root = counted
-            code = polycam.cli.main(["run", {str(scenario)!r}, "--order",
-                                     "3", "--out", {str(out)!r}])
-            print(json.dumps([code, len(calls), sorted(
-                name for name in sys.modules if name.startswith("scipy")),
-                "numpy.f2py" in sys.modules]))
-        """)
-        proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, timeout=300,
-                              env=env)
-        assert proc.returncode == 0, proc.stderr
-        code, polishes, loaded, f2py = json.loads(proc.stdout)
-        assert code == 0
-        assert polishes >= 1
         assert loaded == ["scipy.sparse._sparsetools"]
         assert not f2py
 

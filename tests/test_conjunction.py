@@ -8,8 +8,8 @@ import pytest
 from scipy.stats import ncx2
 
 from polycam import dynamics as dyn
-from polycam.conjunction import (ConjunctionEvent, poc_chan, poc_quadrature,
-                                 project_bplane)
+from polycam.conjunction import (ConjunctionEvent, log_poc_chan, poc_chan,
+                                 poc_quadrature, project_bplane)
 from polycam.dapoly import AlgebraConfig, TaylorPoly
 from polycam.errors import (CovarianceError, GeometryError, NumericError,
                             ValidationError)
@@ -294,9 +294,9 @@ class TestPocChan:
         cfg = AlgebraConfig(2, 4)
         rb_poly = (TaylorPoly.constant(cfg, r_b[0]) + TaylorPoly.variable(cfg, 0),
                    TaylorPoly.constant(cfg, r_b[1]) + TaylorPoly.variable(cfg, 1))
-        poly = poc_chan(rb_poly, p_b, hbr)
+        poly = log_poc_chan(rb_poly, p_b, hbr)
         real = poc_chan(r_b, p_b, hbr)
-        assert poly.constant_part == pytest.approx(real, rel=1e-14)
+        assert poly.constant_part == pytest.approx(math.log(real), rel=1e-14)
 
     def test_polynomial_tracks_small_shifts(self):
         p_b = np.array([[0.04, 0.01], [0.01, 0.09]])
@@ -305,10 +305,25 @@ class TestPocChan:
         cfg = AlgebraConfig(2, 5)
         rb_poly = (TaylorPoly.constant(cfg, r_b[0]) + TaylorPoly.variable(cfg, 0),
                    TaylorPoly.constant(cfg, r_b[1]) + TaylorPoly.variable(cfg, 1))
-        poly = poc_chan(rb_poly, p_b, hbr)
+        poly = log_poc_chan(rb_poly, p_b, hbr)
         delta = np.array([0.02, -0.015])
         truth = poc_chan(r_b + delta, p_b, hbr)
-        assert poly.eval(delta) == pytest.approx(truth, rel=1e-7)
+        assert math.exp(poly.eval(delta)) == pytest.approx(truth, rel=1e-7)
+
+    def test_log_polynomial_tracks_decades(self):
+        # the Gaussian's exponent is exact in the log form, so an order-5
+        # expansion follows a two-decade drop of the probability
+        p_b = np.array([[0.04, 0.01], [0.01, 0.09]])
+        hbr = 0.02
+        r_b = np.array([0.21, -0.35])
+        cfg = AlgebraConfig(2, 5)
+        rb_poly = (TaylorPoly.constant(cfg, r_b[0]) + TaylorPoly.variable(cfg, 0),
+                   TaylorPoly.constant(cfg, r_b[1]) + TaylorPoly.variable(cfg, 1))
+        poly = log_poc_chan(rb_poly, p_b, hbr)
+        delta = np.array([0.25, -0.35])
+        truth = poc_chan(r_b + delta, p_b, hbr)
+        assert truth < 1e-2 * poc_chan(r_b, p_b, hbr)
+        assert math.exp(poly.eval(delta)) == pytest.approx(truth, rel=1e-6)
 
 
 class TestPocProperties:

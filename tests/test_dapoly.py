@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -98,6 +99,18 @@ class TestIntrinsics:
         got = x.exp()
         assert coeffs(got) == {(0,): 1.0, (1,): 1.0, (2,): 0.5,
                               (3,): pytest.approx(1 / 6)}
+
+    def test_log_series(self):
+        cfg = AlgebraConfig(1, 3)
+        x = TaylorPoly.variable(cfg, 0)
+        got = (2 + 2 * x).log()
+        assert coeffs(got) == {(0,): pytest.approx(math.log(2)), (1,): 1.0,
+                              (2,): -0.5, (3,): pytest.approx(1 / 3)}
+
+    def test_log_outside_domain(self):
+        with pytest.raises(DomainError) as err:
+            (X - 2).log()
+        assert err.value.value == -2.0
 
     def test_domain_error_reports_value(self):
         with pytest.raises(DomainError) as err:
@@ -470,7 +483,7 @@ class TestRowPassIsBitwiseReference:
 
     @pytest.mark.parametrize("name,args", [
         ("power", (-1.5,)), ("power", (0.3,)), ("reciprocal", ()),
-        ("sqrt", ()), ("exp", ())])
+        ("sqrt", ()), ("exp", ()), ("log", ())])
     def test_intrinsics(self, n_vars, order, name, args, monkeypatch):
         rng = np.random.default_rng(200 + 10 * n_vars + order)
         cfg = AlgebraConfig(n_vars, order)

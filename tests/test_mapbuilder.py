@@ -7,7 +7,7 @@ import pytest
 from polycam import dynamics as dyn
 from polycam import mapbuilder, solver
 from polycam.cli import build_parser, run_scenario
-from polycam.conjunction import poc_chan
+from polycam.conjunction import log_poc_chan, poc_chan
 from polycam.dapoly import AlgebraConfig, TaylorPoly
 from polycam.errors import ConfigurationError
 from polycam.mapbuilder import (ACCEL_REF_MS2, ControlSchedule,
@@ -294,9 +294,9 @@ class TestBuildPocMap:
     def test_constant_part_is_ballistic(self, leo_event, leo_period):
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * leo_period,))
         pmap = build_poc_map(leo_event, sched, order=3)
-        assert pmap.poly.constant_part == pytest.approx(
+        assert math.exp(pmap.poly.constant_part) == pytest.approx(
             pmap.reference.ballistic_poc, rel=1e-12)
-        assert pmap.poly.eval(np.zeros(pmap.poly.n_vars)) == \
+        assert math.exp(pmap.poly.eval(np.zeros(pmap.poly.n_vars))) == \
             pytest.approx(pmap.reference.ballistic_poc, rel=1e-12)
 
     def test_variable_count_free_direction(self, leo_event, leo_period):
@@ -319,8 +319,9 @@ class TestBuildPocMap:
             step[k] = h
             plus = propagate_with_controls(leo_event, sched, step)
             minus = propagate_with_controls(leo_event, sched, -step)
-            fd[k] = (poc_chan(plus, bp.p_b, leo_event.hbr_km)
-                     - poc_chan(minus, bp.p_b, leo_event.hbr_km)) / (2 * h)
+            fd[k] = (math.log(poc_chan(plus, bp.p_b, leo_event.hbr_km))
+                     - math.log(poc_chan(minus, bp.p_b, leo_event.hbr_km))) \
+                / (2 * h)
         assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) <= 1e-4
 
     def test_gradient_direction_matches_steepest(self, leo_event, leo_period):
@@ -347,7 +348,7 @@ class TestBuildPocMap:
         phi = np.array([0.01, -0.02, 0.005])  # m/s
         r_b = propagate_with_controls(leo_event, sched, phi)
         truth = poc_chan(r_b, bp.p_b, leo_event.hbr_km)
-        assert pmap.poly.eval(phi / pmap.scaling) == \
+        assert math.exp(pmap.poly.eval(phi / pmap.scaling)) == \
             pytest.approx(truth, rel=1e-4)
 
     def test_fixed_direction_single_variable(self, leo_event, leo_period):
@@ -372,7 +373,7 @@ class TestBuildPocMap:
                                 node_epochs=(center - 180, center + 180))
         pmap = build_poc_map(leo_event, sched, order=2)
         assert pmap.poly.n_vars == 3
-        assert pmap.poly.constant_part == pytest.approx(
+        assert math.exp(pmap.poly.constant_part) == pytest.approx(
             pmap.reference.ballistic_poc, rel=1e-12)
 
     def test_two_arc_low_thrust_map(self, leo_event, leo_period):
@@ -384,7 +385,7 @@ class TestBuildPocMap:
                                 arc_lengths=(2, 2))
         pmap = build_poc_map(leo_event, sched, order=2)
         assert pmap.poly.n_vars == 6
-        assert pmap.poly.constant_part == pytest.approx(
+        assert math.exp(pmap.poly.constant_part) == pytest.approx(
             pmap.reference.ballistic_poc, rel=1e-12)
         # the coast between the arcs leaves both windows with authority
         grad = pmap.poly.gradient_at_zero()
@@ -398,8 +399,8 @@ class TestBuildPocMap:
 
 
 def direct_poc_map(event, schedule, order, config):
-    """Probability polynomial of a free-direction RTN schedule with every
-    segment integrated in the full control algebra."""
+    """Log-probability polynomial of a free-direction RTN schedule with
+    every segment integrated in the full control algebra."""
     cfg = AlgebraConfig(schedule.n_vars, order)
     scale, model = _to_internal_units(event)
     if schedule.mode == IMPULSIVE:
@@ -434,7 +435,7 @@ def direct_poc_map(event, schedule, order, config):
                 accel = tuple(kick)
     y = dyn.propagate_vector(y, accel, epochs[-1], 0.0, model, config)
     r_b = _relative_bplane_position(y, event, scale)
-    return poc_chan(r_b, event.bplane.p_b, event.hbr_km)
+    return log_poc_chan(r_b, event.bplane.p_b, event.hbr_km)
 
 
 class TestComposedMatchesDirect:
@@ -469,7 +470,7 @@ class TestScalingTransparency:
         # must give the physical gradient solution
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * leo_period,))
         pmap = build_poc_map(leo_event, sched, order=1)
-        rho = 1e-6 - pmap.reference.ballistic_poc
+        rho = math.log(1e-6) - math.log(pmap.reference.ballistic_poc)
         grad_scaled = pmap.poly.gradient_at_zero()
         phi_scaled = rho * grad_scaled / np.linalg.norm(grad_scaled) ** 2
         phi_physical = phi_scaled * pmap.scaling
