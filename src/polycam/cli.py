@@ -159,8 +159,9 @@ _OPTIONS = {
     "etol": ("etol", _real, 1e-12, "iteration tolerance (default 1e-12)"),
     "max_iter": ("max_iter", _integer, 200,
                  "iteration budget per order (default 200)"),
-    "steps": ("steps", _integer, 100,
-              "integrator steps per segment (default 100)"),
+    "steps": ("steps", _integer, None,
+              "integrator steps per segment (default: picked by error "
+              "control)"),
     "umax": ("umax", _real, None, "per-node impulse bound in m/s"),
     "filter_grid": ("filter_grid", _tokens, None,
                     "comma list of candidate epochs to rank"),
@@ -295,6 +296,7 @@ def _design(doc: dict, flags: dict) -> tuple[int, dict]:
             "target_poc": target,
             "ballistic_poc": report.ballistic_poc,
             "node_epochs_s": [float(t) for t in solution.node_epochs],
+            "segment_steps": list(report.segment_steps),
             "solution": {
                 "phi": [float(x) for x in solution.phi],
                 "per_node_dv_ms": [[float(x) for x in v]

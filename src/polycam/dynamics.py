@@ -1,4 +1,4 @@
-"""Equations of motion, local frames and a fixed-step RK7(8) propagator.
+"""Equations of motion, local frames and an RK7(8) propagator.
 
 Three dynamics regimes are supported: two-body, two-body plus the J2
 oblateness term (inertial ECI frame, km / km/s / seconds), and the circular
@@ -12,6 +12,8 @@ Python scalars. Both give every entry the values of the entry-by-entry
 combination. A polynomial propagation records the kernel once as a
 program of row functions (:func:`~polycam.dapoly.record`) and runs it on
 the block's rows at every stage whose six rows are polynomials.
+Steps are equal (a count per span) or follow a :class:`Mesh`, which a
+real or complex pass fills by error control (:func:`_controlled_steps`).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import ConfigurationError, FrameError, PropagationError
 
 __all__ = [
     "ECI", "SYNODIC", "KEPLER", "J2", "CR3BP",
-    "SpacecraftState", "DynamicsModel", "PropagationConfig",
+    "SpacecraftState", "DynamicsModel", "PropagationConfig", "Mesh",
     "propagate_vector", "rtn_rotation", "osculating_period",
 ]
 
@@ -97,24 +99,54 @@ class DynamicsModel:
 # Upper bound on the steps per segment: far above the counts any regime
 # needs (at most a few hundred), and low enough that a run ends.
 MAX_STEPS = 100_000
+# Equal steps of a span given neither a count nor a mesh.
+UNMESHED_STEPS = 100
+# Local error allowed per step of an error-controlled mesh (_error_ratio);
+# the README gives its calibration.
+STEP_TOL = 5e-8
 
 
 @dataclass(frozen=True)
 class PropagationConfig:
-    """Fixed-step integrator settings: steps per segment."""
+    """Integrator settings: ``steps`` equal steps per segment, or None for
+    the error-controlled mesh a design picks (see
+    :mod:`polycam.mapbuilder`)."""
 
-    steps: int = 100
+    steps: int | None = None
 
     def __post_init__(self):
-        if not 1 <= self.steps <= MAX_STEPS:
+        if self.steps is not None and not 1 <= self.steps <= MAX_STEPS:
             raise ConfigurationError(
                 f"step count must lie in [1, {MAX_STEPS}]")
+
+    def between(self, t0: float, t1: float) -> PropagationConfig:
+        """The steps of a span from t0 to t1: a count takes them all alike."""
+        return self
+
+
+class Mesh:
+    """Step boundaries of a pass, in its direction. An empty mesh handed to
+    :func:`propagate_vector` is filled by error control, ``adjoint``
+    scaling the state's imaginary part (see :func:`_error_ratio`)."""
+
+    def __init__(self, times: Sequence[float] = (), adjoint: float = 0.0):
+        self.times, self.adjoint = list(times), adjoint
+
+    @property
+    def steps(self) -> int:
+        return max(len(self.times) - 1, 0)
+
+    def between(self, t0: float, t1: float) -> Mesh:
+        """The steps from t0 to t1; those straddling either end are split."""
+        lo, hi = sorted((t0, t1))
+        return Mesh([t0, *sorted((t for t in self.times if lo < t < hi),
+                                 reverse=t1 < t0), t1])
 
 
 # ---------------------------------------------------------------------------
 # Fehlberg 13-stage 7(8) tableau, combined with the 7th-order weights.
 # Stages 11 and 12 only feed the 8th-order weights of the embedded pair, so
-# the 7th-order combination needs stages 0-10 alone.
+# the 7th-order combination needs stages 0-10 alone; error control runs all.
 # ---------------------------------------------------------------------------
 
 def _fehlberg_78():
@@ -149,8 +181,9 @@ _BETA, _W7 = _fehlberg_78()
 
 _STAGES = tuple(range(11))
 # the nonzero entries: (earlier stage, beta) per stage, (stage, weight)
-_ROWS = {k: [(l, b) for l, b in enumerate(_BETA[k]) if b != 0.0]
-         for k in _STAGES}
+_PAIR_ROWS = {k: [(l, b) for l, b in enumerate(row) if b != 0.0]
+              for k, row in enumerate(_BETA)}
+_ROWS = {k: _PAIR_ROWS[k] for k in _STAGES}
 _WSEL = [(k, w) for k, w in enumerate(_W7) if w != 0.0]
 
 
@@ -297,16 +330,73 @@ def _block_axpy(y: tuple[np.ndarray, int], a: float,
     return y[0] + a * f[0], y[1] | f[1]
 
 
+def _rk_step(y, h: float, axpy, slope, rows: dict) -> tuple[list, dict]:
+    """The 7th-order state a step h on, and the slopes of the stages."""
+    f = {}
+    for k, row in rows.items():
+        yk = y
+        for l, b in row:
+            yk = axpy(yk, h * b, f[l])
+        f[k] = slope(yk)
+    for k, w in _WSEL:
+        y = axpy(y, h * w, f[k])
+    return y, f
+
+
+def _error_ratio(y, f: dict, h: float, adjoint: float) -> float:
+    """The pair's local error e = 41/840 h (f0 + f10 - f11 - f12) over
+    ``STEP_TOL``, in the max norm of Re e weighted by max(1, |lambda|):
+    lambda = adjoint * Im y bounds e's first-order effect, in any
+    direction, on the quantity it is the adjoint of (for a design, log
+    PoC; see :func:`polycam.mapbuilder._primer_norms`)."""
+    err = max(abs((a + b - c - d).real)
+              for a, b, c, d in zip(f[0], f[10], f[11], f[12]))
+    weight = max(1.0, adjoint * max(abs(c.imag) for c in y))
+    return abs(h) * 41 / 840 * err * weight / STEP_TOL
+
+
+def _controlled_steps(y, t0: float, t1: float, slope, mesh: Mesh) -> list:
+    """Integrate a real or complex state from t0 to t1 on steps that keep
+    :func:`_error_ratio` at most 1 (Hairer, Norsett & Wanner, *Solving ODEs
+    I*, II.4), filling ``mesh``. A step below 1e-10 of the span, or a
+    count past ``MAX_STEPS``, raises :class:`PropagationError`."""
+    t, h = t0, t1 - t0
+    mesh.times = [t0]
+    while t != t1:
+        if abs(h) < 1e-10 * abs(t1 - t0) or len(mesh.times) > MAX_STEPS:
+            raise PropagationError(
+                f"step control failed near t={t!r}: the step shrank to "
+                f"{h!r} after {len(mesh.times) - 1} steps", time=t)
+        # the step the mesh records, so that a replay takes it bit for bit
+        t_next = t1 if abs(h) >= abs(t1 - t) else t + h
+        h = t_next - t
+        try:
+            trial, f = _rk_step(y, h, _scalar_axpy, slope, _PAIR_ROWS)
+            ratio = _error_ratio(trial, f, h, mesh.adjoint)
+        except (ArithmeticError, ValueError):
+            ratio = math.inf
+        # the pair's lower order is 7: the error scales as h**8
+        if ratio <= 1.0:
+            y, t = trial, t_next
+            mesh.times.append(t)
+            h *= min(5.0, 0.9 * ratio ** -0.125) if ratio else 5.0
+        else:  # a failed, non-finite or too large step is redone shorter
+            h *= max(0.2, 0.9 * ratio ** -0.125) if ratio < math.inf else 0.2
+    return y
+
+
 def propagate_vector(y0: Sequence, u: Sequence, t0: float, t1: float,
                      model: DynamicsModel,
-                     config: PropagationConfig | None = None) -> list:
+                     config: PropagationConfig | Mesh | None = None) -> list:
     """Integrate a 6-component state of generic scalars from t0 to t1.
 
     ``y0`` entries may be floats, complex scalars (Python or numpy),
     same-shape numpy arrays (batched states) or TaylorPoly scalars sharing
     one algebra. The control ``u`` is held constant over the span
-    (first-order hold); backward spans are allowed. Fixed step count makes
-    the result deterministic for a given config. A real or complex scalar
+    (first-order hold); backward spans are allowed. The steps are
+    ``config.steps`` equal ones (``UNMESHED_STEPS`` if unset), a filled
+    :class:`Mesh`'s from t0 to t1, or for a real or complex state, those
+    that error control picks into an empty mesh. A real or complex scalar
     state that stops being finite raises :class:`PropagationError`.
 
     A state with a polynomial or an array among its entries or controls
@@ -319,7 +409,6 @@ def propagate_vector(y0: Sequence, u: Sequence, t0: float, t1: float,
         return list(y0)
     u = tuple(float(c) if isinstance(c, np.float64) else c for c in u)
     deriv = _derivative_fn(model, u)
-    h = (t1 - t0) / config.steps
     block = _Block(y0, u) if any(_is_row(c) for c in (*y0, *u)) else None
     if block is not None:
         y, axpy, guard_finite = block.lift(y0), _block_axpy, False
@@ -335,21 +424,25 @@ def propagate_vector(y0: Sequence, u: Sequence, t0: float, t1: float,
         y = [float(c) if isinstance(c, np.float64) else c for c in y0]
         axpy, slope = _scalar_axpy, deriv
         guard_finite = all(isinstance(c, Number) for c in (*y, *u))
+    if isinstance(config, Mesh):
+        if not (config.times or guard_finite):
+            raise ConfigurationError(
+                "error control needs a real or complex scalar state")
+        if not config.times:
+            return _controlled_steps(y, t0, t1, slope, config)
+        steps = [(b - a, b) for a, b in zip(config.times, config.times[1:])]
+    else:
+        count = config.steps or UNMESHED_STEPS
+        h = (t1 - t0) / count
+        steps = ((h, t0 + (step + 1) * h) for step in range(count))
     t = t0
-    for step in range(config.steps):
+    for h, end in steps:
         try:
-            f = {}
-            for k in _STAGES:
-                yk = y
-                for l, b in _ROWS[k]:
-                    yk = axpy(yk, h * b, f[l])
-                f[k] = slope(yk)
-            for k, w in _WSEL:
-                y = axpy(y, h * w, f[k])
+            y, _ = _rk_step(y, h, axpy, slope, _ROWS)
         except (ArithmeticError, ValueError) as exc:
             raise PropagationError(
                 f"propagation failed at t={t!r}: {exc}", time=t) from exc
-        t = t0 + (step + 1) * h
+        t = end
         if guard_finite and not cmath.isfinite(y[0] + y[1] + y[2]):
             raise PropagationError(
                 f"singularity encountered near t={t!r}", time=t)

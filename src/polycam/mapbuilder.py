@@ -4,7 +4,9 @@ Each design has one real reference trajectory, computed once: the
 maneuverable spacecraft is back-propagated from closest approach to the
 first control opportunity, and from there the ballistic pass gives the
 unmaneuvered encounter. The polynomial pass and every real replay start
-from the back-propagated state. Perturbation variables are attached at each node
+from the back-propagated state and, unless a step count is set, step on
+the mesh that the back-propagation's error control picked for the
+design's log probability. Perturbation variables are attached at each node
 (velocity increments for impulsive schedules, held accelerations for
 low-thrust arcs), and the perturbed state is propagated forward through the
 encounter. The state's algebra grows node by node with the variables
@@ -38,8 +40,8 @@ import numpy as np
 from .conjunction import ConjunctionEvent, log_poc_chan, poc_chan
 from .dapoly import AlgebraConfig, TaylorPoly, compose
 from .dynamics import (CR3BP, CR3BP_CHAR_LENGTH_KM, CR3BP_CHAR_TIME_S,
-                       DynamicsModel, PropagationConfig, propagate_vector,
-                       rtn_rotation)
+                       DynamicsModel, Mesh, PropagationConfig,
+                       propagate_vector, rtn_rotation)
 from .errors import ConfigurationError
 
 __all__ = [
@@ -47,7 +49,7 @@ __all__ = [
     "IMPULSE_REF_MS", "ACCEL_REF_MS2",
     "ControlSchedule", "PocMap", "ReferenceTrajectory",
     "build_poc_map", "gradient_norm_per_node",
-    "propagate_with_controls", "reference_trajectory",
+    "propagate_with_controls", "reference_trajectory", "segment_steps",
 ]
 
 IMPULSIVE = "IMPULSIVE"
@@ -220,7 +222,9 @@ class ReferenceTrajectory:
     position in km of the ballistic forward pass, with every control at
     zero, and ``ballistic_poc`` the probability there. The
     ``fixed_impulses`` are folded into the ballistic pass, and ``config``
-    is the propagation it used.
+    is the propagation it used. Without a step count there, ``mesh`` holds
+    the steps that the back-propagation picked (internal time units), which
+    every later pass of the design takes, split at its events.
     """
 
     start: tuple[float, tuple]
@@ -228,6 +232,7 @@ class ReferenceTrajectory:
     config: PropagationConfig
     bplane_km: np.ndarray
     ballistic_poc: float
+    mesh: Mesh | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,7 +319,8 @@ def _control_rotation(event: ConjunctionEvent, scale: UnitScale,
 
 
 def _composed_segment(y, scalars, accel_of, t0: float, t1: float,
-                      model: DynamicsModel, config: PropagationConfig) -> list:
+                      model: DynamicsModel, plan: PropagationConfig | Mesh
+                      ) -> list:
     """Advance a polynomial state over one segment by map composition.
 
     The segment's flow map is expanded once in 6 + k variables: deviations
@@ -328,32 +334,71 @@ def _composed_segment(y, scalars, accel_of, t0: float, t1: float,
     start = [TaylorPoly.variable(flow_cfg, i) + ref[i] for i in range(6)]
     held = [TaylorPoly.variable(flow_cfg, 6 + m) for m in range(len(scalars))]
     accel = accel_of(held) if held else (0.0, 0.0, 0.0)
-    flow = propagate_vector(start, accel, t0, t1, model, config)
+    flow = propagate_vector(start, accel, t0, t1, model, plan)
     return compose(flow, [c - r for c, r in zip(y, ref)] + list(scalars))
+
+
+def _kicked_state(event: ConjunctionEvent, scale: UnitScale
+                  ) -> tuple[list, float]:
+    """The internal-unit closest-approach state with the adjoint's complex
+    step on its velocity, and the size of the log-probability gradient
+    lambda_r it follows (see :func:`_primer_norms`); zero where the
+    probability underflows. A primary without a control frame is refused
+    first, as at a node, not reported as a radial fall into the centre."""
+    r, v = _closest_approach_state(event, scale)
+    _control_rotation(event, scale, [*r, *v])
+    basis = event.bplane.basis
+    dpoc = _bplane_gradient(event, event.bplane.r_b)
+    lam_r = (dpoc[0] * basis[0] + dpoc[1] * basis[2]) * scale.length_km
+    size = float(np.linalg.norm(lam_r))
+    # the step runs along the unit direction and the size comes back after,
+    # so no scale of the gradient underflows the imaginary part
+    kick = -_COMPLEX_STEP * lam_r / size if size else np.zeros(3)
+    return [*(float(c) for c in r),
+            *(complex(float(c), float(k)) for c, k in zip(v, kick))], size
 
 
 def _start_state(event: ConjunctionEvent, schedule: ControlSchedule,
                  config: PropagationConfig,
                  fixed_impulses: Sequence[tuple[float, np.ndarray]] = ()
-                 ) -> tuple[float, tuple]:
-    """(epoch, internal-unit state) at the first control event of
+                 ) -> tuple[float, tuple, Mesh | None]:
+    """(epoch, internal-unit state, mesh) at the first control event of
     ``schedule`` and ``fixed_impulses``. The trajectory is ballistic
     before it, so the state comes from back-propagating the
-    closest-approach state."""
+    closest-approach state. Without a step count in ``config``, the pass
+    carries the adjoint's complex step and picks the design's mesh."""
     epoch = min([schedule.node_epochs[0], *(float(t) for t, _ in fixed_impulses)])
     scale, model_nd = _to_internal_units(event)
+    if config.steps is None:
+        y, size = _kicked_state(event, scale)
+        mesh = Mesh(adjoint=size / _COMPLEX_STEP)
+        y = propagate_vector(y, (0.0, 0.0, 0.0), 0.0, epoch / scale.time_s,
+                             model_nd, mesh)
+        return epoch, tuple(c.real for c in y), mesh
     r, v = _closest_approach_state(event, scale)
     y = propagate_vector([*r, *v], (0.0, 0.0, 0.0), 0.0, epoch / scale.time_s,
                          model_nd, config)
-    return epoch, tuple(y)
+    return epoch, tuple(y), None
+
+
+def _begin(event: ConjunctionEvent, schedule: ControlSchedule,
+           config: PropagationConfig, fixed_impulses, start, mesh):
+    """(start, mesh) as given, back-propagating for what is missing."""
+    if start is None or (mesh is None and config.steps is None):
+        epoch, state, picked = _start_state(event, schedule, config,
+                                            fixed_impulses)
+        return start or (epoch, state), mesh or picked
+    return start, mesh
 
 
 def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
-                       config: PropagationConfig, start: tuple[float, tuple],
+                       plan: PropagationConfig | Mesh,
+                       start: tuple[float, tuple],
                        controls, control_unit: float,
                        fixed_impulses: Sequence[tuple[float, np.ndarray]] = ()):
     """Propagate the primary from the first control event to closest
-    approach, starting from ``start`` (see :func:`_start_state`).
+    approach, starting from ``start`` (see :func:`_start_state`), on the
+    steps of ``plan``: a step count per segment, or the design's mesh.
 
     One arithmetic pipeline serves both DA map construction and the real
     replay. ``controls[slot]`` holds the control scalars of one slot
@@ -425,16 +470,17 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
 
     def propagate_segment(y, t0: float, t1: float) -> list:
         t0, t1 = t0 / scale.time_s, t1 / scale.time_s
+        steps = plan.between(t0, t1)
         scalars = [] if held_slot is None else list(controls[held_slot[0]])
         poly = next((c for c in (*y, *scalars) if isinstance(c, TaylorPoly)),
                     None)
         if poly is not None and poly.n_vars > 6 + len(scalars):
             return _composed_segment(
                 y, scalars, lambda s: slot_vector(s, held_slot[1]), t0, t1,
-                model_nd, config)
+                model_nd, steps)
         accel = (0.0, 0.0, 0.0) if held_slot is None \
             else tuple(slot_vector(scalars, held_slot[1]))
-        return propagate_vector(y, accel, t0, t1, model_nd, config)
+        return propagate_vector(y, accel, t0, t1, model_nd, steps)
 
     t_cur = t_first
     for t_ev, kind, payload in timeline:
@@ -465,6 +511,19 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
     return _relative_bplane_position(y, event, scale)
 
 
+def segment_steps(event: ConjunctionEvent, schedule: ControlSchedule,
+                  reference: ReferenceTrajectory) -> list[int]:
+    """Steps that each segment of a pass of ``schedule`` on ``reference``
+    takes, in time order: from event to event (nodes and fixed impulses),
+    then to closest approach."""
+    scale, _ = _to_internal_units(event)
+    epochs = sorted({*schedule.node_epochs, 0.0,
+                     *(float(t) for t, _ in reference.fixed_impulses)})
+    plan = reference.mesh or reference.config
+    return [plan.between(a / scale.time_s, b / scale.time_s).steps
+            for a, b in zip(epochs, epochs[1:])]
+
+
 def _relative_bplane_position(y_final, event: ConjunctionEvent,
                               scale: UnitScale):
     """(xi, zeta) components in km of the relative position at closest
@@ -484,17 +543,18 @@ def propagate_with_controls(event: ConjunctionEvent, schedule: ControlSchedule,
                             phi_physical: np.ndarray | None,
                             config: PropagationConfig | None = None,
                             fixed_impulses: Sequence[tuple[float, np.ndarray]] = (),
-                            start: tuple[float, tuple] | None = None):
+                            start: tuple[float, tuple] | None = None,
+                            mesh: Mesh | None = None):
     """Real-valued pipeline: apply physical controls, return the encounter
     point.
 
     ``phi_physical`` is the stacked control vector in m/s (impulsive) or
     m/s^2 (low thrust), one scalar per fixed-direction control or three per
-    free control; None means ballistic. ``start`` is the back-propagated
-    state at the first control event, as held by
-    :attr:`ReferenceTrajectory.start`; without it the pass back-propagates
-    first. Returns the (xi, zeta) position in km on ``event.bplane`` at
-    closest approach.
+    free control; None means ballistic. ``start`` and ``mesh`` are the
+    back-propagated state at the first control event and the design's
+    mesh, as held by :class:`ReferenceTrajectory`; without them the pass
+    back-propagates first. Returns the (xi, zeta) position in km on
+    ``event.bplane`` at closest approach.
     """
     config = config or PropagationConfig()
     if phi_physical is None:
@@ -506,49 +566,53 @@ def propagate_with_controls(event: ConjunctionEvent, schedule: ControlSchedule,
             f"({schedule.n_vars},)")
     controls = phi_physical.reshape(schedule.n_controls, -1)
 
-    start = start or _start_state(event, schedule, config, fixed_impulses)
-    return np.array(_thread_trajectory(event, schedule, config, start,
+    start, mesh = _begin(event, schedule, config, fixed_impulses, start, mesh)
+    return np.array(_thread_trajectory(event, schedule, mesh or config, start,
                                        controls, 1.0, fixed_impulses))
 
 
 def reference_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
                          config: PropagationConfig | None = None,
                          fixed_impulses: Sequence[tuple[float, np.ndarray]] = (),
-                         start: tuple[float, tuple] | None = None
-                         ) -> ReferenceTrajectory:
+                         start: tuple[float, tuple] | None = None,
+                         mesh: Mesh | None = None) -> ReferenceTrajectory:
     """The design's reference: one back-propagation to the first control
-    event (skipped when ``start`` already holds it, for instance from a
-    design with the same first event) and one ballistic forward pass."""
+    event, which picks the mesh without a step count (skipped when
+    ``start`` and ``mesh`` hold them, for instance from a design with the
+    same first event), and one ballistic forward pass."""
     config = config or PropagationConfig()
     fixed_impulses = tuple(fixed_impulses)
-    start = start or _start_state(event, schedule, config, fixed_impulses)
+    start, mesh = _begin(event, schedule, config, fixed_impulses, start, mesh)
     r_b = propagate_with_controls(event, schedule, None, config,
-                                  fixed_impulses, start)
+                                  fixed_impulses, start, mesh)
     return ReferenceTrajectory(
         start=start, fixed_impulses=fixed_impulses, config=config,
         bplane_km=r_b,
-        ballistic_poc=poc_chan(r_b, event.bplane.p_b, event.hbr_km))
+        ballistic_poc=poc_chan(r_b, event.bplane.p_b, event.hbr_km),
+        mesh=mesh)
 
 
 def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
                   order: int, config: PropagationConfig | None = None,
                   fixed_impulses: Sequence[tuple[float, np.ndarray]] = (),
-                  start: tuple[float, tuple] | None = None) -> PocMap:
+                  start: tuple[float, tuple] | None = None,
+                  mesh: Mesh | None = None) -> PocMap:
     """Expand log collision probability to ``order`` in the stacked controls.
 
     The design's :func:`reference_trajectory` is computed first (``start``
-    as there). Perturbation variables then ride through the propagation
-    from its start state node to node (each node's variables join the
-    state's algebra at that node), the relative position is projected
-    onto the frozen encounter plane, and the log of the probability series
-    is composed on top. The map carries the reference, whose ballistic
-    probability the constant part's exponential matches to rounding.
+    and ``mesh`` as there). Perturbation variables then ride through the
+    propagation from its start state node to node (each node's variables
+    join the state's algebra at that node), the relative position is
+    projected onto the frozen encounter plane, and the log of the
+    probability series is composed on top. The map carries the reference,
+    whose ballistic probability the constant part's exponential matches to
+    rounding.
     """
     if order < 1:
         raise ConfigurationError(f"expansion order must be >= 1, got {order}")
     config = config or PropagationConfig()
     reference = reference_trajectory(event, schedule, config, fixed_impulses,
-                                     start)
+                                     start, mesh)
 
     # each slot's variables live in the algebra of the slots up to it
     width = schedule.n_vars // schedule.n_controls
@@ -556,8 +620,9 @@ def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
                                       width * s + k) for k in range(width)]
                  for s in range(schedule.n_controls)]
 
-    r_b = _thread_trajectory(event, schedule, config, reference.start,
-                             variables, schedule.unit, fixed_impulses)
+    r_b = _thread_trajectory(event, schedule, reference.mesh or config,
+                             reference.start, variables, schedule.unit,
+                             fixed_impulses)
     poly = log_poc_chan(r_b, event.bplane.p_b, event.hbr_km)
     return PocMap(poly=poly, schedule=schedule, reference=reference)
 
@@ -606,13 +671,14 @@ def gradient_norm_per_node(event: ConjunctionEvent, candidate_times,
         return [(t, norms[t]) for t in candidate_times]
     out = []
     for t, single in zip(candidate_times, singles):
-        start = _start_state(event, single, config)
+        epoch, state, mesh = _start_state(event, single, config)
         columns = []
         for j in range(single.n_vars):
             scalars = [1j * _COMPLEX_STEP if k == j else 0.0
                        for k in range(single.n_vars)]
-            xi, zeta = _thread_trajectory(event, single, config, start,
-                                          [scalars], single.unit)
+            xi, zeta = _thread_trajectory(event, single, mesh or config,
+                                          (epoch, state), [scalars],
+                                          single.unit)
             columns.append((xi.imag / _COMPLEX_STEP, zeta.imag / _COMPLEX_STEP))
         # every leg shares the real part: the ballistic encounter position
         dpoc = _bplane_gradient(event, (float(xi.real), float(zeta.real)))
@@ -647,29 +713,21 @@ def _primer_norms(event: ConjunctionEvent, times: Sequence[float],
     as lambda_0 has no velocity part, gives the same lambda_v. The
     perturbation rides as the imaginary part of a complex step, so the
     real part is the ballistic reference that sets each epoch's control
-    frame. The pass stops at each epoch in decreasing time; every segment
-    takes ``config.steps`` steps.
+    frame. The pass stops at each epoch in decreasing time; each segment
+    takes ``config.steps`` steps or, without a count, picks its own.
     """
     scale, model_nd = _to_internal_units(event)
-    v_unit = scale.velocity_kms
-    basis = event.bplane.basis
-    dpoc = _bplane_gradient(event, event.bplane.r_b)
-    lam_r = (dpoc[0] * basis[0] + dpoc[1] * basis[2]) * scale.length_km
-    size = float(np.linalg.norm(lam_r))
+    y, size = _kicked_state(event, scale)
     if size == 0.0:
         return dict.fromkeys(times, 0.0)
-    # the step runs along the unit direction and the size comes back after,
-    # so no scale of the gradient underflows the imaginary part
-    kick = -_COMPLEX_STEP * lam_r / size
-    r, v = _closest_approach_state(event, scale)
-    y = [*(float(c) for c in r),
-         *(complex(float(c), float(k)) for c, k in zip(v, kick))]
-    gain = template.unit * 1e-3 / v_unit * size / _COMPLEX_STEP
+    gain = template.unit * 1e-3 / scale.velocity_kms * size / _COMPLEX_STEP
     norms = {}
     t_cur = 0.0
     for t in sorted(set(times), reverse=True):
         y = propagate_vector(y, (0.0, 0.0, 0.0), t_cur / scale.time_s,
-                             t / scale.time_s, model_nd, config)
+                             t / scale.time_s, model_nd,
+                             Mesh(adjoint=size / _COMPLEX_STEP)
+                             if config.steps is None else config)
         t_cur = t
         rot = _control_rotation(event, scale, y)
         primer = rot @ np.array([c.imag for c in y[:3]])

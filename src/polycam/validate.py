@@ -17,7 +17,7 @@ from .conjunction import ConjunctionEvent, poc_chan, poc_quadrature
 from .dynamics import PropagationConfig
 from .errors import ConfigurationError
 from .mapbuilder import (ControlSchedule, PocMap, propagate_with_controls,
-                         reference_trajectory)
+                         reference_trajectory, segment_steps)
 
 __all__ = ["ValidationReport", "validate_solution"]
 
@@ -36,6 +36,7 @@ class ValidationReport:
     bplane_before_km: np.ndarray
     bplane_after_km: np.ndarray
     chan_quadrature_agree: bool
+    segment_steps: tuple[int, ...]
 
     def __post_init__(self):
         if not 0.0 <= self.validated_poc <= 1.0:
@@ -52,8 +53,9 @@ def validate_solution(event: ConjunctionEvent, schedule: ControlSchedule,
     ``phi_physical`` stacks the controls in m/s (impulsive) or m/s^2
     (low thrust). The report carries the ballistic probability and
     encounter point of the design's :class:`ReferenceTrajectory`, and the
-    maneuvered replay starts from that reference's back-propagated state,
-    so the zero vector reproduces the ballistic figures exactly. When the
+    maneuvered replay starts from that reference's back-propagated state
+    and takes its steps (``segment_steps`` counts them per segment), so
+    the zero vector reproduces the ballistic figures exactly. When the
     map that produced the solution is supplied, its reference serves (no
     second ballistic pass), and the report carries the mismatch between
     the map's prediction, the exponential of its log probability, and the
@@ -73,7 +75,7 @@ def validate_solution(event: ConjunctionEvent, schedule: ControlSchedule,
         reference = pmap.reference
     r_b_after = propagate_with_controls(event, schedule, phi_physical, config,
                                         reference.fixed_impulses,
-                                        reference.start)
+                                        reference.start, reference.mesh)
 
     validated = poc_chan(r_b_after, event.bplane.p_b, event.hbr_km)
     oracle = poc_quadrature(r_b_after, event.bplane.p_b, event.hbr_km)
@@ -97,4 +99,5 @@ def validate_solution(event: ConjunctionEvent, schedule: ControlSchedule,
         bplane_before_km=reference.bplane_km,
         bplane_after_km=r_b_after,
         chan_quadrature_agree=agree,
+        segment_steps=tuple(segment_steps(event, schedule, reference)),
     )

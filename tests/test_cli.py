@@ -350,6 +350,35 @@ class TestRunCommand:
         assert payload["error"]["class"] == "validation"
         assert "parallel" in payload["error"]["message"]
 
+    def test_fall_into_the_centre_exit_4(self, tmp_path, capsys):
+        # nearly radial, so the frame exists, but the back-propagation
+        # meets the centre: the error control's steps shrink past their
+        # floor
+        doc = generate_synthetic_suite(3, 1, "LEO", poc_band=(1.5e-6, 4e-6))[0]
+        doc["conjunction"]["primary"] = {"r_km": [7000.0, 0.0, 0.0],
+                                         "v_kms": [1.0, 1e-6, 0.0]}
+        doc["conjunction"]["secondary"] = {"r_km": [7000.0, 0.01, 0.0],
+                                           "v_kms": [1.0, 0.0, 7.0]}
+        bad = tmp_path / "falling.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli(["run", str(bad), "--order", "2"]) == 4
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["class"] == "non-convergence"
+        assert "step control failed" in payload["error"]["message"]
+
+    def test_result_reports_the_steps_of_each_segment(self, scenario_file,
+                                                      tmp_path):
+        fixed = tmp_path / "fixed.json"
+        assert run_cli(["run", str(scenario_file), "--order", "2", "--nodes",
+                        "2.5orb,1.5orb,0.5orb", "--steps", "60", "--out",
+                        str(fixed)]) == 0
+        assert json.loads(fixed.read_text())["segment_steps"] == [60, 60, 60]
+        meshed = tmp_path / "meshed.json"
+        assert run_cli(["run", str(scenario_file), "--order", "2", "--nodes",
+                        "0.5orb", "--out", str(meshed)]) == 0
+        (steps,) = json.loads(meshed.read_text())["segment_steps"]
+        assert 1 <= steps < 100
+
     def test_infeasible_bound_exit_5(self, scenario_file, capsys):
         code = run_cli(["run", str(scenario_file), "--umax", "1e-7"])
         assert code == 5

@@ -556,3 +556,78 @@ class TestUnits:
         assert scale.length_km == 384405.0
         assert scale.time_s == 375677.0
         assert nd is event.dynamics
+
+
+class TestErrorControl:
+    """Steps picked by the embedded 7(8) pair, recorded in a Mesh."""
+
+    LEO = [1.0, 0.0, 0.0, 0.0, 1.0, 0.05]  # internal units, mu = 1
+    UNIT = dyn.DynamicsModel(kind=dyn.KEPLER, mu=1.0)
+
+    @pytest.mark.parametrize("steps", [1, 7, 60])
+    def test_fixed_count_makes_eleven_evaluations_per_step(self, monkeypatch,
+                                                          steps):
+        # an explicit count keeps the uniform loop: stages 11 and 12 run
+        # only under error control
+        calls = []
+        kernel = dyn._kernel_kepler_j2
+        monkeypatch.setattr(dyn, "_kernel_kepler_j2",
+                            lambda *args: calls.append(1) or kernel(*args))
+        dyn.propagate_vector(self.LEO, (0.0, 0.0, 0.0), 0.0, 3.0, self.UNIT,
+                             dyn.PropagationConfig(steps=steps))
+        assert len(calls) == 11 * steps
+
+    @pytest.mark.parametrize("kick", [0.0, 1e-20], ids=["real", "complex"])
+    def test_replayed_mesh_gives_the_same_state(self, kick):
+        # the 7th-order combination never reads stages 11 and 12, so a
+        # replay of the accepted steps repeats the controlled pass exactly
+        y0 = self.LEO[:3] + [complex(c, kick) for c in self.LEO[3:]]
+        mesh = dyn.Mesh()
+        picked = dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, -math.pi,
+                                      self.UNIT, mesh)
+        assert mesh.times[0] == 0.0 and mesh.times[-1] == -math.pi
+        assert all(b < a for a, b in zip(mesh.times, mesh.times[1:]))
+        replay = dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, -math.pi,
+                                      self.UNIT, dyn.Mesh(mesh.times))
+        assert replay == picked
+
+    def test_mesh_meets_its_tolerance_in_fewer_steps(self):
+        mesh = dyn.Mesh()
+        picked = dyn.propagate_vector(self.LEO, (0.0, 0.0, 0.0), 0.0, math.pi,
+                                      self.UNIT, mesh)
+        fine = dyn.propagate_vector(self.LEO, (0.0, 0.0, 0.0), 0.0, math.pi,
+                                    self.UNIT, dyn.PropagationConfig(1600))
+        assert mesh.steps < dyn.UNMESHED_STEPS
+        error = max(abs(a - b) for a, b in zip(picked, fine))
+        assert error <= mesh.steps * dyn.STEP_TOL
+
+    def test_between_splits_the_steps_that_straddle_its_ends(self):
+        mesh = dyn.Mesh([0.0, -1.0, -2.0, -3.0])
+        assert mesh.steps == 3
+        assert mesh.between(-0.5, -2.5).times == [-0.5, -1.0, -2.0, -2.5]
+        assert mesh.between(-2.5, -0.5).times == [-2.5, -2.0, -1.0, -0.5]
+        assert mesh.between(-1.0, -2.0).times == [-1.0, -2.0]
+
+    @pytest.mark.parametrize("kick", [0.0, 1e-20], ids=["real", "complex"])
+    def test_radial_fall_into_the_centre_raises(self, kick):
+        # the steps shrink toward the collision until they pass the floor
+        y0 = [1.0, 0.0, 0.0, complex(-0.2, kick), 0.0, 0.0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(dyn.PropagationError,
+                               match="step control failed") as err:
+                dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, 3.0,
+                                     self.UNIT, dyn.Mesh())
+        assert 0.5 < err.value.time < 3.0
+
+    def test_polynomial_state_needs_a_filled_mesh(self):
+        with pytest.raises(dyn.ConfigurationError, match="error control"):
+            dyn.propagate_vector(poly_state(self.LEO, 1e-4), (0.0, 0.0, 0.0),
+                                 0.0, 1.0, self.UNIT, dyn.Mesh())
+
+    def test_unset_count_takes_the_unmeshed_steps(self):
+        unset = dyn.propagate_vector(self.LEO, (0.0, 0.0, 0.0), 0.0, 3.0,
+                                     self.UNIT, dyn.PropagationConfig())
+        fixed = dyn.propagate_vector(
+            self.LEO, (0.0, 0.0, 0.0), 0.0, 3.0, self.UNIT,
+            dyn.PropagationConfig(steps=dyn.UNMESHED_STEPS))
+        assert unset == fixed

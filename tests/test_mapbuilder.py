@@ -15,7 +15,7 @@ from polycam.mapbuilder import (ACCEL_REF_MS2, ControlSchedule,
                                 _relative_bplane_position,
                                 _to_internal_units, build_poc_map,
                                 gradient_norm_per_node,
-                                propagate_with_controls)
+                                propagate_with_controls, segment_steps)
 from polycam.scenarios import generate_synthetic_suite, scenario_to_event
 from polycam.solver import SolverConfig, solve_recursive
 from polycam.validate import validate_solution
@@ -235,6 +235,35 @@ class TestReferenceTrajectory:
         alone = validate_solution(event, sched, solution.phi, 1e-6)
         assert alone.ballistic_poc == report.ballistic_poc
         assert np.array_equal(alone.bplane_after_km, after)
+
+    def test_passes_replay_the_back_propagations_mesh(self, monkeypatch,
+                                                       leo_event, leo_period):
+        # the back-propagation fills the mesh; the ballistic, polynomial and
+        # validation passes step on it, split only at the nodes
+        plans = []
+        propagate = mapbuilder.propagate_vector
+
+        def recorded(y0, u, t0, t1, model, config=None):
+            out = propagate(y0, u, t0, t1, model, config)
+            plans.append((t0, t1, config))
+            return out
+
+        monkeypatch.setattr(mapbuilder, "propagate_vector", recorded)
+        sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(
+            -1.5 * leo_period, -0.5 * leo_period))
+        pmap = build_poc_map(leo_event, sched, order=2)
+        validate_solution(leo_event, sched, np.full(6, 0.01), 1e-6, pmap=pmap)
+        picked = pmap.reference.mesh
+        assert plans[0][2] is picked
+        scale, _ = _to_internal_units(leo_event)
+        nodes = {t / scale.time_s for t in sched.node_epochs}
+        assert len(plans) == 1 + 3 * 2
+        for t0, t1, plan in plans[1:]:
+            assert plan.times[0] == t0 and plan.times[-1] == t1
+            assert set(plan.times[1:-1]) <= set(picked.times)
+            assert {t0, t1} <= nodes | {0.0}
+        assert segment_steps(leo_event, sched, pmap.reference) == [
+            plan.steps for _, _, plan in plans[1:3]]
 
     def test_reference_holds_the_ballistic_pass(self, leo_event, leo_period):
         sched = ControlSchedule(mode=IMPULSIVE,
@@ -606,6 +635,22 @@ class TestGradientNormPerNode:
         for keep in range(1, len(grid)):
             chosen = solver.filter_nodes(event, grid, keep, template)
             assert chosen.node_epochs == tuple(sorted(ranked[:keep]))
+
+    def test_long_cislunar_segment_matches_fine_steps(self):
+        # 100 equal steps over these 12 hours put the gradient 13% off its
+        # converged value; the mesh follows the error estimate instead
+        event = scenario_to_event(generate_synthetic_suite(
+            301, 4, "CISLUNAR", poc_band=(1.5e-6, 4e-6))[2])
+        sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-43200.0,))
+
+        def norm(config):
+            return np.linalg.norm(build_poc_map(
+                event, sched, order=1, config=config).poly.gradient_at_zero())
+
+        fine = norm(dyn.PropagationConfig(steps=1600))
+        assert abs(norm(None) / fine - 1.0) <= 1e-6
+        (_, ranked), = gradient_norm_per_node(event, [-43200.0], sched)
+        assert abs(ranked / fine - 1.0) <= 1e-6
 
     def test_builds_no_polynomial_map(self, leo_event, leo_period,
                                       monkeypatch):

@@ -1,8 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from polycam import dynamics as dyn
+from polycam.conjunction import poc_chan
 from polycam.errors import ConfigurationError
-from polycam.mapbuilder import ControlSchedule, IMPULSIVE, build_poc_map
+from polycam.mapbuilder import (ControlSchedule, IMPULSIVE, build_poc_map,
+                                propagate_with_controls)
+from polycam.scenarios import generate_synthetic_suite, scenario_to_event
 from polycam.solver import SolverConfig, solve_recursive
 from polycam.validate import validate_solution
 
@@ -52,6 +58,32 @@ class TestValidateSolution:
         sched, _, _ = solved
         with pytest.raises(ConfigurationError):
             validate_solution(leo_event, sched, np.zeros(5), 1e-6)
+
+
+# Integration error allowed in a default-mesh design's validated PoC,
+# relative, against a replay of its solution at 1600 equal steps.
+MESH_POC_REL = 1e-5
+
+
+@pytest.mark.parametrize("regime, kind", [("LEO", dyn.KEPLER),
+                                          ("LEO", dyn.J2),
+                                          ("CISLUNAR", dyn.CR3BP)],
+                         ids=["kepler", "j2", "cislunar"])
+def test_default_mesh_matches_a_fine_replay(regime, kind):
+    doc = generate_synthetic_suite(2406, 1, regime, poc_band=(1.5e-6, 4e-6))[0]
+    event = scenario_to_event(doc)
+    event = replace(event, dynamics=dyn.DynamicsModel(kind=kind))
+    node = -7200.0 if kind == dyn.CR3BP else -0.5 * dyn.osculating_period(
+        event.primary, event.dynamics)
+    sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(node,))
+    pmap = build_poc_map(event, sched, order=5)
+    solution = solve_recursive(pmap, SolverConfig(max_order=5))
+    report = validate_solution(event, sched, solution.phi, 1e-6, pmap=pmap)
+    assert report.segment_steps[0] < dyn.UNMESHED_STEPS
+    fine = propagate_with_controls(event, sched, solution.phi,
+                                   dyn.PropagationConfig(steps=1600))
+    replayed = poc_chan(fine, event.bplane.p_b, event.hbr_km)
+    assert abs(report.validated_poc / replayed - 1.0) <= MESH_POC_REL
 
 
 class TestGridOracle:
