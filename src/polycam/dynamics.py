@@ -99,17 +99,15 @@ class DynamicsModel:
 # Upper bound on the steps per segment: far above the counts any regime
 # needs (at most a few hundred), and low enough that a run ends.
 MAX_STEPS = 100_000
-# Equal steps of a span given neither a count nor a mesh.
-UNMESHED_STEPS = 100
-# Local error allowed per step of an error-controlled mesh (_error_ratio);
-# the README gives its calibration.
+# Local error allowed per step of an error-controlled mesh
+# (_controlled_steps); the README gives its calibration.
 STEP_TOL = 5e-8
 
 
 @dataclass(frozen=True)
 class PropagationConfig:
     """Integrator settings: ``steps`` equal steps per segment, or None for
-    the error-controlled mesh a design picks (see
+    steps picked by error control (a design's mesh, see
     :mod:`polycam.mapbuilder`)."""
 
     steps: int | None = None
@@ -119,15 +117,15 @@ class PropagationConfig:
             raise ConfigurationError(
                 f"step count must lie in [1, {MAX_STEPS}]")
 
-    def between(self, t0: float, t1: float) -> PropagationConfig:
-        """The steps of a span from t0 to t1: a count takes them all alike."""
-        return self
+
+# The steps of a propagate_vector call given no config at all.
+BARE_CONFIG = PropagationConfig(steps=100)
 
 
 class Mesh:
     """Step boundaries of a pass, in its direction. An empty mesh handed to
     :func:`propagate_vector` is filled by error control, ``adjoint``
-    scaling the state's imaginary part (see :func:`_error_ratio`)."""
+    scaling the state's imaginary part (see :func:`_controlled_steps`)."""
 
     def __init__(self, times: Sequence[float] = (), adjoint: float = 0.0):
         self.times, self.adjoint = list(times), adjoint
@@ -343,23 +341,16 @@ def _rk_step(y, h: float, axpy, slope, rows: dict) -> tuple[list, dict]:
     return y, f
 
 
-def _error_ratio(y, f: dict, h: float, adjoint: float) -> float:
-    """The pair's local error e = 41/840 h (f0 + f10 - f11 - f12) over
-    ``STEP_TOL``, in the max norm of Re e weighted by max(1, |lambda|):
-    lambda = adjoint * Im y bounds e's first-order effect, in any
-    direction, on the quantity it is the adjoint of (for a design, log
-    PoC; see :func:`polycam.mapbuilder._primer_norms`)."""
-    err = max(abs((a + b - c - d).real)
-              for a, b, c, d in zip(f[0], f[10], f[11], f[12]))
-    weight = max(1.0, adjoint * max(abs(c.imag) for c in y))
-    return abs(h) * 41 / 840 * err * weight / STEP_TOL
-
-
 def _controlled_steps(y, t0: float, t1: float, slope, mesh: Mesh) -> list:
     """Integrate a real or complex state from t0 to t1 on steps that keep
-    :func:`_error_ratio` at most 1 (Hairer, Norsett & Wanner, *Solving ODEs
-    I*, II.4), filling ``mesh``. A step below 1e-10 of the span, or a
-    count past ``MAX_STEPS``, raises :class:`PropagationError`."""
+    the pair's local error e = 41/840 h (f0 + f10 - f11 - f12) within
+    ``STEP_TOL`` (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4),
+    filling ``mesh``. The norm is the largest |Re e| times max(1,
+    |lambda|), where lambda = ``mesh.adjoint`` * Im y: a bound on e's
+    first-order effect, in any direction, on the quantity that lambda is
+    the adjoint of (for a design, log PoC; see
+    :func:`polycam.mapbuilder._primer_norms`). A step below 1e-10 of the
+    span, or a count past ``MAX_STEPS``, raises :class:`PropagationError`."""
     t, h = t0, t1 - t0
     mesh.times = [t0]
     while t != t1:
@@ -372,7 +363,10 @@ def _controlled_steps(y, t0: float, t1: float, slope, mesh: Mesh) -> list:
         h = t_next - t
         try:
             trial, f = _rk_step(y, h, _scalar_axpy, slope, _PAIR_ROWS)
-            ratio = _error_ratio(trial, f, h, mesh.adjoint)
+            err = max(abs((a + b - c - d).real)
+                      for a, b, c, d in zip(f[0], f[10], f[11], f[12]))
+            weight = max(1.0, mesh.adjoint * max(abs(c.imag) for c in trial))
+            ratio = abs(h) * 41 / 840 * err * weight / STEP_TOL
         except (ArithmeticError, ValueError):
             ratio = math.inf
         # the pair's lower order is 7: the error scales as h**8
@@ -394,17 +388,20 @@ def propagate_vector(y0: Sequence, u: Sequence, t0: float, t1: float,
     same-shape numpy arrays (batched states) or TaylorPoly scalars sharing
     one algebra. The control ``u`` is held constant over the span
     (first-order hold); backward spans are allowed. The steps are
-    ``config.steps`` equal ones (``UNMESHED_STEPS`` if unset), a filled
-    :class:`Mesh`'s from t0 to t1, or for a real or complex state, those
-    that error control picks into an empty mesh. A real or complex scalar
-    state that stops being finite raises :class:`PropagationError`.
+    ``config.steps`` equal ones (``BARE_CONFIG``'s 100 without a config)
+    or a filled :class:`Mesh`'s from t0 to t1. A real or complex scalar
+    state may instead have error control pick them, into an empty mesh or,
+    for a config without a count, with no adjoint; a polynomial or
+    batched state needs a count or a filled mesh. A real or
+    complex scalar state that stops being finite raises
+    :class:`PropagationError`.
 
     A state with a polynomial or an array among its entries or controls
     advances as one :class:`_Block`, one array operation per stage term;
     a scalar state advances entry by entry, numpy floats as Python floats.
     Both give the values of the entry-by-entry combination.
     """
-    config = config or PropagationConfig()
+    config = config or BARE_CONFIG
     if t1 == t0:
         return list(y0)
     u = tuple(float(c) if isinstance(c, np.float64) else c for c in u)
@@ -424,17 +421,19 @@ def propagate_vector(y0: Sequence, u: Sequence, t0: float, t1: float,
         y = [float(c) if isinstance(c, np.float64) else c for c in y0]
         axpy, slope = _scalar_axpy, deriv
         guard_finite = all(isinstance(c, Number) for c in (*y, *u))
+    if not isinstance(config, Mesh) and config.steps is None:
+        config = Mesh()
     if isinstance(config, Mesh):
         if not (config.times or guard_finite):
             raise ConfigurationError(
-                "error control needs a real or complex scalar state")
+                "a polynomial or batched state needs a step count or a "
+                "filled mesh")
         if not config.times:
             return _controlled_steps(y, t0, t1, slope, config)
         steps = [(b - a, b) for a, b in zip(config.times, config.times[1:])]
     else:
-        count = config.steps or UNMESHED_STEPS
-        h = (t1 - t0) / count
-        steps = ((h, t0 + (step + 1) * h) for step in range(count))
+        h = (t1 - t0) / config.steps
+        steps = ((h, t0 + (step + 1) * h) for step in range(config.steps))
     t = t0
     for h, end in steps:
         try:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .errors import ConfigurationError
 __all__ = [
     "IMPULSIVE", "LOW_THRUST",
     "IMPULSE_REF_MS", "ACCEL_REF_MS2",
-    "ControlSchedule", "PocMap", "ReferenceTrajectory",
+    "ControlSchedule", "PocMap", "ReferenceTrajectory", "Start",
     "build_poc_map", "gradient_norm_per_node",
     "propagate_with_controls", "reference_trajectory", "segment_steps",
 ]
@@ -210,29 +210,39 @@ class ControlSchedule:
         return tuple(vectors), float(sum(np.linalg.norm(v) for v in vectors))
 
 
+class Start(NamedTuple):
+    """Where every pass of a design begins, from its back-propagation.
+
+    ``epoch`` is the first control event in seconds relative to closest
+    approach (a node or a fixed impulse) and ``state`` the primary's
+    internal-unit state there. ``plan`` is the steps the passes take: the
+    propagation config when it sets a count per segment, else the
+    :class:`~polycam.dynamics.Mesh` (internal time units) that the
+    back-propagation's error control picked, split at each pass's events.
+    """
+
+    epoch: float
+    state: tuple
+    plan: PropagationConfig | Mesh
+
+
 @dataclass(frozen=True, eq=False)
 class ReferenceTrajectory:
     """The real, unmaneuvered trajectory of one design, computed once.
 
-    ``start`` is (epoch, state): the first control event in seconds
-    relative to closest approach (a node or a fixed impulse) and the
-    primary's internal-unit state there, back-propagated from closest
-    approach. The polynomial pass and every real replay of the design
-    start from it. ``bplane_km`` is the (xi, zeta) encounter-plane
-    position in km of the ballistic forward pass, with every control at
-    zero, and ``ballistic_poc`` the probability there. The
-    ``fixed_impulses`` are folded into the ballistic pass, and ``config``
-    is the propagation it used. Without a step count there, ``mesh`` holds
-    the steps that the back-propagation picked (internal time units), which
-    every later pass of the design takes, split at its events.
+    ``start`` is the :class:`Start` that the polynomial pass and every real
+    replay of the design begin from. ``bplane_km`` is the (xi, zeta)
+    encounter-plane position in km of the ballistic forward pass, with
+    every control at zero, and ``ballistic_poc`` the probability there.
+    The ``fixed_impulses`` are folded into the ballistic pass, and
+    ``config`` is the propagation it was asked for.
     """
 
-    start: tuple[float, tuple]
+    start: Start
     fixed_impulses: tuple[tuple[float, np.ndarray], ...]
     config: PropagationConfig
     bplane_km: np.ndarray
     ballistic_poc: float
-    mesh: Mesh | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,44 +371,54 @@ def _kicked_state(event: ConjunctionEvent, scale: UnitScale
 def _start_state(event: ConjunctionEvent, schedule: ControlSchedule,
                  config: PropagationConfig,
                  fixed_impulses: Sequence[tuple[float, np.ndarray]] = ()
-                 ) -> tuple[float, tuple, Mesh | None]:
-    """(epoch, internal-unit state, mesh) at the first control event of
-    ``schedule`` and ``fixed_impulses``. The trajectory is ballistic
-    before it, so the state comes from back-propagating the
-    closest-approach state. Without a step count in ``config``, the pass
-    carries the adjoint's complex step and picks the design's mesh."""
+                 ) -> Start:
+    """The :class:`Start` at the first control event of ``schedule`` and
+    ``fixed_impulses``. The trajectory is ballistic before it, so the
+    state comes from back-propagating the closest-approach state. Without
+    a step count in ``config``, the pass carries the adjoint's complex
+    step and picks the design's mesh."""
     epoch = min([schedule.node_epochs[0], *(float(t) for t, _ in fixed_impulses)])
     scale, model_nd = _to_internal_units(event)
     if config.steps is None:
         y, size = _kicked_state(event, scale)
-        mesh = Mesh(adjoint=size / _COMPLEX_STEP)
-        y = propagate_vector(y, (0.0, 0.0, 0.0), 0.0, epoch / scale.time_s,
-                             model_nd, mesh)
-        return epoch, tuple(c.real for c in y), mesh
-    r, v = _closest_approach_state(event, scale)
-    y = propagate_vector([*r, *v], (0.0, 0.0, 0.0), 0.0, epoch / scale.time_s,
-                         model_nd, config)
-    return epoch, tuple(y), None
+        plan = Mesh(adjoint=size / _COMPLEX_STEP)
+    else:
+        r, v = _closest_approach_state(event, scale)
+        y, plan = [*r, *v], config
+    y = propagate_vector(y, (0.0, 0.0, 0.0), 0.0, epoch / scale.time_s,
+                         model_nd, plan)
+    return Start(epoch, tuple(c.real for c in y), plan)
 
 
-def _begin(event: ConjunctionEvent, schedule: ControlSchedule,
-           config: PropagationConfig, fixed_impulses, start, mesh):
-    """(start, mesh) as given, back-propagating for what is missing."""
-    if start is None or (mesh is None and config.steps is None):
-        epoch, state, picked = _start_state(event, schedule, config,
-                                            fixed_impulses)
-        return start or (epoch, state), mesh or picked
-    return start, mesh
+def _legs(start: Start, schedule: ControlSchedule,
+          fixed_impulses: Sequence[tuple[float, np.ndarray]],
+          scale: UnitScale) -> list:
+    """A pass's legs on ``start``'s plan, one per control epoch: the epoch,
+    the events there, (epoch, kind, payload) for each node with its index
+    and each fixed impulse with its delta-v in m/s (the impulse first),
+    then the segment on to the next epoch or closest approach: t0, t1 in
+    internal units and its steps."""
+    events = sorted([(t, "node", i) for i, t in enumerate(schedule.node_epochs)]
+                    + [(float(t), "fixed", np.asarray(dv, dtype=np.float64))
+                       for t, dv in fixed_impulses],
+                    key=lambda item: (item[0], item[1] != "fixed"))
+    epochs = sorted({t for t, _, _ in events})
+    legs = []
+    for t0, t1 in zip(epochs, [*epochs[1:], 0.0]):
+        plan = start.plan
+        if isinstance(plan, Mesh):
+            plan = plan.between(t0 / scale.time_s, t1 / scale.time_s)
+        legs.append((t0, [e for e in events if e[0] == t0],
+                     t0 / scale.time_s, t1 / scale.time_s, plan))
+    return legs
 
 
 def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
-                       plan: PropagationConfig | Mesh,
-                       start: tuple[float, tuple],
-                       controls, control_unit: float,
+                       start: Start, controls, control_unit: float,
                        fixed_impulses: Sequence[tuple[float, np.ndarray]] = ()):
     """Propagate the primary from the first control event to closest
-    approach, starting from ``start`` (see :func:`_start_state`), on the
-    steps of ``plan``: a step count per segment, or the design's mesh.
+    approach, starting from ``start`` (see :func:`_start_state`) and
+    stepping on its plan.
 
     One arithmetic pipeline serves both DA map construction and the real
     replay. ``controls[slot]`` holds the control scalars of one slot
@@ -423,19 +443,12 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
     scale, model_nd = _to_internal_units(event)
     v_unit = scale.velocity_kms
 
-    timeline: list[tuple[float, str, object]] = []
-    for i, t in enumerate(schedule.node_epochs):
-        timeline.append((t, "node", i))
-    for t, dv in fixed_impulses:
-        timeline.append((float(t), "fixed", np.asarray(dv, dtype=np.float64)))
-    timeline.sort(key=lambda item: (item[0], 0 if item[1] == "fixed" else 1))
-
-    t_first, y = start
-    if t_first != timeline[0][0]:
+    legs = _legs(start, schedule, fixed_impulses, scale)
+    if start.epoch != legs[0][0]:
         raise ConfigurationError(
-            f"start epoch {t_first} is not the first control event "
-            f"{timeline[0][0]}")
-    y = list(y)
+            f"start epoch {start.epoch} is not the first control event "
+            f"{legs[0][0]}")
+    y = list(start.state)
 
     slot_of_node = {}
     for slot, node_idx in enumerate(schedule.control_node_indices()):
@@ -468,9 +481,7 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
     # (slot, node rotation) of the acceleration held on the current segment
     held_slot = None
 
-    def propagate_segment(y, t0: float, t1: float) -> list:
-        t0, t1 = t0 / scale.time_s, t1 / scale.time_s
-        steps = plan.between(t0, t1)
+    def propagate_segment(y, t0: float, t1: float, steps) -> list:
         scalars = [] if held_slot is None else list(controls[held_slot[0]])
         poly = next((c for c in (*y, *scalars) if isinstance(c, TaylorPoly)),
                     None)
@@ -482,46 +493,39 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
             else tuple(slot_vector(scalars, held_slot[1]))
         return propagate_vector(y, accel, t0, t1, model_nd, steps)
 
-    t_cur = t_first
-    for t_ev, kind, payload in timeline:
-        if t_ev != t_cur:
-            y = propagate_segment(y, t_cur, t_ev)
-            t_cur = t_ev
-        rot = _control_rotation(event, scale, y)
-
-        if kind == "fixed":
-            dv_nd = (rot.T @ (payload * 1e-3)) / v_unit
-            for k in range(3):
-                y[3 + k] = y[3 + k] + dv_nd[k]
-            continue
-        slot = slot_of_node.get(payload)
-        scalars = [] if slot is None else list(controls[slot])
-        if scalars and isinstance(scalars[0], TaylorPoly):
-            y = [c.embed(scalars[0].config) if isinstance(c, TaylorPoly) else c
-                 for c in y]
-        if schedule.mode == IMPULSIVE:
-            dv = slot_vector(scalars, rot)
-            for k in range(3):
-                y[3 + k] = y[3 + k] + dv[k]
-        else:
-            # an idle arc end carries no slot and stops the held acceleration
-            held_slot = None if slot is None else (slot, rot)
-
-    y = propagate_segment(y, t_cur, 0.0)
+    for _, at_epoch, t0, t1, steps in legs:
+        for _, kind, payload in at_epoch:
+            rot = _control_rotation(event, scale, y)
+            if kind == "fixed":
+                dv_nd = (rot.T @ (payload * 1e-3)) / v_unit
+                for k in range(3):
+                    y[3 + k] = y[3 + k] + dv_nd[k]
+                continue
+            slot = slot_of_node.get(payload)
+            scalars = [] if slot is None else list(controls[slot])
+            if scalars and isinstance(scalars[0], TaylorPoly):
+                y = [c.embed(scalars[0].config) if isinstance(c, TaylorPoly)
+                     else c for c in y]
+            if schedule.mode == IMPULSIVE:
+                dv = slot_vector(scalars, rot)
+                for k in range(3):
+                    y[3 + k] = y[3 + k] + dv[k]
+            else:
+                # an idle arc end carries no slot and stops the held
+                # acceleration
+                held_slot = None if slot is None else (slot, rot)
+        y = propagate_segment(y, t0, t1, steps)
     return _relative_bplane_position(y, event, scale)
 
 
 def segment_steps(event: ConjunctionEvent, schedule: ControlSchedule,
                   reference: ReferenceTrajectory) -> list[int]:
     """Steps that each segment of a pass of ``schedule`` on ``reference``
-    takes, in time order: from event to event (nodes and fixed impulses),
-    then to closest approach."""
-    scale, _ = _to_internal_units(event)
-    epochs = sorted({*schedule.node_epochs, 0.0,
-                     *(float(t) for t, _ in reference.fixed_impulses)})
-    plan = reference.mesh or reference.config
-    return [plan.between(a / scale.time_s, b / scale.time_s).steps
-            for a, b in zip(epochs, epochs[1:])]
+    takes, in time order: the legs that :func:`_thread_trajectory` steps
+    through, from event to event and then to closest approach."""
+    legs = _legs(reference.start, schedule, reference.fixed_impulses,
+                 _to_internal_units(event)[0])
+    return [plan.steps for *_, plan in legs]
 
 
 def _relative_bplane_position(y_final, event: ConjunctionEvent,
@@ -543,18 +547,17 @@ def propagate_with_controls(event: ConjunctionEvent, schedule: ControlSchedule,
                             phi_physical: np.ndarray | None,
                             config: PropagationConfig | None = None,
                             fixed_impulses: Sequence[tuple[float, np.ndarray]] = (),
-                            start: tuple[float, tuple] | None = None,
-                            mesh: Mesh | None = None):
+                            start: Start | None = None):
     """Real-valued pipeline: apply physical controls, return the encounter
     point.
 
     ``phi_physical`` is the stacked control vector in m/s (impulsive) or
     m/s^2 (low thrust), one scalar per fixed-direction control or three per
-    free control; None means ballistic. ``start`` and ``mesh`` are the
-    back-propagated state at the first control event and the design's
-    mesh, as held by :class:`ReferenceTrajectory`; without them the pass
-    back-propagates first. Returns the (xi, zeta) position in km on
-    ``event.bplane`` at closest approach.
+    free control; None means ballistic. ``start`` is the design's
+    :class:`Start`, as held by :attr:`ReferenceTrajectory.start`, whose
+    plan the pass steps on; without it the pass back-propagates first.
+    Returns the (xi, zeta) position in km on ``event.bplane`` at closest
+    approach.
     """
     config = config or PropagationConfig()
     if phi_physical is None:
@@ -566,53 +569,49 @@ def propagate_with_controls(event: ConjunctionEvent, schedule: ControlSchedule,
             f"({schedule.n_vars},)")
     controls = phi_physical.reshape(schedule.n_controls, -1)
 
-    start, mesh = _begin(event, schedule, config, fixed_impulses, start, mesh)
-    return np.array(_thread_trajectory(event, schedule, mesh or config, start,
-                                       controls, 1.0, fixed_impulses))
+    start = start or _start_state(event, schedule, config, fixed_impulses)
+    return np.array(_thread_trajectory(event, schedule, start, controls, 1.0,
+                                       fixed_impulses))
 
 
 def reference_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
                          config: PropagationConfig | None = None,
                          fixed_impulses: Sequence[tuple[float, np.ndarray]] = (),
-                         start: tuple[float, tuple] | None = None,
-                         mesh: Mesh | None = None) -> ReferenceTrajectory:
+                         start: Start | None = None) -> ReferenceTrajectory:
     """The design's reference: one back-propagation to the first control
     event, which picks the mesh without a step count (skipped when
-    ``start`` and ``mesh`` hold them, for instance from a design with the
-    same first event), and one ballistic forward pass."""
+    ``start`` already holds it, for instance from a design with the same
+    first event), and one ballistic forward pass."""
     config = config or PropagationConfig()
     fixed_impulses = tuple(fixed_impulses)
-    start, mesh = _begin(event, schedule, config, fixed_impulses, start, mesh)
+    start = start or _start_state(event, schedule, config, fixed_impulses)
     r_b = propagate_with_controls(event, schedule, None, config,
-                                  fixed_impulses, start, mesh)
+                                  fixed_impulses, start)
     return ReferenceTrajectory(
         start=start, fixed_impulses=fixed_impulses, config=config,
         bplane_km=r_b,
-        ballistic_poc=poc_chan(r_b, event.bplane.p_b, event.hbr_km),
-        mesh=mesh)
+        ballistic_poc=poc_chan(r_b, event.bplane.p_b, event.hbr_km))
 
 
 def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
                   order: int, config: PropagationConfig | None = None,
                   fixed_impulses: Sequence[tuple[float, np.ndarray]] = (),
-                  start: tuple[float, tuple] | None = None,
-                  mesh: Mesh | None = None) -> PocMap:
+                  start: Start | None = None) -> PocMap:
     """Expand log collision probability to ``order`` in the stacked controls.
 
     The design's :func:`reference_trajectory` is computed first (``start``
-    and ``mesh`` as there). Perturbation variables then ride through the
-    propagation from its start state node to node (each node's variables
-    join the state's algebra at that node), the relative position is
-    projected onto the frozen encounter plane, and the log of the
-    probability series is composed on top. The map carries the reference,
-    whose ballistic probability the constant part's exponential matches to
-    rounding.
+    as there). Perturbation variables then ride through the propagation
+    from its start state node to node (each node's variables join the
+    state's algebra at that node), the relative position is projected
+    onto the frozen encounter plane, and the log of the probability series
+    is composed on top. The map carries the reference, whose ballistic
+    probability the constant part's exponential matches to rounding.
     """
     if order < 1:
         raise ConfigurationError(f"expansion order must be >= 1, got {order}")
     config = config or PropagationConfig()
     reference = reference_trajectory(event, schedule, config, fixed_impulses,
-                                     start, mesh)
+                                     start)
 
     # each slot's variables live in the algebra of the slots up to it
     width = schedule.n_vars // schedule.n_controls
@@ -620,9 +619,8 @@ def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
                                       width * s + k) for k in range(width)]
                  for s in range(schedule.n_controls)]
 
-    r_b = _thread_trajectory(event, schedule, reference.mesh or config,
-                             reference.start, variables, schedule.unit,
-                             fixed_impulses)
+    r_b = _thread_trajectory(event, schedule, reference.start, variables,
+                             schedule.unit, fixed_impulses)
     poly = log_poc_chan(r_b, event.bplane.p_b, event.hbr_km)
     return PocMap(poly=poly, schedule=schedule, reference=reference)
 
@@ -671,13 +669,12 @@ def gradient_norm_per_node(event: ConjunctionEvent, candidate_times,
         return [(t, norms[t]) for t in candidate_times]
     out = []
     for t, single in zip(candidate_times, singles):
-        epoch, state, mesh = _start_state(event, single, config)
+        start = _start_state(event, single, config)
         columns = []
         for j in range(single.n_vars):
             scalars = [1j * _COMPLEX_STEP if k == j else 0.0
                        for k in range(single.n_vars)]
-            xi, zeta = _thread_trajectory(event, single, mesh or config,
-                                          (epoch, state), [scalars],
+            xi, zeta = _thread_trajectory(event, single, start, [scalars],
                                           single.unit)
             columns.append((xi.imag / _COMPLEX_STEP, zeta.imag / _COMPLEX_STEP))
         # every leg shares the real part: the ballistic encounter position

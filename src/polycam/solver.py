@@ -289,16 +289,14 @@ def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
     ranked_times = _ranked_epochs(event, dense_times, template, prop_config)
 
     saturated: list[tuple[float, np.ndarray]] = []
-    # maps whose first control event is the same share its back-propagation:
-    # the start state and the mesh
+    # maps whose first control event is the same share its back-propagation
     starts: dict[float, tuple] = {}
     for t in ranked_times:
         first = min([t, *(s for s, _ in saturated)])
-        start, mesh = starts.get(first, (None, None))
         pmap = build_poc_map(event, template.retimed([t]),
                              order=config.max_order, config=prop_config,
-                             fixed_impulses=saturated, start=start, mesh=mesh)
-        starts[first] = pmap.reference.start, pmap.reference.mesh
+                             fixed_impulses=saturated, start=starts.get(first))
+        starts[first] = pmap.reference.start
         sol = solve_recursive(pmap, config)
         dv = np.asarray(sol.per_node_dv_ms[0])
         magnitude = float(np.linalg.norm(dv))
@@ -313,10 +311,10 @@ def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
         saturated.append((t, u_max_ms * dv / magnitude))
 
     # the grid is never empty here: ranking rejects an empty one
-    start, mesh = starts[min(ranked_times)]
     residual_poc = reference_trajectory(
         event, template.retimed(ranked_times[-1:]), prop_config,
-        fixed_impulses=saturated, start=start, mesh=mesh).ballistic_poc
+        fixed_impulses=saturated,
+        start=starts.get(min(ranked_times))).ballistic_poc
     raise InfeasibleWithBoundError(
         f"all {len(ranked_times)} nodes saturated at {u_max_ms} m/s with "
         f"probability gap remaining (residual PoC {residual_poc})",

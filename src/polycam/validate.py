@@ -75,7 +75,7 @@ def validate_solution(event: ConjunctionEvent, schedule: ControlSchedule,
         reference = pmap.reference
     r_b_after = propagate_with_controls(event, schedule, phi_physical, config,
                                         reference.fixed_impulses,
-                                        reference.start, reference.mesh)
+                                        reference.start)
 
     validated = poc_chan(r_b_after, event.bplane.p_b, event.hbr_km)
     oracle = poc_quadrature(r_b_after, event.bplane.p_b, event.hbr_km)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from polycam.conjunction import ConjunctionEvent, poc_chan
-from polycam.dynamics import PropagationConfig, propagate_vector
+from polycam.dynamics import Mesh, PropagationConfig, propagate_vector
 from polycam.errors import ConfigurationError
 from polycam.mapbuilder import (ControlSchedule, IMPULSIVE, _control_rotation,
                                 _relative_bplane_position, _to_internal_units,
@@ -68,13 +68,16 @@ def grid_oracle_single_impulse(event: ConjunctionEvent, node_time: float,
 
     # the node's internal-unit reference state: the design's start
     scale, model_nd = _to_internal_units(event)
-    t_node, y_node = reference.start
+    t_node, y_node, plan = reference.start
     rot = _control_rotation(event, scale, y_node)
 
     directions = _fibonacci_sphere(resolution)
     dirs_inertial = directions @ rot  # rows: direction in propagation frame
 
     t_node_nd = t_node / scale.time_s
+    # the reference's steps: its count, or its mesh run forward
+    if isinstance(plan, Mesh):
+        plan = plan.between(t_node_nd, 0.0)
 
     def poc_batch(magnitude_ms: float, dirs: np.ndarray) -> np.ndarray:
         dv_nd = (magnitude_ms * 1e-3 / scale.velocity_kms) * dirs
@@ -82,7 +85,7 @@ def grid_oracle_single_impulse(event: ConjunctionEvent, node_time: float,
         for k in range(3):
             batch[3 + k] = batch[3 + k] + dv_nd[:, k]
         out = propagate_vector(batch, (0.0, 0.0, 0.0), t_node_nd, 0.0,
-                               model_nd, config)
+                               model_nd, plan)
         xi, zeta = _relative_bplane_position(out, event, scale)
         return np.array([
             poc_chan(np.array([xi[i], zeta[i]]), p_b, event.hbr_km)

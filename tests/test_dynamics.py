@@ -597,7 +597,7 @@ class TestErrorControl:
                                       self.UNIT, mesh)
         fine = dyn.propagate_vector(self.LEO, (0.0, 0.0, 0.0), 0.0, math.pi,
                                     self.UNIT, dyn.PropagationConfig(1600))
-        assert mesh.steps < dyn.UNMESHED_STEPS
+        assert mesh.steps < 100
         error = max(abs(a - b) for a, b in zip(picked, fine))
         assert error <= mesh.steps * dyn.STEP_TOL
 
@@ -619,15 +619,19 @@ class TestErrorControl:
                                      self.UNIT, dyn.Mesh())
         assert 0.5 < err.value.time < 3.0
 
-    def test_polynomial_state_needs_a_filled_mesh(self):
-        with pytest.raises(dyn.ConfigurationError, match="error control"):
-            dyn.propagate_vector(poly_state(self.LEO, 1e-4), (0.0, 0.0, 0.0),
-                                 0.0, 1.0, self.UNIT, dyn.Mesh())
+    @pytest.mark.parametrize("plan", [dyn.Mesh, dyn.PropagationConfig],
+                             ids=["empty-mesh", "no-count"])
+    @pytest.mark.parametrize("state", [
+        lambda y: poly_state(y, 1e-4),
+        lambda y: [np.full(3, c) for c in y]], ids=["polynomial", "batched"])
+    def test_polynomial_or_batched_state_needs_a_step_rule(self, plan, state):
+        with pytest.raises(dyn.ConfigurationError, match="step count"):
+            dyn.propagate_vector(state(self.LEO), (0.0, 0.0, 0.0), 0.0, 1.0,
+                                 self.UNIT, plan())
 
-    def test_unset_count_takes_the_unmeshed_steps(self):
+    def test_unset_count_picks_real_steps_by_error_control(self):
         unset = dyn.propagate_vector(self.LEO, (0.0, 0.0, 0.0), 0.0, 3.0,
                                      self.UNIT, dyn.PropagationConfig())
-        fixed = dyn.propagate_vector(
-            self.LEO, (0.0, 0.0, 0.0), 0.0, 3.0, self.UNIT,
-            dyn.PropagationConfig(steps=dyn.UNMESHED_STEPS))
-        assert unset == fixed
+        picked = dyn.propagate_vector(self.LEO, (0.0, 0.0, 0.0), 0.0, 3.0,
+                                      self.UNIT, dyn.Mesh())
+        assert unset == picked

@@ -124,8 +124,9 @@ def node_state(event, epoch):
     """(r, v) in km and km/s of the reference at ``epoch``: the start of
     the single-impulse design there."""
     sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(epoch,))
-    start_epoch, y = mapbuilder.reference_trajectory(event, sched).start
-    assert start_epoch == epoch
+    start = mapbuilder.reference_trajectory(event, sched).start
+    assert start.epoch == epoch
+    y = start.state
     scale, _ = _to_internal_units(event)
     return (np.array(y[:3]) * scale.length_km,
             np.array(y[3:]) * scale.velocity_kms)
@@ -253,7 +254,7 @@ class TestReferenceTrajectory:
             -1.5 * leo_period, -0.5 * leo_period))
         pmap = build_poc_map(leo_event, sched, order=2)
         validate_solution(leo_event, sched, np.full(6, 0.01), 1e-6, pmap=pmap)
-        picked = pmap.reference.mesh
+        picked = pmap.reference.start.plan
         assert plans[0][2] is picked
         scale, _ = _to_internal_units(leo_event)
         nodes = {t / scale.time_s for t in sched.node_epochs}
@@ -292,7 +293,8 @@ class TestReferenceTrajectory:
         # refuses a reference state that is not finite
         event = scenario_to_event(generate_synthetic_suite(3, 1, regime)[0])
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-600.0,))
-        start = (-600.0, (math.nan,) + (1.0,) * 5)
+        start = mapbuilder.Start(-600.0, (math.nan,) + (1.0,) * 5,
+                                 dyn.PropagationConfig(steps=100))
         with pytest.raises(ConfigurationError, match="non-finite"):
             propagate_with_controls(event, sched, None, start=start)
 

@@ -8,7 +8,7 @@ from polycam.dapoly import AlgebraConfig
 from polycam.errors import (ConfigurationError, DegenerateGradientError,
                             InfeasibleWithBoundError)
 from polycam.mapbuilder import (ControlSchedule, IMPULSIVE, LOW_THRUST, PocMap,
-                                ReferenceTrajectory, build_poc_map)
+                                ReferenceTrajectory, Start, build_poc_map)
 from polycam.cli import build_parser, run_scenario
 from polycam.errors import NonConvergenceError
 from polycam.scenarios import generate_synthetic_suite, scenario_to_event
@@ -38,7 +38,8 @@ def synthetic_map(coeffs, n_vars, order, ballistic=1e-4, schedule=None):
             node_epochs=tuple(-600.0 * (k + 1)
                               for k in reversed(range(max(n_vars // 3, 1)))))
     reference = ReferenceTrajectory(
-        start=(schedule.node_epochs[0], (0.0,) * 6), fixed_impulses=(),
+        start=Start(schedule.node_epochs[0], (0.0,) * 6,
+                    dyn.PropagationConfig(steps=100)), fixed_impulses=(),
         config=dyn.PropagationConfig(), bplane_km=np.zeros(2),
         ballistic_poc=ballistic)
     return PocMap(poly=poly, schedule=schedule, reference=reference)

@@ -60,15 +60,22 @@ class TestValidateSolution:
             validate_solution(leo_event, sched, np.zeros(5), 1e-6)
 
 
-# Integration error allowed in a default-mesh design's validated PoC,
-# relative, against a replay of its solution at 1600 equal steps.
-MESH_POC_REL = 1e-5
+# Relative error allowed in a default-mesh design's validated PoC against
+# a replay of its solution at 1600 equal steps.
+MESH_POC_REL = 1e-8
+# Not met on LEO: at STEP_TOL = 5e-8 these half-orbit designs read 4.5e-7.
+# Meeting 1e-8 on every single-impulse design takes STEP_TOL = 1e-10 and
+# about twice the steps, and node-search designs, whose segments span up to
+# two orbits, then run about twice as long as at 100 equal steps per
+# segment.
+LEO_NOT_MET = pytest.mark.xfail(strict=True, reason=(
+    "default-mesh LEO designs are held to about 1e-6, not 1e-8"))
 
 
-@pytest.mark.parametrize("regime, kind", [("LEO", dyn.KEPLER),
-                                          ("LEO", dyn.J2),
-                                          ("CISLUNAR", dyn.CR3BP)],
-                         ids=["kepler", "j2", "cislunar"])
+@pytest.mark.parametrize("regime, kind", [
+    pytest.param("LEO", dyn.KEPLER, id="kepler", marks=LEO_NOT_MET),
+    pytest.param("LEO", dyn.J2, id="j2", marks=LEO_NOT_MET),
+    pytest.param("CISLUNAR", dyn.CR3BP, id="cislunar")])
 def test_default_mesh_matches_a_fine_replay(regime, kind):
     doc = generate_synthetic_suite(2406, 1, regime, poc_band=(1.5e-6, 4e-6))[0]
     event = scenario_to_event(doc)
@@ -79,7 +86,6 @@ def test_default_mesh_matches_a_fine_replay(regime, kind):
     pmap = build_poc_map(event, sched, order=5)
     solution = solve_recursive(pmap, SolverConfig(max_order=5))
     report = validate_solution(event, sched, solution.phi, 1e-6, pmap=pmap)
-    assert report.segment_steps[0] < dyn.UNMESHED_STEPS
     fine = propagate_with_controls(event, sched, solution.phi,
                                    dyn.PropagationConfig(steps=1600))
     replayed = poc_chan(fine, event.bplane.p_b, event.hbr_km)
