@@ -27,6 +27,12 @@ compiled pass over these rows: each row's sum starts from 0.0 and adds its
 pair products in row order. Adding the same products in the same order
 from the same start is what keeps every coefficient bitwise reproducible;
 reordering a row's pairs changes the last bits.
+
+Passes skip pairs with an exact zero factor and rows no later step reads
+(:func:`_horner`, :func:`compose`). For finite coefficients a skipped
+product is +-0.0, and adding +-0.0 to a row's sum, which starts from +0.0
+and so is never -0.0, leaves it as it is: with the kept pairs in their
+order, every coefficient keeps the bits of the full pass.
 """
 
 from __future__ import annotations
@@ -131,8 +137,7 @@ class _AlgebraTables:
 
     __slots__ = (
         "config", "n_vars", "max_order", "size", "exponents", "index_of",
-        "power_index", "degrees", "degree_slices", "mul_ptr", "mul_i",
-        "mul_j", "_contraction_maps",
+        "power_index", "degrees", "degree_slices", "mul_ptr", "mul_i", "mul_j",
     )
 
     def __init__(self, config: AlgebraConfig):
@@ -176,8 +181,7 @@ class _AlgebraTables:
         self.mul_ptr, self.mul_i, self.mul_j = _checked_row_table(
             self.size, ptr, mi, mj)
 
-        self._contraction_maps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
+    @lru_cache(maxsize=None)
     def contraction_map(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(M, N) source indices and exponent factors for the first
         derivatives of the degree-k part, N being the number of degree-(k-1)
@@ -185,17 +189,12 @@ class _AlgebraTables:
         ascending, so that lowering x_j in each gives the degree-(k-1)
         monomials in table order (lexicographic order survives the shift).
         """
-        cached = self._contraction_maps.get(k)
-        if cached is not None:
-            return cached
         sl = self.degree_slices[k]
         exps = self.exponents[sl]
         src = [sl.start + np.flatnonzero(exps[:, j]) for j in range(self.n_vars)]
         fac = [exps[exps[:, j] > 0, j].astype(np.float64)
                for j in range(self.n_vars)]
-        entry = (np.array(src, dtype=np.intp), np.array(fac))
-        self._contraction_maps[k] = entry
-        return entry
+        return np.array(src, dtype=np.intp), np.array(fac)
 
 
 def _checked_row_table(size: int, ptr: np.ndarray, mul_i: np.ndarray,
@@ -222,15 +221,15 @@ def _tables(n_vars: int, max_order: int) -> _AlgebraTables:
     return _AlgebraTables(AlgebraConfig(n_vars, max_order))
 
 
-def _row_pass(tab: _AlgebraTables, data: np.ndarray, cols: np.ndarray,
-              x: np.ndarray) -> np.ndarray:
-    """out[k] = sum of data[p] * x[cols[p]] over the pairs p of row k of
-    the product table, each row summed in order from 0.0: scipy's compiled
-    CSR matrix-vector kernel (:func:`_sparsetools`), called directly, as
-    ``csr_array((data, cols, mul_ptr)) @ x`` first builds and checks an
-    array object that costs more than a whole (6, 5) product."""
-    out = np.zeros(tab.size)
-    _csr_matvec(tab.size, tab.size, tab.mul_ptr, cols, data, x, out)
+def _row_pass(ptr: np.ndarray, data: np.ndarray, cols: np.ndarray,
+              x: np.ndarray, n_row: int) -> np.ndarray:
+    """out[k] = sum of data[p] * x[cols[p]] over the pairs p of row k < n_row,
+    in order from 0.0 (0.0 in later rows): scipy's compiled CSR kernel
+    (:func:`_sparsetools`), called directly, as ``csr_array((data, cols,
+    ptr)) @ x`` first builds and checks an array object that costs more
+    than a whole (6, 5) product."""
+    out = np.zeros(len(x))
+    _csr_matvec(n_row, len(x), ptr, cols, data, x, out)
     return out
 
 
@@ -248,15 +247,19 @@ def _monomial_values(tab: _AlgebraTables, point: np.ndarray,
 
 def _horner(tab, a, outer):
     """Horner composition of the 1-D series ``outer`` with the nilpotent
-    part of the row ``a``."""
+    part of the row ``a``. Step m of n is followed by n - m products with
+    the nilpotent part, so it passes only the rows of degree <= m and
+    leaves the others at 0.0; the next step reads a skipped row k only
+    through the pair (k, 0), whose factor nil[0] is an exact zero."""
     nil = a.copy()
     nil[0] = 0.0
     # the nilpotent factor of every product, gathered once
     w = nil[tab.mul_j]
     out = np.zeros(tab.size)
     out[0] = outer[-1]
-    for c in outer[-2::-1]:
-        out = _row_pass(tab, w, tab.mul_i, out)
+    for m, c in enumerate(outer[-2::-1], 1):
+        out = _row_pass(tab.mul_ptr, w, tab.mul_i, out,
+                        tab.degree_slices[m].stop)
         out[0] += c
     return out
 
@@ -269,7 +272,15 @@ def _horner(tab, a, outer):
 def _mul(tab, a, b):
     # the left operand is gathered: swapping the operands reverses each
     # row's summation order
-    return _row_pass(tab, a[tab.mul_i], tab.mul_j, b)
+    return _gathered_mul(tab, _gather(tab, a, None), b)
+
+
+def _gather(tab, a, b):
+    return a[tab.mul_i]
+
+
+def _gathered_mul(tab, w, b):
+    return _row_pass(tab.mul_ptr, w, tab.mul_j, b, tab.size)
 
 
 def _add(tab, a, b):
@@ -317,6 +328,16 @@ def _power(tab, a, p):
     for k in range(1, tab.max_order + 1):
         outer[k] = outer[k - 1] * (p - (k - 1)) / (k * a0)
     return _horner(tab, a, outer)
+
+
+@lru_cache(maxsize=None)
+def _compose_pairs(tab: _AlgebraTables, depth: int) -> tuple[np.ndarray, ...]:
+    """(ptr, i, j): the product table cut to the pairs with deg i >=
+    depth - 1 and deg j >= 1, in compressed-row form and row order."""
+    keep = ((tab.degrees[tab.mul_i] >= depth - 1)
+            & (tab.degrees[tab.mul_j] >= 1))
+    ptr = np.concatenate(([0], np.cumsum(keep)))[tab.mul_ptr]
+    return ptr, tab.mul_i[keep], tab.mul_j[keep]
 
 
 @lru_cache(maxsize=None)
@@ -573,6 +594,9 @@ def record(fn, config: AlgebraConfig, n_rows: int, fixed=()):
     types, not on their values; a run adds the same products in the same
     order as ``fn`` on polynomials would. Runs share one register list,
     so a program serves one caller at a time.
+
+    A product's left operand is gathered once per run, before its first
+    product, for every product it feeds; each keeps :func:`_mul`'s bits.
     """
     tab = _tables(config.n_vars, config.max_order)
     # the compiled row pass reads its operands without bounds checks
@@ -583,7 +607,16 @@ def record(fn, config: AlgebraConfig, n_rows: int, fixed=()):
     held = [_Register(program, c.coef) if isinstance(c, TaylorPoly) else c
             for c in fixed]
     outs = [r._index for r in fn(rows, held)]
-    _, regs, ops = program
+    _, regs, recorded = program
+    gathers, ops = {}, []
+    for op, out, a, b in recorded:
+        if op is _mul:
+            if a not in gathers:
+                gathers[a] = len(regs)
+                regs.append(None)
+                ops.append((_gather, gathers[a], a, a))
+            op, a = _gathered_mul, gathers[a]
+        ops.append((op, out, a, b))
 
     def run(values) -> list:
         values = np.asarray(values, dtype=np.float64)
@@ -609,10 +642,15 @@ def compose(outer, inner):
 
     The outer monomials are walked depth-first, each one the product of its
     parent and one inner polynomial, so at most ``max_order`` partial
-    products are alive at once.
+    products are alive at once. A parent is gathered once for all its
+    children. A parent at depth d - 1 has no terms below degree d - 1 and
+    an inner polynomial no constant, so a product at depth d reads only
+    the pairs with deg i >= d - 1 and deg j >= 1 (:func:`_compose_pairs`).
     """
     outers = [outer] if isinstance(outer, TaylorPoly) else list(outer)
     inner = list(inner)
+    if not outers or not inner:
+        raise ConfigurationError("compose needs outer and inner polynomials")
     head, base = outers[0], inner[0]
     for p in outers[1:]:
         head._check_same(p)
@@ -627,26 +665,31 @@ def compose(outer, inner):
     if any(g.coef[0] != 0.0 for g in inner):
         raise ConfigurationError("inner polynomials must have zero constant parts")
 
+    tab = base._tab
     coef = np.stack([p.coef for p in outers])
-    out = np.zeros((len(outers), base._tab.size))
+    out = np.zeros((len(outers), tab.size))
     out[:, 0] = coef[:, 0]
     index_of = head._tab.index_of
     exps = [0] * head.n_vars
 
     def walk(parent, first, degree):
+        if degree > 1:
+            ptr, left, cols = _compose_pairs(tab, degree)
+            w = parent[left]
         # extending by variables j >= first reaches each monomial once
         for j in range(first, len(inner)):
-            term = inner[j] if parent is None else parent * inner[j]
+            term = (inner[j].coef if degree == 1
+                    else _row_pass(ptr, w, cols, inner[j].coef, tab.size))
             exps[j] += 1
             c = coef[:, index_of[tuple(exps)]]
             if c.any():
-                out[:] += c[:, None] * term.coef
-            if degree < head.max_order:
+                out[:] += c[:, None] * term
+            if degree < tab.max_order:
                 walk(term, j, degree + 1)
             exps[j] -= 1
 
     walk(None, 0, 1)
-    result = [TaylorPoly._raw(base._tab, row) for row in out]
+    result = [TaylorPoly._raw(tab, row) for row in out]
     return result[0] if isinstance(outer, TaylorPoly) else result
 
 

@@ -325,7 +325,9 @@ def _block_axpy(y: tuple[np.ndarray, int], a: float,
                 f: tuple[np.ndarray, int]) -> tuple[np.ndarray, int]:
     """y + a * f over whole blocks; a row has met a polynomial or an array
     when it had in either."""
-    return y[0] + a * f[0], y[1] | f[1]
+    out = a * f[0]
+    out += y[0]
+    return out, y[1] | f[1]
 
 
 def _rk_step(y, h: float, axpy, slope, rows: dict) -> tuple[list, dict]:

@@ -6,7 +6,11 @@ partial derivative and ``homogeneous`` keeps the terms of one degree. They
 read only the graded-lex exponent table, so they check the algebra without
 sharing its lookups. ``loop_tables`` builds the exponent and product tables
 by enumeration and a loop over every pair, with no closed-form rank.
+``reference_mul`` takes a product as a bincount triple sum over every pair
+of the table, and ``reference_compose`` walks a composition on it.
 """
+
+import functools
 
 import numpy as np
 
@@ -103,3 +107,47 @@ def embedding(n_from: int, n_to: int, max_order: int) -> np.ndarray:
     return np.array([index_of[tuple(e) + pad] for e in
                      _tables(n_from, max_order).exponents.tolist()],
                     dtype=np.intp)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_triples(tab):
+    """(i, j, k) for every pair of monomials whose product stays within the
+    order, ordered by i and then j, built from the exponent table alone."""
+    exps = tab.exponents
+    deg = exps.sum(axis=1)
+    i, j = np.nonzero(deg[:, None] + deg[None, :] <= tab.max_order)
+    index_of = {tuple(e): k for k, e in enumerate(exps.tolist())}
+    k = np.array([index_of[tuple(e)] for e in (exps[i] + exps[j]).tolist()])
+    return i, j, k
+
+
+def reference_mul(a, b):
+    """The product as a gather, a gather, a multiply and a bincount."""
+    i, j, k = reference_triples(a._tab)
+    return np.bincount(k, weights=a.coef[i] * b.coef[j],
+                       minlength=a._tab.size)
+
+
+def reference_compose(outers, inner) -> np.ndarray:
+    """Coefficient rows of ``compose(outers, inner)``, by its depth-first
+    walk over the outer monomials with every partial product the full
+    triple sum of :func:`reference_mul`, over every pair of the table."""
+    cfg = inner[0].config
+    index_of = _index_of(outers[0].n_vars, outers[0].max_order)
+    coef = np.stack([p.coef for p in outers])
+    out = np.zeros((len(outers), inner[0].coef.size))
+    out[:, 0] = coef[:, 0]
+
+    def walk(parent, first, exps):
+        for j in range(first, len(inner)):
+            term = inner[j] if parent is None else TaylorPoly(
+                cfg, reference_mul(parent, inner[j]))
+            key = exps[:j] + (exps[j] + 1,) + exps[j + 1:]
+            c = coef[:, index_of[key]]
+            if c.any():
+                out[:] += c[:, None] * term.coef
+            if sum(key) < cfg.max_order:
+                walk(term, j, key)
+
+    walk(None, 0, (0,) * len(inner))
+    return out

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import json
 import math
@@ -18,7 +17,8 @@ from polycam.dapoly import (AlgebraConfig, TaylorPoly, _checked_row_table,
 from polycam.errors import ConfigurationError, DomainError
 
 from poly_reference import (coeffs, embedding, from_coeffs, homogeneous,
-                            loop_tables, partial)
+                            loop_tables, partial, reference_compose,
+                            reference_mul, reference_triples)
 
 
 def random_poly(cfg, rng, scale=1.0, constant=None):
@@ -352,6 +352,14 @@ class TestCompose:
         with pytest.raises(ConfigurationError):
             compose(X * Y, inner)
 
+    def test_no_outer_polynomial_rejected(self):
+        with pytest.raises(ConfigurationError):
+            compose([], [X, Y])
+
+    def test_no_inner_polynomial_rejected(self):
+        with pytest.raises(ConfigurationError):
+            compose(X * Y, [])
+
 
 class TestEmbed:
     def test_leading_variables_keep_their_values(self):
@@ -424,25 +432,6 @@ TABLE_ALGEBRAS = ROW_PASS_ALGEBRAS + [(1, 10), (2, 10), (4, 7), (12, 3),
                                       (27, 2)]
 
 
-@functools.lru_cache(maxsize=None)
-def reference_triples(tab):
-    """(i, j, k) for every pair of monomials whose product stays within the
-    order, ordered by i and then j, built from the exponent table alone."""
-    exps = tab.exponents
-    deg = exps.sum(axis=1)
-    i, j = np.nonzero(deg[:, None] + deg[None, :] <= tab.max_order)
-    index_of = {tuple(e): k for k, e in enumerate(exps.tolist())}
-    k = np.array([index_of[tuple(e)] for e in (exps[i] + exps[j]).tolist()])
-    return i, j, k
-
-
-def reference_mul(a, b):
-    """The product as a gather, a gather, a multiply and a bincount."""
-    i, j, k = reference_triples(a._tab)
-    return np.bincount(k, weights=a.coef[i] * b.coef[j],
-                       minlength=a._tab.size)
-
-
 def reference_horner(poly, outer):
     """Horner composition of ``outer`` with the nilpotent part of ``poly``,
     each step a bincount triple sum."""
@@ -479,7 +468,7 @@ class TestRowPassIsBitwiseReference:
         right = row_pass_inputs(cfg, rng)
         for a in left:
             for b in right:
-                assert np.array_equal((a * b).coef, reference_mul(a, b))
+                assert (a * b).coef.tobytes() == reference_mul(a, b).tobytes()
 
     @pytest.mark.parametrize("name,args", [
         ("power", (-1.5,)), ("power", (0.3,)), ("reciprocal", ()),
@@ -497,27 +486,26 @@ class TestRowPassIsBitwiseReference:
         monkeypatch.setattr(dapoly, "_horner", recording)
         for poly in row_pass_inputs(cfg, rng, constant=1.7):
             got = getattr(poly, name)(*args)
-            assert np.array_equal(got.coef,
-                                  reference_horner(poly, series[-1]))
+            want = reference_horner(poly, series[-1])
+            assert got.coef.tobytes() == want.tobytes()
 
-    def test_compose(self, n_vars, order, monkeypatch):
+    def test_compose(self, n_vars, order):
         rng = np.random.default_rng(300 + 10 * n_vars + order)
         cfg = AlgebraConfig(n_vars, order)
         outers = row_pass_inputs(cfg, rng)
         inner = [p - p.constant_part for p in
                  (row_pass_inputs(cfg, rng)[v % 2] for v in range(n_vars))]
         got = compose(outers, inner)
-        # compose multiplies polynomials by polynomials only
-        monkeypatch.setattr(TaylorPoly, "__mul__",
-                            lambda a, b: TaylorPoly(cfg, reference_mul(a, b)))
-        want = compose(outers, inner)
+        want = reference_compose(outers, inner)
         for g, w in zip(got, want):
-            assert np.array_equal(g.coef, w.coef)
+            assert g.coef.tobytes() == w.tobytes()
 
     def test_recorded_program(self, n_vars, order):
         # every operation, in both operand orders, on the rows of two
         # polynomials and of a held one; each run must give the rows the
-        # same function gives on TaylorPoly arguments
+        # same function gives on TaylorPoly arguments. The register t is
+        # the left operand of three products and the held p of two, so a
+        # gather kept from the first run would spoil the second.
         rng = np.random.default_rng(400 + 10 * n_vars + order)
         cfg = AlgebraConfig(n_vars, order)
         a, b = row_pass_inputs(cfg, rng, constant=1.3)
@@ -527,14 +515,76 @@ class TestRowPassIsBitwiseReference:
             x, y = rows
             p, c = fixed
             s = x * y - y * x + p * x
+            t = s + y
             return [s, 2.0 * x - y * c, 1.5 - s + c, -y + p,
-                    generic_power(x + 0.5, -1.5) * y, x - c, y]
+                    generic_power(x + 0.5, -1.5) * y, x - c, y,
+                    t * x, t * y, t * t, p * y]
 
         run = record(fn, cfg, 2, [held, 0.25])
         for x, y in ((a, b), (b, a)):
             got = run([x.coef, y.coef])
             for g, w in zip(got, fn([x, y], [held, 0.25])):
-                assert np.array_equal(g, w.coef)
+                assert g.tobytes() == w.coef.tobytes()
+
+
+class TestRowPassWork:
+    """Which rows and pairs the compiled row passes read."""
+
+    @staticmethod
+    def passes(monkeypatch):
+        # (rows, pairs) read by each row pass
+        calls = []
+        matvec = dapoly._csr_matvec
+
+        def counting(n_row, n_col, ptr, cols, data, x, out):
+            calls.append((n_row, int(ptr[n_row])))
+            return matvec(n_row, n_col, ptr, cols, data, x, out)
+
+        monkeypatch.setattr(dapoly, "_csr_matvec", counting)
+        return calls
+
+    def test_horner_steps_pass_the_rows_that_reach_the_result(
+            self, monkeypatch):
+        cfg = AlgebraConfig(6, 5)
+        poly = TaylorPoly.variable(cfg, 0) + 2.0
+        calls = self.passes(monkeypatch)
+        poly.power(-1.5)
+        assert [n_row for n_row, _ in calls] == [7, 28, 84, 210, 462]
+        assert sum(pairs for _, pairs in calls) == 8567
+
+    def test_compose_reads_under_a_third_of_the_pairs(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        outer = random_poly(AlgebraConfig(6, 5), rng)
+        inner = [nilpotent_poly(AlgebraConfig(9, 5), rng) for _ in range(6)]
+        calls = self.passes(monkeypatch)
+        compose(outer, inner)
+        # one product per outer monomial of degree 2 to 5
+        assert len(calls) == 462 - 7
+        full = len(calls) * len(_tables(9, 5).mul_i)
+        assert sum(pairs for _, pairs in calls) <= 0.31 * full
+
+    def test_kepler_stage_gathers_each_left_operand_once(self, monkeypatch):
+        from polycam.dynamics import _kernel_kepler_j2
+
+        gathered = []
+        gather = dapoly._gather
+
+        def counting(tab, a, b):
+            gathered.append(a)
+            return gather(tab, a, b)
+
+        monkeypatch.setattr(dapoly, "_gather", counting)
+        cfg = AlgebraConfig(3, 5)
+        run = record(lambda rows, held: _kernel_kepler_j2(
+            rows, None, 1.0, 1.0, 0.0), cfg, 6)
+        state = [TaylorPoly.variable(cfg, v % 3) + (1.0 if v == 0 else 0.5)
+                 for v in range(6)]
+        got = run([p.coef for p in state])
+        # x * x, yy * yy, z * z and the three products of common
+        assert len(gathered) == 4
+        want = _kernel_kepler_j2(state, None, 1.0, 1.0, 0.0)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.coef.tobytes()
 
 
 class TestRowTable:
