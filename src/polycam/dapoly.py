@@ -272,7 +272,7 @@ def _horner(tab, a, outer):
 def _mul(tab, a, b):
     # the left operand is gathered: swapping the operands reverses each
     # row's summation order
-    return _gathered_mul(tab, _gather(tab, a, None), b)
+    return _row_pass(tab.mul_ptr, a[tab.mul_i], tab.mul_j, b, tab.size)
 
 
 def _gather(tab, a, b):
