@@ -279,10 +279,12 @@ def _design(doc: dict, flags: dict) -> tuple[int, dict]:
                                             solver_config, template=schedule,
                                             prop_config=prop_config)
         else:
+            start = None
             if grid is not None:
-                schedule = filter_nodes(event, grid, opts["filter_keep"],
-                                        schedule, prop_config)
-            pmap = build_poc_map(event, schedule, order, prop_config)
+                schedule, start = filter_nodes(
+                    event, grid, opts["filter_keep"], schedule, prop_config)
+            pmap = build_poc_map(event, schedule, order, prop_config,
+                                 start=start)
             solution = solve_recursive(pmap, solver_config)
 
         report = validate_solution(event, solution.schedule, solution.phi,

@@ -351,7 +351,7 @@ def _controlled_steps(y, t0: float, t1: float, slope, mesh: Mesh) -> list:
     |lambda|), where lambda = ``mesh.adjoint`` * Im y: a bound on e's
     first-order effect, in any direction, on the quantity that lambda is
     the adjoint of (for a design, log PoC; see
-    :func:`polycam.mapbuilder._primer_norms`). A step below 1e-10 of the
+    :func:`polycam.mapbuilder._back_propagation`). A step below 1e-10 of the
     span, or a count past ``MAX_STEPS``, raises :class:`PropagationError`."""
     t, h = t0, t1 - t0
     mesh.times = [t0]

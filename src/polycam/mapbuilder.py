@@ -18,14 +18,15 @@ large-algebra products with small-algebra ones. Projecting the relative
 position onto the frozen encounter plane and composing the logarithm of
 the collision-probability series yields one truncated polynomial of log
 PoC in the stacked control vector. Everything downstream of this map is
-polynomial evaluation. Candidate maneuver epochs are ranked without a map.
-An impulse's first-order log-probability gradient is the velocity part of
-the adjoint of the closest-approach gradient (the primer vector), and the
-flows are Hamiltonian, so one complex-step back-propagation from closest
-approach yields it at every candidate epoch. A low-thrust candidate's
-gradient integrates the adjoint over its arc; it comes instead from
-complex-step derivatives through the real pipeline, one per control
-variable.
+polynomial evaluation. Candidate maneuver epochs are ranked without a map,
+by one complex-step back-propagation from closest approach that stops at
+every candidate and gives each its start, so a ranked design too
+back-propagates once. An impulse's first-order log-probability gradient
+is the velocity part of the adjoint of the closest-approach gradient (the
+primer vector), which that pass carries because the flows are
+Hamiltonian. A low-thrust candidate's gradient integrates the adjoint over
+its arc; it comes instead from complex-step derivatives through the real
+pipeline from its start, one per control variable.
 """
 
 from __future__ import annotations
@@ -211,14 +212,16 @@ class ControlSchedule:
 
 
 class Start(NamedTuple):
-    """Where every pass of a design begins, from its back-propagation.
+    """Where every pass of a design begins, from its back-propagation (a
+    pass of its own, or the ranking's; see :func:`_back_propagation`).
 
     ``epoch`` is the first control event in seconds relative to closest
     approach (a node or a fixed impulse) and ``state`` the primary's
     internal-unit state there. ``plan`` is the steps the passes take: the
     propagation config when it sets a count per segment, else the
     :class:`~polycam.dynamics.Mesh` (internal time units) that the
-    back-propagation's error control picked, split at each pass's events.
+    back-propagation's error control picked from closest approach to
+    ``epoch``, split at each pass's events.
     """
 
     epoch: float
@@ -305,13 +308,6 @@ def _to_internal_units(event: ConjunctionEvent):
     return scale, replace(model, mu=1.0, r_e=model.r_e / scale.length_km)
 
 
-def _closest_approach_state(event: ConjunctionEvent, scale: UnitScale):
-    """The primary's position and velocity at closest approach, in
-    internal units."""
-    return (event.primary.r / scale.length_km,
-            event.primary.v / scale.velocity_kms)
-
-
 def _control_rotation(event: ConjunctionEvent, scale: UnitScale,
                       y) -> np.ndarray:
     """Rows of the local control frame at a node of the reference path,
@@ -348,46 +344,74 @@ def _composed_segment(y, scalars, accel_of, t0: float, t1: float,
     return compose(flow, [c - r for c, r in zip(y, ref)] + list(scalars))
 
 
-def _kicked_state(event: ConjunctionEvent, scale: UnitScale
-                  ) -> tuple[list, float]:
-    """The internal-unit closest-approach state with the adjoint's complex
-    step on its velocity, and the size of the log-probability gradient
-    lambda_r it follows (see :func:`_primer_norms`); zero where the
-    probability underflows. A primary without a control frame is refused
-    first, as at a node, not reported as a radial fall into the centre."""
-    r, v = _closest_approach_state(event, scale)
-    _control_rotation(event, scale, [*r, *v])
-    basis = event.bplane.basis
-    dpoc = _bplane_gradient(event, event.bplane.r_b)
-    lam_r = (dpoc[0] * basis[0] + dpoc[1] * basis[2]) * scale.length_km
-    size = float(np.linalg.norm(lam_r))
-    # the step runs along the unit direction and the size comes back after,
-    # so no scale of the gradient underflows the imaginary part
-    kick = -_COMPLEX_STEP * lam_r / size if size else np.zeros(3)
-    return [*(float(c) for c in r),
-            *(complex(float(c), float(k)) for c, k in zip(v, kick))], size
-
-
 def _start_state(event: ConjunctionEvent, schedule: ControlSchedule,
                  config: PropagationConfig,
                  fixed_impulses: Sequence[tuple[float, np.ndarray]] = ()
                  ) -> Start:
     """The :class:`Start` at the first control event of ``schedule`` and
-    ``fixed_impulses``. The trajectory is ballistic before it, so the
-    state comes from back-propagating the closest-approach state. Without
-    a step count in ``config``, the pass carries the adjoint's complex
-    step and picks the design's mesh."""
+    ``fixed_impulses``: a one-epoch :func:`_back_propagation`, real under a
+    step count."""
     epoch = min([schedule.node_epochs[0], *(float(t) for t, _ in fixed_impulses)])
+    return _back_propagation(event, [epoch], config,
+                             config.steps is None)[1][epoch][0]
+
+
+def _back_propagation(event: ConjunctionEvent, epochs: Sequence[float],
+                      config: PropagationConfig, kicked: bool = True
+                      ) -> tuple[float, dict[float, tuple[Start, np.ndarray]]]:
+    """One pass back from the closest-approach state, stopping at each of
+    ``epochs`` in decreasing time; the trajectory is ballistic before any
+    control. Each segment between stops takes ``config.steps`` steps or,
+    without a count, picks its own by error control.
+
+    A ``kicked`` pass carries the adjoint as a complex step. It starts as
+    lambda_0 = (lambda_r, 0), the log-probability gradient in the
+    internal-unit closest-approach position. Kepler and J2 flows are
+    Hamiltonian, so Phi(0, t)^T = -J Phi(t, 0) J (Battin, *An Introduction
+    to the Mathematics and Methods of Astrodynamics*, 1999):
+    back-propagating the perturbation J lambda_0 = (0, -lambda_r) gives
+    lambda_v(t) as the position part of the perturbation at t. Under CR3BP
+    the same identity holds in the canonical (r, p = v + omega x r) and,
+    as lambda_0 has no velocity part, gives the same lambda_v. The real
+    part is the ballistic reference that sets each epoch's control frame.
+
+    Returns the size of lambda_r (zero where the probability underflows or
+    the pass is real) and, for each epoch, its :class:`Start`, whose mesh
+    runs from closest approach through every segment to the epoch, and the
+    control-frame components of lambda_v(t) / size * ``_COMPLEX_STEP``.
+    """
     scale, model_nd = _to_internal_units(event)
-    if config.steps is None:
-        y, size = _kicked_state(event, scale)
-        plan = Mesh(adjoint=size / _COMPLEX_STEP)
-    else:
-        r, v = _closest_approach_state(event, scale)
-        y, plan = [*r, *v], config
-    y = propagate_vector(y, (0.0, 0.0, 0.0), 0.0, epoch / scale.time_s,
-                         model_nd, plan)
-    return Start(epoch, tuple(c.real for c in y), plan)
+    r, v = event.primary.r / scale.length_km, event.primary.v / scale.velocity_kms
+    y, size = [*r, *v], 0.0
+    if kicked:
+        # a primary without a control frame is refused first, as at a node,
+        # not reported as a radial fall into the centre
+        _control_rotation(event, scale, y)
+        basis = event.bplane.basis
+        dpoc = _bplane_gradient(event, event.bplane.r_b)
+        lam_r = (dpoc[0] * basis[0] + dpoc[1] * basis[2]) * scale.length_km
+        size = float(np.linalg.norm(lam_r))
+        # the step runs along the unit direction and the size comes back
+        # after, so no scale of the gradient underflows the imaginary part
+        kick = -_COMPLEX_STEP * lam_r / size if size else np.zeros(3)
+        y = [*(float(c) for c in r),
+             *(complex(float(c), float(k)) for c, k in zip(v, kick))]
+    stops = {}
+    t_cur, passed = 0.0, []
+    for t in sorted(set(epochs), reverse=True):
+        plan = Mesh(adjoint=size / _COMPLEX_STEP) \
+            if config.steps is None else config
+        y = propagate_vector(y, (0.0, 0.0, 0.0), t_cur / scale.time_s,
+                             t / scale.time_s, model_nd, plan)
+        t_cur = t
+        if isinstance(plan, Mesh):
+            # the segments before this one lead the mesh
+            plan.times[:0] = passed[:-1]
+            passed = plan.times
+        rot = _control_rotation(event, scale, y)
+        stops[t] = (Start(t, tuple(c.real for c in y), plan),
+                    rot @ np.array([c.imag for c in y[:3]]))
+    return size, stops
 
 
 def _legs(start: Start, schedule: ControlSchedule,
@@ -580,8 +604,8 @@ def reference_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
                          start: Start | None = None) -> ReferenceTrajectory:
     """The design's reference: one back-propagation to the first control
     event, which picks the mesh without a step count (skipped when
-    ``start`` already holds it, for instance from a design with the same
-    first event), and one ballistic forward pass."""
+    ``start`` already holds it, for instance from the ranking that chose
+    the epoch), and one ballistic forward pass."""
     config = config or PropagationConfig()
     fixed_impulses = tuple(fixed_impulses)
     start = start or _start_state(event, schedule, config, fixed_impulses)
@@ -628,34 +652,35 @@ def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
 def gradient_norm_per_node(event: ConjunctionEvent, candidate_times,
                            template: ControlSchedule,
                            config: PropagationConfig | None = None
-                           ) -> list[tuple[float, float]]:
+                           ) -> list[tuple[float, float, Start]]:
     """Rank candidate maneuver epochs by first-order control authority.
 
-    For a control placed at each candidate time, returns the time and the
+    For a control placed at each candidate time, returns the time, the
     Euclidean norm of the log-probability gradient in scaled variables (so
-    the ranking is reference-magnitude-free): the gradient of an order-1
-    map, obtained without building one. Every candidate shares the ballistic
-    probability, so these norms are the probability gradient's divided by
-    it, and rank the epochs alike; a probability that underflows to zero
-    gives zero norms. Each candidate is the template retimed to start at
-    its time.
+    the ranking is reference-magnitude-free; the gradient of an order-1
+    map, obtained without building one) and the :class:`Start` there, from
+    which a map of a ranked schedule starts. Every candidate shares the
+    ballistic probability, so these norms are the probability gradient's
+    divided by it, and rank the epochs alike; a probability that underflows
+    to zero gives zero norms. Each candidate is the template retimed to
+    start at its time.
 
-    Impulsive candidates are scored by the primer vector of the
-    probability (Lawden, *Optimal Trajectories for Space Navigation*,
-    1963): d(log PoC)/d(delta-v) at epoch t is the velocity part of the
-    adjoint lambda(t) = Phi(0, t)^T lambda_0, lambda_0 being the
-    log-probability gradient in the closest-approach state. One backward
-    pass gives it at every candidate (see :func:`_primer_norms`).
-    Low-thrust candidates need the adjoint integrated over each arc, so
-    each is differentiated directly: the Jacobian J of the encounter-plane
-    position (xi, zeta) in the candidate's control variables comes from the
-    complex-step derivative (Squire & Trapp, "Using complex variables to
-    estimate derivatives of real functions", SIAM Review 40, 1998). The
-    real pipeline runs once per variable, from the candidate's one
-    back-propagated start, with that variable set to ``1j * h`` and the
-    others to zero, and ``Im(xi, zeta) / h`` is one column, exact
-    to rounding because nothing is subtracted. The norm is that of
-    d(log PoC)/d(xi, zeta) · J, the first factor from one order-1 series
+    One complex back-propagation stops at every candidate and gives its
+    Start (see :func:`_back_propagation`). Impulsive candidates are scored
+    by the primer vector of the probability that the pass carries (Lawden,
+    *Optimal Trajectories for Space Navigation*, 1963): d(log
+    PoC)/d(delta-v) at epoch t is the velocity part of the adjoint lambda(t)
+    = Phi(0, t)^T lambda_0, lambda_0 being the log-probability gradient in
+    the closest-approach state. Low-thrust candidates need the adjoint
+    integrated over each arc, so each is differentiated directly: the
+    Jacobian J of the encounter-plane position (xi, zeta) in the
+    candidate's control variables comes from the complex-step derivative
+    (Squire & Trapp, "Using complex variables to estimate derivatives of
+    real functions", SIAM Review 40, 1998). The real pipeline runs once per
+    variable from the Start, with that variable set to ``1j * h`` and the
+    others to zero, and ``Im(xi, zeta) / h`` is one column, exact to
+    rounding because nothing is subtracted. The norm is that of d(log
+    PoC)/d(xi, zeta) · J, the first factor from one order-1 series
     evaluation at the real part of (xi, zeta).
     """
     candidate_times = [float(t) for t in candidate_times]
@@ -664,12 +689,17 @@ def gradient_norm_per_node(event: ConjunctionEvent, candidate_times,
     config = config or PropagationConfig()
     # every candidate passes the checks of the retimed template
     singles = [template.retimed([t]) for t in candidate_times]
-    if template.mode == IMPULSIVE:
-        norms = _primer_norms(event, candidate_times, template, config)
-        return [(t, norms[t]) for t in candidate_times]
+    size, stops = _back_propagation(event, candidate_times, config)
+    v_unit = _to_internal_units(event)[0].velocity_kms
+    gain = template.unit * 1e-3 / v_unit * size / _COMPLEX_STEP
     out = []
     for t, single in zip(candidate_times, singles):
-        start = _start_state(event, single, config)
+        start, primer = stops[t]
+        if template.mode == IMPULSIVE:
+            if template.is_fixed_direction:
+                primer = template.fixed_direction @ primer
+            out.append((t, gain * float(np.linalg.norm(primer)), start))
+            continue
         columns = []
         for j in range(single.n_vars):
             scalars = [1j * _COMPLEX_STEP if k == j else 0.0
@@ -679,7 +709,8 @@ def gradient_norm_per_node(event: ConjunctionEvent, candidate_times,
             columns.append((xi.imag / _COMPLEX_STEP, zeta.imag / _COMPLEX_STEP))
         # every leg shares the real part: the ballistic encounter position
         dpoc = _bplane_gradient(event, (float(xi.real), float(zeta.real)))
-        out.append((t, float(np.linalg.norm(dpoc @ np.array(columns).T))))
+        out.append((t, float(np.linalg.norm(dpoc @ np.array(columns).T)),
+                    start))
     return out
 
 
@@ -693,42 +724,3 @@ def _bplane_gradient(event: ConjunctionEvent, r_b) -> np.ndarray:
     r_b = (TaylorPoly.variable(position, 0) + float(r_b[0]),
            TaylorPoly.variable(position, 1) + float(r_b[1]))
     return log_poc_chan(r_b, event.bplane.p_b, event.hbr_km).gradient_at_zero()
-
-
-def _primer_norms(event: ConjunctionEvent, times: Sequence[float],
-                  template: ControlSchedule,
-                  config: PropagationConfig) -> dict[float, float]:
-    """Impulsive score at each of ``times`` from one complex back-propagation.
-
-    The adjoint starts as lambda_0 = (lambda_r, 0), the log-probability
-    gradient in the internal-unit closest-approach position. Kepler and J2
-    flows are Hamiltonian, so Phi(0, t)^T = -J Phi(t, 0) J (Battin, *An
-    Introduction to the Mathematics and Methods of Astrodynamics*, 1999):
-    back-propagating the perturbation J lambda_0 = (0, -lambda_r) gives
-    lambda_v(t) as the position part of the perturbation at t. Under CR3BP
-    the same identity holds in the canonical (r, p = v + omega x r) and,
-    as lambda_0 has no velocity part, gives the same lambda_v. The
-    perturbation rides as the imaginary part of a complex step, so the
-    real part is the ballistic reference that sets each epoch's control
-    frame. The pass stops at each epoch in decreasing time; each segment
-    takes ``config.steps`` steps or, without a count, picks its own.
-    """
-    scale, model_nd = _to_internal_units(event)
-    y, size = _kicked_state(event, scale)
-    if size == 0.0:
-        return dict.fromkeys(times, 0.0)
-    gain = template.unit * 1e-3 / scale.velocity_kms * size / _COMPLEX_STEP
-    norms = {}
-    t_cur = 0.0
-    for t in sorted(set(times), reverse=True):
-        y = propagate_vector(y, (0.0, 0.0, 0.0), t_cur / scale.time_s,
-                             t / scale.time_s, model_nd,
-                             Mesh(adjoint=size / _COMPLEX_STEP)
-                             if config.steps is None else config)
-        t_cur = t
-        rot = _control_rotation(event, scale, y)
-        primer = rot @ np.array([c.imag for c in y[:3]])
-        if template.is_fixed_direction:
-            primer = template.fixed_direction @ primer
-        norms[t] = gain * float(np.linalg.norm(primer))
-    return norms

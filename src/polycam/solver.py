@@ -25,8 +25,9 @@ from .dapoly import contract_no_first_mode
 from .dynamics import PropagationConfig
 from .errors import (ConfigurationError, DegenerateGradientError,
                      InfeasibleWithBoundError, NonConvergenceError)
-from .mapbuilder import (ControlSchedule, IMPULSIVE, PocMap, build_poc_map,
-                         gradient_norm_per_node, reference_trajectory)
+from .mapbuilder import (ControlSchedule, IMPULSIVE, PocMap, Start,
+                         build_poc_map, gradient_norm_per_node,
+                         reference_trajectory)
 
 __all__ = [
     "SolverConfig", "ManeuverSolution",
@@ -236,30 +237,35 @@ def solve_recursive(pmap: PocMap, config: SolverConfig) -> ManeuverSolution:
                              iterations, converged, started)
 
 
-def _ranked_epochs(event: ConjunctionEvent, times, template: ControlSchedule,
-                   config: PropagationConfig | None) -> list[float]:
-    """Candidate epochs by decreasing first-order probability-gradient norm;
-    ties go to the earlier time, then the earlier grid position."""
-    norms = gradient_norm_per_node(event, times, template, config)
-    ranked = sorted(range(len(norms)),
-                    key=lambda i: (-norms[i][1], norms[i][0], i))
-    return [norms[i][0] for i in ranked]
+def _ranked(event: ConjunctionEvent, times, template: ControlSchedule,
+            config: PropagationConfig | None
+            ) -> list[tuple[float, float, Start]]:
+    """The ranking's (time, norm, Start) candidates by decreasing norm; ties
+    go to the earlier time, then the earlier grid position."""
+    ranking = gradient_norm_per_node(event, times, template, config)
+    order = sorted(range(len(ranking)),
+                   key=lambda i: (-ranking[i][1], ranking[i][0], i))
+    return [ranking[i] for i in order]
 
 
 def filter_nodes(event: ConjunctionEvent, dense_times, keep: int,
                  template: ControlSchedule,
-                 config: PropagationConfig | None = None) -> ControlSchedule:
+                 config: PropagationConfig | None = None
+                 ) -> tuple[ControlSchedule, Start]:
     """Keep the ``keep`` candidate epochs with the largest first-order
     probability-gradient norm (ties broken by earlier time, then grid
-    position), as the template retimed to them in chronological order."""
+    position), as the template retimed to them in chronological order,
+    and the ranking's :class:`~polycam.mapbuilder.Start` at the first of
+    them, from which a map of that schedule starts."""
     dense_times = [float(t) for t in dense_times]
     if not dense_times:
         raise ConfigurationError("candidate grid is empty")
     if not 1 <= keep <= len(dense_times):
         raise ConfigurationError(
             f"keep must lie in [1, {len(dense_times)}], got {keep}")
-    return template.retimed(
-        sorted(_ranked_epochs(event, dense_times, template, config)[:keep]))
+    kept = sorted(_ranked(event, dense_times, template, config)[:keep],
+                  key=lambda item: item[0])
+    return template.retimed([t for t, _, _ in kept]), kept[0][2]
 
 
 def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
@@ -276,7 +282,9 @@ def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
     pinned); the returned schedule holds the engaged impulses as free
     vectors. Stops at the first unsaturated solve within the bound;
     exhausting the grid with gap remaining raises, reporting the residual
-    probability.
+    probability. Every map, and the residual's reference, starts from the
+    ranking's :class:`~polycam.mapbuilder.Start` at its first control
+    event, so the orbit is back-propagated once.
     """
     if not u_max_ms > 0.0:
         raise ConfigurationError("u_max must be positive")
@@ -286,17 +294,14 @@ def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
     if template.mode != IMPULSIVE:
         raise ConfigurationError("thrust-limited sequencing applies to impulses")
 
-    ranked_times = _ranked_epochs(event, dense_times, template, prop_config)
-
+    ranked = _ranked(event, dense_times, template, prop_config)
+    starts = {t: start for t, _, start in ranked}
     saturated: list[tuple[float, np.ndarray]] = []
-    # maps whose first control event is the same share its back-propagation
-    starts: dict[float, tuple] = {}
-    for t in ranked_times:
+    for t, _, _ in ranked:
         first = min([t, *(s for s, _ in saturated)])
         pmap = build_poc_map(event, template.retimed([t]),
                              order=config.max_order, config=prop_config,
-                             fixed_impulses=saturated, start=starts.get(first))
-        starts[first] = pmap.reference.start
+                             fixed_impulses=saturated, start=starts[first])
         sol = solve_recursive(pmap, config)
         dv = np.asarray(sol.per_node_dv_ms[0])
         magnitude = float(np.linalg.norm(dv))
@@ -312,10 +317,9 @@ def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
 
     # the grid is never empty here: ranking rejects an empty one
     residual_poc = reference_trajectory(
-        event, template.retimed(ranked_times[-1:]), prop_config,
-        fixed_impulses=saturated,
-        start=starts.get(min(ranked_times))).ballistic_poc
+        event, template.retimed(ranked[-1][:1]), prop_config,
+        fixed_impulses=saturated, start=starts[min(starts)]).ballistic_poc
     raise InfeasibleWithBoundError(
-        f"all {len(ranked_times)} nodes saturated at {u_max_ms} m/s with "
+        f"all {len(ranked)} nodes saturated at {u_max_ms} m/s with "
         f"probability gap remaining (residual PoC {residual_poc})",
         residual_poc=residual_poc)

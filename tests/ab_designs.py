@@ -6,7 +6,9 @@ TREE_A, with TREE_A's ``polycam``) and runs each design through each
 tree's ``polycam.cli.run_scenario``, alternating which tree goes first so
 that host drift falls on both alike. Prints one line per design with the
 CPU time of each tree and their ratio B/A, then the median ratio and the
-count of designs on which B took less CPU time::
+count of designs on which B took less CPU time. A design whose results
+differ also shows how far its validated PoC and total delta-v moved,
+relative to A, and the summary gives the largest of each move::
 
     python tests/ab_designs.py PARENT_TREE CHANGE_TREE multi_node 16
     python tests/ab_designs.py PARENT_TREE CHANGE_TREE single_impulse 40 --seed 11
@@ -26,6 +28,7 @@ import copy
 import importlib
 import importlib.util
 import json
+import math
 import os
 import statistics
 import sys
@@ -72,8 +75,21 @@ def _compared(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _run(modules: dict, design) -> tuple[float, str]:
-    """(CPU seconds, compared result JSON) of one design on one tree."""
+def _moves(a: dict, b: dict) -> tuple[float, float] | None:
+    """Relative moves of the validated PoC and the total delta-v from
+    result ``a`` to result ``b``; None when either design failed."""
+    try:
+        pairs = [(a["validation"]["validated_poc"],
+                  b["validation"]["validated_poc"]),
+                 (a["solution"]["dv_total_ms"], b["solution"]["dv_total_ms"])]
+    except KeyError:
+        return None
+    return tuple(abs(y - x) / abs(x) if x else math.inf for x, y in pairs)
+
+
+def _run(modules: dict, design) -> tuple[float, dict]:
+    """(CPU seconds, result JSON with the exit code) of one design on one
+    tree."""
     _activate(modules)
     cli = modules["polycam.cli"]
     args = cli.build_parser().parse_args(
@@ -85,7 +101,7 @@ def _run(modules: dict, design) -> tuple[float, str]:
     # keep the modules that the run imported for later runs of this tree
     modules.update((m, mod) for m, mod in sys.modules.items()
                    if _is_polycam(m))
-    return spent, _compared({"exit_code": code, **payload})
+    return spent, {"exit_code": code, **payload}
 
 
 def main(argv=None) -> int:
@@ -102,21 +118,31 @@ def main(argv=None) -> int:
                                                              args.count)
     for modules in trees:
         _run(modules, designs[0])
-    ratios, differ = [], []
+    ratios, differ, moves = [], [], []
     for k, design in enumerate(designs):
         first = k % 2
         runs = {t: _run(trees[t], design) for t in (first, 1 - first)}
         (cpu_a, out_a), (cpu_b, out_b) = runs[0], runs[1]
         ratios.append(cpu_b / cpu_a)
-        if out_a != out_b:
+        verdict = "same"
+        if _compared(out_a) != _compared(out_b):
             differ.append(design.label)
+            verdict = "differs"
+            move = _moves(out_a, out_b)
+            if move is not None:
+                moves.append(move)
+                verdict += f" (PoC {move[0]:.1e}, dv {move[1]:.1e})"
         print(f"{k:3d} {design.label:28s} A {cpu_a:8.4f} s  B {cpu_b:8.4f} s"
-              f"  B/A {ratios[-1]:.3f}  {'differs' if out_a != out_b else 'same'}"
+              f"  B/A {ratios[-1]:.3f}  {verdict}"
               f"  ({'AB'[first]} first)", flush=True)
     wins = sum(r < 1.0 for r in ratios)
     print(f"median B/A {statistics.median(ratios):.3f} over {len(ratios)} "
           f"designs; B faster in {wins} of {len(ratios)}; "
           f"results differ in {len(differ)}")
+    if moves:
+        print(f"largest relative move: validated PoC "
+              f"{max(m[0] for m in moves):.1e}, total delta-v "
+              f"{max(m[1] for m in moves):.1e}")
     for label in differ:
         print(f"differs: {label}")
     return 1 if differ else 0

@@ -294,7 +294,7 @@ def _designate_balanced(solved_suite):
         period = dyn.osculating_period(event.primary, event.dynamics)
         grid = [-2.5 * period, -1.5 * period, -0.5 * period]
         template = ControlSchedule(mode=IMPULSIVE, node_epochs=(grid[0],))
-        norms = sorted((n for _, n in
+        norms = sorted((n for _, n, _ in
                         gradient_norm_per_node(event, grid, template)),
                        reverse=True)
         balance = norms[1] / norms[0] if norms[0] > 0 else 0.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polycam import dynamics as dyn
-from polycam import mapbuilder, solver
+from polycam import cli, mapbuilder, solver
 from polycam.cli import build_parser, run_scenario
 from polycam.conjunction import log_poc_chan, poc_chan
 from polycam.dapoly import AlgebraConfig, TaylorPoly
@@ -160,17 +160,19 @@ class TestBallisticReference:
 
 
 def count_propagations(monkeypatch):
-    """Counts of mapbuilder's ``propagate_vector`` calls by scalar kind,
-    and of those made inside node ranking."""
-    calls = {"poly": 0, "float": 0, "ranking": 0}
+    """Counts of mapbuilder's ``propagate_vector`` calls by scalar kind, of
+    those made inside node ranking, and of back-propagations from closest
+    approach."""
+    calls = {"poly": 0, "float": 0, "ranking": 0, "backward": 0}
     ranking = [False]
     propagate, rank = mapbuilder.propagate_vector, solver.gradient_norm_per_node
 
-    def counted(y0, *args, **kwargs):
+    def counted(y0, u, t0, t1, *args, **kwargs):
         poly = any(isinstance(c, TaylorPoly) for c in y0)
         calls["poly" if poly else "float"] += 1
         calls["ranking"] += ranking[0]
-        return propagate(y0, *args, **kwargs)
+        calls["backward"] += t0 == 0.0 and t1 < t0
+        return propagate(y0, u, t0, t1, *args, **kwargs)
 
     def ranked(*args, **kwargs):
         ranking[0] = True
@@ -206,14 +208,68 @@ class TestReferenceTrajectory:
         assert calls["poly"] == 1
         assert calls["poly"] + calls["float"] <= 4
 
-    def test_filter_grid_design_makes_four_beyond_ranking(self, monkeypatch,
-                                                          leo_doc):
+    def test_filter_grid_design_makes_three_beyond_ranking(self, monkeypatch,
+                                                           leo_doc):
+        # the ranking's back-propagation starts the map: then one ballistic
+        # pass, the polynomial pass and the maneuvered replay
         calls = count_propagations(monkeypatch)
         code, _ = run_design(leo_doc, "--filter-grid",
                              "0.5orb,0.75orb,1orb,1.5orb", "--filter-keep", "1")
         assert code == 0
         assert calls["ranking"] >= 1
-        assert calls["poly"] + calls["float"] - calls["ranking"] <= 4
+        assert calls["backward"] == 1
+        assert calls["poly"] + calls["float"] - calls["ranking"] <= 3
+
+    def test_filtered_map_starts_from_the_ranking(self, monkeypatch, leo_doc):
+        built = []
+        build = cli.build_poc_map
+
+        def recorded(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_poc_map", recorded)
+        code, payload = run_design(leo_doc, "--filter-grid",
+                                   "0.5orb,0.75orb,1orb,1.5orb",
+                                   "--filter-keep", "2")
+        assert code == 0
+        (pmap,) = built
+        event = scenario_to_event(leo_doc)
+        period = dyn.osculating_period(event.primary, event.dynamics)
+        grid = [-f * period for f in (0.5, 0.75, 1.0, 1.5)]
+        template = ControlSchedule(mode=IMPULSIVE, node_epochs=(grid[0],))
+        first = payload["node_epochs_s"][0]
+        (ranked,) = [start for t, _, start in
+                     gradient_norm_per_node(event, grid, template)
+                     if t == first]
+        start = pmap.reference.start
+        assert start.epoch == first
+        assert start.state == ranked.state
+        assert start.plan.times == ranked.plan.times
+        # the ranking's pass stops at a later candidate on the way, so its
+        # mesh is not the one a pass of its own to this epoch picks
+        own = mapbuilder.reference_trajectory(event, pmap.schedule).start
+        assert own.plan.times != start.plan.times
+
+    def test_ranked_start_moves_the_validated_poc_below_1e_6(self, leo_doc):
+        # a ranked design steps on the ranking's mesh, which breaks at the
+        # later candidates; a pass of its own picks another mesh
+        event = scenario_to_event(leo_doc)
+        period = dyn.osculating_period(event.primary, event.dynamics)
+        grid = [-f * period for f in (0.5, 1.0, 1.5, 2.0)]
+        template = ControlSchedule(mode=IMPULSIVE, node_epochs=(grid[0],))
+        *_, ranked = gradient_norm_per_node(event, grid, template)[-1]
+        sched = template.retimed(grid[-1:])
+        pocs, dvs = [], []
+        for start in (ranked, None):
+            pmap = build_poc_map(event, sched, order=5, start=start)
+            solution = solve_recursive(pmap, SolverConfig(max_order=5))
+            pocs.append(validate_solution(event, sched, solution.phi, 1e-6,
+                                          pmap=pmap).validated_poc)
+            dvs.append(solution.dv_total_ms)
+        assert pmap.reference.start.plan.times != ranked.plan.times
+        assert abs(pocs[0] / pocs[1] - 1.0) <= 1e-6
+        assert abs(dvs[0] / dvs[1] - 1.0) <= 1e-6
 
     @pytest.mark.parametrize("nodes", [("0.5orb",), ("1.5orb", "0.5orb")],
                              ids=["one", "two"])
@@ -523,10 +579,10 @@ class TestGradientNormPerNode:
         period = dyn.osculating_period(tangential_event.primary,
                                        tangential_event.dynamics)
         template = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * period,))
-        norms = dict(gradient_norm_per_node(
+        norms = {t: n for t, n, _ in gradient_norm_per_node(
             tangential_event,
             [-1.0 * period, -0.5 * period, -0.02 * period],
-            template))
+            template)}
         half = norms[-0.5 * period]
         assert half > norms[-0.02 * period]
         assert half > norms[-1.0 * period]
@@ -543,8 +599,8 @@ class TestGradientNormPerNode:
         template = ControlSchedule(
             mode=mode, node_epochs=(-0.6 * leo_period, -0.4 * leo_period))
         grid = [-1.0 * leo_period, -0.5 * leo_period]
-        assert gradient_norm_per_node(far, grid, template) == \
-            [(t, 0.0) for t in grid]
+        assert [(t, n) for t, n, _ in gradient_norm_per_node(
+            far, grid, template)] == [(t, 0.0) for t in grid]
 
     def test_empty_grid_rejected(self, leo_event, leo_period):
         template = ControlSchedule(mode=IMPULSIVE,
@@ -574,22 +630,24 @@ class TestGradientNormPerNode:
                                        node_epochs=(-0.5 * leo_period,),
                                        fixed_direction=fixed)
         norms = gradient_norm_per_node(event, grid, template)
-        assert [t for t, _ in norms] == grid
+        assert [t for t, _, _ in norms] == grid
         # low-thrust legs differentiate the same discrete pipeline as the
-        # map; the impulsive adjoint integrates the backward flow in steps
-        # of its own segments, so it is held to a finer-step map instead
-        if template.mode == IMPULSIVE:
-            oracle_config, tolerance = dyn.PropagationConfig(steps=400), 1e-9
-        else:
-            oracle_config, tolerance = None, 1e-11
+        # map, from the same Start; the impulsive adjoint integrates the
+        # backward flow in steps of its own segments, so it is held to a
+        # finer-step map instead
         duration = template.node_epochs[-1] - template.node_epochs[0]
-        for t, norm in norms:
-            epochs = (t,) if template.mode == IMPULSIVE else (t, t + duration)
+        for t, norm, start in norms:
+            if template.mode == IMPULSIVE:
+                epochs, tolerance = (t,), 1e-9
+                oracle_config, start = dyn.PropagationConfig(steps=400), None
+            else:
+                epochs, tolerance = (t, t + duration), 1e-11
+                oracle_config = None
             single = ControlSchedule(mode=template.mode, node_epochs=epochs,
                                      fixed_direction=fixed)
             oracle = np.linalg.norm(build_poc_map(
-                event, single, order=1,
-                config=oracle_config).poly.gradient_at_zero())
+                event, single, order=1, config=oracle_config,
+                start=start).poly.gradient_at_zero())
             assert oracle > 0.0
             assert abs(norm - oracle) <= tolerance * oracle
 
@@ -635,7 +693,7 @@ class TestGradientNormPerNode:
         gaps = [oracle[a] / oracle[b] - 1.0 for a, b in zip(ranked, ranked[1:])]
         assert min(gaps) > 0.1
         for keep in range(1, len(grid)):
-            chosen = solver.filter_nodes(event, grid, keep, template)
+            chosen, _ = solver.filter_nodes(event, grid, keep, template)
             assert chosen.node_epochs == tuple(sorted(ranked[:keep]))
 
     def test_long_cislunar_segment_matches_fine_steps(self):
@@ -651,7 +709,7 @@ class TestGradientNormPerNode:
 
         fine = norm(dyn.PropagationConfig(steps=1600))
         assert abs(norm(None) / fine - 1.0) <= 1e-6
-        (_, ranked), = gradient_norm_per_node(event, [-43200.0], sched)
+        (_, ranked, _), = gradient_norm_per_node(event, [-43200.0], sched)
         assert abs(ranked / fine - 1.0) <= 1e-6
 
     def test_builds_no_polynomial_map(self, leo_event, leo_period,
@@ -664,5 +722,5 @@ class TestGradientNormPerNode:
         template = ControlSchedule(mode=IMPULSIVE,
                                    node_epochs=(-0.5 * leo_period,))
         grid = [-1.0 * leo_period, -0.5 * leo_period, -0.02 * leo_period]
-        chosen = solver.filter_nodes(leo_event, grid, 2, template)
+        chosen, _ = solver.filter_nodes(leo_event, grid, 2, template)
         assert len(chosen.node_epochs) == 2

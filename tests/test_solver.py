@@ -8,7 +8,8 @@ from polycam.dapoly import AlgebraConfig
 from polycam.errors import (ConfigurationError, DegenerateGradientError,
                             InfeasibleWithBoundError)
 from polycam.mapbuilder import (ControlSchedule, IMPULSIVE, LOW_THRUST, PocMap,
-                                ReferenceTrajectory, Start, build_poc_map)
+                                ReferenceTrajectory, Start, build_poc_map,
+                                gradient_norm_per_node)
 from polycam.cli import build_parser, run_scenario
 from polycam.errors import NonConvergenceError
 from polycam.scenarios import generate_synthetic_suite, scenario_to_event
@@ -209,7 +210,7 @@ class TestCascadeReach:
         period = dyn.osculating_period(event.primary, event.dynamics)
         grid = [-f * period for f in (0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)]
         template = ControlSchedule(mode=IMPULSIVE, node_epochs=(grid[0],))
-        sched = filter_nodes(event, grid, keep=1, template=template)
+        sched, _ = filter_nodes(event, grid, keep=1, template=template)
         pmap = build_poc_map(event, sched, order=2)
         sol = solve_recursive(pmap, SolverConfig(max_order=2))
         assert sol.per_order_converged[-1]
@@ -324,17 +325,17 @@ class TestFilterNodes:
                                        tangential_event.dynamics)
         template = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * period,))
         times = [-1.5 * period, -1.0 * period, -0.5 * period]
-        sched = filter_nodes(tangential_event, times, keep=3,
-                             template=template)
+        sched, _ = filter_nodes(tangential_event, times, keep=3,
+                                template=template)
         assert sched.node_epochs == tuple(sorted(times))
 
     def test_half_orbit_ranks_first(self, tangential_event):
         period = dyn.osculating_period(tangential_event.primary,
                                        tangential_event.dynamics)
         template = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * period,))
-        sched = filter_nodes(tangential_event,
-                             [-1.0 * period, -0.5 * period], keep=1,
-                             template=template)
+        sched, _ = filter_nodes(tangential_event,
+                                [-1.0 * period, -0.5 * period], keep=1,
+                                template=template)
         assert sched.node_epochs == (-0.5 * period,)
 
     def test_duplicate_tie_break_deterministic(self, tangential_event):
@@ -342,8 +343,8 @@ class TestFilterNodes:
                                        tangential_event.dynamics)
         template = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * period,))
         t = -0.5 * period
-        sched = filter_nodes(tangential_event, [t, t], keep=1,
-                             template=template)
+        sched, _ = filter_nodes(tangential_event, [t, t], keep=1,
+                                template=template)
         assert sched.node_epochs == (t,)
 
     def test_empty_grid(self, tangential_event):
@@ -357,7 +358,8 @@ class TestFilterNodes:
             mode=LOW_THRUST,
             node_epochs=(-0.6 * leo_period, -0.5 * leo_period))
         times = [-1.5 * leo_period, -1.0 * leo_period, -0.5 * leo_period]
-        sched = filter_nodes(leo_event, times, keep=2, template=template)
+        sched, _ = filter_nodes(leo_event, times, keep=2,
+                                template=template)
         assert sched.mode == LOW_THRUST
         assert sched.arc_lengths == (2, 2)
         starts = sched.node_epochs[::2]
@@ -370,9 +372,9 @@ class TestFilterNodes:
         template = ControlSchedule(mode=IMPULSIVE,
                                    node_epochs=(-0.5 * leo_period,),
                                    fixed_direction=tangential)
-        sched = filter_nodes(leo_event,
-                             [-1.0 * leo_period, -0.5 * leo_period], keep=2,
-                             template=template)
+        sched, _ = filter_nodes(leo_event,
+                                [-1.0 * leo_period, -0.5 * leo_period],
+                                keep=2, template=template)
         np.testing.assert_array_equal(sched.fixed_direction, tangential)
         assert sched.n_vars == 2
 
@@ -396,7 +398,11 @@ class TestThrustLimited:
         config = SolverConfig(max_order=5)
         times = [-1.0 * period, -0.5 * period, -0.1 * period]
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * period,))
-        pmap = build_poc_map(tangential_event, sched, order=5)
+        # the bounded design's map starts from the ranking's Start
+        starts = {t: s for t, _, s in gradient_norm_per_node(
+            tangential_event, times, self.TEMPLATE)}
+        pmap = build_poc_map(tangential_event, sched, order=5,
+                             start=starts[-0.5 * period])
         single = solve_recursive(pmap, config)
         bounded = solve_thrust_limited(tangential_event, times,
                                        u_max_ms=10.0 * single.dv_total_ms,
@@ -450,27 +456,28 @@ class TestThrustLimited:
         report = validate_solution(event, bounded.schedule, bounded.phi, 1e-6)
         assert report.poc_log_error <= 0.1
 
-    def test_maps_with_one_first_epoch_share_its_back_propagation(
+    def test_saturating_sequence_makes_one_back_propagation(
             self, tangential_event, monkeypatch):
+        # the ranking's pass starts every map and the residual replay
         from polycam import mapbuilder
         period = dyn.osculating_period(tangential_event.primary,
                                        tangential_event.dynamics)
-        epochs = []
-        start_state = mapbuilder._start_state
+        backward = []
+        propagate = mapbuilder.propagate_vector
 
-        def recorded(event, schedule, config, fixed_impulses=()):
-            start = start_state(event, schedule, config, fixed_impulses)
-            epochs.append(start[0])
-            return start
+        def recorded(y0, u, t0, t1, *args, **kwargs):
+            if t0 == 0.0 and t1 < t0:
+                backward.append(t1)
+            return propagate(y0, u, t0, t1, *args, **kwargs)
 
-        monkeypatch.setattr(mapbuilder, "_start_state", recorded)
+        monkeypatch.setattr(mapbuilder, "propagate_vector", recorded)
         grid = [-2.5 * period, -1.5 * period, -0.5 * period]
         # every node saturates: three maps, then the residual replay
         with pytest.raises(InfeasibleWithBoundError):
             solve_thrust_limited(tangential_event, grid, u_max_ms=1e-9,
                                  config=SolverConfig(max_order=1),
                                  template=self.TEMPLATE)
-        assert epochs and len(epochs) == len(set(epochs))
+        assert len(backward) == 1
 
     def test_reports_convergence_of_every_order(self, tangential_event):
         period = dyn.osculating_period(tangential_event.primary,

@@ -224,7 +224,7 @@ def test_traced_node_ranking_completes(monkeypatch, leo_event, leo_period):
     grid = [-1.0 * leo_period, -0.5 * leo_period]
     tracer = Tracer()
     with tracer.installed():
-        chosen = solver.filter_nodes(leo_event, grid, 1, template)
+        chosen, _ = solver.filter_nodes(leo_event, grid, 1, template)
     assert len(chosen.node_epochs) == 1
 
     (ranking,) = [s for s in tracer.spans
