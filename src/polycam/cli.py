@@ -272,14 +272,13 @@ def _design(doc: dict, flags: dict) -> tuple[int, dict]:
             grid = [_parse_node_token(tok, period, "filter grid")
                     for tok in opts["filter_grid"]]
 
-        pmap = None
+        pmap = start = None
         if opts["umax"] is not None:
             dense = grid if grid is not None else list(epochs)
-            solution = solve_thrust_limited(event, dense, opts["umax"],
-                                            solver_config, template=schedule,
-                                            prop_config=prop_config)
+            solution, start = solve_thrust_limited(
+                event, dense, opts["umax"], solver_config, template=schedule,
+                prop_config=prop_config)
         else:
-            start = None
             if grid is not None:
                 schedule, start = filter_nodes(
                     event, grid, opts["filter_keep"], schedule, prop_config)
@@ -288,7 +287,8 @@ def _design(doc: dict, flags: dict) -> tuple[int, dict]:
             solution = solve_recursive(pmap, solver_config)
 
         report = validate_solution(event, solution.schedule, solution.phi,
-                                   target, pmap=pmap, config=prop_config)
+                                   target, pmap=pmap, config=prop_config,
+                                   start=start)
 
         result = {
             "status": "ok",

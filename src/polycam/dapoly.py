@@ -330,6 +330,13 @@ def _power(tab, a, p):
     return _horner(tab, a, outer)
 
 
+def _sine_series(a0: float, n: int, shift: int) -> np.ndarray:
+    """sin^(k + shift)(a0) / k!, k <= n: the series of sin (0) or cos (1)."""
+    cycle = (math.sin(a0), math.cos(a0), -math.sin(a0), -math.cos(a0))
+    return np.array([cycle[(k + shift) % 4] / math.factorial(k)
+                     for k in range(n + 1)])
+
+
 @lru_cache(maxsize=None)
 def _compose_pairs(tab: _AlgebraTables, depth: int) -> tuple[np.ndarray, ...]:
     """(ptr, i, j): the product table cut to the pairs with deg i >=
@@ -472,8 +479,13 @@ class TaylorPoly:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: float):
+    def __truediv__(self, other):
+        if isinstance(other, TaylorPoly):
+            return self * other.reciprocal()
         return TaylorPoly._raw(self._tab, self.coef / other)
+
+    def __rtruediv__(self, other: float):
+        return self.reciprocal() * other
 
     # -- calculus / structure ------------------------------------------------
 
@@ -552,6 +564,14 @@ class TaylorPoly:
         for k in range(2, n + 1):
             outer[k] = -outer[k - 1] * (k - 1) / (k * a0)
         return self._apply(outer, _horner)
+
+    def sin(self) -> "TaylorPoly":
+        return self._apply(_sine_series(self.constant_part, self.max_order, 0),
+                           _horner)
+
+    def cos(self) -> "TaylorPoly":
+        return self._apply(_sine_series(self.constant_part, self.max_order, 1),
+                           _horner)
 
     def power(self, p: float) -> "TaylorPoly":
         """Real power a**p about the constant part (requires it positive)."""

@@ -1,4 +1,4 @@
-"""Equations of motion, local frames and an RK7(8) propagator.
+"""Equations of motion, frames, a closed-form Kepler coast and RK7(8).
 
 Three dynamics regimes are supported: two-body, two-body plus the J2
 oblateness term (inertial ECI frame, km / km/s / seconds), and the circular
@@ -14,6 +14,7 @@ program of row functions (:func:`~polycam.dapoly.record`) and runs it on
 the block's rows at every stage whose six rows are polynomials.
 Steps are equal (a count per span) or follow a :class:`Mesh`, which a
 real or complex pass fills by error control (:func:`_controlled_steps`).
+A Kepler coast on such a plan takes one exact step (:func:`_kepler_coast`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import ConfigurationError, FrameError, PropagationError
 __all__ = [
     "ECI", "SYNODIC", "KEPLER", "J2", "CR3BP",
     "SpacecraftState", "DynamicsModel", "PropagationConfig", "Mesh",
-    "propagate_vector", "rtn_rotation", "osculating_period",
+    "propagate_vector", "integrate", "rtn_rotation", "osculating_period",
 ]
 
 ECI = "ECI"
@@ -235,9 +236,13 @@ def _kernel_cr3bp(y: Sequence, u: Sequence | None, mass_ratio: float):
     return vx, vy, vz, ax, ay, az
 
 
+def _is_coast(u: Sequence) -> bool:
+    return all(isinstance(c, (int, float)) and c == 0.0 for c in u)
+
+
 def _derivative_fn(model: DynamicsModel, u: Sequence):
-    if all(isinstance(c, (int, float)) and c == 0.0 for c in u):
-        u = None  # a coast
+    if _is_coast(u):
+        u = None
     if model.kind == CR3BP:
         return lambda y: _kernel_cr3bp(y, u, CR3BP_MASS_RATIO)
     j2 = J2_EARTH if model.kind == J2 else 0.0
@@ -384,7 +389,24 @@ def _controlled_steps(y, t0: float, t1: float, slope, mesh: Mesh) -> list:
 def propagate_vector(y0: Sequence, u: Sequence, t0: float, t1: float,
                      model: DynamicsModel,
                      config: PropagationConfig | Mesh | None = None) -> list:
-    """Integrate a 6-component state of generic scalars from t0 to t1.
+    """Advance a 6-component state from t0 to t1 as :func:`integrate` does,
+    but in one closed-form step (:func:`_kepler_coast`) for a Kepler coast
+    (every control a real zero) on a step count or a filled mesh whose
+    real or constant part is on a non-degenerate ellipse."""
+    config = config or BARE_CONFIG
+    if (model.kind == KEPLER and t1 != t0 and _is_coast(u)
+            and (config.times if isinstance(config, Mesh) else config.steps)):
+        y = _kepler_coast([float(c) if isinstance(c, np.float64) else c
+                           for c in y0], t1 - t0, model.mu)
+        if y is not None:
+            return y
+    return integrate(y0, u, t0, t1, model, config)
+
+
+def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
+              model: DynamicsModel,
+              config: PropagationConfig | Mesh | None = None) -> list:
+    """RK7(8) integration of a 6-component state from t0 to t1.
 
     ``y0`` entries may be floats, complex scalars (Python or numpy),
     same-shape numpy arrays (batched states) or TaylorPoly scalars sharing
@@ -448,6 +470,79 @@ def propagate_vector(y0: Sequence, u: Sequence, t0: float, t1: float,
             raise PropagationError(
                 f"singularity encountered near t={t!r}", time=t)
     return y if block is None else block.view(y)
+
+
+def _call(x, name: str):
+    """sqrt, sin or cos of a polynomial, array, complex or real scalar."""
+    if isinstance(x, TaylorPoly):
+        return getattr(x, name)()
+    if isinstance(x, np.ndarray):
+        return getattr(np, name)(x)
+    return getattr(cmath if isinstance(x, complex) else math, name)(x)
+
+
+def _real(c):
+    """The real or constant part of a state entry."""
+    return c.constant_part if isinstance(c, TaylorPoly) else c.real
+
+
+def _kepler_step(x, c1, c2, mean):
+    """One Newton step on Kepler's equation x + c1 (1 - cos x) - c2 sin x
+    = mean, whose slope 1 + c1 sin x - c2 cos x = r / a is positive."""
+    s, c = _call(x, "sin"), _call(x, "cos")
+    return x - (x + c1 * (1.0 - c) - c2 * s - mean) / (1.0 + c1 * s - c2 * c)
+
+
+def _kepler_coast(y: list, dt: float, mu: float) -> list | None:
+    """The two-body flow of ``y`` over ``dt`` in closed form, or None when
+    the state's real or constant part is off a non-degenerate ellipse
+    (alpha = 2/r - v^2/mu <= 0, or |r x v| <= 1e-12 |r| |v|).
+
+    The f and g solution in the eccentric-anomaly change x (Battin, *An
+    Introduction to the Mathematics and Methods of Astrodynamics*, 1999,
+    ch. 4). Kepler's equation x + c1 (1 - cos x) - c2 sin x = M, with
+    M = sqrt(mu alpha^3) dt, c1 = r.v sqrt(alpha / mu) and c2 = 1 - r alpha,
+    is solved by Newton on the real or constant parts from x = M (None if
+    not converged in 50 steps), then by steps in the state's own
+    arithmetic, each doubling the exact orders: one for a complex state,
+    ceil(log2(n + 1)) for polynomials of order n.
+    """
+    rx, ry, rz, vx, vy, vz = map(_real, y)
+    rr, vv = rx * rx + ry * ry + rz * rz, vx * vx + vy * vy + vz * vz
+    hh = np.sum(np.cross([rx, ry, rz], [vx, vy, vz], axis=0) ** 2, axis=0)
+    with np.errstate(all="ignore"):
+        if not np.all((rr > 0.0) & (vv * np.sqrt(rr) < 2.0 * mu)
+                      & (hh > 1e-24 * rr * vv)):
+            return None
+    pos, vel, root_mu = y[:3], y[3:], math.sqrt(mu)
+    r = _call(sum(p * p for p in pos), "sqrt")
+    sigma = sum(p * q for p, q in zip(pos, vel)) / root_mu
+    alpha = 2.0 / r - sum(q * q for q in vel) / mu
+    a = 1.0 / alpha
+    root_a = _call(a, "sqrt")
+    c1, c2 = sigma / root_a, 1.0 - r * alpha
+    mean = (root_mu * dt) * alpha / root_a
+    real = [_real(c) for c in (c1, c2, mean)]
+    x = real[2]
+    for _ in range(50):
+        x, last = _kepler_step(x, *real), x
+        if np.all(abs(x - last) <= 1e-12 * (1.0 + abs(x))):
+            break
+    else:
+        return None
+    poly = next((c for c in y if isinstance(c, TaylorPoly)), None)
+    extra = (math.ceil(math.log2(poly.max_order + 1)) if poly
+             else int(any(np.iscomplexobj(c) for c in y)))
+    for _ in range(extra):
+        x = _kepler_step(x, c1, c2, mean)
+    s, one_c = _call(x, "sin"), 1.0 - _call(x, "cos")
+    f = 1.0 - a / r * one_c
+    g = (a * sigma * one_c + r * root_a * s) / root_mu
+    r_new = r + (a - r) * one_c + sigma * root_a * s
+    f_dot = -(root_mu * root_a) * s / (r_new * r)
+    g_dot = 1.0 - a / r_new * one_c
+    return ([f * p + g * q for p, q in zip(pos, vel)]
+            + [f_dot * p + g_dot * q for p, q in zip(pos, vel)])
 
 
 # ---------------------------------------------------------------------------

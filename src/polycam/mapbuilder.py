@@ -6,7 +6,8 @@ first control opportunity, and from there the ballistic pass gives the
 unmaneuvered encounter. The polynomial pass and every real replay start
 from the back-propagated state and, unless a step count is set, step on
 the mesh that the back-propagation's error control picked for the
-design's log probability. Perturbation variables are attached at each node
+design's log probability; a Kepler coast takes one closed-form step
+instead. Perturbation variables are attached at each node
 (velocity increments for impulsive schedules, held accelerations for
 low-thrust arcs), and the perturbed state is propagated forward through the
 encounter. The state's algebra grows node by node with the variables
@@ -14,7 +15,8 @@ attached so far. A segment is integrated in that algebra while it has at
 most 6 + k variables (k held-acceleration scalars on the segment); beyond
 that, the segment's (6 + k)-variable flow map about the reference is
 integrated instead and composed onto the state, which replaces most
-large-algebra products with small-algebra ones. Projecting the relative
+large-algebra products with small-algebra ones (a Kepler coast keeps its
+closed form in the large algebra). Projecting the relative
 position onto the frozen encounter plane and composing the logarithm of
 the collision-probability series yields one truncated polynomial of log
 PoC in the stacked control vector. Everything downstream of this map is
@@ -41,8 +43,8 @@ import numpy as np
 from .conjunction import ConjunctionEvent, log_poc_chan, poc_chan
 from .dapoly import AlgebraConfig, TaylorPoly, compose
 from .dynamics import (CR3BP, CR3BP_CHAR_LENGTH_KM, CR3BP_CHAR_TIME_S,
-                       DynamicsModel, Mesh, PropagationConfig,
-                       propagate_vector, rtn_rotation)
+                       KEPLER, DynamicsModel, Mesh, PropagationConfig,
+                       integrate, propagate_vector, rtn_rotation)
 from .errors import ConfigurationError
 
 __all__ = [
@@ -458,8 +460,9 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
     early segments run with only the variables of the nodes reached so
     far. A segment whose algebra has more than 6 + k variables (k held
     control scalars, 0 on coasts) is not integrated in that algebra: its
-    (6 + k)-variable flow map is integrated and composed onto the state.
-    Real states are integrated directly.
+    (6 + k)-variable flow map is integrated and composed onto the state,
+    unless it is a Kepler coast, whose closed form is cheaper. Real states are integrated directly. A thrust arc integrates even at a
+    zero control, so every pass takes the same steps on it.
 
     Returns (xi, zeta): the relative position at closest approach on
     ``event.bplane`` in km, in the scalar type of the controls.
@@ -509,13 +512,15 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
         scalars = [] if held_slot is None else list(controls[held_slot[0]])
         poly = next((c for c in (*y, *scalars) if isinstance(c, TaylorPoly)),
                     None)
-        if poly is not None and poly.n_vars > 6 + len(scalars):
+        if poly is not None and poly.n_vars > 6 + len(scalars) and (
+                scalars or model_nd.kind != KEPLER):
             return _composed_segment(
                 y, scalars, lambda s: slot_vector(s, held_slot[1]), t0, t1,
                 model_nd, steps)
-        accel = (0.0, 0.0, 0.0) if held_slot is None \
-            else tuple(slot_vector(scalars, held_slot[1]))
-        return propagate_vector(y, accel, t0, t1, model_nd, steps)
+        if held_slot is None:
+            return propagate_vector(y, (0.0,) * 3, t0, t1, model_nd, steps)
+        return integrate(y, tuple(slot_vector(scalars, held_slot[1])), t0, t1,
+                         model_nd, steps)
 
     for _, at_epoch, t0, t1, steps in legs:
         for _, kind, payload in at_epoch:
@@ -546,10 +551,18 @@ def segment_steps(event: ConjunctionEvent, schedule: ControlSchedule,
                   reference: ReferenceTrajectory) -> list[int]:
     """Steps that each segment of a pass of ``schedule`` on ``reference``
     takes, in time order: the legs that :func:`_thread_trajectory` steps
-    through, from event to event and then to closest approach."""
+    through, from event to event and then to closest approach. A Kepler
+    coast takes one closed-form step."""
     legs = _legs(reference.start, schedule, reference.fixed_impulses,
                  _to_internal_units(event)[0])
-    return [plan.steps for *_, plan in legs]
+    thrust = schedule.control_node_indices() \
+        if schedule.mode == LOW_THRUST else []
+    held, out = False, []
+    for _, at_epoch, _, _, plan in legs:
+        held = next((i in thrust for _, kind, i in at_epoch
+                     if kind == "node"), held)
+        out.append(plan.steps if held or event.dynamics.kind != KEPLER else 1)
+    return out
 
 
 def _relative_bplane_position(y_final, event: ConjunctionEvent,

@@ -271,7 +271,7 @@ def filter_nodes(event: ConjunctionEvent, dense_times, keep: int,
 def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
                          config: SolverConfig, template: ControlSchedule,
                          prop_config: PropagationConfig | None = None
-                         ) -> ManeuverSolution:
+                         ) -> tuple[ManeuverSolution, Start]:
     """Sequential bounded-impulse design over a ranked grid of epochs.
 
     The highest-authority node is solved alone; whenever the required
@@ -284,7 +284,8 @@ def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
     exhausting the grid with gap remaining raises, reporting the residual
     probability. Every map, and the residual's reference, starts from the
     ranking's :class:`~polycam.mapbuilder.Start` at its first control
-    event, so the orbit is back-propagated once.
+    event, so the orbit is back-propagated once. Returns the solution and
+    the Start of its first engaged node, from which it validates.
     """
     if not u_max_ms > 0.0:
         raise ConfigurationError("u_max must be positive")
@@ -312,7 +313,7 @@ def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
             return _package_solution(
                 schedule, np.concatenate([v for _, v in engaged]),
                 sol.residual, sol.per_order_iterations,
-                sol.per_order_converged, started)
+                sol.per_order_converged, started), starts[first]
         saturated.append((t, u_max_ms * dv / magnitude))
 
     # the grid is never empty here: ranking rejects an empty one

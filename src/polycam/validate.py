@@ -16,8 +16,8 @@ import numpy as np
 from .conjunction import ConjunctionEvent, poc_chan, poc_quadrature
 from .dynamics import PropagationConfig
 from .errors import ConfigurationError
-from .mapbuilder import (ControlSchedule, PocMap, propagate_with_controls,
-                         reference_trajectory, segment_steps)
+from .mapbuilder import (ControlSchedule, PocMap, Start, segment_steps,
+                         propagate_with_controls, reference_trajectory)
 
 __all__ = ["ValidationReport", "validate_solution"]
 
@@ -46,8 +46,8 @@ class ValidationReport:
 def validate_solution(event: ConjunctionEvent, schedule: ControlSchedule,
                       phi_physical, target_poc: float,
                       pmap: PocMap | None = None,
-                      config: PropagationConfig | None = None
-                      ) -> ValidationReport:
+                      config: PropagationConfig | None = None,
+                      start: Start | None = None) -> ValidationReport:
     """Replay ``phi_physical`` through the real pipeline and grade it.
 
     ``phi_physical`` stacks the controls in m/s (impulsive) or m/s^2
@@ -61,12 +61,13 @@ def validate_solution(event: ConjunctionEvent, schedule: ControlSchedule,
     the map's prediction, the exponential of its log probability, and the
     validated probability. Such a map must have been built on
     ``schedule`` itself (mode, epochs, fixed direction and arcs) with the
-    same propagation config; any other map is refused.
+    same propagation config; any other map is refused. Without a map,
+    ``start`` serves the reference as in :func:`build_poc_map`.
     """
     config = config or PropagationConfig()
     phi_physical = np.asarray(phi_physical, dtype=np.float64)
     if pmap is None:
-        reference = reference_trajectory(event, schedule, config)
+        reference = reference_trajectory(event, schedule, config, start=start)
     elif pmap.reference.config != config or pmap.schedule != schedule:
         raise ConfigurationError(
             "the map was built for another schedule or another "

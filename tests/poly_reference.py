@@ -8,9 +8,11 @@ sharing its lookups. ``loop_tables`` builds the exponent and product tables
 by enumeration and a loop over every pair, with no closed-form rank.
 ``reference_mul`` takes a product as a bincount triple sum over every pair
 of the table, and ``reference_compose`` walks a composition on it.
+``reference_sin_cos`` sums the sine and cosine series on ``reference_mul``.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -151,3 +153,23 @@ def reference_compose(outers, inner) -> np.ndarray:
 
     walk(None, 0, (0,) * len(inner))
     return out
+
+
+def reference_sin_cos(p: TaylorPoly) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient rows of sin p and cos p, from the angle-sum identities
+    sin(a + d) = sin a cos d + cos a sin d and cos(a + d) = cos a cos d -
+    sin a sin d, with a the constant part and the series of sin d and
+    cos d summed over the powers of the nilpotent part d by
+    :func:`reference_mul` (d^(n+1) vanishes at order n)."""
+    a = p.constant_part
+    d = TaylorPoly(p.config, np.where(np.arange(p.coef.size) == 0, 0.0,
+                                      p.coef))
+    power = TaylorPoly.constant(p.config, 1.0)
+    series = [np.zeros(p.coef.size), np.zeros(p.coef.size)]  # sin d, cos d
+    for k in range(p.max_order + 1):
+        sign = -1.0 if k % 4 >= 2 else 1.0
+        series[(k + 1) % 2] += sign / math.factorial(k) * power.coef
+        power = TaylorPoly(p.config, reference_mul(power, d))
+    sin_d, cos_d = series
+    return (math.sin(a) * cos_d + math.cos(a) * sin_d,
+            math.cos(a) * cos_d - math.sin(a) * sin_d)

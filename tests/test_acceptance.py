@@ -313,7 +313,7 @@ def test_criterion_10_thrust_limited(solved_suite):
     top = ControlSchedule(mode=IMPULSIVE, node_epochs=(top_time,))
     single = solve_recursive(build_poc_map(event, top, order=5), config)
 
-    bounded = solve_thrust_limited(event, grid,
+    bounded, _ = solve_thrust_limited(event, grid,
                                    u_max_ms=0.6 * single.dv_total_ms,
                                    config=config, template=template)
     engaged = len(bounded.per_node_dv_ms)

@@ -368,16 +368,19 @@ class TestRunCommand:
 
     def test_result_reports_the_steps_of_each_segment(self, scenario_file,
                                                       tmp_path):
-        fixed = tmp_path / "fixed.json"
-        assert run_cli(["run", str(scenario_file), "--order", "2", "--nodes",
-                        "2.5orb,1.5orb,0.5orb", "--steps", "60", "--out",
-                        str(fixed)]) == 0
-        assert json.loads(fixed.read_text())["segment_steps"] == [60, 60, 60]
-        meshed = tmp_path / "meshed.json"
-        assert run_cli(["run", str(scenario_file), "--order", "2", "--nodes",
-                        "0.5orb", "--out", str(meshed)]) == 0
-        (steps,) = json.loads(meshed.read_text())["segment_steps"]
-        assert 1 <= steps < 100
+        # a Kepler coast takes one closed-form step; J2 integrates its steps
+        def steps(*flags):
+            out = tmp_path / "out.json"
+            assert run_cli(["run", str(scenario_file), "--order", "2",
+                            *flags, "--out", str(out)]) == 0
+            return json.loads(out.read_text())["segment_steps"]
+
+        three = ("--nodes", "2.5orb,1.5orb,0.5orb", "--steps", "60")
+        assert steps(*three) == [1, 1, 1]
+        assert steps(*three, "--dyn", "j2") == [60, 60, 60]
+        assert steps("--nodes", "0.5orb") == [1]
+        (meshed,) = steps("--nodes", "0.5orb", "--dyn", "j2")
+        assert 1 < meshed < 100
 
     def test_infeasible_bound_exit_5(self, scenario_file, capsys):
         code = run_cli(["run", str(scenario_file), "--umax", "1e-7"])

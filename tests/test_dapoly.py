@@ -18,7 +18,8 @@ from polycam.errors import ConfigurationError, DomainError
 
 from poly_reference import (coeffs, embedding, from_coeffs, homogeneous,
                             loop_tables, partial, reference_compose,
-                            reference_mul, reference_triples)
+                            reference_mul, reference_sin_cos,
+                            reference_triples)
 
 
 def random_poly(cfg, rng, scale=1.0, constant=None):
@@ -122,6 +123,34 @@ class TestIntrinsics:
         cfg = AlgebraConfig(2, 4)
         a = random_poly(cfg, rng, constant=1.7)
         assert coeffs_close(a.power(3.0), a * a * a, tol=1e-12)
+
+    @pytest.mark.parametrize("cfg", [AlgebraConfig(1, 7), AlgebraConfig(3, 5),
+                                     AlgebraConfig(6, 4)],
+                             ids=["m1o7", "m3o5", "m6o4"])
+    def test_sin_cos_match_the_series(self, cfg):
+        rng = np.random.default_rng(11)
+        for constant in (0.3, -2.0, 14.0):
+            a = random_poly(cfg, rng, scale=0.5, constant=constant)
+            want_sin, want_cos = reference_sin_cos(a)
+            for got, want in ((a.sin(), want_sin), (a.cos(), want_cos)):
+                assert np.max(np.abs(got.coef - want)) \
+                    <= 1e-13 * max(np.max(np.abs(want)), 1.0)
+
+    def test_sin_cos_square_to_one(self):
+        rng = np.random.default_rng(12)
+        a = random_poly(AlgebraConfig(3, 5), rng, constant=0.8)
+        s, c = a.sin(), a.cos()
+        assert coeffs_close(s * s + c * c, TaylorPoly.constant(a.config, 1.0),
+                            tol=1e-13)
+
+    def test_division_by_a_polynomial(self):
+        rng = np.random.default_rng(13)
+        cfg = AlgebraConfig(2, 4)
+        a = random_poly(cfg, rng)
+        b = random_poly(cfg, rng, constant=1.9)
+        assert coeffs_close((a / b) * b, a, tol=1e-12)
+        assert coeffs_close((2.0 / b) * b, TaylorPoly.constant(cfg, 2.0),
+                            tol=1e-12)
 
     def test_sqrt_squares_back(self):
         rng = np.random.default_rng(5)

@@ -284,8 +284,8 @@ class TestBlockPath:
         ids=["kepler", "j2", "cr3bp", "kepler-m6", "j2-m6", "cr3bp-m6"])
     def test_polynomial_state(self, model, ref, span, scale, cfg):
         y0 = poly_state(ref, scale, cfg)
-        out = dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, span, model,
-                                   dyn.PropagationConfig(steps=6))
+        out = dyn.integrate(y0, (0.0, 0.0, 0.0), 0.0, span, model,
+                            dyn.PropagationConfig(steps=6))
         assert_same_entries(
             out, entrywise_propagate(y0, (0.0, 0.0, 0.0), 0.0, span, model, 6))
 
@@ -341,8 +341,8 @@ class TestBlockPath:
         # the state just after an impulse: only the velocities depend on it
         y0 = ([np.float64(c) for c in self.LEO[:3]]
               + poly_state(self.LEO, 1e-3)[3:])
-        out = dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, -900.0, model,
-                                   dyn.PropagationConfig(steps=1))
+        out = dyn.integrate(y0, (0.0, 0.0, 0.0), 0.0, -900.0, model,
+                            dyn.PropagationConfig(steps=1))
         assert_same_entries(
             out, entrywise_propagate(y0, (0.0, 0.0, 0.0), 0.0, -900.0,
                                      model, 1))
@@ -482,15 +482,14 @@ class TestTrimmedKernels:
         if kind == "poly":
             y0 = poly_state(ref, scale)
         config = dyn.PropagationConfig(steps=3)
-        trimmed = dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, span, model,
-                                       config)
+        trimmed = dyn.integrate(y0, (0.0, 0.0, 0.0), 0.0, span, model,
+                                config)
         zero = (0.0, 0.0, 0.0)
         monkeypatch.setattr(dyn, "_kernel_kepler_j2",
                             lambda y, u, *a: untrimmed_kepler_j2(y, u or zero, *a))
         monkeypatch.setattr(dyn, "_kernel_cr3bp",
                             lambda y, u, *a: untrimmed_cr3bp(y, u or zero, *a))
-        full = dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, span, model,
-                                    config)
+        full = dyn.integrate(y0, (0.0, 0.0, 0.0), 0.0, span, model, config)
         assert all(same_entry(a, b) for a, b in zip(trimmed, full))
 
     def test_only_a_real_zero_control_is_a_coast(self):
@@ -573,8 +572,8 @@ class TestErrorControl:
         kernel = dyn._kernel_kepler_j2
         monkeypatch.setattr(dyn, "_kernel_kepler_j2",
                             lambda *args: calls.append(1) or kernel(*args))
-        dyn.propagate_vector(self.LEO, (0.0, 0.0, 0.0), 0.0, 3.0, self.UNIT,
-                             dyn.PropagationConfig(steps=steps))
+        dyn.integrate(self.LEO, (0.0, 0.0, 0.0), 0.0, 3.0, self.UNIT,
+                      dyn.PropagationConfig(steps=steps))
         assert len(calls) == 11 * steps
 
     @pytest.mark.parametrize("kick", [0.0, 1e-20], ids=["real", "complex"])
@@ -583,12 +582,12 @@ class TestErrorControl:
         # replay of the accepted steps repeats the controlled pass exactly
         y0 = self.LEO[:3] + [complex(c, kick) for c in self.LEO[3:]]
         mesh = dyn.Mesh()
-        picked = dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, -math.pi,
-                                      self.UNIT, mesh)
+        picked = dyn.integrate(y0, (0.0, 0.0, 0.0), 0.0, -math.pi,
+                               self.UNIT, mesh)
         assert mesh.times[0] == 0.0 and mesh.times[-1] == -math.pi
         assert all(b < a for a, b in zip(mesh.times, mesh.times[1:]))
-        replay = dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, -math.pi,
-                                      self.UNIT, dyn.Mesh(mesh.times))
+        replay = dyn.integrate(y0, (0.0, 0.0, 0.0), 0.0, -math.pi,
+                               self.UNIT, dyn.Mesh(mesh.times))
         assert replay == picked
 
     def test_mesh_meets_its_tolerance_in_fewer_steps(self):
@@ -635,3 +634,106 @@ class TestErrorControl:
         picked = dyn.propagate_vector(self.LEO, (0.0, 0.0, 0.0), 0.0, 3.0,
                                       self.UNIT, dyn.Mesh())
         assert unset == picked
+
+
+class TestKeplerCoast:
+    """A two-body coast on a given plan takes one closed-form step."""
+
+    LEO = [1.0, 0.02, 0.01, -0.03, 1.05, 0.1]  # internal units, mu = 1
+    UNIT = dyn.DynamicsModel(kind=dyn.KEPLER, mu=1.0)
+    ONE = dyn.PropagationConfig(steps=1)
+
+    def period(self):
+        return dyn.osculating_period(
+            dyn.SpacecraftState(r=self.LEO[:3], v=self.LEO[3:]), self.UNIT)
+
+    def states(self):
+        offsets = np.linspace(-1e-3, 1e-3, 3)
+        return {
+            "float": list(self.LEO),
+            "complex": [*self.LEO[:3], self.LEO[3] + 1e-20j, *self.LEO[4:]],
+            "batch": [c + offsets * (i + 1) for i, c in enumerate(self.LEO)],
+        }
+
+    @pytest.mark.parametrize("orbits", [0.5, 1.5, 2.5])
+    @pytest.mark.parametrize("kind", ["float", "complex", "batch"])
+    def test_matches_a_fine_replay(self, kind, orbits):
+        y0 = self.states()[kind]
+        span = orbits * self.period()
+        exact = dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, span,
+                                     self.UNIT, self.ONE)
+        fine = dyn.integrate(y0, (0.0, 0.0, 0.0), 0.0, span, self.UNIT,
+                             dyn.PropagationConfig(steps=3200))
+        for part in (np.real, np.imag):
+            want = np.array([part(c) for c in fine])
+            got = np.array([part(c) for c in exact])
+            size = np.max(np.abs(want)) or 1.0
+            assert np.max(np.abs(got - want)) <= 1e-11 * size
+        if kind == "complex":
+            assert all(type(c) is complex for c in exact)
+
+    def test_polynomial_step_matches_a_fine_replay(self):
+        y0 = poly_state(self.LEO, 1e-2)
+        span = 1.5 * self.period()
+        exact = dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, span,
+                                     self.UNIT, self.ONE)
+        fine = dyn.integrate(y0, (0.0, 0.0, 0.0), 0.0, span, self.UNIT,
+                             dyn.PropagationConfig(steps=1600))
+        for got, want in zip(exact, fine):
+            assert got.config == want.config
+            assert np.max(np.abs(got.coef - want.coef)) \
+                <= 1e-9 * np.max(np.abs(want.coef))
+
+    @pytest.mark.parametrize("order", [1, 2, 5])
+    def test_complex_step_matches_the_polynomial_gradient(self, order):
+        span = -1.5 * self.period()
+        cfg = AlgebraConfig(6, order)
+        poly = dyn.propagate_vector(
+            [TaylorPoly.variable(cfg, i) + c for i, c in enumerate(self.LEO)],
+            (0.0, 0.0, 0.0), 0.0, span, self.UNIT, self.ONE)
+        columns = []
+        for var in range(6):
+            y0 = [complex(c, 1e-20 * (i == var))
+                  for i, c in enumerate(self.LEO)]
+            out = dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, span,
+                                       self.UNIT, self.ONE)
+            columns.append([c.imag / 1e-20 for c in out])
+            assert [c.real for c in out] == pytest.approx(
+                [p.constant_part for p in poly], rel=1e-14, abs=1e-14)
+        stm = np.array(columns).T
+        linear = np.array([p.gradient_at_zero() for p in poly])
+        assert np.max(np.abs(stm - linear)) <= 1e-12 * np.max(np.abs(linear))
+        # the exact flow is symplectic: stm^T J stm = J
+        j = np.block([[np.zeros((3, 3)), np.eye(3)],
+                      [-np.eye(3), np.zeros((3, 3))]])
+        assert np.max(np.abs(stm.T @ j @ stm - j)) <= 1e-11
+
+    def test_coast_calls_no_kernel(self, monkeypatch):
+        calls = []
+        kernel = dyn._kernel_kepler_j2
+        monkeypatch.setattr(dyn, "_kernel_kepler_j2",
+                            lambda *args: calls.append(1) or kernel(*args))
+        for plan in (dyn.PropagationConfig(steps=60),
+                     dyn.Mesh([0.0, 1.0, 3.0])):
+            dyn.propagate_vector(self.LEO, (0.0, 0.0, 0.0), 0.0, 3.0,
+                                 self.UNIT, plan)
+        assert calls == []
+        # an empty mesh is filled by error control, and a thrust arc
+        # integrates
+        dyn.propagate_vector(self.LEO, (0.0, 0.0, 0.0), 0.0, 3.0, self.UNIT,
+                             dyn.Mesh())
+        filled = len(calls)
+        assert filled > 0
+        dyn.propagate_vector(self.LEO, (1e-6, 0.0, 0.0), 0.0, 3.0, self.UNIT,
+                             self.ONE)
+        assert len(calls) == filled + 11
+
+    @pytest.mark.parametrize("state", [
+        [1.0, 0.0, 0.0, 0.0, 1.5, 0.0],
+        [1.0, 0.0, 0.0, 0.3, 0.0, 0.0]], ids=["hyperbolic", "radial"])
+    def test_state_off_an_ellipse_integrates(self, state):
+        plan = dyn.PropagationConfig(steps=40)
+        got = dyn.propagate_vector(state, (0.0, 0.0, 0.0), 0.0, 0.5,
+                                   self.UNIT, plan)
+        assert got == dyn.integrate(state, (0.0, 0.0, 0.0), 0.0, 0.5,
+                                    self.UNIT, plan)

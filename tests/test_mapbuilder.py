@@ -220,6 +220,18 @@ class TestReferenceTrajectory:
         assert calls["backward"] == 1
         assert calls["poly"] + calls["float"] - calls["ranking"] <= 3
 
+    def test_umax_design_makes_one_back_propagation(self, monkeypatch,
+                                                    leo_doc):
+        # the ranking's pass starts every map and the validation replay
+        nodes = ("--nodes", "2.5orb,1.5orb,0.5orb")
+        code, alone = run_design(leo_doc, *nodes, "--umax", "100")
+        assert code == 0 and len(alone["node_epochs_s"]) == 1
+        bound = 0.6 * alone["solution"]["dv_total_ms"]
+        calls = count_propagations(monkeypatch)
+        code, payload = run_design(leo_doc, *nodes, "--umax", repr(bound))
+        assert code == 0 and len(payload["node_epochs_s"]) >= 2
+        assert calls["backward"] == 1
+
     def test_filtered_map_starts_from_the_ranking(self, monkeypatch, leo_doc):
         built = []
         build = cli.build_poc_map
@@ -319,7 +331,11 @@ class TestReferenceTrajectory:
             assert plan.times[0] == t0 and plan.times[-1] == t1
             assert set(plan.times[1:-1]) <= set(picked.times)
             assert {t0, t1} <= nodes | {0.0}
-        assert segment_steps(leo_event, sched, pmap.reference) == [
+        # Kepler coasts take one closed-form step each; an integrated
+        # regime reports the steps of the legs that the passes step on
+        assert segment_steps(leo_event, sched, pmap.reference) == [1, 1]
+        j2 = replace(leo_event, dynamics=dyn.DynamicsModel(kind=dyn.J2))
+        assert segment_steps(j2, sched, pmap.reference) == [
             plan.steps for _, _, plan in plans[1:3]]
 
     def test_reference_holds_the_ballistic_pass(self, leo_event, leo_period):

@@ -404,7 +404,7 @@ class TestThrustLimited:
         pmap = build_poc_map(tangential_event, sched, order=5,
                              start=starts[-0.5 * period])
         single = solve_recursive(pmap, config)
-        bounded = solve_thrust_limited(tangential_event, times,
+        bounded, _ = solve_thrust_limited(tangential_event, times,
                                        u_max_ms=10.0 * single.dv_total_ms,
                                        config=config, template=self.TEMPLATE)
         assert len(bounded.per_node_dv_ms) == 1
@@ -422,7 +422,7 @@ class TestThrustLimited:
         top = ControlSchedule(mode=IMPULSIVE, node_epochs=(grid[0],))
         pmap = build_poc_map(tangential_event, top, order=5)
         single = solve_recursive(pmap, config)
-        bounded = solve_thrust_limited(
+        bounded, _ = solve_thrust_limited(
             tangential_event, grid,
             u_max_ms=0.6 * single.dv_total_ms, config=config,
             template=self.TEMPLATE)
@@ -446,7 +446,7 @@ class TestThrustLimited:
         u_max = 0.0146566
         template = ControlSchedule(mode=IMPULSIVE, node_epochs=(grid[0],),
                                    fixed_direction=[0.0, 1.0, 0.0])
-        bounded = solve_thrust_limited(event, grid, u_max,
+        bounded, _ = solve_thrust_limited(event, grid, u_max,
                                        SolverConfig(max_order=5),
                                        template=template)
         assert len(bounded.per_node_dv_ms) == 2
@@ -482,7 +482,7 @@ class TestThrustLimited:
     def test_reports_convergence_of_every_order(self, tangential_event):
         period = dyn.osculating_period(tangential_event.primary,
                                        tangential_event.dynamics)
-        bounded = solve_thrust_limited(
+        bounded, _ = solve_thrust_limited(
             tangential_event, [-1.0 * period, -0.5 * period], u_max_ms=1e3,
             config=SolverConfig(max_order=3), template=self.TEMPLATE)
         assert len(bounded.per_order_iterations) == 3
