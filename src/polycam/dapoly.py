@@ -37,6 +37,7 @@ order, every coefficient keeps the bits of the full pass.
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 import sys
@@ -77,6 +78,7 @@ __all__ = [
     "compose",
     "contract_no_first_mode",
     "generic_power",
+    "generic_sin_cos",
     "record",
 ]
 
@@ -735,9 +737,9 @@ def contract_no_first_mode(a: TaylorPoly, k: int, phi) -> np.ndarray:
     return np.sum(a.coef[src] * fac * powers, axis=1) / k
 
 
-# -- generic scalar helper -----------------------------------------------------
-# This lets the force kernels run unchanged on floats, complex scalars, numpy
-# arrays and TaylorPoly scalars.
+# -- generic scalar helpers ----------------------------------------------------
+# These let the force kernels and the Kepler coast run unchanged on floats,
+# complex scalars, numpy arrays and TaylorPoly scalars.
 
 def generic_power(x, p: float):
     if isinstance(x, TaylorPoly):
@@ -748,3 +750,12 @@ def generic_power(x, p: float):
     if isinstance(x, complex):
         return complex(np.power(x, p))
     return np.power(x, p)
+
+
+def generic_sin_cos(x):
+    """(sin x, cos x), Python scalars kept, as in :func:`generic_power`."""
+    if isinstance(x, TaylorPoly):
+        return x.sin(), x.cos()
+    lib = cmath if isinstance(x, complex) else math \
+        if isinstance(x, float) else np
+    return lib.sin(x), lib.cos(x)

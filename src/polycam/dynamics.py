@@ -14,7 +14,7 @@ program of row functions (:func:`~polycam.dapoly.record`) and runs it on
 the block's rows at every stage whose six rows are polynomials.
 Steps are equal (a count per span) or follow a :class:`Mesh`, which a
 real or complex pass fills by error control (:func:`_controlled_steps`).
-A Kepler coast on such a plan takes one exact step (:func:`_kepler_coast`).
+A Kepler coast on such a plan takes one exact step (:func:`kepler_anomaly`).
 """
 
 from __future__ import annotations
@@ -28,13 +28,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .dapoly import TaylorPoly, generic_power, record
+from .dapoly import TaylorPoly, generic_power, generic_sin_cos, record
 from .errors import ConfigurationError, FrameError, PropagationError
 
 __all__ = [
     "ECI", "SYNODIC", "KEPLER", "J2", "CR3BP",
     "SpacecraftState", "DynamicsModel", "PropagationConfig", "Mesh",
-    "propagate_vector", "integrate", "rtn_rotation", "osculating_period",
+    "propagate_vector", "integrate", "kepler_anomaly", "rtn_rotation",
+    "osculating_period",
 ]
 
 ECI = "ECI"
@@ -390,17 +391,12 @@ def propagate_vector(y0: Sequence, u: Sequence, t0: float, t1: float,
                      model: DynamicsModel,
                      config: PropagationConfig | Mesh | None = None) -> list:
     """Advance a 6-component state from t0 to t1 as :func:`integrate` does,
-    but in one closed-form step (:func:`_kepler_coast`) for a Kepler coast
-    (every control a real zero) on a step count or a filled mesh whose
-    real or constant part is on a non-degenerate ellipse."""
-    config = config or BARE_CONFIG
-    if (model.kind == KEPLER and t1 != t0 and _is_coast(u)
-            and (config.times if isinstance(config, Mesh) else config.steps)):
-        y = _kepler_coast([float(c) if isinstance(c, np.float64) else c
-                           for c in y0], t1 - t0, model.mu)
-        if y is not None:
-            return y
-    return integrate(y0, u, t0, t1, model, config)
+    or in one closed-form step for a coast with a :func:`kepler_anomaly`."""
+    x = kepler_anomaly(y0, u, t0, t1, model, config)
+    if x is None:
+        return integrate(y0, u, t0, t1, model, config)
+    return _kepler_coast([float(c) if isinstance(c, np.float64) else c
+                          for c in y0], x, t1 - t0, model.mu)
 
 
 def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
@@ -472,70 +468,71 @@ def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
     return y if block is None else block.view(y)
 
 
-def _call(x, name: str):
-    """sqrt, sin or cos of a polynomial, array, complex or real scalar."""
-    if isinstance(x, TaylorPoly):
-        return getattr(x, name)()
-    if isinstance(x, np.ndarray):
-        return getattr(np, name)(x)
-    return getattr(cmath if isinstance(x, complex) else math, name)(x)
-
-
-def _real(c):
-    """The real or constant part of a state entry."""
-    return c.constant_part if isinstance(c, TaylorPoly) else c.real
+def _kepler_terms(y: Sequence, dt: float, mu: float) -> tuple:
+    """r, sigma = r.v / sqrt(mu), a and sqrt(a) of a state, and the c1, c2
+    and M of its Kepler's equation over dt (see :func:`kepler_anomaly`)."""
+    pos, vel, root_mu = y[:3], y[3:], math.sqrt(mu)
+    r = generic_power(sum(p * p for p in pos), 0.5)
+    sigma = sum(p * q for p, q in zip(pos, vel)) / root_mu
+    alpha = 2.0 / r - sum(q * q for q in vel) / mu
+    a = 1.0 / alpha
+    root_a = generic_power(a, 0.5)
+    return r, sigma, a, root_a, (sigma / root_a, 1.0 - r * alpha,
+                                 (root_mu * dt) * alpha / root_a)
 
 
 def _kepler_step(x, c1, c2, mean):
     """One Newton step on Kepler's equation x + c1 (1 - cos x) - c2 sin x
     = mean, whose slope 1 + c1 sin x - c2 cos x = r / a is positive."""
-    s, c = _call(x, "sin"), _call(x, "cos")
+    s, c = generic_sin_cos(x)
     return x - (x + c1 * (1.0 - c) - c2 * s - mean) / (1.0 + c1 * s - c2 * c)
 
 
-def _kepler_coast(y: list, dt: float, mu: float) -> list | None:
-    """The two-body flow of ``y`` over ``dt`` in closed form, or None when
-    the state's real or constant part is off a non-degenerate ellipse
-    (alpha = 2/r - v^2/mu <= 0, or |r x v| <= 1e-12 |r| |v|).
-
-    The f and g solution in the eccentric-anomaly change x (Battin, *An
-    Introduction to the Mathematics and Methods of Astrodynamics*, 1999,
-    ch. 4). Kepler's equation x + c1 (1 - cos x) - c2 sin x = M, with
-    M = sqrt(mu alpha^3) dt, c1 = r.v sqrt(alpha / mu) and c2 = 1 - r alpha,
-    is solved by Newton on the real or constant parts from x = M (None if
-    not converged in 50 steps), then by steps in the state's own
-    arithmetic, each doubling the exact orders: one for a complex state,
-    ceil(log2(n + 1)) for polynomials of order n.
-    """
-    rx, ry, rz, vx, vy, vz = map(_real, y)
-    rr, vv = rx * rx + ry * ry + rz * rz, vx * vx + vy * vy + vz * vz
-    hh = np.sum(np.cross([rx, ry, rz], [vx, vy, vz], axis=0) ** 2, axis=0)
-    with np.errstate(all="ignore"):
-        if not np.all((rr > 0.0) & (vv * np.sqrt(rr) < 2.0 * mu)
-                      & (hh > 1e-24 * rr * vv)):
-            return None
-    pos, vel, root_mu = y[:3], y[3:], math.sqrt(mu)
-    r = _call(sum(p * p for p in pos), "sqrt")
-    sigma = sum(p * q for p, q in zip(pos, vel)) / root_mu
-    alpha = 2.0 / r - sum(q * q for q in vel) / mu
-    a = 1.0 / alpha
-    root_a = _call(a, "sqrt")
-    c1, c2 = sigma / root_a, 1.0 - r * alpha
-    mean = (root_mu * dt) * alpha / root_a
-    real = [_real(c) for c in (c1, c2, mean)]
-    x = real[2]
-    for _ in range(50):
-        x, last = _kepler_step(x, *real), x
-        if np.all(abs(x - last) <= 1e-12 * (1.0 + abs(x))):
-            break
-    else:
+def kepler_anomaly(y0: Sequence, u: Sequence, t0: float, t1: float,
+                   model: DynamicsModel,
+                   config: PropagationConfig | Mesh | None = None):
+    """The eccentric-anomaly change x of a coast that
+    :func:`propagate_vector` takes in one closed-form step, from the real
+    or constant part of ``y0``; None where it integrates: a control other
+    than a real zero, another model, a zero span, an empty mesh, a state
+    off a non-degenerate ellipse (alpha = 2/r - v^2/mu <= 0, or |r x v| <=
+    1e-12 |r| |v|) or a Newton unconverged in 50 steps from x = M on x +
+    c1 (1 - cos x) - c2 sin x = M, M = sqrt(mu alpha^3) (t1 - t0), c1 = r.v
+    sqrt(alpha / mu), c2 = 1 - r alpha (Battin 1999, ch. 4)."""
+    config = config or BARE_CONFIG
+    if not (_is_coast(u) and model.kind == KEPLER and t1 != t0 and (
+            config.times if isinstance(config, Mesh) else config.steps)):
         return None
+    y = [c.constant_part if isinstance(c, TaylorPoly) else c.real for c in y0]
+    rr, vv = sum(c * c for c in y[:3]), sum(c * c for c in y[3:])
+    hh = sum((y[i] * y[j + 3] - y[j] * y[i + 3]) ** 2
+             for i, j in ((1, 2), (2, 0), (0, 1)))  # |r x v|^2
+    holds = np.all if isinstance(rr, np.ndarray) else bool
+    with np.errstate(all="ignore"):
+        if not holds((rr > 0.0) & (vv * rr ** 0.5 < 2.0 * model.mu)
+                     & (hh > 1e-24 * rr * vv)):
+            return None
+    equation = _kepler_terms(y, t1 - t0, model.mu)[4]
+    x = equation[2]
+    for _ in range(50):
+        x, last = _kepler_step(x, *equation), x
+        if holds(abs(x - last) <= 1e-12 * (1.0 + abs(x))):
+            return x
+    return None
+
+
+def _kepler_coast(y: list, x, dt: float, mu: float) -> list:
+    """The f and g solution over ``dt`` from :func:`kepler_anomaly`'s x,
+    refined by Newton steps in the state's own arithmetic that each double
+    the exact orders: one if complex, ceil(log2(n + 1)) at order n."""
+    r, sigma, a, root_a, equation = _kepler_terms(y, dt, mu)
     poly = next((c for c in y if isinstance(c, TaylorPoly)), None)
     extra = (math.ceil(math.log2(poly.max_order + 1)) if poly
              else int(any(np.iscomplexobj(c) for c in y)))
     for _ in range(extra):
-        x = _kepler_step(x, c1, c2, mean)
-    s, one_c = _call(x, "sin"), 1.0 - _call(x, "cos")
+        x = _kepler_step(x, *equation)
+    s, c = generic_sin_cos(x)
+    one_c, pos, vel, root_mu = 1.0 - c, y[:3], y[3:], math.sqrt(mu)
     f = 1.0 - a / r * one_c
     g = (a * sigma * one_c + r * root_a * s) / root_mu
     r_new = r + (a - r) * one_c + sigma * root_a * s

@@ -43,8 +43,8 @@ import numpy as np
 from .conjunction import ConjunctionEvent, log_poc_chan, poc_chan
 from .dapoly import AlgebraConfig, TaylorPoly, compose
 from .dynamics import (CR3BP, CR3BP_CHAR_LENGTH_KM, CR3BP_CHAR_TIME_S,
-                       KEPLER, DynamicsModel, Mesh, PropagationConfig,
-                       integrate, propagate_vector, rtn_rotation)
+                       DynamicsModel, Mesh, PropagationConfig, integrate,
+                       kepler_anomaly, propagate_vector, rtn_rotation)
 from .errors import ConfigurationError
 
 __all__ = [
@@ -52,7 +52,7 @@ __all__ = [
     "IMPULSE_REF_MS", "ACCEL_REF_MS2",
     "ControlSchedule", "PocMap", "ReferenceTrajectory", "Start",
     "build_poc_map", "gradient_norm_per_node",
-    "propagate_with_controls", "reference_trajectory", "segment_steps",
+    "propagate_with_controls", "reference_trajectory",
 ]
 
 IMPULSIVE = "IMPULSIVE"
@@ -441,7 +441,8 @@ def _legs(start: Start, schedule: ControlSchedule,
 
 def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
                        start: Start, controls, control_unit: float,
-                       fixed_impulses: Sequence[tuple[float, np.ndarray]] = ()):
+                       fixed_impulses: Sequence[tuple[float, np.ndarray]] = (),
+                       steps_taken: list | None = None):
     """Propagate the primary from the first control event to closest
     approach, starting from ``start`` (see :func:`_start_state`) and
     stepping on its plan.
@@ -461,8 +462,11 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
     far. A segment whose algebra has more than 6 + k variables (k held
     control scalars, 0 on coasts) is not integrated in that algebra: its
     (6 + k)-variable flow map is integrated and composed onto the state,
-    unless it is a Kepler coast, whose closed form is cheaper. Real states are integrated directly. A thrust arc integrates even at a
-    zero control, so every pass takes the same steps on it.
+    unless it is a coast with a :func:`~polycam.dynamics.kepler_anomaly`,
+    whose one closed-form step is cheaper. A thrust arc integrates even at
+    a zero control, so every pass takes the same steps on it.
+    ``steps_taken``, when given, receives each segment's steps in time
+    order: 1 for a closed-form coast, else its plan's.
 
     Returns (xi, zeta): the relative position at closest approach on
     ``event.bplane`` in km, in the scalar type of the controls.
@@ -508,21 +512,25 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
     # (slot, node rotation) of the acceleration held on the current segment
     held_slot = None
 
-    def propagate_segment(y, t0: float, t1: float, steps) -> list:
+    def propagate_segment(y, t0: float, t1: float, plan) -> list:
         scalars = [] if held_slot is None else list(controls[held_slot[0]])
         poly = next((c for c in (*y, *scalars) if isinstance(c, TaylorPoly)),
                     None)
-        if poly is not None and poly.n_vars > 6 + len(scalars) and (
-                scalars or model_nd.kind != KEPLER):
+        large = poly is not None and poly.n_vars > 6 + len(scalars)
+        closed = held_slot is None and (large or steps_taken is not None) \
+            and kepler_anomaly(y, scalars, t0, t1, model_nd, plan) is not None
+        if steps_taken is not None:
+            steps_taken.append(1 if closed else plan.steps)
+        if large and not closed:
             return _composed_segment(
                 y, scalars, lambda s: slot_vector(s, held_slot[1]), t0, t1,
-                model_nd, steps)
+                model_nd, plan)
         if held_slot is None:
-            return propagate_vector(y, (0.0,) * 3, t0, t1, model_nd, steps)
+            return propagate_vector(y, (0.0,) * 3, t0, t1, model_nd, plan)
         return integrate(y, tuple(slot_vector(scalars, held_slot[1])), t0, t1,
-                         model_nd, steps)
+                         model_nd, plan)
 
-    for _, at_epoch, t0, t1, steps in legs:
+    for _, at_epoch, t0, t1, plan in legs:
         for _, kind, payload in at_epoch:
             rot = _control_rotation(event, scale, y)
             if kind == "fixed":
@@ -543,26 +551,8 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
                 # an idle arc end carries no slot and stops the held
                 # acceleration
                 held_slot = None if slot is None else (slot, rot)
-        y = propagate_segment(y, t0, t1, steps)
+        y = propagate_segment(y, t0, t1, plan)
     return _relative_bplane_position(y, event, scale)
-
-
-def segment_steps(event: ConjunctionEvent, schedule: ControlSchedule,
-                  reference: ReferenceTrajectory) -> list[int]:
-    """Steps that each segment of a pass of ``schedule`` on ``reference``
-    takes, in time order: the legs that :func:`_thread_trajectory` steps
-    through, from event to event and then to closest approach. A Kepler
-    coast takes one closed-form step."""
-    legs = _legs(reference.start, schedule, reference.fixed_impulses,
-                 _to_internal_units(event)[0])
-    thrust = schedule.control_node_indices() \
-        if schedule.mode == LOW_THRUST else []
-    held, out = False, []
-    for _, at_epoch, _, _, plan in legs:
-        held = next((i in thrust for _, kind, i in at_epoch
-                     if kind == "node"), held)
-        out.append(plan.steps if held or event.dynamics.kind != KEPLER else 1)
-    return out
 
 
 def _relative_bplane_position(y_final, event: ConjunctionEvent,
@@ -584,7 +574,8 @@ def propagate_with_controls(event: ConjunctionEvent, schedule: ControlSchedule,
                             phi_physical: np.ndarray | None,
                             config: PropagationConfig | None = None,
                             fixed_impulses: Sequence[tuple[float, np.ndarray]] = (),
-                            start: Start | None = None):
+                            start: Start | None = None,
+                            steps_taken: list | None = None):
     """Real-valued pipeline: apply physical controls, return the encounter
     point.
 
@@ -593,8 +584,8 @@ def propagate_with_controls(event: ConjunctionEvent, schedule: ControlSchedule,
     free control; None means ballistic. ``start`` is the design's
     :class:`Start`, as held by :attr:`ReferenceTrajectory.start`, whose
     plan the pass steps on; without it the pass back-propagates first.
-    Returns the (xi, zeta) position in km on ``event.bplane`` at closest
-    approach.
+    ``steps_taken`` gets each segment's steps. Returns the (xi, zeta)
+    position in km on ``event.bplane`` at closest approach.
     """
     config = config or PropagationConfig()
     if phi_physical is None:
@@ -608,7 +599,7 @@ def propagate_with_controls(event: ConjunctionEvent, schedule: ControlSchedule,
 
     start = start or _start_state(event, schedule, config, fixed_impulses)
     return np.array(_thread_trajectory(event, schedule, start, controls, 1.0,
-                                       fixed_impulses))
+                                       fixed_impulses, steps_taken))
 
 
 def reference_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,

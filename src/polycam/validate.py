@@ -16,7 +16,7 @@ import numpy as np
 from .conjunction import ConjunctionEvent, poc_chan, poc_quadrature
 from .dynamics import PropagationConfig
 from .errors import ConfigurationError
-from .mapbuilder import (ControlSchedule, PocMap, Start, segment_steps,
+from .mapbuilder import (ControlSchedule, PocMap, Start,
                          propagate_with_controls, reference_trajectory)
 
 __all__ = ["ValidationReport", "validate_solution"]
@@ -74,9 +74,10 @@ def validate_solution(event: ConjunctionEvent, schedule: ControlSchedule,
             "propagation config")
     else:
         reference = pmap.reference
+    steps = []
     r_b_after = propagate_with_controls(event, schedule, phi_physical, config,
                                         reference.fixed_impulses,
-                                        reference.start)
+                                        reference.start, steps)
 
     validated = poc_chan(r_b_after, event.bplane.p_b, event.hbr_km)
     oracle = poc_quadrature(r_b_after, event.bplane.p_b, event.hbr_km)
@@ -100,5 +101,5 @@ def validate_solution(event: ConjunctionEvent, schedule: ControlSchedule,
         bplane_before_km=reference.bplane_km,
         bplane_after_km=r_b_after,
         chan_quadrature_agree=agree,
-        segment_steps=tuple(segment_steps(event, schedule, reference)),
+        segment_steps=tuple(steps),
     )

@@ -15,7 +15,7 @@ from polycam.mapbuilder import (ACCEL_REF_MS2, ControlSchedule,
                                 _relative_bplane_position,
                                 _to_internal_units, build_poc_map,
                                 gradient_norm_per_node,
-                                propagate_with_controls, segment_steps)
+                                propagate_with_controls)
 from polycam.scenarios import generate_synthetic_suite, scenario_to_event
 from polycam.solver import SolverConfig, solve_recursive
 from polycam.validate import validate_solution
@@ -321,7 +321,8 @@ class TestReferenceTrajectory:
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(
             -1.5 * leo_period, -0.5 * leo_period))
         pmap = build_poc_map(leo_event, sched, order=2)
-        validate_solution(leo_event, sched, np.full(6, 0.01), 1e-6, pmap=pmap)
+        report = validate_solution(leo_event, sched, np.full(6, 0.01), 1e-6,
+                                   pmap=pmap)
         picked = pmap.reference.start.plan
         assert plans[0][2] is picked
         scale, _ = _to_internal_units(leo_event)
@@ -333,10 +334,31 @@ class TestReferenceTrajectory:
             assert {t0, t1} <= nodes | {0.0}
         # Kepler coasts take one closed-form step each; an integrated
         # regime reports the steps of the legs that the passes step on
-        assert segment_steps(leo_event, sched, pmap.reference) == [1, 1]
+        assert report.segment_steps == (1, 1)
         j2 = replace(leo_event, dynamics=dyn.DynamicsModel(kind=dyn.J2))
-        assert segment_steps(j2, sched, pmap.reference) == [
-            plan.steps for _, _, plan in plans[1:3]]
+        taken = []
+        propagate_with_controls(j2, sched, np.full(6, 0.01),
+                                start=pmap.reference.start, steps_taken=taken)
+        assert taken == [plan.steps for _, _, plan in plans[1:3]]
+
+    def test_off_ellipse_coast_reports_its_integration_steps(self, leo_event,
+                                                            leo_period):
+        # a hyperbolic primary has no Kepler anomaly: its coasts integrate
+        # on the mesh and report its steps
+        fast = replace(leo_event, **{
+            name: dyn.SpacecraftState(r=state.r, v=1.5 * state.v)
+            for name, state in (("primary", leo_event.primary),
+                                ("secondary", leo_event.secondary))})
+        sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(
+            -0.3 * leo_period, -0.1 * leo_period))
+        report = validate_solution(fast, sched, np.full(6, 0.01), 1e-6)
+        ref = mapbuilder.reference_trajectory(fast, sched)
+        scale, _ = _to_internal_units(fast)
+        epochs = [t / scale.time_s for t in (*sched.node_epochs, 0.0)]
+        assert report.segment_steps == tuple(
+            ref.start.plan.between(t0, t1).steps
+            for t0, t1 in zip(epochs, epochs[1:]))
+        assert min(report.segment_steps) > 1
 
     def test_reference_holds_the_ballistic_pass(self, leo_event, leo_period):
         sched = ControlSchedule(mode=IMPULSIVE,
@@ -542,15 +564,19 @@ def direct_poc_map(event, schedule, order, config):
 
 
 class TestComposedMatchesDirect:
-    @pytest.mark.parametrize("mode, orbits, arcs, order, steps", [
-        (IMPULSIVE, (0.75, 0.5, 0.25), None, 3, 10),
+    @pytest.mark.parametrize("mode, orbits, arcs, order, steps, kind", [
+        (IMPULSIVE, (0.75, 0.5, 0.25), None, 3, 10, dyn.KEPLER),
+        (IMPULSIVE, (0.75, 0.5, 0.25), None, 3, 10, dyn.J2),
         (LOW_THRUST, (1.05, 0.95, 0.8, 0.7, 0.55, 0.45, 0.3, 0.2),
-         (2, 2, 2, 2), 2, 10),
-    ], ids=["impulsive-9", "low-thrust-12"])
+         (2, 2, 2, 2), 2, 10, dyn.KEPLER),
+    ], ids=["impulsive-9", "impulsive-9-j2", "low-thrust-12"])
     def test_coefficients_by_degree(self, leo_event, leo_period, mode,
-                                    orbits, arcs, order, steps):
+                                    orbits, arcs, order, steps, kind):
         # the last nodes' segments run in algebras above 6 + k variables,
-        # so they are composed from flow maps; the oracle integrates them
+        # so they are composed from flow maps, except for a Kepler coast,
+        # which takes its closed form there as in the oracle; the oracle
+        # propagates every segment in the full algebra
+        leo_event = replace(leo_event, dynamics=dyn.DynamicsModel(kind=kind))
         sched = ControlSchedule(
             mode=mode, node_epochs=tuple(-k * leo_period for k in orbits),
             arc_lengths=arcs)
