@@ -14,7 +14,8 @@ program of row functions (:func:`~polycam.dapoly.record`) and runs it on
 the block's rows at every stage whose six rows are polynomials.
 Steps are equal (a count per span) or follow a :class:`Mesh`, which a
 real or complex pass fills by error control (:func:`_controlled_steps`).
-A Kepler coast on such a plan takes one exact step (:func:`kepler_anomaly`).
+A Kepler coast on such a plan takes one exact step (:func:`kepler_anomaly`);
+a mesh of such coasts alone is marked ``closed``.
 """
 
 from __future__ import annotations
@@ -127,10 +128,18 @@ BARE_CONFIG = PropagationConfig(steps=100)
 class Mesh:
     """Step boundaries of a pass, in its direction. An empty mesh handed to
     :func:`propagate_vector` is filled by error control, ``adjoint``
-    scaling the state's imaginary part (see :func:`_controlled_steps`)."""
+    scaling the state's imaginary part (see :func:`_controlled_steps`).
+    A ``closed`` mesh bounds closed-form coasts (:func:`kepler_anomaly`),
+    not RK steps: a real or complex integration on it fills it the same
+    way, and a polynomial or batched one raises
+    :class:`PropagationError`. ``weight`` is the least factor on a step's
+    error when error control fills the mesh, standing in for the adjoint
+    that a real pass does not carry."""
 
-    def __init__(self, times: Sequence[float] = (), adjoint: float = 0.0):
+    def __init__(self, times: Sequence[float] = (), adjoint: float = 0.0,
+                 closed: bool = False, weight: float = 1.0):
         self.times, self.adjoint = list(times), adjoint
+        self.closed, self.weight = closed, weight
 
     @property
     def steps(self) -> int:
@@ -140,7 +149,8 @@ class Mesh:
         """The steps from t0 to t1; those straddling either end are split."""
         lo, hi = sorted((t0, t1))
         return Mesh([t0, *sorted((t for t in self.times if lo < t < hi),
-                                 reverse=t1 < t0), t1])
+                                 reverse=t1 < t0), t1],
+                    closed=self.closed, weight=self.weight)
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +363,10 @@ def _controlled_steps(y, t0: float, t1: float, slope, mesh: Mesh) -> list:
     """Integrate a real or complex state from t0 to t1 on steps that keep
     the pair's local error e = 41/840 h (f0 + f10 - f11 - f12) within
     ``STEP_TOL`` (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4),
-    filling ``mesh``. The norm is the largest |Re e| times max(1,
-    |lambda|), where lambda = ``mesh.adjoint`` * Im y: a bound on e's
-    first-order effect, in any direction, on the quantity that lambda is
-    the adjoint of (for a design, log PoC; see
+    filling ``mesh``. The norm is the largest |Re e| times
+    max(``mesh.weight``, |lambda|), where lambda = ``mesh.adjoint`` * Im y:
+    a bound on e's first-order effect, in any direction, on the quantity
+    that lambda is the adjoint of (for a design, log PoC; see
     :func:`polycam.mapbuilder._back_propagation`). A step below 1e-10 of the
     span, or a count past ``MAX_STEPS``, raises :class:`PropagationError`."""
     t, h = t0, t1 - t0
@@ -373,7 +383,8 @@ def _controlled_steps(y, t0: float, t1: float, slope, mesh: Mesh) -> list:
             trial, f = _rk_step(y, h, _scalar_axpy, slope, _PAIR_ROWS)
             err = max(abs((a + b - c - d).real)
                       for a, b, c, d in zip(f[0], f[10], f[11], f[12]))
-            weight = max(1.0, mesh.adjoint * max(abs(c.imag) for c in trial))
+            weight = max(mesh.weight,
+                         mesh.adjoint * max(abs(c.imag) for c in trial))
             ratio = abs(h) * 41 / 840 * err * weight / STEP_TOL
         except (ArithmeticError, ValueError):
             ratio = math.inf
@@ -410,9 +421,10 @@ def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
     (first-order hold); backward spans are allowed. The steps are
     ``config.steps`` equal ones (``BARE_CONFIG``'s 100 without a config)
     or a filled :class:`Mesh`'s from t0 to t1. A real or complex scalar
-    state may instead have error control pick them, into an empty mesh or,
-    for a config without a count, with no adjoint; a polynomial or
-    batched state needs a count or a filled mesh. A real or
+    state may instead have error control pick them, into an empty or
+    ``closed`` mesh or, for a config without a count, with no adjoint; a
+    polynomial or batched state needs a count or a filled mesh, and
+    raises :class:`PropagationError` on a closed one. A real or
     complex scalar state that stops being finite raises
     :class:`PropagationError`.
 
@@ -444,11 +456,16 @@ def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
     if not isinstance(config, Mesh) and config.steps is None:
         config = Mesh()
     if isinstance(config, Mesh):
+        if not guard_finite and config.closed:
+            raise PropagationError(
+                f"no steps for a polynomial or batched state from t={t0!r}: "
+                "its plan holds closed-form coasts only", time=t0)
         if not (config.times or guard_finite):
             raise ConfigurationError(
                 "a polynomial or batched state needs a step count or a "
                 "filled mesh")
-        if not config.times:
+        if not config.times or config.closed:
+            config.closed = False
             return _controlled_steps(y, t0, t1, slope, config)
         steps = [(b - a, b) for a, b in zip(config.times, config.times[1:])]
     else:
@@ -496,9 +513,11 @@ def kepler_anomaly(y0: Sequence, u: Sequence, t0: float, t1: float,
     or constant part of ``y0``; None where it integrates: a control other
     than a real zero, another model, a zero span, an empty mesh, a state
     off a non-degenerate ellipse (alpha = 2/r - v^2/mu <= 0, or |r x v| <=
-    1e-12 |r| |v|) or a Newton unconverged in 50 steps from x = M on x +
-    c1 (1 - cos x) - c2 sin x = M, M = sqrt(mu alpha^3) (t1 - t0), c1 = r.v
-    sqrt(alpha / mu), c2 = 1 - r alpha (Battin 1999, ch. 4)."""
+    1e-12 |r| |v|), a conic whose periapsis p / (1 + e) lies inside the
+    body (p <= r_e (1 + e), p = |r x v|^2 / mu, e^2 = 1 - p alpha) or a
+    Newton unconverged in 50 steps from x = M on x + c1 (1 - cos x) - c2
+    sin x = M, M = sqrt(mu alpha^3) (t1 - t0), c1 = r.v sqrt(alpha / mu),
+    c2 = 1 - r alpha (Battin 1999, ch. 4)."""
     config = config or BARE_CONFIG
     if not (_is_coast(u) and model.kind == KEPLER and t1 != t0 and (
             config.times if isinstance(config, Mesh) else config.steps)):
@@ -508,9 +527,15 @@ def kepler_anomaly(y0: Sequence, u: Sequence, t0: float, t1: float,
     hh = sum((y[i] * y[j + 3] - y[j] * y[i + 3]) ** 2
              for i, j in ((1, 2), (2, 0), (0, 1)))  # |r x v|^2
     holds = np.all if isinstance(rr, np.ndarray) else bool
+    mu, r_e = model.mu, model.r_e
     with np.errstate(all="ignore"):
-        if not holds((rr > 0.0) & (vv * rr ** 0.5 < 2.0 * model.mu)
-                     & (hh > 1e-24 * rr * vv)):
+        r, p = rr ** 0.5, hh / mu
+        # p - r_e > r_e e, squared, times r: (1 - p alpha) r = r - p (2 -
+        # r v^2 / mu) divides by nothing
+        if not holds((rr > 0.0) & (vv * r < 2.0 * mu)
+                     & (hh > 1e-24 * rr * vv) & (p > r_e)
+                     & ((p - r_e) ** 2 * r
+                        > r_e * r_e * (r - p * (2.0 - r * vv / mu)))):
             return None
     equation = _kepler_terms(y, t1 - t0, model.mu)[4]
     x = equation[2]

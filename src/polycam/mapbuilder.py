@@ -7,7 +7,8 @@ unmaneuvered encounter. The polynomial pass and every real replay start
 from the back-propagated state and, unless a step count is set, step on
 the mesh that the back-propagation's error control picked for the
 design's log probability; a Kepler coast takes one closed-form step
-instead. Perturbation variables are attached at each node
+instead, in an impulsive design's back-propagation too. Perturbation
+variables are attached at each node
 (velocity increments for impulsive schedules, held accelerations for
 low-thrust arcs), and the perturbed state is propagated forward through the
 encounter. The state's algebra grows node by node with the variables
@@ -223,7 +224,8 @@ class Start(NamedTuple):
     propagation config when it sets a count per segment, else the
     :class:`~polycam.dynamics.Mesh` (internal time units) that the
     back-propagation's error control picked from closest approach to
-    ``epoch``, split at each pass's events.
+    ``epoch``, split at each pass's events; a ``closed`` one where its
+    segments took the closed form.
     """
 
     epoch: float
@@ -352,19 +354,24 @@ def _start_state(event: ConjunctionEvent, schedule: ControlSchedule,
                  ) -> Start:
     """The :class:`Start` at the first control event of ``schedule`` and
     ``fixed_impulses``: a one-epoch :func:`_back_propagation`, real under a
-    step count."""
+    step count, in closed form where an impulsive schedule allows."""
     epoch = min([schedule.node_epochs[0], *(float(t) for t, _ in fixed_impulses)])
-    return _back_propagation(event, [epoch], config,
-                             config.steps is None)[1][epoch][0]
+    return _back_propagation(event, [epoch], config, config.steps is None,
+                             schedule.mode == IMPULSIVE)[1][epoch][0]
 
 
 def _back_propagation(event: ConjunctionEvent, epochs: Sequence[float],
-                      config: PropagationConfig, kicked: bool = True
+                      config: PropagationConfig, kicked: bool = True,
+                      impulsive: bool = False
                       ) -> tuple[float, dict[float, tuple[Start, np.ndarray]]]:
     """One pass back from the closest-approach state, stopping at each of
     ``epochs`` in decreasing time; the trajectory is ballistic before any
     control. Each segment between stops takes ``config.steps`` steps or,
-    without a count, picks its own by error control.
+    without a count, picks its own by error control. An ``impulsive``
+    design has no thrust arc to step on that mesh, so without a count a
+    segment that :func:`~polycam.dynamics.kepler_anomaly` accepts takes
+    one closed-form step instead, and its mesh is ``closed``: a later
+    coast that the closed form refuses picks its own steps.
 
     A ``kicked`` pass carries the adjoint as a complex step. It starts as
     lambda_0 = (lambda_r, 0), the log-probability gradient in the
@@ -379,8 +386,9 @@ def _back_propagation(event: ConjunctionEvent, epochs: Sequence[float],
 
     Returns the size of lambda_r (zero where the probability underflows or
     the pass is real) and, for each epoch, its :class:`Start`, whose mesh
-    runs from closest approach through every segment to the epoch, and the
-    control-frame components of lambda_v(t) / size * ``_COMPLEX_STEP``.
+    runs from closest approach through every segment to the epoch (closed
+    if any segment was), and the control-frame components of lambda_v(t) /
+    size * ``_COMPLEX_STEP``.
     """
     scale, model_nd = _to_internal_units(event)
     r, v = event.primary.r / scale.length_km, event.primary.v / scale.velocity_kms
@@ -399,17 +407,22 @@ def _back_propagation(event: ConjunctionEvent, epochs: Sequence[float],
         y = [*(float(c) for c in r),
              *(complex(float(c), float(k)) for c, k in zip(v, kick))]
     stops = {}
-    t_cur, passed = 0.0, []
+    t_cur, passed = 0.0, Mesh()
     for t in sorted(set(epochs), reverse=True):
-        plan = Mesh(adjoint=size / _COMPLEX_STEP) \
-            if config.steps is None else config
-        y = propagate_vector(y, (0.0, 0.0, 0.0), t_cur / scale.time_s,
-                             t / scale.time_s, model_nd, plan)
+        t0, t1 = t_cur / scale.time_s, t / scale.time_s
+        # a closed mesh that the closed form refuses is filled as an empty one
+        plan = Mesh([t0, t1] if impulsive else (), size / _COMPLEX_STEP,
+                    impulsive) if config.steps is None else config
+        y = propagate_vector(y, (0.0, 0.0, 0.0), t0, t1, model_nd, plan)
         t_cur = t
         if isinstance(plan, Mesh):
-            # the segments before this one lead the mesh
-            plan.times[:0] = passed[:-1]
-            passed = plan.times
+            # the segments before this one lead the mesh; a real pass that
+            # fills a closed one holds its error to the adjoint's size here
+            plan.times[:0] = passed.times[:-1]
+            plan.closed |= passed.closed
+            if plan.closed:
+                plan.weight = max(1.0, size)
+            passed = plan
         rot = _control_rotation(event, scale, y)
         stops[t] = (Start(t, tuple(c.real for c in y), plan),
                     rot @ np.array([c.imag for c in y[:3]]))
@@ -519,16 +532,19 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
         large = poly is not None and poly.n_vars > 6 + len(scalars)
         closed = held_slot is None and (large or steps_taken is not None) \
             and kepler_anomaly(y, scalars, t0, t1, model_nd, plan) is not None
-        if steps_taken is not None:
-            steps_taken.append(1 if closed else plan.steps)
         if large and not closed:
-            return _composed_segment(
+            y = _composed_segment(
                 y, scalars, lambda s: slot_vector(s, held_slot[1]), t0, t1,
                 model_nd, plan)
-        if held_slot is None:
-            return propagate_vector(y, (0.0,) * 3, t0, t1, model_nd, plan)
-        return integrate(y, tuple(slot_vector(scalars, held_slot[1])), t0, t1,
-                         model_nd, plan)
+        elif held_slot is None:
+            y = propagate_vector(y, (0.0,) * 3, t0, t1, model_nd, plan)
+        else:
+            y = integrate(y, tuple(slot_vector(scalars, held_slot[1])), t0,
+                          t1, model_nd, plan)
+        if steps_taken is not None:
+            # read after the pass: a closed plan is filled where it integrates
+            steps_taken.append(1 if closed else plan.steps)
+        return y
 
     for _, at_epoch, t0, t1, plan in legs:
         for _, kind, payload in at_epoch:
@@ -607,7 +623,8 @@ def reference_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
                          fixed_impulses: Sequence[tuple[float, np.ndarray]] = (),
                          start: Start | None = None) -> ReferenceTrajectory:
     """The design's reference: one back-propagation to the first control
-    event, which picks the mesh without a step count (skipped when
+    event, which picks the mesh without a step count, or takes Kepler
+    coasts in closed form for an impulsive schedule (skipped when
     ``start`` already holds it, for instance from the ranking that chose
     the epoch), and one ballistic forward pass."""
     config = config or PropagationConfig()
@@ -670,7 +687,9 @@ def gradient_norm_per_node(event: ConjunctionEvent, candidate_times,
     start at its time.
 
     One complex back-propagation stops at every candidate and gives its
-    Start (see :func:`_back_propagation`). Impulsive candidates are scored
+    Start (see :func:`_back_propagation`); for impulsive candidates under
+    Kepler dynamics each of its segments is one closed-form step, so their
+    norms are exact to rounding. Impulsive candidates are scored
     by the primer vector of the probability that the pass carries (Lawden,
     *Optimal Trajectories for Space Navigation*, 1963): d(log
     PoC)/d(delta-v) at epoch t is the velocity part of the adjoint lambda(t)
@@ -693,7 +712,8 @@ def gradient_norm_per_node(event: ConjunctionEvent, candidate_times,
     config = config or PropagationConfig()
     # every candidate passes the checks of the retimed template
     singles = [template.retimed([t]) for t in candidate_times]
-    size, stops = _back_propagation(event, candidate_times, config)
+    size, stops = _back_propagation(event, candidate_times, config,
+                                    impulsive=template.mode == IMPULSIVE)
     v_unit = _to_internal_units(event)[0].velocity_kms
     gain = template.unit * 1e-3 / v_unit * size / _COMPLEX_STEP
     out = []

@@ -561,7 +561,7 @@ class TestErrorControl:
     """Steps picked by the embedded 7(8) pair, recorded in a Mesh."""
 
     LEO = [1.0, 0.0, 0.0, 0.0, 1.0, 0.05]  # internal units, mu = 1
-    UNIT = dyn.DynamicsModel(kind=dyn.KEPLER, mu=1.0)
+    UNIT = dyn.DynamicsModel(kind=dyn.KEPLER, mu=1.0, r_e=0.9)  # r_e < 1: LEO
 
     @pytest.mark.parametrize("steps", [1, 7, 60])
     def test_fixed_count_makes_eleven_evaluations_per_step(self, monkeypatch,
@@ -628,6 +628,20 @@ class TestErrorControl:
             dyn.propagate_vector(state(self.LEO), (0.0, 0.0, 0.0), 0.0, 1.0,
                                  self.UNIT, plan())
 
+    def test_closed_mesh_is_filled_like_an_empty_one(self):
+        # its times bound closed-form coasts, not RK steps: a coast off an
+        # ellipse picks its own, and a polynomial one has none to take
+        y0, zero = [1.0, 0.0, 0.0, 0.0, 1.5, 0.0], (0.0, 0.0, 0.0)
+        closed = dyn.Mesh([0.0, 3.0], closed=True)
+        got = dyn.propagate_vector(y0, zero, 0.0, 3.0, self.UNIT, closed)
+        assert got == dyn.propagate_vector(y0, zero, 0.0, 3.0, self.UNIT,
+                                           dyn.Mesh())
+        assert closed.steps > 1 and not closed.closed
+        with pytest.raises(dyn.PropagationError,
+                           match="closed-form coasts only"):
+            dyn.propagate_vector(poly_state(y0, 1e-4), zero, 0.0, 3.0,
+                                 self.UNIT, dyn.Mesh([0.0, 3.0], closed=True))
+
     def test_unset_count_picks_real_steps_by_error_control(self):
         unset = dyn.propagate_vector(self.LEO, (0.0, 0.0, 0.0), 0.0, 3.0,
                                      self.UNIT, dyn.PropagationConfig())
@@ -640,7 +654,7 @@ class TestKeplerCoast:
     """A two-body coast on a given plan takes one closed-form step."""
 
     LEO = [1.0, 0.02, 0.01, -0.03, 1.05, 0.1]  # internal units, mu = 1
-    UNIT = dyn.DynamicsModel(kind=dyn.KEPLER, mu=1.0)
+    UNIT = dyn.DynamicsModel(kind=dyn.KEPLER, mu=1.0, r_e=0.9)  # r_e < 1: LEO
     ONE = dyn.PropagationConfig(steps=1)
 
     def period(self):
@@ -730,7 +744,9 @@ class TestKeplerCoast:
 
     @pytest.mark.parametrize("state", [
         [1.0, 0.0, 0.0, 0.0, 1.5, 0.0],
-        [1.0, 0.0, 0.0, 0.3, 0.0, 0.0]], ids=["hyperbolic", "radial"])
+        [1.0, 0.0, 0.0, 0.3, 0.0, 0.0],
+        [1.0, 0.0, 0.0, 0.3, 0.5, 0.0]],
+        ids=["hyperbolic", "radial", "periapsis-inside-the-body"])
     def test_state_off_an_ellipse_integrates(self, state):
         plan = dyn.PropagationConfig(steps=40)
         got = dyn.propagate_vector(state, (0.0, 0.0, 0.0), 0.0, 0.5,

@@ -9,7 +9,7 @@ from polycam import cli, mapbuilder, solver
 from polycam.cli import build_parser, run_scenario
 from polycam.conjunction import log_poc_chan, poc_chan
 from polycam.dapoly import AlgebraConfig, TaylorPoly
-from polycam.errors import ConfigurationError
+from polycam.errors import ConfigurationError, PropagationError
 from polycam.mapbuilder import (ACCEL_REF_MS2, ControlSchedule,
                                 IMPULSIVE, LOW_THRUST,
                                 _relative_bplane_position,
@@ -264,8 +264,9 @@ class TestReferenceTrajectory:
         assert own.plan.times != start.plan.times
 
     def test_ranked_start_moves_the_validated_poc_below_1e_6(self, leo_doc):
-        # a ranked design steps on the ranking's mesh, which breaks at the
-        # later candidates; a pass of its own picks another mesh
+        # a ranked design starts from the ranking's pass, which breaks at
+        # the later candidates; a pass of its own stops once (under Kepler
+        # dynamics both take closed-form segments, so only rounding differs)
         event = scenario_to_event(leo_doc)
         period = dyn.osculating_period(event.primary, event.dynamics)
         grid = [-f * period for f in (0.5, 1.0, 1.5, 2.0)]
@@ -332,14 +333,46 @@ class TestReferenceTrajectory:
             assert plan.times[0] == t0 and plan.times[-1] == t1
             assert set(plan.times[1:-1]) <= set(picked.times)
             assert {t0, t1} <= nodes | {0.0}
-        # Kepler coasts take one closed-form step each; an integrated
+        # Kepler coasts take one closed-form step each, the
+        # back-propagation's too, so its mesh is closed; an integrated
         # regime reports the steps of the legs that the passes step on
         assert report.segment_steps == (1, 1)
+        assert picked.closed and picked.steps == 1
         j2 = replace(leo_event, dynamics=dyn.DynamicsModel(kind=dyn.J2))
+        start = mapbuilder.reference_trajectory(j2, sched).start
         taken = []
-        propagate_with_controls(j2, sched, np.full(6, 0.01),
-                                start=pmap.reference.start, steps_taken=taken)
-        assert taken == [plan.steps for _, _, plan in plans[1:3]]
+        propagate_with_controls(j2, sched, np.full(6, 0.01), start=start,
+                                steps_taken=taken)
+        epochs = [t / scale.time_s for t in (*sched.node_epochs, 0.0)]
+        assert taken == [start.plan.between(t0, t1).steps
+                         for t0, t1 in zip(epochs, epochs[1:])]
+        assert not start.plan.closed and min(taken) > 1
+
+    def test_coast_off_a_closed_start_picks_its_own_steps(self, leo_doc):
+        # 4 km/s at half an orbit makes the orbit hyperbolic: the forward
+        # coast cannot take the closed form, and the start's closed mesh
+        # holds one step; error control picks the coast's steps instead
+        event = scenario_to_event(leo_doc)
+        period = dyn.osculating_period(event.primary, event.dynamics)
+        sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * period,))
+        start = mapbuilder.reference_trajectory(event, sched).start
+        assert start.plan.closed and start.plan.steps == 1
+        phi = np.array([0.0, 4000.0, 0.0])
+        taken = []
+        got = propagate_with_controls(event, sched, phi, start=start,
+                                      steps_taken=taken)
+        fine = propagate_with_controls(event, sched, phi,
+                                       dyn.PropagationConfig(steps=3200))
+        assert taken[0] > 1
+        assert np.linalg.norm(got - fine) <= 1e-8 * np.linalg.norm(fine)
+        # the polynomial pass has no steps to take there: exit 4
+        with pytest.raises(PropagationError,
+                           match="closed-form coasts only") as err:
+            build_poc_map(event, sched, 1, fixed_impulses=[
+                (sched.node_epochs[0], phi)], start=start)
+        code, payload = cli._failure(err.value)
+        assert code == 4
+        assert payload["error"]["class"] == "non-convergence"
 
     def test_off_ellipse_coast_reports_its_integration_steps(self, leo_event,
                                                             leo_period):
@@ -716,6 +749,65 @@ class TestGradientNormPerNode:
         assert len(norms) == 7
         assert calls["propagate_vector"] <= 7
         assert calls["_thread_trajectory"] == 0
+
+    def test_kepler_impulsive_passes_call_no_kernel(self, leo_event,
+                                                    leo_period, monkeypatch):
+        # the ranking and a design's start take closed-form coasts: no
+        # RK7(8) stage runs
+        calls = []
+        kernel = dyn._kernel_kepler_j2
+        monkeypatch.setattr(dyn, "_kernel_kepler_j2",
+                            lambda *args: calls.append(1) or kernel(*args))
+        template = ControlSchedule(mode=IMPULSIVE,
+                                   node_epochs=(-0.5 * leo_period,))
+        grid = [-k * leo_period for k in (0.5, 1.0, 1.5)]
+        starts = [start for *_, start in
+                  gradient_norm_per_node(leo_event, grid, template)]
+        starts.append(mapbuilder.reference_trajectory(
+            leo_event, template).start)
+        assert calls == []
+        assert all(start.plan.closed for start in starts)
+
+    @pytest.mark.parametrize("case", ["kepler-low-thrust", "j2-impulsive"])
+    def test_arcs_and_j2_keep_error_controlled_meshes(self, case, leo_event,
+                                                      leo_period):
+        event, template = leo_event, ControlSchedule(
+            mode=LOW_THRUST,
+            node_epochs=(-0.6 * leo_period, -0.4 * leo_period))
+        if case == "j2-impulsive":
+            event = replace(leo_event,
+                            dynamics=dyn.DynamicsModel(kind=dyn.J2))
+            template = ControlSchedule(mode=IMPULSIVE,
+                                       node_epochs=(-0.5 * leo_period,))
+        grid = [-k * leo_period for k in (0.5, 1.0, 1.5)]
+        time_s = _to_internal_units(event)[0].time_s
+        stops = [0.0, *(t / time_s for t in grid)]
+        for k, (_, _, start) in enumerate(
+                gradient_norm_per_node(event, grid, template)):
+            assert not start.plan.closed
+            assert all(start.plan.between(t0, t1).steps > 1
+                       for t0, t1 in zip(stops, stops[1:k + 2]))
+
+    def test_closed_form_norms_match_complex_step_columns(self, leo_event,
+                                                          leo_period):
+        # each impulse direction's complex step through the closed-form
+        # forward pass from the candidate's Start gives one column
+        template = ControlSchedule(mode=IMPULSIVE,
+                                   node_epochs=(-0.5 * leo_period,))
+        grid = [-k * leo_period for k in (0.3, 0.5, 1.2)]
+        for t, norm, start in gradient_norm_per_node(leo_event, grid,
+                                                     template):
+            single = template.retimed([t])
+            columns = []
+            for j in range(3):
+                kick = [1e-20j if k == j else 0.0 for k in range(3)]
+                xi, zeta = mapbuilder._thread_trajectory(
+                    leo_event, single, start, [kick], single.unit)
+                columns.append((xi.imag / 1e-20, zeta.imag / 1e-20))
+            dpoc = mapbuilder._bplane_gradient(leo_event,
+                                               (xi.real, zeta.real))
+            oracle = np.linalg.norm(dpoc @ np.array(columns).T)
+            assert abs(norm / oracle - 1.0) <= 1e-10
 
     def test_cislunar_ranking_matches_fine_step_maps(self):
         # one 100-step back-propagation per candidate ranked these epochs
