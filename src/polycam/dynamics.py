@@ -121,10 +121,6 @@ class PropagationConfig:
                 f"step count must lie in [1, {MAX_STEPS}]")
 
 
-# The steps of a propagate_vector call given no config at all.
-BARE_CONFIG = PropagationConfig(steps=100)
-
-
 class Mesh:
     """Step boundaries of a pass, in its direction. An empty mesh handed to
     :func:`propagate_vector` is filled by error control, ``adjoint``
@@ -400,7 +396,7 @@ def _controlled_steps(y, t0: float, t1: float, slope, mesh: Mesh) -> list:
 
 def propagate_vector(y0: Sequence, u: Sequence, t0: float, t1: float,
                      model: DynamicsModel,
-                     config: PropagationConfig | Mesh | None = None) -> list:
+                     config: PropagationConfig | Mesh) -> list:
     """Advance a 6-component state from t0 to t1 as :func:`integrate` does,
     or in one closed-form step for a coast with a :func:`kepler_anomaly`."""
     x = kepler_anomaly(y0, u, t0, t1, model, config)
@@ -412,20 +408,19 @@ def propagate_vector(y0: Sequence, u: Sequence, t0: float, t1: float,
 
 def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
               model: DynamicsModel,
-              config: PropagationConfig | Mesh | None = None) -> list:
+              config: PropagationConfig | Mesh) -> list:
     """RK7(8) integration of a 6-component state from t0 to t1.
 
     ``y0`` entries may be floats, complex scalars (Python or numpy),
     same-shape numpy arrays (batched states) or TaylorPoly scalars sharing
     one algebra. The control ``u`` is held constant over the span
     (first-order hold); backward spans are allowed. The steps are
-    ``config.steps`` equal ones (``BARE_CONFIG``'s 100 without a config)
-    or a filled :class:`Mesh`'s from t0 to t1. A real or complex scalar
-    state may instead have error control pick them, into an empty or
-    ``closed`` mesh or, for a config without a count, with no adjoint; a
-    polynomial or batched state needs a count or a filled mesh, and
-    raises :class:`PropagationError` on a closed one. A real or
-    complex scalar state that stops being finite raises
+    ``config.steps`` equal ones or a filled :class:`Mesh`'s from t0 to
+    t1. A real or complex scalar state may instead have error control
+    pick them, into an empty or ``closed`` mesh or, for a config without
+    a count, with no adjoint; a polynomial or batched state needs a count
+    or a filled mesh, and raises :class:`PropagationError` on a closed
+    one. A real or complex scalar state that stops being finite raises
     :class:`PropagationError`.
 
     A state with a polynomial or an array among its entries or controls
@@ -433,7 +428,6 @@ def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
     a scalar state advances entry by entry, numpy floats as Python floats.
     Both give the values of the entry-by-entry combination.
     """
-    config = config or BARE_CONFIG
     if t1 == t0:
         return list(y0)
     u = tuple(float(c) if isinstance(c, np.float64) else c for c in u)
@@ -507,7 +501,7 @@ def _kepler_step(x, c1, c2, mean):
 
 def kepler_anomaly(y0: Sequence, u: Sequence, t0: float, t1: float,
                    model: DynamicsModel,
-                   config: PropagationConfig | Mesh | None = None):
+                   config: PropagationConfig | Mesh):
     """The eccentric-anomaly change x of a coast that
     :func:`propagate_vector` takes in one closed-form step, from the real
     or constant part of ``y0``; None where it integrates: a control other
@@ -518,7 +512,6 @@ def kepler_anomaly(y0: Sequence, u: Sequence, t0: float, t1: float,
     Newton unconverged in 50 steps from x = M on x + c1 (1 - cos x) - c2
     sin x = M, M = sqrt(mu alpha^3) (t1 - t0), c1 = r.v sqrt(alpha / mu),
     c2 = 1 - r alpha (Battin 1999, ch. 4)."""
-    config = config or BARE_CONFIG
     if not (_is_coast(u) and model.kind == KEPLER and t1 != t0 and (
             config.times if isinstance(config, Mesh) else config.steps)):
         return None

@@ -27,9 +27,8 @@ every candidate and gives each its start, so a ranked design too
 back-propagates once. An impulse's first-order log-probability gradient
 is the velocity part of the adjoint of the closest-approach gradient (the
 primer vector), which that pass carries because the flows are
-Hamiltonian. A low-thrust candidate's gradient integrates the adjoint over
-its arc; it comes instead from complex-step derivatives through the real
-pipeline from its start, one per control variable.
+Hamiltonian. A held arc's gradient is that adjoint integrated over the
+arc, by Gauss-Legendre quadrature on further stops of the same pass.
 """
 
 from __future__ import annotations
@@ -66,11 +65,14 @@ LOW_THRUST = "LOW_THRUST"
 IMPULSE_REF_MS = 1.0
 ACCEL_REF_MS2 = 1.0e-4
 
-# Imaginary step of the complex-step ranking: in scaled control units on
-# the low-thrust legs, along a unit internal-velocity direction on the
-# adjoint pass. Its square vanishes against the real parts, so any tiny
-# value gives the same derivative.
+# Imaginary step of the ranking's adjoint pass, along a unit
+# internal-velocity direction. Its square vanishes against the real parts,
+# so any tiny value gives the same derivative.
 _COMPLEX_STEP = 1e-20
+
+# Gauss-Legendre nodes on [-1, 1] and their weights, at which a low-thrust
+# ranking samples the adjoint over each candidate arc.
+_ARC_NODES, _ARC_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 @dataclass(frozen=True)
@@ -382,13 +384,14 @@ def _back_propagation(event: ConjunctionEvent, epochs: Sequence[float],
     lambda_v(t) as the position part of the perturbation at t. Under CR3BP
     the same identity holds in the canonical (r, p = v + omega x r) and,
     as lambda_0 has no velocity part, gives the same lambda_v. The real
-    part is the ballistic reference that sets each epoch's control frame.
+    part is the ballistic reference, whose state at an epoch sets the
+    control frame there.
 
     Returns the size of lambda_r (zero where the probability underflows or
     the pass is real) and, for each epoch, its :class:`Start`, whose mesh
     runs from closest approach through every segment to the epoch (closed
-    if any segment was), and the control-frame components of lambda_v(t) /
-    size * ``_COMPLEX_STEP``.
+    if any segment was), and the internal inertial components of
+    lambda_v(t) / size * ``_COMPLEX_STEP``.
     """
     scale, model_nd = _to_internal_units(event)
     r, v = event.primary.r / scale.length_km, event.primary.v / scale.velocity_kms
@@ -423,9 +426,8 @@ def _back_propagation(event: ConjunctionEvent, epochs: Sequence[float],
             if plan.closed:
                 plan.weight = max(1.0, size)
             passed = plan
-        rot = _control_rotation(event, scale, y)
         stops[t] = (Start(t, tuple(c.real for c in y), plan),
-                    rot @ np.array([c.imag for c in y[:3]]))
+                    np.array([c.imag for c in y[:3]]))
     return size, stops
 
 
@@ -462,10 +464,11 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
 
     One arithmetic pipeline serves both DA map construction and the real
     replay. ``controls[slot]`` holds the control scalars of one slot
-    (TaylorPoly variables, floats, or complex scalars for complex-step
-    derivatives), one scalar for a fixed-direction control and three
-    otherwise; one unit of a scalar is ``control_unit`` physical units
-    (m/s for impulses, m/s^2 for held accelerations).
+    (TaylorPoly variables or floats; complex scalars also pass, giving
+    complex-step derivatives that check the ranking's adjoint), one scalar
+    for a fixed-direction control and three otherwise; one unit of a
+    scalar is ``control_unit`` physical units (m/s for impulses, m/s^2 for
+    held accelerations).
     ``fixed_impulses`` are (epoch, delta-v m/s in the local frame)
     constants folded into the reference.
 
@@ -689,52 +692,43 @@ def gradient_norm_per_node(event: ConjunctionEvent, candidate_times,
     One complex back-propagation stops at every candidate and gives its
     Start (see :func:`_back_propagation`); for impulsive candidates under
     Kepler dynamics each of its segments is one closed-form step, so their
-    norms are exact to rounding. Impulsive candidates are scored
-    by the primer vector of the probability that the pass carries (Lawden,
-    *Optimal Trajectories for Space Navigation*, 1963): d(log
-    PoC)/d(delta-v) at epoch t is the velocity part of the adjoint lambda(t)
-    = Phi(0, t)^T lambda_0, lambda_0 being the log-probability gradient in
-    the closest-approach state. Low-thrust candidates need the adjoint
-    integrated over each arc, so each is differentiated directly: the
-    Jacobian J of the encounter-plane position (xi, zeta) in the
-    candidate's control variables comes from the complex-step derivative
-    (Squire & Trapp, "Using complex variables to estimate derivatives of
-    real functions", SIAM Review 40, 1998). The real pipeline runs once per
-    variable from the Start, with that variable set to ``1j * h`` and the
-    others to zero, and ``Im(xi, zeta) / h`` is one column, exact to
-    rounding because nothing is subtracted. The norm is that of d(log
-    PoC)/d(xi, zeta) · J, the first factor from one order-1 series
-    evaluation at the real part of (xi, zeta).
+    norms are exact to rounding. Candidates are scored by the primer
+    vector of the probability that the pass carries (Lawden, *Optimal
+    Trajectories for Space Navigation*, 1963): d(log PoC)/d(delta-v) at
+    epoch t is the velocity part lambda_v(t) of the adjoint lambda(t) =
+    Phi(0, t)^T lambda_0, lambda_0 being the log-probability gradient in
+    the closest-approach state. An impulse takes lambda_v at its epoch; an
+    acceleration held over an arc changes the velocity at every instant
+    of it, so the pass also stops at the arc's 16 Gauss-Legendre nodes
+    and the arc takes lambda_v integrated over it. Either is rotated into
+    the control frame at the candidate's start.
     """
     candidate_times = [float(t) for t in candidate_times]
     if not candidate_times:
         raise ConfigurationError("candidate grid is empty")
     config = config or PropagationConfig()
-    # every candidate passes the checks of the retimed template
-    singles = [template.retimed([t]) for t in candidate_times]
-    size, stops = _back_propagation(event, candidate_times, config,
-                                    impulsive=template.mode == IMPULSIVE)
-    v_unit = _to_internal_units(event)[0].velocity_kms
-    gain = template.unit * 1e-3 / v_unit * size / _COMPLEX_STEP
+    # every candidate passes the checks of the retimed template; each
+    # takes lambda_v at the (epoch, weight in seconds) of its quadrature
+    quadratures = []
+    for t in candidate_times:
+        epochs = template.retimed([t]).node_epochs
+        half = 0.5 * (epochs[-1] - epochs[0])
+        quadratures.append([(t, 1.0)] if template.mode == IMPULSIVE else list(
+            zip((t + half * (1.0 + _ARC_NODES)).tolist(),
+                (half * _ARC_WEIGHTS).tolist())))
+    size, stops = _back_propagation(
+        event, [*candidate_times, *(s for q in quadratures for s, _ in q)],
+        config, impulsive=template.mode == IMPULSIVE)
+    scale = _to_internal_units(event)[0]
+    gain = template.unit * 1e-3 / scale.velocity_kms * size / _COMPLEX_STEP
     out = []
-    for t, single in zip(candidate_times, singles):
-        start, primer = stops[t]
-        if template.mode == IMPULSIVE:
-            if template.is_fixed_direction:
-                primer = template.fixed_direction @ primer
-            out.append((t, gain * float(np.linalg.norm(primer)), start))
-            continue
-        columns = []
-        for j in range(single.n_vars):
-            scalars = [1j * _COMPLEX_STEP if k == j else 0.0
-                       for k in range(single.n_vars)]
-            xi, zeta = _thread_trajectory(event, single, start, [scalars],
-                                          single.unit)
-            columns.append((xi.imag / _COMPLEX_STEP, zeta.imag / _COMPLEX_STEP))
-        # every leg shares the real part: the ballistic encounter position
-        dpoc = _bplane_gradient(event, (float(xi.real), float(zeta.real)))
-        out.append((t, float(np.linalg.norm(dpoc @ np.array(columns).T)),
-                    start))
+    for t, quadrature in zip(candidate_times, quadratures):
+        start = stops[t][0]
+        primer = _control_rotation(event, scale, start.state) @ sum(
+            w * stops[s][1] for s, w in quadrature)
+        if template.is_fixed_direction:
+            primer = template.fixed_direction @ primer
+        out.append((t, gain * float(np.linalg.norm(primer)), start))
     return out
 
 

@@ -8,18 +8,20 @@ result JSON without its timing fields (``wall_time_s`` and
 total delta-v (m/s) and the sum of the per-order iteration counts, so a
 moved digest shows whether the numbers moved only at round-off (a failed
 design prints ``-`` for each). The design lists are those of
-``perfbench/workloads.py`` at its run length, read as they are;
-``--order N`` replaces their expansion order of 5. Run it on two trees
-and compare the outputs::
+``perfbench/workloads.py`` at its run length, read as they are, then
+those of ``DESIGN_SETS`` below, which no workload runs; ``--order N``
+replaces their expansion order of 5. Run it on two trees and compare the
+outputs::
 
     python tests/replay_digests.py > after.txt
     python tests/replay_digests.py --workload single_impulse --seed 7
+    python tests/replay_digests.py --workload ranked_low_thrust
     python tests/replay_digests.py --order 3
 
-The defaults cover the three workloads at seeds 2406 and 301-303. The
-polycam package is imported from ``src/`` next to this file, and the
-workloads from ``perfbench/``. The file name keeps pytest from collecting
-it.
+The defaults cover the three workloads and the design sets at seeds 2406
+and 301-303. The polycam package is imported from ``src/`` next to this
+file, and the workloads from ``perfbench/``. The file name keeps pytest
+from collecting it.
 """
 
 from __future__ import annotations
@@ -32,6 +34,17 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_SEEDS = (2406, 301, 302, 303)
 # the benchmark's run length: each workload's design count follows from it
 RUN_SECONDS = 25.0
+# LEO designs per seed of each design set, and each set's options: ranked
+# low-thrust arcs, and three J2 impulses, whose last coast runs in the
+# 9-variable algebra and so is composed from its segment's flow map
+DESIGNS_PER_SEED = 4
+DESIGN_SETS = {
+    "ranked_low_thrust": ("--mode", "lowthrust", "--nodes", "2orb,1orb,0.5orb",
+                          "--filter-grid",
+                          "3orb,2.75orb,2.5orb,2.25orb,2orb,1.75orb,1.5orb",
+                          "--filter-keep", "1"),
+    "j2_three_node": ("--nodes", "2.5orb,1.5orb,0.5orb", "--dyn", "j2"),
+}
 
 
 def _figures(payload: dict) -> str:
@@ -47,7 +60,8 @@ def _figures(payload: dict) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", action="append",
-                        help="workload name (repeatable; default: all)")
+                        help="workload or design set name (repeatable; "
+                             "default: all)")
     parser.add_argument("--seed", type=int, action="append",
                         help="seed (repeatable; default: 2406 301 302 303)")
     parser.add_argument("--order", type=int,
@@ -57,16 +71,28 @@ def main(argv=None) -> int:
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     from checks import result_digest
     from polycam.cli import build_parser, run_scenario
-    from workloads import WORKLOADS
+    from polycam.scenarios import generate_synthetic_suite
+    from workloads import ORDER, POC_BAND, TARGET_POC, WORKLOADS, Design
 
-    names = args.workload or list(WORKLOADS)
+    def design_set(name, options):
+        def build(seed):
+            docs = generate_synthetic_suite(seed, DESIGNS_PER_SEED, "LEO",
+                                            poc_band=POC_BAND)
+            return [Design(f"{doc['name']}/{name}", doc,
+                           ("--order", str(ORDER), "--target-poc",
+                            repr(TARGET_POC), *options)) for doc in docs]
+        return build
+
+    sets = {name: (lambda seed, w=workload: w.build(
+        seed, w.count(RUN_SECONDS))) for name, workload in WORKLOADS.items()}
+    sets.update((name, design_set(name, options))
+                for name, options in DESIGN_SETS.items())
+    names = args.workload or list(sets)
     seeds = args.seed or list(DEFAULT_SEEDS)
     cli = build_parser()
     for name in names:
-        workload = WORKLOADS[name]
         for seed in seeds:
-            designs = workload.build(seed, workload.count(RUN_SECONDS))
-            for index, design in enumerate(designs):
+            for index, design in enumerate(sets[name](seed)):
                 argv = list(design.argv)
                 if args.order is not None:
                     argv[argv.index("--order") + 1] = str(args.order)

@@ -205,7 +205,7 @@ def test_criterion_7_runtime(solved_suite):
             f"{len(times)} scenarios (< 1s)")
 
 
-def _advance(state, t1, model, config=None):
+def _advance(state, t1, model, config=dyn.PropagationConfig(steps=100)):
     """Ballistic ``state`` propagated from t = 0 to ``t1``."""
     y = dyn.propagate_vector((*state.r, *state.v), (0, 0, 0), 0.0, t1, model,
                              config)

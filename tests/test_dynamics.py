@@ -16,6 +16,7 @@ from poly_reference import coeffs
 MODEL = dyn.DynamicsModel(kind=dyn.KEPLER)
 MODEL_J2 = dyn.DynamicsModel(kind=dyn.J2)
 MODEL_CR3BP = dyn.DynamicsModel(kind=dyn.CR3BP)
+STEPS_100 = dyn.PropagationConfig(steps=100)
 
 
 def circular_state(radius=7000.0, inclination=0.0):
@@ -24,7 +25,7 @@ def circular_state(radius=7000.0, inclination=0.0):
     return dyn.SpacecraftState(r=[radius, 0.0, 0.0], v=v)
 
 
-def advance(state, u, t0, t1, model, config=None):
+def advance(state, u, t0, t1, model, config=STEPS_100):
     """``state`` propagated from t0 to t1 under the held control ``u``."""
     y = dyn.propagate_vector((*state.r, *state.v), u, t0, t1, model, config)
     return dyn.SpacecraftState(r=y[:3], v=y[3:], frame=state.frame)
@@ -169,7 +170,8 @@ class TestPropagate:
         y0 = [1e-120 + 1e-140j, 0.0, 0.0, 0.0, 0.0, 0.0]
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(dyn.PropagationError) as err:
-                dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, 3000.0, MODEL)
+                dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, 3000.0, MODEL,
+                                     STEPS_100)
         assert 0.0 < err.value.time < 3000.0
 
     def test_deterministic(self):
@@ -188,8 +190,10 @@ class TestPropagateDa:
         yda = [TaylorPoly.constant(cfg, c) for c in y0]
         for i in range(3):
             yda[3 + i] = yda[3 + i] + TaylorPoly.variable(cfg, i) * 1e-3
-        out = dyn.propagate_vector(yda, (0, 0, 0), 0.0, period / 2, MODEL)
-        real = dyn.propagate_vector(y0, (0, 0, 0), 0.0, period / 2, MODEL)
+        out = dyn.propagate_vector(yda, (0, 0, 0), 0.0, period / 2, MODEL,
+                                   STEPS_100)
+        real = dyn.propagate_vector(y0, (0, 0, 0), 0.0, period / 2, MODEL,
+                                    STEPS_100)
         for poly, ref in zip(out, real):
             assert abs(poly.constant_part - ref) <= 1e-12 * max(abs(ref), 1.0)
 
@@ -201,7 +205,8 @@ class TestPropagateDa:
         yda = [TaylorPoly.constant(cfg, c) for c in y0]
         for i in range(3):
             yda[3 + i] = yda[3 + i] + TaylorPoly.variable(cfg, i) * 1e-3
-        out = dyn.propagate_vector(yda, (0, 0, 0), 0.0, period / 2, MODEL)
+        out = dyn.propagate_vector(yda, (0, 0, 0), 0.0, period / 2, MODEL,
+                                   STEPS_100)
 
         h = 1e-6
         for var in range(3):
@@ -209,8 +214,10 @@ class TestPropagateDa:
             plus[3 + var] += h
             minus = list(y0)
             minus[3 + var] -= h
-            fp = dyn.propagate_vector(plus, (0, 0, 0), 0.0, period / 2, MODEL)
-            fm = dyn.propagate_vector(minus, (0, 0, 0), 0.0, period / 2, MODEL)
+            fp = dyn.propagate_vector(plus, (0, 0, 0), 0.0, period / 2,
+                                      MODEL, STEPS_100)
+            fm = dyn.propagate_vector(minus, (0, 0, 0), 0.0, period / 2,
+                                      MODEL, STEPS_100)
             key = tuple(1 if j == var else 0 for j in range(3))
             fd = np.array([(p - m) / (2 * h) for p, m in zip(fp, fm)])
             lin = np.array([coeffs(p).get(key, 0.0) / 1e-3 for p in out])
@@ -220,8 +227,10 @@ class TestPropagateDa:
         state = circular_state()
         y0 = [*state.r, *state.v]
         batch = [np.array([c, c]) for c in y0]
-        out_b = dyn.propagate_vector(batch, (0, 0, 0), 0.0, 500.0, MODEL)
-        out_s = dyn.propagate_vector(y0, (0, 0, 0), 0.0, 500.0, MODEL)
+        out_b = dyn.propagate_vector(batch, (0, 0, 0), 0.0, 500.0, MODEL,
+                                     STEPS_100)
+        out_s = dyn.propagate_vector(y0, (0, 0, 0), 0.0, 500.0, MODEL,
+                                     STEPS_100)
         for col, ref in zip(out_b, out_s):
             np.testing.assert_allclose(col, [ref, ref], rtol=1e-15)
 
@@ -327,7 +336,8 @@ class TestBlockPath:
         # the radius has constant part 0, so its power has no expansion
         y0 = poly_state((0.0, 0.0, 0.0, 7.0, 0.0, 0.0), 1e-3)
         with pytest.raises(DomainError) as got:
-            dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, 60.0, model)
+            dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, 60.0, model,
+                                 STEPS_100)
         with pytest.raises(DomainError) as want:
             entrywise_propagate(y0, (0.0, 0.0, 0.0), 0.0, 60.0, model, 1)
         assert type(got.value) is type(want.value)
@@ -392,7 +402,8 @@ class TestBlockPath:
         y0 = [np.float64(0.0)] * 3 + [np.float64(7.0), 0.0, 0.0]
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(dyn.PropagationError) as err:
-                dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, 60.0, model)
+                dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, 60.0, model,
+                                     STEPS_100)
         assert err.value.time is not None
 
 

@@ -137,7 +137,8 @@ class TestBallisticReference:
         epoch = -0.5 * leo_period
         r, v = node_state(leo_event, epoch)
         back = dyn.propagate_vector((*r, *v), (0, 0, 0), epoch, 0.0,
-                                    leo_event.dynamics)
+                                    leo_event.dynamics,
+                                    dyn.PropagationConfig(steps=100))
         err = np.linalg.norm(np.array(back[:3]) - leo_event.primary.r)
         assert err / np.linalg.norm(leo_event.primary.r) <= 1e-9
 
@@ -642,6 +643,32 @@ class TestScalingTransparency:
         np.testing.assert_allclose(phi_physical, expected, rtol=1e-9)
 
 
+def count_pass_calls(monkeypatch):
+    """Counts of mapbuilder's ``propagate_vector`` and
+    ``_thread_trajectory`` calls."""
+    calls = {"propagate_vector": 0, "_thread_trajectory": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(mapbuilder, name,
+                            counted(name, getattr(mapbuilder, name)))
+    return calls
+
+
+def fine_map_norms(event, grid, template):
+    """Gradient norms of 400-step order-1 maps of the template retimed to
+    each grid epoch."""
+    config = dyn.PropagationConfig(steps=400)
+    return [np.linalg.norm(build_poc_map(
+        event, template.retimed([t]), order=1,
+        config=config).poly.gradient_at_zero()) for t in grid]
+
+
 class TestGradientNormPerNode:
     def test_duplicate_times_identical(self, leo_event, leo_period):
         template = ControlSchedule(mode=IMPULSIVE,
@@ -706,41 +733,41 @@ class TestGradientNormPerNode:
                                        fixed_direction=fixed)
         norms = gradient_norm_per_node(event, grid, template)
         assert [t for t, _, _ in norms] == grid
-        # low-thrust legs differentiate the same discrete pipeline as the
-        # map, from the same Start; the impulsive adjoint integrates the
-        # backward flow in steps of its own segments, so it is held to a
-        # finer-step map instead
-        duration = template.node_epochs[-1] - template.node_epochs[0]
-        for t, norm, start in norms:
-            if template.mode == IMPULSIVE:
-                epochs, tolerance = (t,), 1e-9
-                oracle_config, start = dyn.PropagationConfig(steps=400), None
-            else:
-                epochs, tolerance = (t, t + duration), 1e-11
-                oracle_config = None
-            single = ControlSchedule(mode=template.mode, node_epochs=epochs,
-                                     fixed_direction=fixed)
-            oracle = np.linalg.norm(build_poc_map(
-                event, single, order=1, config=oracle_config,
-                start=start).poly.gradient_at_zero())
+        # the adjoint integrates the backward flow in steps of its own
+        # segments (and an arc's quadrature samples it), so it is held to
+        # a finer-step map
+        for (t, norm, _), oracle in zip(norms, fine_map_norms(
+                event, grid, template)):
             assert oracle > 0.0
-            assert abs(norm - oracle) <= tolerance * oracle
+            assert abs(norm - oracle) <= 1e-9 * oracle
+
+    @pytest.mark.parametrize("case", ["one_orbit", "j2", "cislunar"])
+    def test_arc_norms_match_fine_step_maps(self, case, leo_event,
+                                            leo_period):
+        # a held arc takes the adjoint integrated over it, and a full-orbit
+        # arc's gradient cancels to about 1e-9 of its neighbours', so each
+        # norm is judged against the largest on the grid
+        event, orbits = leo_event, ((0.6, 0.4), (0.3, 0.5, 1.2))
+        if case == "one_orbit":
+            orbits = ((1.5, 0.5), (1.1, 1.5, 2.2))
+        elif case == "j2":
+            event = replace(leo_event, dynamics=dyn.DynamicsModel(kind=dyn.J2))
+        epochs, grid = ([-k * leo_period for k in kk] for kk in orbits)
+        if case == "cislunar":
+            event = scenario_to_event(
+                generate_synthetic_suite(11, 1, "CISLUNAR")[0])
+            epochs, grid = (-7200.0, -3600.0), [-7200.0, -10800.0, -20000.0]
+        template = ControlSchedule(mode=LOW_THRUST, node_epochs=epochs)
+        oracles = fine_map_norms(event, grid, template)
+        for (_, norm, _), oracle in zip(
+                gradient_norm_per_node(event, grid, template), oracles):
+            assert abs(norm - oracle) <= 1e-8 * max(oracles)
 
     @pytest.mark.parametrize("fixed", [None, (0.0, 1.0, 0.0)],
                              ids=["free", "fixed_tangential"])
     def test_impulsive_ranking_is_one_pass(self, leo_event, leo_period,
                                            monkeypatch, fixed):
-        calls = {"propagate_vector": 0, "_thread_trajectory": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(mapbuilder, name,
-                                counted(name, getattr(mapbuilder, name)))
+        calls = count_pass_calls(monkeypatch)
         template = ControlSchedule(mode=IMPULSIVE,
                                    node_epochs=(-0.5 * leo_period,),
                                    fixed_direction=fixed)
@@ -749,6 +776,41 @@ class TestGradientNormPerNode:
         assert len(norms) == 7
         assert calls["propagate_vector"] <= 7
         assert calls["_thread_trajectory"] == 0
+
+    @pytest.mark.parametrize("fixed", [None, (0.0, 1.0, 0.0)],
+                             ids=["free", "fixed_tangential"])
+    def test_low_thrust_ranking_is_one_pass(self, leo_event, leo_period,
+                                            monkeypatch, fixed):
+        # the one back-propagation stops at every candidate and at each
+        # arc's quadrature nodes; no pass runs forward
+        calls = count_pass_calls(monkeypatch)
+        template = ControlSchedule(mode=LOW_THRUST,
+                                   node_epochs=(-2 * leo_period, -leo_period),
+                                   fixed_direction=fixed)
+        grid = [-k * leo_period for k in (3, 2.75, 2.5, 2.25, 2, 1.75, 1.5)]
+        norms = gradient_norm_per_node(leo_event, grid, template)
+        assert len(norms) == 7
+        stops = 7 * (1 + len(mapbuilder._ARC_NODES))
+        assert calls["propagate_vector"] == stops
+        assert calls["_thread_trajectory"] == 0
+
+    def test_ranked_low_thrust_design_keeps_the_largest_norm(self, leo_doc):
+        grid = ["3orb", "2.75orb", "2.5orb", "2.25orb", "2orb", "1.75orb",
+                "1.5orb"]
+        code, payload = run_design(
+            leo_doc, "--mode", "lowthrust", "--nodes", "2orb,1orb,0.5orb",
+            "--filter-grid", ",".join(grid), "--filter-keep", "1")
+        assert code == 0
+        assert payload["validation"]["poc_log_error"] <= 0.1
+        event = scenario_to_event(leo_doc)
+        period = dyn.osculating_period(event.primary, event.dynamics)
+        epochs = [-float(k[:-3]) * period for k in grid]
+        template = ControlSchedule(mode=LOW_THRUST,
+                                   node_epochs=(-2 * period, -period))
+        oracles = dict(zip(epochs, fine_map_norms(event, epochs, template)))
+        kept = payload["node_epochs_s"][0]
+        assert kept in oracles
+        assert oracles[kept] >= (1.0 - 1e-6) * max(oracles.values())
 
     def test_kepler_impulsive_passes_call_no_kernel(self, leo_event,
                                                     leo_period, monkeypatch):
