@@ -287,8 +287,7 @@ def _design(doc: dict, flags: dict) -> tuple[int, dict]:
             solution = solve_recursive(pmap, solver_config)
 
         report = validate_solution(event, solution.schedule, solution.phi,
-                                   target, pmap=pmap, config=prop_config,
-                                   start=start)
+                                   target, pmap=pmap, start=start)
 
         result = {
             "status": "ok",

@@ -14,8 +14,8 @@ program of row functions (:func:`~polycam.dapoly.record`) and runs it on
 the block's rows at every stage whose six rows are polynomials.
 Steps are equal (a count per span) or follow a :class:`Mesh`, which a
 real or complex pass fills by error control (:func:`_controlled_steps`).
-A Kepler coast on such a plan takes one exact step (:func:`kepler_anomaly`);
-a mesh of such coasts alone is marked ``closed``.
+A Kepler coast takes one exact step whatever its plan
+(:func:`kepler_anomaly`), and leaves an empty mesh empty.
 """
 
 from __future__ import annotations
@@ -122,31 +122,30 @@ class PropagationConfig:
 
 
 class Mesh:
-    """Step boundaries of a pass, in its direction. An empty mesh handed to
-    :func:`propagate_vector` is filled by error control, ``adjoint``
-    scaling the state's imaginary part (see :func:`_controlled_steps`).
-    A ``closed`` mesh bounds closed-form coasts (:func:`kepler_anomaly`),
-    not RK steps: a real or complex integration on it fills it the same
-    way, and a polynomial or batched one raises
-    :class:`PropagationError`. ``weight`` is the least factor on a step's
+    """Step boundaries of a pass, in its direction. An empty mesh that
+    :func:`integrate` is handed is filled by error control for a real or
+    complex state, ``adjoint`` scaling the state's imaginary part (see
+    :func:`_controlled_steps`), and refused with :class:`PropagationError`
+    for a polynomial or batched one. A Kepler coast leaves it empty
+    (:func:`kepler_anomaly`). ``weight`` is the least factor on a step's
     error when error control fills the mesh, standing in for the adjoint
     that a real pass does not carry."""
 
     def __init__(self, times: Sequence[float] = (), adjoint: float = 0.0,
-                 closed: bool = False, weight: float = 1.0):
-        self.times, self.adjoint = list(times), adjoint
-        self.closed, self.weight = closed, weight
+                 weight: float = 1.0):
+        self.times, self.adjoint, self.weight = list(times), adjoint, weight
 
     @property
     def steps(self) -> int:
         return max(len(self.times) - 1, 0)
 
     def between(self, t0: float, t1: float) -> Mesh:
-        """The steps from t0 to t1; those straddling either end are split."""
+        """The steps from t0 to t1; those straddling either end are split.
+        An empty mesh gives an empty one."""
         lo, hi = sorted((t0, t1))
-        return Mesh([t0, *sorted((t for t in self.times if lo < t < hi),
-                                 reverse=t1 < t0), t1],
-                    closed=self.closed, weight=self.weight)
+        return Mesh(self.times and [
+            t0, *sorted((t for t in self.times if lo < t < hi),
+                        reverse=t1 < t0), t1], weight=self.weight)
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +397,9 @@ def propagate_vector(y0: Sequence, u: Sequence, t0: float, t1: float,
                      model: DynamicsModel,
                      config: PropagationConfig | Mesh) -> list:
     """Advance a 6-component state from t0 to t1 as :func:`integrate` does,
-    or in one closed-form step for a coast with a :func:`kepler_anomaly`."""
-    x = kepler_anomaly(y0, u, t0, t1, model, config)
+    or in one closed-form step, whatever the plan, for a coast with a
+    :func:`kepler_anomaly`; an empty mesh then stays empty."""
+    x = kepler_anomaly(y0, u, t0, t1, model)
     if x is None:
         return integrate(y0, u, t0, t1, model, config)
     return _kepler_coast([float(c) if isinstance(c, np.float64) else c
@@ -417,11 +417,10 @@ def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
     (first-order hold); backward spans are allowed. The steps are
     ``config.steps`` equal ones or a filled :class:`Mesh`'s from t0 to
     t1. A real or complex scalar state may instead have error control
-    pick them, into an empty or ``closed`` mesh or, for a config without
-    a count, with no adjoint; a polynomial or batched state needs a count
-    or a filled mesh, and raises :class:`PropagationError` on a closed
-    one. A real or complex scalar state that stops being finite raises
-    :class:`PropagationError`.
+    pick them, into an empty mesh or, for a config without a count, with
+    no adjoint; a polynomial or batched state needs a count or a filled
+    mesh, and raises :class:`PropagationError` on an empty one, as does a
+    real or complex scalar state that stops being finite.
 
     A state with a polynomial or an array among its entries or controls
     advances as one :class:`_Block`, one array operation per stage term;
@@ -450,16 +449,11 @@ def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
     if not isinstance(config, Mesh) and config.steps is None:
         config = Mesh()
     if isinstance(config, Mesh):
-        if not guard_finite and config.closed:
+        if not (config.times or guard_finite):
             raise PropagationError(
                 f"no steps for a polynomial or batched state from t={t0!r}: "
-                "its plan holds closed-form coasts only", time=t0)
-        if not (config.times or guard_finite):
-            raise ConfigurationError(
-                "a polynomial or batched state needs a step count or a "
-                "filled mesh")
-        if not config.times or config.closed:
-            config.closed = False
+                "it needs a step count or a filled mesh", time=t0)
+        if not config.times:
             return _controlled_steps(y, t0, t1, slope, config)
         steps = [(b - a, b) for a, b in zip(config.times, config.times[1:])]
     else:
@@ -500,20 +494,18 @@ def _kepler_step(x, c1, c2, mean):
 
 
 def kepler_anomaly(y0: Sequence, u: Sequence, t0: float, t1: float,
-                   model: DynamicsModel,
-                   config: PropagationConfig | Mesh):
+                   model: DynamicsModel):
     """The eccentric-anomaly change x of a coast that
-    :func:`propagate_vector` takes in one closed-form step, from the real
-    or constant part of ``y0``; None where it integrates: a control other
-    than a real zero, another model, a zero span, an empty mesh, a state
+    :func:`propagate_vector` takes in one closed-form step on any plan,
+    from the real or constant part of ``y0``; None where it integrates: a
+    control other than a real zero, another model, a zero span, a state
     off a non-degenerate ellipse (alpha = 2/r - v^2/mu <= 0, or |r x v| <=
     1e-12 |r| |v|), a conic whose periapsis p / (1 + e) lies inside the
     body (p <= r_e (1 + e), p = |r x v|^2 / mu, e^2 = 1 - p alpha) or a
     Newton unconverged in 50 steps from x = M on x + c1 (1 - cos x) - c2
     sin x = M, M = sqrt(mu alpha^3) (t1 - t0), c1 = r.v sqrt(alpha / mu),
     c2 = 1 - r alpha (Battin 1999, ch. 4)."""
-    if not (_is_coast(u) and model.kind == KEPLER and t1 != t0 and (
-            config.times if isinstance(config, Mesh) else config.steps)):
+    if not (_is_coast(u) and model.kind == KEPLER and t1 != t0):
         return None
     y = [c.constant_part if isinstance(c, TaylorPoly) else c.real for c in y0]
     rr, vv = sum(c * c for c in y[:3]), sum(c * c for c in y[3:])

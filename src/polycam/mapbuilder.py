@@ -7,8 +7,8 @@ unmaneuvered encounter. The polynomial pass and every real replay start
 from the back-propagated state and, unless a step count is set, step on
 the mesh that the back-propagation's error control picked for the
 design's log probability; a Kepler coast takes one closed-form step
-instead, in an impulsive design's back-propagation too. Perturbation
-variables are attached at each node
+instead, whatever the plan, in an impulsive design's back-propagation
+too. Perturbation variables are attached at each node
 (velocity increments for impulsive schedules, held accelerations for
 low-thrust arcs), and the perturbed state is propagated forward through the
 encounter. The state's algebra grows node by node with the variables
@@ -226,8 +226,9 @@ class Start(NamedTuple):
     propagation config when it sets a count per segment, else the
     :class:`~polycam.dynamics.Mesh` (internal time units) that the
     back-propagation's error control picked from closest approach to
-    ``epoch``, split at each pass's events; a ``closed`` one where its
-    segments took the closed form.
+    ``epoch``, split at each pass's events; an empty one once a segment
+    took the closed form, so that a pass's coast takes it too or, refused,
+    picks its own steps.
     """
 
     epoch: float
@@ -243,13 +244,12 @@ class ReferenceTrajectory:
     replay of the design begin from. ``bplane_km`` is the (xi, zeta)
     encounter-plane position in km of the ballistic forward pass, with
     every control at zero, and ``ballistic_poc`` the probability there.
-    The ``fixed_impulses`` are folded into the ballistic pass, and
-    ``config`` is the propagation it was asked for.
+    The ``fixed_impulses`` are folded into the ballistic pass. Every pass
+    of the design steps on the start's plan.
     """
 
     start: Start
     fixed_impulses: tuple[tuple[float, np.ndarray], ...]
-    config: PropagationConfig
     bplane_km: np.ndarray
     ballistic_poc: float
 
@@ -356,7 +356,7 @@ def _start_state(event: ConjunctionEvent, schedule: ControlSchedule,
                  ) -> Start:
     """The :class:`Start` at the first control event of ``schedule`` and
     ``fixed_impulses``: a one-epoch :func:`_back_propagation`, real under a
-    step count, in closed form where an impulsive schedule allows."""
+    step count."""
     epoch = min([schedule.node_epochs[0], *(float(t) for t, _ in fixed_impulses)])
     return _back_propagation(event, [epoch], config, config.steps is None,
                              schedule.mode == IMPULSIVE)[1][epoch][0]
@@ -369,11 +369,12 @@ def _back_propagation(event: ConjunctionEvent, epochs: Sequence[float],
     """One pass back from the closest-approach state, stopping at each of
     ``epochs`` in decreasing time; the trajectory is ballistic before any
     control. Each segment between stops takes ``config.steps`` steps or,
-    without a count, picks its own by error control. An ``impulsive``
-    design has no thrust arc to step on that mesh, so without a count a
-    segment that :func:`~polycam.dynamics.kepler_anomaly` accepts takes
-    one closed-form step instead, and its mesh is ``closed``: a later
-    coast that the closed form refuses picks its own steps.
+    without a count, picks its own by error control into an empty
+    :class:`~polycam.dynamics.Mesh`. A segment that
+    :func:`~polycam.dynamics.kepler_anomaly` accepts takes one closed-form
+    step instead and leaves its mesh empty, unless a low-thrust design
+    without a count needs the mesh for its arcs to step on. A later coast
+    on an empty mesh that the closed form refuses picks its own steps.
 
     A ``kicked`` pass carries the adjoint as a complex step. It starts as
     lambda_0 = (lambda_r, 0), the log-probability gradient in the
@@ -389,9 +390,9 @@ def _back_propagation(event: ConjunctionEvent, epochs: Sequence[float],
 
     Returns the size of lambda_r (zero where the probability underflows or
     the pass is real) and, for each epoch, its :class:`Start`, whose mesh
-    runs from closest approach through every segment to the epoch (closed
-    if any segment was), and the internal inertial components of
-    lambda_v(t) / size * ``_COMPLEX_STEP``.
+    runs from closest approach through every segment to the epoch (empty
+    if any segment's is) and carries ``weight`` = max(1, size), and the
+    internal inertial components of lambda_v(t) / size * ``_COMPLEX_STEP``.
     """
     scale, model_nd = _to_internal_units(event)
     r, v = event.primary.r / scale.length_km, event.primary.v / scale.velocity_kms
@@ -409,23 +410,23 @@ def _back_propagation(event: ConjunctionEvent, epochs: Sequence[float],
         kick = -_COMPLEX_STEP * lam_r / size if size else np.zeros(3)
         y = [*(float(c) for c in r),
              *(complex(float(c), float(k)) for c, k in zip(v, kick))]
+    # without a count, low-thrust arcs step on the mesh that coasts fill
+    step = propagate_vector if impulsive or config.steps else integrate
     stops = {}
-    t_cur, passed = 0.0, Mesh()
+    t_cur, passed = 0.0, [0.0]
     for t in sorted(set(epochs), reverse=True):
         t0, t1 = t_cur / scale.time_s, t / scale.time_s
-        # a closed mesh that the closed form refuses is filled as an empty one
-        plan = Mesh([t0, t1] if impulsive else (), size / _COMPLEX_STEP,
-                    impulsive) if config.steps is None else config
-        y = propagate_vector(y, (0.0, 0.0, 0.0), t0, t1, model_nd, plan)
+        plan = config if config.steps else Mesh(adjoint=size / _COMPLEX_STEP)
+        y = step(y, (0.0, 0.0, 0.0), t0, t1, model_nd, plan)
         t_cur = t
         if isinstance(plan, Mesh):
-            # the segments before this one lead the mesh; a real pass that
-            # fills a closed one holds its error to the adjoint's size here
-            plan.times[:0] = passed.times[:-1]
-            plan.closed |= passed.closed
-            if plan.closed:
-                plan.weight = max(1.0, size)
-            passed = plan
+            # the segments before lead the mesh, empty from the first closed
+            # form on; a real pass refilling it weighs its error by the
+            # adjoint's size
+            plan.times = [*passed[:-1], *plan.times] \
+                if plan.times and passed else []
+            plan.weight = max(1.0, size)
+            passed = plan.times
         stops[t] = (Start(t, tuple(c.real for c in y), plan),
                     np.array([c.imag for c in y[:3]]))
     return size, stops
@@ -534,7 +535,7 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
                     None)
         large = poly is not None and poly.n_vars > 6 + len(scalars)
         closed = held_slot is None and (large or steps_taken is not None) \
-            and kepler_anomaly(y, scalars, t0, t1, model_nd, plan) is not None
+            and kepler_anomaly(y, scalars, t0, t1, model_nd) is not None
         if large and not closed:
             y = _composed_segment(
                 y, scalars, lambda s: slot_vector(s, held_slot[1]), t0, t1,
@@ -545,7 +546,7 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
             y = integrate(y, tuple(slot_vector(scalars, held_slot[1])), t0,
                           t1, model_nd, plan)
         if steps_taken is not None:
-            # read after the pass: a closed plan is filled where it integrates
+            # read after the pass: an empty plan is filled where it integrates
             steps_taken.append(1 if closed else plan.steps)
         return y
 
@@ -629,15 +630,14 @@ def reference_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
     event, which picks the mesh without a step count, or takes Kepler
     coasts in closed form for an impulsive schedule (skipped when
     ``start`` already holds it, for instance from the ranking that chose
-    the epoch), and one ballistic forward pass."""
+    the epoch), and one ballistic forward pass on the start's plan."""
     config = config or PropagationConfig()
     fixed_impulses = tuple(fixed_impulses)
     start = start or _start_state(event, schedule, config, fixed_impulses)
     r_b = propagate_with_controls(event, schedule, None, config,
                                   fixed_impulses, start)
     return ReferenceTrajectory(
-        start=start, fixed_impulses=fixed_impulses, config=config,
-        bplane_km=r_b,
+        start=start, fixed_impulses=fixed_impulses, bplane_km=r_b,
         ballistic_poc=poc_chan(r_b, event.bplane.p_b, event.hbr_km))
 
 

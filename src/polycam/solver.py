@@ -43,6 +43,10 @@ _GRADIENT_FLOOR = 1e-20
 # finite.
 MAX_ORDER = 10
 MAX_ITERATIONS = 100_000
+# Ranking norms closer than this share of the grid's largest norm tie: 50
+# times the ranking's own error, and 100 times the gap between a Kepler
+# arc's norm and the same arc's one orbit earlier.
+_NORM_TIE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -240,12 +244,18 @@ def solve_recursive(pmap: PocMap, config: SolverConfig) -> ManeuverSolution:
 def _ranked(event: ConjunctionEvent, times, template: ControlSchedule,
             config: PropagationConfig | None
             ) -> list[tuple[float, float, Start]]:
-    """The ranking's (time, norm, Start) candidates by decreasing norm; ties
-    go to the earlier time, then the earlier grid position."""
-    ranking = gradient_norm_per_node(event, times, template, config)
-    order = sorted(range(len(ranking)),
-                   key=lambda i: (-ranking[i][1], ranking[i][0], i))
-    return [ranking[i] for i in order]
+    """The ranking's (time, norm, Start) candidates by decreasing norm.
+    Norms within ``_NORM_TIE`` times the grid's largest norm of the
+    largest one left tie with it, and the earliest of them (by time, then
+    grid position) comes next."""
+    left = sorted(gradient_norm_per_node(event, times, template, config),
+                  key=lambda item: item[0])
+    band = _NORM_TIE * max(norm for _, norm, _ in left)
+    out = []
+    while left:
+        top = max(norm for _, norm, _ in left) - band
+        out.append(left.pop(next(k for k, c in enumerate(left) if c[1] >= top)))
+    return out
 
 
 def filter_nodes(event: ConjunctionEvent, dense_times, keep: int,
@@ -253,10 +263,11 @@ def filter_nodes(event: ConjunctionEvent, dense_times, keep: int,
                  config: PropagationConfig | None = None
                  ) -> tuple[ControlSchedule, Start]:
     """Keep the ``keep`` candidate epochs with the largest first-order
-    probability-gradient norm (ties broken by earlier time, then grid
-    position), as the template retimed to them in chronological order,
-    and the ranking's :class:`~polycam.mapbuilder.Start` at the first of
-    them, from which a map of that schedule starts."""
+    probability-gradient norm (norms within 1e-8 of the grid's largest
+    tie, and the earlier time, then grid position, wins), as the template
+    retimed to them in chronological order, and the ranking's
+    :class:`~polycam.mapbuilder.Start` at the first of them, from which a
+    map of that schedule starts."""
     dense_times = [float(t) for t in dense_times]
     if not dense_times:
         raise ConfigurationError("candidate grid is empty")

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conjunction import ConjunctionEvent, poc_chan, poc_quadrature
-from .dynamics import PropagationConfig
 from .errors import ConfigurationError
 from .mapbuilder import (ControlSchedule, PocMap, Start,
                          propagate_with_controls, reference_trajectory)
@@ -46,7 +45,6 @@ class ValidationReport:
 def validate_solution(event: ConjunctionEvent, schedule: ControlSchedule,
                       phi_physical, target_poc: float,
                       pmap: PocMap | None = None,
-                      config: PropagationConfig | None = None,
                       start: Start | None = None) -> ValidationReport:
     """Replay ``phi_physical`` through the real pipeline and grade it.
 
@@ -60,22 +58,20 @@ def validate_solution(event: ConjunctionEvent, schedule: ControlSchedule,
     second ballistic pass), and the report carries the mismatch between
     the map's prediction, the exponential of its log probability, and the
     validated probability. Such a map must have been built on
-    ``schedule`` itself (mode, epochs, fixed direction and arcs) with the
-    same propagation config; any other map is refused. Without a map,
-    ``start`` serves the reference as in :func:`build_poc_map`.
+    ``schedule`` itself (mode, epochs, fixed direction and arcs); any
+    other map is refused. Without a map, ``start`` serves the reference as
+    in :func:`build_poc_map`, and without either the reference is
+    back-propagated without a step count.
     """
-    config = config or PropagationConfig()
     phi_physical = np.asarray(phi_physical, dtype=np.float64)
     if pmap is None:
-        reference = reference_trajectory(event, schedule, config, start=start)
-    elif pmap.reference.config != config or pmap.schedule != schedule:
-        raise ConfigurationError(
-            "the map was built for another schedule or another "
-            "propagation config")
+        reference = reference_trajectory(event, schedule, start=start)
+    elif pmap.schedule != schedule:
+        raise ConfigurationError("the map was built for another schedule")
     else:
         reference = pmap.reference
     steps = []
-    r_b_after = propagate_with_controls(event, schedule, phi_physical, config,
+    r_b_after = propagate_with_controls(event, schedule, phi_physical, None,
                                         reference.fixed_impulses,
                                         reference.start, steps)
 

@@ -89,33 +89,30 @@ def main(argv=None) -> int:
     validate, propagate = cli.validate_solution, mapbuilder.propagate_vector
     rows = []
 
-    def replay(coast, event, schedule, phi, reference, config):
+    def replay(coast, event, schedule, phi, reference):
         mapbuilder.propagate_vector = coast
         try:
             r_b = mapbuilder.propagate_with_controls(
-                event, schedule, phi, config, reference.fixed_impulses,
+                event, schedule, phi, None, reference.fixed_impulses,
                 reference.start)
         finally:
             mapbuilder.propagate_vector = propagate
         return poc_chan(r_b, event.bplane.p_b, event.hbr_km)
 
-    def replayed(event, schedule, phi, target, pmap=None, config=None,
-                 **kwargs):
-        report = validate(event, schedule, phi, target, pmap=pmap,
-                          config=config, **kwargs)
+    def replayed(event, schedule, phi, target, pmap=None, **kwargs):
+        report = validate(event, schedule, phi, target, pmap=pmap, **kwargs)
         if event.dynamics.kind != dyn.KEPLER or report.validated_poc == 0.0:
             return report
         reference = pmap.reference if pmap is not None else \
-            mapbuilder.reference_trajectory(event, schedule, config,
+            mapbuilder.reference_trajectory(event, schedule,
                                             start=kwargs.get("start"))
         oracles = [
             replay(lambda y, u, t0, t1, model, plan=None, n=n:
                    dyn.integrate(y, u, t0, t1, model,
                                  dyn.PropagationConfig(steps=n)),
-                   event, schedule, phi, reference, config)
+                   event, schedule, phi, reference)
             for n in counts]
-        oracles.append(replay(mp_coast, event, schedule, phi, reference,
-                              config))
+        oracles.append(replay(mp_coast, event, schedule, phi, reference))
         rows.append([report.validated_poc / o - 1.0 for o in oracles]
                     + [max(abs(o / oracles[-1] - 1.0) for o in oracles[:-1])])
         print(*current, *(f"{d:+.2e}" for d in rows[-1][:-1]), flush=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from polycam import cli
 from polycam import dynamics as dyn
 from polycam.dapoly import AlgebraConfig, TaylorPoly, generic_power
 from polycam.errors import DomainError, FrameError
@@ -573,6 +574,7 @@ class TestErrorControl:
 
     LEO = [1.0, 0.0, 0.0, 0.0, 1.0, 0.05]  # internal units, mu = 1
     UNIT = dyn.DynamicsModel(kind=dyn.KEPLER, mu=1.0, r_e=0.9)  # r_e < 1: LEO
+    UNIT_J2 = dyn.DynamicsModel(kind=dyn.J2, mu=1.0, r_e=0.9)
 
     @pytest.mark.parametrize("steps", [1, 7, 60])
     def test_fixed_count_makes_eleven_evaluations_per_step(self, monkeypatch,
@@ -602,11 +604,12 @@ class TestErrorControl:
         assert replay == picked
 
     def test_mesh_meets_its_tolerance_in_fewer_steps(self):
+        # integrate, as propagate_vector takes this coast in closed form
         mesh = dyn.Mesh()
-        picked = dyn.propagate_vector(self.LEO, (0.0, 0.0, 0.0), 0.0, math.pi,
-                                      self.UNIT, mesh)
-        fine = dyn.propagate_vector(self.LEO, (0.0, 0.0, 0.0), 0.0, math.pi,
-                                    self.UNIT, dyn.PropagationConfig(1600))
+        picked = dyn.integrate(self.LEO, (0.0, 0.0, 0.0), 0.0, math.pi,
+                               self.UNIT, mesh)
+        fine = dyn.integrate(self.LEO, (0.0, 0.0, 0.0), 0.0, math.pi,
+                             self.UNIT, dyn.PropagationConfig(1600))
         assert mesh.steps < 100
         error = max(abs(a - b) for a, b in zip(picked, fine))
         assert error <= mesh.steps * dyn.STEP_TOL
@@ -635,30 +638,40 @@ class TestErrorControl:
         lambda y: poly_state(y, 1e-4),
         lambda y: [np.full(3, c) for c in y]], ids=["polynomial", "batched"])
     def test_polynomial_or_batched_state_needs_a_step_rule(self, plan, state):
-        with pytest.raises(dyn.ConfigurationError, match="step count"):
-            dyn.propagate_vector(state(self.LEO), (0.0, 0.0, 0.0), 0.0, 1.0,
-                                 self.UNIT, plan())
+        # a J2 coast and a Kepler thrust arc, which the closed form refuses
+        for model, u in ((self.UNIT_J2, (0.0,) * 3),
+                         (self.UNIT, (1e-6, 0.0, 0.0))):
+            with pytest.raises(dyn.PropagationError, match="step count"):
+                dyn.propagate_vector(state(self.LEO), u, 0.0, 1.0, model,
+                                     plan())
 
-    def test_closed_mesh_is_filled_like_an_empty_one(self):
-        # its times bound closed-form coasts, not RK steps: a coast off an
-        # ellipse picks its own, and a polynomial one has none to take
+    def test_polynomial_state_without_steps_exits_4(self):
+        with pytest.raises(dyn.PropagationError) as err:
+            dyn.propagate_vector(poly_state(self.LEO, 1e-4), (0.0,) * 3, 0.0,
+                                 1.0, self.UNIT_J2, dyn.PropagationConfig())
+        code, payload = cli._failure(err.value)
+        assert code == cli.EXIT_NONCONVERGENCE == 4
+        assert payload["error"]["class"] == "non-convergence"
+
+    def test_refused_coast_fills_an_empty_mesh(self):
+        # a coast off an ellipse picks its own steps, as integrate does, and
+        # a polynomial one has none to take
         y0, zero = [1.0, 0.0, 0.0, 0.0, 1.5, 0.0], (0.0, 0.0, 0.0)
-        closed = dyn.Mesh([0.0, 3.0], closed=True)
-        got = dyn.propagate_vector(y0, zero, 0.0, 3.0, self.UNIT, closed)
-        assert got == dyn.propagate_vector(y0, zero, 0.0, 3.0, self.UNIT,
-                                           dyn.Mesh())
-        assert closed.steps > 1 and not closed.closed
-        with pytest.raises(dyn.PropagationError,
-                           match="closed-form coasts only"):
+        mesh = dyn.Mesh()
+        got = dyn.propagate_vector(y0, zero, 0.0, 3.0, self.UNIT, mesh)
+        assert got == dyn.integrate(y0, zero, 0.0, 3.0, self.UNIT, dyn.Mesh())
+        assert mesh.steps > 1
+        with pytest.raises(dyn.PropagationError, match="step count"):
             dyn.propagate_vector(poly_state(y0, 1e-4), zero, 0.0, 3.0,
-                                 self.UNIT, dyn.Mesh([0.0, 3.0], closed=True))
+                                 self.UNIT, dyn.Mesh())
 
     def test_unset_count_picks_real_steps_by_error_control(self):
-        unset = dyn.propagate_vector(self.LEO, (0.0, 0.0, 0.0), 0.0, 3.0,
-                                     self.UNIT, dyn.PropagationConfig())
-        picked = dyn.propagate_vector(self.LEO, (0.0, 0.0, 0.0), 0.0, 3.0,
-                                      self.UNIT, dyn.Mesh())
-        assert unset == picked
+        mesh = dyn.Mesh()
+        unset = dyn.integrate(self.LEO, (0.0, 0.0, 0.0), 0.0, 3.0, self.UNIT,
+                              dyn.PropagationConfig())
+        picked = dyn.integrate(self.LEO, (0.0, 0.0, 0.0), 0.0, 3.0, self.UNIT,
+                               mesh)
+        assert unset == picked and mesh.steps > 1
 
 
 class TestKeplerCoast:
@@ -743,15 +756,30 @@ class TestKeplerCoast:
             dyn.propagate_vector(self.LEO, (0.0, 0.0, 0.0), 0.0, 3.0,
                                  self.UNIT, plan)
         assert calls == []
-        # an empty mesh is filled by error control, and a thrust arc
+        # integrate fills an empty mesh by error control, and a thrust arc
         # integrates
-        dyn.propagate_vector(self.LEO, (0.0, 0.0, 0.0), 0.0, 3.0, self.UNIT,
-                             dyn.Mesh())
+        dyn.integrate(self.LEO, (0.0, 0.0, 0.0), 0.0, 3.0, self.UNIT,
+                      dyn.Mesh())
         filled = len(calls)
         assert filled > 0
         dyn.propagate_vector(self.LEO, (1e-6, 0.0, 0.0), 0.0, 3.0, self.UNIT,
                              self.ONE)
         assert len(calls) == filled + 11
+
+    @pytest.mark.parametrize("plan", [dyn.Mesh, dyn.PropagationConfig],
+                             ids=["empty-mesh", "no-count"])
+    def test_coast_on_an_empty_plan_takes_the_closed_form(self, monkeypatch,
+                                                         plan):
+        calls = []
+        kernel = dyn._kernel_kepler_j2
+        monkeypatch.setattr(dyn, "_kernel_kepler_j2",
+                            lambda *args: calls.append(1) or kernel(*args))
+        plan = plan()
+        got = dyn.propagate_vector(self.LEO, (0.0, 0.0, 0.0), 0.0, 3.0,
+                                   self.UNIT, plan)
+        assert calls == [] and getattr(plan, "times", []) == []
+        assert got == dyn.propagate_vector(self.LEO, (0.0, 0.0, 0.0), 0.0,
+                                           3.0, self.UNIT, self.ONE)
 
     @pytest.mark.parametrize("state", [
         [1.0, 0.0, 0.0, 0.0, 1.5, 0.0],

@@ -258,11 +258,11 @@ class TestReferenceTrajectory:
         start = pmap.reference.start
         assert start.epoch == first
         assert start.state == ranked.state
-        assert start.plan.times == ranked.plan.times
+        assert start.plan.times == ranked.plan.times == []
         # the ranking's pass stops at a later candidate on the way, so its
-        # mesh is not the one a pass of its own to this epoch picks
+        # closed-form steps round otherwise than a pass of its own
         own = mapbuilder.reference_trajectory(event, pmap.schedule).start
-        assert own.plan.times != start.plan.times
+        assert own.state != start.state
 
     def test_ranked_start_moves_the_validated_poc_below_1e_6(self, leo_doc):
         # a ranked design starts from the ranking's pass, which breaks at
@@ -281,7 +281,7 @@ class TestReferenceTrajectory:
             pocs.append(validate_solution(event, sched, solution.phi, 1e-6,
                                           pmap=pmap).validated_poc)
             dvs.append(solution.dv_total_ms)
-        assert pmap.reference.start.plan.times != ranked.plan.times
+        assert pmap.reference.start.state != ranked.state
         assert abs(pocs[0] / pocs[1] - 1.0) <= 1e-6
         assert abs(dvs[0] / dvs[1] - 1.0) <= 1e-6
 
@@ -329,35 +329,39 @@ class TestReferenceTrajectory:
         assert plans[0][2] is picked
         scale, _ = _to_internal_units(leo_event)
         nodes = {t / scale.time_s for t in sched.node_epochs}
+        # Kepler coasts take one closed-form step each, the
+        # back-propagation's too, so its mesh and every leg's stay empty
         assert len(plans) == 1 + 3 * 2
         for t0, t1, plan in plans[1:]:
-            assert plan.times[0] == t0 and plan.times[-1] == t1
-            assert set(plan.times[1:-1]) <= set(picked.times)
-            assert {t0, t1} <= nodes | {0.0}
-        # Kepler coasts take one closed-form step each, the
-        # back-propagation's too, so its mesh is closed; an integrated
-        # regime reports the steps of the legs that the passes step on
+            assert plan.times == [] and {t0, t1} <= nodes | {0.0}
         assert report.segment_steps == (1, 1)
-        assert picked.closed and picked.steps == 1
+        assert picked.steps == 0
+        # an integrated regime steps on the legs of its mesh and reports
+        # their steps
         j2 = replace(leo_event, dynamics=dyn.DynamicsModel(kind=dyn.J2))
         start = mapbuilder.reference_trajectory(j2, sched).start
+        plans.clear()
         taken = []
         propagate_with_controls(j2, sched, np.full(6, 0.01), start=start,
                                 steps_taken=taken)
-        epochs = [t / scale.time_s for t in (*sched.node_epochs, 0.0)]
-        assert taken == [start.plan.between(t0, t1).steps
-                         for t0, t1 in zip(epochs, epochs[1:])]
-        assert not start.plan.closed and min(taken) > 1
+        assert len(plans) == 2
+        for t0, t1, plan in plans:
+            assert plan.times[0] == t0 and plan.times[-1] == t1
+            assert set(plan.times[1:-1]) <= set(start.plan.times)
+            assert {t0, t1} <= nodes | {0.0}
+        assert taken == [plan.steps for *_, plan in plans]
+        assert min(taken) > 1
 
-    def test_coast_off_a_closed_start_picks_its_own_steps(self, leo_doc):
+    def test_coast_off_a_closed_form_start_picks_its_own_steps(self,
+                                                               leo_doc):
         # 4 km/s at half an orbit makes the orbit hyperbolic: the forward
-        # coast cannot take the closed form, and the start's closed mesh
-        # holds one step; error control picks the coast's steps instead
+        # coast cannot take the closed form, and the start's mesh is empty;
+        # error control picks the coast's steps instead
         event = scenario_to_event(leo_doc)
         period = dyn.osculating_period(event.primary, event.dynamics)
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * period,))
         start = mapbuilder.reference_trajectory(event, sched).start
-        assert start.plan.closed and start.plan.steps == 1
+        assert start.plan.times == []
         phi = np.array([0.0, 4000.0, 0.0])
         taken = []
         got = propagate_with_controls(event, sched, phi, start=start,
@@ -367,8 +371,7 @@ class TestReferenceTrajectory:
         assert taken[0] > 1
         assert np.linalg.norm(got - fine) <= 1e-8 * np.linalg.norm(fine)
         # the polynomial pass has no steps to take there: exit 4
-        with pytest.raises(PropagationError,
-                           match="closed-form coasts only") as err:
+        with pytest.raises(PropagationError, match="step count") as err:
             build_poc_map(event, sched, 1, fixed_impulses=[
                 (sched.node_epochs[0], phi)], start=start)
         code, payload = cli._failure(err.value)
@@ -440,13 +443,6 @@ class TestReferenceTrajectory:
                                fixed_direction=np.array([0.0, 1.0, 0.0]))
         report = validate_solution(leo_event, same, [0.05], 1e-6, pmap=pmap)
         assert report.map_residual is not None
-
-    def test_map_of_another_config_is_refused(self, leo_event, leo_period):
-        sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * leo_period,))
-        pmap = build_poc_map(leo_event, sched, 1,
-                             config=dyn.PropagationConfig(steps=50))
-        with pytest.raises(ConfigurationError):
-            validate_solution(leo_event, sched, np.zeros(3), 1e-6, pmap=pmap)
 
 
 class TestBuildPocMap:
@@ -644,9 +640,9 @@ class TestScalingTransparency:
 
 
 def count_pass_calls(monkeypatch):
-    """Counts of mapbuilder's ``propagate_vector`` and
+    """Counts of mapbuilder's ``propagate_vector``, ``integrate`` and
     ``_thread_trajectory`` calls."""
-    calls = {"propagate_vector": 0, "_thread_trajectory": 0}
+    calls = {"propagate_vector": 0, "integrate": 0, "_thread_trajectory": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -782,7 +778,8 @@ class TestGradientNormPerNode:
     def test_low_thrust_ranking_is_one_pass(self, leo_event, leo_period,
                                             monkeypatch, fixed):
         # the one back-propagation stops at every candidate and at each
-        # arc's quadrature nodes; no pass runs forward
+        # arc's quadrature nodes, integrating the mesh the arcs step on; no
+        # pass runs forward
         calls = count_pass_calls(monkeypatch)
         template = ControlSchedule(mode=LOW_THRUST,
                                    node_epochs=(-2 * leo_period, -leo_period),
@@ -791,8 +788,8 @@ class TestGradientNormPerNode:
         norms = gradient_norm_per_node(leo_event, grid, template)
         assert len(norms) == 7
         stops = 7 * (1 + len(mapbuilder._ARC_NODES))
-        assert calls["propagate_vector"] == stops
-        assert calls["_thread_trajectory"] == 0
+        assert calls["integrate"] == stops
+        assert calls["propagate_vector"] == calls["_thread_trajectory"] == 0
 
     def test_ranked_low_thrust_design_keeps_the_largest_norm(self, leo_doc):
         grid = ["3orb", "2.75orb", "2.5orb", "2.25orb", "2orb", "1.75orb",
@@ -828,7 +825,29 @@ class TestGradientNormPerNode:
         starts.append(mapbuilder.reference_trajectory(
             leo_event, template).start)
         assert calls == []
-        assert all(start.plan.closed for start in starts)
+        assert all(start.plan.times == [] for start in starts)
+
+    @pytest.mark.parametrize("refused", ["near", "far"])
+    def test_start_past_a_closed_form_segment_has_an_empty_mesh(
+            self, leo_event, leo_period, monkeypatch, refused):
+        # the closed form refuses one of the pass's two segments, which
+        # fills its own mesh; a Start past the other holds an empty one, so
+        # no pass takes one RK step across a coast
+        accept = dyn.kepler_anomaly
+        cut = -0.75 * leo_period / _to_internal_units(leo_event)[0].time_s
+
+        def anomaly(y0, u, t0, t1, model):
+            if (t1 > cut) == (refused == "near"):
+                return None
+            return accept(y0, u, t0, t1, model)
+
+        monkeypatch.setattr(dyn, "kepler_anomaly", anomaly)
+        template = ControlSchedule(mode=IMPULSIVE,
+                                   node_epochs=(-0.5 * leo_period,))
+        near, far = (start.plan for *_, start in gradient_norm_per_node(
+            leo_event, [-0.5 * leo_period, -leo_period], template))
+        assert (near.steps > 1) == (refused == "near")
+        assert far.times == []
 
     @pytest.mark.parametrize("case", ["kepler-low-thrust", "j2-impulsive"])
     def test_arcs_and_j2_keep_error_controlled_meshes(self, case, leo_event,
@@ -846,7 +865,7 @@ class TestGradientNormPerNode:
         stops = [0.0, *(t / time_s for t in grid)]
         for k, (_, _, start) in enumerate(
                 gradient_norm_per_node(event, grid, template)):
-            assert not start.plan.closed
+            assert start.plan.times
             assert all(start.plan.between(t0, t1).steps > 1
                        for t0, t1 in zip(stops, stops[1:k + 2]))
 

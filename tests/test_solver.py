@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from polycam import dynamics as dyn
+from polycam import solver
 from polycam.dapoly import AlgebraConfig
 from polycam.errors import (ConfigurationError, DegenerateGradientError,
                             InfeasibleWithBoundError)
@@ -41,8 +42,7 @@ def synthetic_map(coeffs, n_vars, order, ballistic=1e-4, schedule=None):
     reference = ReferenceTrajectory(
         start=Start(schedule.node_epochs[0], (0.0,) * 6,
                     dyn.PropagationConfig(steps=100)), fixed_impulses=(),
-        config=dyn.PropagationConfig(), bplane_km=np.zeros(2),
-        ballistic_poc=ballistic)
+        bplane_km=np.zeros(2), ballistic_poc=ballistic)
     return PocMap(poly=poly, schedule=schedule, reference=reference)
 
 
@@ -346,6 +346,21 @@ class TestFilterNodes:
         sched, _ = filter_nodes(tangential_event, [t, t], keep=1,
                                 template=template)
         assert sched.node_epochs == (t,)
+
+    @pytest.mark.parametrize("excess, kept", [(5e-10, -200.0),
+                                              (5e-7, -100.0)])
+    def test_norms_within_the_tie_band_keep_the_earlier_epoch(
+            self, tangential_event, monkeypatch, excess, kept):
+        # a norm 5e-10 above the other lies within the ranking's tie band,
+        # so the earlier epoch wins; 5e-7 above it, the larger norm wins
+        def stub(event, times, template, config=None):
+            return [(t, 10.0 + excess * (t == -100.0), None) for t in times]
+
+        monkeypatch.setattr(solver, "gradient_norm_per_node", stub)
+        template = ControlSchedule(mode=IMPULSIVE, node_epochs=(-100.0,))
+        sched, _ = filter_nodes(tangential_event, [-100.0, -200.0], keep=1,
+                                template=template)
+        assert sched.node_epochs == (kept,)
 
     def test_empty_grid(self, tangential_event):
         template = ControlSchedule(mode=IMPULSIVE, node_epochs=(-600.0,))
