@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,7 +88,7 @@ class ControlSchedule:
     (one arc by default).
 
     ``fixed_direction`` optionally pins every control to one unit vector
-    in the local frame (the RTN frame of the node's reference state, or
+    in its local frame (RTN on the unmaneuvered reference at its epoch, or
     the synodic axes under three-body dynamics), reducing each control to
     a single magnitude variable. It is held as a tuple of floats and
     ``arc_lengths`` as a tuple of ints, so schedules compare and hash by
@@ -228,12 +228,15 @@ class Start(NamedTuple):
     back-propagation's error control picked from closest approach to
     ``epoch``, split at each pass's events; an empty one once a segment
     took the closed form, so that a pass's coast takes it too or, refused,
-    picks its own steps.
+    picks its own steps. ``frames`` holds, at each control epoch (a node
+    with a control, or a fixed impulse), the rows of the control frame on
+    the unmaneuvered reference, which every pass reads.
     """
 
     epoch: float
     state: tuple
     plan: PropagationConfig | Mesh
+    frames: Mapping[float, np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,13 +318,11 @@ def _to_internal_units(event: ConjunctionEvent):
 
 
 def _control_rotation(event: ConjunctionEvent, scale: UnitScale,
-                      y) -> np.ndarray:
-    """Rows of the local control frame at a node of the reference path,
-    whose internal-unit state is ``y`` (its constant part when polynomial,
-    its real part otherwise): the synodic axes under three-body dynamics,
-    RTN otherwise. A non-finite reference state is refused."""
-    ref = np.array([c.constant_part if isinstance(c, TaylorPoly)
-                    else float(c.real) for c in y])
+                      state) -> np.ndarray:
+    """Rows of the local control frame at a real internal-unit reference
+    ``state``: the synodic axes under three-body dynamics, RTN otherwise.
+    A non-finite reference state is refused."""
+    ref = np.asarray(state, dtype=np.float64)
     if not np.all(np.isfinite(ref)):
         raise ConfigurationError("reference state has non-finite components")
     if event.dynamics.kind == CR3BP:
@@ -355,21 +356,22 @@ def _start_state(event: ConjunctionEvent, schedule: ControlSchedule,
                  fixed_impulses: Sequence[tuple[float, np.ndarray]] = ()
                  ) -> Start:
     """The :class:`Start` at the first control event of ``schedule`` and
-    ``fixed_impulses``: a one-epoch :func:`_back_propagation`, real under a
-    step count."""
-    epoch = min([schedule.node_epochs[0], *(float(t) for t, _ in fixed_impulses)])
-    return _back_propagation(event, [epoch], config, config.steps is None,
-                             schedule.mode == IMPULSIVE)[1][epoch][0]
+    ``fixed_impulses``: a :func:`_back_propagation` that stops at every
+    control epoch, real under a step count."""
+    epochs = [*(schedule.node_epochs[i] for i in schedule.control_node_indices()),
+              *(float(t) for t, _ in fixed_impulses)]
+    return _back_propagation(event, epochs, config, config.steps is None,
+                             schedule.mode == IMPULSIVE)[1][min(epochs)][0]
 
 
 def _back_propagation(event: ConjunctionEvent, epochs: Sequence[float],
                       config: PropagationConfig, kicked: bool = True,
-                      impulsive: bool = False
+                      impulsive: bool = False, quadrature: Sequence[float] = ()
                       ) -> tuple[float, dict[float, tuple[Start, np.ndarray]]]:
-    """One pass back from the closest-approach state, stopping at each of
-    ``epochs`` in decreasing time; the trajectory is ballistic before any
-    control. Each segment between stops takes ``config.steps`` steps or,
-    without a count, picks its own by error control into an empty
+    """One ballistic pass back from the closest-approach state, stopping at
+    the control ``epochs`` and ``quadrature`` in decreasing time. Each
+    segment between stops takes ``config.steps`` steps or, without a
+    count, picks its own by error control into an empty
     :class:`~polycam.dynamics.Mesh`. A segment that
     :func:`~polycam.dynamics.kepler_anomaly` accepts takes one closed-form
     step instead and leaves its mesh empty, unless a low-thrust design
@@ -385,14 +387,15 @@ def _back_propagation(event: ConjunctionEvent, epochs: Sequence[float],
     lambda_v(t) as the position part of the perturbation at t. Under CR3BP
     the same identity holds in the canonical (r, p = v + omega x r) and,
     as lambda_0 has no velocity part, gives the same lambda_v. The real
-    part is the ballistic reference, whose state at an epoch sets the
-    control frame there.
+    part is the ballistic reference, whose state at each of ``epochs``
+    sets the control frame there for every pass.
 
     Returns the size of lambda_r (zero where the probability underflows or
-    the pass is real) and, for each epoch, its :class:`Start`, whose mesh
-    runs from closest approach through every segment to the epoch (empty
-    if any segment's is) and carries ``weight`` = max(1, size), and the
-    internal inertial components of lambda_v(t) / size * ``_COMPLEX_STEP``.
+    the pass is real) and, for each stop, its :class:`Start` (the frames
+    of all ``epochs`` in one shared dict, and a mesh from closest approach
+    through every segment to the stop, empty if any segment's is, with
+    ``weight`` = max(1, size)) and the internal inertial components of
+    lambda_v(t) / size * ``_COMPLEX_STEP``.
     """
     scale, model_nd = _to_internal_units(event)
     r, v = event.primary.r / scale.length_km, event.primary.v / scale.velocity_kms
@@ -412,9 +415,9 @@ def _back_propagation(event: ConjunctionEvent, epochs: Sequence[float],
              *(complex(float(c), float(k)) for c, k in zip(v, kick))]
     # without a count, low-thrust arcs step on the mesh that coasts fill
     step = propagate_vector if impulsive or config.steps else integrate
-    stops = {}
+    frames, stops = {}, {}
     t_cur, passed = 0.0, [0.0]
-    for t in sorted(set(epochs), reverse=True):
+    for t in sorted({*epochs, *quadrature}, reverse=True):
         t0, t1 = t_cur / scale.time_s, t / scale.time_s
         plan = config if config.steps else Mesh(adjoint=size / _COMPLEX_STEP)
         y = step(y, (0.0, 0.0, 0.0), t0, t1, model_nd, plan)
@@ -427,7 +430,10 @@ def _back_propagation(event: ConjunctionEvent, epochs: Sequence[float],
                 if plan.times and passed else []
             plan.weight = max(1.0, size)
             passed = plan.times
-        stops[t] = (Start(t, tuple(c.real for c in y), plan),
+        state = tuple(c.real for c in y)
+        if t in epochs:
+            frames[t] = _control_rotation(event, scale, state)
+        stops[t] = (Start(t, state, plan, frames),
                     np.array([c.imag for c in y[:3]]))
     return size, stops
 
@@ -461,15 +467,14 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
                        steps_taken: list | None = None):
     """Propagate the primary from the first control event to closest
     approach, starting from ``start`` (see :func:`_start_state`) and
-    stepping on its plan.
-
-    One arithmetic pipeline serves both DA map construction and the real
-    replay. ``controls[slot]`` holds the control scalars of one slot
-    (TaylorPoly variables or floats; complex scalars also pass, giving
-    complex-step derivatives that check the ranking's adjoint), one scalar
-    for a fixed-direction control and three otherwise; one unit of a
-    scalar is ``control_unit`` physical units (m/s for impulses, m/s^2 for
-    held accelerations).
+    stepping on its plan. One arithmetic pipeline serves both DA map
+    construction and the real replay, and takes each control's frame from
+    the start at its epoch (refused without one there). ``controls[slot]``
+    holds the control scalars of one slot (TaylorPoly variables or floats;
+    complex scalars also pass, giving complex-step derivatives that check
+    the ranking's adjoint), one scalar for a fixed-direction control and
+    three otherwise; one unit of a scalar is ``control_unit`` physical
+    units (m/s for impulses, m/s^2 for held accelerations).
     ``fixed_impulses`` are (epoch, delta-v m/s in the local frame)
     constants folded into the reference.
 
@@ -517,14 +522,9 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
             comps = [scalars[0] * float(direction[k]) for k in range(3)]
         else:
             comps = scalars
-        out = []
-        for k in range(3):
-            acc = 0.0
-            for m in range(3):
-                term = comps[m] * (float(rot[m, k]) * unit_nd)
-                acc = term if m == 0 else acc + term
-            out.append(acc)
-        return out
+        return [comps[0] * (float(rot[0, k]) * unit_nd)
+                + comps[1] * (float(rot[1, k]) * unit_nd)
+                + comps[2] * (float(rot[2, k]) * unit_nd) for k in range(3)]
 
     # (slot, node rotation) of the acceleration held on the current segment
     held_slot = None
@@ -550,11 +550,15 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
             steps_taken.append(1 if closed else plan.steps)
         return y
 
-    for _, at_epoch, t0, t1, plan in legs:
+    def frame(t: float) -> np.ndarray:
+        if t not in start.frames:
+            raise ConfigurationError(f"the start has no control frame at {t} s")
+        return start.frames[t]
+
+    for epoch, at_epoch, t0, t1, plan in legs:
         for _, kind, payload in at_epoch:
-            rot = _control_rotation(event, scale, y)
             if kind == "fixed":
-                dv_nd = (rot.T @ (payload * 1e-3)) / v_unit
+                dv_nd = (frame(epoch).T @ (payload * 1e-3)) / v_unit
                 for k in range(3):
                     y[3 + k] = y[3 + k] + dv_nd[k]
                 continue
@@ -564,13 +568,13 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
                 y = [c.embed(scalars[0].config) if isinstance(c, TaylorPoly)
                      else c for c in y]
             if schedule.mode == IMPULSIVE:
-                dv = slot_vector(scalars, rot)
+                dv = slot_vector(scalars, frame(epoch))
                 for k in range(3):
                     y[3 + k] = y[3 + k] + dv[k]
             else:
                 # an idle arc end carries no slot and stops the held
                 # acceleration
-                held_slot = None if slot is None else (slot, rot)
+                held_slot = None if slot is None else (slot, frame(epoch))
         y = propagate_segment(y, t0, t1, plan)
     return _relative_bplane_position(y, event, scale)
 
@@ -717,15 +721,14 @@ def gradient_norm_per_node(event: ConjunctionEvent, candidate_times,
             zip((t + half * (1.0 + _ARC_NODES)).tolist(),
                 (half * _ARC_WEIGHTS).tolist())))
     size, stops = _back_propagation(
-        event, [*candidate_times, *(s for q in quadratures for s, _ in q)],
-        config, impulsive=template.mode == IMPULSIVE)
+        event, candidate_times, config, impulsive=template.mode == IMPULSIVE,
+        quadrature=[s for q in quadratures for s, _ in q])
     scale = _to_internal_units(event)[0]
     gain = template.unit * 1e-3 / scale.velocity_kms * size / _COMPLEX_STEP
     out = []
     for t, quadrature in zip(candidate_times, quadratures):
         start = stops[t][0]
-        primer = _control_rotation(event, scale, start.state) @ sum(
-            w * stops[s][1] for s, w in quadrature)
+        primer = start.frames[t] @ sum(w * stops[s][1] for s, w in quadrature)
         if template.is_fixed_direction:
             primer = template.fixed_direction @ primer
         out.append((t, gain * float(np.linalg.norm(primer)), start))

@@ -2,9 +2,11 @@
 
 Imports both trees' ``polycam`` side by side in this process, builds the
 first N designs of WORKLOAD at the seed (``perfbench/workloads.py`` of
-TREE_A, with TREE_A's ``polycam``) and runs each design through each
-tree's ``polycam.cli.run_scenario``, alternating which tree goes first so
-that host drift falls on both alike. Prints one line per design with the
+TREE_A, with TREE_A's ``polycam``; WORKLOAD may also name one of the
+``DESIGN_SETS`` of ``tests/replay_digests.py``, which no workload runs)
+and runs each design through each tree's ``polycam.cli.run_scenario``,
+alternating which tree goes first so that host drift falls on both
+alike. Prints one line per design with the
 CPU time of each tree and their ratio B/A, then the median ratio and the
 count of designs on which B took less CPU time. A design whose results
 differ also shows how far its validated PoC and total delta-v moved,
@@ -12,6 +14,7 @@ relative to A, and the summary gives the largest of each move::
 
     python tests/ab_designs.py PARENT_TREE CHANGE_TREE multi_node 16
     python tests/ab_designs.py PARENT_TREE CHANGE_TREE single_impulse 40 --seed 11
+    python tests/ab_designs.py PARENT_TREE CHANGE_TREE j2_three_node 8
 
 Exits 1 if any design's result JSON differs between the trees other than
 in ``wall_time_s`` and ``solution.solve_wall_time_s``. A tree is a
@@ -33,6 +36,8 @@ import os
 import statistics
 import sys
 import time
+
+from replay_digests import DESIGN_SETS, set_designs
 
 
 def _is_polycam(name: str) -> bool:
@@ -58,13 +63,14 @@ def _load(tree: str) -> dict:
 
 
 def _workloads(tree: str):
+    """``perfbench/workloads.py`` of ``tree``, imported fresh."""
     path = os.path.join(os.path.abspath(tree), "perfbench", "workloads.py")
     spec = importlib.util.spec_from_file_location("ab_workloads", path)
     module = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up by name
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
-    return module.WORKLOADS
+    return module
 
 
 def _compared(payload: dict) -> str:
@@ -114,8 +120,12 @@ def main(argv=None) -> int:
 
     trees = [_load(tree) for tree in args.trees]
     _activate(trees[0])
-    designs = _workloads(args.trees[0])[args.workload].build(args.seed,
-                                                             args.count)
+    workloads = _workloads(args.trees[0])
+    if args.workload in DESIGN_SETS:
+        designs = set_designs(args.workload, args.seed, workloads, args.count)
+    else:
+        designs = workloads.WORKLOADS[args.workload].build(args.seed,
+                                                           args.count)
     for modules in trees:
         _run(modules, designs[0])
     ratios, differ, moves = [], [], []

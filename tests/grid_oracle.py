@@ -13,7 +13,7 @@ import numpy as np
 from polycam.conjunction import ConjunctionEvent, poc_chan
 from polycam.dynamics import Mesh, PropagationConfig, propagate_vector
 from polycam.errors import ConfigurationError
-from polycam.mapbuilder import (ControlSchedule, IMPULSIVE, _control_rotation,
+from polycam.mapbuilder import (ControlSchedule, IMPULSIVE,
                                 _relative_bplane_position, _to_internal_units,
                                 reference_trajectory)
 
@@ -66,10 +66,11 @@ def grid_oracle_single_impulse(event: ConjunctionEvent, node_time: float,
     if reference.ballistic_poc <= target_poc:
         return np.zeros(3)
 
-    # the node's internal-unit reference state: the design's start
+    # the node's internal-unit reference state and control frame: the
+    # design's start
     scale, model_nd = _to_internal_units(event)
-    t_node, y_node, plan = reference.start
-    rot = _control_rotation(event, scale, y_node)
+    t_node, y_node, plan, frames = reference.start
+    rot = frames[t_node]
 
     directions = _fibonacci_sphere(resolution)
     dirs_inertial = directions @ rot  # rows: direction in propagation frame

@@ -5,13 +5,15 @@ Runs every design of the given benchmark workloads and seeds through
 design: workload, seed, index, label, exit code, the SHA-256 of the
 result JSON without its timing fields (``wall_time_s`` and
 ``solve_wall_time_s``), then the ``repr`` of the validated PoC and of the
-total delta-v (m/s) and the sum of the per-order iteration counts, so a
-moved digest shows whether the numbers moved only at round-off (a failed
-design prints ``-`` for each). The design lists are those of
-``perfbench/workloads.py`` at its run length, read as they are, then
-those of ``DESIGN_SETS`` below, which no workload runs; ``--order N``
-replaces their expansion order of 5. Run it on two trees and compare the
-outputs::
+total delta-v (m/s), the sum of the per-order iteration counts and the
+map's disagreement with validation as a share of the target
+(``map_residual / target_poc``), so a moved digest shows whether the
+numbers moved only at round-off (a failed design prints ``-`` for each,
+and a design solved without one map, under ``--umax``, for the last).
+The design lists are those of ``perfbench/workloads.py`` at its run
+length, read as they are, then those of ``DESIGN_SETS`` below, which no
+workload runs; ``--order N`` replaces their expansion order of 5. Run
+it on two trees and compare the outputs::
 
     python tests/replay_digests.py > after.txt
     python tests/replay_digests.py --workload single_impulse --seed 7
@@ -52,14 +54,30 @@ DESIGN_SETS = {
 }
 
 
+def set_designs(name: str, seed: int, workloads, count: int = DESIGNS_PER_SEED
+                ) -> list:
+    """The first ``count`` designs of ``DESIGN_SETS[name]`` at ``seed``, as
+    ``workloads.Design`` (``workloads`` being ``perfbench/workloads.py``)."""
+    from polycam.scenarios import generate_synthetic_suite
+    docs = generate_synthetic_suite(seed, count, "LEO",
+                                    poc_band=workloads.POC_BAND)
+    return [workloads.Design(f"{doc['name']}/{name}", doc, (
+        "--order", str(workloads.ORDER), "--target-poc",
+        repr(workloads.TARGET_POC), *DESIGN_SETS[name])) for doc in docs]
+
+
 def _figures(payload: dict) -> str:
-    """Validated PoC, total delta-v and summed iterations of a result."""
+    """Validated PoC, total delta-v, summed iterations and map residual
+    over the target of a result."""
     if "solution" not in payload:
-        return "- - -"
-    solution = payload["solution"]
-    return (f"{payload['validation']['validated_poc']!r} "
+        return "- - - -"
+    solution, validation = payload["solution"], payload["validation"]
+    residual = validation["map_residual"]
+    return (f"{validation['validated_poc']!r} "
             f"{solution['dv_total_ms']!r} "
-            f"{sum(solution['per_order_iterations'])}")
+            f"{sum(solution['per_order_iterations'])} "
+            + ("-" if residual is None
+               else f"{residual / payload['target_poc']:.2e}"))
 
 
 def main(argv=None) -> int:
@@ -74,24 +92,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+    import workloads
     from checks import result_digest
     from polycam.cli import build_parser, run_scenario
-    from polycam.scenarios import generate_synthetic_suite
-    from workloads import ORDER, POC_BAND, TARGET_POC, WORKLOADS, Design
-
-    def design_set(name, options):
-        def build(seed):
-            docs = generate_synthetic_suite(seed, DESIGNS_PER_SEED, "LEO",
-                                            poc_band=POC_BAND)
-            return [Design(f"{doc['name']}/{name}", doc,
-                           ("--order", str(ORDER), "--target-poc",
-                            repr(TARGET_POC), *options)) for doc in docs]
-        return build
 
     sets = {name: (lambda seed, w=workload: w.build(
-        seed, w.count(RUN_SECONDS))) for name, workload in WORKLOADS.items()}
-    sets.update((name, design_set(name, options))
-                for name, options in DESIGN_SETS.items())
+        seed, w.count(RUN_SECONDS)))
+        for name, workload in workloads.WORKLOADS.items()}
+    sets.update((name, lambda seed, n=name: set_designs(n, seed, workloads))
+                for name in DESIGN_SETS)
     names = args.workload or list(sets)
     seeds = args.seed or list(DEFAULT_SEEDS)
     cli = build_parser()

@@ -309,8 +309,9 @@ class TestReferenceTrajectory:
 
     def test_passes_replay_the_back_propagations_mesh(self, monkeypatch,
                                                        leo_event, leo_period):
-        # the back-propagation fills the mesh; the ballistic, polynomial and
-        # validation passes step on it, split only at the nodes
+        # the back-propagation fills the mesh, stopping at each node; the
+        # ballistic, polynomial and validation passes step on it, split
+        # only at the nodes
         plans = []
         propagate = mapbuilder.propagate_vector
 
@@ -326,13 +327,13 @@ class TestReferenceTrajectory:
         report = validate_solution(leo_event, sched, np.full(6, 0.01), 1e-6,
                                    pmap=pmap)
         picked = pmap.reference.start.plan
-        assert plans[0][2] is picked
+        assert plans[1][2] is picked
         scale, _ = _to_internal_units(leo_event)
         nodes = {t / scale.time_s for t in sched.node_epochs}
         # Kepler coasts take one closed-form step each, the
         # back-propagation's too, so its mesh and every leg's stay empty
-        assert len(plans) == 1 + 3 * 2
-        for t0, t1, plan in plans[1:]:
+        assert len(plans) == 2 + 3 * 2
+        for t0, t1, plan in plans:
             assert plan.times == [] and {t0, t1} <= nodes | {0.0}
         assert report.segment_steps == (1, 1)
         assert picked.steps == 0
@@ -419,15 +420,16 @@ class TestReferenceTrajectory:
             propagate_with_controls(leo_event, sched, None, start=start)
 
     @pytest.mark.parametrize("regime", ["LEO", "CISLUNAR"])
-    def test_non_finite_node_state_is_refused(self, regime):
+    def test_non_finite_node_state_is_refused(self, monkeypatch, regime):
         # Kepler and three-body dynamics alike: the node's control frame
-        # refuses a reference state that is not finite
+        # refuses a reference state that is not finite, where the
+        # back-propagation reaches the node
         event = scenario_to_event(generate_synthetic_suite(3, 1, regime)[0])
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-600.0,))
-        start = mapbuilder.Start(-600.0, (math.nan,) + (1.0,) * 5,
-                                 dyn.PropagationConfig(steps=100))
+        monkeypatch.setattr(mapbuilder, "propagate_vector",
+                            lambda y, *args: [math.nan, *y[1:]])
         with pytest.raises(ConfigurationError, match="non-finite"):
-            propagate_with_controls(event, sched, None, start=start)
+            propagate_with_controls(event, sched, None)
 
     def test_map_of_another_schedule_is_refused(self, leo_event, leo_period):
         # same epoch, other fixed direction: the map's figures would grade
@@ -553,9 +555,64 @@ class TestBuildPocMap:
             build_poc_map(leo_event, sched, order=0)
 
 
+class TestControlFrames:
+    """Every pass rotates each control by the frame that the design's
+    back-propagation takes on the unmaneuvered reference at its epoch."""
+
+    @pytest.mark.parametrize("flags", [("--steps", "60"), ("--dyn", "j2")],
+                             ids=["kepler", "j2"])
+    def test_three_node_map_agrees_with_validation(self, leo_doc, flags):
+        # the map's later nodes and the validation replay's share their
+        # frames, so the map at the solution is off only by its truncation
+        # and rounding (by up to 2.9e-6 of the target when each pass took
+        # the frame of its own state)
+        code, payload = run_design(leo_doc, "--nodes", "2.5orb,1.5orb,0.5orb",
+                                   "--target-poc", "1e-06", *flags)
+        assert code == 0
+        assert payload["validation"]["map_residual"] <= 1e-8 * 1e-6
+
+    def test_fixed_impulse_leaves_a_later_frame_unchanged(self, leo_event,
+                                                         leo_period):
+        node, kick = -0.5 * leo_period, -leo_period
+        sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(node,))
+        fixed = [(kick, np.array([0.0, 20.0, 20.0]))]
+        alone = mapbuilder.reference_trajectory(leo_event, sched).start
+        start = mapbuilder.reference_trajectory(leo_event, sched,
+                                                fixed_impulses=fixed).start
+        assert start.epoch == kick
+        assert np.array_equal(start.frames[node], alone.frames[node])
+        # the impulse turns the orbit after it: the maneuvered state's
+        # frame at the node is another one
+        scale, model = _to_internal_units(leo_event)
+        y = np.array(start.state)
+        y[3:] += start.frames[kick].T @ fixed[0][1] * 1e-3 / scale.velocity_kms
+        y = dyn.propagate_vector(list(y), (0.0,) * 3, kick / scale.time_s,
+                                 node / scale.time_s, model,
+                                 dyn.PropagationConfig(steps=100))
+        turned = mapbuilder._control_rotation(leo_event, scale, y)
+        assert np.max(np.abs(turned - start.frames[node])) > 1e-4
+
+    def test_start_without_a_control_frame_exits_3(self, leo_event,
+                                                   leo_period):
+        sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(
+            -leo_period, -0.5 * leo_period))
+        start = mapbuilder.reference_trajectory(leo_event, sched).start
+        frames = dict(start.frames)
+        del frames[-0.5 * leo_period]
+        lacking = start._replace(frames=frames)
+        with pytest.raises(ConfigurationError, match="no control frame"):
+            build_poc_map(leo_event, sched, 1, start=lacking)
+        with pytest.raises(ConfigurationError, match="no control frame") \
+                as err:
+            propagate_with_controls(leo_event, sched, np.zeros(6),
+                                    start=lacking)
+        assert cli._failure(err.value)[0] == 3
+
+
 def direct_poc_map(event, schedule, order, config):
     """Log-probability polynomial of a free-direction RTN schedule with
-    every segment integrated in the full control algebra."""
+    every segment integrated in the full control algebra, from the
+    design's Start and in its control frames."""
     cfg = AlgebraConfig(schedule.n_vars, order)
     scale, model = _to_internal_units(event)
     if schedule.mode == IMPULSIVE:
@@ -563,24 +620,18 @@ def direct_poc_map(event, schedule, order, config):
     else:
         unit_nd = ACCEL_REF_MS2 * 1e-3 / scale.accel_kms2
 
-    def const(c):
-        return c.constant_part if isinstance(c, TaylorPoly) else float(c)
-
+    start = mapbuilder.reference_trajectory(event, schedule, config).start
     epochs = [t / scale.time_s for t in schedule.node_epochs]
-    y = [*(event.primary.r / scale.length_km),
-         *(event.primary.v / scale.velocity_kms)]
-    y = dyn.propagate_vector(y, (0.0, 0.0, 0.0), 0.0, epochs[0], model, config)
+    y = list(start.state)
     slots = {node: slot for slot, node in
              enumerate(schedule.control_node_indices())}
     accel = (0.0, 0.0, 0.0)
     for i, t in enumerate(epochs):
         if i:
             y = dyn.propagate_vector(y, accel, epochs[i - 1], t, model, config)
-        rot = dyn.rtn_rotation(
-            np.array([const(c) * scale.length_km for c in y[:3]]),
-            np.array([const(c) * scale.velocity_kms for c in y[3:]]))
         accel = (0.0, 0.0, 0.0)
         if i in slots:
+            rot = start.frames[schedule.node_epochs[i]]
             x = [TaylorPoly.variable(cfg, 3 * slots[i] + k) for k in range(3)]
             kick = [sum(x[m] * (rot[m, k] * unit_nd) for m in range(3))
                     for k in range(3)]

@@ -41,7 +41,7 @@ def synthetic_map(coeffs, n_vars, order, ballistic=1e-4, schedule=None):
                               for k in reversed(range(max(n_vars // 3, 1)))))
     reference = ReferenceTrajectory(
         start=Start(schedule.node_epochs[0], (0.0,) * 6,
-                    dyn.PropagationConfig(steps=100)), fixed_impulses=(),
+                    dyn.PropagationConfig(steps=100), {}), fixed_impulses=(),
         bplane_km=np.zeros(2), ballistic_poc=ballistic)
     return PocMap(poly=poly, schedule=schedule, reference=reference)
 
