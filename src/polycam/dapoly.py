@@ -4,11 +4,11 @@ A :class:`TaylorPoly` is a polynomial in M variables truncated at a fixed
 total degree n. It is the scalar type threaded through the propagator and
 the collision-probability composition to obtain arbitrary-order expansions
 of whole numerical pipelines. A polynomial embeds into an algebra with more
-variables (:meth:`TaylorPoly.embed`), and a map expanded in few variables
-composes onto polynomials without constant parts (:func:`compose`), so a
-pipeline can be expanded piecewise in small algebras and chained. Each
-operation is a row function on coefficient vectors; :func:`record` turns
-a function of polynomials into a replayable program of them.
+variables, a higher order or both (:meth:`TaylorPoly.embed`), so a pipeline
+can run its early stages in small algebras and widen as variables join, or
+run a stage at a low order and carry on at a higher one. Each operation is
+a row function on coefficient vectors; :func:`record` turns a function of
+polynomials into a replayable program of them.
 
 Coefficients are held in a dense vector indexed by a graded-lexicographic
 monomial table shared per (n_vars, max_order).
@@ -29,10 +29,10 @@ from the same start is what keeps every coefficient bitwise reproducible;
 reordering a row's pairs changes the last bits.
 
 Passes skip pairs with an exact zero factor and rows no later step reads
-(:func:`_horner`, :func:`compose`). For finite coefficients a skipped
-product is +-0.0, and adding +-0.0 to a row's sum, which starts from +0.0
-and so is never -0.0, leaves it as it is: with the kept pairs in their
-order, every coefficient keeps the bits of the full pass.
+(:func:`_horner`). For finite coefficients a skipped product is +-0.0,
+and adding +-0.0 to a row's sum, which starts from +0.0 and so is never
+-0.0, leaves it as it is: with the kept pairs in their order, every
+coefficient keeps the bits of the full pass.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ _csr_matvec = _sparsetools().csr_matvec
 __all__ = [
     "AlgebraConfig",
     "TaylorPoly",
-    "compose",
     "contract_no_first_mode",
     "generic_power",
     "generic_sin_cos",
@@ -340,22 +339,15 @@ def _sine_series(a0: float, n: int, shift: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _compose_pairs(tab: _AlgebraTables, depth: int) -> tuple[np.ndarray, ...]:
-    """(ptr, i, j): the product table cut to the pairs with deg i >=
-    depth - 1 and deg j >= 1, in compressed-row form and row order."""
-    keep = ((tab.degrees[tab.mul_i] >= depth - 1)
-            & (tab.degrees[tab.mul_j] >= 1))
-    ptr = np.concatenate(([0], np.cumsum(keep)))[tab.mul_ptr]
-    return ptr, tab.mul_i[keep], tab.mul_j[keep]
-
-
-@lru_cache(maxsize=None)
-def _embedding(n_from: int, n_to: int, max_order: int) -> np.ndarray:
-    """Index in the (n_to, max_order) table of every (n_from, max_order)
-    monomial, the extra trailing exponents being zero."""
-    small = _tables(n_from, max_order).exponents
+def _embedding(n_from: int, order_from: int, n_to: int,
+               order_to: int) -> np.ndarray:
+    """Index in the (n_to, order_to) table of every (n_from, order_from)
+    monomial, the extra trailing exponents being zero. A monomial's
+    graded-lex rank does not depend on the table's order, so a lift to a
+    higher order in as many variables keeps every index."""
+    small = _tables(n_from, order_from).exponents
     return _graded_lex_rank(np.pad(small, ((0, 0), (0, n_to - n_from))),
-                            max_order)
+                            order_to)
 
 
 class TaylorPoly:
@@ -500,17 +492,19 @@ class TaylorPoly:
         return float(self.coef @ _monomial_values(self._tab, point))
 
     def embed(self, config: AlgebraConfig) -> "TaylorPoly":
-        """The same polynomial in an algebra of the same order with more
-        variables; this polynomial's variables are its leading ones."""
-        if config.max_order != self.max_order or config.n_vars < self.n_vars:
+        """The same polynomial in an algebra with at least as many variables
+        and at least the same order; this polynomial's variables are its
+        leading ones, and its coefficients above its order are zero."""
+        if config.max_order < self.max_order or config.n_vars < self.n_vars:
             raise ConfigurationError(
                 f"cannot embed ({self.n_vars},{self.max_order}) into "
                 f"({config.n_vars},{config.max_order})")
-        if config.n_vars == self.n_vars:
+        if config == self.config:
             return self
         tab = _tables(config.n_vars, config.max_order)
         coef = np.zeros(tab.size)
-        coef[_embedding(self.n_vars, config.n_vars, self.max_order)] = self.coef
+        coef[_embedding(self.n_vars, self.max_order, config.n_vars,
+                        config.max_order)] = self.coef
         return TaylorPoly._raw(tab, coef)
 
     def gradient_at_zero(self) -> np.ndarray:
@@ -651,68 +645,6 @@ def record(fn, config: AlgebraConfig, n_rows: int, fixed=()):
         return [regs[k] for k in outs]
 
     return run
-
-
-def compose(outer, inner):
-    """Substitute the polynomials ``inner`` for the variables of ``outer``.
-
-    ``outer`` is one TaylorPoly in k variables or a sequence of them sharing
-    one algebra; ``inner`` holds k polynomials of one algebra of the same
-    order with zero constant parts, so truncating every product at that
-    order loses nothing. Returns the result in the algebra of ``inner``, one
-    polynomial per outer polynomial (a bare one for a bare ``outer``).
-
-    The outer monomials are walked depth-first, each one the product of its
-    parent and one inner polynomial, so at most ``max_order`` partial
-    products are alive at once. A parent is gathered once for all its
-    children. A parent at depth d - 1 has no terms below degree d - 1 and
-    an inner polynomial no constant, so a product at depth d reads only
-    the pairs with deg i >= d - 1 and deg j >= 1 (:func:`_compose_pairs`).
-    """
-    outers = [outer] if isinstance(outer, TaylorPoly) else list(outer)
-    inner = list(inner)
-    if not outers or not inner:
-        raise ConfigurationError("compose needs outer and inner polynomials")
-    head, base = outers[0], inner[0]
-    for p in outers[1:]:
-        head._check_same(p)
-    for g in inner[1:]:
-        base._check_same(g)
-    if len(inner) != head.n_vars:
-        raise ConfigurationError(
-            f"{len(inner)} inner polynomials for {head.n_vars} variables")
-    if base.max_order != head.max_order:
-        raise ConfigurationError(
-            f"order mismatch: outer {head.max_order}, inner {base.max_order}")
-    if any(g.coef[0] != 0.0 for g in inner):
-        raise ConfigurationError("inner polynomials must have zero constant parts")
-
-    tab = base._tab
-    coef = np.stack([p.coef for p in outers])
-    out = np.zeros((len(outers), tab.size))
-    out[:, 0] = coef[:, 0]
-    index_of = head._tab.index_of
-    exps = [0] * head.n_vars
-
-    def walk(parent, first, degree):
-        if degree > 1:
-            ptr, left, cols = _compose_pairs(tab, degree)
-            w = parent[left]
-        # extending by variables j >= first reaches each monomial once
-        for j in range(first, len(inner)):
-            term = (inner[j].coef if degree == 1
-                    else _row_pass(ptr, w, cols, inner[j].coef, tab.size))
-            exps[j] += 1
-            c = coef[:, index_of[tuple(exps)]]
-            if c.any():
-                out[:] += c[:, None] * term
-            if degree < tab.max_order:
-                walk(term, j, degree + 1)
-            exps[j] -= 1
-
-    walk(None, 0, 1)
-    result = [TaylorPoly._raw(tab, row) for row in out]
-    return result[0] if isinstance(outer, TaylorPoly) else result
 
 
 def contract_no_first_mode(a: TaylorPoly, k: int, phi) -> np.ndarray:

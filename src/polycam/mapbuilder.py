@@ -12,23 +12,25 @@ too. Perturbation variables are attached at each node
 (velocity increments for impulsive schedules, held accelerations for
 low-thrust arcs), and the perturbed state is propagated forward through the
 encounter. The state's algebra grows node by node with the variables
-attached so far. A segment is integrated in that algebra while it has at
-most 6 + k variables (k held-acceleration scalars on the segment); beyond
-that, the segment's (6 + k)-variable flow map about the reference is
-integrated instead and composed onto the state, which replaces most
-large-algebra products with small-algebra ones (a Kepler coast keeps its
-closed form in the large algebra). Projecting the relative
-position onto the frozen encounter plane and composing the logarithm of
-the collision-probability series yields one truncated polynomial of log
-PoC in the stacked control vector. Everything downstream of this map is
-polynomial evaluation. Candidate maneuver epochs are ranked without a map,
-by one complex-step back-propagation from closest approach that stops at
-every candidate and gives each its start, so a ranked design too
-back-propagates once. An impulse's first-order log-probability gradient
-is the velocity part of the adjoint of the closest-approach gradient (the
-primer vector), which that pass carries because the flows are
-Hamiltonian. A held arc's gradient is that adjoint integrated over the
-arc, by Gauss-Legendre quadrature on further stops of the same pass.
+attached so far, and each segment is integrated, or takes its closed
+form, in the state's own algebra. The trajectory runs at order
+``TRAJECTORY_ORDER`` at most: a truncated product's degree-d coefficients
+read only its factors' up to degree d, so the map's coefficients up to
+that degree are those of a full-order pass, and over an m/s maneuver the
+nonlinearity that the higher degrees carry lies in the logarithm, not in
+the trajectory. The relative position at closest approach, projected onto
+the frozen encounter plane, is lifted into the map's order, and composing
+the logarithm of the collision-probability series on top yields one
+truncated polynomial of log PoC in the stacked control vector. Everything
+downstream of this map is polynomial evaluation. Candidate maneuver
+epochs are ranked without a map, by one complex-step back-propagation
+from closest approach that stops at every candidate and gives each its
+start, so a ranked design too back-propagates once. An impulse's
+first-order log-probability gradient is the velocity part of the adjoint
+of the closest-approach gradient (the primer vector), which that pass
+carries because the flows are Hamiltonian. A held arc's gradient is that
+adjoint integrated over the arc, by Gauss-Legendre quadrature on further
+stops of the same pass.
 """
 
 from __future__ import annotations
@@ -41,10 +43,10 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .conjunction import ConjunctionEvent, log_poc_chan, poc_chan
-from .dapoly import AlgebraConfig, TaylorPoly, compose
+from .dapoly import AlgebraConfig, TaylorPoly
 from .dynamics import (CR3BP, CR3BP_CHAR_LENGTH_KM, CR3BP_CHAR_TIME_S,
-                       DynamicsModel, Mesh, PropagationConfig, integrate,
-                       kepler_anomaly, propagate_vector, rtn_rotation)
+                       Mesh, PropagationConfig, integrate, kepler_anomaly,
+                       propagate_vector, rtn_rotation)
 from .errors import ConfigurationError
 
 __all__ = [
@@ -64,6 +66,10 @@ LOW_THRUST = "LOW_THRUST"
 # high-order coefficients conditioned.
 IMPULSE_REF_MS = 1.0
 ACCEL_REF_MS2 = 1.0e-4
+
+# Highest order at which a map's trajectory is threaded; a map of a higher
+# order lifts the encounter point to it (see build_poc_map).
+TRAJECTORY_ORDER = 3
 
 # Imaginary step of the ranking's adjoint pass, along a unit
 # internal-velocity direction. Its square vanishes against the real parts,
@@ -331,26 +337,6 @@ def _control_rotation(event: ConjunctionEvent, scale: UnitScale,
                         ref[3:] * scale.velocity_kms)
 
 
-def _composed_segment(y, scalars, accel_of, t0: float, t1: float,
-                      model: DynamicsModel, plan: PropagationConfig | Mesh
-                      ) -> list:
-    """Advance a polynomial state over one segment by map composition.
-
-    The segment's flow map is expanded once in 6 + k variables: deviations
-    of the state about its constant part (variables 0-5) and the k held
-    control scalars (variables 6 on, mapped to accelerations by
-    ``accel_of``). It is then composed onto the nilpotent parts of the
-    state and of ``scalars``, in their algebra.
-    """
-    flow_cfg = AlgebraConfig(6 + len(scalars), y[0].max_order)
-    ref = [c.constant_part for c in y]
-    start = [TaylorPoly.variable(flow_cfg, i) + ref[i] for i in range(6)]
-    held = [TaylorPoly.variable(flow_cfg, 6 + m) for m in range(len(scalars))]
-    accel = accel_of(held) if held else (0.0, 0.0, 0.0)
-    flow = propagate_vector(start, accel, t0, t1, model, plan)
-    return compose(flow, [c - r for c, r in zip(y, ref)] + list(scalars))
-
-
 def _start_state(event: ConjunctionEvent, schedule: ControlSchedule,
                  config: PropagationConfig,
                  fixed_impulses: Sequence[tuple[float, np.ndarray]] = ()
@@ -481,12 +467,12 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
     Polynomial controls may live in growing algebras: at each control node
     the state is embedded into the algebra of that slot's variables, so
     early segments run with only the variables of the nodes reached so
-    far. A segment whose algebra has more than 6 + k variables (k held
-    control scalars, 0 on coasts) is not integrated in that algebra: its
-    (6 + k)-variable flow map is integrated and composed onto the state,
-    unless it is a coast with a :func:`~polycam.dynamics.kepler_anomaly`,
-    whose one closed-form step is cheaper. A thrust arc integrates even at
-    a zero control, so every pass takes the same steps on it.
+    far. Each segment is integrated in the state's algebra, or takes one
+    closed-form step there if it is a coast with a
+    :func:`~polycam.dynamics.kepler_anomaly`; the polynomials keep the
+    controls' order (``TRAJECTORY_ORDER`` at most, from
+    :func:`build_poc_map`). A thrust arc integrates even at a zero
+    control, so every pass takes the same steps on it.
     ``steps_taken``, when given, receives each segment's steps in time
     order: 1 for a closed-form coast, else its plan's.
 
@@ -530,21 +516,14 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
     held_slot = None
 
     def propagate_segment(y, t0: float, t1: float, plan) -> list:
-        scalars = [] if held_slot is None else list(controls[held_slot[0]])
-        poly = next((c for c in (*y, *scalars) if isinstance(c, TaylorPoly)),
-                    None)
-        large = poly is not None and poly.n_vars > 6 + len(scalars)
-        closed = held_slot is None and (large or steps_taken is not None) \
-            and kepler_anomaly(y, scalars, t0, t1, model_nd) is not None
-        if large and not closed:
-            y = _composed_segment(
-                y, scalars, lambda s: slot_vector(s, held_slot[1]), t0, t1,
-                model_nd, plan)
-        elif held_slot is None:
+        closed = held_slot is None and steps_taken is not None \
+            and kepler_anomaly(y, (), t0, t1, model_nd) is not None
+        if held_slot is None:
             y = propagate_vector(y, (0.0,) * 3, t0, t1, model_nd, plan)
         else:
-            y = integrate(y, tuple(slot_vector(scalars, held_slot[1])), t0,
-                          t1, model_nd, plan)
+            y = integrate(y, tuple(slot_vector(controls[held_slot[0]],
+                                               held_slot[1])),
+                          t0, t1, model_nd, plan)
         if steps_taken is not None:
             # read after the pass: an empty plan is filled where it integrates
             steps_taken.append(1 if closed else plan.steps)
@@ -652,12 +631,17 @@ def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
     """Expand log collision probability to ``order`` in the stacked controls.
 
     The design's :func:`reference_trajectory` is computed first (``start``
-    as there). Perturbation variables then ride through the propagation
-    from its start state node to node (each node's variables join the
-    state's algebra at that node), the relative position is projected
-    onto the frozen encounter plane, and the log of the probability series
-    is composed on top. The map carries the reference, whose ballistic
-    probability the constant part's exponential matches to rounding.
+    as there). Perturbation variables of order min(``order``,
+    ``TRAJECTORY_ORDER``) then ride through the propagation from its start
+    state node to node (each node's variables join the state's algebra at
+    that node). The relative position, projected onto the frozen encounter
+    plane, is lifted into the ``order`` algebra (its coefficients above
+    the trajectory's order zero), and the log of the probability series
+    is composed on top. So the map's coefficients up to the trajectory's
+    order are those of a full-order pass; the higher ones are the
+    logarithm's of that truncated trajectory. The map carries the
+    reference, whose ballistic probability the constant part's
+    exponential matches to rounding.
     """
     if order < 1:
         raise ConfigurationError(f"expansion order must be >= 1, got {order}")
@@ -667,13 +651,16 @@ def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
 
     # each slot's variables live in the algebra of the slots up to it
     width = schedule.n_vars // schedule.n_controls
-    variables = [[TaylorPoly.variable(AlgebraConfig(width * (s + 1), order),
+    threaded = min(order, TRAJECTORY_ORDER)
+    variables = [[TaylorPoly.variable(AlgebraConfig(width * (s + 1), threaded),
                                       width * s + k) for k in range(width)]
                  for s in range(schedule.n_controls)]
 
     r_b = _thread_trajectory(event, schedule, reference.start, variables,
                              schedule.unit, fixed_impulses)
-    poly = log_poc_chan(r_b, event.bplane.p_b, event.hbr_km)
+    full = AlgebraConfig(schedule.n_vars, order)
+    poly = log_poc_chan([c.embed(full) for c in r_b], event.bplane.p_b,
+                        event.hbr_km)
     return PocMap(poly=poly, schedule=schedule, reference=reference)
 
 

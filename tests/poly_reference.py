@@ -7,7 +7,7 @@ read only the graded-lex exponent table, so they check the algebra without
 sharing its lookups. ``loop_tables`` builds the exponent and product tables
 by enumeration and a loop over every pair, with no closed-form rank.
 ``reference_mul`` takes a product as a bincount triple sum over every pair
-of the table, and ``reference_compose`` walks a composition on it.
+of the table.
 ``reference_sin_cos`` sums the sine and cosine series on ``reference_mul``.
 """
 
@@ -101,13 +101,14 @@ def loop_tables(n_vars: int, max_order: int):
             np.array(mj, dtype=np.intp)[order])
 
 
-def embedding(n_from: int, n_to: int, max_order: int) -> np.ndarray:
-    """Index in the (n_to, max_order) table of every (n_from, max_order)
+def embedding(n_from: int, order_from: int, n_to: int,
+              order_to: int) -> np.ndarray:
+    """Index in the (n_to, order_to) table of every (n_from, order_from)
     monomial, the extra trailing exponents zero, by dict lookup."""
-    index_of = _index_of(n_to, max_order)
+    index_of = _index_of(n_to, order_to)
     pad = (0,) * (n_to - n_from)
     return np.array([index_of[tuple(e) + pad] for e in
-                     _tables(n_from, max_order).exponents.tolist()],
+                     _tables(n_from, order_from).exponents.tolist()],
                     dtype=np.intp)
 
 
@@ -128,31 +129,6 @@ def reference_mul(a, b):
     i, j, k = reference_triples(a._tab)
     return np.bincount(k, weights=a.coef[i] * b.coef[j],
                        minlength=a._tab.size)
-
-
-def reference_compose(outers, inner) -> np.ndarray:
-    """Coefficient rows of ``compose(outers, inner)``, by its depth-first
-    walk over the outer monomials with every partial product the full
-    triple sum of :func:`reference_mul`, over every pair of the table."""
-    cfg = inner[0].config
-    index_of = _index_of(outers[0].n_vars, outers[0].max_order)
-    coef = np.stack([p.coef for p in outers])
-    out = np.zeros((len(outers), inner[0].coef.size))
-    out[:, 0] = coef[:, 0]
-
-    def walk(parent, first, exps):
-        for j in range(first, len(inner)):
-            term = inner[j] if parent is None else TaylorPoly(
-                cfg, reference_mul(parent, inner[j]))
-            key = exps[:j] + (exps[j] + 1,) + exps[j + 1:]
-            c = coef[:, index_of[key]]
-            if c.any():
-                out[:] += c[:, None] * term.coef
-            if sum(key) < cfg.max_order:
-                walk(term, j, key)
-
-    walk(None, 0, (0,) * len(inner))
-    return out
 
 
 def reference_sin_cos(p: TaylorPoly) -> tuple[np.ndarray, np.ndarray]:

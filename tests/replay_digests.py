@@ -37,10 +37,11 @@ DEFAULT_SEEDS = (2406, 301, 302, 303)
 # the benchmark's run length: each workload's design count follows from it
 RUN_SECONDS = 25.0
 # LEO designs per seed of each design set, and each set's options: ranked
-# low-thrust arcs; three J2 impulses, whose last coast runs in the
-# 9-variable algebra and so is composed from its segment's flow map; and a
-# low-thrust arc and a J2 impulse on a step count, whose back-propagations
-# take the count rather than a mesh
+# low-thrust arcs; three J2 impulses, whose last coast integrates in the
+# 9-variable algebra; a low-thrust arc and a J2 impulse on a step count,
+# whose back-propagations take the count rather than a mesh; and one
+# low-thrust arc of four held accelerations, whose last one integrates in
+# the 12-variable algebra
 DESIGNS_PER_SEED = 4
 DESIGN_SETS = {
     "ranked_low_thrust": ("--mode", "lowthrust", "--nodes", "2orb,1orb,0.5orb",
@@ -51,6 +52,8 @@ DESIGN_SETS = {
     "low_thrust_steps": ("--mode", "lowthrust", "--nodes", "1orb,0.5orb",
                          "--steps", "40"),
     "j2_steps": ("--nodes", "0.5orb", "--dyn", "j2", "--steps", "40"),
+    "low_thrust_12": ("--mode", "lowthrust", "--nodes",
+                      "2orb,1.5orb,1orb,0.5orb,0.25orb"),
 }
 
 

@@ -12,13 +12,13 @@ import pytest
 import polycam
 from polycam import dapoly
 from polycam.dapoly import (AlgebraConfig, TaylorPoly, _checked_row_table,
-                            _embedding, _graded_lex_rank, _tables, compose,
+                            _embedding, _graded_lex_rank, _tables,
                             contract_no_first_mode, generic_power, record)
 from polycam.errors import ConfigurationError, DomainError
 
 from poly_reference import (coeffs, embedding, from_coeffs, homogeneous,
-                            loop_tables, partial, reference_compose,
-                            reference_mul, reference_sin_cos,
+                            loop_tables, partial, reference_mul,
+                            reference_sin_cos,
                             reference_triples)
 
 
@@ -321,75 +321,6 @@ class TestContraction:
                                        expected, rtol=1e-12, atol=1e-14)
 
 
-def nilpotent_poly(cfg, rng):
-    """Random polynomial with every coefficient but the constant drawn."""
-    coef = rng.normal(size=TaylorPoly.zero(cfg).coef.size)
-    coef[0] = 0.0
-    return TaylorPoly(cfg, coef)
-
-
-class TestCompose:
-    def test_identity_inner_map_returns_outer(self):
-        rng = np.random.default_rng(51)
-        cfg = AlgebraConfig(3, 4)
-        outer = random_poly(cfg, rng)
-        identity = [TaylorPoly.variable(cfg, i) for i in range(3)]
-        assert np.array_equal(compose(outer, identity).coef, outer.coef)
-
-    def test_linear_inner_map_is_exact(self):
-        rng = np.random.default_rng(52)
-        cfg = AlgebraConfig(3, 4)
-        outer = random_poly(cfg, rng)
-        a = rng.normal(size=(3, 3))
-        x = [TaylorPoly.variable(cfg, i) for i in range(3)]
-        inner = [sum(x[j] * a[i, j] for j in range(3)) for i in range(3)]
-        composed = compose(outer, inner)
-        for point in rng.uniform(-0.7, 0.7, size=(5, 3)):
-            assert composed.eval(point) == pytest.approx(
-                outer.eval(a @ point), rel=1e-12, abs=1e-12)
-
-    def test_matches_monomial_oracle(self):
-        # six outer variables of order 5 substituted by nilpotent
-        # polynomials in nine variables, against sum c_a prod g_j**a_j
-        rng = np.random.default_rng(53)
-        outer_cfg = AlgebraConfig(6, 5)
-        inner_cfg = AlgebraConfig(9, 5)
-        outers = [random_poly(outer_cfg, rng) for _ in range(2)]
-        inner = [nilpotent_poly(inner_cfg, rng) for _ in range(6)]
-        views = [coeffs(p) for p in outers]
-        expected = [TaylorPoly.zero(inner_cfg) for _ in outers]
-        for exps in views[0]:
-            term = TaylorPoly.constant(inner_cfg, 1.0)
-            for g, a in zip(inner, exps):
-                for _ in range(a):
-                    term = term * g
-            expected = [e + term * c.get(exps, 0.0)
-                        for e, c in zip(expected, views)]
-        got = compose(outers, inner)
-        assert len(got) == 2
-        for g, e in zip(got, expected):
-            assert coeffs_close(g, e, tol=1e-13)
-
-    def test_non_nilpotent_inner_rejected(self):
-        inner = [TaylorPoly.variable(CFG2, 0) + 0.5, Y]
-        with pytest.raises(ConfigurationError):
-            compose(X * Y, inner)
-
-    def test_order_mismatch_rejected(self):
-        cfg = AlgebraConfig(2, 4)
-        inner = [TaylorPoly.variable(cfg, i) for i in range(2)]
-        with pytest.raises(ConfigurationError):
-            compose(X * Y, inner)
-
-    def test_no_outer_polynomial_rejected(self):
-        with pytest.raises(ConfigurationError):
-            compose([], [X, Y])
-
-    def test_no_inner_polynomial_rejected(self):
-        with pytest.raises(ConfigurationError):
-            compose(X * Y, [])
-
-
 class TestEmbed:
     def test_leading_variables_keep_their_values(self):
         rng = np.random.default_rng(54)
@@ -403,6 +334,33 @@ class TestEmbed:
     def test_fewer_variables_rejected(self):
         with pytest.raises(ConfigurationError):
             X.embed(AlgebraConfig(1, 3))
+
+    def test_higher_order_is_a_prefix_copy(self):
+        # graded-lex ranks of the low-degree monomials do not depend on the
+        # table's order, so the coefficients keep their places
+        rng = np.random.default_rng(55)
+        low = random_poly(AlgebraConfig(3, 3), rng)
+        high = low.embed(AlgebraConfig(3, 5))
+        assert high.config == AlgebraConfig(3, 5)
+        size = low.coef.size
+        assert np.array_equal(high.coef[:size], low.coef)
+        assert not np.any(high.coef[size:])
+        assert coeffs(high) == coeffs(low)
+
+    def test_more_variables_and_higher_order_keep_values(self):
+        rng = np.random.default_rng(56)
+        small = random_poly(AlgebraConfig(3, 3), rng)
+        big = small.embed(AlgebraConfig(9, 5))
+        assert big.config == AlgebraConfig(9, 5)
+        for point in rng.uniform(-1.0, 1.0, size=(5, 9)):
+            assert big.eval(point) == pytest.approx(small.eval(point[:3]),
+                                                    rel=1e-14, abs=1e-14)
+
+    @pytest.mark.parametrize("target", [(2, 2), (1, 3), (1, 5)],
+                             ids=["lower-order", "fewer-variables", "both"])
+    def test_lower_order_or_fewer_variables_rejected(self, target):
+        with pytest.raises(ConfigurationError, match="cannot embed"):
+            (X * Y).embed(AlgebraConfig(*target))
 
 
 class TestRingProperties:
@@ -518,17 +476,6 @@ class TestRowPassIsBitwiseReference:
             want = reference_horner(poly, series[-1])
             assert got.coef.tobytes() == want.tobytes()
 
-    def test_compose(self, n_vars, order):
-        rng = np.random.default_rng(300 + 10 * n_vars + order)
-        cfg = AlgebraConfig(n_vars, order)
-        outers = row_pass_inputs(cfg, rng)
-        inner = [p - p.constant_part for p in
-                 (row_pass_inputs(cfg, rng)[v % 2] for v in range(n_vars))]
-        got = compose(outers, inner)
-        want = reference_compose(outers, inner)
-        for g, w in zip(got, want):
-            assert g.coef.tobytes() == w.tobytes()
-
     def test_recorded_program(self, n_vars, order):
         # every operation, in both operand orders, on the rows of two
         # polynomials and of a held one; each run must give the rows the
@@ -580,17 +527,6 @@ class TestRowPassWork:
         poly.power(-1.5)
         assert [n_row for n_row, _ in calls] == [7, 28, 84, 210, 462]
         assert sum(pairs for _, pairs in calls) == 8567
-
-    def test_compose_reads_under_a_third_of_the_pairs(self, monkeypatch):
-        rng = np.random.default_rng(61)
-        outer = random_poly(AlgebraConfig(6, 5), rng)
-        inner = [nilpotent_poly(AlgebraConfig(9, 5), rng) for _ in range(6)]
-        calls = self.passes(monkeypatch)
-        compose(outer, inner)
-        # one product per outer monomial of degree 2 to 5
-        assert len(calls) == 462 - 7
-        full = len(calls) * len(_tables(9, 5).mul_i)
-        assert sum(pairs for _, pairs in calls) <= 0.31 * full
 
     def test_kepler_stage_gathers_each_left_operand_once(self, monkeypatch):
         from polycam.dynamics import _kernel_kepler_j2
@@ -653,8 +589,13 @@ class TestRowTable:
 
     @pytest.mark.parametrize("n_from,n_to", [(3, 6), (6, 9), (3, 9), (1, 12)])
     def test_embedding_matches_lookup(self, n_from, n_to):
-        assert np.array_equal(_embedding(n_from, n_to, 5),
-                              embedding(n_from, n_to, 5))
+        assert np.array_equal(_embedding(n_from, 5, n_to, 5),
+                              embedding(n_from, 5, n_to, 5))
+
+    @pytest.mark.parametrize("n_from,n_to", [(3, 3), (3, 9), (9, 9), (1, 12)])
+    def test_order_lift_matches_lookup(self, n_from, n_to):
+        assert np.array_equal(_embedding(n_from, 3, n_to, 5),
+                              embedding(n_from, 3, n_to, 5))
 
     def test_table_arrays_are_read_only(self):
         tab = _tables(3, 5)

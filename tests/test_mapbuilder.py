@@ -622,13 +622,21 @@ def direct_poc_map(event, schedule, order, config):
 
     start = mapbuilder.reference_trajectory(event, schedule, config).start
     epochs = [t / scale.time_s for t in schedule.node_epochs]
+
+    def plan(t0, t1):
+        # the steps of the design's passes: a count, or the start's mesh
+        if isinstance(start.plan, dyn.Mesh):
+            return start.plan.between(t0, t1)
+        return start.plan
+
     y = list(start.state)
     slots = {node: slot for slot, node in
              enumerate(schedule.control_node_indices())}
     accel = (0.0, 0.0, 0.0)
     for i, t in enumerate(epochs):
         if i:
-            y = dyn.propagate_vector(y, accel, epochs[i - 1], t, model, config)
+            y = dyn.propagate_vector(y, accel, epochs[i - 1], t, model,
+                                     plan(epochs[i - 1], t))
         accel = (0.0, 0.0, 0.0)
         if i in slots:
             rot = start.frames[schedule.node_epochs[i]]
@@ -639,12 +647,13 @@ def direct_poc_map(event, schedule, order, config):
                 y = y[:3] + [v + dv for v, dv in zip(y[3:], kick)]
             else:
                 accel = tuple(kick)
-    y = dyn.propagate_vector(y, accel, epochs[-1], 0.0, model, config)
+    y = dyn.propagate_vector(y, accel, epochs[-1], 0.0, model,
+                             plan(epochs[-1], 0.0))
     r_b = _relative_bplane_position(y, event, scale)
     return log_poc_chan(r_b, event.bplane.p_b, event.hbr_km)
 
 
-class TestComposedMatchesDirect:
+class TestGrowingAlgebrasMatchFull:
     @pytest.mark.parametrize("mode, orbits, arcs, order, steps, kind", [
         (IMPULSIVE, (0.75, 0.5, 0.25), None, 3, 10, dyn.KEPLER),
         (IMPULSIVE, (0.75, 0.5, 0.25), None, 3, 10, dyn.J2),
@@ -653,24 +662,78 @@ class TestComposedMatchesDirect:
     ], ids=["impulsive-9", "impulsive-9-j2", "low-thrust-12"])
     def test_coefficients_by_degree(self, leo_event, leo_period, mode,
                                     orbits, arcs, order, steps, kind):
-        # the last nodes' segments run in algebras above 6 + k variables,
-        # so they are composed from flow maps, except for a Kepler coast,
-        # which takes its closed form there as in the oracle; the oracle
-        # propagates every segment in the full algebra
+        # the map's state gains each node's variables at that node, so its
+        # early segments run in fewer variables than the full map's, and
+        # the last ones (9-variable coasts, 12-variable thrust arcs)
+        # integrate, or take the closed form, in the state's own algebra;
+        # the oracle propagates every segment in the full algebra. Orders 3
+        # and 2 thread the trajectory at the map's own order.
         leo_event = replace(leo_event, dynamics=dyn.DynamicsModel(kind=kind))
         sched = ControlSchedule(
             mode=mode, node_epochs=tuple(-k * leo_period for k in orbits),
             arc_lengths=arcs)
         config = dyn.PropagationConfig(steps=steps)
-        composed = build_poc_map(leo_event, sched, order, config).poly
+        growing = build_poc_map(leo_event, sched, order, config).poly
         direct = direct_poc_map(leo_event, sched, order, config)
-        assert composed.n_vars == direct.n_vars == len(arcs or orbits) * 3
+        assert growing.n_vars == direct.n_vars == len(arcs or orbits) * 3
         tab = direct._tab
         for degree, block in enumerate(tab.degree_slices):
             size = np.max(np.abs(direct.coef[block]))
-            gap = np.max(np.abs(composed.coef[block] - direct.coef[block]))
+            gap = np.max(np.abs(growing.coef[block] - direct.coef[block]))
             assert size > 0
             assert gap <= 1e-11 * size, degree
+
+
+class TestTrajectoryOrder:
+    """An order-5 map threads its trajectory at ``TRAJECTORY_ORDER`` and
+    lifts the encounter point to order 5 for the log probability."""
+
+    @pytest.mark.parametrize("kind, steps", [(dyn.KEPLER, 60), (dyn.J2, None)],
+                             ids=["kepler", "j2"])
+    def test_low_degrees_match_a_full_order_map(self, leo_doc, kind, steps):
+        # the three impulses of the multi-node designs, on a step count
+        # under Kepler dynamics and on the back-propagation's mesh under
+        # J2. A truncated product's degree-d coefficients read only its
+        # factors' up to degree d, so the coefficients up to degree 3 are
+        # the full-order map's; a trajectory at order 2 misses them.
+        event = replace(scenario_to_event(leo_doc),
+                        dynamics=dyn.DynamicsModel(kind=kind))
+        period = dyn.osculating_period(event.primary, event.dynamics)
+        sched = ControlSchedule(mode=IMPULSIVE, node_epochs=tuple(
+            -f * period for f in (2.5, 1.5, 0.5)))
+        config = dyn.PropagationConfig(steps=steps)
+        pmap = build_poc_map(event, sched, 5, config)
+        full = direct_poc_map(event, sched, 5, config)
+        assert pmap.poly.config == full.config
+        for degree, block in enumerate(full._tab.degree_slices[:4]):
+            size = np.max(np.abs(full.coef[block]))
+            gap = np.max(np.abs(pmap.poly.coef[block] - full.coef[block]))
+            assert gap <= 1e-12 * size, degree
+        # the lifted map still predicts the replay of its solution
+        solution = solve_recursive(pmap, SolverConfig(max_order=5))
+        report = validate_solution(event, sched, solution.phi, 1e-6,
+                                   pmap=pmap)
+        assert report.map_residual <= 1e-8 * 1e-6
+
+    @pytest.mark.parametrize("order", [2, 3, 5])
+    def test_trajectory_runs_at_order_3_at_most(self, monkeypatch, leo_event,
+                                                leo_period, order):
+        threaded = []
+        thread = mapbuilder._thread_trajectory
+
+        def recording(*args, **kwargs):
+            r_b = thread(*args, **kwargs)
+            # the real passes return floats
+            threaded.extend(c.config for c in r_b
+                            if isinstance(c, TaylorPoly))
+            return r_b
+
+        monkeypatch.setattr(mapbuilder, "_thread_trajectory", recording)
+        sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(
+            -1.5 * leo_period, -0.5 * leo_period))
+        pmap = build_poc_map(leo_event, sched, order)
+        assert threaded == [AlgebraConfig(6, min(order, 3))] * 2
+        assert pmap.poly.config == AlgebraConfig(6, order)
 
 
 class TestScalingTransparency:
