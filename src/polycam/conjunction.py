@@ -9,8 +9,8 @@ numpy and the standard library's erf) and a convergent series
 (:func:`poc_chan`). The series factors as a Gaussian in the miss times a
 slowly varying sum, so its logarithm composes over TaylorPoly positions
 (:func:`log_poc_chan`) as an exact quadratic plus a truncated log of that
-sum: the polynomial expansion of probability through the whole pipeline
-is an expansion of log PoC.
+sum: the pipeline's polynomial expansion of probability is one of log
+PoC. The sum runs to convergence in every degree, or to a cap (see below).
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ _MAHALANOBIS_CUTOFF = 40.0
 # r_rel/v_rel perpendicularity tolerance defining a closest approach state.
 _TCA_ANGLE_TOL_RAD = 1e-6
 
-# Terms of the collision-probability series.
-_SERIES_TERMS = 20
+# Terms of an unconverged probability series (hbr/sigma_min = 10 takes 119).
+_SERIES_CAP = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,10 +225,10 @@ def poc_chan(r_b, p_b, hbr: float) -> float:
     The covariance is rotated to principal axes and the probability is
     written as e^arg r^2 / (2 s_x s_y) e^(-p r^2) S, arg being minus half
     the squared Mahalanobis distance of the miss and S a power series in
-    the hard-body radius summed to its first ``_SERIES_TERMS`` terms, whose
-    coefficients follow a four-term recurrence (the equivalent-cross-section
-    series form, pinned against the quadrature oracle). A miss beyond
-    ``_MAHALANOBIS_CUTOFF`` gives exactly 0.
+    the hard-body radius summed until it converges, with coefficients from
+    a four-term recurrence (the equivalent-cross-section series form, pinned
+    against the quadrature oracle). A miss beyond ``_MAHALANOBIS_CUTOFF``
+    gives exactly 0, and past ``_SERIES_CAP`` terms :func:`poc_quadrature`.
     """
     try:
         x_m, y_m, s_x, s_y = _principal_axes(r_b, p_b)
@@ -237,15 +237,13 @@ def poc_chan(r_b, p_b, hbr: float) -> float:
         if m_x * m_x + m_y * m_y > _MAHALANOBIS_CUTOFF ** 2:
             return 0.0
         arg, p_r2, series = _chan_series(x_m, y_m, s_x, s_y, hbr)
-        # Python floats: an overflowing term turns the sum into inf or nan
-        # without a numpy warning, and the check below catches it
+        if series is None:
+            return poc_quadrature(r_b, p_b, hbr)
         result = math.exp(arg - p_r2) * (hbr * hbr / (2.0 * s_x * s_y)) \
             * series
     except OverflowError as exc:
         # float ** raises where * would return inf
         raise NumericError("collision-probability series overflowed") from exc
-    if not math.isfinite(result):
-        raise NumericError("collision-probability series overflowed")
     return min(max(result, 0.0), 1.0)
 
 
@@ -262,6 +260,9 @@ def log_poc_chan(r_b, p_b, hbr: float) -> TaylorPoly:
     """
     x_m, y_m, s_x, s_y = _principal_axes(r_b, p_b)
     arg, p_r2, series = _chan_series(x_m, y_m, s_x, s_y, hbr)
+    if series is None:
+        raise NumericError("collision-probability series did not converge "
+                           f"in {_SERIES_CAP} terms")
     return arg + (2.0 * math.log(hbr) - math.log(2.0 * s_x * s_y) - p_r2) \
         + series.log()
 
@@ -282,15 +283,18 @@ def _principal_axes(r_b, p_b):
 def _chan_series(x_m, y_m, s_x: float, s_y: float, hbr: float):
     """(arg, p r^2, S) of the series at the principal-axis position
     (x_m, y_m), floats or polynomials: S is the recurrence started from
-    c_0 = 1, and the probability is e^arg r^2 / (2 s_x s_y) e^(-p r^2) S.
-    The coefficients stay positive because s_x <= s_y."""
+    c_0 = 1 (None past ``_SERIES_CAP`` terms), and the probability is
+    e^arg r^2 / (2 s_x s_y) e^(-p r^2) S. The terms stay positive as s_x <=
+    s_y, each at least 1/k of the k-term sum while they rise, so no stop
+    precedes their peak; Serra et al. (*JGCD* 39(5), 2016) bound the tail."""
     r2 = hbr * hbr
     p = 1.0 / (2.0 * s_x * s_x)
     phi = 1.0 - (s_x / s_y) ** 2
-    omega_x = (x_m * x_m) * (1.0 / (4.0 * s_x ** 4))
-    omega_y = (y_m * y_m) * (1.0 / (4.0 * s_y ** 4))
+    x2, y2 = x_m * x_m, y_m * y_m
+    omega_x = x2 * (1.0 / (4.0 * s_x ** 4))
+    omega_y = y2 * (1.0 / (4.0 * s_y ** 4))
     omega = omega_x + omega_y
-    arg = (x_m * x_m) * (-0.5 / s_x ** 2) + (y_m * y_m) * (-0.5 / s_y ** 2)
+    arg = x2 * (-0.5 / s_x ** 2) + y2 * (-0.5 / s_y ** 2)
 
     inter0 = 1.0 + phi / 2.0
     inter1 = omega + p * inter0
@@ -316,9 +320,8 @@ def _chan_series(x_m, y_m, s_x: float, s_y: float, hbr: float):
     p_phi = p * phi
     p_r2 = p * r2
 
-    for k in range(_SERIES_TERMS - 4):
-        k2, k3, k4, k5 = k + 2.0, k + 3.0, k + 4.0, k + 5.0
-        half = k + 2.5
+    for k in range(_SERIES_CAP - 4):
+        k2, k3, k4, k5, half = k + 2.0, k + 3.0, k + 4.0, k + 5.0, k + 2.5
         new = c3 * (inter1 + aux5 * k3)
         new = new - c2 * ((aux4 * half + aux3) * (p_r2 / k4))
         new = new + c1 * ((aux2 + p_phi * half) * (aux1 / (k4 * k3)))
@@ -326,5 +329,22 @@ def _chan_series(x_m, y_m, s_x: float, s_y: float, hbr: float):
         new = new * (r2 / (k4 * k5))
         c0, c1, c2, c3 = c1, c2, c3, new
         total = total + new
+        if _converged(new, total):
+            return arg, p_r2, total
+    return arg, p_r2, None
 
-    return arg, p_r2, total
+
+def _converged(term, total) -> bool:
+    """Whether the newest ``term`` is at most 2^-53 of the sum ``total``, in
+    each degree's largest |coefficient| for polynomials; raises on overflow."""
+    if isinstance(total, TaylorPoly):
+        starts = [s.start for s in total._tab.degree_slices]
+        term, total = (np.maximum.reduceat(np.abs(t.coef), starts)
+                       for t in (term, total))
+        converged = (term <= 2.0 ** -53 * total).all()
+        finite = np.isfinite(total).all()
+    else:
+        converged, finite = term <= 2.0 ** -53 * total, math.isfinite(total)
+    if not finite:
+        raise NumericError("collision-probability series overflowed")
+    return bool(converged)

@@ -9,6 +9,8 @@ by enumeration and a loop over every pair, with no closed-form rank.
 ``reference_mul`` takes a product as a bincount triple sum over every pair
 of the table.
 ``reference_sin_cos`` sums the sine and cosine series on ``reference_mul``.
+``reference_log_poc_chan`` sums the collision-probability series to a fixed
+60 terms.
 """
 
 import functools
@@ -149,3 +151,45 @@ def reference_sin_cos(p: TaylorPoly) -> tuple[np.ndarray, np.ndarray]:
     sin_d, cos_d = series
     return (math.sin(a) * cos_d + math.cos(a) * sin_d,
             math.cos(a) * cos_d - math.sin(a) * sin_d)
+
+
+def reference_log_poc_chan(r_b, p_b, hbr: float):
+    """log PoC over the polynomial encounter-plane position ``r_b``, its
+    series S summed to a fixed 60 terms: the four-term recurrence of
+    ``polycam.conjunction`` written out, with no stop rule."""
+    eigvals, eigvecs = np.linalg.eigh(np.asarray(p_b, dtype=np.float64))
+    s_x, s_y = math.sqrt(eigvals[0]), math.sqrt(eigvals[1])
+    x = eigvecs[0, 0] * r_b[0] + eigvecs[1, 0] * r_b[1]
+    y = eigvecs[0, 1] * r_b[0] + eigvecs[1, 1] * r_b[1]
+    r2 = hbr * hbr
+    p = 1.0 / (2.0 * s_x * s_x)
+    phi = 1.0 - (s_x / s_y) ** 2
+    omega_x = (x * x) * (1.0 / (4.0 * s_x ** 4))
+    omega_y = (y * y) * (1.0 / (4.0 * s_y ** 4))
+    omega = omega_x + omega_y
+    arg = (x * x) * (-0.5 / s_x ** 2) + (y * y) * (-0.5 / s_y ** 2)
+
+    inter0 = 1.0 + phi / 2.0
+    inter1 = omega + p * inter0
+    inter2 = (p * p * (1.0 + phi * phi / 2.0)) + omega_y * (2.0 * p * phi)
+    inter3 = inter1 * inter1
+    c = [1.0, (r2 / 2.0) * inter1, (r2 * r2 / 12.0) * (inter3 + inter2),
+         (r2 ** 3 / 144.0) * (inter1 * (inter3 + 3.0 * inter2) + 2.0 * (
+             p ** 3 * (1.0 + phi ** 3 / 2.0)
+             + omega_y * (3.0 * p * p * phi * phi)))]
+    for k in range(60 - 4):
+        new = c[-1] * (inter1 + p * (2.0 * phi + 1.0) * (k + 3.0))
+        new = new - c[-2] * ((2.0 * p * phi * inter0 * (k + 2.5) + omega_x
+                              * (2.0 * phi) + (1.5 * p * phi) + omega)
+                             * (p * r2 / (k + 4.0)))
+        new = new + c[-3] * ((omega_x * (2.0 * inter0) + p * phi * (k + 2.5))
+                             * (r2 * r2 * p * p * phi
+                                / ((k + 4.0) * (k + 3.0))))
+        new = new - c[-4] * (r2 ** 3 * p ** 3 * phi * phi * omega_x
+                             / ((k + 4.0) * (k + 3.0) * (k + 2.0)))
+        c.append(new * (r2 / ((k + 4.0) * (k + 5.0))))
+    total = c[0] + c[1] + c[2] + c[3]
+    for term in c[4:]:
+        total = total + term
+    return arg + (2.0 * math.log(hbr) - math.log(2.0 * s_x * s_y) - p * r2) \
+        + total.log()

@@ -39,9 +39,11 @@ RUN_SECONDS = 25.0
 # LEO designs per seed of each design set, and each set's options: ranked
 # low-thrust arcs; three J2 impulses, whose last coast integrates in the
 # 9-variable algebra; a low-thrust arc and a J2 impulse on a step count,
-# whose back-propagations take the count rather than a mesh; and one
-# low-thrust arc of four held accelerations, whose last one integrates in
-# the 12-variable algebra
+# whose back-propagations take the count rather than a mesh; one low-thrust
+# arc of four held accelerations, whose last one integrates in the
+# 12-variable algebra; and one impulse on a conjunction of the generator's
+# default band, up to four decades above the target, so over a wider range
+# of misses than the workloads' band
 DESIGNS_PER_SEED = 4
 DESIGN_SETS = {
     "ranked_low_thrust": ("--mode", "lowthrust", "--nodes", "2orb,1orb,0.5orb",
@@ -54,7 +56,11 @@ DESIGN_SETS = {
     "j2_steps": ("--nodes", "0.5orb", "--dyn", "j2", "--steps", "40"),
     "low_thrust_12": ("--mode", "lowthrust", "--nodes",
                       "2orb,1.5orb,1orb,0.5orb,0.25orb"),
+    "default_band": ("--nodes", "0.5orb"),
 }
+# sets drawn from the generator's default ballistic probability band; the
+# others take the workloads' band
+DEFAULT_BAND_SETS = {"default_band"}
 
 
 def set_designs(name: str, seed: int, workloads, count: int = DESIGNS_PER_SEED
@@ -62,8 +68,9 @@ def set_designs(name: str, seed: int, workloads, count: int = DESIGNS_PER_SEED
     """The first ``count`` designs of ``DESIGN_SETS[name]`` at ``seed``, as
     ``workloads.Design`` (``workloads`` being ``perfbench/workloads.py``)."""
     from polycam.scenarios import generate_synthetic_suite
-    docs = generate_synthetic_suite(seed, count, "LEO",
-                                    poc_band=workloads.POC_BAND)
+    band = {} if name in DEFAULT_BAND_SETS else {
+        "poc_band": workloads.POC_BAND}
+    docs = generate_synthetic_suite(seed, count, "LEO", **band)
     return [workloads.Design(f"{doc['name']}/{name}", doc, (
         "--order", str(workloads.ORDER), "--target-poc",
         repr(workloads.TARGET_POC), *DESIGN_SETS[name])) for doc in docs]

@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 from scipy.stats import ncx2
 
+from polycam import cli, mapbuilder
 from polycam import dynamics as dyn
 from polycam.conjunction import (ConjunctionEvent, log_poc_chan, poc_chan,
                                  poc_quadrature, project_bplane)
 from polycam.dapoly import AlgebraConfig, TaylorPoly
 from polycam.errors import (CovarianceError, GeometryError, NumericError,
                             ValidationError)
+from polycam.mapbuilder import IMPULSIVE, ControlSchedule, build_poc_map
 
+from poly_reference import homogeneous, reference_log_poc_chan
 from quadrature_reference import criterion_1_draws, poc_dblquad
 
 
@@ -287,6 +290,27 @@ class TestPocChan:
             with np.errstate(over="ignore"):
                 poc_chan(np.array([0.5, 0.3]), np.eye(2) * 1e300, 0.01)
 
+    @pytest.mark.parametrize("hbr", [4.0, 6.0, 10.0, 15.0])
+    def test_wide_disc_sums_until_converged(self, hbr):
+        # twenty terms were 1e-4 off at four minor-axis sigmas of radius,
+        # 27% off at six, and six decades low at ten
+        r_b, p_b = np.array([0.5, 0.3]), np.diag([1.0, 4.0])
+        reference = poc_quadrature(r_b, p_b, hbr)
+        assert abs(poc_chan(r_b, p_b, hbr) - reference) <= 1e-12 * reference
+
+    def test_past_the_cap_real_input_takes_the_quadrature(self):
+        # fifteen minor-axis sigmas of radius need more terms than the cap
+        r_b, p_b, hbr = np.array([12.0, 0.0]), np.diag([1.0, 4.0]), 15.0
+        assert poc_chan(r_b, p_b, hbr) == poc_quadrature(r_b, p_b, hbr)
+        cfg = AlgebraConfig(2, 2)
+        rb_poly = [TaylorPoly.variable(cfg, k) + r_b[k] for k in range(2)]
+        with pytest.raises(NumericError, match="^collision-probability series "
+                                               "did not converge in 128 terms$"
+                           ) as err:
+            log_poc_chan(rb_poly, p_b, hbr)
+        code, payload = cli._failure(err.value)
+        assert (code, payload["error"]["class"]) == (4, "non-convergence")
+
     def test_polynomial_input_constant_part(self):
         p_b = np.array([[0.04, 0.01], [0.01, 0.09]])
         hbr = 0.02
@@ -324,6 +348,54 @@ class TestPocChan:
         truth = poc_chan(r_b + delta, p_b, hbr)
         assert truth < 1e-2 * poc_chan(r_b, p_b, hbr)
         assert math.exp(poly.eval(delta)) == pytest.approx(truth, rel=1e-6)
+
+
+@pytest.fixture(scope="module")
+def map_positions(leo_event, leo_period):
+    """{variables: (r_b, p_b, hbr)} that order-5 maps of one and of three
+    impulses pass to log_poc_chan."""
+    captured = {}
+
+    def recording(r_b, p_b, hbr):
+        captured[r_b[0].n_vars] = (r_b, p_b, hbr)
+        return log_poc_chan(r_b, p_b, hbr)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mapbuilder, "log_poc_chan", recording)
+        for nodes in ((-0.5,), (-2.5, -1.5, -0.5)):
+            build_poc_map(leo_event, ControlSchedule(
+                mode=IMPULSIVE, node_epochs=tuple(t * leo_period
+                                                  for t in nodes)), 5)
+    return captured
+
+
+class TestSeriesStopRule:
+    @pytest.mark.parametrize("n_vars", [3, 9])
+    def test_map_matches_a_sixty_term_sum_in_every_degree(self, map_positions,
+                                                          n_vars):
+        # the constant part settles terms before the higher degrees do
+        r_b, p_b, hbr = map_positions[n_vars]
+        got = log_poc_chan(r_b, p_b, hbr)
+        want = reference_log_poc_chan(r_b, p_b, hbr)
+        assert got.config == AlgebraConfig(n_vars, 5)
+        for k in range(6):
+            wanted = homogeneous(want, k).coef
+            assert np.abs(homogeneous(got, k).coef - wanted).max() \
+                <= 1e-15 * np.abs(wanted).max()
+
+    def test_nine_variable_map_stops_early(self, map_positions, monkeypatch):
+        # twenty terms took 125 calls; a number on the left of a scaling
+        # goes through __rmul__ and is not counted
+        calls = []
+        mul = TaylorPoly.__mul__
+
+        def counted(a, b):
+            calls.append(None)
+            return mul(a, b)
+
+        monkeypatch.setattr(TaylorPoly, "__mul__", counted)
+        log_poc_chan(*map_positions[9])
+        assert len(calls) <= 60
 
 
 class TestPocProperties:
