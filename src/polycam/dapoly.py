@@ -8,7 +8,8 @@ variables, a higher order or both (:meth:`TaylorPoly.embed`), so a pipeline
 can run its early stages in small algebras and widen as variables join, or
 run a stage at a low order and carry on at a higher one. Each operation is
 a row function on coefficient vectors; :func:`record` turns a function of
-polynomials into a replayable program of them.
+polynomials into a program of them, compiled to straight-line Python once
+per process for each sequence of operations.
 
 Coefficients are held in a dense vector indexed by a graded-lexicographic
 monomial table shared per (n_vars, max_order).
@@ -38,6 +39,7 @@ coefficient keeps the bits of the full pass.
 from __future__ import annotations
 
 import cmath
+import linecache
 import math
 import os
 import sys
@@ -276,14 +278,6 @@ def _mul(tab, a, b):
     return _row_pass(tab.mul_ptr, a[tab.mul_i], tab.mul_j, b, tab.size)
 
 
-def _gather(tab, a, b):
-    return a[tab.mul_i]
-
-
-def _gathered_mul(tab, w, b):
-    return _row_pass(tab.mul_ptr, w, tab.mul_j, b, tab.size)
-
-
 def _add(tab, a, b):
     return a + b
 
@@ -318,17 +312,23 @@ def _neg(tab, a, b):
     return -a
 
 
-def _power(tab, a, p):
-    """a**p about the constant part, which must be positive."""
+def _power_series(a: np.ndarray, p: float, n: int) -> np.ndarray:
+    """The series of x**p about the constant part of the row ``a``, which
+    must be positive, to degree n."""
     a0 = float(a[0])
     if a0 <= 0.0:
         raise DomainError(
             f"power({p}) requires positive constant part, got {a0}", a0)
-    outer = np.empty(tab.max_order + 1)
+    outer = np.empty(n + 1)
     outer[0] = a0 ** p
-    for k in range(1, tab.max_order + 1):
+    for k in range(1, n + 1):
         outer[k] = outer[k - 1] * (p - (k - 1)) / (k * a0)
-    return _horner(tab, a, outer)
+    return outer
+
+
+def _power(tab, a, p):
+    """a**p about the constant part, which must be positive."""
+    return _horner(tab, a, _power_series(a, p, tab.max_order))
 
 
 def _sine_series(a0: float, n: int, shift: int) -> np.ndarray:
@@ -599,20 +599,104 @@ class _Register(TaylorPoly):
         return out
 
 
+# The source line of each row function in a compiled program, but for
+# products and powers (:func:`_program_source`): o is the result register,
+# a the left operand and b the right one, a row or a number.
+_STATEMENTS = {
+    _add: "{o} = {a} + {b}",
+    _sub: "{o} = {a} - {b}",
+    _neg: "{o} = -{a}",
+    _scale: "{o} = {a} * {b}",
+    _add_const: "{o} = {a}.copy(); {o}[0] += {b}",
+    _sub_const: "{o} = {a}.copy(); {o}[0] -= {b}",
+    _rsub_const: "{o} = -{a}; {o}[0] += {b}",
+}
+
+
+def _program_source(tab: _AlgebraTables, n_rows: int, bound: list,
+                    ops: list, outs: list) -> str:
+    """Python source of a recorded program: ``_bind(ptr, mul_i, mul_j,
+    matvec, *bound)`` returns ``run(values)``. Register k is the local
+    ``r{k}``; the bound registers (fixed polynomials and numbers) are
+    ``_bind``'s arguments, so programs that differ only in their values
+    share one text. A product is one pass of ``matvec`` into a zeroed row,
+    its left operand gathered once, before its first product; a power is
+    :func:`_horner`'s steps, unrolled. The text holds register indices and
+    the algebra's sizes, nothing else that varies."""
+    size, order = tab.size, tab.max_order
+    body = ["values = asarray(values, dtype=float64)",
+            f"if values.shape != ({n_rows}, {size}):",
+            "    raise ConfigurationError(f'rows have shape {values.shape}, "
+            f"expected ({n_rows}, {size})')",
+            f"{''.join(f'r{k}, ' for k in range(n_rows))}= values"]
+    gathered = set()
+    for op, o, a, b in ops:
+        if op is _mul:
+            if a not in gathered:
+                gathered.add(a)
+                body.append(f"g{a} = r{a}[mul_i]")
+            body.append(f"r{o} = zeros({size}); "
+                        f"matvec({size}, {size}, ptr, mul_j, g{a}, r{b}, r{o})")
+        elif op is _power:
+            body += [f"s = power_series(r{a}, r{b}, {order})",
+                     f"w = r{a}.copy(); w[0] = 0.0; w = w[mul_j]",
+                     f"x = zeros({size}); x[0] = s[{order}]"]
+            for m in range(1, order + 1):
+                body.append(
+                    f"t = x; x = zeros({size}); "
+                    f"matvec({tab.degree_slices[m].stop}, {size}, ptr, mul_i, "
+                    f"w, t, x); x[0] += s[{order - m}]")
+            body.append(f"r{o} = x")
+        else:
+            body.append(_STATEMENTS[op].format(o=f"r{o}", a=f"r{a}",
+                                               b=f"r{b}"))
+    body.append(f"return [{', '.join(f'r{k}' for k in outs)}]")
+    return "".join([
+        f"def _bind(ptr, mul_i, mul_j, matvec, "
+        f"{''.join(f'r{k}, ' for k in bound)}):\n",
+        "    def run(values):\n",
+        *(f"        {line}\n" for line in body),
+        "    return run\n"])
+
+
+def _compile_source(text: str, names: dict) -> dict:
+    """The namespace left by executing the generated module ``text`` over
+    the global ``names``. The text goes into :mod:`linecache` under a name
+    of its own, so tracebacks and :func:`inspect.getsource` show it."""
+    filename = f"<polycam {hash(text) & 0xffffffffffff:012x}>"
+    linecache.cache[filename] = (len(text), None, text.splitlines(True),
+                                 filename)
+    namespace = dict(names)
+    exec(compile(text, filename, "exec"), namespace)
+    return namespace
+
+
+@lru_cache(maxsize=None)
+def _compiled_program(text: str):
+    """``_bind`` of one program text, compiled once per process."""
+    return _compile_source(text, {
+        "asarray": np.asarray, "float64": np.float64, "zeros": np.zeros,
+        "power_series": _power_series,
+        "ConfigurationError": ConfigurationError})["_bind"]
+
+
 def record(fn, config: AlgebraConfig, n_rows: int, fixed=()):
     """``fn(rows, fixed)`` recorded once as a straight-line program of row
-    functions (the tape of operator-overloading differentiation tools),
-    returned as ``run(rows)``: the coefficient rows of fn's results for
-    the (n_rows, size) coefficient rows ``rows`` of the algebra
-    ``config``. Each polynomial of ``fixed``, of that algebra, keeps its
-    value in every run; numbers are constants. ``fn`` may use +, -, *
-    and :meth:`TaylorPoly.power` on its arguments and branch on their
-    types, not on their values; a run adds the same products in the same
-    order as ``fn`` on polynomials would. Runs share one register list,
-    so a program serves one caller at a time.
+    functions (the tape of operator-overloading differentiation tools)
+    and compiled to Python, returned as ``run(rows)``: the coefficient
+    rows of fn's results for the (n_rows, size) coefficient rows ``rows``
+    of the algebra ``config``. Each polynomial of ``fixed``, of that
+    algebra, keeps its value in every run; numbers are constants. ``fn``
+    may use +, -, * and :meth:`TaylorPoly.power` on its arguments and
+    branch on their types, not on their values; a run adds the same
+    products in the same order as ``fn`` on polynomials would.
 
-    A product's left operand is gathered once per run, before its first
-    product, for every product it feeds; each keeps :func:`_mul`'s bits.
+    The compiled code (:func:`_program_source`) depends only on the
+    operations and the algebra: constants and fixed polynomials are bound
+    to it by name, so recordings that differ only in them share one code
+    object. A product's left operand is gathered once per run, before its
+    first product, for every product it feeds; each keeps :func:`_mul`'s
+    bits. Runs keep no state, so a program may serve several callers.
     """
     tab = _tables(config.n_vars, config.max_order)
     # the compiled row pass reads its operands without bounds checks
@@ -623,28 +707,11 @@ def record(fn, config: AlgebraConfig, n_rows: int, fixed=()):
     held = [_Register(program, c.coef) if isinstance(c, TaylorPoly) else c
             for c in fixed]
     outs = [r._index for r in fn(rows, held)]
-    _, regs, recorded = program
-    gathers, ops = {}, []
-    for op, out, a, b in recorded:
-        if op is _mul:
-            if a not in gathers:
-                gathers[a] = len(regs)
-                regs.append(None)
-                ops.append((_gather, gathers[a], a, a))
-            op, a = _gathered_mul, gathers[a]
-        ops.append((op, out, a, b))
-
-    def run(values) -> list:
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (n_rows, tab.size):
-            raise ConfigurationError(f"rows have shape {values.shape}, "
-                                     f"expected {(n_rows, tab.size)}")
-        regs[:n_rows] = values
-        for op, out, a, b in ops:
-            regs[out] = op(tab, regs[a], regs[b])
-        return [regs[k] for k in outs]
-
-    return run
+    _, regs, ops = program
+    bound = [k for k, value in enumerate(regs) if value is not None]
+    bind = _compiled_program(_program_source(tab, n_rows, bound, ops, outs))
+    return bind(tab.mul_ptr, tab.mul_i, tab.mul_j, _csr_matvec,
+                *(regs[k] for k in bound))
 
 
 def contract_no_first_mode(a: TaylorPoly, k: int, phi) -> np.ndarray:

@@ -9,9 +9,11 @@ arrays, or :class:`~polycam.dapoly.TaylorPoly` scalars. Polynomial and
 batched states advance as one (6, N) block, one array operation per term
 of an RK stage; float and complex states advance entry by entry, as
 Python scalars. Both give every entry the values of the entry-by-entry
-combination. A polynomial propagation records the kernel once as a
-program of row functions (:func:`~polycam.dapoly.record`) and runs it on
-the block's rows at every stage whose six rows are polynomials.
+combination. A step is straight-line Python, generated once per process
+for each kind of state (:func:`_rk_step_fn`). A polynomial propagation
+records the kernel once as a compiled program of row functions
+(:func:`~polycam.dapoly.record`), and the block step calls it on the
+block's rows at every stage whose six rows are polynomials.
 Steps are equal (a count per span) or follow a :class:`Mesh`, which a
 real or complex pass fills by error control (:func:`_controlled_steps`).
 A Kepler coast takes one exact step whatever its plan
@@ -24,12 +26,14 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Number
 from typing import Sequence
 
 import numpy as np
 
-from .dapoly import TaylorPoly, generic_power, generic_sin_cos, record
+from .dapoly import (TaylorPoly, _compile_source, generic_power,
+                     generic_sin_cos, record)
 from .errors import ConfigurationError, FrameError, PropagationError
 
 __all__ = [
@@ -205,16 +209,20 @@ def _kernel_kepler_j2(y: Sequence, u: Sequence | None, mu: float, r_e: float,
     x, yy, z, vx, vy, vz = y
     z2 = z * z
     r2 = x * x + yy * yy + z2
-    inv_r3 = generic_power(r2, -1.5)
-    common = -mu * inv_r3
-    ax, ay, az = common * x, common * yy, common * z
-    if j2 != 0.0:
-        inv_r2 = generic_power(r2, -1.0) if isinstance(r2, TaylorPoly) else 1.0 / r2
+    if j2 == 0.0:
+        common = -mu * generic_power(r2, -1.5)
+        ax, ay, az = common * x, common * yy, common * z
+    else:
+        # one power, 1/r, gives 1/r^2 and 1/r^3; the plane and axial
+        # factors share k_j2 * 5 z^2 / r^2 and the two-body factor
+        inv_r = generic_power(r2, -0.5)
+        inv_r2 = inv_r * inv_r
+        common = -mu * (inv_r2 * inv_r)
         k_j2 = (1.5 * j2 * r_e * r_e) * inv_r2
-        five_z2_over_r2 = 5.0 * (z2 * inv_r2)
-        plane = 1.0 + k_j2 * (1.0 - five_z2_over_r2)
-        axial = 1.0 + k_j2 * (3.0 - five_z2_over_r2)
-        ax, ay, az = ax * plane, ay * plane, az * axial
+        shared = k_j2 * (5.0 * (z2 * inv_r2))
+        plane = common * (1.0 + k_j2 - shared)
+        axial = common * (1.0 + 3.0 * k_j2 - shared)
+        ax, ay, az = plane * x, plane * yy, axial * z
     if u is not None:
         ax, ay, az = ax + u[0], ay + u[1], az + u[2]
     return vx, vy, vz, ax, ay, az
@@ -305,9 +313,8 @@ class _Block:
                 block[i, 0] = c
         return block, mask
 
-    def view(self, state: tuple[np.ndarray, int]) -> list:
+    def view(self, block: np.ndarray, mask: int) -> list:
         """The six entries of a (block, mask) state, rows as views."""
-        block, mask = state
         tab = self._tab
         out = []
         for i in range(6):
@@ -324,34 +331,61 @@ class _Block:
 _ALL_ROWS = 0b111111
 
 
-def _scalar_axpy(y: list, a: float, f: Sequence) -> list:
-    """y + a * f entry by entry, unrolled for the six entries."""
-    y0, y1, y2, y3, y4, y5 = y
-    f0, f1, f2, f3, f4, f5 = f
-    return [y0 + a * f0, y1 + a * f1, y2 + a * f2,
-            y3 + a * f3, y4 + a * f4, y5 + a * f5]
+def _block_sum(terms: list) -> list:
+    """Source lines that sum the block y and (h * b) f_l over ``terms``
+    into t, in order."""
+    if not terms:
+        return ["t = y"]
+    (l, b), *rest = terms
+    return [f"t = (h * {b!r}) * f{l}", "t += y",
+            *(f"t += (h * {b!r}) * f{l}" for l, b in rest)]
 
 
-def _block_axpy(y: tuple[np.ndarray, int], a: float,
-                f: tuple[np.ndarray, int]) -> tuple[np.ndarray, int]:
-    """y + a * f over whole blocks; a row has met a polynomial or an array
-    when it had in either."""
-    out = a * f[0]
-    out += y[0]
-    return out, y[1] | f[1]
+def _scalar_sums(terms: list) -> str:
+    """Source of the six entries of y plus a_l f_l over ``terms``, in order,
+    the a_l = h * b being set before."""
+    return ", ".join(f"y{i}" + "".join(f" + a{l} * f{l}_{i}" for l, _ in terms)
+                     for i in range(6))
 
 
-def _rk_step(y, h: float, axpy, slope, rows: dict) -> tuple[list, dict]:
-    """The 7th-order state a step h on, and the slopes of the stages."""
-    f = {}
-    for k, row in rows.items():
-        yk = y
-        for l, b in row:
-            yk = axpy(yk, h * b, f[l])
-        f[k] = slope(yk)
-    for k, w in _WSEL:
-        y = axpy(y, h * w, f[k])
-    return y, f
+@lru_cache(maxsize=None)
+def _rk_step_fn(block: bool, pair: bool = False):
+    """One RK7(8) step, generated on first use as straight-line Python.
+
+    The step runs the stages of ``_PAIR_ROWS`` if ``pair`` (and returns
+    every stage's slope too, for error control), else those of ``_ROWS``.
+    Stage k adds (h * b) f_l to the state in its row's order, and the new
+    state adds (h * w) f_k in ``_WSEL`` order: the sums, in their order,
+    of a chain of y + a f steps.
+
+    - ``step(y, h, slope)`` on a scalar state sums six Python scalars;
+    - ``step((y, mask), h, run, full, slow)`` on a :class:`_Block` sums
+      whole arrays. A stage's mask is the state's or'ed with its slopes';
+      a mask equal to ``full`` runs the compiled slope ``run`` on the
+      rows, any other takes ``slow(t, mask)``.
+    """
+    rows = _PAIR_ROWS if pair else _ROWS
+    if block:
+        lines = ["def step(state, h, run, full, slow):", "y, mask = state"]
+        for k, row in rows.items():
+            lines += [*_block_sum(row),
+                      "m = mask" + "".join(f" | m{l}" for l, _ in row),
+                      f"f{k}, m{k} = ((array(run(t)), full) if m == full "
+                      "else slow(t, m))"]
+        lines += [*_block_sum(_WSEL),
+                  "return t, mask" + "".join(f" | m{k}" for k, _ in _WSEL)]
+    else:
+        lines = ["def step(y, h, slope):",
+                 ", ".join(f"y{i}" for i in range(6)) + " = y"]
+        for k, row in rows.items():
+            lines += [*(f"a{l} = h * {b!r}" for l, b in row),
+                      f"f{k} = " + ", ".join(f"f{k}_{i}" for i in range(6))
+                      + f" = slope([{_scalar_sums(row)}])"]
+        lines += [*(f"a{k} = h * {w!r}" for k, w in _WSEL),
+                  f"return [{_scalar_sums(_WSEL)}]"
+                  + (f", [{', '.join(f'f{k}' for k in rows)}]" if pair else "")]
+    text = "\n    ".join(lines) + "\n"
+    return _compile_source(text, {"array": np.array})["step"]
 
 
 def _controlled_steps(y, t0: float, t1: float, slope, mesh: Mesh) -> list:
@@ -375,7 +409,7 @@ def _controlled_steps(y, t0: float, t1: float, slope, mesh: Mesh) -> list:
         t_next = t1 if abs(h) >= abs(t1 - t) else t + h
         h = t_next - t
         try:
-            trial, f = _rk_step(y, h, _scalar_axpy, slope, _PAIR_ROWS)
+            trial, f = _rk_step_fn(False, True)(y, h, slope)
             err = max(abs((a + b - c - d).real)
                       for a, b, c, d in zip(f[0], f[10], f[11], f[12]))
             weight = max(mesh.weight,
@@ -425,7 +459,11 @@ def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
     A state with a polynomial or an array among its entries or controls
     advances as one :class:`_Block`, one array operation per stage term;
     a scalar state advances entry by entry, numpy floats as Python floats.
-    Both give the values of the entry-by-entry combination.
+    Both give the values of the entry-by-entry combination: each step is
+    one generated function (:func:`_rk_step_fn`) that sums the stages in
+    the tableau's order. A polynomial block records the kernel, with the
+    controls bound as its fixed values, as one compiled program
+    (:func:`~polycam.dapoly.record`), which its steps call directly.
     """
     if t1 == t0:
         return list(y0)
@@ -433,18 +471,17 @@ def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
     deriv = _derivative_fn(model, u)
     block = _Block(y0, u) if any(_is_row(c) for c in (*y0, *u)) else None
     if block is not None:
-        y, axpy, guard_finite = block.lift(y0), _block_axpy, False
+        y, guard_finite = block.lift(y0), False
         run = None if block._tab is None else record(
             lambda rows, held: _derivative_fn(model, held)(rows),
             block._tab.config, 6, u)
-
-        def slope(state):
-            if run is not None and state[1] == _ALL_ROWS:
-                return np.array(run(state[0])), _ALL_ROWS
-            return block.lift(deriv(block.view(state)))
+        step = _rk_step_fn(True)
+        # a mask never equals -1: without a program every stage is lifted
+        args = (run, -1 if run is None else _ALL_ROWS,
+                lambda t, m: block.lift(deriv(block.view(t, m))))
     else:
         y = [float(c) if isinstance(c, np.float64) else c for c in y0]
-        axpy, slope = _scalar_axpy, deriv
+        step, args = _rk_step_fn(False), (deriv,)
         guard_finite = all(isinstance(c, Number) for c in (*y, *u))
     if not isinstance(config, Mesh) and config.steps is None:
         config = Mesh()
@@ -454,15 +491,15 @@ def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
                 f"no steps for a polynomial or batched state from t={t0!r}: "
                 "it needs a step count or a filled mesh", time=t0)
         if not config.times:
-            return _controlled_steps(y, t0, t1, slope, config)
+            return _controlled_steps(y, t0, t1, deriv, config)
         steps = [(b - a, b) for a, b in zip(config.times, config.times[1:])]
     else:
         h = (t1 - t0) / config.steps
-        steps = ((h, t0 + (step + 1) * h) for step in range(config.steps))
+        steps = ((h, t0 + (k + 1) * h) for k in range(config.steps))
     t = t0
     for h, end in steps:
         try:
-            y, _ = _rk_step(y, h, axpy, slope, _ROWS)
+            y = step(y, h, *args)
         except (ArithmeticError, ValueError) as exc:
             raise PropagationError(
                 f"propagation failed at t={t!r}: {exc}", time=t) from exc
@@ -470,7 +507,7 @@ def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
         if guard_finite and not cmath.isfinite(y[0] + y[1] + y[2]):
             raise PropagationError(
                 f"singularity encountered near t={t!r}", time=t)
-    return y if block is None else block.view(y)
+    return y if block is None else block.view(*y)
 
 
 def _kepler_terms(y: Sequence, dt: float, mu: float) -> tuple:
@@ -509,8 +546,7 @@ def kepler_anomaly(y0: Sequence, u: Sequence, t0: float, t1: float,
         return None
     y = [c.constant_part if isinstance(c, TaylorPoly) else c.real for c in y0]
     rr, vv = sum(c * c for c in y[:3]), sum(c * c for c in y[3:])
-    hh = sum((y[i] * y[j + 3] - y[j] * y[i + 3]) ** 2
-             for i, j in ((1, 2), (2, 0), (0, 1)))  # |r x v|^2
+    hh = sum(c ** 2 for c in _cross(y[:3], y[3:]))  # |r x v|^2
     holds = np.all if isinstance(rr, np.ndarray) else bool
     mu, r_e = model.mu, model.r_e
     with np.errstate(all="ignore"):
@@ -556,6 +592,13 @@ def _kepler_coast(y: list, x, dt: float, mu: float) -> list:
 # Frames and orbit periods.
 # ---------------------------------------------------------------------------
 
+def _cross(a: Sequence, b: Sequence) -> list:
+    """a x b, entry by entry as ``np.cross`` forms it."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+
+
 def rtn_rotation(r: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotation with rows (radial, transverse, normal) expressed inertially,
     at position ``r`` and velocity ``v``.
@@ -567,14 +610,13 @@ def rtn_rotation(r: np.ndarray, v: np.ndarray) -> np.ndarray:
     vn = np.linalg.norm(v)
     if rn == 0.0 or vn == 0.0:
         raise FrameError("zero position or velocity")
-    h = np.cross(r, v)
+    h = np.array(_cross(r.tolist(), v.tolist()))
     hn = np.linalg.norm(h)
     if hn <= 1e-12 * rn * vn:
         raise FrameError("position and velocity are parallel")
-    radial = r / rn
-    normal = h / hn
-    transverse = np.cross(normal, radial)
-    return np.vstack([radial, transverse, normal])
+    radial = (r / rn).tolist()
+    normal = (h / hn).tolist()
+    return np.array([radial, _cross(normal, radial), normal])
 
 
 def osculating_period(state: SpacecraftState, model: DynamicsModel) -> float:

@@ -8,12 +8,16 @@ and runs each design through each tree's ``polycam.cli.run_scenario``,
 alternating which tree goes first so that host drift falls on both
 alike. Prints one line per design with the
 CPU time of each tree and their ratio B/A, then the median ratio and the
-count of designs on which B took less CPU time. A design whose results
-differ also shows how far its validated PoC and total delta-v moved,
-relative to A, and the summary gives the largest of each move::
+count of designs on which B took less CPU time, overall and per design
+kind (the label's suffix after its last ``/``, or ``cislunar`` for a
+label without one). ``--repeat R`` runs each design R times on each
+tree, alternating, and keeps each tree's least CPU time. A design whose
+results differ also shows how far its validated PoC and total delta-v
+moved, relative to A, and the summary gives the largest of each move::
 
     python tests/ab_designs.py PARENT_TREE CHANGE_TREE multi_node 16
     python tests/ab_designs.py PARENT_TREE CHANGE_TREE single_impulse 40 --seed 11
+    python tests/ab_designs.py PARENT_TREE CHANGE_TREE single_impulse 40 --repeat 7
     python tests/ab_designs.py PARENT_TREE CHANGE_TREE j2_three_node 8
 
 Exits 1 if any design's result JSON differs between the trees other than
@@ -110,13 +114,30 @@ def _run(modules: dict, design) -> tuple[float, dict]:
     return spent, {"exit_code": code, **payload}
 
 
+def _kind(label: str) -> str:
+    """The design kind of a workload label: ``kepler``, ``j2``, ``filter``,
+    ``umax``, a design set's name, or ``cislunar``, whose labels have no
+    suffix."""
+    return label.rsplit("/", 1)[1] if "/" in label else "cislunar"
+
+
+def _summary(name: str, ratios: list) -> str:
+    wins = sum(r < 1.0 for r in ratios)
+    return (f"{name}: median B/A {statistics.median(ratios):.3f} over "
+            f"{len(ratios)} designs; B faster in {wins} of {len(ratios)}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("trees", nargs=2, metavar="TREE")
     parser.add_argument("workload")
     parser.add_argument("count", type=int, metavar="N")
     parser.add_argument("--seed", type=int, default=2406)
+    parser.add_argument("--repeat", type=int, default=1, metavar="R",
+                        help="runs per design and tree; the least CPU counts")
     args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
 
     trees = [_load(tree) for tree in args.trees]
     _activate(trees[0])
@@ -128,12 +149,17 @@ def main(argv=None) -> int:
                                                            args.count)
     for modules in trees:
         _run(modules, designs[0])
-    ratios, differ, moves = [], [], []
+    ratios, kinds, differ, moves = [], {}, [], []
     for k, design in enumerate(designs):
         first = k % 2
-        runs = {t: _run(trees[t], design) for t in (first, 1 - first)}
-        (cpu_a, out_a), (cpu_b, out_b) = runs[0], runs[1]
+        runs = {0: [], 1: []}
+        for _ in range(args.repeat):
+            for t in (first, 1 - first):
+                runs[t].append(_run(trees[t], design))
+        (cpu_a, out_a), (cpu_b, out_b) = (
+            (min(cpu for cpu, _ in runs[t]), runs[t][0][1]) for t in (0, 1))
         ratios.append(cpu_b / cpu_a)
+        kinds.setdefault(_kind(design.label), []).append(ratios[-1])
         verdict = "same"
         if _compared(out_a) != _compared(out_b):
             differ.append(design.label)
@@ -145,10 +171,9 @@ def main(argv=None) -> int:
         print(f"{k:3d} {design.label:28s} A {cpu_a:8.4f} s  B {cpu_b:8.4f} s"
               f"  B/A {ratios[-1]:.3f}  {verdict}"
               f"  ({'AB'[first]} first)", flush=True)
-    wins = sum(r < 1.0 for r in ratios)
-    print(f"median B/A {statistics.median(ratios):.3f} over {len(ratios)} "
-          f"designs; B faster in {wins} of {len(ratios)}; "
-          f"results differ in {len(differ)}")
+    for kind, kind_ratios in kinds.items():
+        print(_summary(kind, kind_ratios))
+    print(_summary("all", ratios) + f"; results differ in {len(differ)}")
     if moves:
         print(f"largest relative move: validated PoC "
               f"{max(m[0] for m in moves):.1e}, total delta-v "

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from polycam import cli
+from polycam import cli, dapoly
 from polycam import dynamics as dyn
 from polycam.dapoly import AlgebraConfig, TaylorPoly, generic_power
 from polycam.errors import DomainError, FrameError
@@ -277,10 +277,11 @@ def poly_state(ref, scale, cfg=CFG_3_5):
 
 
 class TestBlockPath:
-    # At this position Python's r2 ** -1.5 and np.power(r2, -1.5) differ
-    # by one ULP, so a float row handed to the kernel as a constant
-    # polynomial (whose power uses the former) would show.
-    LEO = (6822.0, 1200.0, 900.0, -1.1, 7.2, 0.4)
+    # At this position Python's r2 ** p and np.power(r2, p) differ by one
+    # ULP for the Kepler kernel's p = -1.5 and the J2 kernel's p = -0.5, so
+    # a float row handed to the kernel as a constant polynomial (whose
+    # power uses the former) would show.
+    LEO = (6823.0, 1203.0, 900.0, -1.1, 7.2, 0.4)
     SYNODIC_STATE = (0.82, 0.11, 0.04, 0.02, -0.15, 0.01)
 
     @pytest.mark.parametrize("model, ref, span, scale, cfg", [
@@ -367,6 +368,24 @@ class TestBlockPath:
         assert_same_entries(
             out, entrywise_propagate(list(self.LEO), u, 0.0, 600.0, model, 1))
 
+    def test_thrust_arcs_share_one_program(self, monkeypatch):
+        # the controls are bound to the compiled slope by name: arcs that
+        # differ only in them run one code object
+        texts = []
+        compile_source = dapoly._compile_source
+        monkeypatch.setattr(dapoly, "_compile_source", lambda text, names: (
+            texts.append(text) or compile_source(text, names)))
+        dapoly._compiled_program.cache_clear()
+        y0 = poly_state(self.LEO, 1e-2)
+        for scale in (1e-6, -3e-6):
+            u = [TaylorPoly.variable(CFG_3_5, m) * scale + 1e-7 * m
+                 for m in range(3)]
+            out = dyn.propagate_vector(y0, u, 0.0, 600.0, MODEL_J2,
+                                       dyn.PropagationConfig(steps=2))
+            assert_same_entries(
+                out, entrywise_propagate(y0, u, 0.0, 600.0, MODEL_J2, 2))
+        assert len(texts) == 1
+
     def test_batched_state(self):
         offsets = np.linspace(-1e-3, 1e-3, 4)
         y0 = [c + offsets * (i + 1) for i, c in enumerate(self.LEO)]
@@ -414,18 +433,18 @@ def untrimmed_kepler_j2(y, u, mu, r_e, j2):
     x, yy, z, vx, vy, vz = y
     z2 = z * z
     r2 = x * x + yy * yy + z2
-    common = -mu * generic_power(r2, -1.5)
     if j2 != 0.0:
-        inv_r2 = generic_power(r2, -1.0) if isinstance(r2, TaylorPoly) else 1.0 / r2
+        inv_r = generic_power(r2, -0.5)
+        inv_r2 = inv_r * inv_r
+        common = -mu * (inv_r2 * inv_r)
         k_j2 = (1.5 * j2 * r_e * r_e) * inv_r2
-        five_z2_over_r2 = 5.0 * (z2 * inv_r2)
-        plane = 1.0 + k_j2 * (1.0 - five_z2_over_r2)
-        axial = 1.0 + k_j2 * (3.0 - five_z2_over_r2)
+        shared = k_j2 * (5.0 * (z2 * inv_r2))
+        plane = common * (1.0 + k_j2 - shared)
+        axial = common * (1.0 + 3.0 * k_j2 - shared)
     else:
-        plane = 1.0
-        axial = 1.0
-    return (vx, vy, vz, common * x * plane + u[0], common * yy * plane + u[1],
-            common * z * axial + u[2])
+        plane = axial = -mu * generic_power(r2, -1.5) * 1.0
+    return (vx, vy, vz, plane * x + u[0], plane * yy + u[1],
+            axial * z + u[2])
 
 
 def untrimmed_cr3bp(y, u, mass_ratio):
@@ -535,6 +554,54 @@ class TestStagePlan:
         assert dyn._WSEL == self.nonzero(dyn._W7)
 
 
+def axpy_chain_step(y, h, slope, rows):
+    """One RK7(8) step as a chain of y + a f steps over whole states, and
+    its stages' slopes: the sums, in their order, that the generated steps
+    must keep."""
+    f = {}
+    for k, row in rows.items():
+        yk = list(y)
+        for l, b in row:
+            yk = [c + (h * b) * d for c, d in zip(yk, f[l])]
+        f[k] = slope(yk)
+    for k, w in dyn._WSEL:
+        y = [c + (h * w) * d for c, d in zip(y, f[k])]
+    return y, f
+
+
+class TestStepSums:
+    UNIT_J2 = dyn.DynamicsModel(kind=dyn.J2, mu=1.0, r_e=0.9)
+    CFG = TestTrimmedKernels.CFG
+    states = TestTrimmedKernels.states
+
+    def start(self, model, kind):
+        ref = (TestTrimmedKernels.SYNODIC_STATE if model.kind == dyn.CR3BP
+               else TestTrimmedKernels.LEO_ND)
+        return self.states(ref)[kind]
+
+    @pytest.mark.parametrize("kind", ["float", "complex", "batch", "poly"])
+    @pytest.mark.parametrize("model", [UNIT_J2, MODEL_CR3BP],
+                             ids=["j2", "cr3bp"])
+    def test_step_equals_an_axpy_chain(self, model, kind):
+        y0, u = self.start(model, kind), (1e-3, 0.0, -2e-3)
+        out = dyn.integrate(y0, u, 0.0, 0.3, model,
+                            dyn.PropagationConfig(steps=1))
+        want, _ = axpy_chain_step(y0, 0.3, dyn._derivative_fn(model, u),
+                                  dyn._ROWS)
+        assert all(same_entry(a, b) for a, b in zip(out, want))
+
+    @pytest.mark.parametrize("kind", ["float", "complex"])
+    def test_error_control_step_equals_an_axpy_chain(self, kind):
+        y0 = self.start(self.UNIT_J2, kind)
+        slope = dyn._derivative_fn(self.UNIT_J2, (0.0, 0.0, 0.0))
+        out, f = dyn._rk_step_fn(False, True)(y0, -0.3, slope)
+        want, want_f = axpy_chain_step(y0, -0.3, slope, dyn._PAIR_ROWS)
+        assert all(same_entry(a, b) for a, b in zip(out, want))
+        assert len(f) == len(want_f) == 13
+        for k in want_f:
+            assert all(same_entry(a, b) for a, b in zip(f[k], want_f[k]))
+
+
 class TestRtnRotation:
     def test_identity_aligned_triad(self):
         rot = dyn.rtn_rotation(np.array([7000.0, 0, 0]), np.array([0, 7.5, 0]))
@@ -548,6 +615,44 @@ class TestRtnRotation:
     def test_degenerate_geometry(self):
         with pytest.raises(FrameError):
             dyn.rtn_rotation(np.array([7000.0, 0, 0]), np.array([3.0, 0, 0]))
+
+    @staticmethod
+    def cross_product_form(r, v):
+        """The rotation formed with np.cross, refusing what it refuses."""
+        rn, vn = np.linalg.norm(r), np.linalg.norm(v)
+        if rn == 0.0 or vn == 0.0:
+            raise FrameError("zero position or velocity")
+        h = np.cross(r, v)
+        hn = np.linalg.norm(h)
+        if hn <= 1e-12 * rn * vn:
+            raise FrameError("position and velocity are parallel")
+        radial, normal = r / rn, h / hn
+        return np.vstack([radial, np.cross(normal, radial), normal])
+
+    def test_equals_the_cross_product_form(self):
+        rng = np.random.default_rng(559)
+        for _ in range(4000):
+            r = rng.standard_normal(3) * 10.0 ** rng.uniform(-3, 5)
+            v = rng.standard_normal(3) * 10.0 ** rng.uniform(-3, 1)
+            assert (dyn.rtn_rotation(r, v).tobytes()
+                    == self.cross_product_form(r, v).tobytes())
+
+    @pytest.mark.parametrize("across, refused", [
+        (0.0, True), (1e-13, True), (1e-11, False)])
+    @pytest.mark.parametrize("along", [3.0, -3.0])
+    def test_parallel_refusal_as_the_cross_product_form(self, along, across,
+                                                        refused):
+        # v along r, off it by ``across`` relative: refused below 1e-12
+        r = np.array([6000.0, 2000.0, 1500.0])
+        side = np.cross(r, [0.0, 0.0, 1.0])
+        v = along * r / np.linalg.norm(r) + across * side / np.linalg.norm(side)
+        if refused:
+            for rotation in (dyn.rtn_rotation, self.cross_product_form):
+                with pytest.raises(FrameError, match="parallel"):
+                    rotation(r, v)
+        else:
+            assert (dyn.rtn_rotation(r, v).tobytes()
+                    == self.cross_product_form(r, v).tobytes())
 
 
 class TestUnits:

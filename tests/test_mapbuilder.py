@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polycam import dynamics as dyn
-from polycam import cli, mapbuilder, solver
+from polycam import cli, dapoly, mapbuilder, solver
 from polycam.cli import build_parser, run_scenario
 from polycam.conjunction import log_poc_chan, poc_chan
 from polycam.dapoly import AlgebraConfig, TaylorPoly
@@ -445,6 +445,26 @@ class TestReferenceTrajectory:
                                fixed_direction=np.array([0.0, 1.0, 0.0]))
         report = validate_solution(leo_event, same, [0.05], 1e-6, pmap=pmap)
         assert report.map_residual is not None
+
+
+class TestCompiledSlope:
+    def test_two_j2_designs_compile_one_slope_program(self, monkeypatch):
+        # their coasts' constants differ (each design scales lengths by
+        # its own radius) and are bound to one compiled slope by name
+        texts = []
+        compile_source = dapoly._compile_source
+        monkeypatch.setattr(dapoly, "_compile_source", lambda text, names: (
+            texts.append(text) or compile_source(text, names)))
+        dapoly._compiled_program.cache_clear()
+        docs = generate_synthetic_suite(2406, 2, "LEO",
+                                        poc_band=(1.5e-6, 4e-6))
+        radii = {mapbuilder._to_internal_units(scenario_to_event(doc))[1].r_e
+                 for doc in docs}
+        assert len(radii) == 2
+        for doc in docs:
+            code, _ = run_design(doc, "--nodes", "0.5orb", "--dyn", "j2")
+            assert code == 0
+        assert len(texts) == 1
 
 
 class TestBuildPocMap:
