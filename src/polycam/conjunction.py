@@ -102,17 +102,29 @@ class ConjunctionEvent:
             raise ValidationError(
                 f"HBR must be positive and finite, got {self.hbr_km}")
         for name, c in (("primary", self.cov_primary),
-                        ("secondary", self.cov_secondary),
-                        ("combined", self.cov_primary + self.cov_secondary)):
+                        ("secondary", self.cov_secondary)):
             if c.shape != (6, 6):
                 raise ValidationError(f"{name} covariance must be 6x6")
-            if not np.allclose(c, c.T, atol=1e-12 * max(1.0, float(np.abs(c).max()))):
+        # one stacked pass, read in check order: np.allclose(c, c.T) at its
+        # rtol of 1e-5, then the eigenvalues of the symmetric ones
+        stack = np.stack((self.cov_primary, self.cov_secondary,
+                          self.cov_primary + self.cov_secondary))
+        scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+        mirror = stack.transpose(0, 2, 1)
+        with np.errstate(invalid="ignore"):  # equal infinities are close
+            symmetric = ((stack == mirror) | (
+                np.abs(stack - mirror) <= 1e-12 * scale[:, None, None]
+                + 1e-5 * np.abs(mirror))).all(axis=(1, 2))
+        eigmin = np.linalg.eigvalsh(
+            np.where(symmetric[:, None, None], stack, 0.0)).min(axis=1)
+        for name, sym, low, big in zip(("primary", "secondary", "combined"),
+                                       symmetric, eigmin, scale):
+            if not sym:
                 raise CovarianceError(f"{name} covariance is not symmetric")
-            eigmin = float(np.linalg.eigvalsh(c).min())
-            if eigmin < -1e-12 * max(1.0, float(np.abs(c).max())):
+            if low < -1e-12 * big:
                 raise CovarianceError(
                     f"{name} covariance is not positive semidefinite "
-                    f"(min eigenvalue {eigmin:.3e})")
+                    f"(min eigenvalue {low:.3e})")
         r_rel = self.primary.r - self.secondary.r
         v_rel = self.primary.v - self.secondary.v
         rn = np.linalg.norm(r_rel)

@@ -77,7 +77,6 @@ _csr_matvec = _sparsetools().csr_matvec
 __all__ = [
     "AlgebraConfig",
     "TaylorPoly",
-    "contract_no_first_mode",
     "generic_power",
     "generic_sin_cos",
     "record",
@@ -139,8 +138,8 @@ class _AlgebraTables:
     """
 
     __slots__ = (
-        "config", "n_vars", "max_order", "size", "exponents", "index_of",
-        "power_index", "degrees", "degree_slices", "mul_ptr", "mul_i", "mul_j",
+        "config", "n_vars", "max_order", "size", "exponents", "power_index",
+        "degrees", "degree_slices", "mul_ptr", "mul_i", "mul_j",
     )
 
     def __init__(self, config: AlgebraConfig):
@@ -162,7 +161,6 @@ class _AlgebraTables:
             raised = (small[below, None] + unit).reshape(-1, n)
             small[_graded_lex_rank(raised, order)] = raised
         self.exponents = small.astype(np.int64)
-        self.index_of = {tuple(e): i for i, e in enumerate(small.tolist())}
         # (M, size) flat positions of x_v**e_v in an (M, max_order + 1) table
         # of powers, one row per variable
         self.power_index = np.arange(n)[:, None] * (order + 1) + self.exponents.T
@@ -183,21 +181,6 @@ class _AlgebraTables:
         mi, mj, rows = mi[by_row], mj[by_row], None
         self.mul_ptr, self.mul_i, self.mul_j = _checked_row_table(
             self.size, ptr, mi, mj)
-
-    @lru_cache(maxsize=None)
-    def contraction_map(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(M, N) source indices and exponent factors for the first
-        derivatives of the degree-k part, N being the number of degree-(k-1)
-        monomials: row j lists the degree-k monomials containing variable j,
-        ascending, so that lowering x_j in each gives the degree-(k-1)
-        monomials in table order (lexicographic order survives the shift).
-        """
-        sl = self.degree_slices[k]
-        exps = self.exponents[sl]
-        src = [sl.start + np.flatnonzero(exps[:, j]) for j in range(self.n_vars)]
-        fac = [exps[exps[:, j] > 0, j].astype(np.float64)
-               for j in range(self.n_vars)]
-        return np.array(src, dtype=np.intp), np.array(fac)
 
 
 def _checked_row_table(size: int, ptr: np.ndarray, mul_i: np.ndarray,
@@ -224,6 +207,18 @@ def _tables(n_vars: int, max_order: int) -> _AlgebraTables:
     return _AlgebraTables(AlgebraConfig(n_vars, max_order))
 
 
+@lru_cache(maxsize=None)
+def _raised(n_vars: int, max_order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(M, N) index of alpha + e_w and factor alpha_w + 1, for each variable
+    w and each of the N monomials alpha of degree below the order: the
+    derivative by x_w of x**(alpha + e_w) is (alpha_w + 1) x**alpha."""
+    tab = _tables(n_vars, max_order)
+    below = tab.exponents[:tab.degree_slices[max_order].start].astype(np.int8)
+    raised = below[None] + np.eye(n_vars, dtype=np.int8)[:, None]
+    index = _graded_lex_rank(raised.reshape(-1, n_vars), max_order)
+    return index.reshape(n_vars, -1), below.T + 1.0
+
+
 def _row_pass(ptr: np.ndarray, data: np.ndarray, cols: np.ndarray,
               x: np.ndarray, n_row: int) -> np.ndarray:
     """out[k] = sum of data[p] * x[cols[p]] over the pairs p of row k < n_row,
@@ -234,18 +229,6 @@ def _row_pass(ptr: np.ndarray, data: np.ndarray, cols: np.ndarray,
     out = np.zeros(len(x))
     _csr_matvec(n_row, len(x), ptr, cols, data, x, out)
     return out
-
-
-def _monomial_values(tab: _AlgebraTables, point: np.ndarray,
-                     rows: slice = slice(None)) -> np.ndarray:
-    """The table's monomials (those in ``rows``) evaluated at ``point``.
-
-    Each power point_v**e is taken once into a per-variable table and
-    gathered by exponent; a monomial's factors are multiplied in variable
-    order, as ``np.prod`` over its row of powers would.
-    """
-    table = point[:, None] ** np.arange(tab.max_order + 1)
-    return np.prod(np.take(table, tab.power_index[:, rows]), axis=0)
 
 
 def _horner(tab, a, outer):
@@ -406,9 +389,8 @@ class TaylorPoly:
         if not 0 <= var < tab.n_vars:
             raise ConfigurationError(f"variable index {var} out of range")
         coef = np.zeros(tab.size)
-        e = [0] * tab.n_vars
-        e[var] = 1
-        coef[tab.index_of[tuple(e)]] = 1.0
+        # graded-lex order lists the degree-1 monomials from x_(M-1) to x_0
+        coef[tab.n_vars - var] = 1.0
         return cls._raw(tab, coef)
 
     # -- inspection ---------------------------------------------------------
@@ -485,11 +467,39 @@ class TaylorPoly:
 
     def eval(self, point) -> float:
         """Sum of c_alpha * point**alpha over all stored monomials."""
+        return float(self.coef @ self.monomials(point, self.max_order + 1))
+
+    def monomials(self, point, below: int) -> np.ndarray:
+        """Values at ``point`` of the monomials of degree below ``below``,
+        the leading C(M + below - 1, M) of the table.
+
+        Each power point_v**e is taken once into a per-variable table and
+        gathered by exponent; a monomial's factors are multiplied in
+        variable order, as ``np.prod`` over its row of powers would.
+        """
         point = np.asarray(point, dtype=np.float64)
         if point.shape != (self.n_vars,):
             raise ConfigurationError(
                 f"point has shape {point.shape}, expected ({self.n_vars},)")
-        return float(self.coef @ _monomial_values(self._tab, point))
+        table = point[:, None] ** np.arange(self.max_order + 1)
+        rows = math.comb(self.n_vars + below - 1, self.n_vars)
+        return np.prod(np.take(table, self._tab.power_index[:, :rows]), axis=0)
+
+    def contraction(self) -> tuple[np.ndarray, np.ndarray]:
+        """Matrices (G, H) of the order-j contraction g(x), the sum over k
+        in [1, j] of (1/k) dh_k/dx with h_k the degree-k part (by
+        super-symmetry its tensor contracted with k - 1 copies of x; by
+        Euler's theorem g(x) @ x sums the h_k(x)). On the leading columns
+        that :meth:`monomials` fills, g(x) = G @ monomials(x, j) and its
+        (M, M) derivative is H @ monomials(x, j - 1), with
+        G[v, alpha] = c_(alpha + e_v) (alpha_v + 1) / (|alpha| + 1) and
+        H[v, w, beta] = G[v, beta + e_w] (beta_w + 1).
+        """
+        tab = self._tab
+        index, factor = _raised(tab.n_vars, tab.max_order)
+        g = self.coef[index] * (factor / (tab.degrees[:index.shape[1]] + 1))
+        inner = tab.degree_slices[tab.max_order - 1].start
+        return g, g[:, index[:, :inner]] * factor[:, :inner]
 
     def embed(self, config: AlgebraConfig) -> "TaylorPoly":
         """The same polynomial in an algebra with at least as many variables
@@ -508,13 +518,9 @@ class TaylorPoly:
         return TaylorPoly._raw(tab, coef)
 
     def gradient_at_zero(self) -> np.ndarray:
-        """Row vector of degree-1 coefficients, one entry per variable."""
-        tab = self._tab
-        sl = tab.degree_slices[1]
-        grad = np.zeros(tab.n_vars)
-        # degree-1 block rows are unit exponent vectors
-        grad[np.nonzero(tab.exponents[sl])[1]] = self.coef[sl]
-        return grad
+        """Row vector of degree-1 coefficients, one entry per variable (the
+        table lists them from x_(M-1) to x_0)."""
+        return self.coef[self.n_vars:0:-1].copy()
 
     # -- intrinsics ----------------------------------------------------------
 
@@ -712,28 +718,6 @@ def record(fn, config: AlgebraConfig, n_rows: int, fixed=()):
     bind = _compiled_program(_program_source(tab, n_rows, bound, ops, outs))
     return bind(tab.mul_ptr, tab.mul_i, tab.mul_j, _csr_matvec,
                 *(regs[k] for k in bound))
-
-
-def contract_no_first_mode(a: TaylorPoly, k: int, phi) -> np.ndarray:
-    """Contract the degree-k derivative tensor with k-1 copies of ``phi``.
-
-    Returns the length-M row vector whose j-th component is
-    (1/k) * d(h_k)/d(x_j) evaluated at phi, h_k being the degree-k
-    homogeneous part of ``a``. By super-symmetry and Euler's theorem this
-    equals the single-free-index multi-linear contraction, so
-    ``contract_no_first_mode(a, k, phi) @ phi == h_k(phi)``.
-    """
-    if not 1 <= k <= a.max_order:
-        raise ConfigurationError(f"order k={k} outside [1, {a.max_order}]")
-    phi = np.asarray(phi, dtype=np.float64)
-    if phi.shape != (a.n_vars,):
-        raise ConfigurationError(
-            f"phi has shape {phi.shape}, expected ({a.n_vars},)")
-    tab = a._tab
-    src, fac = tab.contraction_map(k)
-    # every row shares the degree-(k-1) monomials evaluated at phi
-    powers = _monomial_values(tab, phi, tab.degree_slices[k - 1])
-    return np.sum(a.coef[src] * fac * powers, axis=1) / k
 
 
 # -- generic scalar helpers ----------------------------------------------------

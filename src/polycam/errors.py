@@ -53,11 +53,10 @@ class NonConvergenceError(PolycamError):
     Carries the last iterate so callers can inspect partial progress.
     """
 
-    def __init__(self, message: str, last_iterate=None, order: int | None = None,
+    def __init__(self, message: str, last_iterate=None,
                  iterations: int | None = None):
         super().__init__(message)
         self.last_iterate = last_iterate
-        self.order = order
         self.iterations = iterations
 
 

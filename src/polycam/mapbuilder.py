@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -286,6 +287,9 @@ class PocMap:
     def scaling(self) -> np.ndarray:
         """Physical size of each scaled variable (m/s or m/s^2 per unit)."""
         return np.full(self.poly.n_vars, self.schedule.unit)
+
+    # ``poly``'s contraction matrices, built on first use
+    contraction = cached_property(lambda self: self.poly.contraction())
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,13 @@ program.
 The program minimizes the control energy subject to the truncated
 polynomial constraint "log collision probability equals the log of its
 target". Order one has a closed-form greedy solution along the gradient.
-Each higher order linearizes its constraint about the previous order's
-point through a pseudo-gradient (the gradient plus single-free-index
-contractions of the higher-degree terms) and iterates that greedy step to
-a fixed point. The log's exact quadratic part leaves every order a fixed
-point near the lower orders' path, so the iteration is the only solver
-path; only the final order must converge.
+Each higher order linearizes its constraint at a point through a
+pseudo-gradient (the gradient plus single-free-index contractions of the
+higher-degree terms, one product of a per-map operator) and finds the
+point that this greedy step maps to itself, by Newton from the previous
+order's point. The log's exact quadratic part leaves every order a fixed
+point near the lower orders' path, so Newton is the only solver path;
+only the final order must converge.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conjunction import ConjunctionEvent
-from .dapoly import contract_no_first_mode
 from .dynamics import PropagationConfig
 from .errors import (ConfigurationError, DegenerateGradientError,
                      InfeasibleWithBoundError, NonConvergenceError)
@@ -53,10 +53,11 @@ _NORM_TIE = 1e-8
 class SolverConfig:
     """Targets and iteration limits for the recursive solve.
 
-    ``e_tol`` bounds the last step of a converged iteration in scaled
-    controls. The replay adds an impulse of about 3e-5 km/s to a speed of
-    about 7.5 km/s, which rounds it to about 3e-11 of its size, so a
-    tolerance of 1e-12 stops below what the replay can resolve.
+    ``e_tol`` bounds |G(phi) - phi|, the greedy step left at a converged
+    order's point, in scaled controls. The replay adds an impulse of about
+    3e-5 km/s to a speed of about 7.5 km/s, which rounds it to about 3e-11
+    of its size, so a tolerance of 1e-12 stops below what the replay can
+    resolve.
     """
 
     max_order: int = 5
@@ -85,9 +86,11 @@ class ManeuverSolution:
     is stacked on; ``per_node_dv_ms`` reports the equivalent velocity
     increment vector of each control in the local frame. ``residual`` is
     |exp(map) - target| at the solution, in probability.
-    ``per_order_converged`` marks the escalation orders whose iteration
-    reached a fixed point (an intermediate order that did not still hands
-    the iteration's end point to the next order).
+    ``per_order_converged`` marks the escalation orders whose Newton
+    iteration reached a fixed point (an intermediate order that did not
+    still hands the point it stopped at to the next order), and
+    ``per_order_iterations`` counts each order's pseudo-gradient
+    evaluations.
     """
 
     phi: np.ndarray
@@ -127,67 +130,64 @@ def pseudo_gradient(pmap: PocMap, j: int, phi_tilde: np.ndarray) -> np.ndarray:
 
     Row vector: the degree-1 coefficients plus, for every degree k in
     [2, j], the degree-k homogeneous part contracted with k-1 copies of
-    the linearization point.
+    the linearization point; one product of the map's contraction matrix.
     """
     if not 1 <= j <= pmap.poly.max_order:
         raise ConfigurationError(
             f"order {j} outside [1, {pmap.poly.max_order}]")
-    phi_tilde = np.asarray(phi_tilde, dtype=np.float64)
-    g = pmap.poly.gradient_at_zero()
-    for k in range(2, j + 1):
-        g = g + contract_no_first_mode(pmap.poly, k, phi_tilde)
-    return g
+    values = pmap.poly.monomials(phi_tilde, j)
+    return pmap.contraction[0][:, :len(values)] @ values
 
 
 def solve_order_j(pmap: PocMap, j: int, phi_init: np.ndarray,
                   config: SolverConfig) -> tuple[np.ndarray, int, bool]:
-    """Fixed point of the order-j greedy linearization map, by damped
-    substitution from ``phi_init``. Returns (point, pseudo-gradient
-    evaluations, converged).
+    """Fixed point of the order-j greedy linearization map G, by Newton on
+    F(phi) = G(phi) - phi from ``phi_init``. Returns (point,
+    pseudo-gradient evaluations, converged).
 
-    Each step moves to the greedy solution of the constraint linearized
-    at the current point, halving a step (down to 1/64) that grows the
-    displacement. The iteration converges when successive points differ
-    by at most ``e_tol``, and gives up after ``max_iterations`` steps or
-    ten steps in a row that gain nothing, orbiting a displacement plateau;
-    it then returns the point it stopped at.
+    G(phi) = rho u, u = g / |g|^2, is the greedy solution of the constraint
+    linearized at phi, g the pseudo-gradient there, and its Jacobian is
+    rho ((u.u) Dg - 2 u u^T Dg), Dg from the map's contraction. A
+    step solves (J_G - I) delta = -F and halves (down to 1/64) until |F|
+    decreases; each trial is one evaluation. The order converges when
+    |F| <= ``e_tol``, returning G there. After ``max_iterations`` steps, a
+    step no halving improves or a singular system, it returns the point it
+    stopped at, not converged.
     """
     rho = _log_gap(pmap, config)
     evals = 0
 
-    def greedy(point: np.ndarray) -> np.ndarray:
+    def displacement(point: np.ndarray) -> tuple:
         nonlocal evals
         evals += 1
         g = pseudo_gradient(pmap, j, point)
-        norm = float(np.linalg.norm(g))
-        if norm < _GRADIENT_FLOOR:
+        norm2 = float(g @ g)
+        if math.sqrt(norm2) < _GRADIENT_FLOOR:
             raise DegenerateGradientError(f"pseudo-gradient vanished at order {j}")
-        return (rho / norm) * (g / norm)
+        step = (rho / norm2) * g - point
+        return float(np.linalg.norm(step)), step, g / norm2
 
-    phi_tilde = np.asarray(phi_init, dtype=np.float64)
-    raw = greedy(phi_tilde)
-    stalls = 0
+    phi = np.asarray(phi_init, dtype=np.float64)
+    size, step, u = displacement(phi)
     for _ in range(config.max_iterations):
-        step = raw - phi_tilde
-        displacement = float(np.linalg.norm(step))
-        if displacement <= config.e_tol:
-            return raw, evals, True
-        factor = 1.0
-        best = None
-        while factor >= 1.0 / 64.0:
-            candidate = phi_tilde + factor * step
-            cand_raw = greedy(candidate)
-            cand_disp = float(np.linalg.norm(cand_raw - candidate))
-            if best is None or cand_disp < best[0]:
-                best = (cand_disp, candidate, cand_raw)
-            if cand_disp < displacement:
-                break
-            factor /= 2.0
-        stalls = stalls + 1 if best[0] >= displacement else 0
-        _, phi_tilde, raw = best
-        if stalls >= 10:
+        if size <= config.e_tol:
+            return phi + step, evals, True
+        values = pmap.poly.monomials(phi, j - 1)
+        dg = pmap.contraction[1][:, :, :len(values)] @ values
+        jac = rho * ((u @ u) * dg - 2.0 * np.outer(u, u @ dg))
+        try:
+            delta = np.linalg.solve(jac - np.eye(len(phi)), -step)
+        except np.linalg.LinAlgError:
             break
-    return phi_tilde, evals, False
+        for halvings in range(7):
+            trial = phi + 0.5 ** halvings * delta
+            found = displacement(trial)
+            if found[0] < size:
+                break
+        else:
+            break
+        phi, (size, step, u) = trial, found
+    return phi, evals, False
 
 
 def _package_solution(schedule: ControlSchedule, phi_physical: np.ndarray,
@@ -235,7 +235,7 @@ def solve_recursive(pmap: PocMap, config: SolverConfig) -> ManeuverSolution:
             raise NonConvergenceError(
                 f"final order {n} found no fixed point after {iterations[-1]} "
                 f"pseudo-gradient evaluations",
-                last_iterate=phi, order=n, iterations=iterations[-1])
+                last_iterate=phi, iterations=iterations[-1])
     residual = abs(math.exp(pmap.poly.eval(phi)) - config.target_poc)
     return _package_solution(pmap.schedule, phi * pmap.scaling, residual,
                              iterations, converged, started)

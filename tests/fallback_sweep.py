@@ -4,7 +4,8 @@ Solves order-5 single-impulse maps at max orders 2 to 5 with
 ``solve_recursive`` in this process and prints one line per map and max
 order: set, label, max order, ``ok`` or ``exit4``, the ``repr`` of the
 physical control (the last iterate on exit 4) and the pseudo-gradient
-evaluations of the solve. A summary per set and max order follows, with the
+evaluations of the solve, summed from its ``per_order_iterations`` (on
+exit 4, those of the final order, which the error carries). A summary per set and max order follows, with the
 exit-4 count, the evaluations and the in-process solve time. The sets are
 
 - ``scenarios``: ``generate_synthetic_suite(2406, 20, "LEO")`` in the
@@ -12,8 +13,9 @@ exit-4 count, the evaluations and the in-process solve time. The sets are
 - ``replay``: the 208 ``single_impulse`` designs of
   ``tests/replay_digests.py`` (seeds 2406 and 301-303).
 
-The solver has one path, the damped iteration, so an exit 4 here is an
-order whose iteration found no fixed point. Run it on two trees and
+The solver has one path, Newton on each order's fixed-point equation, so
+an exit 4 here is a final order whose Newton iteration found no fixed
+point. Run it on two trees and
 compare the outputs::
 
     python tests/fallback_sweep.py > after.txt
@@ -93,15 +95,6 @@ def main(argv=None) -> int:
     from polycam import solver
     from polycam.errors import NonConvergenceError
 
-    evals = [0]
-    counted = solver.pseudo_gradient
-
-    def counting(*pargs):
-        evals[0] += 1
-        return counted(*pargs)
-
-    solver.pseudo_gradient = counting
-
     sources = {"scenarios": scenario_maps, "replay": replay_maps}
     summary = []
     for set_name in args.set or list(sources):
@@ -109,19 +102,19 @@ def main(argv=None) -> int:
         for label, pmap in sources[set_name]():
             for n in MAX_ORDERS:
                 config = solver.SolverConfig(max_order=n)
-                evals[0] = 0
                 started = time.perf_counter()
                 try:
-                    phi = solver.solve_recursive(pmap, config).phi
-                    verdict = "ok"
+                    sol = solver.solve_recursive(pmap, config)
+                    phi, evals, verdict = (sol.phi,
+                                           sum(sol.per_order_iterations), "ok")
                 except NonConvergenceError as exc:
                     phi = exc.last_iterate * pmap.scaling
-                    verdict = "exit4"
+                    evals, verdict = exc.iterations, "exit4"
                     totals[n][0] += 1
-                totals[n][1] += evals[0]
+                totals[n][1] += evals
                 totals[n][2] += time.perf_counter() - started
                 print(f"{set_name} {label} {n} {verdict} "
-                      f"{[float(x) for x in phi]!r} {evals[0]}", flush=True)
+                      f"{[float(x) for x in phi]!r} {evals}", flush=True)
         summary += [f"# {set_name} max order {n}: exit4 {t[0]} evals {t[1]} "
                     f"solve {t[2]:.3f} s" for n, t in totals.items()]
     print("\n".join(summary))

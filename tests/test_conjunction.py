@@ -81,6 +81,39 @@ class TestCombineRelative:
                 cov_secondary=leo_event.cov_secondary,
                 hbr_km=leo_event.hbr_km, dynamics=leo_event.dynamics)
 
+    ASYMMETRIC = np.diag([1.0] * 6) + np.eye(6, k=1) * 1e-3
+    INDEFINITE = np.diag([1.0] * 5 + [-1e-6])
+    # within np.allclose's rtol of 1e-5 of its transpose
+    NEAR_SYMMETRIC = np.eye(6) + np.eye(6, k=1) + np.eye(6, k=-1) * (1 + 5e-6)
+
+    @pytest.mark.parametrize("cov_p,cov_s,error,message", [
+        (ASYMMETRIC, np.eye(6), CovarianceError,
+         "primary covariance is not symmetric"),
+        (np.eye(6), INDEFINITE, CovarianceError,
+         "secondary covariance is not positive semidefinite "
+         "(min eigenvalue -1.000e-06)"),
+        # the primary's checks come before the secondary's
+        (INDEFINITE, ASYMMETRIC, CovarianceError,
+         "primary covariance is not positive semidefinite"),
+        (np.eye(6), np.eye(5), ValidationError,
+         "secondary covariance must be 6x6"),
+        (NEAR_SYMMETRIC + np.eye(6), np.eye(6), None, None),
+    ], ids=["primary-asymmetric", "secondary-indefinite", "check-order",
+            "secondary-shape", "within-rtol"])
+    def test_covariance_checks_in_order(self, leo_event, cov_p, cov_s, error,
+                                        message):
+        def build():
+            return ConjunctionEvent(
+                primary=leo_event.primary, secondary=leo_event.secondary,
+                cov_primary=cov_p, cov_secondary=cov_s,
+                hbr_km=leo_event.hbr_km, dynamics=leo_event.dynamics)
+        if error is None:
+            build()
+            return
+        with pytest.raises(error) as caught:
+            build()
+        assert str(caught.value).startswith(message)
+
     def test_bplane_projects_relative_state_and_summed_covariance(
             self, leo_event):
         p = (leo_event.cov_primary + leo_event.cov_secondary)[:3, :3]

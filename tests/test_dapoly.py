@@ -15,7 +15,7 @@ import polycam
 from polycam import dapoly
 from polycam.dapoly import (AlgebraConfig, TaylorPoly, _checked_row_table,
                             _embedding, _graded_lex_rank, _tables,
-                            contract_no_first_mode, generic_power, record)
+                            generic_power, record)
 from polycam.errors import ConfigurationError, DomainError
 
 from poly_reference import (coeffs, embedding, from_coeffs, homogeneous,
@@ -256,11 +256,24 @@ class TestHomogeneous:
         assert coeffs_close(total, p)
 
 
+def contraction_at(a, j, phi):
+    """``a``'s order-j contraction at ``phi`` and its derivative there."""
+    g, h = a.contraction()
+    values, inner = a.monomials(phi, j), a.monomials(phi, j - 1)
+    return g[:, :len(values)] @ values, h[:, :, :len(inner)] @ inner
+
+
+def contract(a, k, phi):
+    """(1/k) d(h_k)/dx at ``phi``: the order-k contraction of the degree-k
+    part alone, as the pseudo-gradient reads it."""
+    return contraction_at(homogeneous(a, k), k, phi)[0]
+
+
 class TestContraction:
     def test_gradient_row_ignores_phi(self):
         p = 2 * X - 3 * Y + X * Y
-        row_a = contract_no_first_mode(p, 1, [0.2, 0.4])
-        row_b = contract_no_first_mode(p, 1, [9.0, -2.0])
+        row_a = contraction_at(p, 1, [0.2, 0.4])[0]
+        row_b = contraction_at(p, 1, [9.0, -2.0])[0]
         np.testing.assert_allclose(row_a, [2.0, -3.0])
         np.testing.assert_allclose(row_b, row_a)
 
@@ -273,12 +286,13 @@ class TestContraction:
         phi = np.array([1.0, 1.0])
         expected = tensor @ phi
         np.testing.assert_allclose(expected, [2.0, 4.0])
-        np.testing.assert_allclose(contract_no_first_mode(p, 2, phi), expected)
+        np.testing.assert_allclose(contract(p, 2, phi), expected)
+        # its derivative is the matrix itself
+        np.testing.assert_allclose(contraction_at(p, 2, phi)[1], tensor)
 
     def test_zero_phi_high_order(self):
         p = X * X * Y
-        np.testing.assert_allclose(contract_no_first_mode(p, 3, [0.0, 0.0]),
-                                   [0.0, 0.0])
+        np.testing.assert_allclose(contract(p, 3, [0.0, 0.0]), [0.0, 0.0])
 
     def test_against_finite_differences(self):
         # independent oracle: (1/k) d(h_k)/d(phi_j) by central differences
@@ -296,17 +310,18 @@ class TestContraction:
                 minus = phi.copy()
                 minus[j] -= h
                 expected[j] = (hk.eval(plus) - hk.eval(minus)) / (2 * h * k)
-            got = contract_no_first_mode(a, k, phi)
+            got = contract(a, k, phi)
             np.testing.assert_allclose(got, expected, rtol=1e-6, atol=1e-9)
 
     def test_euler_identity(self):
+        # the order-j contraction dotted with the point sums h_1..h_j there
         rng = np.random.default_rng(13)
         cfg = AlgebraConfig(4, 5)
         a = random_poly(cfg, rng)
-        for k in range(1, 6):
+        for j in range(1, 6):
             phi = rng.uniform(-1.0, 1.0, size=4)
-            lhs = contract_no_first_mode(a, k, phi) @ phi
-            rhs = homogeneous(a, k).eval(phi)
+            lhs = contraction_at(a, j, phi)[0] @ phi
+            rhs = sum(homogeneous(a, k).eval(phi) for k in range(1, j + 1))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("n_vars,order", [(1, 5), (6, 3)])
@@ -319,8 +334,12 @@ class TestContraction:
             phi = rng.uniform(-1.5, 1.5, size=n_vars)
             hk = homogeneous(a, k)
             expected = [partial(hk, j).eval(phi) / k for j in range(n_vars)]
-            np.testing.assert_allclose(contract_no_first_mode(a, k, phi),
+            np.testing.assert_allclose(contract(a, k, phi),
                                        expected, rtol=1e-12, atol=1e-14)
+
+    def test_monomials_of_a_point_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ConfigurationError):
+            (X * Y).monomials([1.0, 2.0, 3.0], 2)
 
 
 class TestEmbed:

@@ -207,7 +207,10 @@ def test_tracer_finds_every_traced_entry_point(monkeypatch):
     tracer = Tracer()
     with tracer.installed():
         pass
-    assert tracer.missing == []
+    # the benchmark's tracer still names the per-degree contraction, which
+    # the solver's per-map Contraction operator replaced; drop this entry
+    # with the target at the next change to the benchmark
+    assert tracer.missing == ["polycam.dapoly.contract_no_first_mode"]
 
 
 def test_traced_node_ranking_completes(monkeypatch, leo_event, leo_period):
