@@ -7,13 +7,14 @@ units). The propagator is generic over the scalar algebra: states may hold
 plain floats, complex scalars (complex-step derivatives), batched numpy
 arrays, or :class:`~polycam.dapoly.TaylorPoly` scalars. Polynomial and
 batched states advance as one (6, N) block, one array operation per term
-of an RK stage; float and complex states advance entry by entry, as
-Python scalars. Both give every entry the values of the entry-by-entry
-combination. A step is straight-line Python, generated once per process
-for each kind of state (:func:`_rk_step_fn`). A polynomial propagation
-records the kernel once as a compiled program of row functions
-(:func:`~polycam.dapoly.record`), and the block step calls it on the
-block's rows at every stage whose six rows are polynomials.
+of an RK stage, each float entry a constant row from the start; float
+and complex states advance entry by entry, as Python scalars. Both give
+every entry the values of the entry-by-entry combination, a block's float
+entries taken as constant polynomials or arrays. A step is straight-line
+Python, generated once per process for each kind of state
+(:func:`_rk_step_fn`). A polynomial propagation records the kernel once
+as a compiled program of row functions (:func:`~polycam.dapoly.record`),
+and the block step calls it on the block's rows at every stage.
 Steps are equal (a count per span) or follow a :class:`Mesh`, which a
 real or complex pass fills by error control (:func:`_controlled_steps`).
 A Kepler coast takes one exact step whatever its plan
@@ -273,14 +274,11 @@ class _Block:
     """A polynomial or batched state held as one (6, ...) array.
 
     Row i holds entry i: the coefficient vector of a polynomial, or the
-    array of a batch. A float entry becomes a constant row: its value at
-    coefficient 0 (zeros elsewhere) or in every batch element. Bit i of
-    the mask records that row i has met a polynomial or an array; until
-    then the kernel sees the row as the float it stands for, so every row
-    meets the arithmetic it would meet entry by entry. A polynomial
-    block's stages use :meth:`view` and :meth:`lift` only while a row is
-    a float; once all six rows are polynomials, the recorded kernel runs
-    on the rows themselves.
+    array of a batch. A float entry is lifted once to a constant row: its
+    value at coefficient 0 (zeros elsewhere) or in every batch element.
+    Every stage of a polynomial block runs the recorded kernel on the rows
+    themselves, and every stage of a batch runs the kernel on the rows of
+    :meth:`view`.
     """
 
     def __init__(self, y0: Sequence, u: Sequence):
@@ -297,38 +295,23 @@ class _Block:
             self._shape = (6, *head.shape)
             self._dtype = np.result_type(*rows)
 
-    def lift(self, values: Sequence) -> tuple[np.ndarray, int]:
-        """(block, mask) of six entries."""
-        block = np.empty(self._shape, self._dtype)
-        mask = 0
+    def lift(self, values: Sequence) -> np.ndarray:
+        """The block of six entries."""
+        block = np.zeros(self._shape, self._dtype)
         for i, c in enumerate(values):
             if isinstance(c, TaylorPoly):
                 block[i] = c.coef
-                mask |= 1 << i
             elif self._tab is None:
                 block[i] = c
-                mask |= _is_row(c) << i
             else:
-                block[i] = 0.0
                 block[i, 0] = c
-        return block, mask
+        return block
 
-    def view(self, block: np.ndarray, mask: int) -> list:
-        """The six entries of a (block, mask) state, rows as views."""
-        tab = self._tab
-        out = []
-        for i in range(6):
-            row = block[i]
-            if not mask >> i & 1:
-                out.append(row.flat[0].item())
-            elif tab is None:
-                out.append(row)
-            else:
-                out.append(TaylorPoly._raw(tab, row))
-        return out
-
-
-_ALL_ROWS = 0b111111
+    def view(self, block: np.ndarray) -> list:
+        """The six entries of a block, rows as views."""
+        if self._tab is None:
+            return list(block)
+        return [TaylorPoly._raw(self._tab, row) for row in block]
 
 
 def _block_sum(terms: list) -> list:
@@ -359,21 +342,15 @@ def _rk_step_fn(block: bool, pair: bool = False):
     of a chain of y + a f steps.
 
     - ``step(y, h, slope)`` on a scalar state sums six Python scalars;
-    - ``step((y, mask), h, run, full, slow)`` on a :class:`_Block` sums
-      whole arrays. A stage's mask is the state's or'ed with its slopes';
-      a mask equal to ``full`` runs the compiled slope ``run`` on the
-      rows, any other takes ``slow(t, mask)``.
+    - ``step(y, h, run)`` on a :class:`_Block` sums whole arrays; every
+      stage's slope is the array of the six rows ``run`` gives its block.
     """
     rows = _PAIR_ROWS if pair else _ROWS
     if block:
-        lines = ["def step(state, h, run, full, slow):", "y, mask = state"]
+        lines = ["def step(y, h, run):"]
         for k, row in rows.items():
-            lines += [*_block_sum(row),
-                      "m = mask" + "".join(f" | m{l}" for l, _ in row),
-                      f"f{k}, m{k} = ((array(run(t)), full) if m == full "
-                      "else slow(t, m))"]
-        lines += [*_block_sum(_WSEL),
-                  "return t, mask" + "".join(f" | m{k}" for k, _ in _WSEL)]
+            lines += [*_block_sum(row), f"f{k} = array(run(t))"]
+        lines += [*_block_sum(_WSEL), "return t"]
     else:
         lines = ["def step(y, h, slope):",
                  ", ".join(f"y{i}" for i in range(6)) + " = y"]
@@ -457,13 +434,16 @@ def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
     real or complex scalar state that stops being finite.
 
     A state with a polynomial or an array among its entries or controls
-    advances as one :class:`_Block`, one array operation per stage term;
-    a scalar state advances entry by entry, numpy floats as Python floats.
-    Both give the values of the entry-by-entry combination: each step is
-    one generated function (:func:`_rk_step_fn`) that sums the stages in
-    the tableau's order. A polynomial block records the kernel, with the
-    controls bound as its fixed values, as one compiled program
-    (:func:`~polycam.dapoly.record`), which its steps call directly.
+    advances as one :class:`_Block`, one array operation per stage term,
+    its float entries lifted to constant rows once; a scalar state
+    advances entry by entry, numpy floats as Python floats. Both give the
+    values of the entry-by-entry combination, a block's float entries
+    taken as constant polynomials or arrays: each step is one generated
+    function (:func:`_rk_step_fn`) that sums the stages in the tableau's
+    order. A polynomial block records the kernel, with the controls bound
+    as its fixed values, as one compiled program
+    (:func:`~polycam.dapoly.record`), which every stage calls directly; a
+    batch's stages call the kernel on the block's rows.
     """
     if t1 == t0:
         return list(y0)
@@ -471,17 +451,17 @@ def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
     deriv = _derivative_fn(model, u)
     block = _Block(y0, u) if any(_is_row(c) for c in (*y0, *u)) else None
     if block is not None:
-        y, guard_finite = block.lift(y0), False
-        run = None if block._tab is None else record(
-            lambda rows, held: _derivative_fn(model, held)(rows),
-            block._tab.config, 6, u)
-        step = _rk_step_fn(True)
-        # a mask never equals -1: without a program every stage is lifted
-        args = (run, -1 if run is None else _ALL_ROWS,
-                lambda t, m: block.lift(deriv(block.view(t, m))))
+        y, step, guard_finite = block.lift(y0), _rk_step_fn(True), False
+        if block._tab is None:
+            def slope(t):
+                return deriv(block.view(t))
+        else:
+            slope = record(
+                lambda rows, held: _derivative_fn(model, held)(rows),
+                block._tab.config, 6, u)
     else:
         y = [float(c) if isinstance(c, np.float64) else c for c in y0]
-        step, args = _rk_step_fn(False), (deriv,)
+        step, slope = _rk_step_fn(False), deriv
         guard_finite = all(isinstance(c, Number) for c in (*y, *u))
     if not isinstance(config, Mesh) and config.steps is None:
         config = Mesh()
@@ -499,7 +479,7 @@ def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
     t = t0
     for h, end in steps:
         try:
-            y = step(y, h, *args)
+            y = step(y, h, slope)
         except (ArithmeticError, ValueError) as exc:
             raise PropagationError(
                 f"propagation failed at t={t!r}: {exc}", time=t) from exc
@@ -507,7 +487,7 @@ def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
         if guard_finite and not cmath.isfinite(y[0] + y[1] + y[2]):
             raise PropagationError(
                 f"singularity encountered near t={t!r}", time=t)
-    return y if block is None else block.view(*y)
+    return y if block is None else block.view(y)
 
 
 def _kepler_terms(y: Sequence, dt: float, mu: float) -> tuple:

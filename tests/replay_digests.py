@@ -19,6 +19,14 @@ it on two trees and compare the outputs::
     python tests/replay_digests.py --workload single_impulse --seed 7
     python tests/replay_digests.py --workload ranked_low_thrust
     python tests/replay_digests.py --order 3
+    python tests/replay_digests.py --compare before.txt after.txt
+
+``--compare BEFORE AFTER`` runs nothing: it reads two such outputs and
+prints, per set and over all, the design count, each moved digest, each
+exit-code change, the largest relative move of the validated PoC and of
+the delta-v over designs that exit 0 in both, each side's worst
+|log10 PoC - log10 target| and each side's summed iterations
+(:func:`compare`).
 
 The defaults cover the three workloads and the design sets at seeds 2406
 and 301-303. The polycam package is imported from ``src/`` next to this
@@ -29,6 +37,7 @@ from collecting it.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -90,6 +99,68 @@ def _figures(payload: dict) -> str:
                else f"{residual / payload['target_poc']:.2e}"))
 
 
+def _read(path: str) -> dict:
+    """{(set, seed, index, label): (exit code, digest, PoC, delta-v,
+    iterations)} of the lines of one output, figures None where ``-``."""
+    out = {}
+    with open(path) as handle:
+        for line in handle:
+            name, seed, index, label, code, digest, *figures = line.split()
+            poc, dv, iterations = (None if f == "-" else f
+                                   for f in figures[:3])
+            out[name, seed, index, label] = (
+                int(code), digest, poc and float(poc), dv and float(dv),
+                iterations and int(iterations))
+    return out
+
+
+def _summary(title: str, keys: list, before: dict, after: dict,
+             target: float) -> list:
+    """The compare lines of the designs ``keys``, present on both sides."""
+    lines, moved, poc_move, dv_move = [], 0, 0.0, 0.0
+    for key in keys:
+        a, b = before[key], after[key]
+        label = " ".join(key[1:])
+        if a[1] != b[1]:
+            moved += 1
+            lines.append(f"  moved {label}")
+        if a[0] != b[0]:
+            lines.append(f"  exit {a[0]} -> {b[0]} {label}")
+        elif a[0] == 0:
+            poc_move = max(poc_move, abs(b[2] - a[2]) / abs(a[2]))
+            dv_move = max(dv_move, abs(b[3] - a[3]) / abs(a[3]))
+
+    def worst(side):
+        return max((abs(math.log10(side[key][2] / target)) for key in keys
+                    if side[key][0] == 0), default=math.nan)
+
+    def evaluations(side):
+        return sum(side[key][4] or 0 for key in keys)
+
+    return [f"{title}: {len(keys)} designs, {moved} digests moved", *lines,
+            f"  largest relative move over exit 0 on both: validated PoC "
+            f"{poc_move:.2e}, delta-v {dv_move:.2e}",
+            f"  worst |log10 PoC - log10 target|: {worst(before):.3g} -> "
+            f"{worst(after):.3g} decades",
+            f"  evaluations: {evaluations(before)} -> {evaluations(after)}"]
+
+
+def compare(before_path: str, after_path: str, target: float) -> list:
+    """The lines of ``--compare``: :func:`_summary` per set, in the order
+    of first appearance, and over all designs, after one line for each
+    design found on one side only."""
+    before, after = _read(before_path), _read(after_path)
+    lines = [f"only in {path}: {' '.join(key)}"
+             for path, one, other in ((before_path, before, after),
+                                      (after_path, after, before))
+             for key in one if key not in other]
+    keys = [key for key in before if key in after]
+    for name in dict.fromkeys(key[0] for key in keys):
+        lines += _summary(name, [k for k in keys if k[0] == name], before,
+                          after, target)
+    return lines + _summary("all", keys, before, after, target)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", action="append",
@@ -99,10 +170,16 @@ def main(argv=None) -> int:
                         help="seed (repeatable; default: 2406 301 302 303)")
     parser.add_argument("--order", type=int,
                         help="expansion order replacing the designs' 5")
+    parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+                        help="compare two outputs of this script instead "
+                             "of running designs")
     args = parser.parse_args(argv)
 
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     import workloads
+    if args.compare:
+        print("\n".join(compare(*args.compare, workloads.TARGET_POC)))
+        return 0
     from checks import result_digest
     from polycam.cli import build_parser, run_scenario
 

@@ -276,11 +276,18 @@ def poly_state(ref, scale, cfg=CFG_3_5):
             for i, c in enumerate(ref)]
 
 
+def constant_rows(values, cfg=CFG_3_5):
+    """``values`` with each float as the constant polynomial of its value."""
+    return [c if isinstance(c, TaylorPoly) else TaylorPoly.constant(cfg, c)
+            for c in values]
+
+
 class TestBlockPath:
     # At this position Python's r2 ** p and np.power(r2, p) differ by one
     # ULP for the Kepler kernel's p = -1.5 and the J2 kernel's p = -0.5, so
-    # a float row handed to the kernel as a constant polynomial (whose
-    # power uses the former) would show.
+    # a float entry of a polynomial state that met the kernel as a float
+    # (whose power takes the latter) rather than as the constant row its
+    # block holds (whose power takes the former) would show.
     LEO = (6823.0, 1203.0, 900.0, -1.1, 7.2, 0.4)
     SYNODIC_STATE = (0.82, 0.11, 0.04, 0.02, -0.15, 0.01)
 
@@ -313,9 +320,13 @@ class TestBlockPath:
 
     @pytest.mark.parametrize("model", [MODEL, MODEL_J2, MODEL_CR3BP],
                              ids=["kepler", "j2", "cr3bp"])
-    @pytest.mark.parametrize("steps", [1, 5])
+    @pytest.mark.parametrize("steps, state", [
+        (1, "poly"), (5, "poly"),
+        # float entries are constant rows from the first stage on
+        (3, "float-positions"), (3, "float-state")],
+        ids=["1", "5", "3-float-positions", "3-float-state"])
     def test_polynomial_state_calls_the_kernel_once(self, monkeypatch, model,
-                                                    steps):
+                                                    steps, state):
         # once, to record the stage program; every stage replays it
         calls = []
 
@@ -328,9 +339,14 @@ class TestBlockPath:
         for name in ("_kernel_kepler_j2", "_kernel_cr3bp"):
             monkeypatch.setattr(dyn, name, counted(getattr(dyn, name)))
         ref = self.SYNODIC_STATE if model.kind == dyn.CR3BP else self.LEO
-        u = [TaylorPoly.variable(CFG_3_5, m) * 1e-6 for m in range(3)]
-        dyn.propagate_vector(poly_state(ref, 1e-4), u, 0.0, 0.1, model,
-                             dyn.PropagationConfig(steps=steps))
+        thrust = [TaylorPoly.variable(CFG_3_5, m) * 1e-6 for m in range(3)]
+        y0, u = {
+            "poly": (poly_state(ref, 1e-4), thrust),
+            "float-positions": ([*ref[:3], *poly_state(ref, 1e-4)[3:]],
+                                (0.0, 0.0, 0.0)),
+            "float-state": (list(ref), thrust)}[state]
+        dyn.integrate(y0, u, 0.0, 0.1, model,
+                      dyn.PropagationConfig(steps=steps))
         assert len(calls) == 1
 
     @pytest.mark.parametrize("model", [MODEL, MODEL_J2], ids=["kepler", "j2"])
@@ -345,8 +361,9 @@ class TestBlockPath:
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
 
-    # The float-row cases take one long step, so that a last-bit change in
-    # the first stage's acceleration reaches the result.
+    # The float-entry cases take one long step, so that a last-bit change
+    # in the first stage's acceleration reaches the result. A polynomial
+    # state's float entry is the constant polynomial of its value.
 
     @pytest.mark.parametrize("model", [MODEL, MODEL_J2], ids=["kepler", "j2"])
     def test_float_positions_polynomial_velocities(self, model):
@@ -356,8 +373,8 @@ class TestBlockPath:
         out = dyn.integrate(y0, (0.0, 0.0, 0.0), 0.0, -900.0, model,
                             dyn.PropagationConfig(steps=1))
         assert_same_entries(
-            out, entrywise_propagate(y0, (0.0, 0.0, 0.0), 0.0, -900.0,
-                                     model, 1))
+            out, entrywise_propagate(constant_rows(y0), (0.0, 0.0, 0.0), 0.0,
+                                     -900.0, model, 1))
 
     @pytest.mark.parametrize("model", [MODEL, MODEL_J2], ids=["kepler", "j2"])
     def test_polynomial_control_on_float_state(self, model):
@@ -366,7 +383,22 @@ class TestBlockPath:
         out = dyn.propagate_vector(list(self.LEO), u, 0.0, 600.0, model,
                                    dyn.PropagationConfig(steps=1))
         assert_same_entries(
-            out, entrywise_propagate(list(self.LEO), u, 0.0, 600.0, model, 1))
+            out, entrywise_propagate(constant_rows(self.LEO), u, 0.0, 600.0,
+                                     model, 1))
+
+    @pytest.mark.parametrize("model", [MODEL, MODEL_J2], ids=["kepler", "j2"])
+    def test_float_positions_batched_velocities(self, model):
+        # a batch's float entry is a constant row, whose arithmetic is the
+        # float's element by element
+        offsets = np.linspace(-1e-3, 1e-3, 4)
+        y0 = ([np.float64(c) for c in self.LEO[:3]]
+              + [c + offsets * (i + 1) for i, c in enumerate(self.LEO[3:])])
+        out = dyn.integrate(y0, (0.0, 0.0, 0.0), 0.0, -900.0, model,
+                            dyn.PropagationConfig(steps=1))
+        assert all(col.shape == (4,) for col in out)
+        assert_same_entries(
+            out, entrywise_propagate(y0, (0.0, 0.0, 0.0), 0.0, -900.0,
+                                     model, 1))
 
     def test_thrust_arcs_share_one_program(self, monkeypatch):
         # the controls are bound to the compiled slope by name: arcs that
