@@ -5,16 +5,16 @@ oblateness term (inertial ECI frame, km / km/s / seconds), and the circular
 restricted three-body problem (rotating synodic frame, nondimensional
 units). The propagator is generic over the scalar algebra: states may hold
 plain floats, complex scalars (complex-step derivatives), batched numpy
-arrays, or :class:`~polycam.dapoly.TaylorPoly` scalars. Polynomial and
-batched states advance as one (6, N) block, one array operation per term
-of an RK stage, each float entry a constant row from the start; float
-and complex states advance entry by entry, as Python scalars. Both give
-every entry the values of the entry-by-entry combination, a block's float
-entries taken as constant polynomials or arrays. A step is straight-line
-Python, generated once per process for each kind of state
-(:func:`_rk_step_fn`). A polynomial propagation records the kernel once
-as a compiled program of row functions (:func:`~polycam.dapoly.record`),
-and the block step calls it on the block's rows at every stage.
+arrays, or :class:`~polycam.dapoly.TaylorPoly` scalars. A polynomial
+state advances as one (6, N) block of coefficient rows, one array
+operation per term of an RK stage, each float entry a constant row from
+the start; every stage calls the kernel recorded once per propagation as
+a compiled program of row functions (:func:`~polycam.dapoly.record`).
+Every other state, a batch of arrays included, advances entry by entry,
+each entry a Python scalar or an array. Both give every entry the values
+of the entry-by-entry combination, a block's float entries taken as
+constant polynomials. A step is straight-line Python, generated once per
+process for each kind of state (:func:`_rk_step_fn`).
 Steps are equal (a count per span) or follow a :class:`Mesh`, which a
 real or complex pass fills by error control (:func:`_controlled_steps`).
 A Kepler coast takes one exact step whatever its plan
@@ -131,7 +131,8 @@ class Mesh:
     :func:`integrate` is handed is filled by error control for a real or
     complex state, ``adjoint`` scaling the state's imaginary part (see
     :func:`_controlled_steps`), and refused with :class:`PropagationError`
-    for a polynomial or batched one. A Kepler coast leaves it empty
+    for a polynomial state or a batch of arrays, which take only the
+    steps they are given. A Kepler coast leaves it empty
     (:func:`kepler_anomaly`). ``weight`` is the least factor on a step's
     error when error control fills the mesh, standing in for the adjoint
     that a real pass does not carry."""
@@ -265,55 +266,6 @@ def _derivative_fn(model: DynamicsModel, u: Sequence):
     return lambda y: _kernel_kepler_j2(y, u, mu, r_e, j2)
 
 
-def _is_row(c) -> bool:
-    """Whether a state entry takes a whole row of a block."""
-    return isinstance(c, TaylorPoly) or (isinstance(c, np.ndarray) and c.ndim > 0)
-
-
-class _Block:
-    """A polynomial or batched state held as one (6, ...) array.
-
-    Row i holds entry i: the coefficient vector of a polynomial, or the
-    array of a batch. A float entry is lifted once to a constant row: its
-    value at coefficient 0 (zeros elsewhere) or in every batch element.
-    Every stage of a polynomial block runs the recorded kernel on the rows
-    themselves, and every stage of a batch runs the kernel on the rows of
-    :meth:`view`.
-    """
-
-    def __init__(self, y0: Sequence, u: Sequence):
-        rows = [c for c in (*y0, *u) if _is_row(c)]
-        head = rows[0]
-        if isinstance(head, TaylorPoly):
-            for c in rows[1:]:
-                head._check_same(c)
-            self._tab = head._tab
-            self._shape = (6, head._tab.size)
-            self._dtype = np.float64
-        else:
-            self._tab = None
-            self._shape = (6, *head.shape)
-            self._dtype = np.result_type(*rows)
-
-    def lift(self, values: Sequence) -> np.ndarray:
-        """The block of six entries."""
-        block = np.zeros(self._shape, self._dtype)
-        for i, c in enumerate(values):
-            if isinstance(c, TaylorPoly):
-                block[i] = c.coef
-            elif self._tab is None:
-                block[i] = c
-            else:
-                block[i, 0] = c
-        return block
-
-    def view(self, block: np.ndarray) -> list:
-        """The six entries of a block, rows as views."""
-        if self._tab is None:
-            return list(block)
-        return [TaylorPoly._raw(self._tab, row) for row in block]
-
-
 def _block_sum(terms: list) -> list:
     """Source lines that sum the block y and (h * b) f_l over ``terms``
     into t, in order."""
@@ -341,9 +293,11 @@ def _rk_step_fn(block: bool, pair: bool = False):
     state adds (h * w) f_k in ``_WSEL`` order: the sums, in their order,
     of a chain of y + a f steps.
 
-    - ``step(y, h, slope)`` on a scalar state sums six Python scalars;
-    - ``step(y, h, run)`` on a :class:`_Block` sums whole arrays; every
-      stage's slope is the array of the six rows ``run`` gives its block.
+    - ``step(y, h, slope)`` sums the six entries of a state one by one,
+      as Python scalars or numpy arrays;
+    - ``step(y, h, run)`` sums a polynomial state's (6, N) coefficient
+      block as whole arrays; every stage's slope is the array of the six
+      rows that the recorded program ``run`` gives for its block.
     """
     rows = _PAIR_ROWS if pair else _ROWS
     if block:
@@ -409,12 +363,17 @@ def propagate_vector(y0: Sequence, u: Sequence, t0: float, t1: float,
                      config: PropagationConfig | Mesh) -> list:
     """Advance a 6-component state from t0 to t1 as :func:`integrate` does,
     or in one closed-form step, whatever the plan, for a coast with a
-    :func:`kepler_anomaly`; an empty mesh then stays empty."""
+    :func:`kepler_anomaly`; an empty mesh then stays empty. A coast whose
+    arithmetic fails, as at a far epoch, raises :class:`PropagationError`."""
     x = kepler_anomaly(y0, u, t0, t1, model)
     if x is None:
         return integrate(y0, u, t0, t1, model, config)
-    return _kepler_coast([float(c) if isinstance(c, np.float64) else c
-                          for c in y0], x, t1 - t0, model.mu)
+    try:
+        return _kepler_coast([float(c) if isinstance(c, np.float64) else c
+                              for c in y0], x, t1 - t0, model.mu)
+    except (ArithmeticError, ValueError) as exc:
+        raise PropagationError(
+            f"closed-form coast failed from t={t0!r}: {exc}", time=t0) from exc
 
 
 def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
@@ -433,36 +392,37 @@ def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
     mesh, and raises :class:`PropagationError` on an empty one, as does a
     real or complex scalar state that stops being finite.
 
-    A state with a polynomial or an array among its entries or controls
-    advances as one :class:`_Block`, one array operation per stage term,
-    its float entries lifted to constant rows once; a scalar state
-    advances entry by entry, numpy floats as Python floats. Both give the
-    values of the entry-by-entry combination, a block's float entries
-    taken as constant polynomials or arrays: each step is one generated
-    function (:func:`_rk_step_fn`) that sums the stages in the tableau's
-    order. A polynomial block records the kernel, with the controls bound
-    as its fixed values, as one compiled program
-    (:func:`~polycam.dapoly.record`), which every stage calls directly; a
-    batch's stages call the kernel on the block's rows.
+    A state with a polynomial among its entries or controls advances as
+    one (6, N) block of coefficient rows, one array operation per stage
+    term, each float entry lifted once to a constant row (its value at
+    coefficient 0); every stage calls the kernel recorded, with the
+    controls bound as its fixed values, as one compiled program
+    (:func:`~polycam.dapoly.record`). Any other state, a batch of arrays
+    included, advances entry by entry, numpy floats as Python floats.
+    Both give the values of the entry-by-entry combination, a block's
+    float entries taken as constant polynomials: each step is one
+    generated function (:func:`_rk_step_fn`) that sums the stages in the
+    tableau's order.
     """
     if t1 == t0:
         return list(y0)
     u = tuple(float(c) if isinstance(c, np.float64) else c for c in u)
-    deriv = _derivative_fn(model, u)
-    block = _Block(y0, u) if any(_is_row(c) for c in (*y0, *u)) else None
-    if block is not None:
-        y, step, guard_finite = block.lift(y0), _rk_step_fn(True), False
-        if block._tab is None:
-            def slope(t):
-                return deriv(block.view(t))
-        else:
-            slope = record(
-                lambda rows, held: _derivative_fn(model, held)(rows),
-                block._tab.config, 6, u)
-    else:
+    head = next((c for c in (*y0, *u) if isinstance(c, TaylorPoly)), None)
+    if head is None:
         y = [float(c) if isinstance(c, np.float64) else c for c in y0]
-        step, slope = _rk_step_fn(False), deriv
+        step, slope = _rk_step_fn(False), _derivative_fn(model, u)
         guard_finite = all(isinstance(c, Number) for c in (*y, *u))
+    else:
+        y = np.zeros((6, head._tab.size))
+        for i, c in enumerate(y0):
+            if isinstance(c, TaylorPoly):
+                head._check_same(c)
+                y[i] = c.coef
+            else:
+                y[i, 0] = c
+        step, guard_finite = _rk_step_fn(True), False
+        slope = record(lambda rows, held: _derivative_fn(model, held)(rows),
+                       head._tab.config, 6, u)
     if not isinstance(config, Mesh) and config.steps is None:
         config = Mesh()
     if isinstance(config, Mesh):
@@ -471,7 +431,7 @@ def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
                 f"no steps for a polynomial or batched state from t={t0!r}: "
                 "it needs a step count or a filled mesh", time=t0)
         if not config.times:
-            return _controlled_steps(y, t0, t1, deriv, config)
+            return _controlled_steps(y, t0, t1, slope, config)
         steps = [(b - a, b) for a, b in zip(config.times, config.times[1:])]
     else:
         h = (t1 - t0) / config.steps
@@ -487,7 +447,8 @@ def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
         if guard_finite and not cmath.isfinite(y[0] + y[1] + y[2]):
             raise PropagationError(
                 f"singularity encountered near t={t!r}", time=t)
-    return y if block is None else block.view(y)
+    return y if head is None else [TaylorPoly._raw(head._tab, row)
+                                   for row in y]
 
 
 def _kepler_terms(y: Sequence, dt: float, mu: float) -> tuple:

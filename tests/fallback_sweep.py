@@ -11,7 +11,7 @@ exit-4 count, the evaluations and the in-process solve time. The sets are
 - ``scenarios``: ``generate_synthetic_suite(2406, 20, "LEO")`` in the
   default band, one impulse at half an orbit;
 - ``replay``: the 208 ``single_impulse`` designs of
-  ``tests/replay_digests.py`` (seeds 2406 and 301-303).
+  ``tests/replay_digests.py --short`` (seeds 2406 and 301-303).
 
 The solver has one path, Newton on each order's fixed-point equation, so
 an exit 4 here is a final order whose Newton iteration found no fixed

@@ -16,6 +16,7 @@ workload runs; ``--order N`` replaces their expansion order of 5. Run
 it on two trees and compare the outputs::
 
     python tests/replay_digests.py > after.txt
+    python tests/replay_digests.py --short
     python tests/replay_digests.py --workload single_impulse --seed 7
     python tests/replay_digests.py --workload ranked_low_thrust
     python tests/replay_digests.py --order 3
@@ -23,13 +24,16 @@ it on two trees and compare the outputs::
 
 ``--compare BEFORE AFTER`` runs nothing: it reads two such outputs and
 prints, per set and over all, the design count, each moved digest, each
-exit-code change, the largest relative move of the validated PoC and of
-the delta-v over designs that exit 0 in both, each side's worst
-|log10 PoC - log10 target| and each side's summed iterations
-(:func:`compare`).
+exit-code change, each design exiting 0 in both whose delta-v moved by
+more than ``DV_MOVE`` relative, the largest relative move of the
+validated PoC and of the delta-v over designs that exit 0 in both, each
+side's worst |log10 PoC - log10 target| and each side's summed
+iterations (:func:`compare`).
 
-The defaults cover the three workloads and the design sets at seeds 2406
-and 301-303. The polycam package is imported from ``src/`` next to this
+The defaults cover the three workloads and the design sets at seeds
+1-40, the census of 3800 designs; ``--short`` runs the earlier default
+seeds 2406 and 301-303 (380 designs), so that outputs made with them
+still compare. The polycam package is imported from ``src/`` next to this
 file, and the workloads from ``perfbench/``. The file name keeps pytest
 from collecting it.
 """
@@ -42,7 +46,10 @@ import os
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DEFAULT_SEEDS = (2406, 301, 302, 303)
+DEFAULT_SEEDS = tuple(range(1, 41))
+SHORT_SEEDS = (2406, 301, 302, 303)
+# a delta-v move above this, relative, is listed by --compare
+DV_MOVE = 1e-6
 # the benchmark's run length: each workload's design count follows from it
 RUN_SECONDS = 25.0
 # LEO designs per seed of each design set, and each set's options: ranked
@@ -128,7 +135,11 @@ def _summary(title: str, keys: list, before: dict, after: dict,
             lines.append(f"  exit {a[0]} -> {b[0]} {label}")
         elif a[0] == 0:
             poc_move = max(poc_move, abs(b[2] - a[2]) / abs(a[2]))
-            dv_move = max(dv_move, abs(b[3] - a[3]) / abs(a[3]))
+            move = abs(b[3] - a[3]) / abs(a[3])
+            dv_move = max(dv_move, move)
+            if move > DV_MOVE:
+                lines.append(f"  delta-v {a[3]!r} -> {b[3]!r} ({move:.2e}) "
+                             f"{label}")
 
     def worst(side):
         return max((abs(math.log10(side[key][2] / target)) for key in keys
@@ -167,7 +178,9 @@ def main(argv=None) -> int:
                         help="workload or design set name (repeatable; "
                              "default: all)")
     parser.add_argument("--seed", type=int, action="append",
-                        help="seed (repeatable; default: 2406 301 302 303)")
+                        help="seed (repeatable; default: 1 to 40)")
+    parser.add_argument("--short", action="store_true",
+                        help="seeds 2406 301 302 303 instead of 1 to 40")
     parser.add_argument("--order", type=int,
                         help="expansion order replacing the designs' 5")
     parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
@@ -189,7 +202,7 @@ def main(argv=None) -> int:
     sets.update((name, lambda seed, n=name: set_designs(n, seed, workloads))
                 for name in DESIGN_SETS)
     names = args.workload or list(sets)
-    seeds = args.seed or list(DEFAULT_SEEDS)
+    seeds = args.seed or list(SHORT_SEEDS if args.short else DEFAULT_SEEDS)
     cli = build_parser()
     for name in names:
         for seed in seeds:

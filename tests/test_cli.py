@@ -366,6 +366,19 @@ class TestRunCommand:
         assert payload["error"]["class"] == "non-convergence"
         assert "step control failed" in payload["error"]["message"]
 
+    @pytest.mark.parametrize("flag", ["--nodes", "--filter-grid"])
+    def test_far_epoch_exit_4(self, tmp_path, capsys, flag):
+        # the closed-form coast back to 1e30 s overflows its sine in the
+        # complex-step pass: a documented failure, not a traceback
+        assert run_cli(["generate", "--seed", "5", "--count", "1",
+                        "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        path = tmp_path / "leo-0005-000.json"
+        assert run_cli(["run", str(path), flag, "1e30"]) == 4
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["class"] == "non-convergence"
+        assert "closed-form coast failed" in payload["error"]["message"]
+
     def test_result_reports_the_steps_of_each_segment(self, scenario_file,
                                                       tmp_path):
         # a Kepler coast takes one closed-form step; J2 integrates its steps

@@ -388,8 +388,8 @@ class TestBlockPath:
 
     @pytest.mark.parametrize("model", [MODEL, MODEL_J2], ids=["kepler", "j2"])
     def test_float_positions_batched_velocities(self, model):
-        # a batch's float entry is a constant row, whose arithmetic is the
-        # float's element by element
+        # a batch's float entry stays a float, as in the reference, until
+        # a stage adds an array slope to it
         offsets = np.linspace(-1e-3, 1e-3, 4)
         y0 = ([np.float64(c) for c in self.LEO[:3]]
               + [c + offsets * (i + 1) for i, c in enumerate(self.LEO[3:])])
@@ -418,15 +418,25 @@ class TestBlockPath:
                 out, entrywise_propagate(y0, u, 0.0, 600.0, MODEL_J2, 2))
         assert len(texts) == 1
 
-    def test_batched_state(self):
+    @pytest.mark.parametrize("model, ref, h", [
+        (MODEL, LEO, 100.0),
+        (MODEL_J2, LEO, 100.0),
+        (MODEL_CR3BP, SYNODIC_STATE, 0.0625)],
+        ids=["kepler", "j2", "cr3bp"])
+    @pytest.mark.parametrize("plan", ["count", "mesh"])
+    def test_batched_state(self, model, ref, h, plan):
+        # integrate, as propagate_vector takes a Kepler coast in closed
+        # form; the mesh times are exact in binary, so that each
+        # step b - a is the count's h
         offsets = np.linspace(-1e-3, 1e-3, 4)
-        y0 = [c + offsets * (i + 1) for i, c in enumerate(self.LEO)]
-        out = dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, 600.0, MODEL_J2,
-                                   dyn.PropagationConfig(steps=6))
+        y0 = [c + offsets * (i + 1) for i, c in enumerate(ref)]
+        config = (dyn.PropagationConfig(steps=6) if plan == "count"
+                  else dyn.Mesh([k * h for k in range(7)]))
+        out = dyn.integrate(y0, (0.0, 0.0, 0.0), 0.0, 6 * h, model, config)
         assert all(col.shape == (4,) for col in out)
         assert_same_entries(
-            out, entrywise_propagate(y0, (0.0, 0.0, 0.0), 0.0, 600.0,
-                                     MODEL_J2, 6))
+            out, entrywise_propagate(y0, (0.0, 0.0, 0.0), 0.0, 6 * h, model,
+                                     6))
 
     def test_numpy_float_state_gives_python_floats(self):
         y0 = [np.float64(c) for c in self.LEO]
