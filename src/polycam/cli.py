@@ -164,7 +164,8 @@ _OPTIONS = {
               "control)"),
     "umax": ("umax", _real, None, "per-node impulse bound in m/s"),
     "filter_grid": ("filter_grid", _tokens, None,
-                    "comma list of candidate epochs to rank"),
+                    "comma list of candidate epochs to rank (a repeated "
+                    "epoch counts once)"),
     "filter_keep": ("filter_keep", _integer, 1,
                     "ranked epochs to keep (default 1)"),
 }
@@ -309,7 +310,11 @@ def _design(doc: dict, flags: dict) -> tuple[int, dict]:
             },
             "validation": {
                 "validated_poc": report.validated_poc,
-                "poc_log_error": report.poc_log_error,
+                # null, not Infinity, when the validated PoC is 0: strict
+                # JSON has no token for a non-finite number
+                "poc_log_error": (report.poc_log_error
+                                  if math.isfinite(report.poc_log_error)
+                                  else None),
                 "dv_total_ms": solution.dv_total_ms,
                 "map_residual": report.map_residual,
                 "bplane_before_km": [float(x) for x in report.bplane_before_km],

@@ -77,7 +77,6 @@ _csr_matvec = _sparsetools().csr_matvec
 __all__ = [
     "AlgebraConfig",
     "TaylorPoly",
-    "generic_power",
     "generic_sin_cos",
     "record",
 ]
@@ -524,17 +523,6 @@ class TaylorPoly:
 
     # -- intrinsics ----------------------------------------------------------
 
-    def sqrt(self) -> "TaylorPoly":
-        a0 = self.constant_part
-        if a0 <= 0.0:
-            raise DomainError(f"sqrt requires positive constant part, got {a0}", a0)
-        n = self.max_order
-        outer = np.empty(n + 1)
-        outer[0] = math.sqrt(a0)
-        for k in range(1, n + 1):
-            outer[k] = outer[k - 1] * (0.5 - (k - 1)) / (k * a0)
-        return self._apply(outer, _horner)
-
     def reciprocal(self) -> "TaylorPoly":
         a0 = self.constant_part
         if a0 == 0.0:
@@ -544,15 +532,6 @@ class TaylorPoly:
         outer[0] = 1.0 / a0
         for k in range(1, n + 1):
             outer[k] = -outer[k - 1] / a0
-        return self._apply(outer, _horner)
-
-    def exp(self) -> "TaylorPoly":
-        a0 = self.constant_part
-        n = self.max_order
-        outer = np.empty(n + 1)
-        outer[0] = math.exp(a0)
-        for k in range(1, n + 1):
-            outer[k] = outer[k - 1] / k
         return self._apply(outer, _horner)
 
     def log(self) -> "TaylorPoly":
@@ -576,8 +555,12 @@ class TaylorPoly:
                            _horner)
 
     def power(self, p: float) -> "TaylorPoly":
-        """Real power a**p about the constant part (requires it positive)."""
+        """Real power a**p about the constant part, which must be positive
+        (:class:`DomainError` otherwise); also the ``**`` operator, so a
+        kernel writes ``x ** p`` for every scalar kind."""
         return self._apply(p, _power)
+
+    __pow__ = power
 
 
 _set_tab = TaylorPoly._tab.__set__
@@ -693,8 +676,8 @@ def record(fn, config: AlgebraConfig, n_rows: int, fixed=()):
     rows of fn's results for the (n_rows, size) coefficient rows ``rows``
     of the algebra ``config``. Each polynomial of ``fixed``, of that
     algebra, keeps its value in every run; numbers are constants. ``fn``
-    may use +, -, * and :meth:`TaylorPoly.power` on its arguments and
-    branch on their types, not on their values; a run adds the same
+    may use +, -, * and ``**`` (:meth:`TaylorPoly.power`) on its arguments
+    and branch on their types, not on their values; a run adds the same
     products in the same order as ``fn`` on polynomials would.
 
     The compiled code (:func:`_program_source`) depends only on the
@@ -720,23 +703,14 @@ def record(fn, config: AlgebraConfig, n_rows: int, fixed=()):
                 *(regs[k] for k in bound))
 
 
-# -- generic scalar helpers ----------------------------------------------------
-# These let the force kernels and the Kepler coast run unchanged on floats,
-# complex scalars, numpy arrays and TaylorPoly scalars.
-
-def generic_power(x, p: float):
-    if isinstance(x, TaylorPoly):
-        return x.power(p)
-    # np.power's value, kept a Python scalar for cheap scalar arithmetic
-    if isinstance(x, float):
-        return float(np.power(x, p))
-    if isinstance(x, complex):
-        return complex(np.power(x, p))
-    return np.power(x, p)
-
+# -- generic scalar helper ---------------------------------------------------
+# Powers are ``x ** p`` for every scalar kind (:meth:`TaylorPoly.power`);
+# sine and cosine have no operator, so this one helper lets the Kepler coast
+# run unchanged on floats, complex scalars, numpy arrays and TaylorPoly
+# scalars.
 
 def generic_sin_cos(x):
-    """(sin x, cos x), Python scalars kept, as in :func:`generic_power`."""
+    """(sin x, cos x), Python scalars kept as Python scalars."""
     if isinstance(x, TaylorPoly):
         return x.sin(), x.cos()
     lib = cmath if isinstance(x, complex) else math \

@@ -5,7 +5,10 @@ oblateness term (inertial ECI frame, km / km/s / seconds), and the circular
 restricted three-body problem (rotating synodic frame, nondimensional
 units). The propagator is generic over the scalar algebra: states may hold
 plain floats, complex scalars (complex-step derivatives), batched numpy
-arrays, or :class:`~polycam.dapoly.TaylorPoly` scalars. A polynomial
+arrays, or :class:`~polycam.dapoly.TaylorPoly` scalars. The kernels write
+every power as ``x ** p``, which each kind takes in its own arithmetic:
+Python's for floats and complex scalars, ``np.power`` for arrays,
+:meth:`~polycam.dapoly.TaylorPoly.power` for polynomials. A polynomial
 state advances as one (6, N) block of coefficient rows, one array
 operation per term of an RK stage, each float entry a constant row from
 the start; every stage calls the kernel recorded once per propagation as
@@ -33,8 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dapoly import (TaylorPoly, _compile_source, generic_power,
-                     generic_sin_cos, record)
+from .dapoly import TaylorPoly, _compile_source, generic_sin_cos, record
 from .errors import ConfigurationError, FrameError, PropagationError
 
 __all__ = [
@@ -212,12 +214,12 @@ def _kernel_kepler_j2(y: Sequence, u: Sequence | None, mu: float, r_e: float,
     z2 = z * z
     r2 = x * x + yy * yy + z2
     if j2 == 0.0:
-        common = -mu * generic_power(r2, -1.5)
+        common = -mu * r2 ** -1.5
         ax, ay, az = common * x, common * yy, common * z
     else:
         # one power, 1/r, gives 1/r^2 and 1/r^3; the plane and axial
         # factors share k_j2 * 5 z^2 / r^2 and the two-body factor
-        inv_r = generic_power(r2, -0.5)
+        inv_r = r2 ** -0.5
         inv_r2 = inv_r * inv_r
         common = -mu * (inv_r2 * inv_r)
         k_j2 = (1.5 * j2 * r_e * r_e) * inv_r2
@@ -239,8 +241,8 @@ def _kernel_cr3bp(y: Sequence, u: Sequence | None, mass_ratio: float):
     z2 = z * z
     d1sq = xe * xe + yy2 + z2
     d2sq = xm * xm + yy2 + z2
-    inv1 = generic_power(d1sq, -1.5)
-    inv2 = generic_power(d2sq, -1.5)
+    inv1 = d1sq ** -1.5
+    inv2 = d2sq ** -1.5
     # gradient of the effective potential, paper-sign convention:
     # includes the full -|r|^2/2 rotational term
     gx = -x + (1.0 - mu) * xe * inv1 + mu * xm * inv2
@@ -389,8 +391,10 @@ def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
     t1. A real or complex scalar state may instead have error control
     pick them, into an empty mesh or, for a config without a count, with
     no adjoint; a polynomial or batched state needs a count or a filled
-    mesh, and raises :class:`PropagationError` on an empty one, as does a
-    real or complex scalar state that stops being finite.
+    mesh, and raises :class:`PropagationError` on an empty one. A step
+    whose arithmetic fails (a float power that overflows, say) or that
+    leaves a real or complex scalar state non-finite raises
+    :class:`PropagationError` at its end time.
 
     A state with a polynomial among its entries or controls advances as
     one (6, N) block of coefficient rows, one array operation per stage
@@ -436,17 +440,18 @@ def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
     else:
         h = (t1 - t0) / config.steps
         steps = ((h, t0 + (k + 1) * h) for k in range(config.steps))
-    t = t0
     for h, end in steps:
         try:
             y = step(y, h, slope)
         except (ArithmeticError, ValueError) as exc:
+            # a float or complex power that overflows raises here rather
+            # than giving inf to the check below: both report the step's end
             raise PropagationError(
-                f"propagation failed at t={t!r}: {exc}", time=t) from exc
-        t = end
+                f"propagation failed in the step to t={end!r}: {exc}",
+                time=end) from exc
         if guard_finite and not cmath.isfinite(y[0] + y[1] + y[2]):
             raise PropagationError(
-                f"singularity encountered near t={t!r}", time=t)
+                f"singularity encountered near t={end!r}", time=end)
     return y if head is None else [TaylorPoly._raw(head._tab, row)
                                    for row in y]
 
@@ -455,11 +460,11 @@ def _kepler_terms(y: Sequence, dt: float, mu: float) -> tuple:
     """r, sigma = r.v / sqrt(mu), a and sqrt(a) of a state, and the c1, c2
     and M of its Kepler's equation over dt (see :func:`kepler_anomaly`)."""
     pos, vel, root_mu = y[:3], y[3:], math.sqrt(mu)
-    r = generic_power(sum(p * p for p in pos), 0.5)
+    r = sum(p * p for p in pos) ** 0.5
     sigma = sum(p * q for p, q in zip(pos, vel)) / root_mu
     alpha = 2.0 / r - sum(q * q for q in vel) / mu
     a = 1.0 / alpha
-    root_a = generic_power(a, 0.5)
+    root_a = a ** 0.5
     return r, sigma, a, root_a, (sigma / root_a, 1.0 - r * alpha,
                                  (root_mu * dt) * alpha / root_a)
 

@@ -244,11 +244,12 @@ def solve_recursive(pmap: PocMap, config: SolverConfig) -> ManeuverSolution:
 def _ranked(event: ConjunctionEvent, times, template: ControlSchedule,
             config: PropagationConfig | None
             ) -> list[tuple[float, float, Start]]:
-    """The ranking's (time, norm, Start) candidates by decreasing norm.
-    Norms within ``_NORM_TIE`` times the grid's largest norm of the
-    largest one left tie with it, and the earliest of them (by time, then
-    grid position) comes next."""
-    left = sorted(gradient_norm_per_node(event, times, template, config),
+    """The ranking's (time, norm, Start) candidates by decreasing norm, one
+    per distinct epoch of the grid. Norms within ``_NORM_TIE`` times the
+    grid's largest norm of the largest one left tie with it, and the
+    earliest of them comes next."""
+    distinct = list(dict.fromkeys(float(t) for t in times))
+    left = sorted(gradient_norm_per_node(event, distinct, template, config),
                   key=lambda item: item[0])
     band = _NORM_TIE * max(norm for _, norm, _ in left)
     out = []
@@ -264,18 +265,16 @@ def filter_nodes(event: ConjunctionEvent, dense_times, keep: int,
                  ) -> tuple[ControlSchedule, Start]:
     """Keep the ``keep`` candidate epochs with the largest first-order
     probability-gradient norm (norms within 1e-8 of the grid's largest
-    tie, and the earlier time, then grid position, wins), as the template
-    retimed to them in chronological order, and the ranking's
+    tie, and the earlier time wins), as the template retimed to them in
+    chronological order, and the ranking's
     :class:`~polycam.mapbuilder.Start` at the first of them, from which a
-    map of that schedule starts."""
-    dense_times = [float(t) for t in dense_times]
-    if not dense_times:
-        raise ConfigurationError("candidate grid is empty")
-    if not 1 <= keep <= len(dense_times):
+    map of that schedule starts. A repeated epoch counts once."""
+    ranked = _ranked(event, dense_times, template, config)
+    if not 1 <= keep <= len(ranked):
         raise ConfigurationError(
-            f"keep must lie in [1, {len(dense_times)}], got {keep}")
-    kept = sorted(_ranked(event, dense_times, template, config)[:keep],
-                  key=lambda item: item[0])
+            f"keep must lie in [1, {len(ranked)}], the grid's distinct "
+            f"epochs, got {keep}")
+    kept = sorted(ranked[:keep], key=lambda item: item[0])
     return template.retimed([t for t, _, _ in kept]), kept[0][2]
 
 

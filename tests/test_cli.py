@@ -35,6 +35,15 @@ def scenario_file(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def leo_0005(tmp_path_factory):
+    """Scenario leo-0005-000, as ``polycam generate --seed 5 --count 1``
+    writes it."""
+    path = tmp_path_factory.mktemp("leo-0005") / "leo-0005-000.json"
+    path.write_text(scenario_to_json(generate_synthetic_suite(5, 1)[0]) + "\n")
+    return path
+
+
 class TestGenerateCommand:
     def test_deterministic_files(self, tmp_path):
         a_dir = tmp_path / "a"
@@ -458,6 +467,60 @@ class TestRunCommand:
         assert run_cli(["run", str(case), "--order", "2",
                         "--out", str(out)]) == 0
         assert len(json.loads(out.read_text())["node_epochs_s"]) == 2
+
+    @pytest.mark.parametrize("grid, distinct, extra", [
+        ("0.5orb,0.5orb,1orb", "0.5orb,1orb", ("--umax", "0.05")),
+        ("0.5orb,0.5orb", "0.5orb", ("--umax", "0.2")),
+        ("1orb,1orb,0.5orb", "1orb,0.5orb", ("--filter-keep", "2"))],
+        ids=["umax-three", "umax-two", "keep-two"])
+    def test_repeated_grid_epoch_counts_once(self, leo_0005, capsys, grid,
+                                             distinct, extra):
+        # a repeated epoch is one node, not two impulses stacked at one
+        # epoch nor a schedule whose epochs do not increase
+        def run(tokens):
+            code = run_cli(["run", str(leo_0005), "--filter-grid", tokens,
+                            *extra])
+            payload = json.loads(capsys.readouterr().out)
+            payload.pop("wall_time_s", None)
+            payload.get("solution", {}).pop("solve_wall_time_s", None)
+            return code, payload
+
+        assert run(grid) == run(distinct)
+
+    def test_keep_beyond_the_distinct_epochs_exit_3(self, leo_0005, capsys):
+        assert run_cli(["run", str(leo_0005), "--filter-grid",
+                        "0.5orb,0.5orb,1orb", "--filter-keep", "3"]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["class"] == "validation"
+        assert "keep must lie in [1, 2]" in payload["error"]["message"]
+
+    def test_result_is_strict_json(self, leo_0005, tmp_path, capsys):
+        # the ballistic PoC underflows to 0 at this radius, so the solver
+        # returns the zero maneuver and the log error is infinite
+        doc = json.loads(leo_0005.read_text())
+        doc["conjunction"]["hbr_km"] = 1e-300
+        case = tmp_path / "tiny-hbr.json"
+        case.write_text(json.dumps(doc))
+        assert run_cli(["run", str(case)]) == 0
+
+        def refuse(token):
+            raise ValueError(f"{token} is not strict JSON")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert payload["validation"]["validated_poc"] == 0.0
+        assert payload["validation"]["poc_log_error"] is None
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 6: the status does not follow validation, so a "
+        "design 1 decade off its target reports ok"))
+    def test_off_target_design_is_not_ok(self, leo_0005, capsys):
+        # an impulse a microsecond before closest approach barely moves
+        # the encounter: the solve spends 3.1e8 m/s and validates at PoC
+        # 9.96e-6 against the target 1e-6
+        code = run_cli(["run", str(leo_0005), "--nodes", "1e-6"])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["validation"]["poc_log_error"] > 0.9
+        assert code != 0
 
     def test_nodes_in_seconds(self, scenario_file, tmp_path):
         out = tmp_path / "seconds.json"

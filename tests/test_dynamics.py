@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from polycam import cli, dapoly
 from polycam import dynamics as dyn
-from polycam.dapoly import AlgebraConfig, TaylorPoly, generic_power
+from polycam.dapoly import AlgebraConfig, TaylorPoly
 from polycam.errors import DomainError, FrameError
 from polycam.mapbuilder import _to_internal_units
 from polycam.scenarios import generate_synthetic_suite, scenario_to_event
@@ -283,11 +283,11 @@ def constant_rows(values, cfg=CFG_3_5):
 
 
 class TestBlockPath:
-    # At this position Python's r2 ** p and np.power(r2, p) differ by one
-    # ULP for the Kepler kernel's p = -1.5 and the J2 kernel's p = -0.5, so
-    # a float entry of a polynomial state that met the kernel as a float
-    # (whose power takes the latter) rather than as the constant row its
-    # block holds (whose power takes the former) would show.
+    # A float entry of a polynomial state meets the kernel as the constant
+    # row its block holds, whose power starts from a0 ** p: the power a
+    # float entry takes too, so the references may hold either. At this
+    # position np.power(r2, p), an array entry's power, is one ULP off
+    # r2 ** p for the Kepler kernel's p = -1.5 and the J2 kernel's p = -0.5.
     LEO = (6823.0, 1203.0, 900.0, -1.1, 7.2, 0.4)
     SYNODIC_STATE = (0.82, 0.11, 0.04, 0.02, -0.15, 0.01)
 
@@ -443,7 +443,7 @@ class TestBlockPath:
         out = dyn.propagate_vector(y0, (1e-6, 0.0, 0.0), 0.0, 600.0, MODEL_J2,
                                    dyn.PropagationConfig(steps=1))
         assert all(type(c) is float for c in out)
-        # the reference sees numpy floats, whose powers are np.power's
+        # the reference sees numpy floats, whose ** is a Python float's
         assert out == entrywise_propagate(y0, (1e-6, 0.0, 0.0), 0.0, 600.0,
                                           MODEL_J2, 1)
 
@@ -476,7 +476,7 @@ def untrimmed_kepler_j2(y, u, mu, r_e, j2):
     z2 = z * z
     r2 = x * x + yy * yy + z2
     if j2 != 0.0:
-        inv_r = generic_power(r2, -0.5)
+        inv_r = r2 ** -0.5
         inv_r2 = inv_r * inv_r
         common = -mu * (inv_r2 * inv_r)
         k_j2 = (1.5 * j2 * r_e * r_e) * inv_r2
@@ -484,7 +484,7 @@ def untrimmed_kepler_j2(y, u, mu, r_e, j2):
         plane = common * (1.0 + k_j2 - shared)
         axial = common * (1.0 + 3.0 * k_j2 - shared)
     else:
-        plane = axial = -mu * generic_power(r2, -1.5) * 1.0
+        plane = axial = -mu * r2 ** -1.5 * 1.0
     return (vx, vy, vz, plane * x + u[0], plane * yy + u[1],
             axial * z + u[2])
 
@@ -497,8 +497,8 @@ def untrimmed_cr3bp(y, u, mass_ratio):
     xm = x - (1.0 - mu)
     yy2 = yy * yy
     z2 = z * z
-    inv1 = generic_power(xe * xe + yy2 + z2, -1.5)
-    inv2 = generic_power(xm * xm + yy2 + z2, -1.5)
+    inv1 = (xe * xe + yy2 + z2) ** -1.5
+    inv2 = (xm * xm + yy2 + z2) ** -1.5
     gx = -x + (1.0 - mu) * xe * inv1 + mu * xm * inv2
     gy = -yy + (1.0 - mu) * yy * inv1 + mu * yy * inv2
     gz = -z + (1.0 - mu) * z * inv1 + mu * z * inv2
