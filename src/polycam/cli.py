@@ -495,9 +495,15 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    return _cmd_generate(args)
+    try:
+        code = (_cmd_run if args.command == "run" else _cmd_generate)(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout closed early (`| head`): an unwritable output, with nowhere
+        # to report it; the interpreter's last flush goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PARSE
+    return code
 
 
 if __name__ == "__main__":

@@ -269,9 +269,15 @@ def log_poc_chan(r_b, p_b, hbr: float) -> TaylorPoly:
     positions, so only the slowly varying log S is a truncated series and
     the Gaussian is never Taylor-expanded (Armellin's squared-distance
     constraint, *Acta Astronautica* 186, 2021, with the series' correction).
+    An overflow raises :class:`NumericError` without a warning.
     """
-    x_m, y_m, s_x, s_y = _principal_axes(r_b, p_b)
-    arg, p_r2, series = _chan_series(x_m, y_m, s_x, s_y, hbr)
+    try:
+        # an overflow leaves the sum non-finite, which the stop rule refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_m, y_m, s_x, s_y = _principal_axes(r_b, p_b)
+            arg, p_r2, series = _chan_series(x_m, y_m, s_x, s_y, hbr)
+    except OverflowError as exc:  # float ** raises where * returns inf
+        raise NumericError("collision-probability series overflowed") from exc
     if series is None:
         raise NumericError("collision-probability series did not converge "
                            f"in {_SERIES_CAP} terms")

@@ -1,36 +1,36 @@
 """Polynomial maps of log collision probability versus control perturbations.
 
-Each design has one real reference trajectory, computed once: the
-maneuverable spacecraft is back-propagated from closest approach to the
-first control opportunity, and from there the ballistic pass gives the
-unmaneuvered encounter. The polynomial pass and every real replay start
-from the back-propagated state and, unless a step count is set, step on
-the mesh that the back-propagation's error control picked for the
-design's log probability; a Kepler coast takes one closed-form step
-instead, whatever the plan, in an impulsive design's back-propagation
-too. Perturbation variables are attached at each node
-(velocity increments for impulsive schedules, held accelerations for
-low-thrust arcs), and the perturbed state is propagated forward through the
-encounter. The state's algebra grows node by node with the variables
-attached so far, and each segment is integrated, or takes its closed
-form, in the state's own algebra. The trajectory runs at order
-``TRAJECTORY_ORDER`` at most: a truncated product's degree-d coefficients
-read only its factors' up to degree d, so the map's coefficients up to
-that degree are those of a full-order pass, and over an m/s maneuver the
-nonlinearity that the higher degrees carry lies in the logarithm, not in
-the trajectory. The relative position at closest approach, projected onto
-the frozen encounter plane, is lifted into the map's order, and composing
-the logarithm of the collision-probability series on top yields one
-truncated polynomial of log PoC in the stacked control vector. Everything
-downstream of this map is polynomial evaluation. Candidate maneuver
-epochs are ranked without a map, by one complex-step back-propagation
-from closest approach that stops at every candidate and gives each its
-start, so a ranked design too back-propagates once. An impulse's
-first-order log-probability gradient is the velocity part of the adjoint
-of the closest-approach gradient (the primer vector), which that pass
-carries because the flows are Hamiltonian. A held arc's gradient is that
-adjoint integrated over the arc, by Gauss-Legendre quadrature on further
-stops of the same pass.
+Each design starts once: the maneuverable spacecraft is back-propagated
+from closest approach to the first control opportunity. The polynomial
+pass and every real replay start from the back-propagated state and,
+unless a step count is set, step on the mesh that the back-propagation's
+error control picked for the design's log probability; a Kepler coast
+takes one closed-form step instead, whatever the plan, in an impulsive
+design's back-propagation too. Perturbation variables are attached at
+each node (velocity increments for impulsive schedules, held
+accelerations for low-thrust arcs), and the perturbed state is
+propagated forward through the encounter. The state's algebra grows node
+by node with the variables attached so far, and each segment is
+integrated, or takes its closed form, in the state's own algebra. The
+trajectory runs at order ``TRAJECTORY_ORDER`` at most: a truncated
+product's degree-d coefficients read only its factors' up to degree d,
+so the map's coefficients up to that degree are those of a full-order
+pass, and over an m/s maneuver the nonlinearity that the higher degrees
+carry lies in the logarithm, not in the trajectory. The relative
+position at closest approach, projected onto the frozen encounter plane,
+is lifted into the map's order, and composing the logarithm of the
+collision-probability series on top yields one truncated polynomial of
+log PoC in the stacked control vector. Its constant part is the log of
+the ballistic probability, so everything downstream of this map is
+polynomial evaluation, and no ballistic real pass runs. Candidate
+maneuver epochs are ranked without a map, by one complex-step
+back-propagation from closest approach that stops at every candidate and
+gives each its start, so a ranked design too back-propagates once. An
+impulse's first-order log-probability gradient is the velocity part of
+the adjoint of the closest-approach gradient (the primer vector), which
+that pass carries because the flows are Hamiltonian. A held arc's
+gradient is that adjoint integrated over the arc, by Gauss-Legendre
+quadrature on further stops of the same pass.
 """
 
 from __future__ import annotations
@@ -53,9 +53,8 @@ from .errors import ConfigurationError
 __all__ = [
     "IMPULSIVE", "LOW_THRUST",
     "IMPULSE_REF_MS", "ACCEL_REF_MS2",
-    "ControlSchedule", "PocMap", "ReferenceTrajectory", "Start",
-    "build_poc_map", "gradient_norm_per_node",
-    "propagate_with_controls", "reference_trajectory",
+    "ControlSchedule", "PocMap", "Start",
+    "build_poc_map", "gradient_norm_per_node", "propagate_with_controls",
 ]
 
 IMPULSIVE = "IMPULSIVE"
@@ -247,41 +246,24 @@ class Start(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class ReferenceTrajectory:
-    """The real, unmaneuvered trajectory of one design, computed once.
-
-    ``start`` is the :class:`Start` that the polynomial pass and every real
-    replay of the design begin from. ``bplane_km`` is the (xi, zeta)
-    encounter-plane position in km of the ballistic forward pass, with
-    every control at zero, and ``ballistic_poc`` the probability there.
-    The ``fixed_impulses`` are folded into the ballistic pass. Every pass
-    of the design steps on the start's plan.
-    """
-
-    start: Start
-    fixed_impulses: tuple[tuple[float, np.ndarray], ...]
-    bplane_km: np.ndarray
-    ballistic_poc: float
-
-
-@dataclass(frozen=True, eq=False)
 class PocMap:
     """Truncated polynomial of the natural log of collision probability in
     scaled controls.
 
     ``poly`` lives in M scaled variables (3 per free-direction control, 1
     per fixed-direction control) laid out by ``schedule``; its variable
-    count, order and derivatives are its own. ``reference`` is the
-    trajectory it was expanded about, and owns the ballistic probability.
-    The constant part of ``poly`` is the log of that probability carried
-    through the polynomial pass, so the two agree to rounding only. The
-    log's exact quadratic part is why low orders already track the
-    probability over decades.
+    count, order and derivatives are its own, and its constant part is
+    the log of the ballistic probability. It was expanded about the
+    unmaneuvered trajectory from ``start`` with the ``fixed_impulses``
+    (epoch, delta-v m/s in the local frame) folded in, from which every
+    real replay of the design starts too. The log's exact quadratic part
+    is why low orders already track the probability over decades.
     """
 
     poly: TaylorPoly
     schedule: ControlSchedule
-    reference: ReferenceTrajectory
+    start: Start
+    fixed_impulses: tuple[tuple[float, np.ndarray], ...]
 
     @property
     def scaling(self) -> np.ndarray:
@@ -589,8 +571,8 @@ def propagate_with_controls(event: ConjunctionEvent, schedule: ControlSchedule,
     ``phi_physical`` is the stacked control vector in m/s (impulsive) or
     m/s^2 (low thrust), one scalar per fixed-direction control or three per
     free control; None means ballistic. ``start`` is the design's
-    :class:`Start`, as held by :attr:`ReferenceTrajectory.start`, whose
-    plan the pass steps on; without it the pass back-propagates first.
+    :class:`Start`, as held by :attr:`PocMap.start`, whose plan the pass
+    steps on; without it the pass back-propagates first.
     ``steps_taken`` gets each segment's steps. Returns the (xi, zeta)
     position in km on ``event.bplane`` at closest approach.
     """
@@ -609,49 +591,30 @@ def propagate_with_controls(event: ConjunctionEvent, schedule: ControlSchedule,
                                        fixed_impulses, steps_taken))
 
 
-def reference_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
-                         config: PropagationConfig | None = None,
-                         fixed_impulses: Sequence[tuple[float, np.ndarray]] = (),
-                         start: Start | None = None) -> ReferenceTrajectory:
-    """The design's reference: one back-propagation to the first control
-    event, which picks the mesh without a step count, or takes Kepler
-    coasts in closed form for an impulsive schedule (skipped when
-    ``start`` already holds it, for instance from the ranking that chose
-    the epoch), and one ballistic forward pass on the start's plan."""
-    config = config or PropagationConfig()
-    fixed_impulses = tuple(fixed_impulses)
-    start = start or _start_state(event, schedule, config, fixed_impulses)
-    r_b = propagate_with_controls(event, schedule, None, config,
-                                  fixed_impulses, start)
-    return ReferenceTrajectory(
-        start=start, fixed_impulses=fixed_impulses, bplane_km=r_b,
-        ballistic_poc=poc_chan(r_b, event.bplane.p_b, event.hbr_km))
-
-
 def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
                   order: int, config: PropagationConfig | None = None,
                   fixed_impulses: Sequence[tuple[float, np.ndarray]] = (),
                   start: Start | None = None) -> PocMap:
     """Expand log collision probability to ``order`` in the stacked controls.
 
-    The design's :func:`reference_trajectory` is computed first (``start``
-    as there). Perturbation variables of order min(``order``,
-    ``TRAJECTORY_ORDER``) then ride through the propagation from its start
-    state node to node (each node's variables join the state's algebra at
-    that node). The relative position, projected onto the frozen encounter
-    plane, is lifted into the ``order`` algebra (its coefficients above
-    the trajectory's order zero), and the log of the probability series
-    is composed on top. So the map's coefficients up to the trajectory's
-    order are those of a full-order pass; the higher ones are the
-    logarithm's of that truncated trajectory. The map carries the
-    reference, whose ballistic probability the constant part's
-    exponential matches to rounding.
+    The pass begins at ``start`` (from the ranking, say), or else at the
+    design's back-propagation (:func:`_start_state`). Perturbation
+    variables of order min(``order``, ``TRAJECTORY_ORDER``) then ride
+    through the propagation from the start state node to node (each
+    node's variables join the state's algebra at that node). The relative
+    position, projected onto the frozen encounter plane, is lifted into
+    the ``order`` algebra (its coefficients above the trajectory's order
+    zero), and the log of the probability series is composed on top. So
+    the map's coefficients up to the trajectory's order are those of a
+    full-order pass; the higher ones are the logarithm's of that
+    truncated trajectory. The constant part is the log of the ballistic
+    probability; the map carries the start and fixed impulses.
     """
     if order < 1:
         raise ConfigurationError(f"expansion order must be >= 1, got {order}")
     config = config or PropagationConfig()
-    reference = reference_trajectory(event, schedule, config, fixed_impulses,
-                                     start)
+    fixed_impulses = tuple(fixed_impulses)
+    start = start or _start_state(event, schedule, config, fixed_impulses)
 
     # each slot's variables live in the algebra of the slots up to it
     width = schedule.n_vars // schedule.n_controls
@@ -660,12 +623,13 @@ def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
                                       width * s + k) for k in range(width)]
                  for s in range(schedule.n_controls)]
 
-    r_b = _thread_trajectory(event, schedule, reference.start, variables,
+    r_b = _thread_trajectory(event, schedule, start, variables,
                              schedule.unit, fixed_impulses)
     full = AlgebraConfig(schedule.n_vars, order)
     poly = log_poc_chan([c.embed(full) for c in r_b], event.bplane.p_b,
                         event.hbr_km)
-    return PocMap(poly=poly, schedule=schedule, reference=reference)
+    return PocMap(poly=poly, schedule=schedule, start=start,
+                  fixed_impulses=fixed_impulses)
 
 
 def gradient_norm_per_node(event: ConjunctionEvent, candidate_times,

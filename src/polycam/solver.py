@@ -21,13 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjunction import ConjunctionEvent
+from .conjunction import ConjunctionEvent, poc_chan
 from .dynamics import PropagationConfig
 from .errors import (ConfigurationError, DegenerateGradientError,
                      InfeasibleWithBoundError, NonConvergenceError)
 from .mapbuilder import (ControlSchedule, IMPULSIVE, PocMap, Start,
                          build_poc_map, gradient_norm_per_node,
-                         reference_trajectory)
+                         propagate_with_controls)
 
 __all__ = [
     "SolverConfig", "ManeuverSolution",
@@ -111,7 +111,7 @@ class ManeuverSolution:
 
 def _log_gap(pmap: PocMap, config: SolverConfig) -> float:
     """The constraint's right-hand side: log target - log ballistic."""
-    return math.log(config.target_poc) - math.log(pmap.reference.ballistic_poc)
+    return math.log(config.target_poc) - pmap.poly.constant_part
 
 
 def solve_order1(pmap: PocMap, rho: float) -> np.ndarray:
@@ -125,18 +125,22 @@ def solve_order1(pmap: PocMap, rho: float) -> np.ndarray:
     return (rho / norm) * (grad / norm)
 
 
-def pseudo_gradient(pmap: PocMap, j: int, phi_tilde: np.ndarray) -> np.ndarray:
-    """Gradient of the order-j constraint linearized at ``phi_tilde``.
+def pseudo_gradient(pmap: PocMap, j: int, phi_tilde: np.ndarray) -> tuple:
+    """Gradient g of the order-j constraint linearized at ``phi_tilde``,
+    and its (M, M) derivative, from one pass of monomial values.
 
-    Row vector: the degree-1 coefficients plus, for every degree k in
-    [2, j], the degree-k homogeneous part contracted with k-1 copies of
-    the linearization point; one product of the map's contraction matrix.
+    g is a row vector: the degree-1 coefficients plus, for every degree k
+    in [2, j], the degree-k homogeneous part contracted with k-1 copies of
+    the linearization point; one product of the map's contraction matrix,
+    and the derivative one of its derivative matrix with leading values.
     """
     if not 1 <= j <= pmap.poly.max_order:
         raise ConfigurationError(
             f"order {j} outside [1, {pmap.poly.max_order}]")
     values = pmap.poly.monomials(phi_tilde, j)
-    return pmap.contraction[0][:, :len(values)] @ values
+    inner = math.comb(pmap.poly.n_vars + j - 2, pmap.poly.n_vars)
+    return (pmap.contraction[0][:, :len(values)] @ values,
+            pmap.contraction[1][:, :, :inner] @ values[:inner])
 
 
 def solve_order_j(pmap: PocMap, j: int, phi_init: np.ndarray,
@@ -160,20 +164,18 @@ def solve_order_j(pmap: PocMap, j: int, phi_init: np.ndarray,
     def displacement(point: np.ndarray) -> tuple:
         nonlocal evals
         evals += 1
-        g = pseudo_gradient(pmap, j, point)
+        g, dg = pseudo_gradient(pmap, j, point)
         norm2 = float(g @ g)
         if math.sqrt(norm2) < _GRADIENT_FLOOR:
             raise DegenerateGradientError(f"pseudo-gradient vanished at order {j}")
         step = (rho / norm2) * g - point
-        return float(np.linalg.norm(step)), step, g / norm2
+        return float(np.linalg.norm(step)), step, g / norm2, dg
 
     phi = np.asarray(phi_init, dtype=np.float64)
-    size, step, u = displacement(phi)
+    size, step, u, dg = displacement(phi)
     for _ in range(config.max_iterations):
         if size <= config.e_tol:
             return phi + step, evals, True
-        values = pmap.poly.monomials(phi, j - 1)
-        dg = pmap.contraction[1][:, :, :len(values)] @ values
         jac = rho * ((u @ u) * dg - 2.0 * np.outer(u, u @ dg))
         try:
             delta = np.linalg.solve(jac - np.eye(len(phi)), -step)
@@ -186,7 +188,7 @@ def solve_order_j(pmap: PocMap, j: int, phi_init: np.ndarray,
                 break
         else:
             break
-        phi, (size, step, u) = trial, found
+        phi, (size, step, u, dg) = trial, found
     return phi, evals, False
 
 
@@ -219,12 +221,13 @@ def solve_recursive(pmap: PocMap, config: SolverConfig) -> ManeuverSolution:
     if n > pmap.poly.max_order:
         raise ConfigurationError(
             f"solver order {n} exceeds map order {pmap.poly.max_order}")
-    if pmap.reference.ballistic_poc <= config.target_poc:
+    rho = _log_gap(pmap, config)
+    if rho >= 0.0:
         phi = np.zeros(pmap.poly.n_vars)
         iterations = (1,) + (0,) * (n - 1)
         converged = (True,) * n
     else:
-        phi = solve_order1(pmap, _log_gap(pmap, config))
+        phi = solve_order1(pmap, rho)
         iterations = (1,)
         converged = (True,)
         for j in range(2, n + 1):
@@ -286,14 +289,14 @@ def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
 
     The highest-authority node is solved alone; whenever the required
     impulse exceeds ``u_max_ms`` that node is saturated at the bound along
-    the solved direction, folded into the reference trajectory (shrinking
-    the remaining probability gap), and the next-ranked node is brought in.
+    the solved direction, held fixed in the later maps (shrinking the
+    remaining probability gap), and the next-ranked node is brought in.
     Each node's control follows ``template`` (a fixed direction stays
     pinned); the returned schedule holds the engaged impulses as free
     vectors. Stops at the first unsaturated solve within the bound;
     exhausting the grid with gap remaining raises, reporting the residual
-    probability. Every map, and the residual's reference, starts from the
-    ranking's :class:`~polycam.mapbuilder.Start` at its first control
+    probability of a real replay. Every map, and that replay, starts from
+    the ranking's :class:`~polycam.mapbuilder.Start` at its first control
     event, so the orbit is back-propagated once. Returns the solution and
     the Start of its first engaged node, from which it validates.
     """
@@ -327,9 +330,9 @@ def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
         saturated.append((t, u_max_ms * dv / magnitude))
 
     # the grid is never empty here: ranking rejects an empty one
-    residual_poc = reference_trajectory(
-        event, template.retimed(ranked[-1][:1]), prop_config,
-        fixed_impulses=saturated, start=starts[min(starts)]).ballistic_poc
+    residual_poc = poc_chan(propagate_with_controls(
+        event, template.retimed(ranked[-1][:1]), None, prop_config,
+        saturated, starts[min(starts)]), event.bplane.p_b, event.hbr_km)
     raise InfeasibleWithBoundError(
         f"all {len(ranked)} nodes saturated at {u_max_ms} m/s with "
         f"probability gap remaining (residual PoC {residual_poc})",

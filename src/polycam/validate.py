@@ -1,7 +1,7 @@
 """Independent nonlinear validation of solved maneuvers.
 
-Solutions are replayed through the real-valued propagation pipeline (no
-polynomials) from the design's reference trajectory, and the collision
+Solutions and the zero control are replayed through the real-valued
+pipeline (no polynomials) from the design's start, and the collision
 probability is recomputed at closest approach, with the series value
 cross-checked against the quadrature oracle.
 """
@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conjunction import ConjunctionEvent, poc_chan, poc_quadrature
+from .dynamics import PropagationConfig
 from .errors import ConfigurationError
-from .mapbuilder import (ControlSchedule, PocMap, Start,
-                         propagate_with_controls, reference_trajectory)
+from .mapbuilder import (ControlSchedule, PocMap, Start, _start_state,
+                         propagate_with_controls)
 
 __all__ = ["ValidationReport", "validate_solution"]
 
@@ -49,31 +50,34 @@ def validate_solution(event: ConjunctionEvent, schedule: ControlSchedule,
     """Replay ``phi_physical`` through the real pipeline and grade it.
 
     ``phi_physical`` stacks the controls in m/s (impulsive) or m/s^2
-    (low thrust). The report carries the ballistic probability and
-    encounter point of the design's :class:`ReferenceTrajectory`, and the
-    maneuvered replay starts from that reference's back-propagated state
-    and takes its steps (``segment_steps`` counts them per segment), so
-    the zero vector reproduces the ballistic figures exactly. When the
-    map that produced the solution is supplied, its reference serves (no
-    second ballistic pass), and the report carries the mismatch between
-    the map's prediction, the exponential of its log probability, and the
-    validated probability. Such a map must have been built on
-    ``schedule`` itself (mode, epochs, fixed direction and arcs); any
-    other map is refused. Without a map, ``start`` serves the reference as
-    in :func:`build_poc_map`, and without either the reference is
-    back-propagated without a step count.
+    (low thrust). Two real replays start from one
+    :class:`~polycam.mapbuilder.Start` and take its steps: the zero
+    vector's gives the report's ballistic probability and encounter point,
+    and the maneuver's the validated ones (``segment_steps`` counts its
+    steps per segment), so the zero vector reproduces the ballistic
+    figures exactly. When the map that produced the solution is supplied,
+    its start and fixed impulses serve, and the report carries the
+    mismatch between the map's prediction, the exponential of its log
+    probability, and the validated probability. Such a map must have been
+    built on ``schedule`` itself (mode, epochs, fixed direction and arcs);
+    any other map is refused. Without a map, ``start`` serves as in
+    :func:`~polycam.mapbuilder.build_poc_map`, and without either the
+    design is back-propagated without a step count.
     """
     phi_physical = np.asarray(phi_physical, dtype=np.float64)
+    fixed = ()
     if pmap is None:
-        reference = reference_trajectory(event, schedule, start=start)
+        start = start or _start_state(event, schedule, PropagationConfig())
     elif pmap.schedule != schedule:
         raise ConfigurationError("the map was built for another schedule")
     else:
-        reference = pmap.reference
+        start, fixed = pmap.start, pmap.fixed_impulses
+    r_b_before = propagate_with_controls(event, schedule, None, None, fixed,
+                                         start)
+    ballistic = poc_chan(r_b_before, event.bplane.p_b, event.hbr_km)
     steps = []
     r_b_after = propagate_with_controls(event, schedule, phi_physical, None,
-                                        reference.fixed_impulses,
-                                        reference.start, steps)
+                                        fixed, start, steps)
 
     validated = poc_chan(r_b_after, event.bplane.p_b, event.hbr_km)
     oracle = poc_quadrature(r_b_after, event.bplane.p_b, event.hbr_km)
@@ -91,10 +95,10 @@ def validate_solution(event: ConjunctionEvent, schedule: ControlSchedule,
 
     return ValidationReport(
         validated_poc=validated,
-        ballistic_poc=reference.ballistic_poc,
+        ballistic_poc=ballistic,
         poc_log_error=log_error,
         map_residual=map_residual,
-        bplane_before_km=reference.bplane_km,
+        bplane_before_km=r_b_before,
         bplane_after_km=r_b_after,
         chan_quadrature_agree=agree,
         segment_steps=tuple(steps),

@@ -14,8 +14,8 @@ from polycam.conjunction import ConjunctionEvent, poc_chan
 from polycam.dynamics import Mesh, PropagationConfig, propagate_vector
 from polycam.errors import ConfigurationError
 from polycam.mapbuilder import (ControlSchedule, IMPULSIVE,
-                                _relative_bplane_position, _to_internal_units,
-                                reference_trajectory)
+                                _relative_bplane_position, _start_state,
+                                _to_internal_units, propagate_with_controls)
 
 
 class InfeasibleError(Exception):
@@ -61,22 +61,23 @@ def grid_oracle_single_impulse(event: ConjunctionEvent, node_time: float,
 
     schedule = ControlSchedule(mode=IMPULSIVE, node_epochs=(float(node_time),))
 
-    reference = reference_trajectory(event, schedule, config)
-    p_b = event.bplane.p_b
-    if reference.ballistic_poc <= target_poc:
-        return np.zeros(3)
-
     # the node's internal-unit reference state and control frame: the
     # design's start
+    start = _start_state(event, schedule, config)
+    p_b = event.bplane.p_b
+    ballistic = propagate_with_controls(event, schedule, None, start=start)
+    if poc_chan(ballistic, p_b, event.hbr_km) <= target_poc:
+        return np.zeros(3)
+
     scale, model_nd = _to_internal_units(event)
-    t_node, y_node, plan, frames = reference.start
+    t_node, y_node, plan, frames = start
     rot = frames[t_node]
 
     directions = _fibonacci_sphere(resolution)
     dirs_inertial = directions @ rot  # rows: direction in propagation frame
 
     t_node_nd = t_node / scale.time_s
-    # the reference's steps: its count, or its mesh run forward
+    # the start's steps: its count, or its mesh run forward
     if isinstance(plan, Mesh):
         plan = plan.between(t_node_nd, 0.0)
 

@@ -89,12 +89,11 @@ def main(argv=None) -> int:
     validate, propagate = cli.validate_solution, mapbuilder.propagate_vector
     rows = []
 
-    def replay(coast, event, schedule, phi, reference):
+    def replay(coast, event, schedule, phi, start, fixed):
         mapbuilder.propagate_vector = coast
         try:
             r_b = mapbuilder.propagate_with_controls(
-                event, schedule, phi, None, reference.fixed_impulses,
-                reference.start)
+                event, schedule, phi, None, fixed, start)
         finally:
             mapbuilder.propagate_vector = propagate
         return poc_chan(r_b, event.bplane.p_b, event.hbr_km)
@@ -103,16 +102,20 @@ def main(argv=None) -> int:
         report = validate(event, schedule, phi, target, pmap=pmap, **kwargs)
         if event.dynamics.kind != dyn.KEPLER or report.validated_poc == 0.0:
             return report
-        reference = pmap.reference if pmap is not None else \
-            mapbuilder.reference_trajectory(event, schedule,
-                                            start=kwargs.get("start"))
+        # the start and fixed impulses that validation replayed from
+        if pmap is not None:
+            start, fixed = pmap.start, pmap.fixed_impulses
+        else:
+            start = kwargs.get("start") or mapbuilder._start_state(
+                event, schedule, dyn.PropagationConfig())
+            fixed = ()
         oracles = [
             replay(lambda y, u, t0, t1, model, plan=None, n=n:
                    dyn.integrate(y, u, t0, t1, model,
                                  dyn.PropagationConfig(steps=n)),
-                   event, schedule, phi, reference)
+                   event, schedule, phi, start, fixed)
             for n in counts]
-        oracles.append(replay(mp_coast, event, schedule, phi, reference))
+        oracles.append(replay(mp_coast, event, schedule, phi, start, fixed))
         rows.append([report.validated_poc / o - 1.0 for o in oracles]
                     + [max(abs(o / oracles[-1] - 1.0) for o in oracles[:-1])])
         print(*current, *(f"{d:+.2e}" for d in rows[-1][:-1]), flush=True)

@@ -28,7 +28,9 @@ exit-code change, each design exiting 0 in both whose delta-v moved by
 more than ``DV_MOVE`` relative, the largest relative move of the
 validated PoC and of the delta-v over designs that exit 0 in both, each
 side's worst |log10 PoC - log10 target| and each side's summed
-iterations (:func:`compare`).
+iterations (:func:`compare`). It exits 1 when it lists a design found on
+one side only, an exit-code change or a delta-v move (``FAILING``), and
+0 otherwise, so a same-answers claim is one command that must pass.
 
 The defaults cover the three workloads and the design sets at seeds
 1-40, the census of 3800 designs; ``--short`` runs the earlier default
@@ -50,6 +52,9 @@ DEFAULT_SEEDS = tuple(range(1, 41))
 SHORT_SEEDS = (2406, 301, 302, 303)
 # a delta-v move above this, relative, is listed by --compare
 DV_MOVE = 1e-6
+# --compare lines that fail it: a design on one side only, an exit-code
+# change and a delta-v move above DV_MOVE
+FAILING = ("only in ", "  exit ", "  delta-v ")
 # the benchmark's run length: each workload's design count follows from it
 RUN_SECONDS = 25.0
 # LEO designs per seed of each design set, and each set's options: ranked
@@ -185,14 +190,17 @@ def main(argv=None) -> int:
                         help="expansion order replacing the designs' 5")
     parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
                         help="compare two outputs of this script instead "
-                             "of running designs")
+                             "of running designs; exit 1 on a design found "
+                             "on one side only, an exit-code change or a "
+                             "delta-v move")
     args = parser.parse_args(argv)
 
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     import workloads
     if args.compare:
-        print("\n".join(compare(*args.compare, workloads.TARGET_POC)))
-        return 0
+        lines = compare(*args.compare, workloads.TARGET_POC)
+        print("\n".join(lines))
+        return int(any(line.startswith(FAILING) for line in lines))
     from checks import result_digest
     from polycam.cli import build_parser, run_scenario
 

@@ -163,14 +163,15 @@ def test_criterion_5_fixed_point_certificate(solved_suite):
             if not solution.per_order_converged[-1]:
                 continue
             phi_scaled = solution.phi / pmap.scaling
-            if pmap.reference.ballistic_poc <= TARGET:
+            # the map is log PoC, so the constraint's gap is in log, from
+            # its constant part
+            rho = math.log(TARGET) - pmap.poly.constant_part
+            if rho >= 0.0:
                 continue
-            # the map is log PoC, so the constraint's gap is in log
-            rho = math.log(TARGET) - math.log(pmap.reference.ballistic_poc)
             constraint = sum(homogeneous(pmap.poly, k).eval(phi_scaled)
                              for k in range(1, order + 1))
             bound = 10.0 * E_TOL * np.linalg.norm(
-                pseudo_gradient(pmap, order, phi_scaled))
+                pseudo_gradient(pmap, order, phi_scaled)[0])
             worst = max(worst, abs(constraint - rho) / bound)
             checked += 1
     _report(5, worst <= 1.0,
@@ -334,8 +335,8 @@ def _designate_off_tangential(solved_suite):
     free/pinned comparison is not noise-dominated)."""
     best = None
     for entry in _leo_results(solved_suite):
-        pmap = entry["orders"][5][0]
-        if pmap.reference.ballistic_poc < 2.5e-6:
+        pmap, _, report, _ = entry["orders"][5]
+        if report.ballistic_poc < 2.5e-6:
             continue
         grad = pmap.poly.gradient_at_zero()
         fraction = 1.0 - (grad[1] ** 2 / float(grad @ grad))

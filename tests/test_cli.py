@@ -732,6 +732,22 @@ class TestRunCommand:
         payload = json.loads(proc.stdout)
         assert payload["status"] == "ok"
 
+    def test_closed_stdout_exits_2_without_a_traceback(self, scenario_file):
+        # a reader that stops early, as `| head -c 100` does: the result
+        # cannot be written, which exits 2 like an unwritable file
+        src = os.path.dirname(os.path.dirname(polycam.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "polycam", "run", str(scenario_file),
+             "--steps", "20", "--order", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 2
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
     def test_run_loads_neither_scipy_integrate_nor_optimize(
             self, scenario_file, tmp_path):
         # a default design loads only the row kernel of scipy, and none of

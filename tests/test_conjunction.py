@@ -344,6 +344,23 @@ class TestPocChan:
         code, payload = cli._failure(err.value)
         assert (code, payload["error"]["class"]) == (4, "non-convergence")
 
+    @pytest.mark.parametrize("p_b, hbr", [(np.diag([1.0, 4.0]), 1e308),
+                                          (np.eye(2) * 1e300, 0.01)],
+                             ids=["hbr", "covariance"])
+    def test_overflowing_polynomial_series_raises_numeric_error(self, p_b,
+                                                                 hbr):
+        # hbr**2 overflows to inf in every term, and s_x ** 4 raises:
+        # polynomial positions fail as real ones do, without a warning
+        cfg = AlgebraConfig(2, 2)
+        rb_poly = [TaylorPoly.variable(cfg, k) + c
+                   for k, c in enumerate((0.5, 0.3))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError,
+                               match="^collision-probability series "
+                                     "overflowed$"):
+                log_poc_chan(rb_poly, p_b, hbr)
+
     def test_polynomial_input_constant_part(self):
         p_b = np.array([[0.04, 0.01], [0.01, 0.09]])
         hbr = 0.02

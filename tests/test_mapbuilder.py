@@ -120,11 +120,28 @@ class TestControlSchedule:
         assert sched.n_vars == 2
 
 
+def start_of(event, schedule, config=None, fixed_impulses=()):
+    """The design's Start: its back-propagation to the first control
+    event, as a map or a replay without a given start takes it."""
+    return mapbuilder._start_state(event, schedule,
+                                   config or dyn.PropagationConfig(),
+                                   fixed_impulses)
+
+
+def ballistic_poc(event, pmap):
+    """Probability of a real ballistic pass from the map's start, with its
+    fixed impulses."""
+    r_b = propagate_with_controls(event, pmap.schedule, None,
+                                  fixed_impulses=pmap.fixed_impulses,
+                                  start=pmap.start)
+    return poc_chan(r_b, event.bplane.p_b, event.hbr_km)
+
+
 def node_state(event, epoch):
     """(r, v) in km and km/s of the reference at ``epoch``: the start of
     the single-impulse design there."""
     sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(epoch,))
-    start = mapbuilder.reference_trajectory(event, sched).start
+    start = start_of(event, sched)
     assert start.epoch == epoch
     y = start.state
     scale, _ = _to_internal_units(event)
@@ -199,10 +216,14 @@ def run_design(doc, *flags):
 
 
 class TestReferenceTrajectory:
+    """The design's unmaneuvered trajectory: the start that its
+    back-propagation gives the map, and the validation's replays from
+    it."""
+
     def test_single_impulse_design_makes_four_propagations(self, monkeypatch,
                                                            leo_doc):
-        # one back-propagation, one ballistic pass, the polynomial pass and
-        # the maneuvered replay
+        # one back-propagation, the polynomial pass and the validation's
+        # ballistic and maneuvered replays
         calls = count_propagations(monkeypatch)
         code, _ = run_design(leo_doc, "--nodes", "0.5orb")
         assert code == 0
@@ -211,8 +232,8 @@ class TestReferenceTrajectory:
 
     def test_filter_grid_design_makes_three_beyond_ranking(self, monkeypatch,
                                                            leo_doc):
-        # the ranking's back-propagation starts the map: then one ballistic
-        # pass, the polynomial pass and the maneuvered replay
+        # the ranking's back-propagation starts the map: then the
+        # polynomial pass and the validation's two replays
         calls = count_propagations(monkeypatch)
         code, _ = run_design(leo_doc, "--filter-grid",
                              "0.5orb,0.75orb,1orb,1.5orb", "--filter-keep", "1")
@@ -255,13 +276,13 @@ class TestReferenceTrajectory:
         (ranked,) = [start for t, _, start in
                      gradient_norm_per_node(event, grid, template)
                      if t == first]
-        start = pmap.reference.start
+        start = pmap.start
         assert start.epoch == first
         assert start.state == ranked.state
         assert start.plan.times == ranked.plan.times == []
         # the ranking's pass stops at a later candidate on the way, so its
         # closed-form steps round otherwise than a pass of its own
-        own = mapbuilder.reference_trajectory(event, pmap.schedule).start
+        own = start_of(event, pmap.schedule)
         assert own.state != start.state
 
     def test_ranked_start_moves_the_validated_poc_below_1e_6(self, leo_doc):
@@ -281,7 +302,7 @@ class TestReferenceTrajectory:
             pocs.append(validate_solution(event, sched, solution.phi, 1e-6,
                                           pmap=pmap).validated_poc)
             dvs.append(solution.dv_total_ms)
-        assert pmap.reference.start.state != ranked.state
+        assert pmap.start.state != ranked.state
         assert abs(pocs[0] / pocs[1] - 1.0) <= 1e-6
         assert abs(dvs[0] / dvs[1] - 1.0) <= 1e-6
 
@@ -302,7 +323,7 @@ class TestReferenceTrajectory:
                                                 event.hbr_km)
         assert np.array_equal(report.bplane_before_km, before)
         assert np.array_equal(report.bplane_after_km, after)
-        # without the map, validation builds the same reference itself
+        # without the map, validation back-propagates the same start itself
         alone = validate_solution(event, sched, solution.phi, 1e-6)
         assert alone.ballistic_poc == report.ballistic_poc
         assert np.array_equal(alone.bplane_after_km, after)
@@ -310,8 +331,8 @@ class TestReferenceTrajectory:
     def test_passes_replay_the_back_propagations_mesh(self, monkeypatch,
                                                        leo_event, leo_period):
         # the back-propagation fills the mesh, stopping at each node; the
-        # ballistic, polynomial and validation passes step on it, split
-        # only at the nodes
+        # polynomial pass and the validation's two replays step on it,
+        # split only at the nodes
         plans = []
         propagate = mapbuilder.propagate_vector
 
@@ -326,7 +347,7 @@ class TestReferenceTrajectory:
         pmap = build_poc_map(leo_event, sched, order=2)
         report = validate_solution(leo_event, sched, np.full(6, 0.01), 1e-6,
                                    pmap=pmap)
-        picked = pmap.reference.start.plan
+        picked = pmap.start.plan
         assert plans[1][2] is picked
         scale, _ = _to_internal_units(leo_event)
         nodes = {t / scale.time_s for t in sched.node_epochs}
@@ -340,7 +361,7 @@ class TestReferenceTrajectory:
         # an integrated regime steps on the legs of its mesh and reports
         # their steps
         j2 = replace(leo_event, dynamics=dyn.DynamicsModel(kind=dyn.J2))
-        start = mapbuilder.reference_trajectory(j2, sched).start
+        start = start_of(j2, sched)
         plans.clear()
         taken = []
         propagate_with_controls(j2, sched, np.full(6, 0.01), start=start,
@@ -361,7 +382,7 @@ class TestReferenceTrajectory:
         event = scenario_to_event(leo_doc)
         period = dyn.osculating_period(event.primary, event.dynamics)
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * period,))
-        start = mapbuilder.reference_trajectory(event, sched).start
+        start = start_of(event, sched)
         assert start.plan.times == []
         phi = np.array([0.0, 4000.0, 0.0])
         taken = []
@@ -390,32 +411,34 @@ class TestReferenceTrajectory:
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(
             -0.3 * leo_period, -0.1 * leo_period))
         report = validate_solution(fast, sched, np.full(6, 0.01), 1e-6)
-        ref = mapbuilder.reference_trajectory(fast, sched)
+        start = start_of(fast, sched)
         scale, _ = _to_internal_units(fast)
         epochs = [t / scale.time_s for t in (*sched.node_epochs, 0.0)]
         assert report.segment_steps == tuple(
-            ref.start.plan.between(t0, t1).steps
+            start.plan.between(t0, t1).steps
             for t0, t1 in zip(epochs, epochs[1:]))
         assert min(report.segment_steps) > 1
 
     def test_reference_holds_the_ballistic_pass(self, leo_event, leo_period):
         sched = ControlSchedule(mode=IMPULSIVE,
                                 node_epochs=(-leo_period, -0.5 * leo_period))
+        # the map holds the start and fixed impulses of the ballistic pass,
+        # which validation replays and the map's constant part matches
         fixed = [(-0.75 * leo_period, np.array([0.0, 0.01, 0.0]))]
-        ref = mapbuilder.reference_trajectory(leo_event, sched,
-                                              fixed_impulses=fixed)
-        assert ref.start[0] == -leo_period
+        pmap = build_poc_map(leo_event, sched, 1, fixed_impulses=fixed)
+        assert pmap.start[0] == -leo_period
+        assert [t for t, _ in pmap.fixed_impulses] == [t for t, _ in fixed]
         r_b = propagate_with_controls(leo_event, sched, None,
                                       fixed_impulses=fixed)
-        assert np.array_equal(ref.bplane_km, r_b)
-        assert build_poc_map(leo_event, sched, 1, fixed_impulses=fixed,
-                             start=ref.start).reference.ballistic_poc \
-            == ref.ballistic_poc
+        report = validate_solution(leo_event, sched, np.zeros(6), 1e-6,
+                                   pmap=pmap)
+        assert np.array_equal(report.bplane_before_km, r_b)
+        assert math.exp(pmap.poly.constant_part) == pytest.approx(
+            report.ballistic_poc, rel=1e-12)
 
     def test_start_from_another_epoch_is_refused(self, leo_event, leo_period):
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-leo_period,))
-        start = mapbuilder.reference_trajectory(
-            leo_event, sched.retimed([-0.5 * leo_period])).start
+        start = start_of(leo_event, sched.retimed([-0.5 * leo_period]))
         with pytest.raises(ConfigurationError):
             propagate_with_controls(leo_event, sched, None, start=start)
 
@@ -472,9 +495,9 @@ class TestBuildPocMap:
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * leo_period,))
         pmap = build_poc_map(leo_event, sched, order=3)
         assert math.exp(pmap.poly.constant_part) == pytest.approx(
-            pmap.reference.ballistic_poc, rel=1e-12)
+            ballistic_poc(leo_event, pmap), rel=1e-12)
         assert math.exp(pmap.poly.eval(np.zeros(pmap.poly.n_vars))) == \
-            pytest.approx(pmap.reference.ballistic_poc, rel=1e-12)
+            pytest.approx(ballistic_poc(leo_event, pmap), rel=1e-12)
 
     def test_variable_count_free_direction(self, leo_event, leo_period):
         sched = ControlSchedule(
@@ -551,7 +574,7 @@ class TestBuildPocMap:
         pmap = build_poc_map(leo_event, sched, order=2)
         assert pmap.poly.n_vars == 3
         assert math.exp(pmap.poly.constant_part) == pytest.approx(
-            pmap.reference.ballistic_poc, rel=1e-12)
+            ballistic_poc(leo_event, pmap), rel=1e-12)
 
     def test_two_arc_low_thrust_map(self, leo_event, leo_period):
         # two 6-minute windows centered at 2.5 and 0.5 orbits out
@@ -563,7 +586,7 @@ class TestBuildPocMap:
         pmap = build_poc_map(leo_event, sched, order=2)
         assert pmap.poly.n_vars == 6
         assert math.exp(pmap.poly.constant_part) == pytest.approx(
-            pmap.reference.ballistic_poc, rel=1e-12)
+            ballistic_poc(leo_event, pmap), rel=1e-12)
         # the coast between the arcs leaves both windows with authority
         grad = pmap.poly.gradient_at_zero()
         assert np.linalg.norm(grad[:3]) > 0
@@ -596,9 +619,8 @@ class TestControlFrames:
         node, kick = -0.5 * leo_period, -leo_period
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(node,))
         fixed = [(kick, np.array([0.0, 20.0, 20.0]))]
-        alone = mapbuilder.reference_trajectory(leo_event, sched).start
-        start = mapbuilder.reference_trajectory(leo_event, sched,
-                                                fixed_impulses=fixed).start
+        alone = start_of(leo_event, sched)
+        start = start_of(leo_event, sched, fixed_impulses=fixed)
         assert start.epoch == kick
         assert np.array_equal(start.frames[node], alone.frames[node])
         # the impulse turns the orbit after it: the maneuvered state's
@@ -616,7 +638,7 @@ class TestControlFrames:
                                                    leo_period):
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(
             -leo_period, -0.5 * leo_period))
-        start = mapbuilder.reference_trajectory(leo_event, sched).start
+        start = start_of(leo_event, sched)
         frames = dict(start.frames)
         del frames[-0.5 * leo_period]
         lacking = start._replace(frames=frames)
@@ -640,7 +662,7 @@ def direct_poc_map(event, schedule, order, config):
     else:
         unit_nd = ACCEL_REF_MS2 * 1e-3 / scale.accel_kms2
 
-    start = mapbuilder.reference_trajectory(event, schedule, config).start
+    start = start_of(event, schedule, config)
     epochs = [t / scale.time_s for t in schedule.node_epochs]
 
     def plan(t0, t1):
@@ -763,7 +785,7 @@ class TestScalingTransparency:
         # must give the physical gradient solution
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * leo_period,))
         pmap = build_poc_map(leo_event, sched, order=1)
-        rho = math.log(1e-6) - math.log(pmap.reference.ballistic_poc)
+        rho = math.log(1e-6) - pmap.poly.constant_part
         grad_scaled = pmap.poly.gradient_at_zero()
         phi_scaled = rho * grad_scaled / np.linalg.norm(grad_scaled) ** 2
         phi_physical = phi_scaled * pmap.scaling
@@ -956,8 +978,7 @@ class TestGradientNormPerNode:
         grid = [-k * leo_period for k in (0.5, 1.0, 1.5)]
         starts = [start for *_, start in
                   gradient_norm_per_node(leo_event, grid, template)]
-        starts.append(mapbuilder.reference_trajectory(
-            leo_event, template).start)
+        starts.append(start_of(leo_event, template))
         assert calls == []
         assert all(start.plan.times == [] for start in starts)
 

@@ -9,8 +9,7 @@ from polycam.dapoly import AlgebraConfig, TaylorPoly, _tables
 from polycam.errors import (ConfigurationError, DegenerateGradientError,
                             InfeasibleWithBoundError)
 from polycam.mapbuilder import (ControlSchedule, IMPULSIVE, LOW_THRUST, PocMap,
-                                ReferenceTrajectory, Start, build_poc_map,
-                                gradient_norm_per_node)
+                                Start, build_poc_map, gradient_norm_per_node)
 from polycam.cli import build_parser, run_scenario
 from polycam.errors import NonConvergenceError
 from polycam.scenarios import generate_synthetic_suite, scenario_to_event
@@ -23,13 +22,14 @@ from poly_reference import from_coeffs, homogeneous
 
 
 def log_gap(pmap, config):
-    """The solver's constraint right-hand side, log target - log ballistic."""
-    return math.log(config.target_poc) - math.log(pmap.reference.ballistic_poc)
+    """The solver's constraint right-hand side, log target - log ballistic
+    (the map's constant part)."""
+    return math.log(config.target_poc) - pmap.poly.constant_part
 
 
 def synthetic_map(coeffs, n_vars, order, ballistic=1e-4, schedule=None):
     """Hand-built log-probability map: log ``ballistic`` + given terms,
-    about a stand-in reference that holds only the ballistic probability."""
+    about a stand-in start."""
     cfg = AlgebraConfig(n_vars, order)
     full = dict(coeffs)
     full[(0,) * n_vars] = math.log(ballistic)
@@ -39,11 +39,9 @@ def synthetic_map(coeffs, n_vars, order, ballistic=1e-4, schedule=None):
             mode=IMPULSIVE,
             node_epochs=tuple(-600.0 * (k + 1)
                               for k in reversed(range(max(n_vars // 3, 1)))))
-    reference = ReferenceTrajectory(
-        start=Start(schedule.node_epochs[0], (0.0,) * 6,
-                    dyn.PropagationConfig(steps=100), {}), fixed_impulses=(),
-        bplane_km=np.zeros(2), ballistic_poc=ballistic)
-    return PocMap(poly=poly, schedule=schedule, reference=reference)
+    start = Start(schedule.node_epochs[0], (0.0,) * 6,
+                  dyn.PropagationConfig(steps=100), {})
+    return PocMap(poly=poly, schedule=schedule, start=start, fixed_impulses=())
 
 
 class TestSolveOrder1:
@@ -82,13 +80,13 @@ class TestSolveOrder1:
 class TestPseudoGradient:
     def test_zero_point_gives_gradient(self):
         pmap = synthetic_map({(1, 0, 0): 2.0, (2, 0, 0): 5.0}, 3, 3)
-        np.testing.assert_allclose(pseudo_gradient(pmap, 3, np.zeros(3)),
+        np.testing.assert_allclose(pseudo_gradient(pmap, 3, np.zeros(3))[0],
                                    [2.0, 0.0, 0.0])
 
     def test_order_one_ignores_point(self):
         pmap = synthetic_map({(1, 0, 0): 2.0, (2, 0, 0): 5.0}, 3, 3)
         np.testing.assert_allclose(
-            pseudo_gradient(pmap, 1, np.array([9.0, 9.0, 9.0])),
+            pseudo_gradient(pmap, 1, np.array([9.0, 9.0, 9.0]))[0],
             [2.0, 0.0, 0.0])
 
     def test_hand_built_quadratic(self):
@@ -97,7 +95,7 @@ class TestPseudoGradient:
         pmap = synthetic_map({(1,): 1.0, (2,): 0.1}, 1, 2,
                              schedule=ControlSchedule(mode=IMPULSIVE,
                                                       node_epochs=(-600.0,)))
-        got = pseudo_gradient(pmap, 2, np.array([-0.5279]))
+        got = pseudo_gradient(pmap, 2, np.array([-0.5279]))[0]
         assert got[0] == pytest.approx(0.94721, abs=1e-12)
 
     def test_euler_consistency(self):
@@ -112,7 +110,7 @@ class TestPseudoGradient:
                                                       node_epochs=(-600.0,)))
         for j in range(1, 5):
             phi = rng.uniform(-0.7, 0.7, size=2)
-            lhs = pseudo_gradient(pmap, j, phi) @ phi
+            lhs = pseudo_gradient(pmap, j, phi)[0] @ phi
             rhs = sum(homogeneous(pmap.poly, k).eval(phi)
                       for k in range(1, j + 1))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-18)
@@ -140,12 +138,25 @@ class TestContractionOperator:
             for w in range(n_vars):
                 step = np.zeros(n_vars)
                 step[w] = h
-                expected[:, w] = (pseudo_gradient(pmap, j, phi + step)
-                                  - pseudo_gradient(pmap, j, phi - step)) / (2 * h)
-            values = pmap.poly.monomials(phi, j - 1)
+                expected[:, w] = (pseudo_gradient(pmap, j, phi + step)[0]
+                                  - pseudo_gradient(pmap, j, phi - step)[0]
+                                  ) / (2 * h)
             np.testing.assert_allclose(
-                pmap.contraction[1][:, :, :len(values)] @ values, expected,
+                pseudo_gradient(pmap, j, phi)[1], expected,
                 rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("n_vars", [3, 9, 12])
+    def test_derivative_reads_the_leading_monomials_bitwise(self, n_vars):
+        # one monomial pass serves g and its derivative: the values below
+        # degree j - 1 are a bitwise prefix of those below degree j
+        pmap = random_map(n_vars, 5, 33)
+        rng = np.random.default_rng(34)
+        for j in range(2, 6):
+            phi = rng.uniform(-0.5, 0.5, size=n_vars)
+            values = pmap.poly.monomials(phi, j - 1)
+            assert np.array_equal(
+                pseudo_gradient(pmap, j, phi)[1],
+                pmap.contraction[1][:, :, :len(values)] @ values)
 
     def test_one_solve_builds_the_operators_once(self, monkeypatch):
         built = []
@@ -222,7 +233,7 @@ class TestSolveOrderJ:
             constraint = sum(homogeneous(pmap.poly, k).eval(phi)
                              for k in range(1, j + 1))
             bound = 10 * config.e_tol * np.linalg.norm(
-                pseudo_gradient(pmap, j, phi))
+                pseudo_gradient(pmap, j, phi)[0])
             assert abs(constraint - rho) <= bound
 
 
@@ -406,7 +417,7 @@ class TestSolveRecursive:
         assert log_gap(pmap, config) < 0.0
         sol = solve_recursive(pmap, config)
         mapped = math.exp(pmap.poly.eval(sol.phi / pmap.scaling))
-        assert mapped < pmap.reference.ballistic_poc
+        assert mapped < math.exp(pmap.poly.constant_part)
 
 
 class TestFilterNodes:

@@ -29,8 +29,12 @@ class TestValidateSolution:
         sched, pmap, _ = solved
         report = validate_solution(leo_event, sched, np.zeros(3), 1e-6,
                                    pmap=pmap)
-        # same code path as the map's reference: bit-for-bit equality
-        assert report.validated_poc == pmap.reference.ballistic_poc
+        # same code path as a ballistic pass from the map's start:
+        # bit-for-bit equality
+        before = propagate_with_controls(leo_event, sched, None,
+                                         start=pmap.start)
+        assert report.validated_poc == report.ballistic_poc == poc_chan(
+            before, leo_event.bplane.p_b, leo_event.hbr_km)
         np.testing.assert_array_equal(report.bplane_after_km,
                                       report.bplane_before_km)
 
