@@ -8,8 +8,8 @@ variables, a higher order or both (:meth:`TaylorPoly.embed`), so a pipeline
 can run its early stages in small algebras and widen as variables join, or
 run a stage at a low order and carry on at a higher one. Each operation is
 a row function on coefficient vectors; :func:`record` turns a function of
-polynomials into a program of them, compiled to straight-line Python once
-per process for each sequence of operations.
+polynomials into a program of them on the rows of one workspace, compiled
+to straight-line Python once per process for each sequence of operations.
 
 Coefficients are held in a dense vector indexed by a graded-lexicographic
 monomial table shared per (n_vars, max_order).
@@ -27,7 +27,10 @@ and then by j. A product and each Horner step of the intrinsics are one
 compiled pass over these rows: each row's sum starts from 0.0 and adds its
 pair products in row order. Adding the same products in the same order
 from the same start is what keeps every coefficient bitwise reproducible;
-reordering a row's pairs changes the last bits.
+reordering a row's pairs changes the last bits. A recorded program stacks
+copies of the table, one per product, into one pass, so that every
+product of a level, and every power's Horner step, keeps the rows and the
+order of its own pass.
 
 Passes skip pairs with an exact zero factor and rows no later step reads
 (:func:`_horner`). For finite coefficients a skipped product is +-0.0,
@@ -294,23 +297,22 @@ def _neg(tab, a, b):
     return -a
 
 
-def _power_series(a: np.ndarray, p: float, n: int) -> np.ndarray:
-    """The series of x**p about the constant part of the row ``a``, which
-    must be positive, to degree n."""
-    a0 = float(a[0])
+def _power_series(a0: float, p: float, n: int) -> list:
+    """The series of x**p about ``a0``, which must be positive, to degree
+    n, in Python floats."""
+    a0 = float(a0)
     if a0 <= 0.0:
         raise DomainError(
             f"power({p}) requires positive constant part, got {a0}", a0)
-    outer = np.empty(n + 1)
-    outer[0] = a0 ** p
+    outer = [a0 ** p]
     for k in range(1, n + 1):
-        outer[k] = outer[k - 1] * (p - (k - 1)) / (k * a0)
+        outer.append(outer[-1] * (p - (k - 1)) / (k * a0))
     return outer
 
 
 def _power(tab, a, p):
     """a**p about the constant part, which must be positive."""
-    return _horner(tab, a, _power_series(a, p, tab.max_order))
+    return _horner(tab, a, _power_series(a[0], p, tab.max_order))
 
 
 def _sine_series(a0: float, n: int, shift: int) -> np.ndarray:
@@ -588,64 +590,187 @@ class _Register(TaylorPoly):
         return out
 
 
-# The source line of each row function in a compiled program, but for
-# products and powers (:func:`_program_source`): o is the result register,
-# a the left operand and b the right one, a row or a number.
+# The statement of each row function in a compiled program but for
+# products and powers (:func:`_program_source`), written into its result
+# row: o is that row, a the left operand and b the right one, a row or a
+# number.
 _STATEMENTS = {
-    _add: "{o} = {a} + {b}",
-    _sub: "{o} = {a} - {b}",
-    _neg: "{o} = -{a}",
-    _scale: "{o} = {a} * {b}",
-    _add_const: "{o} = {a}.copy(); {o}[0] += {b}",
-    _sub_const: "{o} = {a}.copy(); {o}[0] -= {b}",
-    _rsub_const: "{o} = -{a}; {o}[0] += {b}",
+    _add: "add({a}, {b}, out={o})",
+    _sub: "subtract({a}, {b}, out={o})",
+    _neg: "negative({a}, out={o})",
+    _scale: "multiply({a}, {b}, out={o})",
+    _add_const: "copyto({o}, {a}); {o}[0] += {b}",
+    _sub_const: "copyto({o}, {a}); {o}[0] -= {b}",
+    _rsub_const: "negative({a}, out={o}); {o}[0] += {b}",
 }
 
 
-def _program_source(tab: _AlgebraTables, n_rows: int, bound: list,
-                    ops: list, outs: list) -> str:
-    """Python source of a recorded program: ``_bind(ptr, mul_i, mul_j,
-    matvec, *bound)`` returns ``run(values)``. Register k is the local
-    ``r{k}``; the bound registers (fixed polynomials and numbers) are
-    ``_bind``'s arguments, so programs that differ only in their values
-    share one text. A product is one pass of ``matvec`` into a zeroed row,
-    its left operand gathered once, before its first product; a power is
-    :func:`_horner`'s steps, unrolled. The text holds register indices and
-    the algebra's sizes, nothing else that varies."""
-    size, order = tab.size, tab.max_order
+def _schedule(order: int, n_rows: int, regs: list, ops: list,
+              outs: list) -> tuple:
+    """The plan of a tape recorded in an algebra of order ``order``, its
+    numbers and its fixed rows.
+
+    Every row register gets a row of the workspace: the inputs the first
+    ``n_rows``, then one row that stays zero, the fixed rows, the results
+    of the operations other than products and powers, and last the rows
+    that row passes write, which a run zeroes first. Number k is the
+    argument ``c{k}``. An operation's level counts the products and
+    powers on its longest chain from the inputs. Level by level, the plan
+    runs the level's products as one step, into consecutive rows, its
+    powers as another, and then its other operations one by one in tape
+    order. The p powers of a level take order + 1 blocks of p rows, the
+    start of Horner's recurrence and each step's result (a single
+    power's last one its result row), and then p result rows. The plan,
+    ``(n_rows, numbers, zeroed, rows, steps, outs)``, holds row indices
+    and row functions alone. Returns it, the numbers in argument order
+    and (row, coefficients) of each fixed polynomial.
+    """
+    level = dict.fromkeys(range(n_rows), 0)
+    slot = {k: k for k in range(n_rows)}
+    fixed = []
+    for k, value in enumerate(regs):
+        if isinstance(value, np.ndarray):
+            level[k], slot[k] = 0, n_rows + 1 + len(fixed)
+            fixed.append((slot[k], value))
+    numbers = [k for k, value in enumerate(regs)
+               if value is not None and k not in slot]
+    name = {k: f"c{i}" for i, k in enumerate(numbers)}
+    levels = {}
+    for op in ops:
+        fn, o, a, b = op
+        level[o] = max(level[a], level.get(b, 0)) + (fn is _mul or
+                                                     fn is _power)
+        kind = 0 if fn is _mul else 1 if fn is _power else 2
+        levels.setdefault(level[o], ([], [], []))[kind].append(op)
+    levels = [levels[lv] for lv in sorted(levels)]
+    free = n_rows + 1 + len(fixed)
+    for _, _, others in levels:
+        for _, o, _, _ in others:
+            slot[o], free = free, free + 1
+    zeroed, steps = free, []
+    for products, powers, others in levels:
+        if products:
+            steps.append((_mul, free, tuple((slot[a], slot[b])
+                                            for _, _, a, b in products)))
+            for _, o, _, _ in products:
+                slot[o], free = free, free + 1
+        if powers:
+            blocks, p = free, len(powers)
+            free += (order + 1) * p
+            results = free - 1 if p == 1 else free
+            steps.append((_power, blocks, tuple(
+                (slot[a], name[b]) for _, _, a, b in powers), results))
+            for k, (_, o, _, _) in enumerate(powers):
+                slot[o] = results + k
+            free = results + p
+        for fn, o, a, b in others:
+            steps.append((fn, slot[o], slot[a],
+                          f"r{slot[b]}" if b in slot else name.get(b)))
+    plan = (n_rows, len(numbers), zeroed, free, tuple(steps),
+            tuple(slot[k] for k in outs))
+    # a ufunc converts a Python float operand on every call, a 0-d array
+    # not at all; both multiply in float64
+    scales = {b for fn, _, _, b in ops if fn is _scale}
+    return plan, [np.array(regs[k], dtype=np.float64) if k in scales
+                  else regs[k] for k in numbers], fixed
+
+
+def _stacked_products(tab: _AlgebraTables, pairs: tuple) -> tuple:
+    """(ptr, cols, gather) of one pass that forms the product of each pair
+    (left row, right row) of workspace rows into consecutive rows: the
+    product table stacked block-diagonally, its columns the right
+    operand's flat positions, and the flat positions of the left operand
+    from which one gather takes the pass's data."""
+    n, pairs = tab.size, np.array(pairs)
+    count = len(tab.mul_i)
+    ptr = np.append((tab.mul_ptr[:-1] + count * np.arange(len(pairs))[:, None]
+                     ).ravel(), count * len(pairs))
+    cols = (pairs[:, 1, None] * n + tab.mul_j).ravel()
+    gather = (pairs[:, 0, None] * n + tab.mul_i).ravel()
+    return ptr, cols, gather
+
+
+def _stacked_horner(tab: _AlgebraTables, bases: list, zero: int) -> tuple:
+    """(ptr, cols, gather) of one Horner step shared by the powers of the
+    workspace rows ``bases``. Its rows interleave the powers, row k of
+    power b at k * len(bases) + b, so the rows of degree <= m are a prefix
+    and a step passes them by its row count alone. The data is each
+    base's nilpotent part, gathered by the pair's right index, the
+    constant term read from the row ``zero``."""
+    n, width = tab.size, len(bases)
+    lengths = np.repeat(np.diff(tab.mul_ptr), width)
+    ptr = np.concatenate(([0], np.cumsum(lengths)))
+    pair = (np.repeat(np.repeat(tab.mul_ptr[:-1], width) - ptr[:-1], lengths)
+            + np.arange(ptr[-1]))
+    power = np.repeat(np.tile(np.arange(width), n), lengths)
+    i, j = tab.mul_i[pair], tab.mul_j[pair]
+    gather = np.where(j == 0, zero * n, np.array(bases)[power] * n + j)
+    return ptr, i * width + power, gather
+
+
+def _program_source(tab: _AlgebraTables, plan: tuple) -> tuple[str, dict]:
+    """Python source of a recorded program and the index arrays it reads:
+    ``_bind(work, matvec, c0, c1, ...)`` returns ``run(values, out=None)``
+    on the workspace ``work`` (see :func:`_schedule`). Row k is the local
+    ``r{k}``, a view of ``work``; a run zeroes the rows that passes write,
+    in one call. A level's products are one pass of ``matvec``; its
+    powers share each of :func:`_horner`'s steps, unrolled, each step
+    writing a block of its own. The text holds row indices and the
+    algebra's sizes, nothing else that varies."""
+    n_rows, n_numbers, zeroed, n_slots, steps, outs = plan
+    n, order = tab.size, tab.max_order
+    arrays = {"outs": np.array(outs)}
+    views = ["flat = work.reshape(-1)",
+             f"{''.join(f'r{k}, ' for k in range(n_slots))}= work",
+             f"inputs = work[:{n_rows}]", f"zeroed = work[{zeroed}:]"]
     body = ["values = asarray(values, dtype=float64)",
-            f"if values.shape != ({n_rows}, {size}):",
+            f"if values.shape != ({n_rows}, {n}):",
             "    raise ConfigurationError(f'rows have shape {values.shape}, "
-            f"expected ({n_rows}, {size})')",
-            f"{''.join(f'r{k}, ' for k in range(n_rows))}= values"]
-    gathered = set()
-    for op, o, a, b in ops:
-        if op is _mul:
-            if a not in gathered:
-                gathered.add(a)
-                body.append(f"g{a} = r{a}[mul_i]")
-            body.append(f"r{o} = zeros({size}); "
-                        f"matvec({size}, {size}, ptr, mul_j, g{a}, r{b}, r{o})")
-        elif op is _power:
-            body += [f"s = power_series(r{a}, r{b}, {order})",
-                     f"w = r{a}.copy(); w[0] = 0.0; w = w[mul_j]",
-                     f"x = zeros({size}); x[0] = s[{order}]"]
+            f"expected ({n_rows}, {n})')",
+            "copyto(inputs, values)", "zeroed.fill(0.0)"]
+    for step, (fn, first, *rest) in enumerate(steps):
+        names = (f"ptr{step}", f"cols{step}", f"gather{step}")
+        if fn is _mul:
+            pairs = rest[0]
+            views.append(f"m{step} = work[{first}:{first + len(pairs)}]")
+            arrays.update(zip(names, _stacked_products(tab, pairs)))
+            body.append(f"matvec({len(pairs) * n}, {n_slots * n}, ptr{step}, "
+                        f"cols{step}, flat[gather{step}], flat, m{step})")
+        elif fn is _power:
+            bases, results = rest
+            p = len(bases)
+            arrays.update(zip(names, _stacked_horner(
+                tab, [a for a, _ in bases], n_rows)))
+            # block m, the p interleaved results of step m, flat
+            block = [f"h{step}_{m}" for m in range(order + 1)]
+            views += [f"{h} = work[{first + m * p}:{first + m * p + p}]"
+                      ".reshape(-1)" for m, h in enumerate(block)]
+            body += [f"s{b} = power_series(r{a}[0], {c}, {order})"
+                     for b, (a, c) in enumerate(bases)]
+            body.append(f"w = flat[gather{step}]")
+            body += [f"{block[0]}[{b}] = s{b}[{order}]" for b in range(p)]
             for m in range(1, order + 1):
-                body.append(
-                    f"t = x; x = zeros({size}); "
-                    f"matvec({tab.degree_slices[m].stop}, {size}, ptr, mul_i, "
-                    f"w, t, x); x[0] += s[{order - m}]")
-            body.append(f"r{o} = x")
+                body.append(f"matvec({tab.degree_slices[m].stop * p}, "
+                            f"{n * p}, ptr{step}, cols{step}, w, "
+                            f"{block[m - 1]}, {block[m]})")
+                body += [f"{block[m]}[{b}] += s{b}[{order - m}]"
+                         for b in range(p)]
+            if p > 1:
+                views += [f"m{step} = work[{results}:{results + p}]",
+                          f"t{step} = {block[-1]}.reshape({n}, {p}).T"]
+                body.append(f"copyto(m{step}, t{step})")
         else:
-            body.append(_STATEMENTS[op].format(o=f"r{o}", a=f"r{a}",
-                                               b=f"r{b}"))
-    body.append(f"return [{', '.join(f'r{k}' for k in outs)}]")
-    return "".join([
-        f"def _bind(ptr, mul_i, mul_j, matvec, "
-        f"{''.join(f'r{k}, ' for k in bound)}):\n",
-        "    def run(values):\n",
+            a, b = rest
+            body.append(_STATEMENTS[fn].format(o=f"r{first}", a=f"r{a}", b=b))
+    body.append("return work.take(outs, 0, out, 'clip')")
+    text = "".join([
+        f"def _bind(work, matvec, "
+        f"{''.join(f'c{k}, ' for k in range(n_numbers))}):\n",
+        *(f"    {line}\n" for line in views),
+        "    def run(values, out=None):\n",
         *(f"        {line}\n" for line in body),
         "    return run\n"])
+    return text, arrays
 
 
 def _compile_source(text: str, names: dict) -> dict:
@@ -661,31 +786,39 @@ def _compile_source(text: str, names: dict) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _compiled_program(text: str):
-    """``_bind`` of one program text, compiled once per process."""
+def _compiled_program(n_vars: int, max_order: int, plan: tuple):
+    """``_bind`` of one plan of the algebra (n_vars, max_order), compiled
+    once per process with its index arrays."""
+    text, arrays = _program_source(_tables(n_vars, max_order), plan)
     return _compile_source(text, {
-        "asarray": np.asarray, "float64": np.float64, "zeros": np.zeros,
+        "asarray": np.asarray, "float64": np.float64,
+        "copyto": np.copyto, "add": np.add, "subtract": np.subtract,
+        "negative": np.negative, "multiply": np.multiply,
         "power_series": _power_series,
-        "ConfigurationError": ConfigurationError})["_bind"]
+        "ConfigurationError": ConfigurationError, **arrays})["_bind"]
 
 
 def record(fn, config: AlgebraConfig, n_rows: int, fixed=()):
     """``fn(rows, fixed)`` recorded once as a straight-line program of row
     functions (the tape of operator-overloading differentiation tools)
-    and compiled to Python, returned as ``run(rows)``: the coefficient
-    rows of fn's results for the (n_rows, size) coefficient rows ``rows``
-    of the algebra ``config``. Each polynomial of ``fixed``, of that
-    algebra, keeps its value in every run; numbers are constants. ``fn``
-    may use +, -, * and ``**`` (:meth:`TaylorPoly.power`) on its arguments
-    and branch on their types, not on their values; a run adds the same
+    and compiled to Python, returned as ``run(rows, out=None)``: the
+    (outputs, size) coefficient rows of fn's results for the (n_rows,
+    size) coefficient rows ``rows`` of the algebra ``config``, written
+    into ``out`` if given. Each polynomial of ``fixed``, of that algebra,
+    keeps its value in every run; numbers are constants. ``fn`` may use
+    +, -, * and ``**`` (:meth:`TaylorPoly.power`) on its arguments and
+    branch on their types, not on their values; a run adds the same
     products in the same order as ``fn`` on polynomials would.
 
     The compiled code (:func:`_program_source`) depends only on the
-    operations and the algebra: constants and fixed polynomials are bound
-    to it by name, so recordings that differ only in them share one code
-    object. A product's left operand is gathered once per run, before its
-    first product, for every product it feeds; each keeps :func:`_mul`'s
-    bits. Runs keep no state, so a program may serve several callers.
+    operations and the algebra: constants are bound to it by name and
+    fixed polynomials are rows of the workspace, so recordings that
+    differ only in them share one code object. Every register is a row of
+    one (rows, size) workspace, allocated here; each level of products
+    (see :func:`_schedule`) is one row pass, its left operands gathered
+    in one call, and each Horner step one pass shared by the level's
+    powers. The workspace belongs to its ``record`` call, so a program
+    serves one caller at a time.
     """
     tab = _tables(config.n_vars, config.max_order)
     # the compiled row pass reads its operands without bounds checks
@@ -696,11 +829,13 @@ def record(fn, config: AlgebraConfig, n_rows: int, fixed=()):
     held = [_Register(program, c.coef) if isinstance(c, TaylorPoly) else c
             for c in fixed]
     outs = [r._index for r in fn(rows, held)]
-    _, regs, ops = program
-    bound = [k for k, value in enumerate(regs) if value is not None]
-    bind = _compiled_program(_program_source(tab, n_rows, bound, ops, outs))
-    return bind(tab.mul_ptr, tab.mul_i, tab.mul_j, _csr_matvec,
-                *(regs[k] for k in bound))
+    plan, numbers, fixed_rows = _schedule(tab.max_order, n_rows,
+                                          *program[1:], outs)
+    work = np.zeros((plan[3], tab.size))
+    for k, coef in fixed_rows:
+        work[k] = coef
+    return _compiled_program(config.n_vars, config.max_order, plan)(
+        work, _csr_matvec, *numbers)
 
 
 # -- generic scalar helper ---------------------------------------------------

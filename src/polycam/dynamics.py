@@ -9,10 +9,12 @@ arrays, or :class:`~polycam.dapoly.TaylorPoly` scalars. The kernels write
 every power as ``x ** p``, which each kind takes in its own arithmetic:
 Python's for floats and complex scalars, ``np.power`` for arrays,
 :meth:`~polycam.dapoly.TaylorPoly.power` for polynomials. A polynomial
-state advances as one (6, N) block of coefficient rows, one array
-operation per term of an RK stage, each float entry a constant row from
-the start; every stage calls the kernel recorded once per propagation as
-a compiled program of row functions (:func:`~polycam.dapoly.record`).
+state advances as one (6, N) block of coefficient rows, each float entry
+a constant row from the start, and each stage's sum y + sum (h b) f is
+one row pass over the block; every stage calls the kernel recorded once
+per propagation as a compiled program of row functions
+(:func:`~polycam.dapoly.record`), which writes its slope into the step's
+array of slopes.
 Every other state, a batch of arrays included, advances entry by entry,
 each entry a Python scalar or an array. Both give every entry the values
 of the entry-by-entry combination, a block's float entries taken as
@@ -36,7 +38,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dapoly import TaylorPoly, _compile_source, generic_sin_cos, record
+from .dapoly import (TaylorPoly, _compile_source, _csr_matvec,
+                     generic_sin_cos, record)
 from .errors import ConfigurationError, FrameError, PropagationError
 
 __all__ = [
@@ -268,14 +271,24 @@ def _derivative_fn(model: DynamicsModel, u: Sequence):
     return lambda y: _kernel_kepler_j2(y, u, mu, r_e, j2)
 
 
-def _block_sum(terms: list) -> list:
-    """Source lines that sum the block y and (h * b) f_l over ``terms``
-    into t, in order."""
-    if not terms:
-        return ["t = y"]
-    (l, b), *rest = terms
-    return [f"t = (h * {b!r}) * f{l}", "t += y",
-            *(f"t += (h * {b!r}) * f{l}" for l, b in rest)]
+@lru_cache(maxsize=None)
+def _stage_passes(size: int, pair: bool) -> tuple:
+    """Row passes of a block step on ``size`` entries: the ptr of each
+    stage with terms (of ``_PAIR_ROWS`` if ``pair``, else of ``_ROWS``)
+    and then of the weights, and the cols and factors that they share. A
+    sum's row i adds (h * b) f_l[i] over its terms (l, b), in order; its
+    pairs read f_l[i] at l * size + i of the flat slopes and take h times
+    the factor b."""
+    ptrs, cols, factors, start = [], [], [], 0
+    rows = _PAIR_ROWS if pair else _ROWS
+    for terms in [*filter(None, rows.values()), _WSEL]:
+        stages, betas = zip(*terms)
+        ptrs.append(start + len(terms) * np.arange(size + 1))
+        cols.append((np.array(stages) * size
+                     + np.arange(size)[:, None]).ravel())
+        factors.append(np.tile(betas, size))
+        start += len(terms) * size
+    return (*ptrs, np.concatenate(cols), np.concatenate(factors))
 
 
 def _scalar_sums(terms: list) -> str:
@@ -298,15 +311,27 @@ def _rk_step_fn(block: bool, pair: bool = False):
     - ``step(y, h, slope)`` sums the six entries of a state one by one,
       as Python scalars or numpy arrays;
     - ``step(y, h, run)`` sums a polynomial state's (6, N) coefficient
-      block as whole arrays; every stage's slope is the array of the six
-      rows that the recorded program ``run`` gives for its block.
+      block in one row pass per stage (:func:`_stage_passes`), which
+      starts each row's sum from a copy of y and adds the terms in
+      order; the recorded program ``run`` writes every stage's six slope
+      rows into one array of slopes, where the later passes read them.
     """
     rows = _PAIR_ROWS if pair else _ROWS
     if block:
-        lines = ["def step(y, h, run):"]
+        passes = [f"p{k}" for k in rows if rows[k]] + ["pw"]
+        lines = ["def step(y, h, run):",
+                 "n = y.size",
+                 f"{', '.join(passes)}, cols, factors = "
+                 f"stage_passes(n, {pair})",
+                 "data = h * factors",
+                 f"f = empty(({len(rows)}, *y.shape))",
+                 "ff = f.reshape(-1)"]
         for k, row in rows.items():
-            lines += [*_block_sum(row), f"f{k} = array(run(t))"]
-        lines += [*_block_sum(_WSEL), "return t"]
+            lines.append(f"t = y.copy(); matvec(n, ff.size, p{k}, cols, "
+                         f"data, ff, t); run(t, f[{k}])" if row
+                         else f"run(y, f[{k}])")
+        lines += ["t = y.copy(); matvec(n, ff.size, pw, cols, data, ff, t)",
+                  "return t" + (", f" if pair else "")]
     else:
         lines = ["def step(y, h, slope):",
                  ", ".join(f"y{i}" for i in range(6)) + " = y"]
@@ -318,7 +343,8 @@ def _rk_step_fn(block: bool, pair: bool = False):
                   f"return [{_scalar_sums(_WSEL)}]"
                   + (f", [{', '.join(f'f{k}' for k in rows)}]" if pair else "")]
     text = "\n    ".join(lines) + "\n"
-    return _compile_source(text, {"array": np.array})["step"]
+    return _compile_source(text, {"empty": np.empty, "matvec": _csr_matvec,
+                                  "stage_passes": _stage_passes})["step"]
 
 
 def _controlled_steps(y, t0: float, t1: float, slope, mesh: Mesh) -> list:
@@ -397,8 +423,8 @@ def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
     :class:`PropagationError` at its end time.
 
     A state with a polynomial among its entries or controls advances as
-    one (6, N) block of coefficient rows, one array operation per stage
-    term, each float entry lifted once to a constant row (its value at
+    one (6, N) block of coefficient rows, one row pass per stage sum,
+    each float entry lifted once to a constant row (its value at
     coefficient 0); every stage calls the kernel recorded, with the
     controls bound as its fixed values, as one compiled program
     (:func:`~polycam.dapoly.record`). Any other state, a batch of arrays

@@ -127,12 +127,14 @@ def solve_order1(pmap: PocMap, rho: float) -> np.ndarray:
 
 def pseudo_gradient(pmap: PocMap, j: int, phi_tilde: np.ndarray) -> tuple:
     """Gradient g of the order-j constraint linearized at ``phi_tilde``,
-    and its (M, M) derivative, from one pass of monomial values.
+    and a function that gives its (M, M) derivative, both from one pass
+    of monomial values.
 
     g is a row vector: the degree-1 coefficients plus, for every degree k
     in [2, j], the degree-k homogeneous part contracted with k-1 copies of
-    the linearization point; one product of the map's contraction matrix,
-    and the derivative one of its derivative matrix with leading values.
+    the linearization point; one product of the map's contraction matrix.
+    The derivative is formed only when asked for, as one product of the
+    derivative matrix with the leading values.
     """
     if not 1 <= j <= pmap.poly.max_order:
         raise ConfigurationError(
@@ -140,7 +142,7 @@ def pseudo_gradient(pmap: PocMap, j: int, phi_tilde: np.ndarray) -> tuple:
     values = pmap.poly.monomials(phi_tilde, j)
     inner = math.comb(pmap.poly.n_vars + j - 2, pmap.poly.n_vars)
     return (pmap.contraction[0][:, :len(values)] @ values,
-            pmap.contraction[1][:, :, :inner] @ values[:inner])
+            lambda: pmap.contraction[1][:, :, :inner] @ values[:inner])
 
 
 def solve_order_j(pmap: PocMap, j: int, phi_init: np.ndarray,
@@ -151,12 +153,12 @@ def solve_order_j(pmap: PocMap, j: int, phi_init: np.ndarray,
 
     G(phi) = rho u, u = g / |g|^2, is the greedy solution of the constraint
     linearized at phi, g the pseudo-gradient there, and its Jacobian is
-    rho ((u.u) Dg - 2 u u^T Dg), Dg from the map's contraction. A
-    step solves (J_G - I) delta = -F and halves (down to 1/64) until |F|
-    decreases; each trial is one evaluation. The order converges when
-    |F| <= ``e_tol``, returning G there. After ``max_iterations`` steps, a
-    step no halving improves or a singular system, it returns the point it
-    stopped at, not converged.
+    rho ((u.u) Dg - 2 u u^T Dg), Dg from the map's contraction, formed
+    only at the points a step starts from. A step solves (J_G - I) delta
+    = -F and halves (down to 1/64) until |F| decreases; each trial is one
+    evaluation. The order converges when |F| <= ``e_tol``, returning G
+    there. After ``max_iterations`` steps, a step no halving improves or
+    a singular system, it returns the point it stopped at, not converged.
     """
     rho = _log_gap(pmap, config)
     evals = 0
@@ -164,18 +166,19 @@ def solve_order_j(pmap: PocMap, j: int, phi_init: np.ndarray,
     def displacement(point: np.ndarray) -> tuple:
         nonlocal evals
         evals += 1
-        g, dg = pseudo_gradient(pmap, j, point)
+        g, derivative = pseudo_gradient(pmap, j, point)
         norm2 = float(g @ g)
         if math.sqrt(norm2) < _GRADIENT_FLOOR:
             raise DegenerateGradientError(f"pseudo-gradient vanished at order {j}")
         step = (rho / norm2) * g - point
-        return float(np.linalg.norm(step)), step, g / norm2, dg
+        return float(np.linalg.norm(step)), step, g / norm2, derivative
 
     phi = np.asarray(phi_init, dtype=np.float64)
-    size, step, u, dg = displacement(phi)
+    size, step, u, derivative = displacement(phi)
     for _ in range(config.max_iterations):
         if size <= config.e_tol:
             return phi + step, evals, True
+        dg = derivative()
         jac = rho * ((u @ u) * dg - 2.0 * np.outer(u, u @ dg))
         try:
             delta = np.linalg.solve(jac - np.eye(len(phi)), -step)
@@ -188,7 +191,7 @@ def solve_order_j(pmap: PocMap, j: int, phi_init: np.ndarray,
                 break
         else:
             break
-        phi, (size, step, u, dg) = trial, found
+        phi, (size, step, u, derivative) = trial, found
     return phi, evals, False
 
 

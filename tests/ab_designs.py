@@ -24,14 +24,17 @@ Exits 1 if any design's result JSON differs between the trees other than
 in ``wall_time_s`` and ``solution.solve_wall_time_s``. A tree is a
 checkout holding ``src/polycam`` and ``perfbench/``. Each tree first runs
 the first design once untimed, so that the algebra tables, which each
-tree builds and caches on its own, are built before the timed runs. The
-file name keeps pytest from collecting it.
+tree builds and caches on its own, are built before the timed runs.
+The C library's mmap threshold is pinned first (:func:`_pin_allocator`),
+so that both trees allocate alike. The file name keeps pytest from
+collecting it.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import ctypes
 import importlib
 import importlib.util
 import json
@@ -42,6 +45,22 @@ import sys
 import time
 
 from replay_digests import DESIGN_SETS, set_designs
+
+
+def _pin_allocator() -> None:
+    """Pin glibc's mmap threshold at its starting 128 KiB; a no-op where the
+    C library has no ``mallopt``. Left to itself the threshold rises the
+    first time a large mmapped block is freed, which happens in the first
+    tree's warm-up run: that tree's tables sit in blocks of their own and
+    the other tree's come from the heap. Two byte-identical trees then
+    read a median B/A of 0.989 to 1.019 over 20 ``multi_node`` designs
+    at ``--repeat 7`` (above 1.004 in 4 of 6 processes), and 0.992 to
+    1.006 with the threshold pinned, on a 2-core host."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], \
+            ctypes.c_int
+        mallopt(-3, 128 * 1024)  # M_MMAP_THRESHOLD
 
 
 def _is_polycam(name: str) -> bool:
@@ -139,6 +158,7 @@ def main(argv=None) -> int:
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
 
+    _pin_allocator()
     trees = [_load(tree) for tree in args.trees]
     _activate(trees[0])
     workloads = _workloads(args.trees[0])

@@ -1,9 +1,7 @@
-import inspect
 import itertools
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import textwrap
@@ -509,22 +507,104 @@ class TestRowPassWork:
         assert [n_row for n_row, _ in calls] == [7, 28, 84, 210, 462]
         assert sum(pairs for _, pairs in calls) == 8567
 
-    def test_kepler_stage_gathers_each_left_operand_once(self):
+    def test_kepler_stage_gathers_each_left_operand_once(self, monkeypatch):
         from polycam.dynamics import _kernel_kepler_j2
 
         cfg = AlgebraConfig(3, 5)
+        tab = _tables(3, 5)
+        calls = self.passes(monkeypatch)
         run = record(lambda rows, held: _kernel_kepler_j2(
             rows, None, 1.0, 1.0, 0.0), cfg, 6)
-        # the compiled program's gathers, one statement each
-        gathered = re.findall(r"= (r\d+)\[mul_i\]", inspect.getsource(run))
         state = [TaylorPoly.variable(cfg, v % 3) + (1.0 if v == 0 else 0.5)
                  for v in range(6)]
         got = run([p.coef for p in state])
-        # x * x, yy * yy, z * z and the three products of common
-        assert len(gathered) == len(set(gathered)) == 4
+        # x * x, yy * yy and z * z in one pass, the five Horner steps of
+        # r2 ** -1.5, and the three products of common in one pass; a
+        # product pass gathers all its left operands in one call
+        level = (3 * tab.size, 3 * len(tab.mul_i))
+        assert calls[0] == calls[-1] == level
+        assert [n_row for n_row, _ in calls[1:-1]] == [4, 10, 20, 35, 56]
         want = _kernel_kepler_j2(state, None, 1.0, 1.0, 0.0)
         for g, w in zip(got, want):
             assert g.tobytes() == w.coef.tobytes()
+
+    @pytest.mark.parametrize("kind, order, passes", [
+        ("J2", 3, 9), ("KEPLER", 5, 7),
+        # the squares of both offsets join those of y and z: a level
+        # counts products and powers alone
+        ("CR3BP", 3, 5)])
+    def test_slope_row_passes(self, monkeypatch, kind, order, passes):
+        from polycam import dynamics as dyn
+
+        cfg = AlgebraConfig(3, order)
+        model = dyn.DynamicsModel(kind=kind, mu=1.0, r_e=0.9)
+        calls = self.passes(monkeypatch)
+        run = record(lambda rows, held: dyn._derivative_fn(model, held)(rows),
+                     cfg, 6, (0.0, 0.0, 0.0))
+        state = [TaylorPoly.variable(cfg, v % 3) * 1e-3 + c
+                 for v, c in enumerate((0.8, 0.1, 0.05, 0.01, 0.3, 0.02))]
+        got = run([p.coef for p in state])
+        assert len(calls) == passes
+        want = dyn._derivative_fn(model, (0.0, 0.0, 0.0))(state)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.coef.tobytes()
+
+
+@pytest.mark.parametrize("n_vars,order", [(3, 3), (3, 5), (6, 5), (9, 3)])
+def test_stacked_levels_match_polynomials(n_vars, order, monkeypatch):
+    # four products at level 1, a fixed row among their operands; two
+    # independent powers and a product at level 2; products of the powers
+    # in both operand orders at level 3
+    rng = np.random.default_rng(500 + 10 * n_vars + order)
+    cfg = AlgebraConfig(n_vars, order)
+    a, b = row_pass_inputs(cfg, rng, constant=1.3)
+    held = row_pass_inputs(cfg, rng, constant=0.7)[0]
+
+    def fn(rows, fixed):
+        x, y = rows
+        p, c = fixed
+        xy, yx, px, yp = x * y, y * x, p * x, y * p
+        u = (xy + c) ** -1.5
+        v = (px * c + 2.0) ** 0.5
+        w = yx * yp
+        return [u * v, v * u, u * w, w - v, xy, p, y]
+
+    calls = TestRowPassWork.passes(monkeypatch)
+    run = record(fn, cfg, 2, [held, 0.25])
+    for x, y in ((a, b), (b, a)):
+        calls.clear()
+        got = run([x.coef, y.coef])
+        assert len(calls) == 3 + order
+        for g, want in zip(got, fn([x, y], [held, 0.25])):
+            assert g.tobytes() == want.coef.tobytes()
+
+
+def test_programs_of_one_text_keep_their_own_rows():
+    # two recordings that differ in their fixed polynomial and number
+    # share one code object; each has its own workspace, so runs of one
+    # leave the other's rows as they were
+    rng = np.random.default_rng(600)
+    cfg = AlgebraConfig(3, 3)
+    inputs = [row_pass_inputs(cfg, rng, constant=1.1) for _ in range(2)]
+    fixed = [[poly, scale] for poly, scale in zip(
+        row_pass_inputs(cfg, rng, constant=0.9), (0.5, -2.0))]
+
+    def fn(rows, held):
+        x, y = rows
+        p, c = held
+        return [(x * p + c) * y, (y * y + 1.0) ** -0.5 * c]
+
+    runs = [record(fn, cfg, 2, f) for f in fixed]
+    assert runs[0].__code__ is runs[1].__code__
+    out = np.empty((2, _tables(3, 3).size))
+    for x, y in inputs:
+        for run, held in zip(runs, fixed):
+            got = run([x.coef, y.coef])
+            assert run([y.coef, x.coef], out=out) is out
+            for g, want in zip(got, fn([x, y], held)):
+                assert g.tobytes() == want.coef.tobytes()
+            for g, want in zip(out, fn([y, x], held)):
+                assert g.tobytes() == want.coef.tobytes()
 
 
 class TestRowTable:

@@ -142,7 +142,7 @@ class TestContractionOperator:
                                   - pseudo_gradient(pmap, j, phi - step)[0]
                                   ) / (2 * h)
             np.testing.assert_allclose(
-                pseudo_gradient(pmap, j, phi)[1], expected,
+                pseudo_gradient(pmap, j, phi)[1](), expected,
                 rtol=1e-6, atol=1e-8)
 
     @pytest.mark.parametrize("n_vars", [3, 9, 12])
@@ -155,7 +155,7 @@ class TestContractionOperator:
             phi = rng.uniform(-0.5, 0.5, size=n_vars)
             values = pmap.poly.monomials(phi, j - 1)
             assert np.array_equal(
-                pseudo_gradient(pmap, j, phi)[1],
+                pseudo_gradient(pmap, j, phi)[1](),
                 pmap.contraction[1][:, :, :len(values)] @ values)
 
     def test_one_solve_builds_the_operators_once(self, monkeypatch):
