@@ -21,6 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from .conjunction import ConjunctionEvent
 from .dynamics import CR3BP, DynamicsModel, PropagationConfig, osculating_period
 from .errors import (ConfigurationError, CovarianceError,
                      DegenerateGradientError, DomainError, FrameError,
@@ -71,20 +72,27 @@ def _error(name: str, message: str) -> dict:
     return {"status": "error", "error": {"class": name, "message": message}}
 
 
-def _parse_node_token(token, period_s: float | None, where: str) -> float:
+def _parse_node_token(token, event: ConjunctionEvent, where: str) -> float:
     """One node epoch in seconds relative to closest approach (negative).
 
     Numbers are seconds before closest approach; the suffix ``orb`` marks
-    orbit fractions before it (Earth regimes only).
+    fractions of the primary's osculating period before it, which only an
+    Earth regime on a closed orbit has.
     """
     if isinstance(token, bool) or not isinstance(token, (int, float, str)):
         raise ScenarioParseError(f"bad node token {token!r} in {where}")
     text, scale = str(token).strip().lower(), 1.0
     if text.endswith("orb"):
-        if period_s is None:
+        if event.dynamics.kind == CR3BP:
             raise ValidationError(
                 f"orbit-fraction node {token!r} requires an Earth regime")
-        text, scale = text[:-3], period_s
+        try:
+            scale = osculating_period(event.primary, event.dynamics)
+        except ConfigurationError as exc:
+            raise ValidationError(
+                f"orbit-fraction node {token!r} needs a period: {exc}"
+            ) from exc
+        text = text[:-3]
     try:
         seconds = float(text) * scale
     except ValueError as exc:
@@ -246,13 +254,11 @@ def _design(doc: dict, flags: dict) -> tuple[int, dict]:
             # the event re-checks its frames against the new dynamics
             event = replace(event, dynamics=opts["dynamics"])
 
-        period = None if event.dynamics.kind == CR3BP \
-            else osculating_period(event.primary, event.dynamics)
         nodes = opts["nodes"]
         if nodes is None:
-            nodes = ["0.5orb"] if period else [7200.0]
+            nodes = [7200.0] if event.dynamics.kind == CR3BP else ["0.5orb"]
         epochs = tuple(sorted(
-            _parse_node_token(tok, period, "nodes") for tok in nodes))
+            _parse_node_token(tok, event, "nodes") for tok in nodes))
 
         order, target = opts["order"], opts["target_poc"]
         solver_config = SolverConfig(max_order=order, e_tol=opts["etol"],
@@ -270,7 +276,7 @@ def _design(doc: dict, flags: dict) -> tuple[int, dict]:
                 f"{source} needs a filter grid and excludes umax")
         grid = None
         if opts["filter_grid"] is not None:
-            grid = [_parse_node_token(tok, period, "filter grid")
+            grid = [_parse_node_token(tok, event, "filter grid")
                     for tok in opts["filter_grid"]]
 
         pmap = start = None

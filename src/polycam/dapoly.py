@@ -7,9 +7,11 @@ of whole numerical pipelines. A polynomial embeds into an algebra with more
 variables, a higher order or both (:meth:`TaylorPoly.embed`), so a pipeline
 can run its early stages in small algebras and widen as variables join, or
 run a stage at a low order and carry on at a higher one. Each operation is
-a row function on coefficient vectors; :func:`record` turns a function of
-polynomials into a program of them on the rows of one workspace, compiled
-to straight-line Python once per process for each sequence of operations.
+a row function on coefficient vectors, which :class:`TaylorPoly` runs;
+:func:`record` compiles a function of polynomials to straight-line Python
+on the rows of one workspace, once per process for each sequence of
+operations: numpy statements for the affine operations and stacked row
+passes for products and powers, bit for bit the row functions' values.
 
 Coefficients are held in a dense vector indexed by a graded-lexicographic
 monomial table shared per (n_vars, max_order).
@@ -710,13 +712,13 @@ def _stacked_horner(tab: _AlgebraTables, bases: list, zero: int) -> tuple:
 
 def _program_source(tab: _AlgebraTables, plan: tuple) -> tuple[str, dict]:
     """Python source of a recorded program and the index arrays it reads:
-    ``_bind(work, matvec, c0, c1, ...)`` returns ``run(values, out=None)``
-    on the workspace ``work`` (see :func:`_schedule`). Row k is the local
-    ``r{k}``, a view of ``work``; a run zeroes the rows that passes write,
-    in one call. A level's products are one pass of ``matvec``; its
-    powers share each of :func:`_horner`'s steps, unrolled, each step
-    writing a block of its own. The text holds row indices and the
-    algebra's sizes, nothing else that varies."""
+    ``_bind(work, matvec, c0, ...)`` returns ``recorded_program(values,
+    out=None)`` on the workspace ``work`` (see :func:`_schedule`). Row k
+    is the local ``r{k}``, a view of ``work``; a run zeroes the rows that
+    passes write, in one call. A level's products are one pass of
+    ``matvec``; its powers share each of :func:`_horner`'s steps,
+    unrolled, each step writing a block of its own. The text holds row
+    indices and the algebra's sizes, nothing else that varies."""
     n_rows, n_numbers, zeroed, n_slots, steps, outs = plan
     n, order = tab.size, tab.max_order
     arrays = {"outs": np.array(outs)}
@@ -767,9 +769,9 @@ def _program_source(tab: _AlgebraTables, plan: tuple) -> tuple[str, dict]:
         f"def _bind(work, matvec, "
         f"{''.join(f'c{k}, ' for k in range(n_numbers))}):\n",
         *(f"    {line}\n" for line in views),
-        "    def run(values, out=None):\n",
+        "    def recorded_program(values, out=None):\n",
         *(f"        {line}\n" for line in body),
-        "    return run\n"])
+        "    return recorded_program\n"])
     return text, arrays
 
 
@@ -799,16 +801,18 @@ def _compiled_program(n_vars: int, max_order: int, plan: tuple):
 
 
 def record(fn, config: AlgebraConfig, n_rows: int, fixed=()):
-    """``fn(rows, fixed)`` recorded once as a straight-line program of row
-    functions (the tape of operator-overloading differentiation tools)
-    and compiled to Python, returned as ``run(rows, out=None)``: the
+    """``fn(rows, fixed)`` recorded once as a tape of row functions (as
+    operator-overloading differentiation tools record one) and compiled
+    to Python, returned as ``recorded_program(rows, out=None)``: the
     (outputs, size) coefficient rows of fn's results for the (n_rows,
     size) coefficient rows ``rows`` of the algebra ``config``, written
     into ``out`` if given. Each polynomial of ``fixed``, of that algebra,
     keeps its value in every run; numbers are constants. ``fn`` may use
     +, -, * and ``**`` (:meth:`TaylorPoly.power`) on its arguments and
-    branch on their types, not on their values; a run adds the same
-    products in the same order as ``fn`` on polynomials would.
+    branch on their types, not on their values. A run gives fn's values
+    on polynomials bit for bit: affine operations are numpy statements
+    (``_STATEMENTS``), and products and powers stacked row passes that
+    add the same products in the same order as the row functions.
 
     The compiled code (:func:`_program_source`) depends only on the
     operations and the algebra: constants are bound to it by name and

@@ -10,16 +10,12 @@ every power as ``x ** p``, which each kind takes in its own arithmetic:
 Python's for floats and complex scalars, ``np.power`` for arrays,
 :meth:`~polycam.dapoly.TaylorPoly.power` for polynomials. A polynomial
 state advances as one (6, N) block of coefficient rows, each float entry
-a constant row from the start, and each stage's sum y + sum (h b) f is
-one row pass over the block; every stage calls the kernel recorded once
-per propagation as a compiled program of row functions
-(:func:`~polycam.dapoly.record`), which writes its slope into the step's
-array of slopes.
-Every other state, a batch of arrays included, advances entry by entry,
-each entry a Python scalar or an array. Both give every entry the values
-of the entry-by-entry combination, a block's float entries taken as
-constant polynomials. A step is straight-line Python, generated once per
-process for each kind of state (:func:`_rk_step_fn`).
+a constant row from the start (:func:`_block_step`): each stage sum
+y + sum (h b) f is one row pass, and each slope a run of the kernel
+recorded once per propagation (:func:`~polycam.dapoly.record`). Every
+other state, a batch of arrays included, advances entry by entry on the
+only generated step, straight-line Python (:func:`_rk_step_fn`). Both
+give every entry the values of the entry-by-entry combination.
 Steps are equal (a count per span) or follow a :class:`Mesh`, which a
 real or complex pass fills by error control (:func:`_controlled_steps`).
 A Kepler coast takes one exact step whatever its plan
@@ -272,16 +268,14 @@ def _derivative_fn(model: DynamicsModel, u: Sequence):
 
 
 @lru_cache(maxsize=None)
-def _stage_passes(size: int, pair: bool) -> tuple:
+def _stage_passes(size: int) -> tuple:
     """Row passes of a block step on ``size`` entries: the ptr of each
-    stage with terms (of ``_PAIR_ROWS`` if ``pair``, else of ``_ROWS``)
-    and then of the weights, and the cols and factors that they share. A
-    sum's row i adds (h * b) f_l[i] over its terms (l, b), in order; its
-    pairs read f_l[i] at l * size + i of the flat slopes and take h times
-    the factor b."""
+    stage of ``_ROWS`` with terms and then of the weights, and the cols
+    and factors that they share. A sum's row i adds (h * b) f_l[i] over
+    its terms (l, b), in order; its pairs read f_l[i] at l * size + i of
+    the flat slopes and take h times the factor b."""
     ptrs, cols, factors, start = [], [], [], 0
-    rows = _PAIR_ROWS if pair else _ROWS
-    for terms in [*filter(None, rows.values()), _WSEL]:
+    for terms in [*filter(None, _ROWS.values()), _WSEL]:
         stages, betas = zip(*terms)
         ptrs.append(start + len(terms) * np.arange(size + 1))
         cols.append((np.array(stages) * size
@@ -289,6 +283,26 @@ def _stage_passes(size: int, pair: bool) -> tuple:
         factors.append(np.tile(betas, size))
         start += len(terms) * size
     return (*ptrs, np.concatenate(cols), np.concatenate(factors))
+
+
+def _block_step(y: np.ndarray, h: float, run) -> np.ndarray:
+    """One RK7(8) step of a polynomial state's (6, N) coefficient block:
+    stage 0's slope at y, then each later stage's sum, one row pass from
+    a copy of y (:func:`_stage_passes`), and its slope; last, the
+    weights' pass. ``run``, the recorded slope, writes each stage's rows
+    into one array of slopes, where the later passes read them."""
+    n = y.size
+    *ptrs, cols, factors = _stage_passes(n)
+    data = h * factors
+    f = np.empty((len(_ROWS), *y.shape))
+    flat = f.reshape(-1)
+    run(y, f[0])
+    for k, ptr in enumerate(ptrs, 1):
+        t = y.copy()
+        _csr_matvec(n, flat.size, ptr, cols, data, flat, t)
+        if k < len(f):
+            run(t, f[k])
+    return t
 
 
 def _scalar_sums(terms: list) -> str:
@@ -299,52 +313,27 @@ def _scalar_sums(terms: list) -> str:
 
 
 @lru_cache(maxsize=None)
-def _rk_step_fn(block: bool, pair: bool = False):
-    """One RK7(8) step, generated on first use as straight-line Python.
-
-    The step runs the stages of ``_PAIR_ROWS`` if ``pair`` (and returns
-    every stage's slope too, for error control), else those of ``_ROWS``.
-    Stage k adds (h * b) f_l to the state in its row's order, and the new
-    state adds (h * w) f_k in ``_WSEL`` order: the sums, in their order,
-    of a chain of y + a f steps.
-
-    - ``step(y, h, slope)`` sums the six entries of a state one by one,
-      as Python scalars or numpy arrays;
-    - ``step(y, h, run)`` sums a polynomial state's (6, N) coefficient
-      block in one row pass per stage (:func:`_stage_passes`), which
-      starts each row's sum from a copy of y and adds the terms in
-      order; the recorded program ``run`` writes every stage's six slope
-      rows into one array of slopes, where the later passes read them.
-    """
+def _rk_step_fn(pair: bool = False):
+    """The RK7(8) step ``(y, h, slope)`` of a state entry by entry, each
+    entry a Python scalar or a numpy array, generated on first use as
+    straight-line Python: ``rk78_step`` on the stages of ``_ROWS``, or,
+    if ``pair``, ``rk78_controlled_step`` on those of ``_PAIR_ROWS``,
+    returning every stage's slope too, for error control. Stage k adds
+    (h * b) f_l to the state in its row's order, and the new state adds
+    (h * w) f_k in ``_WSEL`` order: the sums, in their order, of a chain
+    of y + a f steps."""
     rows = _PAIR_ROWS if pair else _ROWS
-    if block:
-        passes = [f"p{k}" for k in rows if rows[k]] + ["pw"]
-        lines = ["def step(y, h, run):",
-                 "n = y.size",
-                 f"{', '.join(passes)}, cols, factors = "
-                 f"stage_passes(n, {pair})",
-                 "data = h * factors",
-                 f"f = empty(({len(rows)}, *y.shape))",
-                 "ff = f.reshape(-1)"]
-        for k, row in rows.items():
-            lines.append(f"t = y.copy(); matvec(n, ff.size, p{k}, cols, "
-                         f"data, ff, t); run(t, f[{k}])" if row
-                         else f"run(y, f[{k}])")
-        lines += ["t = y.copy(); matvec(n, ff.size, pw, cols, data, ff, t)",
-                  "return t" + (", f" if pair else "")]
-    else:
-        lines = ["def step(y, h, slope):",
-                 ", ".join(f"y{i}" for i in range(6)) + " = y"]
-        for k, row in rows.items():
-            lines += [*(f"a{l} = h * {b!r}" for l, b in row),
-                      f"f{k} = " + ", ".join(f"f{k}_{i}" for i in range(6))
-                      + f" = slope([{_scalar_sums(row)}])"]
-        lines += [*(f"a{k} = h * {w!r}" for k, w in _WSEL),
-                  f"return [{_scalar_sums(_WSEL)}]"
-                  + (f", [{', '.join(f'f{k}' for k in rows)}]" if pair else "")]
-    text = "\n    ".join(lines) + "\n"
-    return _compile_source(text, {"empty": np.empty, "matvec": _csr_matvec,
-                                  "stage_passes": _stage_passes})["step"]
+    name = "rk78_controlled_step" if pair else "rk78_step"
+    lines = [f"def {name}(y, h, slope):",
+             ", ".join(f"y{i}" for i in range(6)) + " = y"]
+    for k, row in rows.items():
+        lines += [*(f"a{l} = h * {b!r}" for l, b in row),
+                  f"f{k} = " + ", ".join(f"f{k}_{i}" for i in range(6))
+                  + f" = slope([{_scalar_sums(row)}])"]
+    lines += [*(f"a{k} = h * {w!r}" for k, w in _WSEL),
+              f"return [{_scalar_sums(_WSEL)}]"
+              + (f", [{', '.join(f'f{k}' for k in rows)}]" if pair else "")]
+    return _compile_source("\n    ".join(lines) + "\n", {})[name]
 
 
 def _controlled_steps(y, t0: float, t1: float, slope, mesh: Mesh) -> list:
@@ -368,7 +357,7 @@ def _controlled_steps(y, t0: float, t1: float, slope, mesh: Mesh) -> list:
         t_next = t1 if abs(h) >= abs(t1 - t) else t + h
         h = t_next - t
         try:
-            trial, f = _rk_step_fn(False, True)(y, h, slope)
+            trial, f = _rk_step_fn(True)(y, h, slope)
             err = max(abs((a + b - c - d).real)
                       for a, b, c, d in zip(f[0], f[10], f[11], f[12]))
             weight = max(mesh.weight,
@@ -423,16 +412,14 @@ def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
     :class:`PropagationError` at its end time.
 
     A state with a polynomial among its entries or controls advances as
-    one (6, N) block of coefficient rows, one row pass per stage sum,
-    each float entry lifted once to a constant row (its value at
-    coefficient 0); every stage calls the kernel recorded, with the
-    controls bound as its fixed values, as one compiled program
-    (:func:`~polycam.dapoly.record`). Any other state, a batch of arrays
-    included, advances entry by entry, numpy floats as Python floats.
-    Both give the values of the entry-by-entry combination, a block's
-    float entries taken as constant polynomials: each step is one
-    generated function (:func:`_rk_step_fn`) that sums the stages in the
-    tableau's order.
+    one (6, N) block of coefficient rows (:func:`_block_step`), each
+    float entry lifted once to a constant row (its value at coefficient
+    0); every stage calls the kernel recorded, with the controls bound as
+    its fixed values (:func:`~polycam.dapoly.record`). Any other state, a
+    batch of arrays included, advances entry by entry on the generated
+    step (:func:`_rk_step_fn`), numpy floats as Python floats. Both sum
+    the stages in the tableau's order, a block's float entries taken as
+    constant polynomials.
     """
     if t1 == t0:
         return list(y0)
@@ -440,7 +427,7 @@ def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
     head = next((c for c in (*y0, *u) if isinstance(c, TaylorPoly)), None)
     if head is None:
         y = [float(c) if isinstance(c, np.float64) else c for c in y0]
-        step, slope = _rk_step_fn(False), _derivative_fn(model, u)
+        step, slope = _rk_step_fn(), _derivative_fn(model, u)
         guard_finite = all(isinstance(c, Number) for c in (*y, *u))
     else:
         y = np.zeros((6, head._tab.size))
@@ -450,7 +437,7 @@ def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
                 y[i] = c.coef
             else:
                 y[i, 0] = c
-        step, guard_finite = _rk_step_fn(True), False
+        step, guard_finite = _block_step, False
         slope = record(lambda rows, held: _derivative_fn(model, held)(rows),
                        head._tab.config, 6, u)
     if not isinstance(config, Mesh) and config.steps is None:

@@ -12,7 +12,10 @@ numbers moved only at round-off (a failed design prints ``-`` for each,
 and a design solved without one map, under ``--umax``, for the last).
 The design lists are those of ``perfbench/workloads.py`` at its run
 length, read as they are, then those of ``DESIGN_SETS`` below, which no
-workload runs; ``--order N`` replaces their expansion order of 5. Run
+workload runs; ``--order N`` replaces their expansion order of 5.
+``--oracle`` appends one field to each line: for a design that exits 0
+with one impulse of nonzero delta-v on a Kepler or J2 conjunction, its
+delta-v over the grid oracle's (:func:`_oracle_ratio`), else ``-``. Run
 it on two trees and compare the outputs::
 
     python tests/replay_digests.py > after.txt
@@ -20,6 +23,7 @@ it on two trees and compare the outputs::
     python tests/replay_digests.py --workload single_impulse --seed 7
     python tests/replay_digests.py --workload ranked_low_thrust
     python tests/replay_digests.py --order 3
+    python tests/replay_digests.py --short --oracle
     python tests/replay_digests.py --compare before.txt after.txt
 
 ``--compare BEFORE AFTER`` runs nothing: it reads two such outputs and
@@ -111,9 +115,46 @@ def _figures(payload: dict) -> str:
                else f"{residual / payload['target_poc']:.2e}"))
 
 
+def _oracle_ratio(doc: dict, parsed: argparse.Namespace, payload: dict) -> str:
+    """A design's delta-v over that of ``tests/grid_oracle.py``'s
+    :func:`grid_oracle_single_impulse` (512 directions, a radius of 3
+    times the design's delta-v), run with the design's dynamics, node
+    epoch and step count; ``-`` unless the design exits 0 with one
+    impulse of nonzero delta-v on a Kepler or J2 conjunction, and
+    ``infeasible`` where the oracle meets the target nowhere."""
+    from dataclasses import replace
+
+    from grid_oracle import InfeasibleError, grid_oracle_single_impulse
+    from polycam import cli
+    from polycam.dynamics import CR3BP, PropagationConfig
+    from polycam.scenarios import parse_scenario
+
+    solution = payload.get("solution")
+    if (solution is None or payload["mode"] != "impulse"
+            or len(solution["per_node_dv_ms"]) != 1
+            or solution["dv_total_ms"] == 0.0):
+        return "-"
+    event, defaults = parse_scenario(doc)
+    opts = cli._resolve_options(cli._convert_flags(parsed), defaults)
+    if opts["dynamics"] is not None:
+        event = replace(event, dynamics=opts["dynamics"])
+    if event.dynamics.kind == CR3BP:
+        return "-"
+    dv = solution["dv_total_ms"]
+    try:
+        oracle = grid_oracle_single_impulse(
+            event, payload["node_epochs_s"][0], payload["target_poc"],
+            radius_ms=3.0 * dv, resolution=512,
+            config=PropagationConfig(steps=opts["steps"]))
+    except InfeasibleError:
+        return "infeasible"
+    return f"{dv / math.hypot(*oracle):.4f}"
+
+
 def _read(path: str) -> dict:
     """{(set, seed, index, label): (exit code, digest, PoC, delta-v,
-    iterations)} of the lines of one output, figures None where ``-``."""
+    iterations)} of the lines of one output, figures None where ``-``;
+    an ``--oracle`` ratio is read past."""
     out = {}
     with open(path) as handle:
         for line in handle:
@@ -188,6 +229,9 @@ def main(argv=None) -> int:
                         help="seeds 2406 301 302 303 instead of 1 to 40")
     parser.add_argument("--order", type=int,
                         help="expansion order replacing the designs' 5")
+    parser.add_argument("--oracle", action="store_true",
+                        help="append each single-impulse Kepler or J2 "
+                             "design's delta-v over the grid oracle's")
     parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
                         help="compare two outputs of this script instead "
                              "of running designs; exit 1 on a design found "
@@ -220,8 +264,10 @@ def main(argv=None) -> int:
                     argv[argv.index("--order") + 1] = str(args.order)
                 parsed = cli.parse_args(["run", f"{design.label}.json", *argv])
                 code, payload = run_scenario(design.doc, parsed)
+                oracle = (f" {_oracle_ratio(design.doc, parsed, payload)}"
+                          if args.oracle else "")
                 print(f"{name} {seed} {index} {design.label} {code} "
-                      f"{result_digest(payload)} {_figures(payload)}",
+                      f"{result_digest(payload)} {_figures(payload)}{oracle}",
                       flush=True)
     return 0
 

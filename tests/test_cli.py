@@ -388,6 +388,41 @@ class TestRunCommand:
         assert payload["error"]["class"] == "non-convergence"
         assert "closed-form coast failed" in payload["error"]["message"]
 
+    @pytest.fixture
+    def open_orbit(self, leo_0005, tmp_path):
+        """leo-0005-000 with both velocities 1.6 times as large: the same
+        closest approach, the primary on a hyperbolic orbit."""
+        doc = json.loads(leo_0005.read_text())
+        for body in ("primary", "secondary"):
+            state = doc["conjunction"][body]
+            state["v_kms"] = [1.6 * v for v in state["v_kms"]]
+        path = tmp_path / "hyperbolic.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("dyn", ["kepler", "j2"])
+    def test_open_orbit_designs_on_target(self, open_orbit, capsys, dyn):
+        # nodes in seconds need no period; off an ellipse a Kepler coast
+        # integrates
+        assert run_cli(["run", str(open_orbit), "--nodes", "600",
+                        "--dyn", dyn]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["segment_steps"][0] > 1
+        assert abs(payload["validation"]["poc_log_error"]) < 1e-9
+
+    @pytest.mark.parametrize("dyn", ["kepler", "j2"])
+    @pytest.mark.parametrize("flags, token", [
+        ((), "'0.5orb'"),
+        (("--nodes", "600", "--filter-grid", "600,0.25orb"), "'0.25orb'")],
+        ids=["default-nodes", "filter-grid"])
+    def test_orbit_fraction_on_an_open_orbit_exit_3(self, open_orbit, capsys,
+                                                    dyn, flags, token):
+        assert run_cli(["run", str(open_orbit), "--dyn", dyn, *flags]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["class"] == "validation"
+        assert token in payload["error"]["message"]
+        assert "closed orbit" in payload["error"]["message"]
+
     def test_result_reports_the_steps_of_each_segment(self, scenario_file,
                                                       tmp_path):
         # a Kepler coast takes one closed-form step; J2 integrates its steps

@@ -1,4 +1,6 @@
+import cProfile
 import math
+import pstats
 
 import numpy as np
 import pytest
@@ -636,12 +638,50 @@ class TestStepSums:
     def test_error_control_step_equals_an_axpy_chain(self, kind):
         y0 = self.start(self.UNIT_J2, kind)
         slope = dyn._derivative_fn(self.UNIT_J2, (0.0, 0.0, 0.0))
-        out, f = dyn._rk_step_fn(False, True)(y0, -0.3, slope)
+        out, f = dyn._rk_step_fn(True)(y0, -0.3, slope)
         want, want_f = axpy_chain_step(y0, -0.3, slope, dyn._PAIR_ROWS)
         assert all(same_entry(a, b) for a, b in zip(out, want))
         assert len(f) == len(want_f) == 13
         for k in want_f:
             assert all(same_entry(a, b) for a, b in zip(f[k], want_f[k]))
+
+
+class TestGeneratedCode:
+    def test_polynomial_propagation_compiles_its_slope_alone(self,
+                                                             monkeypatch):
+        # the block step is a plain function: the recorded slope is the
+        # one text that a polynomial propagation generates
+        texts = []
+        compile_source = dapoly._compile_source
+
+        def counted(text, names):
+            texts.append(text)
+            return compile_source(text, names)
+
+        for module in (dapoly, dyn):
+            monkeypatch.setattr(module, "_compile_source", counted)
+        dyn._rk_step_fn.cache_clear()
+        dapoly._compiled_program.cache_clear()
+        y0 = poly_state(TestBlockPath.LEO, 1e-2)
+        out = dyn.integrate(y0, (0.0, 0.0, 0.0), 0.0, 600.0, MODEL_J2,
+                            dyn.PropagationConfig(steps=2))
+        assert len(texts) == 1
+        assert_same_entries(out, entrywise_propagate(
+            y0, (0.0, 0.0, 0.0), 0.0, 600.0, MODEL_J2, 2))
+
+    def test_a_profile_names_each_step(self):
+        # a J2 design runs the block step, both generated entry steps and
+        # a recorded slope, each under a name of its own
+        doc = generate_synthetic_suite(2406, 1, "LEO",
+                                       poc_band=(1.5e-6, 4e-6))[0]
+        args = cli.build_parser().parse_args(["run", "case.json",
+                                              "--dyn", "j2"])
+        profile = cProfile.Profile()
+        code, _ = profile.runcall(cli.run_scenario, doc, args)
+        assert code == 0
+        names = {name for _, _, name in pstats.Stats(profile).stats}
+        assert {"_block_step", "rk78_step", "rk78_controlled_step",
+                "recorded_program"} <= names
 
 
 class TestRtnRotation:
