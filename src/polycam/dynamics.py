@@ -16,10 +16,10 @@ recorded once per propagation (:func:`~polycam.dapoly.record`). Every
 other state, a batch of arrays included, advances entry by entry on the
 only generated step, straight-line Python (:func:`_rk_step_fn`). Both
 give every entry the values of the entry-by-entry combination.
-Steps are equal (a count per span) or follow a :class:`Mesh`, which a
-real or complex pass fills by error control (:func:`_controlled_steps`).
-A Kepler coast takes one exact step whatever its plan
-(:func:`kepler_anomaly`), and leaves an empty mesh empty.
+Every pass steps on a :class:`PropagationConfig`: equal steps (a count
+per span) or its span's step boundaries, which a real or complex pass
+fills by error control (:func:`_controlled_steps`). A Kepler coast takes
+one exact step whatever the plan (:func:`kepler_anomaly`).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import ConfigurationError, FrameError, PropagationError
 
 __all__ = [
     "ECI", "SYNODIC", "KEPLER", "J2", "CR3BP",
-    "SpacecraftState", "DynamicsModel", "PropagationConfig", "Mesh",
+    "SpacecraftState", "DynamicsModel", "PropagationConfig",
     "propagate_vector", "integrate", "kepler_anomaly", "rtn_rotation",
     "osculating_period",
 ]
@@ -108,49 +108,52 @@ class DynamicsModel:
 # Upper bound on the steps per segment: far above the counts any regime
 # needs (at most a few hundred), and low enough that a run ends.
 MAX_STEPS = 100_000
-# Local error allowed per step of an error-controlled mesh
+# Local error allowed per step that error control picks
 # (_controlled_steps); the README gives its calibration.
 STEP_TOL = 5e-8
 
 
-@dataclass(frozen=True)
 class PropagationConfig:
-    """Integrator settings: ``steps`` equal steps per segment, or None for
-    steps picked by error control (a design's mesh, see
-    :mod:`polycam.mapbuilder`)."""
+    """The steps of a pass (its plan): ``steps`` equal ones per span, h =
+    (t1 - t0) / steps, or the step boundaries ``times`` of one span, in
+    its direction. :func:`integrate` fills a plan with neither in place by
+    error control for a real or complex state (:func:`_controlled_steps`;
+    ``adjoint`` scales the state's imaginary part, ``weight`` is the least
+    factor on a step's error), and refuses it for a polynomial state or a
+    batch of arrays; a Kepler coast leaves it empty. ``steps`` reads as
+    the count set (``count``), else as the steps of ``times``."""
 
-    steps: int | None = None
-
-    def __post_init__(self):
-        if self.steps is not None and not 1 <= self.steps <= MAX_STEPS:
+    def __init__(self, steps: int | None = None, times: Sequence[float] = (),
+                 adjoint: float = 0.0, weight: float = 1.0):
+        if steps is not None and not 1 <= steps <= MAX_STEPS:
             raise ConfigurationError(
                 f"step count must lie in [1, {MAX_STEPS}]")
-
-
-class Mesh:
-    """Step boundaries of a pass, in its direction. An empty mesh that
-    :func:`integrate` is handed is filled by error control for a real or
-    complex state, ``adjoint`` scaling the state's imaginary part (see
-    :func:`_controlled_steps`), and refused with :class:`PropagationError`
-    for a polynomial state or a batch of arrays, which take only the
-    steps they are given. A Kepler coast leaves it empty
-    (:func:`kepler_anomaly`). ``weight`` is the least factor on a step's
-    error when error control fills the mesh, standing in for the adjoint
-    that a real pass does not carry."""
-
-    def __init__(self, times: Sequence[float] = (), adjoint: float = 0.0,
-                 weight: float = 1.0):
-        self.times, self.adjoint, self.weight = list(times), adjoint, weight
+        self.count, self.times = steps, list(times)
+        self.adjoint, self.weight = adjoint, weight
 
     @property
     def steps(self) -> int:
-        return max(len(self.times) - 1, 0)
+        return self.count or len(self.times[1:])
 
-    def between(self, t0: float, t1: float) -> Mesh:
-        """The steps from t0 to t1; those straddling either end are split.
-        An empty mesh gives an empty one."""
+    def ends(self, t0: float, t1: float) -> list:
+        """The (h, end) of each step from t0 to t1, if any; the times of
+        another span raise :class:`ConfigurationError`."""
+        if self.count:
+            h = (t1 - t0) / self.count
+            return [(h, t0 + (k + 1) * h) for k in range(self.count)]
+        if self.times and [self.times[0], self.times[-1]] != [t0, t1]:
+            raise ConfigurationError(
+                f"the plan steps from t={self.times[0]!r} to "
+                f"t={self.times[-1]!r}, not from t={t0!r} to t={t1!r}")
+        return [(b - a, b) for a, b in zip(self.times, self.times[1:])]
+
+    def between(self, t0: float, t1: float) -> PropagationConfig:
+        """The plan from t0 to t1: a count as it is, else a new one on the
+        steps of ``times`` there, those straddling either end split."""
+        if self.count:
+            return self
         lo, hi = sorted((t0, t1))
-        return Mesh(self.times and [
+        return PropagationConfig(times=self.times and [
             t0, *sorted((t for t in self.times if lo < t < hi),
                         reverse=t1 < t0), t1], weight=self.weight)
 
@@ -336,39 +339,41 @@ def _rk_step_fn(pair: bool = False):
     return _compile_source("\n    ".join(lines) + "\n", {})[name]
 
 
-def _controlled_steps(y, t0: float, t1: float, slope, mesh: Mesh) -> list:
+def _controlled_steps(y, t0: float, t1: float, slope,
+                      plan: PropagationConfig) -> list:
     """Integrate a real or complex state from t0 to t1 on steps that keep
     the pair's local error e = 41/840 h (f0 + f10 - f11 - f12) within
     ``STEP_TOL`` (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4),
-    filling ``mesh``. The norm is the largest |Re e| times
-    max(``mesh.weight``, |lambda|), where lambda = ``mesh.adjoint`` * Im y:
-    a bound on e's first-order effect, in any direction, on the quantity
-    that lambda is the adjoint of (for a design, log PoC; see
-    :func:`polycam.mapbuilder._back_propagation`). A step below 1e-10 of the
-    span, or a count past ``MAX_STEPS``, raises :class:`PropagationError`."""
+    filling the ``times`` of ``plan``. The norm is the largest |Re e|
+    times max(``plan.weight``, |lambda|), where lambda is Im y times
+    ``plan.adjoint``: a bound on e's first-order effect, in any direction,
+    on the quantity that lambda is the adjoint of (for a design, log PoC;
+    see :func:`polycam.mapbuilder._back_propagation`). A step below 1e-10
+    of the span, or a count past ``MAX_STEPS``, raises
+    :class:`PropagationError`."""
     t, h = t0, t1 - t0
-    mesh.times = [t0]
+    plan.times = [t0]
     while t != t1:
-        if abs(h) < 1e-10 * abs(t1 - t0) or len(mesh.times) > MAX_STEPS:
+        if abs(h) < 1e-10 * abs(t1 - t0) or len(plan.times) > MAX_STEPS:
             raise PropagationError(
                 f"step control failed near t={t!r}: the step shrank to "
-                f"{h!r} after {len(mesh.times) - 1} steps", time=t)
-        # the step the mesh records, so that a replay takes it bit for bit
+                f"{h!r} after {len(plan.times) - 1} steps", time=t)
+        # the step the plan records, so that a replay takes it bit for bit
         t_next = t1 if abs(h) >= abs(t1 - t) else t + h
         h = t_next - t
         try:
             trial, f = _rk_step_fn(True)(y, h, slope)
             err = max(abs((a + b - c - d).real)
                       for a, b, c, d in zip(f[0], f[10], f[11], f[12]))
-            weight = max(mesh.weight,
-                         mesh.adjoint * max(abs(c.imag) for c in trial))
+            weight = max(plan.weight,
+                         plan.adjoint * max(abs(c.imag) for c in trial))
             ratio = abs(h) * 41 / 840 * err * weight / STEP_TOL
         except (ArithmeticError, ValueError):
             ratio = math.inf
         # the pair's lower order is 7: the error scales as h**8
         if ratio <= 1.0:
             y, t = trial, t_next
-            mesh.times.append(t)
+            plan.times.append(t)
             h *= min(5.0, 0.9 * ratio ** -0.125) if ratio else 5.0
         else:  # a failed, non-finite or too large step is redone shorter
             h *= max(0.2, 0.9 * ratio ** -0.125) if ratio < math.inf else 0.2
@@ -376,12 +381,12 @@ def _controlled_steps(y, t0: float, t1: float, slope, mesh: Mesh) -> list:
 
 
 def propagate_vector(y0: Sequence, u: Sequence, t0: float, t1: float,
-                     model: DynamicsModel,
-                     config: PropagationConfig | Mesh) -> list:
-    """Advance a 6-component state from t0 to t1 as :func:`integrate` does,
-    or in one closed-form step, whatever the plan, for a coast with a
-    :func:`kepler_anomaly`; an empty mesh then stays empty. A coast whose
-    arithmetic fails, as at a far epoch, raises :class:`PropagationError`."""
+                     model: DynamicsModel, config: PropagationConfig) -> list:
+    """Advance a 6-component state from t0 to t1 as :func:`integrate` does
+    on the plan ``config``, or in one closed-form step, whatever the plan,
+    for a coast with a :func:`kepler_anomaly`, which leaves the plan as it
+    is. A coast whose arithmetic fails, as at a far epoch, raises
+    :class:`PropagationError`."""
     x = kepler_anomaly(y0, u, t0, t1, model)
     if x is None:
         return integrate(y0, u, t0, t1, model, config)
@@ -394,21 +399,20 @@ def propagate_vector(y0: Sequence, u: Sequence, t0: float, t1: float,
 
 
 def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
-              model: DynamicsModel,
-              config: PropagationConfig | Mesh) -> list:
+              model: DynamicsModel, config: PropagationConfig) -> list:
     """RK7(8) integration of a 6-component state from t0 to t1.
 
     ``y0`` entries may be floats, complex scalars (Python or numpy),
     same-shape numpy arrays (batched states) or TaylorPoly scalars sharing
     one algebra. The control ``u`` is held constant over the span
-    (first-order hold); backward spans are allowed. The steps are
-    ``config.steps`` equal ones or a filled :class:`Mesh`'s from t0 to
-    t1. A real or complex scalar state may instead have error control
-    pick them, into an empty mesh or, for a config without a count, with
-    no adjoint; a polynomial or batched state needs a count or a filled
-    mesh, and raises :class:`PropagationError` on an empty one. A step
-    whose arithmetic fails (a float power that overflows, say) or that
-    leaves a real or complex scalar state non-finite raises
+    (first-order hold); backward spans are allowed. The steps are those
+    of the plan ``config`` (:meth:`PropagationConfig.ends`): its count of
+    equal ones, or its times, which must run from t0 to t1 and raise
+    :class:`ConfigurationError` otherwise. A plan with neither is filled
+    in place by error control for a real or complex scalar state; a
+    polynomial or batched state raises :class:`PropagationError` on it.
+    A step whose arithmetic fails (a float power that overflows, say) or
+    that leaves a real or complex scalar state non-finite raises
     :class:`PropagationError` at its end time.
 
     A state with a polynomial among its entries or controls advances as
@@ -440,19 +444,13 @@ def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
         step, guard_finite = _block_step, False
         slope = record(lambda rows, held: _derivative_fn(model, held)(rows),
                        head._tab.config, 6, u)
-    if not isinstance(config, Mesh) and config.steps is None:
-        config = Mesh()
-    if isinstance(config, Mesh):
-        if not (config.times or guard_finite):
+    steps = config.ends(t0, t1)
+    if not steps:
+        if not guard_finite:
             raise PropagationError(
                 f"no steps for a polynomial or batched state from t={t0!r}: "
-                "it needs a step count or a filled mesh", time=t0)
-        if not config.times:
-            return _controlled_steps(y, t0, t1, slope, config)
-        steps = [(b - a, b) for a, b in zip(config.times, config.times[1:])]
-    else:
-        h = (t1 - t0) / config.steps
-        steps = ((h, t0 + (k + 1) * h) for k in range(config.steps))
+                "it needs a step count or a filled plan", time=t0)
+        return _controlled_steps(y, t0, t1, slope, config)
     for h, end in steps:
         try:
             y = step(y, h, slope)

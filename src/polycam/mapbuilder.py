@@ -3,7 +3,7 @@
 Each design starts once: the maneuverable spacecraft is back-propagated
 from closest approach to the first control opportunity. The polynomial
 pass and every real replay start from the back-propagated state and,
-unless a step count is set, step on the mesh that the back-propagation's
+unless a step count is set, step on the times that the back-propagation's
 error control picked for the design's log probability; a Kepler coast
 takes one closed-form step instead, whatever the plan, in an impulsive
 design's back-propagation too. Perturbation variables are attached at
@@ -46,7 +46,7 @@ import numpy as np
 from .conjunction import ConjunctionEvent, log_poc_chan, poc_chan
 from .dapoly import AlgebraConfig, TaylorPoly
 from .dynamics import (CR3BP, CR3BP_CHAR_LENGTH_KM, CR3BP_CHAR_TIME_S,
-                       Mesh, PropagationConfig, integrate, kepler_anomaly,
+                       PropagationConfig, integrate, kepler_anomaly,
                        propagate_vector, rtn_rotation)
 from .errors import ConfigurationError
 
@@ -228,20 +228,20 @@ class Start(NamedTuple):
 
     ``epoch`` is the first control event in seconds relative to closest
     approach (a node or a fixed impulse) and ``state`` the primary's
-    internal-unit state there. ``plan`` is the steps the passes take: the
-    propagation config when it sets a count per segment, else the
-    :class:`~polycam.dynamics.Mesh` (internal time units) that the
-    back-propagation's error control picked from closest approach to
-    ``epoch``, split at each pass's events; an empty one once a segment
-    took the closed form, so that a pass's coast takes it too or, refused,
-    picks its own steps. ``frames`` holds, at each control epoch (a node
-    with a control, or a fixed impulse), the rows of the control frame on
-    the unmaneuvered reference, which every pass reads.
+    internal-unit state there. ``plan`` is the
+    :class:`~polycam.dynamics.PropagationConfig` that the passes step on,
+    split at each pass's events: the count per segment when one is set,
+    else the times (internal units) that the back-propagation's error
+    control picked from closest approach to ``epoch``; none once a
+    segment took the closed form, so that a pass's coast takes it too or,
+    refused, picks its own steps. ``frames`` holds, at each control epoch
+    (a node with a control, or a fixed impulse), the rows of the control
+    frame on the unmaneuvered reference, which every pass reads.
     """
 
     epoch: float
     state: tuple
-    plan: PropagationConfig | Mesh
+    plan: PropagationConfig
     frames: Mapping[float, np.ndarray]
 
 
@@ -332,7 +332,7 @@ def _start_state(event: ConjunctionEvent, schedule: ControlSchedule,
     control epoch, real under a step count."""
     epochs = [*(schedule.node_epochs[i] for i in schedule.control_node_indices()),
               *(float(t) for t, _ in fixed_impulses)]
-    return _back_propagation(event, epochs, config, config.steps is None,
+    return _back_propagation(event, epochs, config, config.count is None,
                              schedule.mode == IMPULSIVE)[1][min(epochs)][0]
 
 
@@ -342,13 +342,13 @@ def _back_propagation(event: ConjunctionEvent, epochs: Sequence[float],
                       ) -> tuple[float, dict[float, tuple[Start, np.ndarray]]]:
     """One ballistic pass back from the closest-approach state, stopping at
     the control ``epochs`` and ``quadrature`` in decreasing time. Each
-    segment between stops takes ``config.steps`` steps or, without a
-    count, picks its own by error control into an empty
-    :class:`~polycam.dynamics.Mesh`. A segment that
-    :func:`~polycam.dynamics.kepler_anomaly` accepts takes one closed-form
-    step instead and leaves its mesh empty, unless a low-thrust design
-    without a count needs the mesh for its arcs to step on. A later coast
-    on an empty mesh that the closed form refuses picks its own steps.
+    segment between stops steps on a plan of its own: the count of
+    ``config`` or, without one, the times that error control picks. A
+    segment that :func:`~polycam.dynamics.kepler_anomaly` accepts takes
+    one closed-form step instead and leaves its plan empty, unless a
+    low-thrust design without a count needs the times for its arcs to
+    step on. A later coast on an empty plan that the closed form refuses
+    picks its own steps.
 
     A ``kicked`` pass carries the adjoint as a complex step. It starts as
     lambda_0 = (lambda_r, 0), the log-probability gradient in the
@@ -364,10 +364,10 @@ def _back_propagation(event: ConjunctionEvent, epochs: Sequence[float],
 
     Returns the size of lambda_r (zero where the probability underflows or
     the pass is real) and, for each stop, its :class:`Start` (the frames
-    of all ``epochs`` in one shared dict, and a mesh from closest approach
-    through every segment to the stop, empty if any segment's is, with
-    ``weight`` = max(1, size)) and the internal inertial components of
-    lambda_v(t) / size * ``_COMPLEX_STEP``.
+    of all ``epochs`` in one shared dict, and a plan with the count or
+    the times from closest approach through every segment to the stop,
+    none if any segment has none, with ``weight`` = max(1, size)) and the
+    internal inertial components of lambda_v(t) / size * ``_COMPLEX_STEP``.
     """
     scale, model_nd = _to_internal_units(event)
     r, v = event.primary.r / scale.length_km, event.primary.v / scale.velocity_kms
@@ -385,23 +385,22 @@ def _back_propagation(event: ConjunctionEvent, epochs: Sequence[float],
         kick = -_COMPLEX_STEP * lam_r / size if size else np.zeros(3)
         y = [*(float(c) for c in r),
              *(complex(float(c), float(k)) for c, k in zip(v, kick))]
-    # without a count, low-thrust arcs step on the mesh that coasts fill
-    step = propagate_vector if impulsive or config.steps else integrate
+    # without a count, low-thrust arcs step on the times that coasts fill
+    step = propagate_vector if impulsive or config.count else integrate
     frames, stops = {}, {}
     t_cur, passed = 0.0, [0.0]
     for t in sorted({*epochs, *quadrature}, reverse=True):
         t0, t1 = t_cur / scale.time_s, t / scale.time_s
-        plan = config if config.steps else Mesh(adjoint=size / _COMPLEX_STEP)
+        plan = PropagationConfig(config.count, adjoint=size / _COMPLEX_STEP)
         y = step(y, (0.0, 0.0, 0.0), t0, t1, model_nd, plan)
         t_cur = t
-        if isinstance(plan, Mesh):
-            # the segments before lead the mesh, empty from the first closed
-            # form on; a real pass refilling it weighs its error by the
-            # adjoint's size
-            plan.times = [*passed[:-1], *plan.times] \
-                if plan.times and passed else []
-            plan.weight = max(1.0, size)
-            passed = plan.times
+        # the segments before lead the times, none from the first closed
+        # form on (or under a count); a real pass refilling them weighs its
+        # error by the adjoint's size
+        plan.times = [*passed[:-1], *plan.times] \
+            if plan.times and passed else []
+        plan.weight = max(1.0, size)
+        passed = plan.times
         state = tuple(c.real for c in y)
         if t in epochs:
             frames[t] = _control_rotation(event, scale, state)
@@ -425,11 +424,9 @@ def _legs(start: Start, schedule: ControlSchedule,
     epochs = sorted({t for t, _, _ in events})
     legs = []
     for t0, t1 in zip(epochs, [*epochs[1:], 0.0]):
-        plan = start.plan
-        if isinstance(plan, Mesh):
-            plan = plan.between(t0 / scale.time_s, t1 / scale.time_s)
-        legs.append((t0, [e for e in events if e[0] == t0],
-                     t0 / scale.time_s, t1 / scale.time_s, plan))
+        a, b = t0 / scale.time_s, t1 / scale.time_s
+        legs.append((t0, [e for e in events if e[0] == t0], a, b,
+                     start.plan.between(a, b)))
     return legs
 
 

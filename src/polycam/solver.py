@@ -300,7 +300,8 @@ def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
     exhausting the grid with gap remaining raises, reporting the residual
     probability of a real replay. Every map, and that replay, starts from
     the ranking's :class:`~polycam.mapbuilder.Start` at its first control
-    event, so the orbit is back-propagated once. Returns the solution and
+    event and steps on its plan, which ``prop_config`` sets for the
+    ranking, so the orbit is back-propagated once. Returns the solution and
     the Start of its first engaged node, from which it validates.
     """
     if not u_max_ms > 0.0:
@@ -317,8 +318,8 @@ def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
     for t, _, _ in ranked:
         first = min([t, *(s for s, _ in saturated)])
         pmap = build_poc_map(event, template.retimed([t]),
-                             order=config.max_order, config=prop_config,
-                             fixed_impulses=saturated, start=starts[first])
+                             order=config.max_order, fixed_impulses=saturated,
+                             start=starts[first])
         sol = solve_recursive(pmap, config)
         dv = np.asarray(sol.per_node_dv_ms[0])
         magnitude = float(np.linalg.norm(dv))
@@ -334,8 +335,8 @@ def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
 
     # the grid is never empty here: ranking rejects an empty one
     residual_poc = poc_chan(propagate_with_controls(
-        event, template.retimed(ranked[-1][:1]), None, prop_config,
-        saturated, starts[min(starts)]), event.bplane.p_b, event.hbr_km)
+        event, template.retimed(ranked[-1][:1]), None, None, saturated,
+        starts[min(starts)]), event.bplane.p_b, event.hbr_km)
     raise InfeasibleWithBoundError(
         f"all {len(ranked)} nodes saturated at {u_max_ms} m/s with "
         f"probability gap remaining (residual PoC {residual_poc})",

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from polycam.conjunction import ConjunctionEvent, poc_chan
-from polycam.dynamics import Mesh, PropagationConfig, propagate_vector
+from polycam.dynamics import PropagationConfig, propagate_vector
 from polycam.errors import ConfigurationError
 from polycam.mapbuilder import (ControlSchedule, IMPULSIVE,
                                 _relative_bplane_position, _start_state,
@@ -77,9 +77,8 @@ def grid_oracle_single_impulse(event: ConjunctionEvent, node_time: float,
     dirs_inertial = directions @ rot  # rows: direction in propagation frame
 
     t_node_nd = t_node / scale.time_s
-    # the start's steps: its count, or its mesh run forward
-    if isinstance(plan, Mesh):
-        plan = plan.between(t_node_nd, 0.0)
+    # the start's steps: its count, or its times run forward
+    plan = plan.between(t_node_nd, 0.0)
 
     def poc_batch(magnitude_ms: float, dirs: np.ndarray) -> np.ndarray:
         dv_nd = (magnitude_ms * 1e-3 / scale.velocity_kms) * dirs

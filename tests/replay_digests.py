@@ -39,7 +39,8 @@ one side only, an exit-code change or a delta-v move (``FAILING``), and
 The defaults cover the three workloads and the design sets at seeds
 1-40, the census of 3800 designs; ``--short`` runs the earlier default
 seeds 2406 and 301-303 (380 designs), so that outputs made with them
-still compare. The polycam package is imported from ``src/`` next to this
+still compare; ``tests/short_census.txt`` holds its output, against which
+``tests/test_replay_digests.py`` compares a fresh run. The polycam package is imported from ``src/`` next to this
 file, and the workloads from ``perfbench/``. The file name keeps pytest
 from collecting it.
 """

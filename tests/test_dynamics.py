@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 from polycam import cli, dapoly
 from polycam import dynamics as dyn
 from polycam.dapoly import AlgebraConfig, TaylorPoly
-from polycam.errors import DomainError, FrameError
+from polycam.errors import ConfigurationError, DomainError, FrameError
 from polycam.mapbuilder import _to_internal_units
 from polycam.scenarios import generate_synthetic_suite, scenario_to_event
 
@@ -428,12 +428,12 @@ class TestBlockPath:
     @pytest.mark.parametrize("plan", ["count", "mesh"])
     def test_batched_state(self, model, ref, h, plan):
         # integrate, as propagate_vector takes a Kepler coast in closed
-        # form; the mesh times are exact in binary, so that each
+        # form; the plan's times are exact in binary, so that each
         # step b - a is the count's h
         offsets = np.linspace(-1e-3, 1e-3, 4)
         y0 = [c + offsets * (i + 1) for i, c in enumerate(ref)]
         config = (dyn.PropagationConfig(steps=6) if plan == "count"
-                  else dyn.Mesh([k * h for k in range(7)]))
+                  else dyn.PropagationConfig(times=[k * h for k in range(7)]))
         out = dyn.integrate(y0, (0.0, 0.0, 0.0), 0.0, 6 * h, model, config)
         assert all(col.shape == (4,) for col in out)
         assert_same_entries(
@@ -757,7 +757,8 @@ class TestUnits:
 
 
 class TestErrorControl:
-    """Steps picked by the embedded 7(8) pair, recorded in a Mesh."""
+    """Steps picked by the embedded 7(8) pair, recorded in a plan's
+    times."""
 
     LEO = [1.0, 0.0, 0.0, 0.0, 1.0, 0.05]  # internal units, mu = 1
     UNIT = dyn.DynamicsModel(kind=dyn.KEPLER, mu=1.0, r_e=0.9)  # r_e < 1: LEO
@@ -781,32 +782,56 @@ class TestErrorControl:
         # the 7th-order combination never reads stages 11 and 12, so a
         # replay of the accepted steps repeats the controlled pass exactly
         y0 = self.LEO[:3] + [complex(c, kick) for c in self.LEO[3:]]
-        mesh = dyn.Mesh()
+        plan = dyn.PropagationConfig()
         picked = dyn.integrate(y0, (0.0, 0.0, 0.0), 0.0, -math.pi,
-                               self.UNIT, mesh)
-        assert mesh.times[0] == 0.0 and mesh.times[-1] == -math.pi
-        assert all(b < a for a, b in zip(mesh.times, mesh.times[1:]))
+                               self.UNIT, plan)
+        assert plan.times[0] == 0.0 and plan.times[-1] == -math.pi
+        assert all(b < a for a, b in zip(plan.times, plan.times[1:]))
         replay = dyn.integrate(y0, (0.0, 0.0, 0.0), 0.0, -math.pi,
-                               self.UNIT, dyn.Mesh(mesh.times))
+                               self.UNIT, dyn.PropagationConfig(
+                                   times=plan.times))
         assert replay == picked
 
     def test_mesh_meets_its_tolerance_in_fewer_steps(self):
         # integrate, as propagate_vector takes this coast in closed form
-        mesh = dyn.Mesh()
+        plan = dyn.PropagationConfig()
         picked = dyn.integrate(self.LEO, (0.0, 0.0, 0.0), 0.0, math.pi,
-                               self.UNIT, mesh)
+                               self.UNIT, plan)
         fine = dyn.integrate(self.LEO, (0.0, 0.0, 0.0), 0.0, math.pi,
                              self.UNIT, dyn.PropagationConfig(1600))
-        assert mesh.steps < 100
+        assert plan.steps < 100
         error = max(abs(a - b) for a, b in zip(picked, fine))
-        assert error <= mesh.steps * dyn.STEP_TOL
+        assert error <= plan.steps * dyn.STEP_TOL
 
     def test_between_splits_the_steps_that_straddle_its_ends(self):
-        mesh = dyn.Mesh([0.0, -1.0, -2.0, -3.0])
-        assert mesh.steps == 3
-        assert mesh.between(-0.5, -2.5).times == [-0.5, -1.0, -2.0, -2.5]
-        assert mesh.between(-2.5, -0.5).times == [-2.5, -2.0, -1.0, -0.5]
-        assert mesh.between(-1.0, -2.0).times == [-1.0, -2.0]
+        plan = dyn.PropagationConfig(times=[0.0, -1.0, -2.0, -3.0])
+        assert plan.steps == 3
+        assert plan.between(-0.5, -2.5).times == [-0.5, -1.0, -2.0, -2.5]
+        assert plan.between(-2.5, -0.5).times == [-2.5, -2.0, -1.0, -0.5]
+        assert plan.between(-1.0, -2.0).times == [-1.0, -2.0]
+        # a count is per span: every span keeps it
+        count = dyn.PropagationConfig(steps=4)
+        assert count.between(-0.5, -2.5) is count
+        assert count.steps == 4 and count.times == []
+
+    @pytest.mark.parametrize("times", [[0.0, 1.0, 2.0], [5.0, 6.0, 7.0]],
+                             ids=["short", "later"])
+    def test_times_of_another_span_are_refused(self, times):
+        # times that end elsewhere would hand back the state at their end
+        # as the state at t1
+        with pytest.raises(ConfigurationError, match="not from t=0.0 to"):
+            dyn.integrate(self.LEO, (0.0, 0.0, 0.0), 0.0, 3.0, self.UNIT_J2,
+                          dyn.PropagationConfig(times=times))
+
+    def test_filled_plan_refuses_a_second_span(self):
+        # integrate fills a plan without steps in place: on the next span
+        # its times are the first span's
+        plan = dyn.PropagationConfig()
+        dyn.integrate(self.LEO, (0.0, 0.0, 0.0), 0.0, 3.0, self.UNIT_J2, plan)
+        assert plan.times[0] == 0.0 and plan.times[-1] == 3.0
+        with pytest.raises(ConfigurationError, match="not from t=3.0"):
+            dyn.integrate(self.LEO, (0.0, 0.0, 0.0), 3.0, 6.0, self.UNIT_J2,
+                          plan)
 
     @pytest.mark.parametrize("kick", [0.0, 1e-20], ids=["real", "complex"])
     def test_radial_fall_into_the_centre_raises(self, kick):
@@ -816,11 +841,12 @@ class TestErrorControl:
             with pytest.raises(dyn.PropagationError,
                                match="step control failed") as err:
                 dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, 3.0,
-                                     self.UNIT, dyn.Mesh())
+                                     self.UNIT, dyn.PropagationConfig())
         assert 0.5 < err.value.time < 3.0
 
-    @pytest.mark.parametrize("plan", [dyn.Mesh, dyn.PropagationConfig],
-                             ids=["empty-mesh", "no-count"])
+    @pytest.mark.parametrize("plan", [
+        lambda: dyn.PropagationConfig(times=[]), dyn.PropagationConfig],
+        ids=["empty-mesh", "no-count"])
     @pytest.mark.parametrize("state", [
         lambda y: poly_state(y, 1e-4),
         lambda y: [np.full(3, c) for c in y]], ids=["polynomial", "batched"])
@@ -844,21 +870,24 @@ class TestErrorControl:
         # a coast off an ellipse picks its own steps, as integrate does, and
         # a polynomial one has none to take
         y0, zero = [1.0, 0.0, 0.0, 0.0, 1.5, 0.0], (0.0, 0.0, 0.0)
-        mesh = dyn.Mesh()
-        got = dyn.propagate_vector(y0, zero, 0.0, 3.0, self.UNIT, mesh)
-        assert got == dyn.integrate(y0, zero, 0.0, 3.0, self.UNIT, dyn.Mesh())
-        assert mesh.steps > 1
+        plan = dyn.PropagationConfig()
+        got = dyn.propagate_vector(y0, zero, 0.0, 3.0, self.UNIT, plan)
+        assert got == dyn.integrate(y0, zero, 0.0, 3.0, self.UNIT,
+                                    dyn.PropagationConfig())
+        assert plan.steps > 1
         with pytest.raises(dyn.PropagationError, match="step count"):
             dyn.propagate_vector(poly_state(y0, 1e-4), zero, 0.0, 3.0,
-                                 self.UNIT, dyn.Mesh())
+                                 self.UNIT, dyn.PropagationConfig())
 
     def test_unset_count_picks_real_steps_by_error_control(self):
-        mesh = dyn.Mesh()
-        unset = dyn.integrate(self.LEO, (0.0, 0.0, 0.0), 0.0, 3.0, self.UNIT,
-                              dyn.PropagationConfig())
+        # the command line's spelling of no count; the filled plan then
+        # replays its steps
+        plan = dyn.PropagationConfig(steps=None)
         picked = dyn.integrate(self.LEO, (0.0, 0.0, 0.0), 0.0, 3.0, self.UNIT,
-                               mesh)
-        assert unset == picked and mesh.steps > 1
+                               plan)
+        assert plan.count is None and plan.steps > 1
+        assert picked == dyn.integrate(self.LEO, (0.0, 0.0, 0.0), 0.0, 3.0,
+                                       self.UNIT, plan)
 
 
 class TestKeplerCoast:
@@ -939,22 +968,23 @@ class TestKeplerCoast:
         monkeypatch.setattr(dyn, "_kernel_kepler_j2",
                             lambda *args: calls.append(1) or kernel(*args))
         for plan in (dyn.PropagationConfig(steps=60),
-                     dyn.Mesh([0.0, 1.0, 3.0])):
+                     dyn.PropagationConfig(times=[0.0, 1.0, 3.0])):
             dyn.propagate_vector(self.LEO, (0.0, 0.0, 0.0), 0.0, 3.0,
                                  self.UNIT, plan)
         assert calls == []
-        # integrate fills an empty mesh by error control, and a thrust arc
+        # integrate fills an empty plan by error control, and a thrust arc
         # integrates
         dyn.integrate(self.LEO, (0.0, 0.0, 0.0), 0.0, 3.0, self.UNIT,
-                      dyn.Mesh())
+                      dyn.PropagationConfig())
         filled = len(calls)
         assert filled > 0
         dyn.propagate_vector(self.LEO, (1e-6, 0.0, 0.0), 0.0, 3.0, self.UNIT,
                              self.ONE)
         assert len(calls) == filled + 11
 
-    @pytest.mark.parametrize("plan", [dyn.Mesh, dyn.PropagationConfig],
-                             ids=["empty-mesh", "no-count"])
+    @pytest.mark.parametrize("plan", [
+        lambda: dyn.PropagationConfig(times=[]), dyn.PropagationConfig],
+        ids=["empty-mesh", "no-count"])
     def test_coast_on_an_empty_plan_takes_the_closed_form(self, monkeypatch,
                                                          plan):
         calls = []
@@ -964,7 +994,7 @@ class TestKeplerCoast:
         plan = plan()
         got = dyn.propagate_vector(self.LEO, (0.0, 0.0, 0.0), 0.0, 3.0,
                                    self.UNIT, plan)
-        assert calls == [] and getattr(plan, "times", []) == []
+        assert calls == [] and plan.times == [] and plan.steps == 0
         assert got == dyn.propagate_vector(self.LEO, (0.0, 0.0, 0.0), 0.0,
                                            3.0, self.UNIT, self.ONE)
 

@@ -373,6 +373,19 @@ class TestReferenceTrajectory:
             assert {t0, t1} <= nodes | {0.0}
         assert taken == [plan.steps for *_, plan in plans]
         assert min(taken) > 1
+        # a --steps design: the start and every leg of the passes keep the
+        # count, and no pass fills times
+        start = start_of(j2, sched, dyn.PropagationConfig(steps=40))
+        plans.clear()
+        taken = []
+        pmap = build_poc_map(j2, sched, 2, start=start)
+        propagate_with_controls(j2, sched, np.full(6, 0.01), start=start,
+                                steps_taken=taken)
+        assert pmap.start is start and len(plans) == 2 * 2
+        for *_, plan in plans:
+            assert plan.count == 40 and plan.times == []
+        assert start.plan.count == 40 and start.plan.times == []
+        assert taken == [40, 40]
 
     def test_coast_off_a_closed_form_start_picks_its_own_steps(self,
                                                                leo_doc):
@@ -665,20 +678,16 @@ def direct_poc_map(event, schedule, order, config):
     start = start_of(event, schedule, config)
     epochs = [t / scale.time_s for t in schedule.node_epochs]
 
-    def plan(t0, t1):
-        # the steps of the design's passes: a count, or the start's mesh
-        if isinstance(start.plan, dyn.Mesh):
-            return start.plan.between(t0, t1)
-        return start.plan
-
     y = list(start.state)
     slots = {node: slot for slot, node in
              enumerate(schedule.control_node_indices())}
     accel = (0.0, 0.0, 0.0)
     for i, t in enumerate(epochs):
         if i:
+            # the steps of the design's passes: a count, or the start's
+            # times
             y = dyn.propagate_vector(y, accel, epochs[i - 1], t, model,
-                                     plan(epochs[i - 1], t))
+                                     start.plan.between(epochs[i - 1], t))
         accel = (0.0, 0.0, 0.0)
         if i in slots:
             rot = start.frames[schedule.node_epochs[i]]
@@ -690,7 +699,7 @@ def direct_poc_map(event, schedule, order, config):
             else:
                 accel = tuple(kick)
     y = dyn.propagate_vector(y, accel, epochs[-1], 0.0, model,
-                             plan(epochs[-1], 0.0))
+                             start.plan.between(epochs[-1], 0.0))
     r_b = _relative_bplane_position(y, event, scale)
     return log_poc_chan(r_b, event.bplane.p_b, event.hbr_km)
 

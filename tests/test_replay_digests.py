@@ -1,5 +1,7 @@
-"""``tests/replay_digests.py --compare`` fails on the moves it lists."""
+"""``tests/replay_digests.py --compare`` fails on the moves it lists, and
+the short census keeps the answers of its committed output."""
 
+import os
 import sys
 
 import pytest
@@ -53,6 +55,28 @@ def test_compare_reads_an_oracle_output(tmp_path, monkeypatch, capsys):
     assert replay_digests.main(
         ["--compare", str(before_path), str(after_path)]) == 0
     assert "all: 3 designs, 0 digests moved" in capsys.readouterr().out
+
+
+# ``python tests/replay_digests.py --short`` at the last change that moved
+# answers on purpose; such a change regenerates it by that command
+SHORT_CENSUS = os.path.join(os.path.dirname(__file__), "short_census.txt")
+
+
+def test_short_census_keeps_the_committed_answers(tmp_path, monkeypatch,
+                                                 capsys):
+    # its 380 designs run in this process; digests may move at round-off,
+    # so only the FAILING lines of --compare fail the test: a design on
+    # one side only, an exit-code change or a delta-v move above DV_MOVE
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert replay_digests.main(["--short"]) == 0
+    after = tmp_path / "after.txt"
+    after.write_text(capsys.readouterr().out)
+    code = replay_digests.main(["--compare", SHORT_CENSUS, str(after)])
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("all: 380 designs") for line in lines)
+    assert [line for line in lines
+            if line.startswith(replay_digests.FAILING)] == []
+    assert code == 0
 
 
 def oracle_ratio(regime, *argv):
