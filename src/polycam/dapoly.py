@@ -607,10 +607,12 @@ _STATEMENTS = {
 }
 
 
-def _schedule(order: int, n_rows: int, regs: list, ops: list,
-              outs: list) -> tuple:
+def _schedule(order: int, n_rows: int, kinds: tuple, ops: tuple,
+              outs: tuple) -> tuple:
     """The plan of a tape recorded in an algebra of order ``order``, its
-    numbers and its fixed rows.
+    numbers and its fixed rows. ``kinds`` holds the kind of each register:
+    None for a row that the program computes, True for a fixed polynomial
+    and False for a number.
 
     Every row register gets a row of the workspace: the inputs the first
     ``n_rows``, then one row that stays zero, the fixed rows, the results
@@ -624,18 +626,18 @@ def _schedule(order: int, n_rows: int, regs: list, ops: list,
     start of Horner's recurrence and each step's result (a single
     power's last one its result row), and then p result rows. The plan,
     ``(n_rows, numbers, zeroed, rows, steps, outs)``, holds row indices
-    and row functions alone. Returns it, the numbers in argument order
-    and (row, coefficients) of each fixed polynomial.
+    and row functions alone. Returns it, the registers of the numbers in
+    argument order, each with whether it goes in as a 0-d array, and
+    (row, register) of each fixed polynomial.
     """
     level = dict.fromkeys(range(n_rows), 0)
     slot = {k: k for k in range(n_rows)}
     fixed = []
-    for k, value in enumerate(regs):
-        if isinstance(value, np.ndarray):
+    for k, kind in enumerate(kinds):
+        if kind:
             level[k], slot[k] = 0, n_rows + 1 + len(fixed)
-            fixed.append((slot[k], value))
-    numbers = [k for k, value in enumerate(regs)
-               if value is not None and k not in slot]
+            fixed.append((slot[k], k))
+    numbers = [k for k, kind in enumerate(kinds) if kind is False]
     name = {k: f"c{i}" for i, k in enumerate(numbers)}
     levels = {}
     for op in ops:
@@ -670,11 +672,8 @@ def _schedule(order: int, n_rows: int, regs: list, ops: list,
                           f"r{slot[b]}" if b in slot else name.get(b)))
     plan = (n_rows, len(numbers), zeroed, free, tuple(steps),
             tuple(slot[k] for k in outs))
-    # a ufunc converts a Python float operand on every call, a 0-d array
-    # not at all; both multiply in float64
     scales = {b for fn, _, _, b in ops if fn is _scale}
-    return plan, [np.array(regs[k], dtype=np.float64) if k in scales
-                  else regs[k] for k in numbers], fixed
+    return plan, tuple((k, k in scales) for k in numbers), tuple(fixed)
 
 
 def _stacked_products(tab: _AlgebraTables, pairs: tuple) -> tuple:
@@ -788,16 +787,21 @@ def _compile_source(text: str, names: dict) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _compiled_program(n_vars: int, max_order: int, plan: tuple):
-    """``_bind`` of one plan of the algebra (n_vars, max_order), compiled
-    once per process with its index arrays."""
+def _compiled_program(n_vars: int, max_order: int, n_rows: int,
+                      kinds: tuple, ops: tuple, outs: tuple) -> tuple:
+    """One tape of the algebra (n_vars, max_order), its register
+    ``kinds``, operations and outputs, scheduled (:func:`_schedule`) and
+    compiled once per process with its index arrays: ``_bind``, the
+    workspace's row count, the number registers and the fixed rows."""
+    plan, numbers, fixed = _schedule(max_order, n_rows, kinds, ops, outs)
     text, arrays = _program_source(_tables(n_vars, max_order), plan)
     return _compile_source(text, {
         "asarray": np.asarray, "float64": np.float64,
         "copyto": np.copyto, "add": np.add, "subtract": np.subtract,
         "negative": np.negative, "multiply": np.multiply,
         "power_series": _power_series,
-        "ConfigurationError": ConfigurationError, **arrays})["_bind"]
+        "ConfigurationError": ConfigurationError,
+        **arrays})["_bind"], plan[3], numbers, fixed
 
 
 def record(fn, config: AlgebraConfig, n_rows: int, fixed=()):
@@ -817,12 +821,15 @@ def record(fn, config: AlgebraConfig, n_rows: int, fixed=()):
     The compiled code (:func:`_program_source`) depends only on the
     operations and the algebra: constants are bound to it by name and
     fixed polynomials are rows of the workspace, so recordings that
-    differ only in them share one code object. Every register is a row of
-    one (rows, size) workspace, allocated here; each level of products
-    (see :func:`_schedule`) is one row pass, its left operands gathered
-    in one call, and each Horner step one pass shared by the level's
-    powers. The workspace belongs to its ``record`` call, so a program
-    serves one caller at a time.
+    differ only in them share one code object. A tape is scheduled and
+    compiled once per process (:func:`_compiled_program`, keyed on its
+    operations and the kinds of its registers): a later recording of it
+    runs ``fn`` on registers and binds its values alone. Every register
+    is a row of one (rows, size) workspace, allocated here; each level of
+    products (see :func:`_schedule`) is one row pass, its left operands
+    gathered in one call, and each Horner step one pass shared by the
+    level's powers. The workspace belongs to its ``record`` call, so a
+    program serves one caller at a time.
     """
     tab = _tables(config.n_vars, config.max_order)
     # the compiled row pass reads its operands without bounds checks
@@ -832,14 +839,20 @@ def record(fn, config: AlgebraConfig, n_rows: int, fixed=()):
     rows = [_Register(program) for _ in range(n_rows)]
     held = [_Register(program, c.coef) if isinstance(c, TaylorPoly) else c
             for c in fixed]
-    outs = [r._index for r in fn(rows, held)]
-    plan, numbers, fixed_rows = _schedule(tab.max_order, n_rows,
-                                          *program[1:], outs)
-    work = np.zeros((plan[3], tab.size))
-    for k, coef in fixed_rows:
-        work[k] = coef
-    return _compiled_program(config.n_vars, config.max_order, plan)(
-        work, _csr_matvec, *numbers)
+    outs = tuple(r._index for r in fn(rows, held))
+    _, regs, ops = program
+    kinds = tuple(None if value is None else isinstance(value, np.ndarray)
+                  for value in regs)
+    bind, n_slots, numbers, fixed_rows = _compiled_program(
+        config.n_vars, config.max_order, n_rows, kinds, tuple(ops), outs)
+    work = np.zeros((n_slots, tab.size))
+    for row, k in fixed_rows:
+        work[row] = regs[k]
+    # a ufunc converts a Python float operand on every call, a 0-d array
+    # not at all; both multiply in float64
+    return bind(work, _csr_matvec, *(
+        np.array(regs[k], dtype=np.float64) if scaled else regs[k]
+        for k, scaled in numbers))
 
 
 # -- generic scalar helper ---------------------------------------------------

@@ -1,4 +1,4 @@
-"""Equations of motion, frames, a closed-form Kepler coast and RK7(8).
+"""Equations of motion, frames, a closed-form Kepler coast and DOP853.
 
 Three dynamics regimes are supported: two-body, two-body plus the J2
 oblateness term (inertial ECI frame, km / km/s / seconds), and the circular
@@ -27,7 +27,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from numbers import Number
 from typing import Sequence
@@ -110,7 +109,7 @@ class DynamicsModel:
 MAX_STEPS = 100_000
 # Local error allowed per step that error control picks
 # (_controlled_steps); the README gives its calibration.
-STEP_TOL = 5e-8
+STEP_TOL = 1e-6
 
 
 class PropagationConfig:
@@ -159,47 +158,62 @@ class PropagationConfig:
 
 
 # ---------------------------------------------------------------------------
-# Fehlberg 13-stage 7(8) tableau, combined with the 7th-order weights.
-# Stages 11 and 12 only feed the 8th-order weights of the embedded pair, so
-# the 7th-order combination needs stages 0-10 alone; error control runs all.
+# Dormand and Prince's DOP853 (Hairer, Norsett & Wanner, *Solving ODEs I*,
+# II.5): 12 stages, weights of order 8 and two embedded estimators, of
+# orders 5 and 3, that read the same 12 stages.
 # ---------------------------------------------------------------------------
 
-def _fehlberg_78():
-    F = Fraction
-    beta = [
+def _dop853():
+    """The stage rows A[k, :k], the weights b and the estimators' weights
+    e5 and e3 of DOP853, as the shortest floats that round to them."""
+    a = [
         [],
-        [F(2, 27)],
-        [F(1, 36), F(1, 12)],
-        [F(1, 24), 0, F(1, 8)],
-        [F(5, 12), 0, F(-25, 16), F(25, 16)],
-        [F(1, 20), 0, 0, F(1, 4), F(1, 5)],
-        [F(-25, 108), 0, 0, F(125, 108), F(-65, 27), F(125, 54)],
-        [F(31, 300), 0, 0, 0, F(61, 225), F(-2, 9), F(13, 900)],
-        [F(2), 0, 0, F(-53, 6), F(704, 45), F(-107, 9), F(67, 90), F(3)],
-        [F(-91, 108), 0, 0, F(23, 108), F(-976, 135), F(311, 54), F(-19, 60),
-         F(17, 6), F(-1, 12)],
-        [F(2383, 4100), 0, 0, F(-341, 164), F(4496, 1025), F(-301, 82),
-         F(2133, 4100), F(45, 82), F(45, 164), F(18, 41)],
-        [F(3, 205), 0, 0, 0, 0, F(-6, 41), F(-3, 205), F(-3, 41), F(3, 41),
-         F(6, 41), 0],
-        [F(-1777, 4100), 0, 0, F(-341, 164), F(4496, 1025), F(-289, 82),
-         F(2193, 4100), F(51, 82), F(33, 164), F(12, 41), 0, F(1)],
+        [0.05260015195876773],
+        [0.0197250569845379, 0.0591751709536137],
+        [0.02958758547680685, 0.0, 0.08876275643042054],
+        [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792],
+        [0.037037037037037035, 0.0, 0.0, 0.17082860872947386,
+         0.12546768756682242],
+        [0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+         -0.017578125],
+        [0.03709200011850479, 0.0, 0.0, 0.17038392571223998,
+         0.10726203044637328, -0.015319437748624402, 0.008273789163814023],
+        [0.6241109587160757, 0.0, 0.0, -3.3608926294469414,
+         -0.868219346841726, 27.59209969944671, 20.154067550477894,
+         -43.48988418106996],
+        [0.47766253643826434, 0.0, 0.0, -2.4881146199716677,
+         -0.590290826836843, 21.230051448181193, 15.279233632882423,
+         -33.28821096898486, -0.020331201708508627],
+        [-0.9371424300859873, 0.0, 0.0, 5.186372428844064,
+         1.0914373489967295, -8.149787010746927, -18.52006565999696,
+         22.739487099350505, 2.4936055526796523, -3.0467644718982196],
+        [2.273310147516538, 0.0, 0.0, -10.53449546673725,
+         -2.0008720582248625, -17.9589318631188, 27.94888452941996,
+         -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+         0.6433927460157636],
     ]
-    w7 = [F(41, 840), 0, 0, 0, 0, F(34, 105), F(9, 35), F(9, 35), F(9, 280),
-          F(9, 280), F(41, 840), 0, 0]
-    beta_f = [[float(b) for b in row] for row in beta]
-    return beta_f, [float(w) for w in w7]
+    b = [0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+         1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+         -0.1521609496625161, 0.20136540080403034, 0.04471061572777259]
+    e5 = [0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+          -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+          0.3341791187130175, 0.08192320648511571, -0.022355307863886294]
+    e3 = [-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+          1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+          -0.1521609496625161, 0.20136540080403034, 0.02265179219836082]
+    return a, b, e5, e3
 
 
-_BETA, _W7 = _fehlberg_78()
+_A, _B, _E5, _E3 = _dop853()
 
 
-_STAGES = tuple(range(11))
-# the nonzero entries: (earlier stage, beta) per stage, (stage, weight)
-_PAIR_ROWS = {k: [(l, b) for l, b in enumerate(row) if b != 0.0]
-              for k, row in enumerate(_BETA)}
-_ROWS = {k: _PAIR_ROWS[k] for k in _STAGES}
-_WSEL = [(k, w) for k, w in enumerate(_W7) if w != 0.0]
+def _nonzero(row: list) -> list:
+    return [(k, c) for k, c in enumerate(row) if c != 0.0]
+
+
+# the nonzero entries: (earlier stage, a) per stage, (stage, weight)
+_ROWS = {k: _nonzero(row) for k, row in enumerate(_A)}
+_WSEL, _E5SEL, _E3SEL = _nonzero(_B), _nonzero(_E5), _nonzero(_E3)
 
 
 # ---------------------------------------------------------------------------
@@ -279,20 +293,20 @@ def _stage_passes(size: int) -> tuple:
     the flat slopes and take h times the factor b."""
     ptrs, cols, factors, start = [], [], [], 0
     for terms in [*filter(None, _ROWS.values()), _WSEL]:
-        stages, betas = zip(*terms)
+        stages, coefs = zip(*terms)
         ptrs.append(start + len(terms) * np.arange(size + 1))
         cols.append((np.array(stages) * size
                      + np.arange(size)[:, None]).ravel())
-        factors.append(np.tile(betas, size))
+        factors.append(np.tile(coefs, size))
         start += len(terms) * size
     return (*ptrs, np.concatenate(cols), np.concatenate(factors))
 
 
 def _block_step(y: np.ndarray, h: float, run) -> np.ndarray:
-    """One RK7(8) step of a polynomial state's (6, N) coefficient block:
-    stage 0's slope at y, then each later stage's sum, one row pass from
-    a copy of y (:func:`_stage_passes`), and its slope; last, the
-    weights' pass. ``run``, the recorded slope, writes each stage's rows
+    """One DOP853 step of a polynomial state's (6, N) coefficient block:
+    stage 0's slope at y, then each of the 11 later stages' sum, one row
+    pass from a copy of y (:func:`_stage_passes`), and its slope; last,
+    the weights' pass. ``run``, the recorded slope, writes each stage's rows
     into one array of slopes, where the later passes read them."""
     n = y.size
     *ptrs, cols, factors = _stage_passes(n)
@@ -315,41 +329,51 @@ def _scalar_sums(terms: list) -> str:
                      for i in range(6))
 
 
+def _error_sum(terms: list) -> str:
+    """Source of the largest |Re sum e_k f_k| over the six entries, for
+    the estimator weights ``terms``."""
+    return "max(" + ", ".join(
+        "abs((" + " + ".join(f"{e!r} * f{k}_{i}" for k, e in terms)
+        + ").real)" for i in range(6)) + ")"
+
+
 @lru_cache(maxsize=None)
-def _rk_step_fn(pair: bool = False):
-    """The RK7(8) step ``(y, h, slope)`` of a state entry by entry, each
+def _rk_step_fn(control: bool = False):
+    """The DOP853 step ``(y, h, slope)`` of a state entry by entry, each
     entry a Python scalar or a numpy array, generated on first use as
-    straight-line Python: ``rk78_step`` on the stages of ``_ROWS``, or,
-    if ``pair``, ``rk78_controlled_step`` on those of ``_PAIR_ROWS``,
-    returning every stage's slope too, for error control. Stage k adds
-    (h * b) f_l to the state in its row's order, and the new state adds
-    (h * w) f_k in ``_WSEL`` order: the sums, in their order, of a chain
-    of y + a f steps."""
-    rows = _PAIR_ROWS if pair else _ROWS
-    name = "rk78_controlled_step" if pair else "rk78_step"
+    straight-line Python: ``dop853_step``, or, if ``control``,
+    ``dop853_controlled_step``, which also returns the estimators e5 and
+    e3 of :func:`_controlled_steps` on a real or complex scalar state.
+    Stage k adds (h * a) f_l to the state in its row's order, and the new
+    state adds (h * b) f_k in ``_WSEL`` order: the sums, in their order,
+    of a chain of y + a f steps."""
+    name = "dop853_controlled_step" if control else "dop853_step"
     lines = [f"def {name}(y, h, slope):",
              ", ".join(f"y{i}" for i in range(6)) + " = y"]
-    for k, row in rows.items():
+    for k, row in _ROWS.items():
         lines += [*(f"a{l} = h * {b!r}" for l, b in row),
-                  f"f{k} = " + ", ".join(f"f{k}_{i}" for i in range(6))
+                  ", ".join(f"f{k}_{i}" for i in range(6))
                   + f" = slope([{_scalar_sums(row)}])"]
     lines += [*(f"a{k} = h * {w!r}" for k, w in _WSEL),
               f"return [{_scalar_sums(_WSEL)}]"
-              + (f", [{', '.join(f'f{k}' for k in rows)}]" if pair else "")]
+              + (f", {_error_sum(_E5SEL)}, {_error_sum(_E3SEL)}"
+                 if control else "")]
     return _compile_source("\n    ".join(lines) + "\n", {})[name]
 
 
 def _controlled_steps(y, t0: float, t1: float, slope,
                       plan: PropagationConfig) -> list:
     """Integrate a real or complex state from t0 to t1 on steps that keep
-    the pair's local error e = 41/840 h (f0 + f10 - f11 - f12) within
-    ``STEP_TOL`` (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4),
-    filling the ``times`` of ``plan``. The norm is the largest |Re e|
-    times max(``plan.weight``, |lambda|), where lambda is Im y times
-    ``plan.adjoint``: a bound on e's first-order effect, in any direction,
-    on the quantity that lambda is the adjoint of (for a design, log PoC;
-    see :func:`polycam.mapbuilder._back_propagation`). A step below 1e-10
-    of the span, or a count past ``MAX_STEPS``, raises
+    DOP853's local error estimate within ``STEP_TOL`` (Hairer, Norsett &
+    Wanner, *Solving ODEs I*, II.5), filling the ``times`` of ``plan``.
+    The estimate combines the 5th- and 3rd-order estimators, e5 and e3,
+    each the largest |Re sum e_k f_k| over the entries, as |h| e5^2 /
+    sqrt(e5^2 + 0.01 e3^2); it is taken times max(``plan.weight``,
+    |lambda|), where lambda is Im y times ``plan.adjoint``: a bound on the
+    error's first-order effect, in any direction, on the quantity that
+    lambda is the adjoint of (for a design, log PoC; see
+    :func:`polycam.mapbuilder._back_propagation`). A step below 1e-10 of
+    the span, or a count past ``MAX_STEPS``, raises
     :class:`PropagationError`."""
     t, h = t0, t1 - t0
     plan.times = [t0]
@@ -362,15 +386,14 @@ def _controlled_steps(y, t0: float, t1: float, slope,
         t_next = t1 if abs(h) >= abs(t1 - t) else t + h
         h = t_next - t
         try:
-            trial, f = _rk_step_fn(True)(y, h, slope)
-            err = max(abs((a + b - c - d).real)
-                      for a, b, c, d in zip(f[0], f[10], f[11], f[12]))
+            trial, e5, e3 = _rk_step_fn(True)(y, h, slope)
             weight = max(plan.weight,
                          plan.adjoint * max(abs(c.imag) for c in trial))
-            ratio = abs(h) * 41 / 840 * err * weight / STEP_TOL
+            ratio = (abs(h) * e5 * e5 / math.sqrt(e5 * e5 + 0.01 * e3 * e3)
+                     * weight / STEP_TOL if e5 else 0.0)
         except (ArithmeticError, ValueError):
             ratio = math.inf
-        # the pair's lower order is 7: the error scales as h**8
+        # the estimate's order is 7: the error scales as h**8
         if ratio <= 1.0:
             y, t = trial, t_next
             plan.times.append(t)
@@ -400,7 +423,7 @@ def propagate_vector(y0: Sequence, u: Sequence, t0: float, t1: float,
 
 def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
               model: DynamicsModel, config: PropagationConfig) -> list:
-    """RK7(8) integration of a 6-component state from t0 to t1.
+    """DOP853 integration of a 6-component state from t0 to t1.
 
     ``y0`` entries may be floats, complex scalars (Python or numpy),
     same-shape numpy arrays (batched states) or TaylorPoly scalars sharing

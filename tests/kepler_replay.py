@@ -2,7 +2,7 @@
 
 Runs the Kepler designs of the given benchmark workloads and seeds through
 ``polycam.cli.run_scenario`` and replays each validated solution from the
-design's own start again: once with every coast integrated by RK7(8) at
+design's own start again: once with every coast integrated by DOP853 at
 each equal step count given, and once with every coast in a 40-digit
 copy of the closed-form step (mpmath). It prints one line per design:
 workload, seed, label, then the validated PoC's relative difference from
@@ -10,7 +10,7 @@ each RK replay and from the 40-digit one, and at the end the worst of
 each column and the widest spread of the RK replays about the 40-digit
 one. Thrust arcs keep the design's own steps in every replay.
 
-The 40-digit replay is the oracle of the closed-form coasts. An RK7(8)
+The 40-digit replay is the oracle of the closed-form coasts. A DOP853
 replay over thousands of equal steps carries its own rounding, so its
 difference from the validated PoC scatters with the step count::
 
@@ -75,7 +75,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, action="append",
                         help="seed (repeatable; default: 2406)")
     parser.add_argument("--steps", type=int, action="append",
-                        help="RK7(8) equal steps per segment (repeatable; "
+                        help="DOP853 equal steps per segment (repeatable; "
                              "default: 800 1600 3200 6400 12800)")
     args = parser.parse_args(argv)
     counts = args.steps or list(DEFAULT_STEPS)

@@ -607,6 +607,36 @@ def test_programs_of_one_text_keep_their_own_rows():
                 assert g.tobytes() == want.coef.tobytes()
 
 
+def test_a_recorded_tape_is_scheduled_once(monkeypatch):
+    # the plan is cached with the compiled code, keyed on the tape: a
+    # later recording of the same operations, with other constants and
+    # fixed rows, schedules nothing and runs the same bits
+    rng = np.random.default_rng(700)
+    cfg = AlgebraConfig(3, 3)
+    x, y = row_pass_inputs(cfg, rng, constant=1.2)
+    held = row_pass_inputs(cfg, rng, constant=0.8)
+    plans = []
+    schedule = dapoly._schedule
+    monkeypatch.setattr(dapoly, "_schedule", lambda *args: (
+        plans.append(args) or schedule(*args)))
+    dapoly._compiled_program.cache_clear()
+
+    def fn(rows, fixed):
+        a, b = rows
+        p, c = fixed
+        return [(a * p + c) * b, (b * b + 1.0) ** -0.5 * c]
+
+    for poly, number in zip(held, (0.5, -2.0)):
+        run = record(fn, cfg, 2, [poly, number])
+        want = fn([x, y], [poly, number])
+        for got, w in zip(run([x.coef, y.coef]), want):
+            assert got.tobytes() == w.coef.tobytes()
+    assert len(plans) == 1
+    # a tape with other operations is a plan of its own
+    record(lambda rows, fixed: [rows[0] * rows[1]], cfg, 2)
+    assert len(plans) == 2
+
+
 class TestRowTable:
     @pytest.mark.parametrize("n_vars,order", ROW_PASS_ALGEBRAS)
     def test_structure(self, n_vars, order):

@@ -239,16 +239,16 @@ class TestPropagateDa:
 
 
 def entrywise_propagate(y0, u, t0, t1, model, steps):
-    """The RK7(8) stage loop run entry by entry on any scalar type: the
+    """The DOP853 stage loop run entry by entry on any scalar type: the
     reference the block path must reproduce bit for bit."""
     deriv = dyn._derivative_fn(model, tuple(u))
     h = (t1 - t0) / steps
     y = list(y0)
     for _ in range(steps):
         f = {}
-        for k in dyn._STAGES:
+        for k, row in dyn._ROWS.items():
             yk = list(y)
-            for l, b in dyn._ROWS[k]:
+            for l, b in row:
                 for i in range(6):
                     yk[i] = yk[i] + (h * b) * f[l][i]
             f[k] = deriv(yk)
@@ -576,30 +576,79 @@ class TestTrimmedKernels:
 
 
 class TestStagePlan:
-    """The stated RK7(8) stage plan against the Fehlberg tableau."""
+    """The stated DOP853 stage plan against its tableau."""
 
     @staticmethod
     def nonzero(row):
         return [(l, b) for l, b in enumerate(row) if b != 0.0]
 
     def test_kept_stages_include_every_weighted_stage(self):
-        weighted = {k for k, _ in self.nonzero(dyn._W7)}
-        assert weighted <= set(dyn._STAGES)
+        # the weights and both error estimators read the 12 stages alone
+        assert sorted(dyn._ROWS) == list(range(12))
+        for weights in (dyn._B, dyn._E5, dyn._E3):
+            assert len(weights) == 12
+            assert {k for k, _ in self.nonzero(weights)} <= set(dyn._ROWS)
 
     def test_kept_stages_are_closed_under_their_rows(self):
-        kept = set(dyn._STAGES)
-        for k in kept:
-            assert {l for l, _ in self.nonzero(dyn._BETA[k])} <= kept
+        # explicit: each stage reads the slopes of earlier stages only
+        for k in dyn._ROWS:
+            assert len(dyn._A[k]) == k
+            assert {l for l, _ in self.nonzero(dyn._A[k])} <= set(range(k))
 
     def test_rows_and_weights_list_exactly_the_nonzero_entries(self):
-        assert sorted(dyn._ROWS) == list(dyn._STAGES)
-        for k in dyn._STAGES:
-            assert dyn._ROWS[k] == self.nonzero(dyn._BETA[k])
-        assert dyn._WSEL == self.nonzero(dyn._W7)
+        for k, row in enumerate(dyn._A):
+            assert dyn._ROWS[k] == self.nonzero(row)
+        assert dyn._WSEL == self.nonzero(dyn._B)
+        assert dyn._E5SEL == self.nonzero(dyn._E5)
+        assert dyn._E3SEL == self.nonzero(dyn._E3)
 
 
-def axpy_chain_step(y, h, slope, rows):
-    """One RK7(8) step as a chain of y + a f steps over whole states, and
+class TestTableau:
+    """The transcribed DOP853 tableau (Hairer, Norsett & Wanner, II.5)."""
+
+    def test_equals_scipys_coefficients(self):
+        from scipy.integrate._ivp import dop853_coefficients as ref
+
+        assert ref.N_STAGES == 12
+        for k in range(12):
+            assert dyn._A[k] == ref.A[k, :k].tolist()
+        assert dyn._B == ref.B.tolist()
+        assert dyn._E5 == ref.E5[:12].tolist()
+        assert dyn._E3 == ref.E3[:12].tolist()
+        # the 13th slope, at the new state, feeds neither estimator
+        assert ref.E5[12] == ref.E3[12] == 0.0
+
+    def test_weights_sum_to_one_and_rows_to_their_nodes(self):
+        from scipy.integrate._ivp import dop853_coefficients as ref
+
+        # exact sums of the rounded entries, each off by half an ulp at
+        # most: the large rows of stages 8-11 sum to their node to 2e-15
+        assert math.fsum(dyn._B) == pytest.approx(1.0, abs=1e-15)
+        for k, row in enumerate(dyn._A):
+            size = math.fsum(abs(a) for a in row)
+            assert math.fsum(row) == pytest.approx(
+                ref.C[k], abs=1e-15 * max(1.0, size))
+
+    def test_one_steps_error_is_of_ninth_order(self):
+        # one step along a Kepler arc against the closed form: the local
+        # error of an 8th-order method is O(h**9), so halving h divides it
+        # by about 2**9 = 512
+        # (4.5e-9, 9.1e-12 and 1.8e-14 here, well above round-off)
+        y0 = [1.0, 0.0, 0.0, 0.0, 1.0, 0.05]
+        unit = dyn.DynamicsModel(kind=dyn.KEPLER, mu=1.0, r_e=0.5)
+        errors = []
+        for h in (0.5, 0.25, 0.125):
+            exact = dyn.propagate_vector(y0, (0.0, 0.0, 0.0), 0.0, h, unit,
+                                         dyn.PropagationConfig())
+            step = dyn.integrate(y0, (0.0, 0.0, 0.0), 0.0, h, unit,
+                                 dyn.PropagationConfig(steps=1))
+            errors.append(max(abs(a - b) for a, b in zip(step, exact)))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 2.0 ** 8.5 <= coarse / fine <= 2.0 ** 9.5
+
+
+def axpy_chain_step(y, h, slope, rows=dyn._ROWS):
+    """One DOP853 step as a chain of y + a f steps over whole states, and
     its stages' slopes: the sums, in their order, that the generated steps
     must keep."""
     f = {}
@@ -630,20 +679,24 @@ class TestStepSums:
         y0, u = self.start(model, kind), (1e-3, 0.0, -2e-3)
         out = dyn.integrate(y0, u, 0.0, 0.3, model,
                             dyn.PropagationConfig(steps=1))
-        want, _ = axpy_chain_step(y0, 0.3, dyn._derivative_fn(model, u),
-                                  dyn._ROWS)
+        want, _ = axpy_chain_step(y0, 0.3, dyn._derivative_fn(model, u))
         assert all(same_entry(a, b) for a, b in zip(out, want))
 
     @pytest.mark.parametrize("kind", ["float", "complex"])
     def test_error_control_step_equals_an_axpy_chain(self, kind):
+        # the controlled step takes the same state, and each estimator is
+        # the largest |Re sum e_k f_k| over the entries, summed in order
         y0 = self.start(self.UNIT_J2, kind)
         slope = dyn._derivative_fn(self.UNIT_J2, (0.0, 0.0, 0.0))
-        out, f = dyn._rk_step_fn(True)(y0, -0.3, slope)
-        want, want_f = axpy_chain_step(y0, -0.3, slope, dyn._PAIR_ROWS)
+        out, e5, e3 = dyn._rk_step_fn(True)(y0, -0.3, slope)
+        want, f = axpy_chain_step(y0, -0.3, slope)
         assert all(same_entry(a, b) for a, b in zip(out, want))
-        assert len(f) == len(want_f) == 13
-        for k in want_f:
-            assert all(same_entry(a, b) for a, b in zip(f[k], want_f[k]))
+        assert len(f) == 12
+        for got, terms in ((e5, dyn._E5SEL), (e3, dyn._E3SEL)):
+            sums = [0.0] * 6
+            for k, e in terms:
+                sums = [s + e * c for s, c in zip(sums, f[k])]
+            assert got == max(abs(s.real) for s in sums) > 0.0
 
 
 class TestGeneratedCode:
@@ -680,7 +733,7 @@ class TestGeneratedCode:
         code, _ = profile.runcall(cli.run_scenario, doc, args)
         assert code == 0
         names = {name for _, _, name in pstats.Stats(profile).stats}
-        assert {"_block_step", "rk78_step", "rk78_controlled_step",
+        assert {"_block_step", "dop853_step", "dop853_controlled_step",
                 "recorded_program"} <= names
 
 
@@ -757,7 +810,7 @@ class TestUnits:
 
 
 class TestErrorControl:
-    """Steps picked by the embedded 7(8) pair, recorded in a plan's
+    """Steps picked by DOP853's embedded estimators, recorded in a plan's
     times."""
 
     LEO = [1.0, 0.0, 0.0, 0.0, 1.0, 0.05]  # internal units, mu = 1
@@ -765,22 +818,21 @@ class TestErrorControl:
     UNIT_J2 = dyn.DynamicsModel(kind=dyn.J2, mu=1.0, r_e=0.9)
 
     @pytest.mark.parametrize("steps", [1, 7, 60])
-    def test_fixed_count_makes_eleven_evaluations_per_step(self, monkeypatch,
+    def test_fixed_count_makes_twelve_evaluations_per_step(self, monkeypatch,
                                                           steps):
-        # an explicit count keeps the uniform loop: stages 11 and 12 run
-        # only under error control
+        # an explicit count keeps the uniform loop: one slope per stage
         calls = []
         kernel = dyn._kernel_kepler_j2
         monkeypatch.setattr(dyn, "_kernel_kepler_j2",
                             lambda *args: calls.append(1) or kernel(*args))
         dyn.integrate(self.LEO, (0.0, 0.0, 0.0), 0.0, 3.0, self.UNIT,
                       dyn.PropagationConfig(steps=steps))
-        assert len(calls) == 11 * steps
+        assert len(calls) == 12 * steps
 
     @pytest.mark.parametrize("kick", [0.0, 1e-20], ids=["real", "complex"])
     def test_replayed_mesh_gives_the_same_state(self, kick):
-        # the 7th-order combination never reads stages 11 and 12, so a
-        # replay of the accepted steps repeats the controlled pass exactly
+        # the controlled step's state is the plain step's, so a replay of
+        # the accepted steps repeats the controlled pass exactly
         y0 = self.LEO[:3] + [complex(c, kick) for c in self.LEO[3:]]
         plan = dyn.PropagationConfig()
         picked = dyn.integrate(y0, (0.0, 0.0, 0.0), 0.0, -math.pi,
@@ -980,7 +1032,7 @@ class TestKeplerCoast:
         assert filled > 0
         dyn.propagate_vector(self.LEO, (1e-6, 0.0, 0.0), 0.0, 3.0, self.UNIT,
                              self.ONE)
-        assert len(calls) == filled + 11
+        assert len(calls) == filled + 12
 
     @pytest.mark.parametrize("plan", [
         lambda: dyn.PropagationConfig(times=[]), dyn.PropagationConfig],

@@ -68,21 +68,20 @@ class TestValidateSolution:
 # Relative error allowed in a default-mesh design's validated PoC against
 # a replay of its solution at 1600 equal steps.
 MESH_POC_REL = 1e-8
-# Not met on J2: at STEP_TOL = 5e-8 this half-orbit design reads 4.5e-7.
-# Meeting 1e-8 on every single-impulse design takes STEP_TOL = 1e-10 and
-# about twice the steps, and node-search designs, whose segments span up to
-# two orbits, then run about twice as long as at 100 equal steps per
-# segment. A Kepler design's coasts, its back-propagation's too, take the
-# closed form and meet it.
+# Not met on J2: at STEP_TOL = 1e-6 this half-orbit design takes 16 DOP853
+# steps and reads 2.7e-8. Meeting 1e-8 takes STEP_TOL = 2e-7 (19-23 steps
+# at seeds 2406, 11 and 77, reading 4.4-5.3e-9). A Kepler design's coasts,
+# its back-propagation's too, take the closed form and meet it.
 J2_NOT_MET = pytest.mark.xfail(strict=True, reason=(
-    "default-mesh J2 designs are held to about 1e-6, not 1e-8"))
+    "default-mesh J2 designs are held to about 3e-8, not 1e-8"))
+# What a default-mesh J2 design is held to: the half-orbit design reads
+# 2.7e-8, and the worst of 88 J2 half-orbit designs 7.0e-8 (README).
+J2_MESH_POC_REL = 1e-7
 
 
-@pytest.mark.parametrize("regime, kind", [
-    pytest.param("LEO", dyn.KEPLER, id="kepler"),
-    pytest.param("LEO", dyn.J2, id="j2", marks=J2_NOT_MET),
-    pytest.param("CISLUNAR", dyn.CR3BP, id="cislunar")])
-def test_default_mesh_matches_a_fine_replay(regime, kind, monkeypatch):
+def fine_replay_error(regime, kind, monkeypatch):
+    """|validated PoC / fine replay - 1| of a default-mesh design one
+    node before the conjunction, the replay at 1600 equal steps."""
     doc = generate_synthetic_suite(2406, 1, regime, poc_band=(1.5e-6, 4e-6))[0]
     event = scenario_to_event(doc)
     event = replace(event, dynamics=dyn.DynamicsModel(kind=kind))
@@ -98,7 +97,19 @@ def test_default_mesh_matches_a_fine_replay(regime, kind, monkeypatch):
     fine = propagate_with_controls(event, sched, solution.phi,
                                    dyn.PropagationConfig(steps=1600))
     replayed = poc_chan(fine, event.bplane.p_b, event.hbr_km)
-    assert abs(report.validated_poc / replayed - 1.0) <= MESH_POC_REL
+    return abs(report.validated_poc / replayed - 1.0)
+
+
+@pytest.mark.parametrize("regime, kind", [
+    pytest.param("LEO", dyn.KEPLER, id="kepler"),
+    pytest.param("LEO", dyn.J2, id="j2", marks=J2_NOT_MET),
+    pytest.param("CISLUNAR", dyn.CR3BP, id="cislunar")])
+def test_default_mesh_matches_a_fine_replay(regime, kind, monkeypatch):
+    assert fine_replay_error(regime, kind, monkeypatch) <= MESH_POC_REL
+
+
+def test_default_mesh_j2_design_is_near_a_fine_replay(monkeypatch):
+    assert fine_replay_error("LEO", dyn.J2, monkeypatch) <= J2_MESH_POC_REL
 
 
 class TestGridOracle:
