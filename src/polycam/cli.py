@@ -291,10 +291,11 @@ def _design(doc: dict, flags: dict) -> tuple[int, dict]:
                     event, grid, opts["filter_keep"], schedule, prop_config)
             pmap = build_poc_map(event, schedule, order, prop_config,
                                  start=start)
+            start = pmap.start
             solution = solve_recursive(pmap, solver_config)
 
         report = validate_solution(event, solution.schedule, solution.phi,
-                                   target, pmap=pmap, start=start)
+                                   target, start, pmap)
 
         result = {
             "status": "ok",

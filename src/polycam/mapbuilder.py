@@ -237,12 +237,16 @@ class Start(NamedTuple):
     refused, picks its own steps. ``frames`` holds, at each control epoch
     (a node with a control, or a fixed impulse), the rows of the control
     frame on the unmaneuvered reference, which every pass reads.
+    ``fixed_impulses`` are the (epoch, delta-v m/s in the local frame)
+    constants that every pass folds into the reference. A design's map
+    and its real replays all step from one Start.
     """
 
     epoch: float
     state: tuple
     plan: PropagationConfig
     frames: Mapping[float, np.ndarray]
+    fixed_impulses: tuple[tuple[float, np.ndarray], ...] = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,16 +258,15 @@ class PocMap:
     per fixed-direction control) laid out by ``schedule``; its variable
     count, order and derivatives are its own, and its constant part is
     the log of the ballistic probability. It was expanded about the
-    unmaneuvered trajectory from ``start`` with the ``fixed_impulses``
-    (epoch, delta-v m/s in the local frame) folded in, from which every
-    real replay of the design starts too. The log's exact quadratic part
-    is why low orders already track the probability over decades.
+    unmaneuvered trajectory from ``start``, fixed impulses included, from
+    which every real replay of the design starts too. The log's exact
+    quadratic part is why low orders already track the probability over
+    decades.
     """
 
     poly: TaylorPoly
     schedule: ControlSchedule
     start: Start
-    fixed_impulses: tuple[tuple[float, np.ndarray], ...]
 
     @property
     def scaling(self) -> np.ndarray:
@@ -328,12 +331,13 @@ def _start_state(event: ConjunctionEvent, schedule: ControlSchedule,
                  fixed_impulses: Sequence[tuple[float, np.ndarray]] = ()
                  ) -> Start:
     """The :class:`Start` at the first control event of ``schedule`` and
-    ``fixed_impulses``: a :func:`_back_propagation` that stops at every
-    control epoch, real under a step count."""
+    ``fixed_impulses``, which it holds: a :func:`_back_propagation` that
+    stops at every control epoch, real under a step count."""
     epochs = [*(schedule.node_epochs[i] for i in schedule.control_node_indices()),
               *(float(t) for t, _ in fixed_impulses)]
-    return _back_propagation(event, epochs, config, config.count is None,
-                             schedule.mode == IMPULSIVE)[1][min(epochs)][0]
+    start = _back_propagation(event, epochs, config, config.count is None,
+                              schedule.mode == IMPULSIVE)[1][min(epochs)][0]
+    return start._replace(fixed_impulses=tuple(fixed_impulses))
 
 
 def _back_propagation(event: ConjunctionEvent, epochs: Sequence[float],
@@ -409,17 +413,15 @@ def _back_propagation(event: ConjunctionEvent, epochs: Sequence[float],
     return size, stops
 
 
-def _legs(start: Start, schedule: ControlSchedule,
-          fixed_impulses: Sequence[tuple[float, np.ndarray]],
-          scale: UnitScale) -> list:
+def _legs(start: Start, schedule: ControlSchedule, scale: UnitScale) -> list:
     """A pass's legs on ``start``'s plan, one per control epoch: the epoch,
     the events there, (epoch, kind, payload) for each node with its index
-    and each fixed impulse with its delta-v in m/s (the impulse first),
-    then the segment on to the next epoch or closest approach: t0, t1 in
-    internal units and its steps."""
+    and each of the start's fixed impulses with its delta-v in m/s (the
+    impulse first), then the segment on to the next epoch or closest
+    approach: t0, t1 in internal units and its steps."""
     events = sorted([(t, "node", i) for i, t in enumerate(schedule.node_epochs)]
                     + [(float(t), "fixed", np.asarray(dv, dtype=np.float64))
-                       for t, dv in fixed_impulses],
+                       for t, dv in start.fixed_impulses],
                     key=lambda item: (item[0], item[1] != "fixed"))
     epochs = sorted({t for t, _, _ in events})
     legs = []
@@ -432,20 +434,18 @@ def _legs(start: Start, schedule: ControlSchedule,
 
 def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
                        start: Start, controls, control_unit: float,
-                       fixed_impulses: Sequence[tuple[float, np.ndarray]] = (),
                        steps_taken: list | None = None):
     """Propagate the primary from the first control event to closest
-    approach, starting from ``start`` (see :func:`_start_state`) and
-    stepping on its plan. One arithmetic pipeline serves both DA map
-    construction and the real replay, and takes each control's frame from
-    the start at its epoch (refused without one there). ``controls[slot]``
-    holds the control scalars of one slot (TaylorPoly variables or floats;
-    complex scalars also pass, giving complex-step derivatives that check
-    the ranking's adjoint), one scalar for a fixed-direction control and
-    three otherwise; one unit of a scalar is ``control_unit`` physical
-    units (m/s for impulses, m/s^2 for held accelerations).
-    ``fixed_impulses`` are (epoch, delta-v m/s in the local frame)
-    constants folded into the reference.
+    approach, starting from ``start`` (see :func:`_start_state`), stepping
+    on its plan and folding in its fixed impulses. One arithmetic pipeline
+    serves both DA map construction and the real replay, and takes each
+    control's frame from the start at its epoch (refused without one
+    there). ``controls[slot]`` holds the control scalars of one slot
+    (TaylorPoly variables or floats; complex scalars also pass, giving
+    complex-step derivatives that check the ranking's adjoint), one scalar
+    for a fixed-direction control and three otherwise; one unit of a
+    scalar is ``control_unit`` physical units (m/s for impulses, m/s^2 for
+    held accelerations).
 
     Polynomial controls may live in growing algebras: at each control node
     the state is embedded into the algebra of that slot's variables, so
@@ -465,7 +465,7 @@ def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
     scale, model_nd = _to_internal_units(event)
     v_unit = scale.velocity_kms
 
-    legs = _legs(start, schedule, fixed_impulses, scale)
+    legs = _legs(start, schedule, scale)
     if start.epoch != legs[0][0]:
         raise ConfigurationError(
             f"start epoch {start.epoch} is not the first control event "
@@ -557,10 +557,7 @@ def _relative_bplane_position(y_final, event: ConjunctionEvent,
 
 
 def propagate_with_controls(event: ConjunctionEvent, schedule: ControlSchedule,
-                            phi_physical: np.ndarray | None,
-                            config: PropagationConfig | None = None,
-                            fixed_impulses: Sequence[tuple[float, np.ndarray]] = (),
-                            start: Start | None = None,
+                            phi_physical: np.ndarray | None, start: Start,
                             steps_taken: list | None = None):
     """Real-valued pipeline: apply physical controls, return the encounter
     point.
@@ -569,11 +566,10 @@ def propagate_with_controls(event: ConjunctionEvent, schedule: ControlSchedule,
     m/s^2 (low thrust), one scalar per fixed-direction control or three per
     free control; None means ballistic. ``start`` is the design's
     :class:`Start`, as held by :attr:`PocMap.start`, whose plan the pass
-    steps on; without it the pass back-propagates first.
-    ``steps_taken`` gets each segment's steps. Returns the (xi, zeta)
-    position in km on ``event.bplane`` at closest approach.
+    steps on and whose fixed impulses it folds in. ``steps_taken`` gets
+    each segment's steps. Returns the (xi, zeta) position in km on
+    ``event.bplane`` at closest approach.
     """
-    config = config or PropagationConfig()
     if phi_physical is None:
         phi_physical = np.zeros(schedule.n_vars)
     phi_physical = np.asarray(phi_physical, dtype=np.float64)
@@ -582,20 +578,18 @@ def propagate_with_controls(event: ConjunctionEvent, schedule: ControlSchedule,
             f"control vector has shape {phi_physical.shape}, expected "
             f"({schedule.n_vars},)")
     controls = phi_physical.reshape(schedule.n_controls, -1)
-
-    start = start or _start_state(event, schedule, config, fixed_impulses)
     return np.array(_thread_trajectory(event, schedule, start, controls, 1.0,
-                                       fixed_impulses, steps_taken))
+                                       steps_taken))
 
 
 def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
                   order: int, config: PropagationConfig | None = None,
-                  fixed_impulses: Sequence[tuple[float, np.ndarray]] = (),
                   start: Start | None = None) -> PocMap:
     """Expand log collision probability to ``order`` in the stacked controls.
 
-    The pass begins at ``start`` (from the ranking, say), or else at the
-    design's back-propagation (:func:`_start_state`). Perturbation
+    The pass begins at ``start`` (from the ranking, say, or with fixed
+    impulses), or else at the design's back-propagation on ``config``
+    (:func:`_start_state`), without fixed impulses. Perturbation
     variables of order min(``order``, ``TRAJECTORY_ORDER``) then ride
     through the propagation from the start state node to node (each
     node's variables join the state's algebra at that node). The relative
@@ -605,13 +599,12 @@ def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
     the map's coefficients up to the trajectory's order are those of a
     full-order pass; the higher ones are the logarithm's of that
     truncated trajectory. The constant part is the log of the ballistic
-    probability; the map carries the start and fixed impulses.
+    probability; the map carries the start.
     """
     if order < 1:
         raise ConfigurationError(f"expansion order must be >= 1, got {order}")
-    config = config or PropagationConfig()
-    fixed_impulses = tuple(fixed_impulses)
-    start = start or _start_state(event, schedule, config, fixed_impulses)
+    start = start or _start_state(event, schedule,
+                                  config or PropagationConfig())
 
     # each slot's variables live in the algebra of the slots up to it
     width = schedule.n_vars // schedule.n_controls
@@ -620,13 +613,11 @@ def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
                                       width * s + k) for k in range(width)]
                  for s in range(schedule.n_controls)]
 
-    r_b = _thread_trajectory(event, schedule, start, variables,
-                             schedule.unit, fixed_impulses)
+    r_b = _thread_trajectory(event, schedule, start, variables, schedule.unit)
     full = AlgebraConfig(schedule.n_vars, order)
     poly = log_poc_chan([c.embed(full) for c in r_b], event.bplane.p_b,
                         event.hbr_km)
-    return PocMap(poly=poly, schedule=schedule, start=start,
-                  fixed_impulses=fixed_impulses)
+    return PocMap(poly=poly, schedule=schedule, start=start)
 
 
 def gradient_norm_per_node(event: ConjunctionEvent, candidate_times,

@@ -300,9 +300,11 @@ def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
     exhausting the grid with gap remaining raises, reporting the residual
     probability of a real replay. Every map, and that replay, starts from
     the ranking's :class:`~polycam.mapbuilder.Start` at its first control
-    event and steps on its plan, which ``prop_config`` sets for the
-    ranking, so the orbit is back-propagated once. Returns the solution and
-    the Start of its first engaged node, from which it validates.
+    event with the saturated impulses as its fixed ones, and steps on its
+    plan, which ``prop_config`` sets for the ranking, so the orbit is
+    back-propagated once. Returns the solution and the ranking's Start at
+    its first engaged node, without fixed impulses, from which it
+    validates.
     """
     if not u_max_ms > 0.0:
         raise ConfigurationError("u_max must be positive")
@@ -317,9 +319,9 @@ def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
     saturated: list[tuple[float, np.ndarray]] = []
     for t, _, _ in ranked:
         first = min([t, *(s for s, _ in saturated)])
+        start = starts[first]._replace(fixed_impulses=tuple(saturated))
         pmap = build_poc_map(event, template.retimed([t]),
-                             order=config.max_order, fixed_impulses=saturated,
-                             start=starts[first])
+                             order=config.max_order, start=start)
         sol = solve_recursive(pmap, config)
         dv = np.asarray(sol.per_node_dv_ms[0])
         magnitude = float(np.linalg.norm(dv))
@@ -333,10 +335,12 @@ def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
                 sol.per_order_converged, started), starts[first]
         saturated.append((t, u_max_ms * dv / magnitude))
 
-    # the grid is never empty here: ranking rejects an empty one
+    # the grid is never empty here: ranking rejects an empty one; the last
+    # map's start, with its node saturated too
     residual_poc = poc_chan(propagate_with_controls(
-        event, template.retimed(ranked[-1][:1]), None, None, saturated,
-        starts[min(starts)]), event.bplane.p_b, event.hbr_km)
+        event, template.retimed(ranked[-1][:1]), None,
+        start._replace(fixed_impulses=tuple(saturated))),
+        event.bplane.p_b, event.hbr_km)
     raise InfeasibleWithBoundError(
         f"all {len(ranked)} nodes saturated at {u_max_ms} m/s with "
         f"probability gap remaining (residual PoC {residual_poc})",

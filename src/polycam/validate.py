@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conjunction import ConjunctionEvent, poc_chan, poc_quadrature
-from .dynamics import PropagationConfig
 from .errors import ConfigurationError
-from .mapbuilder import (ControlSchedule, PocMap, Start, _start_state,
+from .mapbuilder import (ControlSchedule, PocMap, Start,
                          propagate_with_controls)
 
 __all__ = ["ValidationReport", "validate_solution"]
@@ -44,40 +43,33 @@ class ValidationReport:
 
 
 def validate_solution(event: ConjunctionEvent, schedule: ControlSchedule,
-                      phi_physical, target_poc: float,
-                      pmap: PocMap | None = None,
-                      start: Start | None = None) -> ValidationReport:
+                      phi_physical, target_poc: float, start: Start,
+                      pmap: PocMap | None = None) -> ValidationReport:
     """Replay ``phi_physical`` through the real pipeline and grade it.
 
     ``phi_physical`` stacks the controls in m/s (impulsive) or m/s^2
-    (low thrust). Two real replays start from one
-    :class:`~polycam.mapbuilder.Start` and take its steps: the zero
-    vector's gives the report's ballistic probability and encounter point,
-    and the maneuver's the validated ones (``segment_steps`` counts its
-    steps per segment), so the zero vector reproduces the ballistic
-    figures exactly. When the map that produced the solution is supplied,
-    its start and fixed impulses serve, and the report carries the
-    mismatch between the map's prediction, the exponential of its log
-    probability, and the validated probability. Such a map must have been
-    built on ``schedule`` itself (mode, epochs, fixed direction and arcs);
-    any other map is refused. Without a map, ``start`` serves as in
-    :func:`~polycam.mapbuilder.build_poc_map`, and without either the
-    design is back-propagated without a step count.
+    (low thrust). Two real replays start from the design's
+    :class:`~polycam.mapbuilder.Start`, fold in its fixed impulses and
+    take its steps: the zero vector's gives the report's ballistic
+    probability and encounter point, and the maneuver's the validated ones
+    (``segment_steps`` counts its steps per segment), so the zero vector
+    reproduces the ballistic figures exactly. When the map that produced
+    the solution is supplied, the report carries the mismatch between the
+    map's prediction, the exponential of its log probability, and the
+    validated probability. Such a map must have been built on ``schedule``
+    itself (mode, epochs, fixed direction and arcs) and from ``start``
+    itself; any other map is refused.
     """
     phi_physical = np.asarray(phi_physical, dtype=np.float64)
-    fixed = ()
-    if pmap is None:
-        start = start or _start_state(event, schedule, PropagationConfig())
-    elif pmap.schedule != schedule:
+    if pmap is not None and pmap.schedule != schedule:
         raise ConfigurationError("the map was built for another schedule")
-    else:
-        start, fixed = pmap.start, pmap.fixed_impulses
-    r_b_before = propagate_with_controls(event, schedule, None, None, fixed,
-                                         start)
+    if pmap is not None and pmap.start is not start:
+        raise ConfigurationError("the map was built from another start")
+    r_b_before = propagate_with_controls(event, schedule, None, start)
     ballistic = poc_chan(r_b_before, event.bplane.p_b, event.hbr_km)
     steps = []
-    r_b_after = propagate_with_controls(event, schedule, phi_physical, None,
-                                        fixed, start, steps)
+    r_b_after = propagate_with_controls(event, schedule, phi_physical, start,
+                                        steps)
 
     validated = poc_chan(r_b_after, event.bplane.p_b, event.hbr_km)
     oracle = poc_quadrature(r_b_after, event.bplane.p_b, event.hbr_km)

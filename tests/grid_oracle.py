@@ -65,20 +65,20 @@ def grid_oracle_single_impulse(event: ConjunctionEvent, node_time: float,
     # design's start
     start = _start_state(event, schedule, config)
     p_b = event.bplane.p_b
-    ballistic = propagate_with_controls(event, schedule, None, start=start)
+    ballistic = propagate_with_controls(event, schedule, None, start)
     if poc_chan(ballistic, p_b, event.hbr_km) <= target_poc:
         return np.zeros(3)
 
     scale, model_nd = _to_internal_units(event)
-    t_node, y_node, plan, frames = start
-    rot = frames[t_node]
+    t_node, y_node = start.epoch, start.state
+    rot = start.frames[t_node]
 
     directions = _fibonacci_sphere(resolution)
     dirs_inertial = directions @ rot  # rows: direction in propagation frame
 
     t_node_nd = t_node / scale.time_s
     # the start's steps: its count, or its times run forward
-    plan = plan.between(t_node_nd, 0.0)
+    plan = start.plan.between(t_node_nd, 0.0)
 
     def poc_batch(magnitude_ms: float, dirs: np.ndarray) -> np.ndarray:
         dv_nd = (magnitude_ms * 1e-3 / scale.velocity_kms) * dirs

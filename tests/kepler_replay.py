@@ -89,33 +89,27 @@ def main(argv=None) -> int:
     validate, propagate = cli.validate_solution, mapbuilder.propagate_vector
     rows = []
 
-    def replay(coast, event, schedule, phi, start, fixed):
+    def replay(coast, event, schedule, phi, start):
         mapbuilder.propagate_vector = coast
         try:
-            r_b = mapbuilder.propagate_with_controls(
-                event, schedule, phi, None, fixed, start)
+            r_b = mapbuilder.propagate_with_controls(event, schedule, phi,
+                                                     start)
         finally:
             mapbuilder.propagate_vector = propagate
         return poc_chan(r_b, event.bplane.p_b, event.hbr_km)
 
-    def replayed(event, schedule, phi, target, pmap=None, **kwargs):
-        report = validate(event, schedule, phi, target, pmap=pmap, **kwargs)
+    def replayed(event, schedule, phi, target, start, pmap=None):
+        # the start that validation replays from, fixed impulses included
+        report = validate(event, schedule, phi, target, start, pmap)
         if event.dynamics.kind != dyn.KEPLER or report.validated_poc == 0.0:
             return report
-        # the start and fixed impulses that validation replayed from
-        if pmap is not None:
-            start, fixed = pmap.start, pmap.fixed_impulses
-        else:
-            start = kwargs.get("start") or mapbuilder._start_state(
-                event, schedule, dyn.PropagationConfig())
-            fixed = ()
         oracles = [
             replay(lambda y, u, t0, t1, model, plan=None, n=n:
                    dyn.integrate(y, u, t0, t1, model,
                                  dyn.PropagationConfig(steps=n)),
-                   event, schedule, phi, start, fixed)
+                   event, schedule, phi, start)
             for n in counts]
-        oracles.append(replay(mp_coast, event, schedule, phi, start, fixed))
+        oracles.append(replay(mp_coast, event, schedule, phi, start))
         rows.append([report.validated_poc / o - 1.0 for o in oracles]
                     + [max(abs(o / oracles[-1] - 1.0) for o in oracles[:-1])])
         print(*current, *(f"{d:+.2e}" for d in rows[-1][:-1]), flush=True)

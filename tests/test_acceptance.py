@@ -82,7 +82,7 @@ def solved_suite(suite):
                 continue
             elapsed = time.perf_counter() - began
             report = validate_solution(event, schedule, solution.phi, TARGET,
-                                       pmap=pmap)
+                                       pmap.start, pmap)
             per_order[order] = (pmap, solution, report, elapsed)
         results.append({"event": event, "schedule": schedule,
                         "orders": per_order})
@@ -264,8 +264,8 @@ def test_criterion_9_map_fidelity(solved_suite):
     for k in range(3):
         step = np.zeros(3)
         step[k] = h
-        plus = propagate_with_controls(event, schedule, step)
-        minus = propagate_with_controls(event, schedule, -step)
+        plus = propagate_with_controls(event, schedule, step, pmap.start)
+        minus = propagate_with_controls(event, schedule, -step, pmap.start)
         fd[k] = (math.log(poc_chan(plus, bplane.p_b, event.hbr_km))
                  - math.log(poc_chan(minus, bplane.p_b, event.hbr_km))) \
             / (2 * h)
@@ -314,14 +314,14 @@ def test_criterion_10_thrust_limited(solved_suite):
     top = ControlSchedule(mode=IMPULSIVE, node_epochs=(top_time,))
     single = solve_recursive(build_poc_map(event, top, order=5), config)
 
-    bounded, _ = solve_thrust_limited(event, grid,
-                                   u_max_ms=0.6 * single.dv_total_ms,
-                                   config=config, template=template)
+    bounded, start = solve_thrust_limited(event, grid,
+                                          u_max_ms=0.6 * single.dv_total_ms,
+                                          config=config, template=template)
     engaged = len(bounded.per_node_dv_ms)
     schedule = ControlSchedule(mode=IMPULSIVE,
                                node_epochs=bounded.node_epochs)
     phi = np.concatenate([np.asarray(v) for v in bounded.per_node_dv_ms])
-    report = validate_solution(event, schedule, phi, TARGET)
+    report = validate_solution(event, schedule, phi, TARGET, start)
     ok = engaged == 2 and report.poc_log_error <= 0.1
     _report(10, ok,
             f"bound 0.6x single-node requirement: {engaged} nodes engaged "

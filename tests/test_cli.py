@@ -120,7 +120,8 @@ class TestRunCommand:
 
     def test_result_revalidates_to_same_probability(self, scenario_file,
                                                     tmp_path):
-        from polycam.mapbuilder import ControlSchedule, IMPULSIVE
+        from polycam.dynamics import PropagationConfig
+        from polycam.mapbuilder import ControlSchedule, IMPULSIVE, _start_state
         from polycam.scenarios import parse_scenario
         from polycam.validate import validate_solution
 
@@ -130,9 +131,11 @@ class TestRunCommand:
         event, _ = parse_scenario(json.loads(scenario_file.read_text()))
         schedule = ControlSchedule(mode=IMPULSIVE,
                                    node_epochs=tuple(result["node_epochs_s"]))
+        # the run's start: its back-propagation without a step count
+        start = _start_state(event, schedule, PropagationConfig())
         report = validate_solution(event, schedule,
                                    np.array(result["solution"]["phi"]),
-                                   result["target_poc"])
+                                   result["target_poc"], start)
         recomputed = report.validated_poc
         stored = result["validation"]["validated_poc"]
         assert abs(recomputed - stored) / stored <= 1e-12

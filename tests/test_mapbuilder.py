@@ -121,19 +121,18 @@ class TestControlSchedule:
 
 
 def start_of(event, schedule, config=None, fixed_impulses=()):
-    """The design's Start: its back-propagation to the first control
-    event, as a map or a replay without a given start takes it."""
+    """The design's Start, holding ``fixed_impulses``: its
+    back-propagation to the first control event, as a map built without a
+    given start takes it."""
     return mapbuilder._start_state(event, schedule,
                                    config or dyn.PropagationConfig(),
                                    fixed_impulses)
 
 
 def ballistic_poc(event, pmap):
-    """Probability of a real ballistic pass from the map's start, with its
-    fixed impulses."""
-    r_b = propagate_with_controls(event, pmap.schedule, None,
-                                  fixed_impulses=pmap.fixed_impulses,
-                                  start=pmap.start)
+    """Probability of a real ballistic pass from the map's start, fixed
+    impulses included."""
+    r_b = propagate_with_controls(event, pmap.schedule, None, pmap.start)
     return poc_chan(r_b, event.bplane.p_b, event.hbr_km)
 
 
@@ -300,7 +299,7 @@ class TestReferenceTrajectory:
             pmap = build_poc_map(event, sched, order=5, start=start)
             solution = solve_recursive(pmap, SolverConfig(max_order=5))
             pocs.append(validate_solution(event, sched, solution.phi, 1e-6,
-                                          pmap=pmap).validated_poc)
+                                          pmap.start, pmap).validated_poc)
             dvs.append(solution.dv_total_ms)
         assert pmap.start.state != ranked.state
         assert abs(pocs[0] / pocs[1] - 1.0) <= 1e-6
@@ -316,17 +315,15 @@ class TestReferenceTrajectory:
         pmap = build_poc_map(event, sched, order=3)
         solution = solve_recursive(pmap, SolverConfig(max_order=3))
         report = validate_solution(event, sched, solution.phi, 1e-6,
-                                   pmap=pmap)
-        before = propagate_with_controls(event, sched, None)
-        after = propagate_with_controls(event, sched, solution.phi)
+                                   pmap.start, pmap)
+        # replays from a fresh back-propagation, the map's start again
+        start = start_of(event, sched)
+        before = propagate_with_controls(event, sched, None, start)
+        after = propagate_with_controls(event, sched, solution.phi, start)
         assert report.ballistic_poc == poc_chan(before, event.bplane.p_b,
                                                 event.hbr_km)
         assert np.array_equal(report.bplane_before_km, before)
         assert np.array_equal(report.bplane_after_km, after)
-        # without the map, validation back-propagates the same start itself
-        alone = validate_solution(event, sched, solution.phi, 1e-6)
-        assert alone.ballistic_poc == report.ballistic_poc
-        assert np.array_equal(alone.bplane_after_km, after)
 
     def test_passes_replay_the_back_propagations_mesh(self, monkeypatch,
                                                        leo_event, leo_period):
@@ -346,7 +343,7 @@ class TestReferenceTrajectory:
             -1.5 * leo_period, -0.5 * leo_period))
         pmap = build_poc_map(leo_event, sched, order=2)
         report = validate_solution(leo_event, sched, np.full(6, 0.01), 1e-6,
-                                   pmap=pmap)
+                                   pmap.start, pmap)
         picked = pmap.start.plan
         assert plans[1][2] is picked
         scale, _ = _to_internal_units(leo_event)
@@ -401,14 +398,14 @@ class TestReferenceTrajectory:
         taken = []
         got = propagate_with_controls(event, sched, phi, start=start,
                                       steps_taken=taken)
-        fine = propagate_with_controls(event, sched, phi,
-                                       dyn.PropagationConfig(steps=3200))
+        fine = propagate_with_controls(event, sched, phi, start_of(
+            event, sched, dyn.PropagationConfig(steps=3200)))
         assert taken[0] > 1
         assert np.linalg.norm(got - fine) <= 1e-8 * np.linalg.norm(fine)
         # the polynomial pass has no steps to take there: exit 4
         with pytest.raises(PropagationError, match="step count") as err:
-            build_poc_map(event, sched, 1, fixed_impulses=[
-                (sched.node_epochs[0], phi)], start=start)
+            build_poc_map(event, sched, 1, start=start._replace(
+                fixed_impulses=((sched.node_epochs[0], phi),)))
         code, payload = cli._failure(err.value)
         assert code == 4
         assert payload["error"]["class"] == "non-convergence"
@@ -423,8 +420,8 @@ class TestReferenceTrajectory:
                                 ("secondary", leo_event.secondary))})
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(
             -0.3 * leo_period, -0.1 * leo_period))
-        report = validate_solution(fast, sched, np.full(6, 0.01), 1e-6)
         start = start_of(fast, sched)
+        report = validate_solution(fast, sched, np.full(6, 0.01), 1e-6, start)
         scale, _ = _to_internal_units(fast)
         epochs = [t / scale.time_s for t in (*sched.node_epochs, 0.0)]
         assert report.segment_steps == tuple(
@@ -435,16 +432,19 @@ class TestReferenceTrajectory:
     def test_reference_holds_the_ballistic_pass(self, leo_event, leo_period):
         sched = ControlSchedule(mode=IMPULSIVE,
                                 node_epochs=(-leo_period, -0.5 * leo_period))
-        # the map holds the start and fixed impulses of the ballistic pass,
-        # which validation replays and the map's constant part matches
+        # the map holds the start of the ballistic pass, fixed impulses
+        # included, which validation replays and the map's constant part
+        # matches
         fixed = [(-0.75 * leo_period, np.array([0.0, 0.01, 0.0]))]
-        pmap = build_poc_map(leo_event, sched, 1, fixed_impulses=fixed)
-        assert pmap.start[0] == -leo_period
-        assert [t for t, _ in pmap.fixed_impulses] == [t for t, _ in fixed]
-        r_b = propagate_with_controls(leo_event, sched, None,
-                                      fixed_impulses=fixed)
+        start = start_of(leo_event, sched, fixed_impulses=fixed)
+        pmap = build_poc_map(leo_event, sched, 1, start=start)
+        assert start.epoch == -leo_period
+        assert [t for t, _ in start.fixed_impulses] == [t for t, _ in fixed]
+        # a fresh back-propagation replays the same ballistic pass
+        r_b = propagate_with_controls(leo_event, sched, None, start_of(
+            leo_event, sched, fixed_impulses=fixed))
         report = validate_solution(leo_event, sched, np.zeros(6), 1e-6,
-                                   pmap=pmap)
+                                   start, pmap)
         assert np.array_equal(report.bplane_before_km, r_b)
         assert math.exp(pmap.poly.constant_part) == pytest.approx(
             report.ballistic_poc, rel=1e-12)
@@ -465,7 +465,7 @@ class TestReferenceTrajectory:
         monkeypatch.setattr(mapbuilder, "propagate_vector",
                             lambda y, *args: [math.nan, *y[1:]])
         with pytest.raises(ConfigurationError, match="non-finite"):
-            propagate_with_controls(event, sched, None)
+            start_of(event, sched)
 
     def test_map_of_another_schedule_is_refused(self, leo_event, leo_period):
         # same epoch, other fixed direction: the map's figures would grade
@@ -476,11 +476,23 @@ class TestReferenceTrajectory:
         pmap = build_poc_map(leo_event, tangential, 1)
         radial = replace(tangential, fixed_direction=(1.0, 0.0, 0.0))
         with pytest.raises(ConfigurationError, match="another schedule"):
-            validate_solution(leo_event, radial, [0.05], 1e-6, pmap=pmap)
+            validate_solution(leo_event, radial, [0.05], 1e-6, pmap.start,
+                              pmap)
         same = ControlSchedule(mode=IMPULSIVE, node_epochs=epochs,
                                fixed_direction=np.array([0.0, 1.0, 0.0]))
-        report = validate_solution(leo_event, same, [0.05], 1e-6, pmap=pmap)
+        report = validate_solution(leo_event, same, [0.05], 1e-6, pmap.start,
+                                   pmap)
         assert report.map_residual is not None
+
+    def test_map_from_another_start_is_refused(self, leo_event, leo_period):
+        # same schedule, a fresh back-propagation: validation replays from
+        # the start it is given, which the map must have been built on
+        sched = ControlSchedule(mode=IMPULSIVE,
+                                node_epochs=(-0.5 * leo_period,))
+        pmap = build_poc_map(leo_event, sched, 1)
+        with pytest.raises(ConfigurationError, match="another start"):
+            validate_solution(leo_event, sched, np.zeros(3), 1e-6,
+                              start_of(leo_event, sched), pmap)
 
 
 class TestCompiledSlope:
@@ -530,8 +542,9 @@ class TestBuildPocMap:
         for k in range(3):
             step = np.zeros(3)
             step[k] = h
-            plus = propagate_with_controls(leo_event, sched, step)
-            minus = propagate_with_controls(leo_event, sched, -step)
+            plus = propagate_with_controls(leo_event, sched, step, pmap.start)
+            minus = propagate_with_controls(leo_event, sched, -step,
+                                            pmap.start)
             fd[k] = (math.log(poc_chan(plus, bp.p_b, leo_event.hbr_km))
                      - math.log(poc_chan(minus, bp.p_b, leo_event.hbr_km))) \
                 / (2 * h)
@@ -546,8 +559,9 @@ class TestBuildPocMap:
         for k in range(3):
             step = np.zeros(3)
             step[k] = h
-            plus = propagate_with_controls(leo_event, sched, step)
-            minus = propagate_with_controls(leo_event, sched, -step)
+            plus = propagate_with_controls(leo_event, sched, step, pmap.start)
+            minus = propagate_with_controls(leo_event, sched, -step,
+                                            pmap.start)
             fd[k] = (poc_chan(plus, bp.p_b, leo_event.hbr_km)
                      - poc_chan(minus, bp.p_b, leo_event.hbr_km)) / (2 * h)
         grad = pmap.poly.gradient_at_zero()
@@ -559,7 +573,7 @@ class TestBuildPocMap:
         pmap = build_poc_map(leo_event, sched, order=5)
         bp = leo_event.bplane
         phi = np.array([0.01, -0.02, 0.005])  # m/s
-        r_b = propagate_with_controls(leo_event, sched, phi)
+        r_b = propagate_with_controls(leo_event, sched, phi, pmap.start)
         truth = poc_chan(r_b, bp.p_b, leo_event.hbr_km)
         assert math.exp(pmap.poly.eval(phi / pmap.scaling)) == \
             pytest.approx(truth, rel=1e-4)
@@ -763,7 +777,7 @@ class TestTrajectoryOrder:
         # the lifted map still predicts the replay of its solution
         solution = solve_recursive(pmap, SolverConfig(max_order=5))
         report = validate_solution(event, sched, solution.phi, 1e-6,
-                                   pmap=pmap)
+                                   pmap.start, pmap)
         assert report.map_residual <= 1e-8 * 1e-6
 
     @pytest.mark.parametrize("order", [2, 3, 5])
@@ -977,7 +991,7 @@ class TestGradientNormPerNode:
     def test_kepler_impulsive_passes_call_no_kernel(self, leo_event,
                                                     leo_period, monkeypatch):
         # the ranking and a design's start take closed-form coasts: no
-        # RK7(8) stage runs
+        # DOP853 stage runs
         calls = []
         kernel = dyn._kernel_kepler_j2
         monkeypatch.setattr(dyn, "_kernel_kepler_j2",

@@ -41,7 +41,7 @@ def synthetic_map(coeffs, n_vars, order, ballistic=1e-4, schedule=None):
                               for k in reversed(range(max(n_vars // 3, 1)))))
     start = Start(schedule.node_epochs[0], (0.0,) * 6,
                   dyn.PropagationConfig(steps=100), {})
-    return PocMap(poly=poly, schedule=schedule, start=start, fixed_impulses=())
+    return PocMap(poly=poly, schedule=schedule, start=start)
 
 
 class TestSolveOrder1:
@@ -271,7 +271,8 @@ class TestCascadeReach:
         sol = solve_recursive(pmap, SolverConfig(max_order=2))
         assert sol.per_order_converged[-1]
         assert sol.dv_total_ms == pytest.approx(0.10504, abs=1e-5)
-        report = validate_solution(event, sched, sol.phi, 1e-6, pmap=pmap)
+        report = validate_solution(event, sched, sol.phi, 1e-6, pmap.start,
+                                   pmap)
         assert report.poc_log_error <= 1e-3
 
 
@@ -301,7 +302,8 @@ class TestDefaultBand:
         pmap = build_poc_map(event, sched, order=3)
         sol = solve_recursive(pmap, SolverConfig(max_order=3))
         assert all(sol.per_order_converged)
-        report = validate_solution(event, sched, sol.phi, 1e-6, pmap=pmap)
+        report = validate_solution(event, sched, sol.phi, 1e-6, pmap.start,
+                                   pmap)
         assert report.poc_log_error <= 0.1
 
     def test_cislunar_at_7200_s_on_target(self):
@@ -314,7 +316,7 @@ class TestDefaultBand:
             pmap = build_poc_map(event, sched, order=5)
             sol = solve_recursive(pmap, SolverConfig(max_order=5))
             errors.append(validate_solution(event, sched, sol.phi, 1e-6,
-                                            pmap=pmap).poc_log_error)
+                                            pmap.start, pmap).poc_log_error)
         assert max(errors) <= 0.1
 
 
@@ -399,7 +401,8 @@ class TestSolveRecursive:
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * leo_period,))
         pmap = build_poc_map(leo_event, sched, order=5)
         sol = solve_recursive(pmap, SolverConfig(max_order=5))
-        report = validate_solution(leo_event, sched, sol.phi, 1e-6, pmap=pmap)
+        report = validate_solution(leo_event, sched, sol.phi, 1e-6,
+                                   pmap.start, pmap)
         assert report.validated_poc == pytest.approx(1e-6, rel=0.25)
         assert sol.residual <= 1e-12
         assert len(sol.per_order_iterations) == 5
@@ -538,7 +541,7 @@ class TestThrustLimited:
         top = ControlSchedule(mode=IMPULSIVE, node_epochs=(grid[0],))
         pmap = build_poc_map(tangential_event, top, order=5)
         single = solve_recursive(pmap, config)
-        bounded, _ = solve_thrust_limited(
+        bounded, start = solve_thrust_limited(
             tangential_event, grid,
             u_max_ms=0.6 * single.dv_total_ms, config=config,
             template=self.TEMPLATE)
@@ -550,7 +553,8 @@ class TestThrustLimited:
         sched_engaged = ControlSchedule(mode=IMPULSIVE,
                                         node_epochs=bounded.node_epochs)
         phi = np.concatenate([np.asarray(v) for v in bounded.per_node_dv_ms])
-        report = validate_solution(tangential_event, sched_engaged, phi, 1e-6)
+        report = validate_solution(tangential_event, sched_engaged, phi, 1e-6,
+                                   start)
         assert report.poc_log_error <= 0.1
 
     def test_fixed_direction_pins_bounded_impulses(self):
@@ -562,14 +566,15 @@ class TestThrustLimited:
         u_max = 0.0146566
         template = ControlSchedule(mode=IMPULSIVE, node_epochs=(grid[0],),
                                    fixed_direction=[0.0, 1.0, 0.0])
-        bounded, _ = solve_thrust_limited(event, grid, u_max,
-                                       SolverConfig(max_order=5),
-                                       template=template)
+        bounded, start = solve_thrust_limited(event, grid, u_max,
+                                              SolverConfig(max_order=5),
+                                              template=template)
         assert len(bounded.per_node_dv_ms) == 2
         for dv in bounded.per_node_dv_ms:
             assert dv[0] == 0.0 and dv[2] == 0.0
             assert np.linalg.norm(dv) <= u_max * (1.0 + 1e-12)
-        report = validate_solution(event, bounded.schedule, bounded.phi, 1e-6)
+        report = validate_solution(event, bounded.schedule, bounded.phi, 1e-6,
+                                   start)
         assert report.poc_log_error <= 0.1
 
     def test_saturating_sequence_makes_one_back_propagation(
@@ -668,7 +673,8 @@ class TestOtherRegimes:
                                 node_epochs=(-9000.0, -7200.0, -5400.0))
         pmap = build_poc_map(event, sched, order=4)
         sol = solve_recursive(pmap, SolverConfig(max_order=4))
-        report = validate_solution(event, sched, sol.phi, 1e-6, pmap=pmap)
+        report = validate_solution(event, sched, sol.phi, 1e-6, pmap.start,
+                                   pmap)
         assert report.poc_log_error <= 0.1
         # held accelerations stay within realistic electric-thruster levels
         assert np.abs(sol.phi).max() < 1e-3  # m/s^2

@@ -28,11 +28,10 @@ class TestValidateSolution:
     def test_zero_maneuver_reproduces_ballistic(self, leo_event, solved):
         sched, pmap, _ = solved
         report = validate_solution(leo_event, sched, np.zeros(3), 1e-6,
-                                   pmap=pmap)
+                                   pmap.start, pmap)
         # same code path as a ballistic pass from the map's start:
         # bit-for-bit equality
-        before = propagate_with_controls(leo_event, sched, None,
-                                         start=pmap.start)
+        before = propagate_with_controls(leo_event, sched, None, pmap.start)
         assert report.validated_poc == report.ballistic_poc == poc_chan(
             before, leo_event.bplane.p_b, leo_event.hbr_km)
         np.testing.assert_array_equal(report.bplane_after_km,
@@ -40,29 +39,32 @@ class TestValidateSolution:
 
     def test_solved_impulse_hits_target(self, leo_event, solved):
         sched, pmap, sol = solved
-        report = validate_solution(leo_event, sched, sol.phi, 1e-6, pmap=pmap)
+        report = validate_solution(leo_event, sched, sol.phi, 1e-6,
+                                   pmap.start, pmap)
         assert report.poc_log_error <= 0.1
         assert report.map_residual <= 0.05 * 1e-6
         assert report.chan_quadrature_agree
 
     def test_doubling_overshoots(self, leo_event, solved):
         sched, pmap, sol = solved
-        report = validate_solution(leo_event, sched, 2.0 * sol.phi, 1e-6)
+        report = validate_solution(leo_event, sched, 2.0 * sol.phi, 1e-6,
+                                   pmap.start)
         assert report.validated_poc < 1e-6
 
     def test_dv_accounting(self, leo_event, solved):
         # the solution owns the delta-v: the report carries none
-        sched, _, sol = solved
-        report = validate_solution(leo_event, sched, sol.phi, 1e-6)
+        sched, pmap, sol = solved
+        report = validate_solution(leo_event, sched, sol.phi, 1e-6,
+                                   pmap.start)
         assert not hasattr(report, "dv_total_ms")
         assert sol.dv_total_ms == pytest.approx(
             sum(np.linalg.norm(v) for v in sol.per_node_dv_ms))
         assert sol.dv_total_ms == sched.delta_v(sol.phi)[1]
 
     def test_dimension_mismatch(self, leo_event, solved):
-        sched, _, _ = solved
+        sched, pmap, _ = solved
         with pytest.raises(ConfigurationError):
-            validate_solution(leo_event, sched, np.zeros(5), 1e-6)
+            validate_solution(leo_event, sched, np.zeros(5), 1e-6, pmap.start)
 
 
 # Relative error allowed in a default-mesh design's validated PoC against
@@ -90,12 +92,14 @@ def fine_replay_error(regime, kind, monkeypatch):
     sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(node,))
     pmap = build_poc_map(event, sched, order=5)
     solution = solve_recursive(pmap, SolverConfig(max_order=5))
-    report = validate_solution(event, sched, solution.phi, 1e-6, pmap=pmap)
-    # the replay integrates every coast: a Kepler one would otherwise take
-    # the closed form on both sides
+    report = validate_solution(event, sched, solution.phi, 1e-6, pmap.start,
+                               pmap)
+    # the replay, and its back-propagation, integrate every coast: a Kepler
+    # one would otherwise take the closed form on both sides
     monkeypatch.setattr(mapbuilder, "propagate_vector", dyn.integrate)
-    fine = propagate_with_controls(event, sched, solution.phi,
-                                   dyn.PropagationConfig(steps=1600))
+    start = mapbuilder._start_state(event, sched,
+                                    dyn.PropagationConfig(steps=1600))
+    fine = propagate_with_controls(event, sched, solution.phi, start)
     replayed = poc_chan(fine, event.bplane.p_b, event.hbr_km)
     return abs(report.validated_poc / replayed - 1.0)
 
@@ -129,11 +133,11 @@ class TestGridOracle:
 
     def test_solution_feasible_at_oracle_point(self, leo_event, leo_period,
                                                solved):
-        sched, _, sol = solved
+        sched, pmap, sol = solved
         dv = grid_oracle_single_impulse(
             leo_event, -0.5 * leo_period, target_poc=1e-6,
             radius_ms=5.0 * sol.dv_total_ms, resolution=256)
-        report = validate_solution(leo_event, sched, dv, 1e-6)
+        report = validate_solution(leo_event, sched, dv, 1e-6, pmap.start)
         assert report.validated_poc <= 1e-6 * (1 + 1e-6)
 
     def test_grid_convergence(self, leo_event, leo_period, solved):
