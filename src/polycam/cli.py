@@ -286,11 +286,12 @@ def _design(doc: dict, flags: dict) -> tuple[int, dict]:
                 event, dense, opts["umax"], solver_config, template=schedule,
                 prop_config=prop_config)
         else:
-            if grid is not None:
+            if grid is None:
+                pmap = build_poc_map(event, schedule, order, prop_config)
+            else:
                 schedule, start = filter_nodes(
                     event, grid, opts["filter_keep"], schedule, prop_config)
-            pmap = build_poc_map(event, schedule, order, prop_config,
-                                 start=start)
+                pmap = build_poc_map(event, schedule, order, start=start)
             start = pmap.start
             solution = solve_recursive(pmap, solver_config)
 

@@ -7,10 +7,14 @@ Two independent routes compute it: a fixed Gauss-Legendre quadrature of
 Alfano's one-dimensional form (:func:`poc_quadrature`, real-valued only,
 numpy and the standard library's erf) and a convergent series
 (:func:`poc_chan`). The series factors as a Gaussian in the miss times a
-slowly varying sum, so its logarithm composes over TaylorPoly positions
-(:func:`log_poc_chan`) as an exact quadratic plus a truncated log of that
+slowly varying sum, so its logarithm over TaylorPoly positions
+(:func:`log_poc_chan`) is an exact quadratic plus a truncated log of that
 sum: the pipeline's polynomial expansion of probability is one of log
-PoC. The sum runs to convergence in every degree, or to a cap (see below).
+PoC. The probability depends on the control only through the two
+encounter-plane coordinates, so that logarithm is expanded once in two
+variables, about the positions' constant parts, and composed onto the
+positions' own algebra. The sum runs to convergence in every degree, or
+to a cap (see below).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dapoly import TaylorPoly
+from .dapoly import AlgebraConfig, TaylorPoly
 from .dynamics import DynamicsModel, SpacecraftState
 from .errors import CovarianceError, GeometryError, NumericError, ValidationError
 
@@ -269,33 +273,62 @@ def log_poc_chan(r_b, p_b, hbr: float) -> TaylorPoly:
     positions, so only the slowly varying log S is a truncated series and
     the Gaussian is never Taylor-expanded (Armellin's squared-distance
     constraint, *Acta Astronautica* 186, 2021, with the series' correction).
-    An overflow raises :class:`NumericError` without a warning.
+
+    The probability depends on the positions alone, so the expansion runs
+    in two variables: the series and its log are expanded to the
+    positions' order n about their constant parts (xi_0, zeta_0), in the
+    (2, n) algebra, and then composed onto (xi - xi_0, zeta - zeta_0)
+    (:meth:`TaylorPoly.compose`). Truncated composition with nilpotent
+    arguments is exact, so this is the same polynomial, up to round-off,
+    as the series summed in the positions' own algebra, and it costs that
+    algebra 2n - 1 products whatever the number of terms. At the identity,
+    positions (xi_0 + x_0, zeta_0 + x_1) of a (2, n) algebra, it gives
+    the series' coefficients bit for bit. An overflow raises
+    :class:`NumericError` without a warning.
     """
+    xi, zeta = r_b
+    x0, z0 = xi.constant_part, zeta.constant_part
+    local = AlgebraConfig(2, xi.max_order)
+    at = (TaylorPoly.variable(local, 0) + x0,
+          TaylorPoly.variable(local, 1) + z0)
     try:
         # an overflow leaves the sum non-finite, which the stop rule refuses
         with np.errstate(over="ignore", invalid="ignore"):
-            x_m, y_m, s_x, s_y = _principal_axes(r_b, p_b)
+            x_m, y_m, s_x, s_y = _principal_axes(at, p_b)
             arg, p_r2, series = _chan_series(x_m, y_m, s_x, s_y, hbr)
     except OverflowError as exc:  # float ** raises where * returns inf
         raise NumericError("collision-probability series overflowed") from exc
     if series is None:
         raise NumericError("collision-probability series did not converge "
                            f"in {_SERIES_CAP} terms")
-    return arg + (2.0 * math.log(hbr) - math.log(2.0 * s_x * s_y) - p_r2) \
-        + series.log()
+    expansion = arg + (2.0 * math.log(hbr) - math.log(2.0 * s_x * s_y)
+                       - p_r2) + series.log()
+    return expansion.compose((xi - x0, zeta - z0))
 
 
 def _principal_axes(r_b, p_b):
     """(x, y, s_x, s_y): the position in the covariance's principal axes
     and the standard deviations along them, s_x <= s_y."""
     p_b = np.asarray(p_b, dtype=np.float64)
+    eigvecs, s_x, s_y = _axes(p_b.tobytes(), p_b.shape)
+    x_m = eigvecs[0, 0] * r_b[0] + eigvecs[1, 0] * r_b[1]
+    y_m = eigvecs[0, 1] * r_b[0] + eigvecs[1, 1] * r_b[1]
+    return x_m, y_m, s_x, s_y
+
+
+@lru_cache(maxsize=256)
+def _axes(data: bytes, shape: tuple) -> tuple:
+    """(eigenvectors, s_x, s_y) of the covariance held in ``data``, once per
+    covariance: a design asks for them at every series evaluation. A
+    covariance that is not positive definite raises, and an exception is
+    not cached, so it raises on every call."""
+    p_b = np.frombuffer(data).reshape(shape)
     _check_pd_2x2(p_b)
     eigvals, eigvecs = np.linalg.eigh(p_b)
     if eigvals[0] <= 0.0:
         raise CovarianceError("projected covariance is not positive definite")
-    x_m = eigvecs[0, 0] * r_b[0] + eigvecs[1, 0] * r_b[1]
-    y_m = eigvecs[0, 1] * r_b[0] + eigvecs[1, 1] * r_b[1]
-    return x_m, y_m, math.sqrt(eigvals[0]), math.sqrt(eigvals[1])
+    eigvecs.setflags(write=False)
+    return eigvecs, math.sqrt(eigvals[0]), math.sqrt(eigvals[1])
 
 
 def _chan_series(x_m, y_m, s_x: float, s_y: float, hbr: float):

@@ -6,7 +6,11 @@ the collision-probability composition to obtain arbitrary-order expansions
 of whole numerical pipelines. A polynomial embeds into an algebra with more
 variables, a higher order or both (:meth:`TaylorPoly.embed`), so a pipeline
 can run its early stages in small algebras and widen as variables join, or
-run a stage at a low order and carry on at a higher one. Each operation is
+run a stage at a low order and carry on at a higher one. A polynomial in
+two variables composes onto two polynomials of another algebra that have
+no constant part (:meth:`TaylorPoly.compose`), so a function of two
+quantities is expanded once in two variables and then carried onto the
+quantities' own algebra. Each operation is
 a row function on coefficient vectors, which :class:`TaylorPoly` runs;
 :func:`record` compiles a function of polynomials to straight-line Python
 on the rows of one workspace, once per process for each sequence of
@@ -565,6 +569,51 @@ class TaylorPoly:
         return self._apply(p, _power)
 
     __pow__ = power
+
+    def compose(self, inner) -> "TaylorPoly":
+        """This 2-variable polynomial at ``inner``, two polynomials of one
+        algebra whose constant parts are zero: the sum of c_ab x**a z**b
+        over this polynomial's coefficients, (x, z) = ``inner``, in
+        inner's algebra. As x and z have no constant part, their powers
+        above inner's order vanish, so the truncated result is exact.
+
+        The powers of z take n - 1 products, n being inner's order, and
+        one matrix product gives q_a = sum_b c_ab z**b for each a. Horner's
+        scheme in x, q_0 + x (q_1 + x (... + x q_n)), takes n more, each
+        passing only the rows that later steps keep (as :func:`_horner`
+        does). At inner = (x_0, x_1) of a 2-variable algebra every sum
+        adds one coefficient to zeros, so the result holds this
+        polynomial's coefficients bit for bit.
+        """
+        if (self.n_vars != 2 or len(inner) != 2
+                or not all(isinstance(p, TaylorPoly) for p in inner)):
+            raise ConfigurationError(
+                f"compose evaluates a 2-variable polynomial at 2 polynomials, "
+                f"got {self.n_vars} variables and {len(inner)} arguments")
+        x, z = inner
+        x._check_same(z)
+        if x.coef[0] != 0.0 or z.coef[0] != 0.0:
+            raise ConfigurationError(
+                "compose needs inner polynomials with zero constant parts, "
+                f"got {x.constant_part} and {z.constant_part}")
+        tab, n = x._tab, x.max_order
+        # c[a, b]: the coefficient of x_0**a x_1**b, of degree at most n
+        c = np.zeros((n + 1, n + 1))
+        e, low = self._tab.exponents, self._tab.degrees <= n
+        c[e[low, 0], e[low, 1]] = self.coef[low]
+        powers = np.zeros((n + 1, tab.size))
+        powers[0, 0] = 1.0
+        for b in range(1, n + 1):
+            powers[b] = z.coef if b == 1 else _mul(tab, powers[b - 1], z.coef)
+        q = c @ powers
+        # step m is followed by n - m products with x: see _horner
+        w = x.coef[tab.mul_j]
+        out = q[n]
+        for m in range(1, n + 1):
+            stop = tab.degree_slices[m].stop
+            out = _row_pass(tab.mul_ptr, w, tab.mul_i, out, stop)
+            out[:stop] += q[n - m, :stop]
+        return TaylorPoly._raw(tab, out)
 
 
 _set_tab = TaylorPoly._tab.__set__

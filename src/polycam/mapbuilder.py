@@ -18,12 +18,14 @@ so the map's coefficients up to that degree are those of a full-order
 pass, and over an m/s maneuver the nonlinearity that the higher degrees
 carry lies in the logarithm, not in the trajectory. The relative
 position at closest approach, projected onto the frozen encounter plane,
-is lifted into the map's order, and composing the logarithm of the
-collision-probability series on top yields one truncated polynomial of
-log PoC in the stacked control vector. Its constant part is the log of
-the ballistic probability, so everything downstream of this map is
-polynomial evaluation, and no ballistic real pass runs. Candidate
-maneuver epochs are ranked without a map, by one complex-step
+is lifted into the map's order. The logarithm of the
+collision-probability series, expanded in the two encounter-plane
+coordinates about the ballistic encounter point, is composed on top
+(:func:`~polycam.conjunction.log_poc_chan`), which yields one truncated
+polynomial of log PoC in the stacked control vector. Its constant part
+is the log of the ballistic probability, so everything downstream of
+this map is polynomial evaluation, and no ballistic real pass runs.
+Candidate maneuver epochs are ranked without a map, by one complex-step
 back-propagation from closest approach that stops at every candidate and
 gives each its start, so a ranked design too back-propagates once. An
 impulse's first-order log-probability gradient is the velocity part of
@@ -588,21 +590,29 @@ def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
     """Expand log collision probability to ``order`` in the stacked controls.
 
     The pass begins at ``start`` (from the ranking, say, or with fixed
-    impulses), or else at the design's back-propagation on ``config``
-    (:func:`_start_state`), without fixed impulses. Perturbation
+    impulses), which holds the plan it steps on, or else at the design's
+    back-propagation on ``config`` (:func:`_start_state`), without fixed
+    impulses; a ``config`` passed with a ``start`` would go unread, and is
+    refused with :class:`ConfigurationError`. Perturbation
     variables of order min(``order``, ``TRAJECTORY_ORDER``) then ride
     through the propagation from the start state node to node (each
     node's variables join the state's algebra at that node). The relative
     position, projected onto the frozen encounter plane, is lifted into
     the ``order`` algebra (its coefficients above the trajectory's order
-    zero), and the log of the probability series is composed on top. So
-    the map's coefficients up to the trajectory's order are those of a
-    full-order pass; the higher ones are the logarithm's of that
-    truncated trajectory. The constant part is the log of the ballistic
-    probability; the map carries the start.
+    zero), and the log of the probability series, expanded in the two
+    encounter-plane coordinates about the ballistic encounter point, is
+    composed on top: 2 ``order`` - 1 products in the map's algebra,
+    however many terms the series takes. So the map's coefficients up to
+    the trajectory's order are those of a full-order pass; the higher
+    ones are the logarithm's of that truncated trajectory. The constant
+    part is the log of the ballistic probability; the map carries the
+    start.
     """
     if order < 1:
         raise ConfigurationError(f"expansion order must be >= 1, got {order}")
+    if start is not None and config is not None:
+        raise ConfigurationError(
+            "a map steps on its start's plan; pass a config or a start")
     start = start or _start_state(event, schedule,
                                   config or PropagationConfig())
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import math
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import ncx2
 
-from polycam import cli, mapbuilder
+from polycam import cli, dapoly, mapbuilder
 from polycam import dynamics as dyn
 from polycam.conjunction import (ConjunctionEvent, log_poc_chan, poc_chan,
                                  poc_quadrature, project_bplane)
@@ -281,6 +282,13 @@ class TestPocQuadrature:
 
 
 class TestPocChan:
+    def test_non_pd_rejected_on_every_call(self):
+        # the principal axes are kept once per covariance; a refusal is not
+        p_b = np.array([[1.0, 2.0], [2.0, 1.0]])
+        for _ in range(2):
+            with pytest.raises(CovarianceError):
+                poc_chan(np.zeros(2), p_b, 0.01)
+
     def test_centered_isotropic_closed_form(self):
         sigma = 0.4
         hbr = 0.03
@@ -434,18 +442,24 @@ class TestSeriesStopRule:
                 <= 1e-15 * np.abs(wanted).max()
 
     def test_nine_variable_map_stops_early(self, map_positions, monkeypatch):
-        # twenty terms took 125 calls; a number on the left of a scaling
-        # goes through __rmul__ and is not counted
-        calls = []
-        mul = TaylorPoly.__mul__
+        # products and Horner steps are row passes, counted by the size of
+        # their algebra: the series sums in the 2-variable one (twenty
+        # terms took 125 products), and composing it onto the positions
+        # takes 2n - 1 passes in the (9, 5) algebra, where summing it there
+        # took 28
+        passes = collections.Counter()
+        row_pass = dapoly._row_pass
 
-        def counted(a, b):
-            calls.append(None)
-            return mul(a, b)
+        def counted(ptr, data, cols, x, n_row):
+            passes[len(x)] += 1
+            return row_pass(ptr, data, cols, x, n_row)
 
-        monkeypatch.setattr(TaylorPoly, "__mul__", counted)
+        monkeypatch.setattr(dapoly, "_row_pass", counted)
         log_poc_chan(*map_positions[9])
-        assert len(calls) <= 60
+        sizes = {n_vars: dapoly._tables(n_vars, 5).size for n_vars in (2, 9)}
+        assert set(passes) == set(sizes.values())
+        assert passes[sizes[9]] <= 2 * 5 - 1
+        assert passes[sizes[2]] <= 60
 
 
 class TestPocProperties:

@@ -340,6 +340,61 @@ class TestEmbed:
             (X * Y).embed(AlgebraConfig(*target))
 
 
+def eager_compose(outer, inner):
+    """Sum of c * x**a * z**b over the coefficients c of ``outer`` at
+    exponents (a, b), each power a chain of :func:`reference_mul`."""
+    x, z = inner
+    total = np.zeros(x.coef.size)
+    for (a, b), c in coeffs(outer).items():
+        term = TaylorPoly.constant(x.config, c)
+        for factor in [x] * a + [z] * b:
+            term = TaylorPoly(x.config, reference_mul(term, factor))
+        total += term.coef
+    return TaylorPoly(x.config, total)
+
+
+class TestCompose:
+    @pytest.mark.parametrize("order", [1, 5])
+    def test_identity_returns_the_coefficients_bit_for_bit(self, order):
+        cfg = AlgebraConfig(2, order)
+        outer = random_poly(cfg, np.random.default_rng(60 + order))
+        inner = (TaylorPoly.variable(cfg, 0), TaylorPoly.variable(cfg, 1))
+        assert np.array_equal(outer.compose(inner).coef, outer.coef)
+
+    @pytest.mark.parametrize("n_vars", [3, 9])
+    def test_matches_the_eager_sum_in_every_degree(self, n_vars):
+        rng = np.random.default_rng(62 + n_vars)
+        outer = random_poly(AlgebraConfig(2, 5), rng)
+        cfg = AlgebraConfig(n_vars, 5)
+        size = _tables(n_vars, 5).size
+        inner = [TaylorPoly(cfg, np.append(0.0, rng.normal(size=size - 1)))
+                 for _ in range(2)]
+        got, want = outer.compose(inner), eager_compose(outer, inner)
+        assert got.config == cfg
+        for k in range(6):
+            wanted = homogeneous(want, k).coef
+            assert np.abs(homogeneous(got, k).coef - wanted).max() \
+                <= 1e-15 * np.abs(wanted).max()
+
+    def test_nonzero_constant_part_rejected(self):
+        inner = (TaylorPoly.variable(CFG2, 0) + 0.5, TaylorPoly.variable(CFG2, 1))
+        with pytest.raises(ConfigurationError, match="zero constant parts"):
+            (X * Y).compose(inner)
+        with pytest.raises(ConfigurationError, match="zero constant parts"):
+            (X * Y).compose(inner[::-1])
+
+    @pytest.mark.parametrize("inner", [(X,), (X, Y, X), (X, 0.0)],
+                             ids=["one", "three", "number"])
+    def test_wrong_count_of_inner_polynomials_rejected(self, inner):
+        with pytest.raises(ConfigurationError, match="2 polynomials"):
+            (X * Y).compose(inner)
+
+    def test_outer_of_other_than_two_variables_rejected(self):
+        outer = TaylorPoly.variable(AlgebraConfig(3, 3), 2)
+        with pytest.raises(ConfigurationError, match="2 polynomials"):
+            outer.compose((X, Y))
+
+
 class TestRingProperties:
     def test_associativity_and_distributivity(self):
         rng = np.random.default_rng(21)

@@ -624,6 +624,17 @@ class TestBuildPocMap:
         with pytest.raises(ConfigurationError):
             build_poc_map(leo_event, sched, order=0)
 
+    def test_config_with_a_start_is_refused(self, leo_event, leo_period):
+        # the map steps on its start's plan, so a config passed with it
+        # would go unread: 60 steps asked, 40 taken
+        sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-0.5 * leo_period,))
+        start = start_of(leo_event, sched, dyn.PropagationConfig(steps=40))
+        with pytest.raises(ConfigurationError, match="config or a start") \
+                as err:
+            build_poc_map(leo_event, sched, 1, dyn.PropagationConfig(steps=60),
+                          start=start)
+        assert cli._failure(err.value)[0] == 3
+
 
 class TestControlFrames:
     """Every pass rotates each control by the frame that the design's
