@@ -36,13 +36,17 @@ iterations (:func:`compare`). It exits 1 when it lists a design found on
 one side only, an exit-code change or a delta-v move (``FAILING``), and
 0 otherwise, so a same-answers claim is one command that must pass.
 
-The defaults cover the three workloads and the design sets at seeds
-1-40, the census of 3800 designs; ``--short`` runs the earlier default
-seeds 2406 and 301-303 (380 designs), so that outputs made with them
-still compare; ``tests/short_census.txt`` holds its output, against which
-``tests/test_replay_digests.py`` compares a fresh run. The polycam package is imported from ``src/`` next to this
-file, and the workloads from ``perfbench/``. The file name keeps pytest
-from collecting it.
+The defaults cover the three workloads and the nine design sets at
+seeds 1-40, the census of 4280 designs, so that every case the paper
+reports runs: single impulses, several impulses and low-thrust arcs
+under Kepler, J2 and three-body dynamics. ``--short`` runs the earlier
+default seeds 2406 and 301-303 (428 designs), so that outputs made with
+them still compare; ``tests/short_census.txt`` holds its output, against
+which ``tests/test_replay_digests.py`` compares a fresh run. A new set's
+lines are appended to it by ``--short --workload NAME``, which leaves
+the other lines as they were. The polycam package is imported from
+``src/`` next to this file, and the workloads from ``perfbench/``. The
+file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -62,27 +66,36 @@ DV_MOVE = 1e-6
 FAILING = ("only in ", "  exit ", "  delta-v ")
 # the benchmark's run length: each workload's design count follows from it
 RUN_SECONDS = 25.0
-# LEO designs per seed of each design set, and each set's options: ranked
-# low-thrust arcs; three J2 impulses, whose last coast integrates in the
-# 9-variable algebra; a low-thrust arc and a J2 impulse on a step count,
-# whose back-propagations take the count rather than a mesh; one low-thrust
-# arc of four held accelerations, whose last one integrates in the
-# 12-variable algebra; and one impulse on a conjunction of the generator's
-# default band, up to four decades above the target, so over a wider range
-# of misses than the workloads' band
+# designs per seed of each design set, and each set's regime and options:
+# ranked low-thrust arcs; three J2 impulses, whose last coast integrates
+# in the 9-variable algebra; a low-thrust arc and a J2 impulse on a step
+# count, whose back-propagations take the count rather than a mesh; one
+# low-thrust arc of four held accelerations, whose last one integrates in
+# the 12-variable algebra; one impulse on a conjunction of the
+# generator's default band, up to four decades above the target, so over
+# a wider range of misses than the workloads' band; then the paper's
+# cases that no workload runs: a J2 low-thrust arc, three cislunar
+# impulses and a cislunar low-thrust arc
 DESIGNS_PER_SEED = 4
 DESIGN_SETS = {
-    "ranked_low_thrust": ("--mode", "lowthrust", "--nodes", "2orb,1orb,0.5orb",
-                          "--filter-grid",
-                          "3orb,2.75orb,2.5orb,2.25orb,2orb,1.75orb,1.5orb",
-                          "--filter-keep", "1"),
-    "j2_three_node": ("--nodes", "2.5orb,1.5orb,0.5orb", "--dyn", "j2"),
-    "low_thrust_steps": ("--mode", "lowthrust", "--nodes", "1orb,0.5orb",
-                         "--steps", "40"),
-    "j2_steps": ("--nodes", "0.5orb", "--dyn", "j2", "--steps", "40"),
-    "low_thrust_12": ("--mode", "lowthrust", "--nodes",
-                      "2orb,1.5orb,1orb,0.5orb,0.25orb"),
-    "default_band": ("--nodes", "0.5orb"),
+    "ranked_low_thrust": ("LEO", (
+        "--mode", "lowthrust", "--nodes", "2orb,1orb,0.5orb", "--filter-grid",
+        "3orb,2.75orb,2.5orb,2.25orb,2orb,1.75orb,1.5orb",
+        "--filter-keep", "1")),
+    "j2_three_node": ("LEO", ("--nodes", "2.5orb,1.5orb,0.5orb",
+                              "--dyn", "j2")),
+    "low_thrust_steps": ("LEO", ("--mode", "lowthrust", "--nodes",
+                                 "1orb,0.5orb", "--steps", "40")),
+    "j2_steps": ("LEO", ("--nodes", "0.5orb", "--dyn", "j2",
+                         "--steps", "40")),
+    "low_thrust_12": ("LEO", ("--mode", "lowthrust", "--nodes",
+                              "2orb,1.5orb,1orb,0.5orb,0.25orb")),
+    "default_band": ("LEO", ("--nodes", "0.5orb")),
+    "j2_low_thrust": ("LEO", ("--mode", "lowthrust", "--nodes",
+                              "1orb,0.5orb", "--dyn", "j2")),
+    "cislunar_three_node": ("CISLUNAR", ("--nodes", "21600,14400,7200")),
+    "cislunar_low_thrust": ("CISLUNAR", ("--mode", "lowthrust", "--nodes",
+                                         "14400,7200")),
 }
 # sets drawn from the generator's default ballistic probability band; the
 # others take the workloads' band
@@ -91,15 +104,17 @@ DEFAULT_BAND_SETS = {"default_band"}
 
 def set_designs(name: str, seed: int, workloads, count: int = DESIGNS_PER_SEED
                 ) -> list:
-    """The first ``count`` designs of ``DESIGN_SETS[name]`` at ``seed``, as
-    ``workloads.Design`` (``workloads`` being ``perfbench/workloads.py``)."""
+    """The first ``count`` designs of ``DESIGN_SETS[name]`` at ``seed``, in
+    the set's regime, as ``workloads.Design`` (``workloads`` being
+    ``perfbench/workloads.py``)."""
     from polycam.scenarios import generate_synthetic_suite
+    regime, options = DESIGN_SETS[name]
     band = {} if name in DEFAULT_BAND_SETS else {
         "poc_band": workloads.POC_BAND}
-    docs = generate_synthetic_suite(seed, count, "LEO", **band)
+    docs = generate_synthetic_suite(seed, count, regime, **band)
     return [workloads.Design(f"{doc['name']}/{name}", doc, (
         "--order", str(workloads.ORDER), "--target-poc",
-        repr(workloads.TARGET_POC), *DESIGN_SETS[name])) for doc in docs]
+        repr(workloads.TARGET_POC), *options)) for doc in docs]
 
 
 def _figures(payload: dict) -> str:

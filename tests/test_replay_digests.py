@@ -64,7 +64,7 @@ SHORT_CENSUS = os.path.join(os.path.dirname(__file__), "short_census.txt")
 
 def test_short_census_keeps_the_committed_answers(tmp_path, monkeypatch,
                                                  capsys):
-    # its 380 designs run in this process; digests may move at round-off,
+    # its 428 designs run in this process; digests may move at round-off,
     # so only the FAILING lines of --compare fail the test: a design on
     # one side only, an exit-code change or a delta-v move above DV_MOVE
     monkeypatch.setattr(sys, "path", list(sys.path))
@@ -73,7 +73,7 @@ def test_short_census_keeps_the_committed_answers(tmp_path, monkeypatch,
     after.write_text(capsys.readouterr().out)
     code = replay_digests.main(["--compare", SHORT_CENSUS, str(after)])
     lines = capsys.readouterr().out.splitlines()
-    assert any(line.startswith("all: 380 designs") for line in lines)
+    assert any(line.startswith("all: 428 designs") for line in lines)
     assert [line for line in lines
             if line.startswith(replay_digests.FAILING)] == []
     assert code == 0
