@@ -436,7 +436,8 @@ def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
     polynomial or batched state raises :class:`PropagationError` on it.
     A step whose arithmetic fails (a float power that overflows, say) or
     that leaves a real or complex scalar state non-finite raises
-    :class:`PropagationError` at its end time.
+    :class:`PropagationError` at its end time. A t0 or t1 that is not
+    finite raises :class:`ConfigurationError`, before any step.
 
     A state with a polynomial among its entries or controls advances as
     one (6, N) block of coefficient rows (:func:`_block_step`), each
@@ -448,6 +449,9 @@ def integrate(y0: Sequence, u: Sequence, t0: float, t1: float,
     the stages in the tableau's order, a block's float entries taken as
     constant polynomials.
     """
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ConfigurationError(
+            f"span times must be finite, not t={t0!r} to t={t1!r}")
     if t1 == t0:
         return list(y0)
     u = tuple(float(c) if isinstance(c, np.float64) else c for c in u)

@@ -1,17 +1,19 @@
 """Polynomial maps of log collision probability versus control perturbations.
 
 Each design starts once: the maneuverable spacecraft is back-propagated
-from closest approach to the first control opportunity. The polynomial
-pass and every real replay start from the back-propagated state and,
-unless a step count is set, step on the times that the back-propagation's
-error control picked for the design's log probability; a Kepler coast
-takes one closed-form step instead, whatever the plan, in an impulsive
-design's back-propagation too. Perturbation variables are attached at
-each node (velocity increments for impulsive schedules, held
-accelerations for low-thrust arcs), and the perturbed state is
-propagated forward through the encounter. The state's algebra grows node
-by node with the variables attached so far, and each segment is
-integrated, or takes its closed form, in the state's own algebra. The
+from closest approach to the first control opportunity
+(:func:`start_state`). The polynomial pass and every real replay are one
+forward pass from the back-propagated state, one loop over the control
+epochs that applies each epoch's events and then steps the segment on.
+Unless a step count is set, they step on the times that the
+back-propagation's error control picked for the design's log
+probability; a Kepler coast takes one closed-form step instead, whatever
+the plan, in an impulsive design's back-propagation too. Perturbation
+variables are attached at each node (velocity increments for impulsive
+schedules, held accelerations for low-thrust arcs), and the perturbed
+state is propagated forward through the encounter. The state's algebra
+grows node by node with the variables attached so far, and each segment
+is integrated, or takes its closed form, in the state's own algebra. The
 trajectory runs at order ``TRAJECTORY_ORDER`` at most: a truncated
 product's degree-d coefficients read only its factors' up to degree d,
 so the map's coefficients up to that degree are those of a full-order
@@ -57,6 +59,7 @@ __all__ = [
     "IMPULSE_REF_MS", "ACCEL_REF_MS2",
     "ControlSchedule", "PocMap", "Start",
     "build_poc_map", "gradient_norm_per_node", "propagate_with_controls",
+    "start_state",
 ]
 
 IMPULSIVE = "IMPULSIVE"
@@ -226,7 +229,8 @@ class ControlSchedule:
 
 class Start(NamedTuple):
     """Where every pass of a design begins, from its back-propagation (a
-    pass of its own, or the ranking's; see :func:`_back_propagation`).
+    pass of its own, which :func:`start_state` runs, or the ranking's; see
+    :func:`_back_propagation`).
 
     ``epoch`` is the first control event in seconds relative to closest
     approach (a node or a fixed impulse) and ``state`` the primary's
@@ -328,18 +332,34 @@ def _control_rotation(event: ConjunctionEvent, scale: UnitScale,
                         ref[3:] * scale.velocity_kms)
 
 
-def _start_state(event: ConjunctionEvent, schedule: ControlSchedule,
-                 config: PropagationConfig,
-                 fixed_impulses: Sequence[tuple[float, np.ndarray]] = ()
-                 ) -> Start:
-    """The :class:`Start` at the first control event of ``schedule`` and
-    ``fixed_impulses``, which it holds: a :func:`_back_propagation` that
-    stops at every control epoch, real under a step count."""
+def start_state(event: ConjunctionEvent, schedule: ControlSchedule,
+                config: PropagationConfig | None = None,
+                fixed_impulses: Sequence[tuple[float, np.ndarray]] = ()
+                ) -> Start:
+    """The design's :class:`Start` at the first control event of
+    ``schedule`` and ``fixed_impulses``, which it holds: a
+    :func:`_back_propagation` on ``config`` (error control by default)
+    that stops at every control epoch, real under a step count. A fixed
+    impulse is (epoch in seconds relative to closest approach, delta-v in
+    m/s in the local frame); one that a schedule's node would refuse (an
+    epoch not finite or not before closest approach) or whose delta-v is
+    not 3 finite components raises :class:`ConfigurationError`."""
+    config = config or PropagationConfig()
+    fixed = tuple((float(t), np.asarray(dv, dtype=np.float64))
+                  for t, dv in fixed_impulses)
+    for t, dv in fixed:
+        # negated comparisons, so that NaN fails them
+        if not -math.inf < t < 0.0:
+            raise ConfigurationError(
+                "fixed impulses must be finite and precede closest approach")
+        if dv.shape != (3,) or not np.all(np.isfinite(dv)):
+            raise ConfigurationError(
+                "a fixed impulse's delta-v must be 3 finite components")
     epochs = [*(schedule.node_epochs[i] for i in schedule.control_node_indices()),
-              *(float(t) for t, _ in fixed_impulses)]
+              *(t for t, _ in fixed)]
     start = _back_propagation(event, epochs, config, config.count is None,
                               schedule.mode == IMPULSIVE)[1][min(epochs)][0]
-    return start._replace(fixed_impulses=tuple(fixed_impulses))
+    return start._replace(fixed_impulses=fixed)
 
 
 def _back_propagation(event: ConjunctionEvent, epochs: Sequence[float],
@@ -415,131 +435,96 @@ def _back_propagation(event: ConjunctionEvent, epochs: Sequence[float],
     return size, stops
 
 
-def _legs(start: Start, schedule: ControlSchedule, scale: UnitScale) -> list:
-    """A pass's legs on ``start``'s plan, one per control epoch: the epoch,
-    the events there, (epoch, kind, payload) for each node with its index
-    and each of the start's fixed impulses with its delta-v in m/s (the
-    impulse first), then the segment on to the next epoch or closest
-    approach: t0, t1 in internal units and its steps."""
-    events = sorted([(t, "node", i) for i, t in enumerate(schedule.node_epochs)]
-                    + [(float(t), "fixed", np.asarray(dv, dtype=np.float64))
-                       for t, dv in start.fixed_impulses],
-                    key=lambda item: (item[0], item[1] != "fixed"))
-    epochs = sorted({t for t, _, _ in events})
-    legs = []
-    for t0, t1 in zip(epochs, [*epochs[1:], 0.0]):
-        a, b = t0 / scale.time_s, t1 / scale.time_s
-        legs.append((t0, [e for e in events if e[0] == t0], a, b,
-                     start.plan.between(a, b)))
-    return legs
-
-
 def _thread_trajectory(event: ConjunctionEvent, schedule: ControlSchedule,
                        start: Start, controls, control_unit: float,
                        steps_taken: list | None = None):
-    """Propagate the primary from the first control event to closest
-    approach, starting from ``start`` (see :func:`_start_state`), stepping
-    on its plan and folding in its fixed impulses. One arithmetic pipeline
-    serves both DA map construction and the real replay, and takes each
-    control's frame from the start at its epoch (refused without one
-    there). ``controls[slot]`` holds the control scalars of one slot
+    """Propagate the primary from ``start`` (see :func:`start_state`),
+    which must be at the first control event, to closest approach. One
+    arithmetic pipeline serves both DA map construction and the real
+    replay. ``controls[slot]`` holds the control scalars of one slot
     (TaylorPoly variables or floats; complex scalars also pass, giving
     complex-step derivatives that check the ranking's adjoint), one scalar
     for a fixed-direction control and three otherwise; one unit of a
     scalar is ``control_unit`` physical units (m/s for impulses, m/s^2 for
     held accelerations).
 
-    Polynomial controls may live in growing algebras: at each control node
-    the state is embedded into the algebra of that slot's variables, so
-    early segments run with only the variables of the nodes reached so
-    far. Each segment is integrated in the state's algebra, or takes one
-    closed-form step there if it is a coast with a
-    :func:`~polycam.dynamics.kepler_anomaly`; the polynomials keep the
-    controls' order (``TRAJECTORY_ORDER`` at most, from
-    :func:`build_poc_map`). A thrust arc integrates even at a zero
-    control, so every pass takes the same steps on it.
-    ``steps_taken``, when given, receives each segment's steps in time
-    order: 1 for a closed-form coast, else its plan's.
+    The pass is one loop over the control epochs. At each it applies the
+    events there, the start's fixed impulses first, then the node: an
+    impulse kicks the velocity, a low-thrust node sets the acceleration
+    held up to the next node, and an idle arc end stops it. An event with
+    a control reads its frame from the start at its epoch (refused
+    without one there). Polynomial controls may live in growing algebras:
+    at each control node the state is embedded into the algebra of that
+    slot's variables, so early segments run with only the variables of
+    the nodes reached so far. The segment on to the next epoch, or to
+    closest approach, then steps on the start's plan between the two:
+    integrated in the state's algebra, or in one closed-form step there
+    if it is a coast with a :func:`~polycam.dynamics.kepler_anomaly`; the
+    polynomials keep the controls' order (``TRAJECTORY_ORDER`` at most,
+    from :func:`build_poc_map`). A thrust arc integrates even at a zero
+    control, so every pass takes the same steps on it. ``steps_taken``,
+    when given, receives each segment's steps in time order: 1 for a
+    closed-form coast, else its plan's.
 
     Returns (xi, zeta): the relative position at closest approach on
     ``event.bplane`` in km, in the scalar type of the controls.
     """
     scale, model_nd = _to_internal_units(event)
-    v_unit = scale.velocity_kms
-
-    legs = _legs(start, schedule, scale)
-    if start.epoch != legs[0][0]:
+    # one control unit in internal velocity (impulses) or acceleration
+    unit_nd = control_unit * 1e-3 / (scale.velocity_kms if schedule.mode
+                                     == IMPULSIVE else scale.accel_kms2)
+    slots = dict(zip(schedule.control_node_indices(), controls))
+    # (epoch, is a node, node index or fixed delta-v in m/s), each fixed
+    # impulse before the node at its epoch
+    events = sorted([(t, True, i) for i, t in enumerate(schedule.node_epochs)]
+                    + [(float(t), False, np.asarray(dv, dtype=np.float64))
+                       for t, dv in start.fixed_impulses],
+                    key=operator.itemgetter(0, 1))
+    epochs = sorted({e[0] for e in events})
+    if start.epoch != epochs[0]:
         raise ConfigurationError(
             f"start epoch {start.epoch} is not the first control event "
-            f"{legs[0][0]}")
-    y = list(start.state)
-
-    slot_of_node = {}
-    for slot, node_idx in enumerate(schedule.control_node_indices()):
-        slot_of_node[node_idx] = slot
-
-    # One control unit in internal units. Impulses: m/s -> km/s -> internal
-    # velocity; accelerations: m/s^2 -> km/s^2 -> internal acceleration.
-    if schedule.mode == IMPULSIVE:
-        unit_nd = control_unit * 1e-3 / v_unit
-    else:
-        unit_nd = control_unit * 1e-3 / scale.accel_kms2
-
-    def slot_vector(scalars, rot: np.ndarray):
-        """Three control components of one slot's scalars, in internal
-        velocity/accel units."""
-        if schedule.is_fixed_direction:
-            direction = schedule.fixed_direction
-            comps = [scalars[0] * float(direction[k]) for k in range(3)]
+            f"{epochs[0]}")
+    y, held = list(start.state), None
+    for t0, t1 in zip(epochs, [*epochs[1:], 0.0]):
+        for _, is_node, payload in (e for e in events if e[0] == t0):
+            if is_node and payload not in slots:
+                held = None  # an idle arc end
+                continue
+            if t0 not in start.frames:
+                raise ConfigurationError(
+                    f"the start has no control frame at {t0} s")
+            rot = start.frames[t0]
+            if not is_node:
+                kick = (rot.T @ (payload * 1e-3)) / scale.velocity_kms
+            else:
+                scalars = slots[payload]
+                if isinstance(scalars[0], TaylorPoly):
+                    algebra = scalars[0].config
+                    y = [x.embed(algebra) if isinstance(x, TaylorPoly)
+                         else x for x in y]
+                if schedule.is_fixed_direction:
+                    scalars = [scalars[0] * float(d)
+                               for d in schedule.fixed_direction]
+                kick = [scalars[0] * (float(rot[0, k]) * unit_nd)
+                        + scalars[1] * (float(rot[1, k]) * unit_nd)
+                        + scalars[2] * (float(rot[2, k]) * unit_nd)
+                        for k in range(3)]
+                if schedule.mode == LOW_THRUST:
+                    held = tuple(kick)
+                    continue
+            y[3:] = [y[3 + k] + kick[k] for k in range(3)]
+        a, b = t0 / scale.time_s, t1 / scale.time_s
+        plan = start.plan.between(a, b)
+        closed = held is None and steps_taken is not None \
+            and kepler_anomaly(y, (), a, b, model_nd) is not None
+        if held is None:
+            y = propagate_vector(y, (0.0,) * 3, a, b, model_nd, plan)
         else:
-            comps = scalars
-        return [comps[0] * (float(rot[0, k]) * unit_nd)
-                + comps[1] * (float(rot[1, k]) * unit_nd)
-                + comps[2] * (float(rot[2, k]) * unit_nd) for k in range(3)]
-
-    # (slot, node rotation) of the acceleration held on the current segment
-    held_slot = None
-
-    def propagate_segment(y, t0: float, t1: float, plan) -> list:
-        closed = held_slot is None and steps_taken is not None \
-            and kepler_anomaly(y, (), t0, t1, model_nd) is not None
-        if held_slot is None:
-            y = propagate_vector(y, (0.0,) * 3, t0, t1, model_nd, plan)
-        else:
-            y = integrate(y, tuple(slot_vector(controls[held_slot[0]],
-                                               held_slot[1])),
-                          t0, t1, model_nd, plan)
+            y = integrate(y, held, a, b, model_nd, plan)
         if steps_taken is not None:
             # read after the pass: an empty plan is filled where it integrates
             steps_taken.append(1 if closed else plan.steps)
-        return y
-
-    def frame(t: float) -> np.ndarray:
-        if t not in start.frames:
-            raise ConfigurationError(f"the start has no control frame at {t} s")
-        return start.frames[t]
-
-    for epoch, at_epoch, t0, t1, plan in legs:
-        for _, kind, payload in at_epoch:
-            if kind == "fixed":
-                dv_nd = (frame(epoch).T @ (payload * 1e-3)) / v_unit
-                for k in range(3):
-                    y[3 + k] = y[3 + k] + dv_nd[k]
-                continue
-            slot = slot_of_node.get(payload)
-            scalars = [] if slot is None else list(controls[slot])
-            if scalars and isinstance(scalars[0], TaylorPoly):
-                y = [c.embed(scalars[0].config) if isinstance(c, TaylorPoly)
-                     else c for c in y]
-            if schedule.mode == IMPULSIVE:
-                dv = slot_vector(scalars, frame(epoch))
-                for k in range(3):
-                    y[3 + k] = y[3 + k] + dv[k]
-            else:
-                # an idle arc end carries no slot and stops the held
-                # acceleration
-                held_slot = None if slot is None else (slot, frame(epoch))
-        y = propagate_segment(y, t0, t1, plan)
     return _relative_bplane_position(y, event, scale)
 
 
@@ -590,31 +575,30 @@ def build_poc_map(event: ConjunctionEvent, schedule: ControlSchedule,
     """Expand log collision probability to ``order`` in the stacked controls.
 
     The pass begins at ``start`` (from the ranking, say, or with fixed
-    impulses), which holds the plan it steps on, or else at the design's
-    back-propagation on ``config`` (:func:`_start_state`), without fixed
-    impulses; a ``config`` passed with a ``start`` would go unread, and is
-    refused with :class:`ConfigurationError`. Perturbation
-    variables of order min(``order``, ``TRAJECTORY_ORDER``) then ride
-    through the propagation from the start state node to node (each
-    node's variables join the state's algebra at that node). The relative
-    position, projected onto the frozen encounter plane, is lifted into
-    the ``order`` algebra (its coefficients above the trajectory's order
-    zero), and the log of the probability series, expanded in the two
-    encounter-plane coordinates about the ballistic encounter point, is
-    composed on top: 2 ``order`` - 1 products in the map's algebra,
-    however many terms the series takes. So the map's coefficients up to
-    the trajectory's order are those of a full-order pass; the higher
-    ones are the logarithm's of that truncated trajectory. The constant
-    part is the log of the ballistic probability; the map carries the
-    start.
+    impulses), which holds the plan it steps on, or else at
+    :func:`start_state` on ``config``, without fixed impulses; a
+    ``config`` passed with a ``start`` would go unread, and is refused
+    with :class:`ConfigurationError`. Perturbation variables of order
+    min(``order``, ``TRAJECTORY_ORDER``) then ride through the forward
+    pass (:func:`_thread_trajectory`) from the start state node to node,
+    each node's variables joining the state's algebra at that node. The
+    relative position, projected onto the frozen encounter plane, is
+    lifted into the ``order`` algebra (its coefficients above the
+    trajectory's order zero), and the log of the probability series,
+    expanded in the two encounter-plane coordinates about the ballistic
+    encounter point, is composed on top: 2 ``order`` - 1 products in the
+    map's algebra, however many terms the series takes. So the map's
+    coefficients up to the trajectory's order are those of a full-order
+    pass; the higher ones are the logarithm's of that truncated
+    trajectory. The constant part is the log of the ballistic
+    probability; the map carries the start.
     """
     if order < 1:
         raise ConfigurationError(f"expansion order must be >= 1, got {order}")
     if start is not None and config is not None:
         raise ConfigurationError(
             "a map steps on its start's plan; pass a config or a start")
-    start = start or _start_state(event, schedule,
-                                  config or PropagationConfig())
+    start = start or start_state(event, schedule, config)
 
     # each slot's variables live in the algebra of the slots up to it
     width = schedule.n_vars // schedule.n_controls

@@ -308,8 +308,6 @@ def solve_thrust_limited(event: ConjunctionEvent, dense_times, u_max_ms: float,
     """
     if not u_max_ms > 0.0:
         raise ConfigurationError("u_max must be positive")
-    if len(dense_times) == 0:
-        raise ConfigurationError("candidate grid is empty")
     started = time.perf_counter()
     if template.mode != IMPULSIVE:
         raise ConfigurationError("thrust-limited sequencing applies to impulses")

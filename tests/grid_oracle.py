@@ -14,8 +14,9 @@ from polycam.conjunction import ConjunctionEvent, poc_chan
 from polycam.dynamics import PropagationConfig, propagate_vector
 from polycam.errors import ConfigurationError
 from polycam.mapbuilder import (ControlSchedule, IMPULSIVE,
-                                _relative_bplane_position, _start_state,
-                                _to_internal_units, propagate_with_controls)
+                                _relative_bplane_position,
+                                _to_internal_units, propagate_with_controls,
+                                start_state)
 
 
 class InfeasibleError(Exception):
@@ -63,7 +64,7 @@ def grid_oracle_single_impulse(event: ConjunctionEvent, node_time: float,
 
     # the node's internal-unit reference state and control frame: the
     # design's start
-    start = _start_state(event, schedule, config)
+    start = start_state(event, schedule, config)
     p_b = event.bplane.p_b
     ballistic = propagate_with_controls(event, schedule, None, start)
     if poc_chan(ballistic, p_b, event.hbr_km) <= target_poc:

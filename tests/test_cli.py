@@ -120,8 +120,7 @@ class TestRunCommand:
 
     def test_result_revalidates_to_same_probability(self, scenario_file,
                                                     tmp_path):
-        from polycam.dynamics import PropagationConfig
-        from polycam.mapbuilder import ControlSchedule, IMPULSIVE, _start_state
+        from polycam.mapbuilder import ControlSchedule, IMPULSIVE, start_state
         from polycam.scenarios import parse_scenario
         from polycam.validate import validate_solution
 
@@ -132,7 +131,7 @@ class TestRunCommand:
         schedule = ControlSchedule(mode=IMPULSIVE,
                                    node_epochs=tuple(result["node_epochs_s"]))
         # the run's start: its back-propagation without a step count
-        start = _start_state(event, schedule, PropagationConfig())
+        start = start_state(event, schedule)
         report = validate_solution(event, schedule,
                                    np.array(result["solution"]["phi"]),
                                    result["target_poc"], start)

@@ -829,6 +829,20 @@ class TestErrorControl:
                       dyn.PropagationConfig(steps=steps))
         assert len(calls) == 12 * steps
 
+    @pytest.mark.parametrize("step", [dyn.integrate, dyn.propagate_vector],
+                             ids=["integrate", "propagate_vector"])
+    @pytest.mark.parametrize("steps", [None, 10], ids=["controlled", "counted"])
+    @pytest.mark.parametrize("t0, t1", [
+        (0.0, math.nan), (0.0, math.inf), (0.0, -math.inf), (math.nan, 1.0)],
+        ids=["nan", "inf", "-inf", "nan-start"])
+    def test_non_finite_time_is_refused(self, step, steps, t0, t1):
+        # error control accepts no step on a non-finite span, and no bound
+        # of its loop is ever reached: it is refused first, with exit 3
+        with pytest.raises(ConfigurationError, match="finite") as err:
+            step(self.LEO, (0.0, 0.0, 0.0), t0, t1, self.UNIT_J2,
+                 dyn.PropagationConfig(steps=steps))
+        assert cli._failure(err.value)[0] == 3
+
     @pytest.mark.parametrize("kick", [0.0, 1e-20], ids=["real", "complex"])
     def test_replayed_mesh_gives_the_same_state(self, kick):
         # the controlled step's state is the plain step's, so a replay of

@@ -15,7 +15,7 @@ from polycam.mapbuilder import (ACCEL_REF_MS2, ControlSchedule,
                                 _relative_bplane_position,
                                 _to_internal_units, build_poc_map,
                                 gradient_norm_per_node,
-                                propagate_with_controls)
+                                propagate_with_controls, start_state)
 from polycam.scenarios import generate_synthetic_suite, scenario_to_event
 from polycam.solver import SolverConfig, solve_recursive
 from polycam.validate import validate_solution
@@ -124,9 +124,7 @@ def start_of(event, schedule, config=None, fixed_impulses=()):
     """The design's Start, holding ``fixed_impulses``: its
     back-propagation to the first control event, as a map built without a
     given start takes it."""
-    return mapbuilder._start_state(event, schedule,
-                                   config or dyn.PropagationConfig(),
-                                   fixed_impulses)
+    return start_state(event, schedule, config, fixed_impulses)
 
 
 def ballistic_poc(event, pmap):
@@ -448,6 +446,24 @@ class TestReferenceTrajectory:
         assert np.array_equal(report.bplane_before_km, r_b)
         assert math.exp(pmap.poly.constant_part) == pytest.approx(
             report.ballistic_poc, rel=1e-12)
+
+    @pytest.mark.parametrize("impulse", [
+        # unrefused, a pass would thread past closest approach and back
+        (300.0, [0.0, 0.01, 0.0]),
+        # its back-propagation would never return
+        (math.nan, [0.0, 0.01, 0.0]),
+        # numpy's ValueError would come from inside the pass
+        (-900.0, [0.0, 0.01]),
+        # a PropagationError would come from the map build
+        (-900.0, [0.0, math.nan, 0.0])],
+        ids=["after-closest-approach", "nan-epoch", "two-components",
+             "nan-delta-v"])
+    def test_fixed_impulse_that_a_schedule_refuses_is_refused(self, leo_event,
+                                                              impulse):
+        sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-600.0,))
+        with pytest.raises(ConfigurationError, match="fixed impulse") as err:
+            start_state(leo_event, sched, fixed_impulses=[impulse])
+        assert cli._failure(err.value)[0] == 3
 
     def test_start_from_another_epoch_is_refused(self, leo_event, leo_period):
         sched = ControlSchedule(mode=IMPULSIVE, node_epochs=(-leo_period,))

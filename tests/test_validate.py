@@ -97,8 +97,8 @@ def fine_replay_error(regime, kind, monkeypatch):
     # the replay, and its back-propagation, integrate every coast: a Kepler
     # one would otherwise take the closed form on both sides
     monkeypatch.setattr(mapbuilder, "propagate_vector", dyn.integrate)
-    start = mapbuilder._start_state(event, sched,
-                                    dyn.PropagationConfig(steps=1600))
+    start = mapbuilder.start_state(event, sched,
+                                   dyn.PropagationConfig(steps=1600))
     fine = propagate_with_controls(event, sched, solution.phi, start)
     replayed = poc_chan(fine, event.bplane.p_b, event.hbr_km)
     return abs(report.validated_poc / replayed - 1.0)
