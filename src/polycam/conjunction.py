@@ -5,16 +5,17 @@ velocity at closest approach (B-plane). Collision probability is the 2-D
 Gaussian mass of the relative position over the combined hard-body disc.
 Two independent routes compute it: a fixed Gauss-Legendre quadrature of
 Alfano's one-dimensional form (:func:`poc_quadrature`, real-valued only,
-numpy and the standard library's erf) and a convergent series
-(:func:`poc_chan`). The series factors as a Gaussian in the miss times a
-slowly varying sum, so its logarithm over TaylorPoly positions
-(:func:`log_poc_chan`) is an exact quadratic plus a truncated log of that
-sum: the pipeline's polynomial expansion of probability is one of log
-PoC. The probability depends on the control only through the two
-encounter-plane coordinates, so that logarithm is expanded once in two
-variables, about the positions' constant parts, and composed onto the
-positions' own algebra. The sum runs to convergence in every degree, or
-to a cap (see below).
+numpy and the standard library's erf; its nodes are Newton roots of the
+Legendre recurrence, so no LAPACK call wakes numpy's BLAS threads) and a
+convergent series (:func:`poc_chan`). The series factors as a Gaussian
+in the miss times a slowly varying sum, so its logarithm over TaylorPoly
+positions (:func:`log_poc_chan`) is an exact quadratic plus a truncated
+log of that sum: the pipeline's polynomial expansion of probability is
+one of log PoC. The probability depends on the control only through the
+two encounter-plane coordinates, so that logarithm is expanded once in
+two variables, about the positions' constant parts, and composed onto
+the positions' own algebra. The sum runs to convergence in every degree,
+or to a cap (see below).
 """
 
 from __future__ import annotations
@@ -190,7 +191,20 @@ def _check_pd_2x2(p_b: np.ndarray) -> None:
 
 @lru_cache(maxsize=None)
 def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(128)
+    """Read-only nodes (ascending) and weights of the 128-node rule."""
+    n = 128
+    x = np.cos(np.pi * (np.arange(1, n // 2 + 1) - 0.25) / (n + 0.5))
+    for _ in range(5):  # the fourth step moves x by under 1e-16
+        p_prev, p = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        slope = n * (x * p - p_prev) / (x * x - 1.0)
+        x = x - p / slope
+    w = 2.0 / ((1.0 - x * x) * slope * slope)
+    nodes, weights = np.concatenate((-x, x[::-1])), np.concatenate((w, w[::-1]))
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def poc_quadrature(r_b, p_b, hbr: float) -> float:
@@ -202,8 +216,10 @@ def poc_quadrature(r_b, p_b, hbr: float) -> float:
     as erf + erf when the chord spans the mean and as erfc - erfc
     otherwise, so that no tail cancels. The sweep is cut into one panel
     per 16 minor-axis sigmas of hard-body radius, each summed by the same
-    128-node Gauss-Legendre rule. Far in the tail the terms underflow: a
-    disc whose nearest point lies beyond about 38 sigma gets exactly 0.
+    128-node Gauss-Legendre rule, built once per process by Newton on the
+    Legendre three-term recurrence: elementwise numpy, no LAPACK
+    eigensolve. Far in the tail the terms underflow: a disc whose nearest
+    point lies beyond about 38 sigma gets exactly 0.
     """
     r_b = np.asarray(r_b, dtype=np.float64)
     p_b = np.asarray(p_b, dtype=np.float64)

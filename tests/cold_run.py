@@ -1,4 +1,4 @@
-"""Cold ``polycam run`` wall times of two source trees, side by side.
+"""Cold ``polycam run`` wall and CPU times of two source trees, side by side.
 
 Generates ``leo-2406-001`` ... ``leo-2406-005`` (``polycam generate --seed
 2406``, default band) once, in a process of its own, since ``generate``
@@ -6,8 +6,9 @@ loads ``scipy.optimize`` and the runs must start cold. Then runs each
 scenario N times per tree, each time in a fresh ``python -m polycam run``
 process, alternating the trees (and which goes first) so that host drift
 falls on both alike. Prints one line per run, then per scenario and tree
-the median wall time of the process, the median of the result's own
-``wall_time_s`` and the exit codes::
+the median wall time of the process, the median of its CPU time (user plus
+system, from ``RUSAGE_CHILDREN``, so CPU spent off the main thread counts),
+the median of the result's own ``wall_time_s`` and the exit codes::
 
     python tests/cold_run.py PARENT_TREE CHANGE_TREE 5
     python tests/cold_run.py PARENT_TREE CHANGE_TREE 5 --order 3
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -35,6 +37,11 @@ def _env(tree: str) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(os.path.abspath(tree), "src")
     return env
+
+
+def _children_cpu() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
 
 
 def main(argv=None) -> int:
@@ -56,25 +63,29 @@ def main(argv=None) -> int:
             for name in SCENARIOS:
                 for tree in args.trees[::1 if k % 2 == 0 else -1]:
                     began = time.perf_counter()
+                    cpu_began = _children_cpu()
                     proc = subprocess.run(
                         [sys.executable, "-m", "polycam", "run",
                          os.path.join(work, f"{name}.json"), *args.run_flags],
                         capture_output=True, text=True, cwd=work,
                         env=_env(tree))
                     wall = time.perf_counter() - began
+                    cpu = _children_cpu() - cpu_began
                     try:
                         own = json.loads(proc.stdout).get("wall_time_s")
                     except ValueError:  # a crash prints no result
                         own = None
-                    runs[name, tree].append((wall, own, proc.returncode))
-                    print(f"{name} {tree} {wall:.3f} {own} {proc.returncode}",
-                          flush=True)
-    print("# scenario tree median_wall_s median_wall_time_s exit_codes")
+                    runs[name, tree].append((wall, cpu, own, proc.returncode))
+                    print(f"{name} {tree} {wall:.3f} {cpu:.3f} {own} "
+                          f"{proc.returncode}", flush=True)
+    print("# scenario tree median_wall_s median_cpu_s median_wall_time_s "
+          "exit_codes")
     for (name, tree), rows in runs.items():
-        own = [row[1] for row in rows if row[1] is not None]
+        own = [row[2] for row in rows if row[2] is not None]
         print(f"# {name} {tree} {statistics.median(r[0] for r in rows):.3f} "
+              f"{statistics.median(r[1] for r in rows):.3f} "
               f"{f'{statistics.median(own):.3f}' if own else '-'} "
-              f"{sorted({row[2] for row in rows})}")
+              f"{sorted({row[3] for row in rows})}")
     return 0
 
 

@@ -1,17 +1,23 @@
 import collections
 import dataclasses
 import functools
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import ncx2
 
+import polycam
 from polycam import cli, dapoly, mapbuilder
 from polycam import dynamics as dyn
-from polycam.conjunction import (ConjunctionEvent, log_poc_chan, poc_chan,
-                                 poc_quadrature, project_bplane)
+from polycam.conjunction import (ConjunctionEvent, _legendre_rule,
+                                 log_poc_chan, poc_chan, poc_quadrature,
+                                 project_bplane)
 from polycam.dapoly import AlgebraConfig, TaylorPoly
 from polycam.errors import (CovarianceError, GeometryError, NumericError,
                             ValidationError)
@@ -279,6 +285,105 @@ class TestPocQuadrature:
             got = poc_quadrature(r_b, p_b, hbr)
             assert reference > 0.0
             assert abs(got - reference) <= 1e-12 * reference
+
+
+# one LEO and one cislunar scenario, then one design each of Kepler, J2,
+# three nodes, cislunar and low thrust; prints each other thread's CPU
+# ticks over them, or "skip" when no other thread exists
+BLAS_WAKE_SCRIPT = """
+import json, os, time
+import scipy.optimize  # generation's root find: scipy's own BLAS pool
+from polycam.cli import build_parser, run_scenario
+from polycam.scenarios import generate_synthetic_suite
+
+def others():
+    # {tid: (state, utime + stime in clock ticks)} of the other threads
+    found = {}
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+        except OSError:  # the thread has exited
+            continue
+        if int(tid) != os.getpid():
+            found[tid] = (fields[0], int(fields[11]) + int(fields[12]))
+    return found
+
+deadline = time.monotonic() + 10.0
+while (any(state == "R" for state, _ in others().values())
+       and time.monotonic() < deadline):
+    time.sleep(0.01)
+before = others()
+if not before:
+    print("skip")
+    raise SystemExit
+leo = generate_synthetic_suite(4711, 1, "LEO")[0]
+cislunar = generate_synthetic_suite(4711, 1, "CISLUNAR")[0]
+parser = build_parser()
+for doc, flags in ((leo, "--nodes 0.5orb"), (leo, "--nodes 0.5orb --dyn j2"),
+                   (leo, "--nodes 2.5orb,1.5orb,0.5orb --steps 60"),
+                   (cislunar, "--nodes 7200"),
+                   (leo, "--mode lowthrust --nodes 1orb,0.5orb")):
+    code, _ = run_scenario(doc, parser.parse_args(["run", "s.json",
+                                                   *flags.split()]))
+    assert code == 0, (flags, code)
+time.sleep(0.2)
+print(json.dumps({tid: ticks - before.get(tid, (None, 0))[1]
+                  for tid, (_, ticks) in others().items()}))
+"""
+
+
+class TestLegendreRule:
+    def test_integrates_even_powers_exactly(self):
+        # a 128-node rule is exact to degree 255
+        nodes, weights = _legendre_rule()
+        for k in range(128):
+            exact = 2.0 / (2 * k + 1)
+            got = float(np.sum(weights * nodes ** (2 * k)))
+            assert abs(got - exact) <= 1e-13 * exact, k
+
+    def test_nodes_match_numpy_leggauss(self):
+        nodes, _ = _legendre_rule()
+        reference, _ = np.polynomial.legendre.leggauss(128)
+        assert np.max(np.abs(nodes - reference)) <= 2.3e-16
+
+    def test_rule_is_exactly_symmetric(self):
+        nodes, weights = _legendre_rule()
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.array_equal(weights, weights[::-1])
+        assert np.all(np.diff(nodes) > 0.0)
+
+    def test_weights_sum_to_two(self):
+        _, weights = _legendre_rule()
+        assert abs(math.fsum(weights) - 2.0) <= 4 * np.spacing(2.0)
+
+    def test_cached_arrays_are_read_only(self):
+        nodes, weights = _legendre_rule()
+        kept = nodes.copy(), weights.copy()
+        for array in (nodes, weights):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(_legendre_rule(), kept))
+
+    def test_no_design_wakes_the_blas_threads(self):
+        # a threaded BLAS or LAPACK call, such as the 128x128 eigensolve of
+        # numpy's leggauss(128), wakes OpenBLAS's worker, which then spins
+        # about 13 ticks beside whatever runs next
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc/self/task to read thread times from")
+        src = os.path.dirname(os.path.dirname(polycam.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", BLAS_WAKE_SCRIPT],
+                              capture_output=True, text=True, timeout=300,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        if proc.stdout.strip() == "skip":
+            pytest.skip("no thread besides the main one")
+        gained = json.loads(proc.stdout)
+        assert max(gained.values()) < 3, gained
 
 
 class TestPocChan:
